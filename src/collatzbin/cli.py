@@ -17,7 +17,7 @@ from typing import Optional
 
 from . import collatz, compose, traceio, verify
 from .bitnat import BinaryNat
-from .classify import classify, hard_number
+from .classify import classify
 from .errors import (
     CapExceeded,
     CheckpointError,
@@ -25,7 +25,7 @@ from .errors import (
     ParityError,
     ResourceError,
 )
-from .powersum import derivation_trace, from_powersum, shift_powers
+from .powersum import derivation_trace, from_powersum, hard_closed_form, shift_powers
 
 CAP_ENV_VAR = "COLLATZBIN_CAP"
 
@@ -43,6 +43,13 @@ def _default_cap() -> int:
     if cap < 1:
         raise DomainError(f"{CAP_ENV_VAR} must be >= 1, got {cap}")
     return cap
+
+
+def _default_jobs() -> int:
+    # the CPUs this process may run on, where the platform can tell
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _parse_value(text: str, binary: bool) -> BinaryNat:
@@ -117,10 +124,7 @@ def _cmd_stopping_time(args) -> int:
 
 def _cmd_hard(args) -> int:
     k = args.k
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
-    a = hard_number(k)
-    t = a.mul3_add1()
+    a, t = hard_closed_form(k)
     print(f"a_{k} = {a.to_decimal()} ({a.bits})")
     print(f"T(a_{k}) = {t.to_decimal()} ({t.bits})")
     value = a
@@ -134,20 +138,26 @@ def _cmd_hard(args) -> int:
 def _cmd_verify(args) -> int:
     lo = _parse_value(args.lo, args.binary)
     hi = _parse_value(args.hi, args.binary)
-    jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
+    jobs = args.jobs if args.jobs is not None else _default_jobs()
     if args.resume:
         state = verify.checkpoint_load(args.checkpoint)
         if (state.lo, state.hi) != (lo.to_int(), hi.to_int()):
             raise DomainError(
                 f"checkpoint covers [{state.lo}, {state.hi}), not [{lo.to_decimal()}, {hi.to_decimal()})"
             )
+        for flag, given, saved in (
+            ("--cap", args.cap, state.step_cap),
+            ("--chunk", args.chunk, state.chunk_size),
+        ):
+            if given is not None and given != saved:
+                raise DomainError(f"{flag} {given} conflicts with the checkpoint ({saved})")
         report = verify.checkpoint_resume(args.checkpoint, jobs=jobs)
     else:
         report = verify.verify_range(
             lo,
             hi,
             step_cap=args.cap if args.cap is not None else verify.DEFAULT_STEP_CAP,
-            chunk_size=args.chunk,
+            chunk_size=args.chunk if args.chunk is not None else verify.DEFAULT_CHUNK_SIZE,
             jobs=jobs,
             checkpoint_path=args.checkpoint,
         )
@@ -230,9 +240,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--chunk",
         type=int,
-        default=verify.DEFAULT_CHUNK_SIZE,
+        default=None,
         metavar="C",
-        help="values per work chunk",
+        help=f"values per work chunk (default {verify.DEFAULT_CHUNK_SIZE})",
     )
     p.add_argument("--checkpoint", metavar="FILE", help="save resumable state here")
     p.add_argument(
@@ -245,7 +255,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="J",
-        help="worker processes (default: all processors)",
+        help="worker processes (default: the CPUs this process may use)",
     )
     p.set_defaults(fn=_cmd_verify)
     return parser

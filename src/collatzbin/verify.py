@@ -1,39 +1,45 @@
 """Batch convergence checks over contiguous ranges, with checkpoints.
 
 The engine walks every n in [lo, hi) to 1 (or to a step cap), recording
-the stopping time, the orbit peak, and the digit class, then folds chunk
+the stopping time, the orbit peak, and the digit class, then folds the
 results into one report. Internally it runs on machine integers under
-numpy with two escape hatches: values below a fixed table bound resolve
+numpy with two escape hatches: values below a table bound resolve
 through precomputed stopping-time/peak tables, and values at risk of
-overflowing 64 bits fall back to plain Python integers. The bound and the
-tables depend only on (hi, step_cap), and chunks are pure functions of
-their endpoints, so the merged report is identical for any chunk size,
-any worker count, and across checkpoint interrupt/resume.
+overflowing 64 bits finish on plain Python integers. The table entries
+are exact, so the tables depend only on hi and the cap is applied at
+lookup. Every partial result, from one value to a whole run, is a
+Checkpoint, and merging them is order-free, so the report is identical
+for any chunk size, any worker count, and across checkpoint
+interrupt/resume.
+
+What is checked is convergence: every n reaches 1 within the step cap.
+The 1 -> 4 -> 2 -> 1 tail that follows is the same three steps for
+every n, so no tail sampling is done.
 
 Truncation (cap reached before 1) is data, never an error: truncated
 inputs are listed in the report and excluded from the aggregates.
 Argmax ties go to the smaller n; peaks of truncated walks do not count.
 
 Checkpoint files are versioned line-oriented text, written atomically
-(temp file then rename) at chunk boundaries only.
+(temp file then rename) at chunk boundaries only, and checked for
+consistency when read back.
 """
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
 import os
-import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
 from .bitnat import BinaryNat
 from .classify import NumberClass
-from .collatz import cycle_check
-from .errors import CapExceeded, CheckpointError, DomainError
+from .errors import CheckpointError, DomainError
 
 __all__ = [
     "DEFAULT_STEP_CAP",
@@ -86,7 +92,11 @@ class RangeReport:
 
 @dataclass(slots=True)
 class Checkpoint:
-    """Mutable run state; everything needed to continue at a chunk boundary."""
+    """Mutable run state; everything needed to continue at a chunk boundary.
+
+    The result of one chunk or one value is also a Checkpoint, over its
+    own range with next_unprocessed at its end, and merges into the run.
+    """
 
     format_version: int
     lo: int
@@ -94,52 +104,40 @@ class Checkpoint:
     step_cap: int
     chunk_size: int
     next_unprocessed: int
-    verified_count: int
-    max_stopping_time: Optional[int]
-    max_stopping_time_at: Optional[int]
-    max_excursion: Optional[int]
-    max_excursion_at: Optional[int]
-    histogram: tuple[int, int, int, int, int]
-    truncated: list[int]
-
-
-class _ChunkStats(NamedTuple):
-    lo: int
-    hi: int
-    verified: int
-    max_sigma: Optional[int]
-    max_sigma_at: Optional[int]
-    max_peak: Optional[int]
-    max_peak_at: Optional[int]
-    hist: tuple[int, int, int, int, int]
-    truncated: tuple[int, ...]
+    verified_count: int = 0
+    max_stopping_time: Optional[int] = None
+    max_stopping_time_at: Optional[int] = None
+    max_excursion: Optional[int] = None
+    max_excursion_at: Optional[int] = None
+    histogram: tuple[int, int, int, int, int] = (0, 0, 0, 0, 0)
+    truncated: list[int] = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
 # base tables, shared with forked workers through module globals
 
-_SIG: Optional[np.ndarray] = None
-_PK: Optional[np.ndarray] = None
-_BOUND = 0
-_CAP = 0
+# exact stopping time and orbit peak of every 1 <= n < len(_SIG)
+_SIG = np.array([-1, 0], dtype=np.int64)
+_PK = np.array([0, 1], dtype=np.int64)
 
 
-def _ensure_tables(bound: int, cap: int) -> None:
-    """Stopping times and orbit peaks for all n < bound, memoized walks.
+def _ensure_tables(hi: int) -> None:
+    """Grow the tables to at least min(BASE_TABLE_BOUND, hi) entries.
 
-    sig[n] is the exact stopping time whenever the walk from n resolves
-    within cap steps (directly or through earlier entries), else -1.
-    pk[n] is the full-orbit peak for resolved entries. Entries are built
-    in ascending order, so the tables are a pure function of (bound, cap).
+    Entries carry no cap, so one table serves every cap and every range
+    it is long enough for. Growth at least doubles the length (up to the
+    bound); each new entry comes from a walk memoized on earlier ones.
     """
-    global _SIG, _PK, _BOUND, _CAP
-    if _SIG is not None and _BOUND == bound and _CAP == cap:
+    global _SIG, _PK
+    old = _SIG.size
+    if old >= min(BASE_TABLE_BOUND, hi):
         return
+    bound = min(BASE_TABLE_BOUND, max(hi, 2 * old))
     sig = np.full(bound, -1, dtype=np.int64)
     pk = np.zeros(bound, dtype=np.int64)
-    sig[1] = 0
-    pk[1] = 1
-    for n in range(2, bound):
+    sig[:old] = _SIG
+    pk[:old] = _PK
+    for n in range(old, bound):
         if sig[n] >= 0:
             continue
         path = []
@@ -147,133 +145,95 @@ def _ensure_tables(bound: int, cap: int) -> None:
         while not (v < bound and sig[v] >= 0):
             path.append(v)
             v = 3 * v + 1 if v & 1 else v >> 1
-            if len(path) > cap:
-                break
-        else:
-            s = int(sig[v])
-            p = int(pk[v])
-            for u in reversed(path):
-                s += 1
-                if u > p:
-                    p = u
-                if u < bound:
-                    sig[u] = s
-                    pk[u] = p
-            continue
-        # cap hit with no resolution: only n itself is known unresolved
-    _SIG, _PK, _BOUND, _CAP = sig, pk, bound, cap
+        s = int(sig[v])
+        p = int(pk[v])
+        for u in reversed(path):
+            s += 1
+            if u > p:
+                p = u
+            if u < bound:
+                sig[u] = s
+                pk[u] = p
+    _SIG, _PK = sig, pk
 
 
-def _walk_python(v: int, steps: int, peak: int) -> tuple[Optional[int], int]:
-    """Finish one orbit on plain integers; (stopping time or None, peak)."""
-    while True:
-        if v < _BOUND:
-            s = int(_SIG[v])
-            if s < 0:
-                return None, peak
-            total = steps + s
-            peak = max(peak, int(_PK[v]))
-            return (total, peak) if total <= _CAP else (None, peak)
-        if steps >= _CAP:
-            return None, peak
+# ---------------------------------------------------------------------------
+# partial results: one value, one chunk
+
+
+def _class_slots(ns: np.ndarray) -> np.ndarray:
+    """Each n's index in _HIST_ORDER; ns is int64 or object (Python ints)."""
+    return np.select(
+        [ns == 1, (ns & (ns - 1)) == 0, (ns & (ns + 1)) == 0, (ns & 1) == 0],
+        [0, 1, 2, 3],
+        4,
+    )
+
+
+def _classify_counts(ns: np.ndarray) -> tuple[int, int, int, int, int]:
+    return tuple(np.bincount(_class_slots(ns), minlength=5).tolist())
+
+
+def _walk_row(cap: int, n: int, slot: int, v: int, steps: int, peak: int) -> Checkpoint:
+    """Finish n's orbit from (v, steps, peak) on plain integers.
+
+    The result covers [n, n + 1).
+    """
+    bound = _SIG.size
+    while v >= bound and steps < cap:
         v = 3 * v + 1 if v & 1 else v >> 1
         steps += 1
         if v > peak:
             peak = v
+    hist = [0, 0, 0, 0, 0]
+    hist[slot] = 1
+    row = Checkpoint(CHECKPOINT_VERSION, n, n + 1, cap, 1, n + 1, histogram=tuple(hist))
+    if v < bound and steps + int(_SIG[v]) <= cap:
+        row.verified_count = 1
+        row.max_stopping_time, row.max_stopping_time_at = steps + int(_SIG[v]), n
+        row.max_excursion, row.max_excursion_at = max(peak, int(_PK[v])), n
+    else:
+        row.truncated.append(n)
+    return row
 
 
-# ---------------------------------------------------------------------------
-# per-chunk statistics
+def _fold_rows(lo: int, hi: int, cap: int, lanes) -> Checkpoint:
+    """Merge the rows of (n, slot, v, steps, peak) lanes, ascending in n."""
+    acc = Checkpoint(CHECKPOINT_VERSION, lo, hi, cap, hi - lo, lo)
+    for lane in lanes:
+        _merge(acc, _walk_row(cap, *lane))
+    return acc
 
 
-def _classify_counts(ns: np.ndarray) -> tuple[int, int, int, int, int]:
-    # order matches _HIST_ORDER
-    odd = (ns & 1) == 1
-    origin = ns == 1
-    pure_even = ((ns & (ns - 1)) == 0) & ~origin
-    pure_odd = ((ns & (ns + 1)) == 0) & ~origin
-    mixed_odd = odd & ~pure_odd & ~origin
-    mixed_even = ~odd & ~pure_even
-    return (
-        int(origin.sum()),
-        int(pure_even.sum()),
-        int(pure_odd.sum()),
-        int(mixed_even.sum()),
-        int(mixed_odd.sum()),
-    )
-
-
-def _class_slot(n: int) -> int:
-    if n == 1:
-        return 0
-    if n & (n - 1) == 0:
-        return 1
-    if n & (n + 1) == 0:
-        return 2
-    return 4 if n & 1 else 3
-
-
-def _finish_chunk(
-    lo: int,
-    hi: int,
-    hist: tuple[int, int, int, int, int],
-    results: "list[tuple[int, Optional[int], Optional[int]]]",
-) -> _ChunkStats:
-    """Fold per-n (n, sigma, peak) rows, ascending, into chunk stats."""
-    verified = 0
-    max_sigma = max_sigma_at = None
-    max_peak = max_peak_at = None
-    truncated = []
-    for n, sigma, peak in results:
-        if sigma is None:
-            truncated.append(n)
-            continue
-        verified += 1
-        if max_sigma is None or sigma > max_sigma:
-            max_sigma, max_sigma_at = sigma, n
-        if max_peak is None or peak > max_peak:
-            max_peak, max_peak_at = peak, n
-    return _ChunkStats(
-        lo, hi, verified, max_sigma, max_sigma_at, max_peak, max_peak_at, hist, tuple(truncated)
-    )
-
-
-def _chunk_stats_numpy(lo: int, hi: int) -> _ChunkStats:
+def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
     ns = np.arange(lo, hi, dtype=np.int64)
     size = ns.size
-    hist = _classify_counts(ns)
-    sig = np.empty(size, dtype=np.int64)
-    pk = np.empty(size, dtype=np.int64)
+    bound = _SIG.size
+    sig = np.full(size, -1, dtype=np.int64)
+    pk = np.zeros(size, dtype=np.int64)
     v = ns.copy()
     steps = np.zeros(size, dtype=np.int64)
     peak = ns.copy()
-    big: dict[int, tuple[Optional[int], int]] = {}
+    # lanes about to overflow int64 stop here and finish in _walk_row
+    fallback = np.zeros(size, dtype=bool)
     active = np.arange(size)
     while active.size:
-        done = v[active] < _BOUND
+        done = v[active] < bound
         if done.any():
             di = active[done]
-            s = _SIG[v[di]]
-            sig[di] = np.where(s < 0, np.int64(-1), steps[di] + s)
+            sig[di] = steps[di] + _SIG[v[di]]
             pk[di] = np.maximum(peak[di], _PK[v[di]])
             active = active[~done]
             if not active.size:
                 break
-        over = steps[active] >= _CAP
+        over = steps[active] >= cap
         if over.any():
-            oi = active[over]
-            sig[oi] = -1
-            pk[oi] = peak[oi]
             active = active[~over]
             if not active.size:
                 break
         huge = v[active] > _INT64_SAFE
         if huge.any():
-            for pos in active[huge].tolist():
-                s_total, p_total = _walk_python(int(v[pos]), int(steps[pos]), int(peak[pos]))
-                big[pos] = (s_total, p_total)
-                sig[pos] = -1 if s_total is None else s_total
-                pk[pos] = 0
+            fallback[active[huge]] = True
             active = active[~huge]
             if not active.size:
                 break
@@ -282,66 +242,71 @@ def _chunk_stats_numpy(lo: int, hi: int) -> _ChunkStats:
         v[active] = nxt
         steps[active] += 1
         peak[active] = np.maximum(peak[active], nxt)
-    trunc_mask = (sig < 0) | (sig > _CAP)
-    conv_idx = np.flatnonzero(~trunc_mask)
-    verified = int(conv_idx.size)
-    max_sigma = max_sigma_at = max_peak = max_peak_at = None
-    if verified:
-        # argmax first occurrence = smallest n, the tie rule
-        j = conv_idx[int(np.argmax(sig[conv_idx]))]
-        max_sigma, max_sigma_at = int(sig[j]), int(ns[j])
-        jj = conv_idx[int(np.argmax(pk[conv_idx]))]
-        max_peak, max_peak_at = int(pk[jj]), int(ns[jj])
-        for pos in sorted(big):
-            s_total, p_total = big[pos]
-            if s_total is None:
-                continue
-            n_pos = int(ns[pos])
-            if p_total > max_peak or (p_total == max_peak and n_pos < max_peak_at):
-                max_peak, max_peak_at = p_total, n_pos
-    truncated = tuple(int(x) for x in ns[trunc_mask])
-    return _ChunkStats(
-        lo, hi, verified, max_sigma, max_sigma_at, max_peak, max_peak_at, hist, truncated
+    kernel = ~fallback
+    conv = kernel & (sig >= 0) & (sig <= cap)
+    res = Checkpoint(
+        CHECKPOINT_VERSION, lo, hi, cap, size, hi, int(conv.sum()),
+        histogram=_classify_counts(ns[kernel]),
+        truncated=ns[kernel & ~conv].tolist(),
     )
+    if res.verified_count:
+        # argmax takes the first maximum, the smallest n: the tie rule
+        ci = np.flatnonzero(conv)
+        j = ci[np.argmax(sig[ci])]
+        res.max_stopping_time, res.max_stopping_time_at = int(sig[j]), int(ns[j])
+        j = ci[np.argmax(pk[ci])]
+        res.max_excursion, res.max_excursion_at = int(pk[j]), int(ns[j])
+    if not fallback.any():
+        return res
+    fb = np.flatnonzero(fallback)
+    lanes = (ns[fb], _class_slots(ns[fb]), v[fb], steps[fb], peak[fb])
+    return _merge(res, _fold_rows(lo, hi, cap, zip(*(a.tolist() for a in lanes))))
 
 
-def _chunk_stats_python(lo: int, hi: int) -> _ChunkStats:
-    hist = [0, 0, 0, 0, 0]
-    results = []
-    for n in range(lo, hi):
-        hist[_class_slot(n)] += 1
-        sigma, peak = _walk_python(n, 0, n)
-        results.append((n, sigma, peak if sigma is not None else None))
-    return _finish_chunk(lo, hi, tuple(hist), results)
-
-
-def _chunk_stats(bounds: tuple[int, int]) -> _ChunkStats:
+def _chunk_stats(bounds: tuple[int, int], cap: int) -> Checkpoint:
     lo, hi = bounds
     if hi <= 2**63:
-        return _chunk_stats_numpy(lo, hi)
-    return _chunk_stats_python(lo, hi)
+        return _chunk_numpy(lo, hi, cap)
+    # past int64 every value is a plain-integer walk from its start
+    ns = range(lo, hi)
+    slots = _class_slots(np.arange(lo, hi, dtype=object)).tolist()
+    return _fold_rows(lo, hi, cap, zip(ns, slots, ns, itertools.repeat(0), ns))
 
 
 # ---------------------------------------------------------------------------
 # merging, running, checkpointing
 
 
-def _merge(state: Checkpoint, c: _ChunkStats) -> None:
-    # chunks arrive in ascending order; strict > keeps the smaller argmax n
-    state.verified_count += c.verified
-    if c.max_sigma is not None and (
-        state.max_stopping_time is None or c.max_sigma > state.max_stopping_time
+def _beats(value, at, best, best_at) -> bool:
+    # maxima order by (value, -n): a tie goes to the smaller n
+    return value is not None and (best is None or (value, -at) > (best, -best_at))
+
+
+def _merge(state: Checkpoint, part: Checkpoint) -> Checkpoint:
+    """Fold part, a result inside state's range, into state; return state.
+
+    Counts add, maxima keep the larger (value, -n) and the truncated list
+    stays ascending, so any merge order gives the same state.
+    """
+    state.next_unprocessed = max(state.next_unprocessed, part.next_unprocessed)
+    state.verified_count += part.verified_count
+    if _beats(
+        part.max_stopping_time, part.max_stopping_time_at,
+        state.max_stopping_time, state.max_stopping_time_at,
     ):
-        state.max_stopping_time = c.max_sigma
-        state.max_stopping_time_at = c.max_sigma_at
-    if c.max_peak is not None and (
-        state.max_excursion is None or c.max_peak > state.max_excursion
+        state.max_stopping_time = part.max_stopping_time
+        state.max_stopping_time_at = part.max_stopping_time_at
+    if _beats(
+        part.max_excursion, part.max_excursion_at, state.max_excursion, state.max_excursion_at
     ):
-        state.max_excursion = c.max_peak
-        state.max_excursion_at = c.max_peak_at
-    state.histogram = tuple(a + b for a, b in zip(state.histogram, c.hist))
-    state.truncated.extend(c.truncated)
-    state.next_unprocessed = c.hi
+        state.max_excursion = part.max_excursion
+        state.max_excursion_at = part.max_excursion_at
+    state.histogram = tuple(a + b for a, b in zip(state.histogram, part.histogram))
+    if state.truncated and part.truncated and part.truncated[0] < state.truncated[-1]:
+        state.truncated = sorted(state.truncated + part.truncated)
+    else:
+        state.truncated.extend(part.truncated)
+    return state
 
 
 def _as_int(n: IntLike, name: str) -> int:
@@ -350,25 +315,6 @@ def _as_int(n: IntLike, name: str) -> int:
     if isinstance(n, int):
         return n
     raise DomainError(f"{name} must be an integer value, got {type(n).__name__}")
-
-
-def _sample_cycles(state: Checkpoint, count: int) -> None:
-    """Spot-check the tail cycle on a seeded sample of the range.
-
-    A failure here would falsify the {1,4,2} tail on a converged input,
-    so it raises; truncated samples are skipped.
-    """
-    if count <= 0:
-        return
-    rng = random.Random(f"cycle:{state.lo}:{state.hi}:{state.step_cap}")
-    for _ in range(count):
-        n = rng.randrange(state.lo, state.hi)
-        try:
-            ok = cycle_check(BinaryNat.from_int(n), cap=state.step_cap)
-        except CapExceeded:
-            continue
-        if not ok:
-            raise RuntimeError(f"tail cycle broken at {n}")
 
 
 def _report(state: Checkpoint) -> RangeReport:
@@ -399,17 +345,17 @@ def _run(
     state: Checkpoint,
     jobs: int,
     checkpoint_path: Optional[Union[str, Path]],
-    cycle_samples: int,
 ) -> RangeReport:
-    _ensure_tables(min(BASE_TABLE_BOUND, state.hi), state.step_cap)
+    _ensure_tables(state.hi)
     chunks = [
         (a, min(a + state.chunk_size, state.hi))
         for a in range(state.next_unprocessed, state.hi, state.chunk_size)
     ]
+    caps = itertools.repeat(state.step_cap)
 
-    def consume(stats_iter):
-        for stats in stats_iter:
-            _merge(state, stats)
+    def consume(parts):
+        for part in parts:
+            _merge(state, part)
             if checkpoint_path is not None:
                 checkpoint_save(state, checkpoint_path)
 
@@ -417,12 +363,11 @@ def _run(
         # tables are inherited by forked workers; results stream in order
         ctx = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(max_workers=jobs, mp_context=ctx) as pool:
-            consume(pool.map(_chunk_stats, chunks))
+            consume(pool.map(_chunk_stats, chunks, caps))
     else:
-        consume(map(_chunk_stats, chunks))
+        consume(map(_chunk_stats, chunks, caps))
     if checkpoint_path is not None:
         checkpoint_save(state, checkpoint_path)
-    _sample_cycles(state, cycle_samples)
     return _report(state)
 
 
@@ -433,7 +378,6 @@ def verify_range(
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     jobs: int = 1,
     checkpoint_path: Optional[Union[str, Path]] = None,
-    cycle_samples: int = 1000,
 ) -> RangeReport:
     """Verify every n in [lo, hi); see the module notes for guarantees."""
     lo_i = _as_int(lo, "lo")
@@ -446,22 +390,8 @@ def verify_range(
         raise DomainError(f"chunk_size must be >= 1, got {chunk_size}")
     if jobs < 1:
         raise DomainError(f"jobs must be >= 1, got {jobs}")
-    state = Checkpoint(
-        format_version=CHECKPOINT_VERSION,
-        lo=lo_i,
-        hi=hi_i,
-        step_cap=step_cap,
-        chunk_size=chunk_size,
-        next_unprocessed=lo_i,
-        verified_count=0,
-        max_stopping_time=None,
-        max_stopping_time_at=None,
-        max_excursion=None,
-        max_excursion_at=None,
-        histogram=(0, 0, 0, 0, 0),
-        truncated=[],
-    )
-    return _run(state, jobs, checkpoint_path, cycle_samples)
+    state = Checkpoint(CHECKPOINT_VERSION, lo_i, hi_i, step_cap, chunk_size, lo_i)
+    return _run(state, jobs, checkpoint_path)
 
 
 def _fmt_opt_pair(value: Optional[int], at: Optional[int]) -> str:
@@ -532,7 +462,7 @@ def checkpoint_load(path: Union[str, Path]) -> Checkpoint:
         hist = tuple(int(x) for x in fields["hist"])
         if len(hist) != 5:
             raise ValueError(f"expected 5 histogram buckets, got {len(hist)}")
-        return Checkpoint(
+        state = Checkpoint(
             format_version=CHECKPOINT_VERSION,
             lo=lo,
             hi=hi,
@@ -547,18 +477,36 @@ def checkpoint_load(path: Union[str, Path]) -> Checkpoint:
             histogram=hist,
             truncated=truncated,
         )
+        _check(state)
+        return state
     except (KeyError, ValueError, IndexError) as exc:
         raise CheckpointError(f"malformed checkpoint {path}: {exc}") from exc
 
 
-def checkpoint_resume(
-    path: Union[str, Path],
-    jobs: int = 1,
-    cycle_samples: int = 1000,
-) -> RangeReport:
+def _check(state: Checkpoint) -> None:
+    """Raise ValueError unless the loaded state is one a run can reach."""
+    lo, nxt, hi = state.lo, state.next_unprocessed, state.hi
+    if not 1 <= lo <= nxt <= hi:
+        raise ValueError(f"need 1 <= lo <= next <= hi, got {lo}, {nxt}, {hi}")
+    if state.step_cap < 1 or state.chunk_size < 1:
+        raise ValueError(
+            f"step_cap {state.step_cap} and chunk_size {state.chunk_size} must be >= 1"
+        )
+    verified, hist = state.verified_count, state.histogram
+    counted = verified + len(state.truncated)
+    if verified < 0 or min(hist) < 0 or not sum(hist) == nxt - lo == counted:
+        raise ValueError(
+            f"{nxt - lo} values done, but the histogram holds {sum(hist)} "
+            f"and verified + truncated is {counted}"
+        )
+    for best in (state.max_stopping_time, state.max_excursion):
+        if (best is None) != (verified == 0):
+            raise ValueError("maxima must be present exactly when some value is verified")
+
+
+def checkpoint_resume(path: Union[str, Path], jobs: int = 1) -> RangeReport:
     """Continue an interrupted run; the final report matches an unbroken one."""
-    state = checkpoint_load(path)
-    return _run(state, jobs, path, cycle_samples)
+    return _run(checkpoint_load(path), jobs, path)
 
 
 def summarize(report: RangeReport) -> str:

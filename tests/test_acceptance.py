@@ -273,13 +273,13 @@ def test_criterion_12_range_run_deterministic():
         histogram=(0, 0, 0, 0, 0),
         truncated=[],
     )
-    verify_mod._ensure_tables(min(verify_mod.BASE_TABLE_BOUND, state.hi), state.step_cap)
+    verify_mod._ensure_tables(state.hi)
     bounds = [
         (a, min(a + state.chunk_size, state.hi))
         for a in range(state.lo, state.hi, state.chunk_size)
     ]
     for b in bounds[: len(bounds) // 2]:
-        verify_mod._merge(state, verify_mod._chunk_stats(b))
+        verify_mod._merge(state, verify_mod._chunk_stats(b, state.step_cap))
     ck = Path(__file__).parent / "goldens" / "_acceptance_ck.txt"
     try:
         checkpoint_save(state, ck)

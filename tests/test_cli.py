@@ -1,10 +1,12 @@
 """Command-line behavior: outputs, exit codes, environment config."""
 
+import os
 import subprocess
 import sys
 
 import pytest
 
+from collatzbin import cli
 from collatzbin.cli import main
 from collatzbin.traceio import parse_machine
 
@@ -185,3 +187,40 @@ def test_identical_invocations_identical_bytes(capsys):
     a = run(capsys, "trace", "97", "--format", "machine")
     b = run(capsys, "trace", "97", "--format", "machine")
     assert a == b
+
+
+def test_verify_resume_rejects_conflicting_settings(tmp_path, capsys):
+    ck = tmp_path / "state.txt"
+    assert run(capsys, "verify", "1", "5000", "--jobs", "1", "--chunk", "512",
+               "--checkpoint", str(ck))[0] == 0
+    saved = ck.read_bytes()
+    for flag, value in (("--cap", "5"), ("--chunk", "1024")):
+        code, out, err = run(
+            capsys, "verify", "1", "5000", "--resume", "--checkpoint", str(ck), flag, value
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {flag} {value} conflicts")
+    assert ck.read_bytes() == saved
+    # repeating the saved settings is not a conflict
+    code, _, _ = run(capsys, "verify", "1", "5000", "--resume", "--checkpoint", str(ck),
+                     "--jobs", "1", "--cap", "100000", "--chunk", "512")
+    assert code == 0
+
+
+def test_verify_resume_rejects_edited_checkpoint(tmp_path, capsys):
+    ck = tmp_path / "state.txt"
+    assert run(capsys, "verify", "1", "5000", "--jobs", "1", "--chunk", "512",
+               "--checkpoint", str(ck))[0] == 0
+    whole = ck.read_text()
+    for old, new in (("chunk_size 512", "chunk_size 0"), ("next 5000", "next 1000")):
+        ck.write_text(whole.replace(old, new))
+        code, out, err = run(capsys, "verify", "1", "5000", "--resume", "--checkpoint", str(ck))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: malformed checkpoint")
+
+
+def test_default_jobs_follow_affinity(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert cli._default_jobs() == len(os.sched_getaffinity(0))
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert cli._default_jobs() == (os.cpu_count() or 1)

@@ -2,7 +2,9 @@
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from collatzbin import (
     BinaryNat,
@@ -10,6 +12,7 @@ from collatzbin import (
     DomainError,
     NumberClass,
     checkpoint_resume,
+    classify,
     stopping_time,
     summarize,
     verify_range,
@@ -40,7 +43,7 @@ def orbit_oracle(n: int, cap: int = 10**5):
 
 
 def test_tiny_ranges():
-    r = verify_range(1, 10, cycle_samples=20)
+    r = verify_range(1, 10)
     assert r.verified_count == 9
     assert not r.truncated_inputs
     # brute force over 1..9: sigma(9) = 19 tops sigma(7) = 16
@@ -52,12 +55,12 @@ def test_tiny_ranges():
     assert r.class_histogram[NumberClass.ORIGIN] == 1
     assert sum(r.class_histogram.values()) == 9
 
-    r1 = verify_range(1, 2, cycle_samples=5)
+    r1 = verify_range(1, 2)
     assert r1.verified_count == 1
     assert (r1.max_stopping_time, r1.max_stopping_time_at) == (0, bn(1))
     assert (r1.max_excursion, r1.max_excursion_at) == (bn(1), bn(1))
 
-    r255 = verify_range(255, 256, cycle_samples=1)
+    r255 = verify_range(255, 256)
     assert r255.max_stopping_time == 47
     assert r255.max_excursion == bn(13120)
 
@@ -77,23 +80,23 @@ def test_invalid_ranges():
 
 def test_report_independent_of_chunk_size():
     reports = [
-        verify_range(1, 20000, chunk_size=c, cycle_samples=10)
+        verify_range(1, 20000, chunk_size=c)
         for c in (64, 999, 4096, DEFAULT_CHUNK_SIZE)
     ]
     assert all(r == reports[0] for r in reports[1:])
 
 
 def test_report_independent_of_workers():
-    serial = verify_range(1, 200000, cycle_samples=10)
+    serial = verify_range(1, 200000)
     for jobs in (2, 4):
-        assert verify_range(1, 200000, jobs=jobs, cycle_samples=10) == serial
+        assert verify_range(1, 200000, jobs=jobs) == serial
 
 
 def test_window_reports_match_oracle():
     rng = random.Random(31337)
     for _ in range(60):
         n = rng.randrange(2, 10**6)
-        r = verify_range(n, n + 1, cycle_samples=0)
+        r = verify_range(n, n + 1)
         sigma, peak = orbit_oracle(n)
         assert r.max_stopping_time == sigma
         assert r.max_excursion == bn(peak)
@@ -105,12 +108,12 @@ def test_engine_agrees_with_bit_string_walk():
     rng = random.Random(2024)
     for _ in range(40):
         n = rng.randrange(2, 10**6)
-        r = verify_range(n, n + 1, cycle_samples=0)
+        r = verify_range(n, n + 1)
         assert r.max_stopping_time == stopping_time(bn(n))
 
 
 def test_truncation_is_reported_not_raised():
-    r = verify_range(27, 28, step_cap=5, cycle_samples=0)
+    r = verify_range(27, 28, step_cap=5)
     assert r.verified_count == 0
     assert r.truncated_inputs == (bn(27),)
     assert r.max_stopping_time is None and r.max_excursion is None
@@ -120,7 +123,7 @@ def test_truncation_is_reported_not_raised():
 
 
 def test_histogram_and_counts_add_up():
-    r = verify_range(1, 5000, step_cap=30, cycle_samples=0)
+    r = verify_range(1, 5000, step_cap=30)
     assert r.verified_count + len(r.truncated_inputs) == 4999
     assert sum(r.class_histogram.values()) == 4999
     # every listed truncation really does exceed the cap
@@ -131,7 +134,7 @@ def test_histogram_and_counts_add_up():
 def test_int64_overflow_fallback():
     # orbits straddling 2**62 leave the vectorized path mid-walk
     lo = 2**62 - 2
-    r = verify_range(lo, lo + 4, cycle_samples=0)
+    r = verify_range(lo, lo + 4)
     assert r.verified_count == 4
     for n in range(lo, lo + 4):
         sigma, peak = orbit_oracle(n)
@@ -150,13 +153,13 @@ def test_int64_overflow_fallback():
 def test_python_path_beyond_int64():
     # ranges past 2**63 skip numpy entirely
     lo = 2**64 + 1
-    r = verify_range(lo, lo + 2, cycle_samples=0)
+    r = verify_range(lo, lo + 2)
     assert r.verified_count == 2
     assert r.max_stopping_time == max(orbit_oracle(n)[0] for n in (lo, lo + 1))
 
 
 def test_summarize_layout():
-    r = verify_range(1, 10, cycle_samples=0)
+    r = verify_range(1, 10)
     assert summarize(r) == (
         "range: [1, 10)\n"
         "step cap: 100000\n"
@@ -191,9 +194,14 @@ def _fresh_state(lo, hi, chunk):
 def test_checkpoint_save_load_roundtrip(tmp_path):
     path = tmp_path / "ck.txt"
     state = _fresh_state(1, 100000, 4096)
+    # a mid-run state that passes the load-time consistency checks
+    state.next_unprocessed = 20
+    state.histogram = (1, 4, 3, 5, 6)
     state.verified_count = 17
     state.max_stopping_time = 350
     state.max_stopping_time_at = 77031
+    state.max_excursion = 21933016
+    state.max_excursion_at = 77031
     state.truncated = [12345, 999]
     checkpoint_save(state, path)
     assert checkpoint_load(path) == state
@@ -204,15 +212,15 @@ def test_checkpoint_interrupted_run_matches_straight_run(tmp_path):
     path = tmp_path / "ck.txt"
     chunk = 2048
     state = _fresh_state(1, 20000, chunk)
-    verify_mod._ensure_tables(min(verify_mod.BASE_TABLE_BOUND, state.hi), state.step_cap)
+    verify_mod._ensure_tables(state.hi)
     bounds = [
         (a, min(a + chunk, state.hi)) for a in range(state.lo, state.hi, chunk)
     ]
     for b in bounds[:4]:  # simulate dying mid-run
-        verify_mod._merge(state, verify_mod._chunk_stats(b))
+        verify_mod._merge(state, verify_mod._chunk_stats(b, state.step_cap))
     checkpoint_save(state, path)
-    resumed = checkpoint_resume(path, cycle_samples=10)
-    straight = verify_range(1, 20000, chunk_size=chunk, cycle_samples=10)
+    resumed = checkpoint_resume(path)
+    straight = verify_range(1, 20000, chunk_size=chunk)
     assert resumed == straight
     assert summarize(resumed) == summarize(straight)
     # the file now records a finished run
@@ -221,7 +229,7 @@ def test_checkpoint_interrupted_run_matches_straight_run(tmp_path):
 
 def test_checkpoint_written_during_verify(tmp_path):
     path = tmp_path / "ck.txt"
-    r = verify_range(1, 9000, chunk_size=1000, checkpoint_path=path, cycle_samples=0)
+    r = verify_range(1, 9000, chunk_size=1000, checkpoint_path=path)
     saved = checkpoint_load(path)
     assert saved.next_unprocessed == 9000
     assert saved.verified_count == r.verified_count
@@ -259,3 +267,98 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path.write_text("collatzbin-checkpoint v1\nrange x y\nend\n")
     with pytest.raises(CheckpointError):
         checkpoint_load(path)
+
+
+
+def test_checkpoint_load_checks_consistency(tmp_path):
+    path = tmp_path / "ck.txt"
+    verify_range(1, 5000, chunk_size=512, checkpoint_path=path)
+    whole = path.read_text()
+    edits = [
+        ("chunk_size 512", "chunk_size 0"),  # resume used to die inside range()
+        ("next 5000", "next 1000"),  # resume used to report 8999 verified
+        ("next 5000", "next 5001"),
+        ("range 1 5000", "range 0 5000"),
+        ("step_cap 100000", "step_cap 0"),
+        ("verified 4999", "verified 4998"),
+        ("hist 1 12 11 2487 2488", "hist 1 12 11 2487 2487"),
+        ("max_excursion 8153620 4591", "max_excursion - -"),
+    ]
+    for old, new in edits:
+        assert old in whole
+        path.write_text(whole.replace(old, new))
+        with pytest.raises(CheckpointError, match="malformed"):
+            checkpoint_load(path)
+
+
+# -- one class partition, one run-state type, one table
+
+
+def test_class_partition_matches_classify():
+    windows = [
+        np.arange(1, 1 << 12, dtype=np.int64),
+        np.arange(1, 1 << 12, dtype=object),
+        np.arange((1 << 62) - 300, (1 << 62) + 300, dtype=np.int64),
+        np.arange((1 << 63) - 300, 1 << 63, dtype=np.int64),
+        np.arange((1 << 63) - 300, (1 << 63) + 300, dtype=object),
+        np.arange((1 << 64) - 300, (1 << 64) + 300, dtype=object),
+    ]
+    order = list(verify_mod._HIST_ORDER)
+    for ns in windows:
+        expected = [order.index(classify(bn(int(n)))) for n in ns]
+        assert verify_mod._class_slots(ns).tolist() == expected
+        assert verify_mod._classify_counts(ns) == tuple(
+            expected.count(i) for i in range(len(order))
+        )
+
+
+@settings(max_examples=40)
+@given(
+    base=st.sampled_from([1, 10**6, 1 << 60, (1 << 62) - 64, (1 << 63) - 40]),
+    offset=st.integers(0, 300),
+    size=st.integers(1, 200),
+    cap=st.sampled_from([8, 60, DEFAULT_STEP_CAP]),
+    cuts=st.lists(st.integers(1, 199), max_size=8),
+    rnd=st.randoms(use_true_random=False),
+)
+def test_shuffled_chunk_merge_matches_straight_run(base, offset, size, cap, cuts, rnd):
+    lo = base + offset
+    hi = lo + size
+    straight = verify_range(lo, hi, step_cap=cap)
+    edges = sorted({lo, hi, *(lo + c for c in cuts if c < size)})
+    parts = [verify_mod._chunk_stats(b, cap) for b in zip(edges, edges[1:])]
+    rnd.shuffle(parts)
+    state = Checkpoint(CHECKPOINT_VERSION, lo, hi, cap, DEFAULT_CHUNK_SIZE, lo)
+    for part in parts:
+        verify_mod._merge(state, part)
+    assert state.next_unprocessed == hi
+    assert verify_mod._report(state) == straight
+
+
+def test_tables_shared_across_caps():
+    verify_range(10**6, 10**6 + 100)
+    tables = verify_mod._SIG, verify_mod._PK
+    for cap in (5, 300, DEFAULT_STEP_CAP):
+        verify_range(10**6 + 7, 10**6 + 50, step_cap=cap)
+        verify_range(3, 900, step_cap=cap)
+    # one build serves every cap and every range the table is long enough for
+    assert verify_mod._SIG is tables[0] and verify_mod._PK is tables[1]
+
+
+def test_merge_ties_go_to_smaller_n():
+    # 27 and 31 both peak at 9232; 12 and 13 both stop after 9 steps
+    verify_mod._ensure_tables(100)
+    for (a, b), key in (((27, 31), "max_excursion"), ((12, 13), "max_stopping_time")):
+        for first, second in ((a, b), (b, a)):
+            state = Checkpoint(CHECKPOINT_VERSION, a, b + 1, DEFAULT_STEP_CAP, 1, a)
+            for n in (first, second):
+                verify_mod._merge(state, verify_mod._chunk_stats((n, n + 1), DEFAULT_STEP_CAP))
+            assert getattr(state, key + "_at") == a
+
+
+def test_cap_boundary_is_exact_on_every_path():
+    # kernel, per-lane fallback and all-Python chunks agree on the cap edge
+    for n in (27, 10**6 + 1, (1 << 60) + 3, (1 << 62) + 1, (1 << 64) + 1):
+        sigma, _ = orbit_oracle(n)
+        assert verify_range(n, n + 1, step_cap=sigma).verified_count == 1
+        assert verify_range(n, n + 1, step_cap=sigma - 1).truncated_inputs == (bn(n),)
