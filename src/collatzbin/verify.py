@@ -12,6 +12,22 @@ Checkpoint, and merging them is order-free, so the report is identical
 for any chunk size, any worker count, and across checkpoint
 interrupt/resume.
 
+Above the table bound a lane does not step once per iteration: it jumps
+_K = 16 halvings at a time. Writing v = 2^16·a + b, the walk through
+its 16th halving ends at A(b)·a + B(b) after 16 + c(b) steps, where c(b)
+counts the odd steps (the parity-vector identity the paper's binary
+split n = 2^k·a + b rests on), so one table over the 2^16 residues b
+serves every lane. The same table holds, per residue, bounds M1(b) and
+M2(b) with every value inside the jump at most a·M1(b) + M2(b), and the
+int64 gate LIM(b): a lane jumps only while a <= LIM(b), else it takes
+one exact step, and past the int64-safe bound it leaves for plain
+integers. A jumping lane starts at or above the table bound, so a >= 1
+and the jump cannot pass through 1: stopping times stay exact. Peaks
+become bounds: each lane carries an exact lower bound (values it
+landed on) and an upper bound (the jumps' a·M1 + M2), and only lanes
+whose upper bound reaches the best lower bound of their block are walked
+again exactly, in ascending n, so the tie rule below still holds.
+
 What is checked is convergence: every n reaches 1 within the step cap.
 The 1 -> 4 -> 2 -> 1 tail that follows is the same three steps for
 every n, so no tail sampling is done.
@@ -114,47 +130,107 @@ class Checkpoint:
 
 
 # ---------------------------------------------------------------------------
-# base tables, shared with forked workers through module globals
+# tables, shared with forked workers through module globals
 
 # exact stopping time and orbit peak of every 1 <= n < len(_SIG)
 _SIG = np.array([-1, 0], dtype=np.int64)
 _PK = np.array([0, 1], dtype=np.int64)
+# values per numpy block when the base table grows and in the kernel:
+# blocks this small keep the scratch arrays in cache and inside memory the
+# process already holds, and run faster than whole chunks
+_BUILD_BLOCK = 1 << 16
+_LANES = 1 << 14
+
+# the jump kernel takes _K halvings at once, through a table over the
+# residues b = v mod 2^_K (built by _jump_table)
+_K = 16
+_JUMP: Optional[np.ndarray] = None
+
+
+def _jump_table() -> np.ndarray:
+    """Rows A, B, S, M1, M2, LIM over the residues b < 2^_K.
+
+    For v = 2^_K·a + b, the plain map reaches A(b)·a + B(b) in S(b) steps,
+    after its _K-th halving: the parity-vector identity (Terras 1976),
+    with A = 3^c for c odd steps and S = _K + c. Each value on the way,
+    3v+1 values included, is p·a + q with p <= M1(b) and q <= M2(b), so
+    a <= LIM(b) = (2^63 - 1 - M2(b)) // M1(b) keeps the block in int64.
+    """
+    table = np.empty((6, 1 << _K), dtype=np.int64)
+    alpha, y, steps, m1, m2, lim = table
+    alpha[:] = 1 << _K  # coefficient of a
+    y[:] = np.arange(1 << _K)  # b's block, one halving at a time
+    steps[:] = _K
+    m1[:], m2[:] = alpha, y
+    for _ in range(_K):
+        odd = y & 1
+        steps += odd
+        # an odd value v becomes 3v + 1, then every value halves
+        alpha += odd * (2 * alpha)
+        y += odd * (2 * y + 1)
+        np.maximum(m1, alpha, out=m1)
+        np.maximum(m2, y, out=m2)
+        alpha >>= 1
+        y >>= 1
+    lim[:] = (2**63 - 1 - m2) // m1
+    return table
 
 
 def _ensure_tables(hi: int) -> None:
-    """Grow the tables to at least min(BASE_TABLE_BOUND, hi) entries.
+    """Build the jump table once; grow the base tables to at least
+    min(BASE_TABLE_BOUND, hi) entries.
 
-    Entries carry no cap, so one table serves every cap and every range
-    it is long enough for. Growth at least doubles the length (up to the
-    bound); each new entry comes from a walk memoized on earlier ones.
+    Base entries carry no cap, so one table serves every cap and every
+    range it is long enough for. Growth at least doubles the length (up
+    to the bound), one segment [s, min(2s, bound)) at a time: a segment's
+    lanes walk until they drop below s, into entries already exact.
     """
-    global _SIG, _PK
+    global _SIG, _PK, _JUMP
+    if _JUMP is None:
+        _JUMP = _jump_table()
     old = _SIG.size
     if old >= min(BASE_TABLE_BOUND, hi):
         return
     bound = min(BASE_TABLE_BOUND, max(hi, 2 * old))
-    sig = np.full(bound, -1, dtype=np.int64)
-    pk = np.zeros(bound, dtype=np.int64)
+    sig = np.empty(bound, dtype=np.int64)
+    pk = np.empty(bound, dtype=np.int64)
     sig[:old] = _SIG
     pk[:old] = _PK
-    for n in range(old, bound):
-        if sig[n] >= 0:
-            continue
-        path = []
-        v = n
-        while not (v < bound and sig[v] >= 0):
-            path.append(v)
-            v = 3 * v + 1 if v & 1 else v >> 1
-        s = int(sig[v])
-        p = int(pk[v])
-        for u in reversed(path):
-            s += 1
-            if u > p:
-                p = u
-            if u < bound:
-                sig[u] = s
-                pk[u] = p
+    s = old
+    while s < bound:
+        e = min(bound, 2 * s)
+        for start in range(s, e, _BUILD_BLOCK):
+            _fill_segment(sig, pk, s, start, min(start + _BUILD_BLOCK, e))
+        s = e
     _SIG, _PK = sig, pk
+
+
+def _fill_segment(sig: np.ndarray, pk: np.ndarray, floor: int, lo: int, hi: int) -> None:
+    """Fill entries [lo, hi) from the exact ones below floor <= lo < hi <= 2 * floor."""
+    # an even n halves to n / 2 < floor
+    even = lo + (lo & 1)
+    halves = slice(even // 2, (hi + 1) // 2)
+    sig[even:hi:2] = sig[halves] + 1
+    pk[even:hi:2] = np.maximum(np.arange(even, hi, 2, dtype=np.int64), pk[halves])
+    # odd lanes take v -> (3v + 1) / 2, two steps, or v -> v / 2, one step,
+    # with no branch on the parity, until they drop below floor
+    at = np.arange(lo | 1, hi, 2, dtype=np.int64)
+    v = at.copy()
+    steps = np.zeros(at.size, dtype=np.int64)
+    peak = at.copy()
+    while at.size:
+        odd = v & 1
+        v += odd * (2 * v + 1)
+        np.maximum(peak, v, out=peak)
+        v >>= 1
+        steps += odd + 1
+        done = v < floor
+        if done.any():
+            vd = v[done]
+            sig[at[done]] = steps[done] + sig[vd]
+            pk[at[done]] = np.maximum(peak[done], pk[vd])
+            keep = ~done
+            at, v, steps, peak = at[keep], v[keep], steps[keep], peak[keep]
 
 
 # ---------------------------------------------------------------------------
@@ -174,12 +250,17 @@ def _classify_counts(ns: np.ndarray) -> tuple[int, int, int, int, int]:
     return tuple(np.bincount(_class_slots(ns), minlength=5).tolist())
 
 
-def _walk_row(cap: int, n: int, slot: int, v: int, steps: int, peak: int) -> Checkpoint:
-    """Finish n's orbit from (v, steps, peak) on plain integers.
+def _walk_row(
+    cap: int, n: int, slot: int, v: int, steps: int, low: int, high: int
+) -> Checkpoint:
+    """Finish n's orbit from (v, steps) on plain integers.
 
-    The result covers [n, n + 1).
+    The orbit's peak before v lies in [low, high]. When the rest of the
+    walk does not reach high, the peak is found by walking n exactly from
+    its start. The result covers [n, n + 1).
     """
     bound = _SIG.size
+    peak = low
     while v >= bound and steps < cap:
         v = 3 * v + 1 if v & 1 else v >> 1
         steps += 1
@@ -189,16 +270,19 @@ def _walk_row(cap: int, n: int, slot: int, v: int, steps: int, peak: int) -> Che
     hist[slot] = 1
     row = Checkpoint(CHECKPOINT_VERSION, n, n + 1, cap, 1, n + 1, histogram=tuple(hist))
     if v < bound and steps + int(_SIG[v]) <= cap:
+        peak = max(peak, int(_PK[v]))
+        if peak < high:
+            return _walk_row(cap, n, slot, n, 0, n, n)
         row.verified_count = 1
         row.max_stopping_time, row.max_stopping_time_at = steps + int(_SIG[v]), n
-        row.max_excursion, row.max_excursion_at = max(peak, int(_PK[v])), n
+        row.max_excursion, row.max_excursion_at = peak, n
     else:
         row.truncated.append(n)
     return row
 
 
 def _fold_rows(lo: int, hi: int, cap: int, lanes) -> Checkpoint:
-    """Merge the rows of (n, slot, v, steps, peak) lanes, ascending in n."""
+    """Merge the rows of (n, slot, v, steps, low, high) lanes, ascending in n."""
     acc = Checkpoint(CHECKPOINT_VERSION, lo, hi, cap, hi - lo, lo)
     for lane in lanes:
         _merge(acc, _walk_row(cap, *lane))
@@ -206,43 +290,67 @@ def _fold_rows(lo: int, hi: int, cap: int, lanes) -> Checkpoint:
 
 
 def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
+    """Values [lo, hi) on int64 lanes, _K halvings per jump where int64 allows.
+
+    The tables must cover hi (_ensure_tables): then either every n resolves
+    at once or the base table reaches BASE_TABLE_BOUND >= 2^_K, so a lane
+    that jumps has a >= 1 and the jump cannot pass through 1. Stopping
+    times stay exact. Peaks do not: a lane knows its peak only to lie in
+    [low, high], and the lanes whose high reaches the best low are walked
+    again exactly.
+    """
     ns = np.arange(lo, hi, dtype=np.int64)
     size = ns.size
     bound = _SIG.size
+    A, B, S, M1, M2, LIM = _JUMP
+    mask = (1 << _K) - 1
     sig = np.full(size, -1, dtype=np.int64)
-    pk = np.zeros(size, dtype=np.int64)
+    low = ns.copy()
+    high = ns.copy()
+    # lanes still walking, compacted: index, value, steps, peak bounds
+    at = np.arange(size)
     v = ns.copy()
     steps = np.zeros(size, dtype=np.int64)
-    peak = ns.copy()
+    lw = ns.copy()
+    hg = ns.copy()
     # lanes about to overflow int64 stop here and finish in _walk_row
-    fallback = np.zeros(size, dtype=bool)
-    active = np.arange(size)
-    while active.size:
-        done = v[active] < bound
+    fallback = []
+    while at.size:
+        done = v < bound
         if done.any():
-            di = active[done]
-            sig[di] = steps[di] + _SIG[v[di]]
-            pk[di] = np.maximum(peak[di], _PK[v[di]])
-            active = active[~done]
-            if not active.size:
-                break
-        over = steps[active] >= cap
-        if over.any():
-            active = active[~over]
-            if not active.size:
-                break
-        huge = v[active] > _INT64_SAFE
+            di = at[done]
+            vd = v[done]
+            sig[di] = steps[done] + _SIG[vd]
+            low[di] = np.maximum(lw[done], _PK[vd])
+            high[di] = np.maximum(hg[done], _PK[vd])
+        huge = v > _INT64_SAFE
         if huge.any():
-            fallback[active[huge]] = True
-            active = active[~huge]
-            if not active.size:
+            fallback.append((at[huge], v[huge], steps[huge], lw[huge], hg[huge]))
+        keep = ~(done | huge | (steps >= cap))
+        if not keep.all():
+            at, v, steps, lw, hg = at[keep], v[keep], steps[keep], lw[keep], hg[keep]
+            if not at.size:
                 break
-        vv = v[active]
-        nxt = np.where((vv & 1) == 1, 3 * vv + 1, vv >> 1)
-        v[active] = nxt
-        steps[active] += 1
-        peak[active] = np.maximum(peak[active], nxt)
-    kernel = ~fallback
+        a = v >> _K
+        b = v & mask
+        nxt = A[b] * a + B[b]
+        top = a * M1[b] + M2[b]
+        add = S[b]
+        # past its residue's limit a jump could leave int64: such a lane
+        # takes one exact step instead (its wrapped jump values are dropped)
+        one = np.flatnonzero(a > LIM[b])
+        if one.size:
+            u = v[one]
+            nxt[one] = top[one] = np.where((u & 1) == 1, 3 * u + 1, u >> 1)
+            add[one] = 1
+        v = nxt
+        steps += add
+        np.maximum(lw, v, out=lw)
+        np.maximum(hg, top, out=hg)
+    kernel = np.ones(size, dtype=bool)
+    if fallback:
+        fb, *state = (np.concatenate(col) for col in zip(*fallback))
+        kernel[fb] = False
     conv = kernel & (sig >= 0) & (sig <= cap)
     res = Checkpoint(
         CHECKPOINT_VERSION, lo, hi, cap, size, hi, int(conv.sum()),
@@ -254,23 +362,33 @@ def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
         ci = np.flatnonzero(conv)
         j = ci[np.argmax(sig[ci])]
         res.max_stopping_time, res.max_stopping_time_at = int(sig[j]), int(ns[j])
-        j = ci[np.argmax(pk[ci])]
-        res.max_excursion, res.max_excursion_at = int(pk[j]), int(ns[j])
-    if not fallback.any():
+        # only lanes whose bound reaches the best sure peak can hold the
+        # maximum; scanned in ascending n, a tie keeps the smaller n
+        for i in ci[high[ci] >= low[ci].max()].tolist():
+            n = int(ns[i])
+            peak = int(low[i])
+            if peak < high[i]:
+                peak = _walk_row(cap, n, 0, n, 0, n, n).max_excursion
+            if res.max_excursion is None or peak > res.max_excursion:
+                res.max_excursion, res.max_excursion_at = peak, n
+    if not fallback:
         return res
-    fb = np.flatnonzero(fallback)
-    lanes = (ns[fb], _class_slots(ns[fb]), v[fb], steps[fb], peak[fb])
-    return _merge(res, _fold_rows(lo, hi, cap, zip(*(a.tolist() for a in lanes))))
+    order = np.argsort(fb)
+    lanes = (ns[fb][order], _class_slots(ns[fb][order]), *(col[order] for col in state))
+    return _merge(res, _fold_rows(lo, hi, cap, zip(*(col.tolist() for col in lanes))))
 
 
 def _chunk_stats(bounds: tuple[int, int], cap: int) -> Checkpoint:
     lo, hi = bounds
     if hi <= 2**63:
-        return _chunk_numpy(lo, hi, cap)
+        acc = Checkpoint(CHECKPOINT_VERSION, lo, hi, cap, hi - lo, lo)
+        for start in range(lo, hi, _LANES):
+            _merge(acc, _chunk_numpy(start, min(start + _LANES, hi), cap))
+        return acc
     # past int64 every value is a plain-integer walk from its start
     ns = range(lo, hi)
     slots = _class_slots(np.arange(lo, hi, dtype=object)).tolist()
-    return _fold_rows(lo, hi, cap, zip(ns, slots, ns, itertools.repeat(0), ns))
+    return _fold_rows(lo, hi, cap, zip(ns, slots, ns, itertools.repeat(0), ns, ns))
 
 
 # ---------------------------------------------------------------------------

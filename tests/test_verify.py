@@ -1,6 +1,8 @@
 """Range engine: oracles, determinism, checkpoints."""
 
+import dataclasses
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,10 +20,12 @@ from collatzbin import (
     verify_range,
 )
 from collatzbin.verify import (
+    BASE_TABLE_BOUND,
     CHECKPOINT_VERSION,
     Checkpoint,
     DEFAULT_CHUNK_SIZE,
     DEFAULT_STEP_CAP,
+    RangeReport,
     checkpoint_load,
     checkpoint_save,
 )
@@ -40,6 +44,49 @@ def orbit_oracle(n: int, cap: int = 10**5):
         if steps > cap:
             return None, peak
     return steps, peak
+
+
+def oracle_report(lo: int, hi: int, cap: int) -> RangeReport:
+    """The report for [lo, hi), one plain-integer walk per value."""
+    verified, best_sigma, best_peak, truncated = 0, None, None, []
+    hist = Counter(classify(bn(n)) for n in range(lo, hi))
+    for n in range(lo, hi):
+        sigma, peak = orbit_oracle(n, cap)
+        if sigma is None:
+            truncated.append(bn(n))
+            continue
+        verified += 1
+        # strict > in ascending n: a tie keeps the smaller n
+        if best_sigma is None or sigma > best_sigma[0]:
+            best_sigma = (sigma, n)
+        if best_peak is None or peak > best_peak[0]:
+            best_peak = (peak, n)
+    return RangeReport(
+        lo=bn(lo),
+        hi=bn(hi),
+        step_cap=cap,
+        verified_count=verified,
+        max_stopping_time=best_sigma and best_sigma[0],
+        max_stopping_time_at=best_sigma and bn(best_sigma[1]),
+        max_excursion=best_peak and bn(best_peak[0]),
+        max_excursion_at=best_peak and bn(best_peak[1]),
+        class_histogram={cls: hist[cls] for cls in verify_mod._HIST_ORDER},
+        truncated_inputs=tuple(truncated),
+    )
+
+
+def block_walk(n: int, k: int = 16):
+    """(value, plain steps, peak) of n's walk through its k-th halving."""
+    steps, peak, halvings = 0, n, 0
+    while halvings < k:
+        if n & 1:
+            n = 3 * n + 1
+        else:
+            n >>= 1
+            halvings += 1
+        steps += 1
+        peak = max(peak, n)
+    return n, steps, peak
 
 
 def test_tiny_ranges():
@@ -362,3 +409,112 @@ def test_cap_boundary_is_exact_on_every_path():
         sigma, _ = orbit_oracle(n)
         assert verify_range(n, n + 1, step_cap=sigma).verified_count == 1
         assert verify_range(n, n + 1, step_cap=sigma - 1).truncated_inputs == (bn(n),)
+
+
+# -- the k-step jump kernel and the base table behind it
+
+
+def _jump_rows():
+    """The jump table's rows A, B, S, M1, M2, LIM as lists of ints."""
+    verify_mod._ensure_tables(1)
+    return verify_mod._JUMP.tolist()
+
+
+def test_jump_table_matches_direct_walk():
+    A, B, S, M1, M2, LIM = _jump_rows()
+    k = verify_mod._K
+    assert len(A) == 1 << k
+    # with a = 2^64 every term of a block value a*an + bn separates: the
+    # end value gives A and B, the peak gives M1; with a = 0 the peak is M2
+    big = 1 << 64
+    for b in range(1 << k):
+        end, steps, peak = block_walk((big << k) | b)
+        assert (end // big, end % big, steps) == (A[b], B[b], S[b])
+        assert peak // big == M1[b] and peak % big <= M2[b]
+        end0, steps0, peak0 = block_walk(b)
+        assert (end0, steps0, peak0) == (B[b], S[b], M2[b])
+        # LIM is the largest a whose block bound a*M1 + M2 fits in int64
+        assert LIM[b] * M1[b] + M2[b] <= 2**63 - 1 < (LIM[b] + 1) * M1[b] + M2[b]
+
+
+@settings(max_examples=60)
+@given(b=st.integers(0, (1 << 16) - 1), a=st.integers(1, 1 << 48))
+def test_jump_is_the_parity_vector_identity(b, a):
+    A, B, S, M1, M2, LIM = (row[b] for row in _jump_rows())
+    end, steps, peak = block_walk((a << 16) | b)
+    assert end == A * a + B and steps == S
+    assert peak <= a * M1 + M2
+
+
+def test_jump_gate_at_the_int64_limit():
+    A, B, S, M1, M2, LIM = _jump_rows()
+    # for b = 2^16 - 1 every step of the block is odd, so its peak is
+    # exactly a*M1 + M2: a jump at a = LIM + 1 would wrap past 2^63
+    b = (1 << 16) - 1
+    assert block_walk((LIM[b] << 16) | b)[2] == LIM[b] * M1[b] + M2[b]
+    for b in ((1 << 16) - 1, (1 << 15) - 1, 12345, 27):
+        for a in (LIM[b], LIM[b] + 1):
+            n = (a << 16) | b
+            # the lane starts inside the kernel, so the gate decides its first move
+            assert BASE_TABLE_BOUND <= n <= verify_mod._INT64_SAFE
+            assert verify_range(n, n + 1) == oracle_report(n, n + 1, DEFAULT_STEP_CAP)
+
+
+def test_base_table_matches_plain_walk(monkeypatch):
+    verify_mod._ensure_tables(BASE_TABLE_BOUND)
+    sig, pk = verify_mod._SIG, verify_mod._PK
+    assert sig.size == BASE_TABLE_BOUND
+    rng = random.Random(5)
+    for n in [*range(1, 3000), *(rng.randrange(3000, BASE_TABLE_BOUND) for _ in range(300))]:
+        assert (sig[n], pk[n]) == orbit_oracle(n)
+    # growth from a short table of odd length, segment by segment
+    monkeypatch.setattr(verify_mod, "_SIG", sig[:11].copy())
+    monkeypatch.setattr(verify_mod, "_PK", pk[:11].copy())
+    for hi, size in ((5000, 5000), (5001, 10000), (9000, 10000)):
+        verify_mod._ensure_tables(hi)
+        assert verify_mod._SIG.size == size
+        assert np.array_equal(verify_mod._SIG, sig[:size])
+        assert np.array_equal(verify_mod._PK, pk[:size])
+
+
+@settings(max_examples=30)
+@given(
+    base=st.sampled_from(
+        [1 << 20, 10**9, 1 << 40, 1 << 50, 1 << 58, (1 << 62) - (1 << 11)]
+    ),
+    offset=st.integers(0, (1 << 11) - 1),
+    size=st.integers(1, 2000),
+    cap=st.sampled_from([7, 60, 300, DEFAULT_STEP_CAP]),
+)
+def test_multilane_windows_match_oracle(base, offset, size, cap):
+    lo = base + offset
+    # the top band stays below 2^62, where lanes leave int64 mid-walk
+    hi = min(lo + size, 1 << 62) if base == (1 << 62) - (1 << 11) else lo + size
+    assert verify_range(lo, hi, step_cap=cap) == oracle_report(lo, hi, cap)
+
+
+def test_excursion_tie_above_the_table_bound():
+    # 8k+4 and 8k+5 meet at 6k+4 after 3 steps, and the common tail climbs
+    # past 24k+16: both maxima tie, and go to the smaller n
+    for n in (1048684, 1099511627884, 1125899906842732):
+        assert n % 8 == 4 and n >= BASE_TABLE_BOUND
+        assert orbit_oracle(n) == orbit_oracle(n + 1)
+        r = verify_range(n, n + 2)
+        assert r.max_excursion_at == r.max_stopping_time_at == bn(n)
+        assert r == oracle_report(n, n + 2, DEFAULT_STEP_CAP)
+
+
+def test_peak_inside_a_jump_of_a_lane_that_leaves_int64():
+    # the lane jumps, then passes the int64-safe bound; its peak is a 3v+1
+    # value inside an earlier jump, above everything the rest of the walk
+    # reaches, so the fallback walks it again from n
+    n = 72057594037928009
+    assert verify_range(n, n + 1) == oracle_report(n, n + 1, DEFAULT_STEP_CAP)
+
+
+def test_huge_cap_gives_the_default_cap_report():
+    # kernel, per-lane fallback (2^58 and 2^62) and all-Python chunks
+    for lo, size in ((10**9 + 7, 300), ((1 << 58) + 3, 200), ((1 << 62) + 1, 40), ((1 << 64) + 1, 20)):
+        r = verify_range(lo, lo + size, step_cap=10**30)
+        assert r.step_cap == 10**30
+        assert dataclasses.replace(r, step_cap=DEFAULT_STEP_CAP) == verify_range(lo, lo + size)
