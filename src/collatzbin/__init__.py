@@ -1,11 +1,12 @@
 """Binary-string arithmetic and verification toolkit for the 3n+1 map.
 
 Values are naturals from 1 up, stored as explicit bit strings so the
-digit mechanics of the map stay visible: tripling-plus-one is a single
-carry pass, halving drops the last digit, and the 2-adic valuation is
-the length of the trailing zero run. On top of that sit the orbit walks,
-the digit-class partition, the tree-path composition view, the
-power-of-two merge derivations, and a batch range verifier.
+digit mechanics of the map stay visible: halving drops the last digit,
+and the 2-adic valuation is the length of the trailing zero run. The
+arithmetic on the strings (tripling-plus-one, decimal conversion,
+carrying power sums) goes through CPython ints. On top of that sit the
+orbit walks, the digit-class partition, the tree-path composition view,
+the power-of-two merge derivations, and a batch range verifier.
 """
 
 from .bitnat import ONE, BinaryNat
@@ -40,7 +41,7 @@ from .powersum import (
     three_n_plus_one_merge,
     to_powersum,
 )
-from .traceio import RenderConfig, render_machine, render_points, render_scratch, render_table
+from .traceio import render_machine, render_points, render_scratch, render_table
 from .verify import Checkpoint, RangeReport, checkpoint_resume, summarize, verify_range
 
 __version__ = "0.1.0"
@@ -75,7 +76,6 @@ __all__ = [
     "normalize",
     "three_n_plus_one_merge",
     "derivation_trace",
-    "RenderConfig",
     "render_table",
     "render_scratch",
     "render_points",

@@ -6,10 +6,11 @@ leading zeros.  The smallest representable value is 1; zero does not exist in
 this domain, which removes an entire family of edge cases from the layers
 built on top (halving, inverse maps, power decompositions).
 
-All arithmetic here is carried out on the digit strings themselves: tripling
-is a single carry pass, halving drops the final digit, dividing by a power of
-two strips trailing zeros.  Host integers appear only in the decimal
-*rendering* direction and in counts.
+Values stay bit strings between operations; the arithmetic on them goes
+through CPython ints and strings.  Tripling reads the string as an int and
+formats the result back, halving drops the final digit, dividing by a power
+of two strips trailing zeros, and decimal input is converted piecewise so
+that no single ``int()`` call sees more than 640 digits.
 """
 
 from __future__ import annotations
@@ -19,36 +20,21 @@ from .errors import DomainError, ParityError
 __all__ = ["BinaryNat", "ONE"]
 
 
-def _add_bits(a: str, b: str) -> str:
-    """School addition of two canonical bit strings, MSB first."""
-    if len(a) < len(b):
-        a, b = b, a
-    b = b.rjust(len(a), "0")
-    out = []
-    carry = 0
-    for i in range(len(a) - 1, -1, -1):
-        t = carry + (a[i] == "1") + (b[i] == "1")
-        out.append("1" if t & 1 else "0")
-        carry = t >> 1
-    if carry:
-        out.append("1")
-    out.reverse()
-    return "".join(out)
+# CPython's lowest allowed int_max_str_digits: int() accepts this many
+# decimal digits under every setting of the limit
+_INT_DIGITS = 640
 
 
-def _halve_decimal(digits: list[int]) -> tuple[list[int], int]:
-    """Divide a decimal digit list (MSD first) by two; return quotient digits and remainder bit."""
-    out = []
-    rem = 0
-    for d in digits:
-        cur = rem * 10 + d
-        out.append(cur >> 1)
-        rem = cur & 1
-    # drop leading zeros but keep at least one digit
-    i = 0
-    while i < len(out) - 1 and out[i] == 0:
-        i += 1
-    return out[i:], rem
+def _decimal_value(s: str) -> int:
+    """Value of a decimal digit string, split in halves down to _INT_DIGITS.
+
+    Divide-and-conquer radix conversion (Brent & Zimmermann, Modern
+    Computer Arithmetic, 1.7): the high half times 10**k plus the low half.
+    """
+    if len(s) <= _INT_DIGITS:
+        return int(s)
+    k = len(s) // 2
+    return _decimal_value(s[:-k]) * 10**k + _decimal_value(s[-k:])
 
 
 class BinaryNat:
@@ -72,22 +58,15 @@ class BinaryNat:
 
     @classmethod
     def from_decimal(cls, s: str) -> "BinaryNat":
-        """Convert a decimal digit string by repeated halving.
+        """Convert a decimal digit string of any length.
 
-        Each halving step yields one remainder bit, least significant first;
-        the collected remainders, reversed, are the binary representation.
         Rejects empty strings, non-digits, and the value 0.
         """
         if not s or s.strip("0123456789"):
             raise DomainError(f"not a decimal digit string: {s!r}")
-        digits = [ord(c) - 48 for c in s]
-        if set(digits) == {0}:
+        if not s.strip("0"):
             raise DomainError("0 is not a representable value")
-        rev = []
-        while len(digits) > 1 or digits[0] != 0:
-            digits, bit = _halve_decimal(digits)
-            rev.append("1" if bit else "0")
-        return cls._raw("".join(reversed(rev)))
+        return cls._raw(format(_decimal_value(s), "b"))
 
     @classmethod
     def from_int(cls, n: int) -> "BinaryNat":
@@ -111,29 +90,8 @@ class BinaryNat:
     # -- arithmetic ------------------------------------------------------
 
     def mul3_add1(self) -> "BinaryNat":
-        """Return 3n + 1, computed as one carry pass over the digits.
-
-        Column i of 2n + n contributes bit i and bit i-1 of n; seeding the
-        carry with 1 folds in the "+ 1".  The result of an odd input is
-        always even.
-        """
-        bits = self._bits
-        carry = 1
-        prev = 0
-        out = []
-        push = out.append
-        for ch in reversed(bits):
-            b = ch == "1"
-            t = b + prev + carry
-            push("1" if t & 1 else "0")
-            carry = t >> 1
-            prev = b
-        t = prev + carry
-        while t:
-            push("1" if t & 1 else "0")
-            t >>= 1
-        out.reverse()
-        return BinaryNat._raw("".join(out))
+        """Return 3n + 1; the result of an odd input is always even."""
+        return BinaryNat._raw(format(int(self._bits, 2) * 3 + 1, "b"))
 
     def half(self) -> "BinaryNat":
         """Return n / 2 by dropping the final digit; the input must be even."""

@@ -46,10 +46,7 @@ def is_hard(n: BinaryNat) -> bool:
     1 is the degenerate single-digit case of the closed form (k=1).
     """
     bits = n.bits
-    # odd length, ones on even positions, zeros on odd positions
-    if len(bits) % 2 == 0:
-        return False
-    return all(c == ("1" if i % 2 == 0 else "0") for i, c in enumerate(bits))
+    return bits == "10" * (len(bits) // 2) + "1"
 
 
 def hard_number(k: int) -> BinaryNat:

@@ -152,17 +152,13 @@ def odd_chain(n: BinaryNat, cap: int = DEFAULT_CAP) -> list[BinaryNat]:
 
 
 def cycle_check(n: BinaryNat, cap: int = DEFAULT_CAP) -> bool:
-    """Confirm the tail cycle: once at 1, the next three steps hit 4, 2, 1."""
-    value = n
-    if not value.is_one():
-        for _ in range(cap):
-            value, _ = step(value)
-            if value.is_one():
-                break
-        else:
-            raise CapExceeded(f"no convergence within {cap} steps from {n.to_decimal()}")
-    expected = (_FOUR, _TWO, ONE)
-    for want in expected:
+    """Confirm the tail cycle: once at 1, the next three steps hit 4, 2, 1.
+
+    Raises CapExceeded, as stopping_time does, if n does not reach 1.
+    """
+    stopping_time(n, cap)
+    value = ONE
+    for want in (_FOUR, _TWO, ONE):
         value, _ = step(value)
         if value != want:
             return False

@@ -83,13 +83,17 @@ def f_inverse(n: BinaryNat) -> BinaryNat:
     """
     if n.is_one():
         raise DomainError("1 has no predecessor")
-    return BinaryNat(n.bits[:-1])
+    return BinaryNat._raw(n.bits[:-1])
 
 
 def tree_path(n: BinaryNat) -> list[BinaryNat]:
-    """All prefixes of n's bit string as values: the root-to-n walk."""
+    """All prefixes of n's bit string as values: the root-to-n walk.
+
+    Every prefix of a canonical string starts with its leading 1, so none
+    needs validating again.
+    """
     bits = n.bits
-    return [BinaryNat(bits[: i + 1]) for i in range(len(bits))]
+    return [BinaryNat._raw(bits[: i + 1]) for i in range(len(bits))]
 
 
 def tree_children(n: BinaryNat) -> tuple[BinaryNat, BinaryNat]:

@@ -10,11 +10,10 @@ lists, which is the form the worked derivations are written in.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .bitnat import BinaryNat, _add_bits
+from .bitnat import BinaryNat
 from .classify import hard_number
 from .collatz import DEFAULT_CAP
 from .errors import CapExceeded, DomainError, ParityError
@@ -86,18 +85,18 @@ class HardClosedForm(NamedTuple):
     t_of_a_k: BinaryNat
 
 
-def to_powersum(n: BinaryNat) -> PowerSum:
-    bits = n.bits
+def _exponents(bits: str) -> tuple[int, ...]:
+    # positions of the one digits, highest first
     top = len(bits) - 1
-    return PowerSum(tuple(top - i for i, c in enumerate(bits) if c == "1"))
+    return tuple(top - i for i, c in enumerate(bits) if c == "1")
+
+
+def to_powersum(n: BinaryNat) -> PowerSum:
+    return PowerSum(_exponents(n.bits))
 
 
 def from_powersum(p: PowerSum) -> BinaryNat:
-    top = p.exponents[0]
-    digits = ["0"] * (top + 1)
-    for e in p.exponents:
-        digits[top - e] = "1"
-    return BinaryNat("".join(digits))
+    return BinaryNat.from_int(sum(1 << e for e in p.exponents))
 
 
 def normalize(m: ExponentMultiset) -> PowerSum:
@@ -105,25 +104,13 @@ def normalize(m: ExponentMultiset) -> PowerSum:
 
     Multiplicity beyond two is handled the same way a binary adder would:
     of mu copies at e, mu mod 2 stay and floor(mu/2) carry to e+1.
-    Processing exponents in ascending order makes the result (and every
-    intermediate) deterministic; confluence makes the order unobservable.
+    Binary representation is unique, so carrying to completion leaves
+    exactly the one digits of the multiset's value, which is how the
+    result is read off.
     """
     if not m.exponents:
         raise DomainError("cannot normalize an empty multiset")
-    counts = Counter(m.exponents)
-    out = []
-    e = 0
-    top = max(counts)
-    while e <= top or counts.get(e, 0):
-        mu = counts.pop(e, 0)
-        if mu & 1:
-            out.append(e)
-        if mu >> 1:
-            counts[e + 1] += mu >> 1
-            top = max(top, e + 1)
-        e += 1
-    out.reverse()
-    return PowerSum(tuple(out))
+    return PowerSum(_exponents(format(sum(1 << e for e in m.exponents), "b")))
 
 
 def _tripled(p: PowerSum) -> ExponentMultiset:
@@ -148,17 +135,10 @@ def shift_powers(p: PowerSum, h: int) -> PowerSum:
 
 
 def geometric_identity_check(k: int) -> bool:
-    """Check 2^(k-1) + ... + 2 + 1 = 2^k - 1 with digit-string arithmetic."""
+    """Check 2^(k-1) + ... + 2 + 1 = 2^k - 1: one more 2^0 carries it all to 2^k."""
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
-    acc = "1"
-    for i in range(1, k):
-        acc = _add_bits(acc, "1" + "0" * i)
-    power = "1" + "0" * k
-    # subtract 1: the final 1-bit flips to 0, zeros below it flip to 1
-    j = power.rindex("1")
-    minus_one = (power[:j] + "0" + "1" * (len(power) - 1 - j)).lstrip("0")
-    return acc == minus_one
+    return normalize(ExponentMultiset([*range(k), 0])).exponents == (k,)
 
 
 def hard_closed_form(k: int) -> HardClosedForm:

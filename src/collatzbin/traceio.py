@@ -15,7 +15,6 @@ to stdout or a file. Output is UTF-8 with LF line endings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Union
 
 from .bitnat import BinaryNat
@@ -24,34 +23,13 @@ from .errors import DomainError
 from .powersum import DerivationRecord, from_powersum
 
 __all__ = [
-    "RenderConfig",
     "MachineRecord",
     "render_table",
     "render_scratch",
     "render_points",
     "render_machine",
     "parse_machine",
-    "render",
 ]
-
-_FORMATS = ("table", "scratch", "points", "machine")
-
-
-@dataclass(frozen=True, slots=True)
-class RenderConfig:
-    format: str = "table"
-    show_decimal: bool = True
-    show_binary: bool = True
-    column_width: int = 0  # 0 = natural width, else right-justify decimals
-
-    def __post_init__(self):
-        if self.format not in _FORMATS:
-            raise DomainError(f"unknown format {self.format!r}, expected one of {_FORMATS}")
-        if self.format in ("table", "scratch") and not (self.show_decimal or self.show_binary):
-            raise DomainError(f"{self.format} format needs decimal or binary digits enabled")
-        if self.column_width < 0:
-            raise DomainError("column_width must be >= 0")
-
 
 class MachineRecord(NamedTuple):
     index: int
@@ -61,12 +39,7 @@ class MachineRecord(NamedTuple):
     annotations: str
 
 
-def _dec(n: BinaryNat, width: int) -> str:
-    d = n.to_decimal()
-    return d.rjust(width) if width else d
-
-
-def render_table(chain: list[BinaryNat], config: RenderConfig = RenderConfig()) -> str:
+def render_table(chain: list[BinaryNat]) -> str:
     """One row per odd value n: "n=(bits)₂ → (bits of 3n+1)₂".
 
     The closing 1 gets no row of its own (its successor starts the
@@ -75,39 +48,24 @@ def render_table(chain: list[BinaryNat], config: RenderConfig = RenderConfig()) 
     """
     if not chain:
         raise DomainError("cannot render an empty chain")
-    w = config.column_width
     rows = []
     for n in chain:
         if n.is_one() and len(chain) > 1:
             break
-        left_parts = []
-        if config.show_decimal:
-            left_parts.append(_dec(n, w))
-        if config.show_binary:
-            left_parts.append(f"({n.bits})₂")
-        left = "=".join(left_parts)
+        left = f"{n.to_decimal()}=({n.bits})₂"
         if n.is_one():
             rows.append(left)
             continue
-        t = n.mul3_add1()
-        right = f"({t.bits})₂" if config.show_binary else _dec(t, 0)
-        rows.append(f"{left} → {right}")
+        rows.append(f"{left} → ({n.mul3_add1().bits})₂")
     return "\n".join(rows) + "\n"
 
 
-def render_scratch(trace: CollatzTrace, config: RenderConfig = RenderConfig("scratch")) -> str:
+def render_scratch(trace: CollatzTrace) -> str:
     """One line per iterate with a margin glyph for the move that made it."""
-    w = config.column_width
     lines = []
     for value, kind in trace.entries:
         glyph = "·" if kind is None else ("→" if kind.value == "odd-step" else "↓")
-        parts = [glyph]
-        if config.show_decimal:
-            parts.append(_dec(value, w))
-        if config.show_binary:
-            sep = "= " if config.show_decimal else ""
-            parts.append(f"{sep}({value.bits})₂")
-        lines.append(" ".join(parts))
+        lines.append(f"{glyph} {value.to_decimal()} = ({value.bits})₂")
     if trace.truncated:
         lines.append("... truncated")
     return "\n".join(lines) + "\n"
@@ -166,20 +124,3 @@ def parse_machine(text: str) -> list[MachineRecord]:
         index, decimal, binary, kind, annotations = line.split(",", 4)
         records.append(MachineRecord(int(index), decimal, binary, kind, annotations))
     return records
-
-
-def render(obj: Renderable, config: RenderConfig) -> str:
-    """Route to the renderer named by config.format."""
-    if config.format == "machine":
-        return render_machine(obj)
-    if config.format == "points":
-        if not isinstance(obj, CollatzTrace):
-            raise DomainError("points format renders a trace")
-        return render_points(obj)
-    if config.format == "scratch":
-        if not isinstance(obj, CollatzTrace):
-            raise DomainError("scratch format renders a trace")
-        return render_scratch(obj, config)
-    if not isinstance(obj, list):
-        raise DomainError("table format renders an odd chain")
-    return render_table(obj, config)

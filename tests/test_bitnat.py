@@ -1,6 +1,8 @@
 """Bit-string arithmetic against plain-integer oracles."""
 
 import random
+import sys
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, strategies as st
@@ -38,6 +40,47 @@ def test_from_decimal_rejects_non_naturals(bad):
         BinaryNat.from_decimal(bad)
 
 
+@contextmanager
+def int_str_digits(limit):
+    """Run a block under CPython's int/str digit limit, restoring the old one."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def long_decimals(n_digits):
+    rng = random.Random(n_digits)
+    digits = "".join(rng.choice("0123456789") for _ in range(n_digits))
+    # a leading nonzero digit, a leading-zero form, a run of zeros and 10^(n-1)
+    return [
+        "7" + digits[1:],
+        "000" + "9" + digits[4:],
+        "1" + "0" * (n_digits // 2) + digits[n_digits // 2 + 1 :],
+        "1" + "0" * (n_digits - 1),
+    ]
+
+
+@pytest.mark.parametrize("n_digits", [641, 5000, 20000])
+def test_from_decimal_past_the_int_str_limit(n_digits):
+    for s in long_decimals(n_digits):
+        got = BinaryNat.from_decimal(s).bits
+        with int_str_digits(0):
+            assert got == format(int(s), "b")
+
+
+def test_from_decimal_under_the_lowest_int_str_limit():
+    cases = [s for n in (641, 1282, 5000, 16000) for s in long_decimals(n)]
+    with int_str_digits(0):
+        want = [format(int(s), "b") for s in cases]
+    with int_str_digits(640):
+        got = [BinaryNat.from_decimal(s).bits for s in cases]
+        assert sys.get_int_max_str_digits() == 640
+    assert got == want
+
+
 def test_zero_is_not_representable():
     with pytest.raises(DomainError):
         BinaryNat.from_int(0)
@@ -63,6 +106,12 @@ def test_mul3_add1_oracle(n):
 def test_mul3_add1_exhaustive_small():
     for n in range(1, 4096):
         assert bn(n).mul3_add1().bits == format(3 * n + 1, "b")
+
+
+def test_mul3_add1_wide_values():
+    rng = random.Random(20000)
+    for n in (rng.getrandbits(20000) | 1 << 19999, 2**20000 - 1, 2**19999 + 1, 2**20000):
+        assert BinaryNat.from_int(n).mul3_add1().to_int() == 3 * n + 1
 
 
 def test_half_strips_one_zero():

@@ -69,6 +69,12 @@ def test_normalize_conserves_value(exps):
     assert value_of(normalize(ExponentMultiset(exps)).exponents) == value_of(exps)
 
 
+def test_normalize_wide_multiset():
+    rng = random.Random(2000)
+    exps = [rng.randrange(10000) for _ in range(2000)] + [9999, 9999, 0, 0, 0]
+    assert value_of(normalize(ExponentMultiset(exps)).exponents) == value_of(exps)
+
+
 def test_normalize_confluence_random_rewrite_order():
     # apply the pairwise rule in random order; the endpoint never varies
     rng = random.Random(555)

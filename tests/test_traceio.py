@@ -8,7 +8,6 @@ import pytest
 from collatzbin import (
     BinaryNat,
     DomainError,
-    RenderConfig,
     derivation_trace,
     odd_chain,
     render_machine,
@@ -17,7 +16,7 @@ from collatzbin import (
     render_table,
     sequence,
 )
-from collatzbin.traceio import parse_machine, render
+from collatzbin.traceio import parse_machine
 
 from conftest import bn
 
@@ -41,18 +40,6 @@ def test_table_shapes():
     assert render_table([bn(1)]) == "1=(1)₂\n"
     with pytest.raises(DomainError):
         render_table([])
-
-
-def test_table_config_toggles():
-    chain = odd_chain(bn(5))
-    assert render_table(chain, RenderConfig(show_binary=False)) == "5 → 16\n"
-    assert render_table(chain, RenderConfig(show_decimal=False)) == "(101)₂ → (10000)₂\n"
-    padded = render_table(chain, RenderConfig(column_width=6))
-    assert padded.startswith("     5=")
-    with pytest.raises(DomainError):
-        RenderConfig(show_decimal=False, show_binary=False)
-    with pytest.raises(DomainError):
-        RenderConfig(format="pdf")
 
 
 def test_scratch_line_per_iterate():
@@ -142,19 +129,6 @@ def test_machine_derivation_fields():
     first = parse_machine(lines[0] + "\n")[0]
     assert first.decimal == "67" and first.kind == "merge"
     assert first.annotations == "raw:7+6+2+1+1+0+0 after:7+6+3+1 shift:1"
-
-
-def test_render_dispatch():
-    trace = sequence(bn(5), 10)
-    chain = odd_chain(bn(5))
-    assert render(trace, RenderConfig("points")) == render_points(trace)
-    assert render(trace, RenderConfig("scratch")) == render_scratch(trace)
-    assert render(chain, RenderConfig("table")) == render_table(chain)
-    assert render(trace, RenderConfig("machine")) == render_machine(trace)
-    with pytest.raises(DomainError):
-        render(chain, RenderConfig("points"))
-    with pytest.raises(DomainError):
-        render(trace, RenderConfig("table"))
 
 
 def test_all_renderers_end_with_newline():
