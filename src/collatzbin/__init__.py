@@ -42,7 +42,7 @@ from .powersum import (
     to_powersum,
 )
 from .traceio import render_machine, render_points, render_scratch, render_table
-from .verify import Checkpoint, RangeReport, checkpoint_resume, summarize, verify_range
+from .verify import Checkpoint, checkpoint_resume, summarize, verify_range
 
 __version__ = "0.1.0"
 
@@ -80,7 +80,6 @@ __all__ = [
     "render_scratch",
     "render_points",
     "render_machine",
-    "RangeReport",
     "Checkpoint",
     "verify_range",
     "checkpoint_resume",

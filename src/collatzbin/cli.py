@@ -4,8 +4,9 @@ Batch-oriented subcommands over the library, one line of argparse glue
 per capability. Inputs are decimal by default; --binary switches to raw
 bit strings. Exit codes: 0 on success (including truncated iterations,
 which are reported in the output, not as failures), 1 on domain errors,
-2 on usage errors. The default step cap for orbit walks can be set with
-the COLLATZBIN_CAP environment variable; --cap overrides it per call.
+2 on usage errors, 130 on Ctrl-C. The default step cap for orbit walks
+can be set with the COLLATZBIN_CAP environment variable; --cap
+overrides it per call.
 """
 
 from __future__ import annotations
@@ -151,9 +152,9 @@ def _cmd_verify(args) -> int:
         ):
             if given is not None and given != saved:
                 raise DomainError(f"{flag} {given} conflicts with the checkpoint ({saved})")
-        report = verify.checkpoint_resume(args.checkpoint, jobs=jobs)
+        state = verify.checkpoint_resume(args.checkpoint, jobs=jobs)
     else:
-        report = verify.verify_range(
+        state = verify.verify_range(
             lo,
             hi,
             step_cap=args.cap if args.cap is not None else verify.DEFAULT_STEP_CAP,
@@ -161,7 +162,7 @@ def _cmd_verify(args) -> int:
             jobs=jobs,
             checkpoint_path=args.checkpoint,
         )
-    sys.stdout.write(verify.summarize(report))
+    sys.stdout.write(verify.summarize(state))
     return 0
 
 
@@ -271,6 +272,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (DomainError, ParityError, ResourceError, CheckpointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -130,7 +130,7 @@ def stopping_time(n: BinaryNat, cap: int = DEFAULT_CAP) -> int:
         value, _ = step(value)
         if value.is_one():
             return i
-    raise CapExceeded(f"no convergence within {cap} steps from {n.to_decimal()}")
+    raise CapExceeded(f"no convergence within {cap} steps from 0b{n.bits}")
 
 
 def odd_chain(n: BinaryNat, cap: int = DEFAULT_CAP) -> list[BinaryNat]:
@@ -148,7 +148,7 @@ def odd_chain(n: BinaryNat, cap: int = DEFAULT_CAP) -> list[BinaryNat]:
         chain.append(value)
     if value.is_one():
         return chain
-    raise CapExceeded(f"odd chain from {n.to_decimal()} still open after {cap} reduced steps")
+    raise CapExceeded(f"odd chain from 0b{n.bits} still open after {cap} reduced steps")
 
 
 def cycle_check(n: BinaryNat, cap: int = DEFAULT_CAP) -> bool:

@@ -170,4 +170,4 @@ def derivation_trace(n: BinaryNat, cap: int = DEFAULT_CAP) -> list[DerivationRec
         current = shift_powers(after, h)
         if current.exponents == (0,):
             return records
-    raise CapExceeded(f"derivation from {n.to_decimal()} still open after {cap} steps")
+    raise CapExceeded(f"derivation from 0b{n.bits} still open after {cap} steps")

@@ -1,16 +1,16 @@
 """Batch convergence checks over contiguous ranges, with checkpoints.
 
 The engine walks every n in [lo, hi) to 1 (or to a step cap), recording
-the stopping time, the orbit peak, and the digit class, then folds the
-results into one report. Internally it runs on machine integers under
-numpy with two escape hatches: values below a table bound resolve
-through precomputed stopping-time/peak tables, and values at risk of
-overflowing 64 bits finish on plain Python integers. The table entries
-are exact, so the tables depend only on hi and the cap is applied at
-lookup. Every partial result, from one value to a whole run, is a
-Checkpoint, and merging them is order-free, so the report is identical
-for any chunk size, any worker count, and across checkpoint
-interrupt/resume.
+the stopping time, the orbit peak, and the digit class. Internally it
+runs on machine integers under numpy with two escape hatches: values
+below a table bound resolve through precomputed stopping-time/peak
+tables, and values at risk of overflowing 64 bits finish on plain Python
+integers. The table entries are exact, so the tables depend only on hi
+and the cap is applied at lookup. Every partial result, from one value
+to a whole run, is a Checkpoint, and merging them is order-free, so the
+result is identical for any chunk size, any worker count, and across
+checkpoint interrupt/resume. verify_range and checkpoint_resume return
+the finished Checkpoint, and summarize formats it.
 
 Above the table bound a lane does not step once per iteration: it jumps
 _K = 16 halvings at a time. Writing v = 2^16·a + b, the walk through
@@ -33,7 +33,7 @@ The 1 -> 4 -> 2 -> 1 tail that follows is the same three steps for
 every n, so no tail sampling is done.
 
 Truncation (cap reached before 1) is data, never an error: truncated
-inputs are listed in the report and excluded from the aggregates.
+inputs are listed in the state and excluded from the aggregates.
 Argmax ties go to the smaller n; peaks of truncated walks do not count.
 
 Checkpoint files are versioned line-oriented text, written atomically
@@ -46,8 +46,9 @@ from __future__ import annotations
 import itertools
 import multiprocessing
 import os
+import signal
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 from pathlib import Path
 from typing import Optional, Union
 
@@ -62,7 +63,6 @@ __all__ = [
     "DEFAULT_CHUNK_SIZE",
     "BASE_TABLE_BOUND",
     "CHECKPOINT_VERSION",
-    "RangeReport",
     "Checkpoint",
     "verify_range",
     "checkpoint_save",
@@ -90,36 +90,22 @@ _HIST_ORDER = (
 IntLike = Union[int, BinaryNat]
 
 
-@dataclass(frozen=True, slots=True)
-class RangeReport:
-    """Aggregated outcome of one verified range [lo, hi)."""
-
-    lo: BinaryNat
-    hi: BinaryNat
-    step_cap: int
-    verified_count: int
-    max_stopping_time: Optional[int]
-    max_stopping_time_at: Optional[BinaryNat]
-    max_excursion: Optional[BinaryNat]
-    max_excursion_at: Optional[BinaryNat]
-    class_histogram: dict[NumberClass, int]
-    truncated_inputs: tuple[BinaryNat, ...]
-
-
 @dataclass(slots=True)
 class Checkpoint:
     """Mutable run state; everything needed to continue at a chunk boundary.
 
     The result of one chunk or one value is also a Checkpoint, over its
     own range with next_unprocessed at its end, and merges into the run.
+    A finished run (next_unprocessed == hi) is the range's report. The
+    histogram counts the values of each class in _HIST_ORDER.
     """
 
-    format_version: int
     lo: int
     hi: int
     step_cap: int
     chunk_size: int
     next_unprocessed: int
+    _: KW_ONLY
     verified_count: int = 0
     max_stopping_time: Optional[int] = None
     max_stopping_time_at: Optional[int] = None
@@ -246,10 +232,6 @@ def _class_slots(ns: np.ndarray) -> np.ndarray:
     )
 
 
-def _classify_counts(ns: np.ndarray) -> tuple[int, int, int, int, int]:
-    return tuple(np.bincount(_class_slots(ns), minlength=5).tolist())
-
-
 def _walk_row(
     cap: int, n: int, slot: int, v: int, steps: int, low: int, high: int
 ) -> Checkpoint:
@@ -268,7 +250,7 @@ def _walk_row(
             peak = v
     hist = [0, 0, 0, 0, 0]
     hist[slot] = 1
-    row = Checkpoint(CHECKPOINT_VERSION, n, n + 1, cap, 1, n + 1, histogram=tuple(hist))
+    row = Checkpoint(n, n + 1, cap, 1, n + 1, histogram=tuple(hist))
     if v < bound and steps + int(_SIG[v]) <= cap:
         peak = max(peak, int(_PK[v]))
         if peak < high:
@@ -283,7 +265,7 @@ def _walk_row(
 
 def _fold_rows(lo: int, hi: int, cap: int, lanes) -> Checkpoint:
     """Merge the rows of (n, slot, v, steps, low, high) lanes, ascending in n."""
-    acc = Checkpoint(CHECKPOINT_VERSION, lo, hi, cap, hi - lo, lo)
+    acc = Checkpoint(lo, hi, cap, hi - lo, lo)
     for lane in lanes:
         _merge(acc, _walk_row(cap, *lane))
     return acc
@@ -353,8 +335,9 @@ def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
         kernel[fb] = False
     conv = kernel & (sig >= 0) & (sig <= cap)
     res = Checkpoint(
-        CHECKPOINT_VERSION, lo, hi, cap, size, hi, int(conv.sum()),
-        histogram=_classify_counts(ns[kernel]),
+        lo, hi, cap, size, hi,
+        verified_count=int(conv.sum()),
+        histogram=tuple(np.bincount(_class_slots(ns[kernel]), minlength=5).tolist()),
         truncated=ns[kernel & ~conv].tolist(),
     )
     if res.verified_count:
@@ -381,7 +364,7 @@ def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
 def _chunk_stats(bounds: tuple[int, int], cap: int) -> Checkpoint:
     lo, hi = bounds
     if hi <= 2**63:
-        acc = Checkpoint(CHECKPOINT_VERSION, lo, hi, cap, hi - lo, lo)
+        acc = Checkpoint(lo, hi, cap, hi - lo, lo)
         for start in range(lo, hi, _LANES):
             _merge(acc, _chunk_numpy(start, min(start + _LANES, hi), cap))
         return acc
@@ -435,35 +418,7 @@ def _as_int(n: IntLike, name: str) -> int:
     raise DomainError(f"{name} must be an integer value, got {type(n).__name__}")
 
 
-def _report(state: Checkpoint) -> RangeReport:
-    hist = {cls: state.histogram[i] for i, cls in enumerate(_HIST_ORDER)}
-    return RangeReport(
-        lo=BinaryNat.from_int(state.lo),
-        hi=BinaryNat.from_int(state.hi),
-        step_cap=state.step_cap,
-        verified_count=state.verified_count,
-        max_stopping_time=state.max_stopping_time,
-        max_stopping_time_at=(
-            None if state.max_stopping_time_at is None
-            else BinaryNat.from_int(state.max_stopping_time_at)
-        ),
-        max_excursion=(
-            None if state.max_excursion is None else BinaryNat.from_int(state.max_excursion)
-        ),
-        max_excursion_at=(
-            None if state.max_excursion_at is None
-            else BinaryNat.from_int(state.max_excursion_at)
-        ),
-        class_histogram=hist,
-        truncated_inputs=tuple(BinaryNat.from_int(t) for t in state.truncated),
-    )
-
-
-def _run(
-    state: Checkpoint,
-    jobs: int,
-    checkpoint_path: Optional[Union[str, Path]],
-) -> RangeReport:
+def _run(state: Checkpoint, jobs: int, checkpoint_path: Optional[Union[str, Path]]) -> Checkpoint:
     _ensure_tables(state.hi)
     chunks = [
         (a, min(a + state.chunk_size, state.hi))
@@ -478,15 +433,20 @@ def _run(
                 checkpoint_save(state, checkpoint_path)
 
     if jobs > 1 and len(chunks) > 1:
-        # tables are inherited by forked workers; results stream in order
+        # tables are inherited by forked workers; results stream in order.
+        # Workers ignore Ctrl-C: on it the queued chunks are dropped, and the
+        # file keeps the last merged state.
         ctx = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=jobs, mp_context=ctx) as pool:
+        pool = ProcessPoolExecutor(jobs, ctx, signal.signal, (signal.SIGINT, signal.SIG_IGN))
+        try:
             consume(pool.map(_chunk_stats, chunks, caps))
+        finally:
+            pool.shutdown(cancel_futures=True)
     else:
         consume(map(_chunk_stats, chunks, caps))
     if checkpoint_path is not None:
         checkpoint_save(state, checkpoint_path)
-    return _report(state)
+    return state
 
 
 def verify_range(
@@ -496,8 +456,8 @@ def verify_range(
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     jobs: int = 1,
     checkpoint_path: Optional[Union[str, Path]] = None,
-) -> RangeReport:
-    """Verify every n in [lo, hi); see the module notes for guarantees."""
+) -> Checkpoint:
+    """Verify every n in [lo, hi); return the finished state (see the module notes)."""
     lo_i = _as_int(lo, "lo")
     hi_i = _as_int(hi, "hi")
     if lo_i < 1 or hi_i <= lo_i:
@@ -508,7 +468,7 @@ def verify_range(
         raise DomainError(f"chunk_size must be >= 1, got {chunk_size}")
     if jobs < 1:
         raise DomainError(f"jobs must be >= 1, got {jobs}")
-    state = Checkpoint(CHECKPOINT_VERSION, lo_i, hi_i, step_cap, chunk_size, lo_i)
+    state = Checkpoint(lo_i, hi_i, step_cap, chunk_size, lo_i)
     return _run(state, jobs, checkpoint_path)
 
 
@@ -522,7 +482,7 @@ def checkpoint_save(state: Checkpoint, path: Union[str, Path]) -> None:
     """Atomically write the run state: temp file in place, then rename."""
     path = Path(path)
     lines = [
-        f"collatzbin-checkpoint v{state.format_version}",
+        f"collatzbin-checkpoint v{CHECKPOINT_VERSION}",
         f"range {state.lo} {state.hi}",
         f"step_cap {state.step_cap}",
         f"chunk_size {state.chunk_size}",
@@ -581,7 +541,6 @@ def checkpoint_load(path: Union[str, Path]) -> Checkpoint:
         if len(hist) != 5:
             raise ValueError(f"expected 5 histogram buckets, got {len(hist)}")
         state = Checkpoint(
-            format_version=CHECKPOINT_VERSION,
             lo=lo,
             hi=hi,
             step_cap=int(fields["step_cap"][0]),
@@ -622,34 +581,30 @@ def _check(state: Checkpoint) -> None:
             raise ValueError("maxima must be present exactly when some value is verified")
 
 
-def checkpoint_resume(path: Union[str, Path], jobs: int = 1) -> RangeReport:
-    """Continue an interrupted run; the final report matches an unbroken one."""
+def checkpoint_resume(path: Union[str, Path], jobs: int = 1) -> Checkpoint:
+    """Continue an interrupted run; the finished state matches an unbroken one."""
     return _run(checkpoint_load(path), jobs, path)
 
 
-def summarize(report: RangeReport) -> str:
-    """Fixed-layout text summary; byte-identical for equal reports."""
-    sig = "none"
-    if report.max_stopping_time is not None:
-        sig = f"{report.max_stopping_time} at {report.max_stopping_time_at.to_decimal()}"
-    exc = "none"
-    if report.max_excursion is not None:
-        exc = f"{report.max_excursion.to_decimal()} at {report.max_excursion_at.to_decimal()}"
-    classes = ", ".join(
-        f"{cls.value} {report.class_histogram[cls]}" for cls in _HIST_ORDER
-    )
+def summarize(state: Checkpoint) -> str:
+    """Fixed-layout text summary of a finished run; byte-identical for equal states."""
+    if state.next_unprocessed != state.hi:
+        raise DomainError(f"run [{state.lo}, {state.hi}) unfinished at {state.next_unprocessed}")
+    # the maxima exist exactly when some value is verified
+    sig = exc = "none"
+    if state.verified_count:
+        sig = f"{state.max_stopping_time} at {state.max_stopping_time_at}"
+        exc = f"{state.max_excursion} at {state.max_excursion_at}"
+    classes = ", ".join(f"{cls.value} {c}" for cls, c in zip(_HIST_ORDER, state.histogram))
     lines = [
-        f"range: [{report.lo.to_decimal()}, {report.hi.to_decimal()})",
-        f"step cap: {report.step_cap}",
-        f"verified: {report.verified_count}",
-        f"truncated: {len(report.truncated_inputs)}",
+        f"range: [{state.lo}, {state.hi})",
+        f"step cap: {state.step_cap}",
+        f"verified: {state.verified_count}",
+        f"truncated: {len(state.truncated)}",
         f"max stopping time: {sig}",
         f"max excursion: {exc}",
         f"classes: {classes}",
     ]
-    if report.truncated_inputs:
-        lines.append(
-            "truncated inputs: "
-            + " ".join(t.to_decimal() for t in report.truncated_inputs)
-        )
+    if state.truncated:
+        lines.append("truncated inputs: " + " ".join(map(str, state.truncated)))
     return "\n".join(lines) + "\n"

@@ -252,14 +252,13 @@ def test_criterion_12_range_run_deterministic():
     t0 = time.perf_counter()
     r8 = verify_range(1, 10**7, step_cap=10**5, jobs=8)
     elapsed = time.perf_counter() - t0
-    assert not r8.truncated_inputs
+    assert not r8.truncated
     assert r8.verified_count == 10**7 - 1
     r4 = verify_range(1, 10**7, step_cap=10**5, jobs=4)
     r1 = verify_range(1, 10**7, step_cap=10**5, jobs=1)
     assert r8 == r4 == r1
     # interrupt halfway, resume, and demand the identical report
     state = Checkpoint(
-        format_version=verify_mod.CHECKPOINT_VERSION,
         lo=1,
         hi=10**7,
         step_cap=10**5,

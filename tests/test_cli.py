@@ -1,14 +1,18 @@
 """Command-line behavior: outputs, exit codes, environment config."""
 
 import os
+import random
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
-from collatzbin import cli
+from collatzbin import cli, summarize, verify_range
 from collatzbin.cli import main
 from collatzbin.traceio import parse_machine
+from collatzbin.verify import checkpoint_load
 
 
 def run(capsys, *argv):
@@ -224,3 +228,47 @@ def test_default_jobs_follow_affinity(monkeypatch):
         assert cli._default_jobs() == len(os.sched_getaffinity(0))
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     assert cli._default_jobs() == (os.cpu_count() or 1)
+
+
+def test_big_inputs_truncate_under_cap(capsys):
+    # 20,000 bits is past 4,300 decimal digits, CPython's default int/str limit
+    n = format(random.Random(20000).getrandbits(19999) | 1 << 19999 | 1, "b")
+    limit = sys.get_int_max_str_digits()
+    try:
+        for digits in (limit, 640):
+            sys.set_int_max_str_digits(digits)
+            for command in (("stopping-time",), ("trace", "--format", "table"), ("decompose",)):
+                code, out, err = run(capsys, *command, n, "--binary", "--cap", "20")
+                assert (code, out, err) == (0, "truncated\n", "")
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_ctrl_c_stops_a_parallel_run_cleanly(tmp_path):
+    ck = tmp_path / "ck.txt"
+    # 200 chunks: the run is still going when the first checkpoint appears
+    lo, hi, chunk = 1, 4 * 10**6, 20000
+    argv = [sys.executable, "-m", "collatzbin", "verify", str(lo), str(hi),
+            "--jobs", "2", "--chunk", str(chunk), "--checkpoint", str(ck)]
+    proc = subprocess.Popen(
+        argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while not ck.exists():
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.005)
+        os.killpg(proc.pid, signal.SIGINT)
+        out, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert (proc.returncode, out, err) == (130, "", "error: interrupted\n")
+    # no worker outlives the run
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
+    assert checkpoint_load(ck).next_unprocessed < hi
+    resumed = subprocess.run(argv + ["--resume"], capture_output=True, text=True)
+    assert (resumed.returncode, resumed.stderr) == (0, "")
+    assert resumed.stdout == summarize(verify_range(lo, hi, chunk_size=chunk))

@@ -3,6 +3,7 @@
 import dataclasses
 import random
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,17 +22,17 @@ from collatzbin import (
 )
 from collatzbin.verify import (
     BASE_TABLE_BOUND,
-    CHECKPOINT_VERSION,
     Checkpoint,
     DEFAULT_CHUNK_SIZE,
     DEFAULT_STEP_CAP,
-    RangeReport,
     checkpoint_load,
     checkpoint_save,
 )
 from collatzbin import verify as verify_mod
 
 from conftest import bn
+
+GOLDENS = Path(__file__).parent / "goldens"
 
 
 def orbit_oracle(n: int, cap: int = 10**5):
@@ -46,14 +47,14 @@ def orbit_oracle(n: int, cap: int = 10**5):
     return steps, peak
 
 
-def oracle_report(lo: int, hi: int, cap: int) -> RangeReport:
-    """The report for [lo, hi), one plain-integer walk per value."""
+def oracle_report(lo: int, hi: int, cap: int) -> Checkpoint:
+    """The finished state for [lo, hi), one plain-integer walk per value."""
     verified, best_sigma, best_peak, truncated = 0, None, None, []
     hist = Counter(classify(bn(n)) for n in range(lo, hi))
     for n in range(lo, hi):
         sigma, peak = orbit_oracle(n, cap)
         if sigma is None:
-            truncated.append(bn(n))
+            truncated.append(n)
             continue
         verified += 1
         # strict > in ascending n: a tie keeps the smaller n
@@ -61,17 +62,19 @@ def oracle_report(lo: int, hi: int, cap: int) -> RangeReport:
             best_sigma = (sigma, n)
         if best_peak is None or peak > best_peak[0]:
             best_peak = (peak, n)
-    return RangeReport(
-        lo=bn(lo),
-        hi=bn(hi),
-        step_cap=cap,
+    return Checkpoint(
+        lo,
+        hi,
+        cap,
+        DEFAULT_CHUNK_SIZE,
+        hi,
         verified_count=verified,
         max_stopping_time=best_sigma and best_sigma[0],
-        max_stopping_time_at=best_sigma and bn(best_sigma[1]),
-        max_excursion=best_peak and bn(best_peak[0]),
-        max_excursion_at=best_peak and bn(best_peak[1]),
-        class_histogram={cls: hist[cls] for cls in verify_mod._HIST_ORDER},
-        truncated_inputs=tuple(truncated),
+        max_stopping_time_at=best_sigma and best_sigma[1],
+        max_excursion=best_peak and best_peak[0],
+        max_excursion_at=best_peak and best_peak[1],
+        histogram=tuple(hist[cls] for cls in verify_mod._HIST_ORDER),
+        truncated=truncated,
     )
 
 
@@ -92,24 +95,24 @@ def block_walk(n: int, k: int = 16):
 def test_tiny_ranges():
     r = verify_range(1, 10)
     assert r.verified_count == 9
-    assert not r.truncated_inputs
+    assert not r.truncated
     # brute force over 1..9: sigma(9) = 19 tops sigma(7) = 16
     best = max(range(1, 10), key=lambda n: (orbit_oracle(n)[0], -n))
-    assert (r.max_stopping_time, r.max_stopping_time_at) == (19, bn(9))
+    assert (r.max_stopping_time, r.max_stopping_time_at) == (19, 9)
     assert r.max_stopping_time == orbit_oracle(best)[0]
     # 7 and 9 both peak at 52; the tie goes to the smaller n
-    assert (r.max_excursion, r.max_excursion_at) == (bn(52), bn(7))
-    assert r.class_histogram[NumberClass.ORIGIN] == 1
-    assert sum(r.class_histogram.values()) == 9
+    assert (r.max_excursion, r.max_excursion_at) == (52, 7)
+    assert r.histogram[verify_mod._HIST_ORDER.index(NumberClass.ORIGIN)] == 1
+    assert sum(r.histogram) == 9
 
     r1 = verify_range(1, 2)
     assert r1.verified_count == 1
-    assert (r1.max_stopping_time, r1.max_stopping_time_at) == (0, bn(1))
-    assert (r1.max_excursion, r1.max_excursion_at) == (bn(1), bn(1))
+    assert (r1.max_stopping_time, r1.max_stopping_time_at) == (0, 1)
+    assert (r1.max_excursion, r1.max_excursion_at) == (1, 1)
 
     r255 = verify_range(255, 256)
     assert r255.max_stopping_time == 47
-    assert r255.max_excursion == bn(13120)
+    assert r255.max_excursion == 13120
 
 
 def test_invalid_ranges():
@@ -130,7 +133,10 @@ def test_report_independent_of_chunk_size():
         verify_range(1, 20000, chunk_size=c)
         for c in (64, 999, 4096, DEFAULT_CHUNK_SIZE)
     ]
-    assert all(r == reports[0] for r in reports[1:])
+    # the states differ only in the chunk size they record
+    assert all(
+        dataclasses.replace(r, chunk_size=DEFAULT_CHUNK_SIZE) == reports[-1] for r in reports
+    )
 
 
 def test_report_independent_of_workers():
@@ -146,7 +152,7 @@ def test_window_reports_match_oracle():
         r = verify_range(n, n + 1)
         sigma, peak = orbit_oracle(n)
         assert r.max_stopping_time == sigma
-        assert r.max_excursion == bn(peak)
+        assert r.max_excursion == peak
         assert r.verified_count == 1
 
 
@@ -162,20 +168,20 @@ def test_engine_agrees_with_bit_string_walk():
 def test_truncation_is_reported_not_raised():
     r = verify_range(27, 28, step_cap=5)
     assert r.verified_count == 0
-    assert r.truncated_inputs == (bn(27),)
+    assert r.truncated == [27]
     assert r.max_stopping_time is None and r.max_excursion is None
-    assert sum(r.class_histogram.values()) == 1
+    assert sum(r.histogram) == 1
     text = summarize(r)
     assert "truncated: 1" in text and "truncated inputs: 27" in text
 
 
 def test_histogram_and_counts_add_up():
     r = verify_range(1, 5000, step_cap=30)
-    assert r.verified_count + len(r.truncated_inputs) == 4999
-    assert sum(r.class_histogram.values()) == 4999
+    assert r.verified_count + len(r.truncated) == 4999
+    assert sum(r.histogram) == 4999
     # every listed truncation really does exceed the cap
-    for t in r.truncated_inputs[:20]:
-        assert orbit_oracle(t.to_int(), cap=30)[0] is None
+    for t in r.truncated[:20]:
+        assert orbit_oracle(t, cap=30)[0] is None
 
 
 def test_int64_overflow_fallback():
@@ -191,10 +197,10 @@ def test_int64_overflow_fallback():
     peaks = {n: orbit_oracle(n)[1] for n in range(lo, lo + 4)}
     best_sigma = max(sigmas.values())
     expect_at = min(n for n, s in sigmas.items() if s == best_sigma)
-    assert (r.max_stopping_time, r.max_stopping_time_at) == (best_sigma, bn(expect_at))
+    assert (r.max_stopping_time, r.max_stopping_time_at) == (best_sigma, expect_at)
     best_peak = max(peaks.values())
     peak_at = min(n for n, p in peaks.items() if p == best_peak)
-    assert (r.max_excursion, r.max_excursion_at) == (bn(best_peak), bn(peak_at))
+    assert (r.max_excursion, r.max_excursion_at) == (best_peak, peak_at)
 
 
 def test_python_path_beyond_int64():
@@ -206,23 +212,50 @@ def test_python_path_beyond_int64():
 
 
 def test_summarize_layout():
-    r = verify_range(1, 10)
-    assert summarize(r) == (
-        "range: [1, 10)\n"
-        "step cap: 100000\n"
-        "verified: 9\n"
-        "truncated: 0\n"
-        "max stopping time: 19 at 9\n"
-        "max excursion: 52 at 7\n"
-        "classes: origin 1, pure-even 3, pure-odd 2, mixed-even 1, mixed-odd 2\n"
-    )
+    cases = [
+        (
+            (1, 10),
+            {},
+            "range: [1, 10)\n"
+            "step cap: 100000\n"
+            "verified: 9\n"
+            "truncated: 0\n"
+            "max stopping time: 19 at 9\n"
+            "max excursion: 52 at 7\n"
+            "classes: origin 1, pure-even 3, pure-odd 2, mixed-even 1, mixed-odd 2\n",
+        ),
+        (
+            # past 2^64: inputs and maxima are plain-integer values
+            (2**64 + 1, 2**64 + 3),
+            {},
+            "range: [18446744073709551617, 18446744073709551619)\n"
+            "step cap: 100000\n"
+            "verified: 2\n"
+            "truncated: 0\n"
+            "max stopping time: 483 at 18446744073709551617\n"
+            "max excursion: 55340232221128654852 at 18446744073709551617\n"
+            "classes: origin 0, pure-even 0, pure-odd 0, mixed-even 1, mixed-odd 1\n",
+        ),
+        (
+            # 4,275 truncated inputs on one line
+            (1, 5000),
+            {"step_cap": 30},
+            (GOLDENS / "summary_1_5000_cap30.txt").read_text(encoding="utf-8"),
+        ),
+    ]
+    for (lo, hi), kwargs, expected in cases:
+        assert summarize(verify_range(lo, hi, **kwargs)) == expected
+    # a mid-run state is not a report over its whole range
+    state = verify_mod._merge(Checkpoint(1, 10, DEFAULT_STEP_CAP, 4, 1), verify_range(1, 5))
+    assert state.next_unprocessed == 5
+    with pytest.raises(DomainError, match="unfinished"):
+        summarize(state)
 
 
 # -- checkpoints
 
 def _fresh_state(lo, hi, chunk):
     return Checkpoint(
-        format_version=CHECKPOINT_VERSION,
         lo=lo,
         hi=hi,
         step_cap=DEFAULT_STEP_CAP,
@@ -354,7 +387,7 @@ def test_class_partition_matches_classify():
     for ns in windows:
         expected = [order.index(classify(bn(int(n)))) for n in ns]
         assert verify_mod._class_slots(ns).tolist() == expected
-        assert verify_mod._classify_counts(ns) == tuple(
+        assert verify_range(int(ns[0]), int(ns[-1]) + 1).histogram == tuple(
             expected.count(i) for i in range(len(order))
         )
 
@@ -375,11 +408,11 @@ def test_shuffled_chunk_merge_matches_straight_run(base, offset, size, cap, cuts
     edges = sorted({lo, hi, *(lo + c for c in cuts if c < size)})
     parts = [verify_mod._chunk_stats(b, cap) for b in zip(edges, edges[1:])]
     rnd.shuffle(parts)
-    state = Checkpoint(CHECKPOINT_VERSION, lo, hi, cap, DEFAULT_CHUNK_SIZE, lo)
+    state = Checkpoint(lo, hi, cap, DEFAULT_CHUNK_SIZE, lo)
     for part in parts:
         verify_mod._merge(state, part)
     assert state.next_unprocessed == hi
-    assert verify_mod._report(state) == straight
+    assert state == straight
 
 
 def test_tables_shared_across_caps():
@@ -397,7 +430,7 @@ def test_merge_ties_go_to_smaller_n():
     verify_mod._ensure_tables(100)
     for (a, b), key in (((27, 31), "max_excursion"), ((12, 13), "max_stopping_time")):
         for first, second in ((a, b), (b, a)):
-            state = Checkpoint(CHECKPOINT_VERSION, a, b + 1, DEFAULT_STEP_CAP, 1, a)
+            state = Checkpoint(a, b + 1, DEFAULT_STEP_CAP, 1, a)
             for n in (first, second):
                 verify_mod._merge(state, verify_mod._chunk_stats((n, n + 1), DEFAULT_STEP_CAP))
             assert getattr(state, key + "_at") == a
@@ -408,7 +441,7 @@ def test_cap_boundary_is_exact_on_every_path():
     for n in (27, 10**6 + 1, (1 << 60) + 3, (1 << 62) + 1, (1 << 64) + 1):
         sigma, _ = orbit_oracle(n)
         assert verify_range(n, n + 1, step_cap=sigma).verified_count == 1
-        assert verify_range(n, n + 1, step_cap=sigma - 1).truncated_inputs == (bn(n),)
+        assert verify_range(n, n + 1, step_cap=sigma - 1).truncated == [n]
 
 
 # -- the k-step jump kernel and the base table behind it
@@ -500,7 +533,7 @@ def test_excursion_tie_above_the_table_bound():
         assert n % 8 == 4 and n >= BASE_TABLE_BOUND
         assert orbit_oracle(n) == orbit_oracle(n + 1)
         r = verify_range(n, n + 2)
-        assert r.max_excursion_at == r.max_stopping_time_at == bn(n)
+        assert r.max_excursion_at == r.max_stopping_time_at == n
         assert r == oracle_report(n, n + 2, DEFAULT_STEP_CAP)
 
 
