@@ -1,16 +1,18 @@
 """Batch convergence checks over contiguous ranges, with checkpoints.
 
 The engine walks every n in [lo, hi) to 1 (or to a step cap), recording
-the stopping time, the orbit peak, and the digit class. Internally it
-runs on machine integers under numpy with two escape hatches: values
-below a table bound resolve through precomputed stopping-time/peak
-tables, and values at risk of overflowing 64 bits finish on plain Python
+the stopping time and the orbit peak. Internally it runs on machine
+integers under numpy with two escape hatches: values below a table bound
+resolve through precomputed stopping-time/peak tables, and a lane at
+risk of overflowing 64 bits walks again from its start on plain Python
 integers. The table entries are exact, so the tables depend only on hi
 and the cap is applied at lookup. Every partial result, from one value
-to a whole run, is a Checkpoint, and merging them is order-free, so the
-result is identical for any chunk size, any worker count, and across
-checkpoint interrupt/resume. verify_range and checkpoint_resume return
-the finished Checkpoint, and summarize formats it.
+to a whole run, is a Checkpoint holding only what the walks find (the
+maxima and the truncated inputs); the verified count and the digit-class
+histogram follow from the range (class_counts). Merging is order-free,
+so the result is identical for any chunk size, any worker count, and
+across checkpoint interrupt/resume. verify_range and checkpoint_resume
+return the finished Checkpoint, and summarize formats it.
 
 Above the table bound a lane does not step once per iteration: it jumps
 _K = 16 halvings at a time. Writing v = 2^16·a + b, the walk through
@@ -38,7 +40,8 @@ Argmax ties go to the smaller n; peaks of truncated walks do not count.
 
 Checkpoint files are versioned line-oriented text, written atomically
 (temp file then rename) at chunk boundaries only, and checked for
-consistency when read back.
+consistency when read back: the verified and hist lines must equal the
+values the range and the truncated list give.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .bitnat import BinaryNat
-from .classify import NumberClass
+from .classify import NumberClass, class_counts
 from .errors import CheckpointError, DomainError
 
 __all__ = [
@@ -96,8 +99,9 @@ class Checkpoint:
 
     The result of one chunk or one value is also a Checkpoint, over its
     own range with next_unprocessed at its end, and merges into the run.
-    A finished run (next_unprocessed == hi) is the range's report. The
-    histogram counts the values of each class in _HIST_ORDER.
+    A finished run (next_unprocessed == hi) is the range's report. Its
+    counts derive from [lo, next_unprocessed) and the truncated list, so
+    they hold once every part of that range is merged.
     """
 
     lo: int
@@ -106,13 +110,21 @@ class Checkpoint:
     chunk_size: int
     next_unprocessed: int
     _: KW_ONLY
-    verified_count: int = 0
     max_stopping_time: Optional[int] = None
     max_stopping_time_at: Optional[int] = None
     max_excursion: Optional[int] = None
     max_excursion_at: Optional[int] = None
-    histogram: tuple[int, int, int, int, int] = (0, 0, 0, 0, 0)
     truncated: list[int] = field(default_factory=list)
+
+    @property
+    def verified_count(self) -> int:
+        return self.next_unprocessed - self.lo - len(self.truncated)
+
+    @property
+    def histogram(self) -> tuple[int, int, int, int, int]:
+        """The values of each class in _HIST_ORDER."""
+        counts = class_counts(self.lo, self.next_unprocessed)
+        return tuple(counts[cls] for cls in _HIST_ORDER)
 
 
 # ---------------------------------------------------------------------------
@@ -223,51 +235,29 @@ def _fill_segment(sig: np.ndarray, pk: np.ndarray, floor: int, lo: int, hi: int)
 # partial results: one value, one chunk
 
 
-def _class_slots(ns: np.ndarray) -> np.ndarray:
-    """Each n's index in _HIST_ORDER; ns is int64 or object (Python ints)."""
-    return np.select(
-        [ns == 1, (ns & (ns - 1)) == 0, (ns & (ns + 1)) == 0, (ns & 1) == 0],
-        [0, 1, 2, 3],
-        4,
-    )
-
-
-def _walk_row(
-    cap: int, n: int, slot: int, v: int, steps: int, low: int, high: int
-) -> Checkpoint:
-    """Finish n's orbit from (v, steps) on plain integers.
-
-    The orbit's peak before v lies in [low, high]. When the rest of the
-    walk does not reach high, the peak is found by walking n exactly from
-    its start. The result covers [n, n + 1).
-    """
+def _walk_row(cap: int, n: int) -> Checkpoint:
+    """Walk n on plain integers into the base table or to the cap: [n, n + 1)."""
     bound = _SIG.size
-    peak = low
+    v, steps, peak = n, 0, n
     while v >= bound and steps < cap:
         v = 3 * v + 1 if v & 1 else v >> 1
         steps += 1
         if v > peak:
             peak = v
-    hist = [0, 0, 0, 0, 0]
-    hist[slot] = 1
-    row = Checkpoint(n, n + 1, cap, 1, n + 1, histogram=tuple(hist))
+    row = Checkpoint(n, n + 1, cap, 1, n + 1)
     if v < bound and steps + int(_SIG[v]) <= cap:
-        peak = max(peak, int(_PK[v]))
-        if peak < high:
-            return _walk_row(cap, n, slot, n, 0, n, n)
-        row.verified_count = 1
         row.max_stopping_time, row.max_stopping_time_at = steps + int(_SIG[v]), n
-        row.max_excursion, row.max_excursion_at = peak, n
+        row.max_excursion, row.max_excursion_at = max(peak, int(_PK[v])), n
     else:
         row.truncated.append(n)
     return row
 
 
-def _fold_rows(lo: int, hi: int, cap: int, lanes) -> Checkpoint:
-    """Merge the rows of (n, slot, v, steps, low, high) lanes, ascending in n."""
+def _fold_rows(lo: int, hi: int, cap: int, ns) -> Checkpoint:
+    """Merge the rows of the values ns, ascending inside [lo, hi)."""
     acc = Checkpoint(lo, hi, cap, hi - lo, lo)
-    for lane in lanes:
-        _merge(acc, _walk_row(cap, *lane))
+    for n in ns:
+        _merge(acc, _walk_row(cap, n))
     return acc
 
 
@@ -295,8 +285,8 @@ def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
     steps = np.zeros(size, dtype=np.int64)
     lw = ns.copy()
     hg = ns.copy()
-    # lanes about to overflow int64 stop here and finish in _walk_row
-    fallback = []
+    # lanes about to overflow int64 stop here and walk again in _walk_row
+    kernel = np.ones(size, dtype=bool)
     while at.size:
         done = v < bound
         if done.any():
@@ -307,7 +297,7 @@ def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
             high[di] = np.maximum(hg[done], _PK[vd])
         huge = v > _INT64_SAFE
         if huge.any():
-            fallback.append((at[huge], v[huge], steps[huge], lw[huge], hg[huge]))
+            kernel[at[huge]] = False
         keep = ~(done | huge | (steps >= cap))
         if not keep.all():
             at, v, steps, lw, hg = at[keep], v[keep], steps[keep], lw[keep], hg[keep]
@@ -329,18 +319,9 @@ def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
         steps += add
         np.maximum(lw, v, out=lw)
         np.maximum(hg, top, out=hg)
-    kernel = np.ones(size, dtype=bool)
-    if fallback:
-        fb, *state = (np.concatenate(col) for col in zip(*fallback))
-        kernel[fb] = False
     conv = kernel & (sig >= 0) & (sig <= cap)
-    res = Checkpoint(
-        lo, hi, cap, size, hi,
-        verified_count=int(conv.sum()),
-        histogram=tuple(np.bincount(_class_slots(ns[kernel]), minlength=5).tolist()),
-        truncated=ns[kernel & ~conv].tolist(),
-    )
-    if res.verified_count:
+    res = Checkpoint(lo, hi, cap, size, hi, truncated=ns[kernel & ~conv].tolist())
+    if conv.any():
         # argmax takes the first maximum, the smallest n: the tie rule
         ci = np.flatnonzero(conv)
         j = ci[np.argmax(sig[ci])]
@@ -351,14 +332,10 @@ def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
             n = int(ns[i])
             peak = int(low[i])
             if peak < high[i]:
-                peak = _walk_row(cap, n, 0, n, 0, n, n).max_excursion
+                peak = _walk_row(cap, n).max_excursion
             if res.max_excursion is None or peak > res.max_excursion:
                 res.max_excursion, res.max_excursion_at = peak, n
-    if not fallback:
-        return res
-    order = np.argsort(fb)
-    lanes = (ns[fb][order], _class_slots(ns[fb][order]), *(col[order] for col in state))
-    return _merge(res, _fold_rows(lo, hi, cap, zip(*(col.tolist() for col in lanes))))
+    return _merge(res, _fold_rows(lo, hi, cap, ns[~kernel].tolist()))
 
 
 def _chunk_stats(bounds: tuple[int, int], cap: int) -> Checkpoint:
@@ -369,9 +346,7 @@ def _chunk_stats(bounds: tuple[int, int], cap: int) -> Checkpoint:
             _merge(acc, _chunk_numpy(start, min(start + _LANES, hi), cap))
         return acc
     # past int64 every value is a plain-integer walk from its start
-    ns = range(lo, hi)
-    slots = _class_slots(np.arange(lo, hi, dtype=object)).tolist()
-    return _fold_rows(lo, hi, cap, zip(ns, slots, ns, itertools.repeat(0), ns, ns))
+    return _fold_rows(lo, hi, cap, range(lo, hi))
 
 
 # ---------------------------------------------------------------------------
@@ -386,11 +361,10 @@ def _beats(value, at, best, best_at) -> bool:
 def _merge(state: Checkpoint, part: Checkpoint) -> Checkpoint:
     """Fold part, a result inside state's range, into state; return state.
 
-    Counts add, maxima keep the larger (value, -n) and the truncated list
-    stays ascending, so any merge order gives the same state.
+    Maxima keep the larger (value, -n) and the truncated list stays
+    ascending, so any merge order gives the same state.
     """
     state.next_unprocessed = max(state.next_unprocessed, part.next_unprocessed)
-    state.verified_count += part.verified_count
     if _beats(
         part.max_stopping_time, part.max_stopping_time_at,
         state.max_stopping_time, state.max_stopping_time_at,
@@ -402,7 +376,6 @@ def _merge(state: Checkpoint, part: Checkpoint) -> Checkpoint:
     ):
         state.max_excursion = part.max_excursion
         state.max_excursion_at = part.max_excursion_at
-    state.histogram = tuple(a + b for a, b in zip(state.histogram, part.histogram))
     if state.truncated and part.truncated and part.truncated[0] < state.truncated[-1]:
         state.truncated = sorted(state.truncated + part.truncated)
     else:
@@ -444,8 +417,6 @@ def _run(state: Checkpoint, jobs: int, checkpoint_path: Optional[Union[str, Path
             pool.shutdown(cancel_futures=True)
     else:
         consume(map(_chunk_stats, chunks, caps))
-    if checkpoint_path is not None:
-        checkpoint_save(state, checkpoint_path)
     return state
 
 
@@ -495,11 +466,16 @@ def checkpoint_save(state: Checkpoint, path: Union[str, Path]) -> None:
     lines.extend(f"trunc {t}" for t in state.truncated)
     lines.append("end")
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as f:
+            f.write("\n".join(lines) + "\n")
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        # an interrupt or a failed write leaves no temp file behind
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _parse_opt_pair(rest: list[str]) -> tuple[Optional[int], Optional[int]]:
@@ -537,31 +513,29 @@ def checkpoint_load(path: Union[str, Path]) -> Checkpoint:
         lo, hi = (int(x) for x in fields["range"])
         sig_pair = _parse_opt_pair(fields["max_sigma"])
         exc_pair = _parse_opt_pair(fields["max_excursion"])
-        hist = tuple(int(x) for x in fields["hist"])
-        if len(hist) != 5:
-            raise ValueError(f"expected 5 histogram buckets, got {len(hist)}")
         state = Checkpoint(
             lo=lo,
             hi=hi,
             step_cap=int(fields["step_cap"][0]),
             chunk_size=int(fields["chunk_size"][0]),
             next_unprocessed=int(fields["next"][0]),
-            verified_count=int(fields["verified"][0]),
             max_stopping_time=sig_pair[0],
             max_stopping_time_at=sig_pair[1],
             max_excursion=exc_pair[0],
             max_excursion_at=exc_pair[1],
-            histogram=hist,
             truncated=truncated,
         )
-        _check(state)
+        _check(state, fields["verified"], fields["hist"])
         return state
     except (KeyError, ValueError, IndexError) as exc:
         raise CheckpointError(f"malformed checkpoint {path}: {exc}") from exc
 
 
-def _check(state: Checkpoint) -> None:
-    """Raise ValueError unless the loaded state is one a run can reach."""
+def _check(state: Checkpoint, verified: list[str], hist: list[str]) -> None:
+    """Raise ValueError unless the loaded state is one a run can reach.
+
+    verified and hist are the file's lines; they must equal the state's.
+    """
     lo, nxt, hi = state.lo, state.next_unprocessed, state.hi
     if not 1 <= lo <= nxt <= hi:
         raise ValueError(f"need 1 <= lo <= next <= hi, got {lo}, {nxt}, {hi}")
@@ -569,16 +543,19 @@ def _check(state: Checkpoint) -> None:
         raise ValueError(
             f"step_cap {state.step_cap} and chunk_size {state.chunk_size} must be >= 1"
         )
-    verified, hist = state.verified_count, state.histogram
-    counted = verified + len(state.truncated)
-    if verified < 0 or min(hist) < 0 or not sum(hist) == nxt - lo == counted:
-        raise ValueError(
-            f"{nxt - lo} values done, but the histogram holds {sum(hist)} "
-            f"and verified + truncated is {counted}"
-        )
-    for best in (state.max_stopping_time, state.max_excursion):
-        if (best is None) != (verified == 0):
+    trunc = state.truncated
+    if any(a >= b for a, b in zip([lo - 1, *trunc], [*trunc, nxt])):
+        raise ValueError(f"truncated inputs must ascend strictly inside [{lo}, {nxt})")
+    if verified != [str(state.verified_count)] or hist != list(map(str, state.histogram)):
+        raise ValueError(f"verified, hist disagree with [{lo}, {nxt}) and {len(trunc)} truncated")
+    for best, at in (
+        (state.max_stopping_time, state.max_stopping_time_at),
+        (state.max_excursion, state.max_excursion_at),
+    ):
+        if (best is None) != (state.verified_count == 0):
             raise ValueError("maxima must be present exactly when some value is verified")
+        if at is not None and not lo <= at < nxt:
+            raise ValueError(f"maximum at {at} lies outside [{lo}, {nxt})")
 
 
 def checkpoint_resume(path: Union[str, Path], jobs: int = 1) -> Checkpoint:

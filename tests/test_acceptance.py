@@ -248,7 +248,7 @@ def test_criterion_11_composition_roundtrip_exhaustive():
     report(11, "composition path roundtrips hold for every n < 2^14")
 
 
-def test_criterion_12_range_run_deterministic():
+def test_criterion_12_range_run_deterministic(tmp_path):
     t0 = time.perf_counter()
     r8 = verify_range(1, 10**7, step_cap=10**5, jobs=8)
     elapsed = time.perf_counter() - t0
@@ -264,12 +264,10 @@ def test_criterion_12_range_run_deterministic():
         step_cap=10**5,
         chunk_size=verify_mod.DEFAULT_CHUNK_SIZE,
         next_unprocessed=1,
-        verified_count=0,
         max_stopping_time=None,
         max_stopping_time_at=None,
         max_excursion=None,
         max_excursion_at=None,
-        histogram=(0, 0, 0, 0, 0),
         truncated=[],
     )
     verify_mod._ensure_tables(state.hi)
@@ -279,12 +277,9 @@ def test_criterion_12_range_run_deterministic():
     ]
     for b in bounds[: len(bounds) // 2]:
         verify_mod._merge(state, verify_mod._chunk_stats(b, state.step_cap))
-    ck = Path(__file__).parent / "goldens" / "_acceptance_ck.txt"
-    try:
-        checkpoint_save(state, ck)
-        resumed = checkpoint_resume(ck, jobs=8)
-    finally:
-        ck.unlink(missing_ok=True)
+    ck = tmp_path / "ck.txt"
+    checkpoint_save(state, ck)
+    resumed = checkpoint_resume(ck, jobs=8)
     assert resumed == r8
     assert summarize(resumed) == summarize(r8)
     assert elapsed < 60.0, f"took {elapsed:.1f} s"

@@ -29,6 +29,7 @@ from collatzbin.verify import (
     checkpoint_save,
 )
 from collatzbin import verify as verify_mod
+from collatzbin.classify import class_counts
 
 from conftest import bn
 
@@ -49,14 +50,12 @@ def orbit_oracle(n: int, cap: int = 10**5):
 
 def oracle_report(lo: int, hi: int, cap: int) -> Checkpoint:
     """The finished state for [lo, hi), one plain-integer walk per value."""
-    verified, best_sigma, best_peak, truncated = 0, None, None, []
-    hist = Counter(classify(bn(n)) for n in range(lo, hi))
+    best_sigma, best_peak, truncated = None, None, []
     for n in range(lo, hi):
         sigma, peak = orbit_oracle(n, cap)
         if sigma is None:
             truncated.append(n)
             continue
-        verified += 1
         # strict > in ascending n: a tie keeps the smaller n
         if best_sigma is None or sigma > best_sigma[0]:
             best_sigma = (sigma, n)
@@ -68,12 +67,10 @@ def oracle_report(lo: int, hi: int, cap: int) -> Checkpoint:
         cap,
         DEFAULT_CHUNK_SIZE,
         hi,
-        verified_count=verified,
         max_stopping_time=best_sigma and best_sigma[0],
         max_stopping_time_at=best_sigma and best_sigma[1],
         max_excursion=best_peak and best_peak[0],
         max_excursion_at=best_peak and best_peak[1],
-        histogram=tuple(hist[cls] for cls in verify_mod._HIST_ORDER),
         truncated=truncated,
     )
 
@@ -261,12 +258,10 @@ def _fresh_state(lo, hi, chunk):
         step_cap=DEFAULT_STEP_CAP,
         chunk_size=chunk,
         next_unprocessed=lo,
-        verified_count=0,
         max_stopping_time=None,
         max_stopping_time_at=None,
         max_excursion=None,
         max_excursion_at=None,
-        histogram=(0, 0, 0, 0, 0),
         truncated=[],
     )
 
@@ -276,16 +271,29 @@ def test_checkpoint_save_load_roundtrip(tmp_path):
     state = _fresh_state(1, 100000, 4096)
     # a mid-run state that passes the load-time consistency checks
     state.next_unprocessed = 20
-    state.histogram = (1, 4, 3, 5, 6)
-    state.verified_count = 17
-    state.max_stopping_time = 350
-    state.max_stopping_time_at = 77031
-    state.max_excursion = 21933016
-    state.max_excursion_at = 77031
-    state.truncated = [12345, 999]
+    state.max_stopping_time = 19
+    state.max_stopping_time_at = 9
+    state.max_excursion = 52
+    state.max_excursion_at = 7
+    state.truncated = [12, 15]
     checkpoint_save(state, path)
     assert checkpoint_load(path) == state
     assert not list(tmp_path.glob("*.tmp"))  # rename completed
+
+
+def test_checkpoint_save_interrupted_leaves_no_temp_file(tmp_path, monkeypatch):
+    path = tmp_path / "ck.txt"
+    before = verify_range(1, 100, checkpoint_path=path)
+
+    def interrupt(fd):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(verify_mod.os, "fsync", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        checkpoint_save(verify_range(1, 100, step_cap=5), path)
+    assert not list(tmp_path.glob("*.tmp"))
+    # the previous checkpoint is still whole
+    assert checkpoint_load(path) == before
 
 
 def test_checkpoint_interrupted_run_matches_straight_run(tmp_path):
@@ -307,12 +315,21 @@ def test_checkpoint_interrupted_run_matches_straight_run(tmp_path):
     assert checkpoint_load(path).next_unprocessed == 20000
 
 
-def test_checkpoint_written_during_verify(tmp_path):
+def test_checkpoint_written_during_verify(tmp_path, monkeypatch):
     path = tmp_path / "ck.txt"
+    writes = []
+
+    def save(state, path):
+        writes.append(state.next_unprocessed)
+        checkpoint_save(state, path)
+
+    monkeypatch.setattr(verify_mod, "checkpoint_save", save)
     r = verify_range(1, 9000, chunk_size=1000, checkpoint_path=path)
     saved = checkpoint_load(path)
     assert saved.next_unprocessed == 9000
     assert saved.verified_count == r.verified_count
+    # one write per merged chunk (9), none after the last
+    assert writes == [*range(1001, 9000, 1000), 9000]
 
 
 def test_checkpoint_missing_file():
@@ -352,43 +369,80 @@ def test_checkpoint_rejects_garbage(tmp_path):
 
 def test_checkpoint_load_checks_consistency(tmp_path):
     path = tmp_path / "ck.txt"
-    verify_range(1, 5000, chunk_size=512, checkpoint_path=path)
-    whole = path.read_text()
-    edits = [
-        ("chunk_size 512", "chunk_size 0"),  # resume used to die inside range()
-        ("next 5000", "next 1000"),  # resume used to report 8999 verified
-        ("next 5000", "next 5001"),
-        ("range 1 5000", "range 0 5000"),
-        ("step_cap 100000", "step_cap 0"),
-        ("verified 4999", "verified 4998"),
-        ("hist 1 12 11 2487 2488", "hist 1 12 11 2487 2487"),
-        ("max_excursion 8153620 4591", "max_excursion - -"),
+    finished = verify_range(1, 5000, chunk_size=512)
+    # stopped after [2, 200) of [2, 400) at cap 30, with 79 inputs truncated
+    stopped = verify_mod._merge(
+        Checkpoint(2, 400, 30, 200, 2), verify_range(2, 200, step_cap=30)
+    )
+    runs = [
+        (
+            finished,
+            [
+                ("chunk_size 512", "chunk_size 0"),  # resume used to die inside range()
+                ("next 5000", "next 1000"),  # resume used to report 8999 verified
+                ("next 5000", "next 5001"),
+                ("range 1 5000", "range 0 5000"),
+                ("step_cap 100000", "step_cap 0"),
+                ("verified 4999", "verified 4998"),
+                ("hist 1 12 11 2487 2488", "hist 1 12 11 2487 2487"),
+                # the sum is kept, but mixed-even and mixed-odd are swapped
+                ("hist 1 12 11 2487 2488", "hist 1 12 11 2488 2487"),
+                ("max_excursion 8153620 4591", "max_excursion - -"),
+                ("max_excursion 8153620 4591", "max_excursion 8153620 5000"),
+                ("max_sigma 237 3711", "max_sigma 237 0"),
+            ],
+        ),
+        (
+            stopped,
+            [
+                ("trunc 27\n", "trunc 999999\n"),  # used to be listed in the report
+                ("trunc 27\n", "trunc 250\n"),  # inside the range, but not done yet
+                ("trunc 27\ntrunc 31\n", "trunc 31\ntrunc 27\n"),
+                ("trunc 27\n", "trunc 1\n"),
+                ("trunc 27\n", "trunc 31\n"),
+                ("max_sigma 30 86", "max_sigma 30 300"),
+            ],
+        ),
     ]
-    for old, new in edits:
-        assert old in whole
-        path.write_text(whole.replace(old, new))
-        with pytest.raises(CheckpointError, match="malformed"):
-            checkpoint_load(path)
+    for state, edits in runs:
+        checkpoint_save(state, path)
+        assert checkpoint_load(path) == state
+        whole = path.read_text()
+        for old, new in edits:
+            assert old in whole
+            path.write_text(whole.replace(old, new))
+            with pytest.raises(CheckpointError, match="malformed"):
+                checkpoint_load(path)
 
 
 # -- one class partition, one run-state type, one table
 
 
 def test_class_partition_matches_classify():
-    windows = [
-        np.arange(1, 1 << 12, dtype=np.int64),
-        np.arange(1, 1 << 12, dtype=object),
-        np.arange((1 << 62) - 300, (1 << 62) + 300, dtype=np.int64),
-        np.arange((1 << 63) - 300, 1 << 63, dtype=np.int64),
-        np.arange((1 << 63) - 300, (1 << 63) + 300, dtype=object),
-        np.arange((1 << 64) - 300, (1 << 64) + 300, dtype=object),
-    ]
-    order = list(verify_mod._HIST_ORDER)
-    for ns in windows:
-        expected = [order.index(classify(bn(int(n)))) for n in ns]
-        assert verify_mod._class_slots(ns).tolist() == expected
-        assert verify_range(int(ns[0]), int(ns[-1]) + 1).histogram == tuple(
-            expected.count(i) for i in range(len(order))
+    def counted(lo, hi):
+        return Counter(classify(bn(n)) for n in range(lo, hi))
+
+    # every window inside [1, 64], and every window among 2^k - 3 ... 2^k + 3
+    windows = [(a, b) for b in range(2, 65) for a in range(1, b)]
+    for k in range(71):
+        edge = [x for x in range(2**k - 3, 2**k + 4) if x >= 1]
+        windows += [(a, b) for a in edge for b in edge if a < b]
+    for a, b in windows:
+        expected = counted(a, b)
+        assert class_counts(a, b) == {cls: expected[cls] for cls in NumberClass}
+    with pytest.raises(DomainError):
+        class_counts(0, 5)
+    # the verifier's histogram, in _HIST_ORDER, on the int64 and Python paths
+    for lo, hi in [
+        (1, 1 << 12),
+        ((1 << 62) - 300, (1 << 62) + 300),
+        ((1 << 63) - 300, 1 << 63),
+        ((1 << 63) - 300, (1 << 63) + 300),
+        ((1 << 64) - 300, (1 << 64) + 300),
+    ]:
+        expected = counted(lo, hi)
+        assert verify_range(lo, hi).histogram == tuple(
+            expected[cls] for cls in verify_mod._HIST_ORDER
         )
 
 
