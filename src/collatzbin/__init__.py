@@ -7,6 +7,8 @@ arithmetic on the strings (tripling-plus-one, decimal conversion,
 carrying power sums) goes through CPython ints. On top of that sit the
 orbit walks, the digit-class partition, the tree-path composition view,
 the power-of-two merge derivations, and a batch range verifier.
+
+The verifier needs numpy, so its names load on first use (PEP 562).
 """
 
 from .bitnat import ONE, BinaryNat
@@ -41,8 +43,13 @@ from .powersum import (
     three_n_plus_one_merge,
     to_powersum,
 )
-from .traceio import render_machine, render_points, render_scratch, render_table
-from .verify import Checkpoint, checkpoint_resume, summarize, verify_range
+from .traceio import (
+    render_derivation,
+    render_machine,
+    render_points,
+    render_scratch,
+    render_table,
+)
 
 __version__ = "0.1.0"
 
@@ -79,6 +86,7 @@ __all__ = [
     "render_table",
     "render_scratch",
     "render_points",
+    "render_derivation",
     "render_machine",
     "Checkpoint",
     "verify_range",
@@ -91,3 +99,13 @@ __all__ = [
     "CheckpointError",
     "__version__",
 ]
+
+_VERIFY_NAMES = ("Checkpoint", "verify_range", "checkpoint_resume", "summarize")
+
+
+def __getattr__(name: str):
+    if name in _VERIFY_NAMES:
+        from . import verify
+
+        return getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

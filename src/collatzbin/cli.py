@@ -16,7 +16,7 @@ import os
 import sys
 from typing import Optional
 
-from . import collatz, compose, traceio, verify
+from . import collatz, compose, traceio
 from .bitnat import BinaryNat
 from .classify import classify
 from .errors import (
@@ -26,7 +26,7 @@ from .errors import (
     ParityError,
     ResourceError,
 )
-from .powersum import derivation_trace, from_powersum, hard_closed_form, shift_powers
+from .powersum import derivation_trace, hard_closed_form
 
 CAP_ENV_VAR = "COLLATZBIN_CAP"
 
@@ -104,13 +104,8 @@ def _cmd_decompose(args) -> int:
     except CapExceeded:
         print("truncated")
         return 0
-    if args.format == "machine":
-        sys.stdout.write(traceio.render_machine(records))
-        return 0
-    for rec in records:
-        value = from_powersum(rec.before).to_decimal()
-        nxt = from_powersum(shift_powers(rec.after, rec.shift)).to_decimal()
-        print(f"{value} = {rec.before} -> {rec.raw} -> {rec.after} -> shift {rec.shift} -> {nxt}")
+    render = traceio.render_machine if args.format == "machine" else traceio.render_derivation
+    sys.stdout.write(render(records))
     return 0
 
 
@@ -137,6 +132,8 @@ def _cmd_hard(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify  # loads numpy, under main's Ctrl-C handler
+
     lo = _parse_value(args.lo, args.binary)
     hi = _parse_value(args.hi, args.binary)
     jobs = args.jobs if args.jobs is not None else _default_jobs()
@@ -236,14 +233,14 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="K",
-        help=f"step budget per value (default {verify.DEFAULT_STEP_CAP})",
+        help=f"step budget per value (default {collatz.DEFAULT_STEP_CAP})",
     )
     p.add_argument(
         "--chunk",
         type=int,
         default=None,
         metavar="C",
-        help=f"values per work chunk (default {verify.DEFAULT_CHUNK_SIZE})",
+        help=f"values per work chunk (default {collatz.DEFAULT_CHUNK_SIZE})",
     )
     p.add_argument("--checkpoint", metavar="FILE", help="save resumable state here")
     p.add_argument(

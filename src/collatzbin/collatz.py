@@ -18,6 +18,8 @@ from .errors import CapExceeded, ParityError
 
 __all__ = [
     "DEFAULT_CAP",
+    "DEFAULT_STEP_CAP",
+    "DEFAULT_CHUNK_SIZE",
     "StepKind",
     "TraceEntry",
     "CollatzTrace",
@@ -34,6 +36,10 @@ __all__ = [
 
 # conjecture is open: every iteration bounds its step count
 DEFAULT_CAP = 2**20
+# the range verifier's step cap per value and values per work chunk; verify
+# re-exports them, and they live here so the CLI can show them without numpy
+DEFAULT_STEP_CAP = 10**5
+DEFAULT_CHUNK_SIZE = 1 << 16
 
 _FOUR = BinaryNat("100")
 _TWO = BinaryNat("10")

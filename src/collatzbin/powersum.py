@@ -44,9 +44,9 @@ class PowerSum:
         exps = self.exponents
         if not exps:
             raise DomainError("a power sum needs at least one term")
-        if any(e < 0 for e in exps):
+        if min(exps) < 0:
             raise DomainError(f"negative exponent in {exps}")
-        if any(a <= b for a, b in zip(exps, exps[1:])):
+        if sorted(set(exps), reverse=True) != list(exps):
             raise DomainError(f"exponents must strictly decrease, got {exps}")
 
     @property
@@ -54,7 +54,7 @@ class PowerSum:
         return self.exponents[-1]
 
     def __str__(self) -> str:
-        return "{%s}" % ",".join(str(e) for e in self.exponents)
+        return "{%s}" % ",".join(map(str, self.exponents))
 
 
 @dataclass(frozen=True, slots=True)
@@ -69,8 +69,7 @@ class ExponentMultiset:
             raise DomainError(f"negative exponent in {exps}")
         object.__setattr__(self, "exponents", exps)
 
-    def __str__(self) -> str:
-        return "{%s}" % ",".join(str(e) for e in self.exponents)
+    __str__ = PowerSum.__str__
 
 
 class DerivationRecord(NamedTuple):
@@ -85,17 +84,15 @@ class HardClosedForm(NamedTuple):
     t_of_a_k: BinaryNat
 
 
-def _exponents(bits: str) -> tuple[int, ...]:
-    # positions of the one digits, highest first
-    top = len(bits) - 1
-    return tuple(top - i for i, c in enumerate(bits) if c == "1")
-
-
 def to_powersum(n: BinaryNat) -> PowerSum:
-    return PowerSum(_exponents(n.bits))
+    """The one digits of n, highest position first."""
+    bits = n.bits
+    top = len(bits) - 1
+    return PowerSum(tuple([top - i for i, c in enumerate(bits) if c == "1"]))
 
 
-def from_powersum(p: PowerSum) -> BinaryNat:
+def from_powersum(p: PowerSum | ExponentMultiset) -> BinaryNat:
+    """The value sum of 2**e, repeated exponents included."""
     return BinaryNat.from_int(sum(1 << e for e in p.exponents))
 
 
@@ -110,7 +107,7 @@ def normalize(m: ExponentMultiset) -> PowerSum:
     """
     if not m.exponents:
         raise DomainError("cannot normalize an empty multiset")
-    return PowerSum(_exponents(format(sum(1 << e for e in m.exponents), "b")))
+    return to_powersum(from_powersum(m))
 
 
 def _tripled(p: PowerSum) -> ExponentMultiset:
@@ -131,7 +128,7 @@ def shift_powers(p: PowerSum, h: int) -> PowerSum:
         return p
     if h < 0 or h > p.min_exponent:
         raise ParityError(f"cannot shift {p} by {h}: min exponent is {p.min_exponent}")
-    return PowerSum(tuple(e - h for e in p.exponents))
+    return PowerSum(tuple([e - h for e in p.exponents]))
 
 
 def geometric_identity_check(k: int) -> bool:

@@ -1,10 +1,11 @@
 """Text renderings of traces, chains, and merge derivations.
 
-Four formats. "table" pairs each odd value with its tripled successor,
+Five formats. "table" pairs each odd value with its tripled successor,
 one row per reduced step. "scratch" lays the full orbit out one line per
 iterate with a margin glyph per move: "·" marks the start, "→" a 3n+1
 hop, "↓" a halving. "points" is bare "index,value" rows for plotting.
-"machine" is the scripting contract: comma-separated fields
+"derivation" writes one power-sum merge per line, from an odd value to
+the next. "machine" is the scripting contract: comma-separated fields
 index,decimal,binary,kind,annotations with stable order; annotations is
 the final field and is the only one that may itself contain commas, so
 parsers split each line at most four times.
@@ -27,6 +28,7 @@ __all__ = [
     "render_table",
     "render_scratch",
     "render_points",
+    "render_derivation",
     "render_machine",
     "parse_machine",
 ]
@@ -74,6 +76,19 @@ def render_scratch(trace: CollatzTrace) -> str:
 def render_points(trace: CollatzTrace) -> str:
     """Bare "index,value" rows from index 0, for external plotting."""
     return "\n".join(f"{i},{e.value.to_decimal()}" for i, e in enumerate(trace.entries)) + "\n"
+
+
+def render_derivation(records: list[DerivationRecord]) -> str:
+    """One line per merge: "n = {before} -> {raw} -> {after} -> shift h -> next".
+
+    Reads derivation_trace records: a line's next value is the following
+    line's n, converted once, and the last line lands on 1.
+    """
+    values = [from_powersum(rec.before).to_decimal() for rec in records] + ["1"]
+    return "".join(
+        f"{value} = {rec.before} -> {rec.raw} -> {rec.after} -> shift {rec.shift} -> {nxt}\n"
+        for rec, value, nxt in zip(records, values, values[1:])
+    )
 
 
 def _exps(exponents: tuple[int, ...]) -> str:

@@ -59,6 +59,7 @@ import numpy as np
 
 from .bitnat import BinaryNat
 from .classify import NumberClass, class_counts
+from .collatz import DEFAULT_CHUNK_SIZE, DEFAULT_STEP_CAP
 from .errors import CheckpointError, DomainError
 
 __all__ = [
@@ -74,8 +75,6 @@ __all__ = [
     "summarize",
 ]
 
-DEFAULT_STEP_CAP = 10**5
-DEFAULT_CHUNK_SIZE = 1 << 16
 BASE_TABLE_BOUND = 1 << 20
 CHECKPOINT_VERSION = 1
 

@@ -1,11 +1,16 @@
 """Command-line behavior: outputs, exit codes, environment config."""
 
+import hashlib
+import io
+import json
 import os
 import random
 import signal
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +18,9 @@ from collatzbin import cli, summarize, verify_range
 from collatzbin.cli import main
 from collatzbin.traceio import parse_machine
 from collatzbin.verify import checkpoint_load
+
+OUTPUTS = Path(__file__).parent / "goldens" / "cli_outputs.txt"
+SRC = str(Path(cli.__file__).resolve().parents[1])
 
 
 def run(capsys, *argv):
@@ -111,6 +119,42 @@ def test_decompose_text(capsys):
     assert out == "5 = {2,0} -> {3,2,1,0,0} -> {4} -> shift 4 -> 1\n"
 
 
+def _one_bits(v):
+    return [i for i in range(v.bit_length() - 1, -1, -1) if v >> i & 1]
+
+
+def _derivation_oracle(n):
+    """(v, exps of v, exps of 2v and v plus {0}, exps of 3v+1, shift, next odd) per step."""
+    steps, v = [], n
+    while True:
+        t = 3 * v + 1
+        h = (t & -t).bit_length() - 1
+        raw = sorted(_one_bits(2 * v) + _one_bits(v) + [0], reverse=True)
+        steps.append((v, _one_bits(v), raw, _one_bits(t), h, t >> h))
+        v = t >> h
+        if v == 1:
+            return steps
+
+
+def test_decompose_matches_a_plain_int_oracle(capsys):
+    rng = random.Random(31)
+    odds = [1, 5, 27, 67, 10027] + [rng.getrandbits(b - 1) | 1 << (b - 1) | 1 for b in (64, 200, 500)]
+    for n in odds:
+        steps = _derivation_oracle(n)
+        text = "".join(
+            "%d = {%s} -> {%s} -> {%s} -> shift %d -> %d\n"
+            % (v, ",".join(map(str, e)), ",".join(map(str, raw)), ",".join(map(str, after)), h, nxt)
+            for v, e, raw, after, h, nxt in steps
+        )
+        machine = "".join(
+            "%d,%d,%s,merge,raw:%s after:%s shift:%d\n"
+            % (i, v, format(v, "b"), "+".join(map(str, raw)), "+".join(map(str, after)), h)
+            for i, (v, e, raw, after, h, nxt) in enumerate(steps)
+        )
+        assert run(capsys, "decompose", str(n)) == (0, text, ""), n
+        assert run(capsys, "decompose", str(n), "--format", "machine") == (0, machine, ""), n
+
+
 def test_decompose_machine(capsys):
     code, out, _ = run(capsys, "decompose", "67", "--format", "machine")
     assert code == 0
@@ -167,6 +211,67 @@ def test_cap_env_var(capsys, monkeypatch):
     assert (code, out) == (0, "111\n")
     monkeypatch.setenv("COLLATZBIN_CAP", "zero")
     assert run(capsys, "stopping-time", "27")[0] == 1
+
+
+def _sha(stream):
+    return hashlib.sha256(stream.getvalue().encode("utf-8")).hexdigest()
+
+
+def test_outputs_match_goldens(monkeypatch):
+    # argparse wraps usage and help text at $COLUMNS
+    monkeypatch.delenv("COLLATZBIN_CAP", raising=False)
+    monkeypatch.setenv("COLUMNS", "80")
+    values, replayed, changed = {}, 0, []
+    for line in OUTPUTS.read_text(encoding="utf-8").splitlines():
+        if line.startswith("= "):
+            _, name, value = line.split(" ", 2)
+            values["$" + name] = value
+        elif line and not line.startswith("#"):
+            code, out_sha, err_sha, argv = line.split(" ", 3)
+            argv = json.loads(argv)
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                try:
+                    got = main([values.get(a, a) for a in argv])
+                except SystemExit as exc:
+                    got = exc.code
+            replayed += 1
+            if (str(got), _sha(out), _sha(err)) != (code, out_sha, err_sha):
+                changed.append(argv)
+    assert replayed == 100
+    assert changed == []
+
+
+def _python(code):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+
+
+def test_numpy_loads_only_with_the_verifier():
+    proc = _python(
+        "import sys\n"
+        "import collatzbin.cli\n"
+        "assert collatzbin.cli.main(['stopping-time', '27']) == 0\n"
+        "assert 'numpy' not in sys.modules\n"
+        "import collatzbin\n"
+        "collatzbin.verify_range(1, 10)\n"
+        "assert 'numpy' in sys.modules\n"
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "111\n", "")
+
+
+def test_ctrl_c_while_the_verifier_loads():
+    proc = _python(
+        "import sys\n"
+        "class Interrupt:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'collatzbin.verify':\n"
+        "            raise KeyboardInterrupt\n"
+        "sys.meta_path.insert(0, Interrupt())\n"
+        "from collatzbin.cli import main\n"
+        "sys.exit(main(['verify', '1', '10']))\n"
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (130, "", "error: interrupted\n")
 
 
 def test_module_entry_point():

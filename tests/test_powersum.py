@@ -32,15 +32,18 @@ def value_of(exponents):
 
 
 def test_powersum_validation():
-    with pytest.raises(DomainError):
-        PowerSum(())
-    with pytest.raises(DomainError):
-        ps(3, 3)
-    with pytest.raises(DomainError):
-        ps(1, 2)  # must decrease
-    with pytest.raises(DomainError):
-        ps(2, -1)
+    for exps, message in (
+        ((), "a power sum needs at least one term"),
+        ((3, 3), "exponents must strictly decrease, got (3, 3)"),
+        ((1, 2), "exponents must strictly decrease, got (1, 2)"),
+        ((2, -1), "negative exponent in (2, -1)"),
+        ((-1, 2), "negative exponent in (-1, 2)"),  # the sign is checked before the order
+    ):
+        with pytest.raises(DomainError) as exc:
+            PowerSum(exps)
+        assert str(exc.value) == message
     assert str(ps(6, 1, 0)) == "{6,1,0}"
+    assert str(ExponentMultiset([0, 3, 3])) == "{3,3,0}"
 
 
 def test_to_powersum_examples():
