@@ -18,7 +18,6 @@ from .collatz import (
     CollatzTrace,
     ReducedStepResult,
     StepKind,
-    cycle_check,
     odd_chain,
     reduced_step,
     sequence,
@@ -26,13 +25,7 @@ from .collatz import (
     stopping_time,
 )
 from .compose import CompositionPath, Step, decompose, f_inverse, tree_path
-from .errors import (
-    CapExceeded,
-    CheckpointError,
-    DomainError,
-    ParityError,
-    ResourceError,
-)
+from .errors import CapExceeded, CheckpointError, DomainError, ParityError
 from .powersum import (
     DerivationRecord,
     ExponentMultiset,
@@ -69,7 +62,6 @@ __all__ = [
     "sequence",
     "stopping_time",
     "odd_chain",
-    "cycle_check",
     "Step",
     "CompositionPath",
     "decompose",
@@ -94,7 +86,6 @@ __all__ = [
     "summarize",
     "ParityError",
     "DomainError",
-    "ResourceError",
     "CapExceeded",
     "CheckpointError",
     "__version__",

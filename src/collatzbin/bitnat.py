@@ -15,6 +15,8 @@ that no single ``int()`` call sees more than 640 digits.
 
 from __future__ import annotations
 
+import sys
+
 from .errors import DomainError, ParityError
 
 __all__ = ["BinaryNat", "ONE"]
@@ -80,8 +82,17 @@ class BinaryNat:
         return self._bits
 
     def to_decimal(self) -> str:
-        """Decimal digit string of this value."""
-        return str(int(self._bits, 2))
+        """Decimal digit string of this value.
+
+        Raises DomainError past the interpreter's int/str digit limit.
+        """
+        try:
+            return str(int(self._bits, 2))
+        except ValueError:
+            raise DomainError(
+                f"{len(self._bits)}-bit value exceeds the {sys.get_int_max_str_digits()}-digit "
+                "limit for int/str conversion (sys.set_int_max_str_digits)"
+            ) from None
 
     def to_int(self) -> int:
         """This value as a host integer."""

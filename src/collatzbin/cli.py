@@ -19,13 +19,7 @@ from typing import Optional
 from . import collatz, compose, traceio
 from .bitnat import BinaryNat
 from .classify import classify
-from .errors import (
-    CapExceeded,
-    CheckpointError,
-    DomainError,
-    ParityError,
-    ResourceError,
-)
+from .errors import CapExceeded, CheckpointError, DomainError, ParityError
 from .powersum import derivation_trace, hard_closed_form
 
 CAP_ENV_VAR = "COLLATZBIN_CAP"
@@ -136,12 +130,14 @@ def _cmd_verify(args) -> int:
 
     lo = _parse_value(args.lo, args.binary)
     hi = _parse_value(args.hi, args.binary)
+    # the report prints both bounds in decimal: refuse them before any work
+    lo_text, hi_text = lo.to_decimal(), hi.to_decimal()
     jobs = args.jobs if args.jobs is not None else _default_jobs()
     if args.resume:
         state = verify.checkpoint_load(args.checkpoint)
         if (state.lo, state.hi) != (lo.to_int(), hi.to_int()):
             raise DomainError(
-                f"checkpoint covers [{state.lo}, {state.hi}), not [{lo.to_decimal()}, {hi.to_decimal()})"
+                f"checkpoint covers [{state.lo}, {state.hi}), not [{lo_text}, {hi_text})"
             )
         for flag, given, saved in (
             ("--cap", args.cap, state.step_cap),
@@ -266,7 +262,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         parser.error("--resume requires --checkpoint")
     try:
         return args.fn(args)
-    except (DomainError, ParityError, ResourceError, CheckpointError) as exc:
+    except (DomainError, ParityError, CheckpointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional
 
-from .bitnat import ONE, BinaryNat
+from .bitnat import BinaryNat
 from .errors import CapExceeded, ParityError
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "sequence",
     "stopping_time",
     "odd_chain",
-    "cycle_check",
     "end_substring_transition",
 ]
 
@@ -40,9 +39,6 @@ DEFAULT_CAP = 2**20
 # re-exports them, and they live here so the CLI can show them without numpy
 DEFAULT_STEP_CAP = 10**5
 DEFAULT_CHUNK_SIZE = 1 << 16
-
-_FOUR = BinaryNat("100")
-_TWO = BinaryNat("10")
 
 
 class StepKind(Enum):
@@ -155,20 +151,6 @@ def odd_chain(n: BinaryNat, cap: int = DEFAULT_CAP) -> list[BinaryNat]:
     if value.is_one():
         return chain
     raise CapExceeded(f"odd chain from 0b{n.bits} still open after {cap} reduced steps")
-
-
-def cycle_check(n: BinaryNat, cap: int = DEFAULT_CAP) -> bool:
-    """Confirm the tail cycle: once at 1, the next three steps hit 4, 2, 1.
-
-    Raises CapExceeded, as stopping_time does, if n does not reach 1.
-    """
-    stopping_time(n, cap)
-    value = ONE
-    for want in (_FOUR, _TWO, ONE):
-        value, _ = step(value)
-        if value != want:
-            return False
-    return True
 
 
 def end_substring_transition(n: BinaryNat) -> EndSubstringTransition:

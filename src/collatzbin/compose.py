@@ -9,12 +9,11 @@ left child of n is 2n (append 0) and the right child is 2n + 1 (append 1).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 
 from .bitnat import ONE, BinaryNat
-from .errors import DomainError, ResourceError
+from .errors import DomainError
 
 __all__ = [
     "Step",
@@ -23,13 +22,7 @@ __all__ = [
     "decompose",
     "f_inverse",
     "tree_path",
-    "tree_children",
-    "tree_level",
-    "subtree",
-    "MAX_SUBTREE_DEPTH",
 ]
-
-MAX_SUBTREE_DEPTH = 20
 
 
 class Step(Enum):
@@ -95,33 +88,3 @@ def tree_path(n: BinaryNat) -> list[BinaryNat]:
     bits = n.bits
     return [BinaryNat._raw(bits[: i + 1]) for i in range(len(bits))]
 
-
-def tree_children(n: BinaryNat) -> tuple[BinaryNat, BinaryNat]:
-    """The pair (2n, 2n + 1)."""
-    return n.append_bit(0), n.append_bit(1)
-
-
-def tree_level(n: BinaryNat) -> int:
-    """Level of n in the tree; the root 1 sits at level 1."""
-    return n.bit_length()
-
-
-def subtree(depth: int, cap: int = MAX_SUBTREE_DEPTH) -> list[list[BinaryNat]]:
-    """Materialize complete tree levels 1..depth.
-
-    Level d holds the 2**(d-1) values with d-digit strings, in digit order.
-    Depth is capped because level counts double.
-    """
-    if depth < 1:
-        raise DomainError(f"depth must be >= 1, got {depth}")
-    if depth > cap:
-        raise ResourceError(f"depth {depth} exceeds cap {cap}")
-    levels = [[ONE]]
-    for d in range(2, depth + 1):
-        levels.append(
-            [
-                BinaryNat("1" + "".join(rest))
-                for rest in itertools.product("01", repeat=d - 1)
-            ]
-        )
-    return levels

@@ -9,10 +9,6 @@ class DomainError(ValueError):
     """Input falls outside the modeled domain of naturals starting at 1."""
 
 
-class ResourceError(ValueError):
-    """A requested materialization exceeds its configured size cap."""
-
-
 class CapExceeded(RuntimeError):
     """An iteration hit its step cap before reaching its goal.
 

@@ -28,7 +28,6 @@ __all__ = [
     "normalize",
     "three_n_plus_one_merge",
     "shift_powers",
-    "geometric_identity_check",
     "hard_closed_form",
     "derivation_trace",
 ]
@@ -129,13 +128,6 @@ def shift_powers(p: PowerSum, h: int) -> PowerSum:
     if h < 0 or h > p.min_exponent:
         raise ParityError(f"cannot shift {p} by {h}: min exponent is {p.min_exponent}")
     return PowerSum(tuple([e - h for e in p.exponents]))
-
-
-def geometric_identity_check(k: int) -> bool:
-    """Check 2^(k-1) + ... + 2 + 1 = 2^k - 1: one more 2^0 carries it all to 2^k."""
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
-    return normalize(ExponentMultiset([*range(k), 0])).exponents == (k,)
 
 
 def hard_closed_form(k: int) -> HardClosedForm:

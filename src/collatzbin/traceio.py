@@ -5,10 +5,11 @@ one row per reduced step. "scratch" lays the full orbit out one line per
 iterate with a margin glyph per move: "·" marks the start, "→" a 3n+1
 hop, "↓" a halving. "points" is bare "index,value" rows for plotting.
 "derivation" writes one power-sum merge per line, from an odd value to
-the next. "machine" is the scripting contract: comma-separated fields
-index,decimal,binary,kind,annotations with stable order; annotations is
-the final field and is the only one that may itself contain commas, so
-parsers split each line at most four times.
+the next. "machine" is the scripting contract for traces and
+derivations: comma-separated fields index,decimal,binary,kind,annotations
+with stable order; annotations is the final field and is the only one
+that may itself contain commas, so parsers split each line at most four
+times.
 
 Every renderer returns a text blob ending in a newline; callers route it
 to stdout or a file. Output is UTF-8 with LF line endings.
@@ -16,7 +17,7 @@ to stdout or a file. Output is UTF-8 with LF line endings.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 from .bitnat import BinaryNat
 from .collatz import CollatzTrace
@@ -96,18 +97,14 @@ def _exps(exponents: tuple[int, ...]) -> str:
     return "+".join(str(e) for e in exponents)
 
 
-Renderable = Union[CollatzTrace, "list[BinaryNat]", "list[DerivationRecord]"]
-
-
-def render_machine(obj: Renderable) -> str:
-    """Lossless line records for a trace, an odd chain, or a derivation.
+def render_machine(obj: CollatzTrace | list[DerivationRecord]) -> str:
+    """Lossless line records for a trace or a derivation.
 
     Traces: kind is the move that produced the entry (empty for the
     start); the final line is annotated "truncated" when the walk ran
-    out of budget. Chains: every row is an odd value about to be
-    tripled, so kind is "odd-step", with "terminal" marking the closing
-    1. Derivations: kind is "merge" and the annotations field carries
-    the raw and carried exponent lists plus the shift.
+    out of budget. Derivations: kind is "merge" and the annotations
+    field carries the raw and carried exponent lists plus the shift.
+    Anything else, an odd chain included, raises DomainError.
     """
     lines = []
     if isinstance(obj, CollatzTrace):
@@ -120,11 +117,6 @@ def render_machine(obj: Renderable) -> str:
             value = from_powersum(rec.before)
             ann = f"raw:{_exps(rec.raw.exponents)} after:{_exps(rec.after.exponents)} shift:{rec.shift}"
             lines.append(f"{i},{value.to_decimal()},{value.bits},merge,{ann}")
-    elif obj and isinstance(obj[0], BinaryNat):
-        last = len(obj) - 1
-        for i, value in enumerate(obj):
-            ann = "terminal" if value.is_one() and i == last else ""
-            lines.append(f"{i},{value.to_decimal()},{value.bits},odd-step,{ann}")
     else:
         raise DomainError(f"cannot render {type(obj).__name__} in machine format")
     return "\n".join(lines) + "\n"

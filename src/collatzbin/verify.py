@@ -339,13 +339,12 @@ def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
 
 def _chunk_stats(bounds: tuple[int, int], cap: int) -> Checkpoint:
     lo, hi = bounds
-    if hi <= 2**63:
-        acc = Checkpoint(lo, hi, cap, hi - lo, lo)
-        for start in range(lo, hi, _LANES):
-            _merge(acc, _chunk_numpy(start, min(start + _LANES, hi), cap))
-        return acc
-    # past int64 every value is a plain-integer walk from its start
-    return _fold_rows(lo, hi, cap, range(lo, hi))
+    # values whose first 3n+1 could overflow int64 walk on plain integers
+    mid = min(hi, max(lo, _INT64_SAFE + 1))
+    acc = Checkpoint(lo, hi, cap, hi - lo, lo)
+    for start in range(lo, mid, _LANES):
+        _merge(acc, _chunk_numpy(start, min(start + _LANES, mid), cap))
+    return _merge(acc, _fold_rows(lo, hi, cap, range(mid, hi)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Command-line behavior: outputs, exit codes, environment config."""
 
 import hashlib
+import importlib
 import io
 import json
 import os
+import pkgutil
 import random
 import signal
 import subprocess
@@ -14,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import collatzbin
 from collatzbin import cli, summarize, verify_range
 from collatzbin.cli import main
 from collatzbin.traceio import parse_machine
@@ -260,6 +263,16 @@ def test_numpy_loads_only_with_the_verifier():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "111\n", "")
 
 
+def test_every_export_resolves():
+    names = [(collatzbin, name) for name in collatzbin.__all__]
+    for info in pkgutil.iter_modules(collatzbin.__path__):
+        if info.name != "__main__":
+            mod = importlib.import_module(f"collatzbin.{info.name}")
+            names += [(mod, name) for name in getattr(mod, "__all__", ())]
+    missing = [f"{mod.__name__}.{name}" for mod, name in names if not hasattr(mod, name)]
+    assert missing == []
+
+
 def test_ctrl_c_while_the_verifier_loads():
     proc = _python(
         "import sys\n"
@@ -345,6 +358,39 @@ def test_big_inputs_truncate_under_cap(capsys):
             for command in (("stopping-time",), ("trace", "--format", "table"), ("decompose",)):
                 code, out, err = run(capsys, *command, n, "--binary", "--cap", "20")
                 assert (code, out, err) == (0, "truncated\n", "")
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_every_command_past_the_int_str_limit(capsys):
+    # 14,400 bits is ~4,335 decimal digits; the caps are perfbench's BIG_CAPS
+    n = format(random.Random(14400).getrandbits(14399) | 1 << 14399 | 1, "b")
+    hi = format(int(n, 2) + 2, "b")
+    answers = [
+        (("classify", n, "--binary"), f"mixed-odd {n}\n"),
+        (("stopping-time", n, "--binary", "--cap", "64"), "truncated\n"),
+        (("trace", n, "--binary", "--cap", "8", "--format", "table"), "truncated\n"),
+        (("decompose", n, "--binary", "--cap", "2"), "truncated\n"),
+        (("decompose", n, "--binary", "--cap", "2", "--format", "machine"), "truncated\n"),
+    ]
+    failures = [
+        ("trace", n, "--binary", "--cap", "32", "--format", "points"),
+        ("trace", n, "--binary", "--cap", "32", "--format", "machine"),
+        ("trace", n, "--binary", "--cap", "32", "--format", "scratch"),
+        ("hard", "7200"),
+        ("verify", n, hi, "--binary", "--cap", "10"),
+    ]
+    limit = sys.get_int_max_str_digits()
+    try:
+        for digits in (limit, 640):
+            sys.set_int_max_str_digits(digits)
+            for argv, want in answers:
+                assert run(capsys, *argv) == (0, want, ""), argv
+            # path converts every prefix, slow under the default limit
+            for argv in failures + [("path", n, "--binary")] * (digits == 640):
+                code, out, err = run(capsys, *argv)
+                assert (code, out, err.count("\n")) == (1, "", 1), argv
+                assert err.startswith("error: ") and f"{digits}-digit" in err, argv
     finally:
         sys.set_int_max_str_digits(limit)
 

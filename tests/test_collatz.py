@@ -9,7 +9,6 @@ from collatzbin import (
     CapExceeded,
     ParityError,
     StepKind,
-    cycle_check,
     odd_chain,
     reduced_step,
     sequence,
@@ -155,14 +154,6 @@ def test_reduced_steps_account_for_all_plain_steps(n):
         total += res.t_steps_consumed
         x = res.odd_result
     assert total == stopping_time(v)
-
-
-def test_cycle_check():
-    assert cycle_check(bn(1))
-    assert cycle_check(bn(6))
-    assert cycle_check(bn(255))
-    with pytest.raises(CapExceeded):
-        cycle_check(bn(27), cap=5)
 
 
 def test_end_substring_transitions():

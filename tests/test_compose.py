@@ -3,17 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from collatzbin import BinaryNat, CompositionPath, DomainError, ResourceError, Step
-from collatzbin.compose import (
-    MAX_SUBTREE_DEPTH,
-    apply,
-    decompose,
-    f_inverse,
-    subtree,
-    tree_children,
-    tree_level,
-    tree_path,
-)
+from collatzbin import BinaryNat, CompositionPath, DomainError, Step
+from collatzbin.compose import apply, decompose, f_inverse, tree_path
 
 from conftest import bn
 
@@ -74,37 +65,13 @@ def test_f_inverse_is_parent(n):
     v = bn(n)
     parent = f_inverse(v)
     assert parent.to_int() == (n >> 1)
-    assert v in tree_children(parent)
+    assert v in (parent.append_bit(0), parent.append_bit(1))
 
 
 def test_tree_path_is_prefix_walk():
     walk = tree_path(bn(21))
     assert [v.to_int() for v in walk] == [1, 2, 5, 10, 21]
     assert tree_path(bn(1)) == [bn(1)]
-
-
-def test_tree_children_and_level():
-    assert tree_children(bn(5)) == (bn(10), bn(11))
-    assert tree_level(bn(1)) == 1
-    assert tree_level(bn(21)) == 5
-
-
-def test_subtree_levels():
-    levels = subtree(4)
-    assert [len(level) for level in levels] == [1, 2, 4, 8]
-    assert [v.to_int() for v in levels[2]] == [4, 5, 6, 7]
-    # level d holds exactly the d-digit strings, ascending
-    for d, level in enumerate(levels, start=1):
-        assert all(v.bit_length() == d for v in level)
-        assert level == sorted(level)
-
-
-def test_subtree_bounds():
-    with pytest.raises(DomainError):
-        subtree(0)
-    with pytest.raises(ResourceError):
-        subtree(MAX_SUBTREE_DEPTH + 1)
-    assert len(subtree(6, cap=6)) == 6
 
 
 def test_path_values_are_tree_walk():

@@ -18,7 +18,7 @@ from collatzbin import (
     three_n_plus_one_merge,
     to_powersum,
 )
-from collatzbin.powersum import geometric_identity_check, hard_closed_form, shift_powers
+from collatzbin.powersum import hard_closed_form, shift_powers
 
 from conftest import bn
 
@@ -127,10 +127,9 @@ def test_shift_matches_bit_engine(odd, k):
 
 
 def test_geometric_identity():
+    # 2^(k-1) + ... + 2 + 1 = 2^k - 1: one more 2^0 carries it all to 2^k
     for k in (1, 2, 6, 31, 70):
-        assert geometric_identity_check(k)
-    with pytest.raises(DomainError):
-        geometric_identity_check(0)
+        assert normalize(ExponentMultiset([*range(k), 0])).exponents == (k,)
 
 
 def test_hard_closed_form():

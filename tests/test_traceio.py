@@ -116,11 +116,10 @@ def test_machine_trace_fields():
     assert truncated[-1].endswith(",truncated")
 
 
-def test_machine_chain_fields():
-    lines = render_machine(odd_chain(bn(67))).splitlines()
-    assert len(lines) == 9
-    assert lines[-2] == "7,5,101,odd-step,"
-    assert lines[-1] == "8,1,1,odd-step,terminal"
+def test_machine_rejects_odd_chain():
+    # machine records cover traces and derivations only
+    with pytest.raises(DomainError):
+        render_machine(odd_chain(bn(67)))
 
 
 def test_machine_derivation_fields():
