@@ -39,6 +39,17 @@ def _decimal_value(s: str) -> int:
     return _decimal_value(s[:-k]) * 10**k + _decimal_value(s[-k:])
 
 
+def int_to_decimal(n: int) -> str:
+    """str(n); DomainError past the interpreter's int/str digit limit."""
+    try:
+        return str(n)
+    except ValueError:
+        raise DomainError(
+            f"{n.bit_length()}-bit value exceeds the {sys.get_int_max_str_digits()}-digit "
+            "limit for int/str conversion (sys.set_int_max_str_digits)"
+        ) from None
+
+
 class BinaryNat:
     """An arbitrary-size natural number (>= 1) as an immutable bit string."""
 
@@ -86,13 +97,7 @@ class BinaryNat:
 
         Raises DomainError past the interpreter's int/str digit limit.
         """
-        try:
-            return str(int(self._bits, 2))
-        except ValueError:
-            raise DomainError(
-                f"{len(self._bits)}-bit value exceeds the {sys.get_int_max_str_digits()}-digit "
-                "limit for int/str conversion (sys.set_int_max_str_digits)"
-            ) from None
+        return int_to_decimal(int(self._bits, 2))
 
     def to_int(self) -> int:
         """This value as a host integer."""

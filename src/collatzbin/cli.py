@@ -85,7 +85,9 @@ def _cmd_classify(args) -> int:
 
 def _cmd_path(args) -> int:
     n = _parse_value(args.n, args.binary)
-    walk = " ".join(v.to_decimal() for v in compose.tree_path(n))
+    # n is the longest prefix: past the digit limit it fails before the rest
+    last = n.to_decimal()
+    walk = " ".join([v.to_decimal() for v in compose.tree_path(n)[:-1]] + [last])
     steps = str(compose.decompose(n))
     print(f"{walk} / {steps}" if steps else f"{walk} /")
     return 0

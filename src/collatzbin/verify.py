@@ -5,14 +5,15 @@ the stopping time and the orbit peak. Internally it runs on machine
 integers under numpy with two escape hatches: values below a table bound
 resolve through precomputed stopping-time/peak tables, and a lane at
 risk of overflowing 64 bits walks again from its start on plain Python
-integers. The table entries are exact, so the tables depend only on hi
-and the cap is applied at lookup. Every partial result, from one value
-to a whole run, is a Checkpoint holding only what the walks find (the
-maxima and the truncated inputs); the verified count and the digit-class
-histogram follow from the range (class_counts). Merging is order-free,
-so the result is identical for any chunk size, any worker count, and
-across checkpoint interrupt/resume. verify_range and checkpoint_resume
-return the finished Checkpoint, and summarize formats it.
+integers, by the same jumps as the kernel. The table entries are exact,
+so the tables depend only on hi and the cap is applied at lookup. Every
+partial result, from one value to a whole run, is a Checkpoint holding
+only what the walks find (the maxima and the truncated inputs); the
+verified count and the digit-class histogram follow from the range
+(class_counts). Merging is order-free, so the result is identical for
+any chunk size, any worker count, and across checkpoint
+interrupt/resume. verify_range and checkpoint_resume return the finished
+Checkpoint, and summarize formats it.
 
 Above the table bound a lane does not step once per iteration: it jumps
 _K = 16 halvings at a time. Writing v = 2^16·a + b, the walk through
@@ -23,12 +24,14 @@ serves every lane. The same table holds, per residue, bounds M1(b) and
 M2(b) with every value inside the jump at most a·M1(b) + M2(b), and the
 int64 gate LIM(b): a lane jumps only while a <= LIM(b), else it takes
 one exact step, and past the int64-safe bound it leaves for plain
-integers. A jumping lane starts at or above the table bound, so a >= 1
-and the jump cannot pass through 1: stopping times stay exact. Peaks
-become bounds: each lane carries an exact lower bound (values it
-landed on) and an upper bound (the jumps' a·M1 + M2), and only lanes
-whose upper bound reaches the best lower bound of their block are walked
-again exactly, in ascending n, so the tie rule below still holds.
+integers, where it jumps with no gate. A jumping lane starts at or
+above the table bound, so a >= 1 and the jump cannot pass through 1:
+stopping times stay exact. Peaks become bounds: each lane carries an
+exact lower bound (values it landed on) and an upper bound (the jumps'
+a·M1 + M2), and only lanes whose upper bound reaches the best lower
+bound of their block are walked again, in ascending n, so the tie rule
+below still holds. A lane walked again steps one value at a time only
+inside the jumps whose bound beats the best peak found so far.
 
 What is checked is convergence: every n reaches 1 within the step cap.
 The 1 -> 4 -> 2 -> 1 tail that follows is the same three steps for
@@ -47,6 +50,7 @@ values the range and the truncated list give.
 from __future__ import annotations
 
 import itertools
+import math
 import multiprocessing
 import os
 import signal
@@ -57,7 +61,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .bitnat import BinaryNat
+from .bitnat import BinaryNat, int_to_decimal
 from .classify import NumberClass, class_counts
 from .collatz import DEFAULT_CHUNK_SIZE, DEFAULT_STEP_CAP
 from .errors import CheckpointError, DomainError
@@ -141,7 +145,11 @@ _LANES = 1 << 14
 # the jump kernel takes _K halvings at once, through a table over the
 # residues b = v mod 2^_K (built by _jump_table)
 _K = 16
+_MASK = (1 << _K) - 1
 _JUMP: Optional[np.ndarray] = None
+# rows A, B, S, M1, M2 of _JUMP and the base tables as zero-copy views:
+# _walk_row reads them one entry at a time as plain integers
+_VIEWS: tuple[memoryview, ...] = ()
 
 
 def _jump_table() -> np.ndarray:
@@ -182,24 +190,24 @@ def _ensure_tables(hi: int) -> None:
     to the bound), one segment [s, min(2s, bound)) at a time: a segment's
     lanes walk until they drop below s, into entries already exact.
     """
-    global _SIG, _PK, _JUMP
+    global _SIG, _PK, _JUMP, _VIEWS
     if _JUMP is None:
         _JUMP = _jump_table()
     old = _SIG.size
-    if old >= min(BASE_TABLE_BOUND, hi):
-        return
-    bound = min(BASE_TABLE_BOUND, max(hi, 2 * old))
-    sig = np.empty(bound, dtype=np.int64)
-    pk = np.empty(bound, dtype=np.int64)
-    sig[:old] = _SIG
-    pk[:old] = _PK
-    s = old
-    while s < bound:
-        e = min(bound, 2 * s)
-        for start in range(s, e, _BUILD_BLOCK):
-            _fill_segment(sig, pk, s, start, min(start + _BUILD_BLOCK, e))
-        s = e
-    _SIG, _PK = sig, pk
+    if old < min(BASE_TABLE_BOUND, hi):
+        bound = min(BASE_TABLE_BOUND, max(hi, 2 * old))
+        sig = np.empty(bound, dtype=np.int64)
+        pk = np.empty(bound, dtype=np.int64)
+        sig[:old] = _SIG
+        pk[:old] = _PK
+        s = old
+        while s < bound:
+            e = min(bound, 2 * s)
+            for start in range(s, e, _BUILD_BLOCK):
+                _fill_segment(sig, pk, s, start, min(start + _BUILD_BLOCK, e))
+            s = e
+        _SIG, _PK = sig, pk
+    _VIEWS = (*map(memoryview, _JUMP[:5]), memoryview(_SIG), memoryview(_PK))
 
 
 def _fill_segment(sig: np.ndarray, pk: np.ndarray, floor: int, lo: int, hi: int) -> None:
@@ -234,30 +242,73 @@ def _fill_segment(sig: np.ndarray, pk: np.ndarray, floor: int, lo: int, hi: int)
 # partial results: one value, one chunk
 
 
-def _walk_row(cap: int, n: int) -> Checkpoint:
-    """Walk n on plain integers into the base table or to the cap: [n, n + 1)."""
-    bound = _SIG.size
-    v, steps, peak = n, 0, n
+def _walk_row(cap: int, n: int, floor: float = math.inf) -> tuple[int, int, int]:
+    """Jump n on plain integers into the base table or to the cap.
+
+    Returns (stopping time, or -1 past the cap; low; high): the orbit peak
+    lies in [low, high], and equals low whenever it exceeds floor. A jump
+    whose bound a·M1 + M2 beats floor and low is walked one value at a
+    time, so that no value above floor goes unseen. The tables must reach
+    BASE_TABLE_BOUND >= 2^_K (_ensure_tables): a value still walking has
+    a >= 16, and no jump can pass through 1.
+    """
+    A, B, S, M1, M2, sig, pk = _VIEWS
+    bound = len(sig)
+    v, steps, low, high = n, 0, n, n
     while v >= bound and steps < cap:
-        v = 3 * v + 1 if v & 1 else v >> 1
-        steps += 1
-        if v > peak:
-            peak = v
-    row = Checkpoint(n, n + 1, cap, 1, n + 1)
-    if v < bound and steps + int(_SIG[v]) <= cap:
-        row.max_stopping_time, row.max_stopping_time_at = steps + int(_SIG[v]), n
-        row.max_excursion, row.max_excursion_at = max(peak, int(_PK[v])), n
-    else:
-        row.truncated.append(n)
-    return row
+        a = v >> _K
+        b = v & _MASK
+        top = a * M1[b] + M2[b]
+        if top > high:
+            high = top
+        if top > floor and top > low:
+            for _ in range(S[b]):
+                v = 3 * v + 1 if v & 1 else v >> 1
+                if v > low:
+                    low = v
+        else:
+            v = A[b] * a + B[b]
+            if v > low:
+                low = v
+        steps += S[b]
+    if v < bound and steps + sig[v] <= cap:
+        return steps + sig[v], max(low, pk[v]), max(high, pk[v])
+    return -1, low, high
+
+
+def _take_peaks(res: Checkpoint, cap: int, lanes, floor: int) -> None:
+    """Set res's max excursion from converged lanes (n, low, high), ascending n.
+
+    Each lane's peak lies in [low, high], and floor is the largest low.
+    A lane whose high does not beat the best peak so far cannot hold the
+    maximum; any other is walked again, exactly only inside the jumps
+    whose bound beats that best. A tie keeps the smaller n.
+    """
+    best = floor - 1
+    for n, low, high in lanes:
+        if high <= best:
+            continue
+        peak = low if low == high else _walk_row(cap, n, best)[1]
+        if peak > best:
+            best = peak
+            res.max_excursion, res.max_excursion_at = peak, n
 
 
 def _fold_rows(lo: int, hi: int, cap: int, ns) -> Checkpoint:
-    """Merge the rows of the values ns, ascending inside [lo, hi)."""
-    acc = Checkpoint(lo, hi, cap, hi - lo, lo)
+    """The values ns, ascending inside [lo, hi), walked by _walk_row."""
+    res = Checkpoint(lo, hi, cap, hi - lo, hi)
+    lanes = []
     for n in ns:
-        _merge(acc, _walk_row(cap, n))
-    return acc
+        sigma, low, high = _walk_row(cap, n)
+        if sigma < 0:
+            res.truncated.append(n)
+            continue
+        lanes.append((n, low, high))
+        if res.max_stopping_time is None or sigma > res.max_stopping_time:
+            res.max_stopping_time, res.max_stopping_time_at = sigma, n
+    if lanes:
+        _take_peaks(res, cap, lanes, max(low for _, low, _ in lanes))
+    return res
 
 
 def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
@@ -267,14 +318,13 @@ def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
     at once or the base table reaches BASE_TABLE_BOUND >= 2^_K, so a lane
     that jumps has a >= 1 and the jump cannot pass through 1. Stopping
     times stay exact. Peaks do not: a lane knows its peak only to lie in
-    [low, high], and the lanes whose high reaches the best low are walked
-    again exactly.
+    [low, high] (_take_peaks). Lanes that pass the int64-safe bound walk
+    again from n in _walk_row.
     """
     ns = np.arange(lo, hi, dtype=np.int64)
     size = ns.size
     bound = _SIG.size
     A, B, S, M1, M2, LIM = _JUMP
-    mask = (1 << _K) - 1
     sig = np.full(size, -1, dtype=np.int64)
     low = ns.copy()
     high = ns.copy()
@@ -303,7 +353,7 @@ def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
             if not at.size:
                 break
         a = v >> _K
-        b = v & mask
+        b = v & _MASK
         nxt = A[b] * a + B[b]
         top = a * M1[b] + M2[b]
         add = S[b]
@@ -325,15 +375,10 @@ def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
         ci = np.flatnonzero(conv)
         j = ci[np.argmax(sig[ci])]
         res.max_stopping_time, res.max_stopping_time_at = int(sig[j]), int(ns[j])
-        # only lanes whose bound reaches the best sure peak can hold the
-        # maximum; scanned in ascending n, a tie keeps the smaller n
-        for i in ci[high[ci] >= low[ci].max()].tolist():
-            n = int(ns[i])
-            peak = int(low[i])
-            if peak < high[i]:
-                peak = _walk_row(cap, n).max_excursion
-            if res.max_excursion is None or peak > res.max_excursion:
-                res.max_excursion, res.max_excursion_at = peak, n
+        # only lanes whose bound reaches the best sure peak can hold the maximum
+        floor = low[ci].max()
+        ci = ci[high[ci] >= floor]
+        _take_peaks(res, cap, zip(ns[ci].tolist(), low[ci].tolist(), high[ci].tolist()), int(floor))
     return _merge(res, _fold_rows(lo, hi, cap, ns[~kernel].tolist()))
 
 
@@ -444,17 +489,20 @@ def verify_range(
 def _fmt_opt_pair(value: Optional[int], at: Optional[int]) -> str:
     if value is None:
         return "- -"
-    return f"{value} {at}"
+    return f"{int_to_decimal(value)} {at}"
 
 
 def checkpoint_save(state: Checkpoint, path: Union[str, Path]) -> None:
     """Atomically write the run state: temp file in place, then rename."""
     path = Path(path)
+    # int_to_decimal turns a number past the int/str digit limit into a
+    # DomainError before the file opens; every number written without it
+    # is below hi or the cap
     lines = [
         f"collatzbin-checkpoint v{CHECKPOINT_VERSION}",
-        f"range {state.lo} {state.hi}",
-        f"step_cap {state.step_cap}",
-        f"chunk_size {state.chunk_size}",
+        f"range {int_to_decimal(state.lo)} {int_to_decimal(state.hi)}",
+        f"step_cap {int_to_decimal(state.step_cap)}",
+        f"chunk_size {int_to_decimal(state.chunk_size)}",
         f"next {state.next_unprocessed}",
         f"verified {state.verified_count}",
         f"max_sigma {_fmt_opt_pair(state.max_stopping_time, state.max_stopping_time_at)}",
@@ -565,15 +613,18 @@ def summarize(state: Checkpoint) -> str:
     """Fixed-layout text summary of a finished run; byte-identical for equal states."""
     if state.next_unprocessed != state.hi:
         raise DomainError(f"run [{state.lo}, {state.hi}) unfinished at {state.next_unprocessed}")
+    # int_to_decimal turns a number past the int/str digit limit into a
+    # DomainError; every number printed without it is below hi or the cap
+    lo, hi, cap = map(int_to_decimal, (state.lo, state.hi, state.step_cap))
     # the maxima exist exactly when some value is verified
     sig = exc = "none"
     if state.verified_count:
         sig = f"{state.max_stopping_time} at {state.max_stopping_time_at}"
-        exc = f"{state.max_excursion} at {state.max_excursion_at}"
+        exc = f"{int_to_decimal(state.max_excursion)} at {state.max_excursion_at}"
     classes = ", ".join(f"{cls.value} {c}" for cls, c in zip(_HIST_ORDER, state.histogram))
     lines = [
-        f"range: [{state.lo}, {state.hi})",
-        f"step cap: {state.step_cap}",
+        f"range: [{lo}, {hi})",
+        f"step cap: {cap}",
         f"verified: {state.verified_count}",
         f"truncated: {len(state.truncated)}",
         f"max stopping time: {sig}",

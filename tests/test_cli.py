@@ -4,6 +4,7 @@ import hashlib
 import importlib
 import io
 import json
+import math
 import os
 import pkgutil
 import random
@@ -379,6 +380,7 @@ def test_every_command_past_the_int_str_limit(capsys):
         ("trace", n, "--binary", "--cap", "32", "--format", "scratch"),
         ("hard", "7200"),
         ("verify", n, hi, "--binary", "--cap", "10"),
+        ("path", n, "--binary"),
     ]
     limit = sys.get_int_max_str_digits()
     try:
@@ -386,11 +388,31 @@ def test_every_command_past_the_int_str_limit(capsys):
             sys.set_int_max_str_digits(digits)
             for argv, want in answers:
                 assert run(capsys, *argv) == (0, want, ""), argv
-            # path converts every prefix, slow under the default limit
-            for argv in failures + [("path", n, "--binary")] * (digits == 640):
+            for argv in failures:
                 code, out, err = run(capsys, *argv)
                 assert (code, out, err.count("\n")) == (1, "", 1), argv
                 assert err.startswith("error: ") and f"{digits}-digit" in err, argv
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_verify_peak_past_the_int_str_limit(tmp_path, capsys):
+    # the bounds 2^k - 1 and 2^k fit the limit; the all-ones start climbs
+    # past 3^k, beyond it, and converges under the cap
+    limit = sys.get_int_max_str_digits()
+    try:
+        for digits in (limit, 640):
+            sys.set_int_max_str_digits(digits)
+            k = math.ceil(digits / math.log10(2)) - 1
+            assert len(str(1 << k)) == digits
+            ck = tmp_path / "ck.txt"
+            for extra in ((), ("--checkpoint", str(ck))):
+                argv = ("verify", "1" * k, "1" + "0" * k, "--binary", "--cap", "1000000", *extra)
+                code, out, err = run(capsys, *argv)
+                assert (code, out, err.count("\n")) == (1, "", 1), argv
+                assert err.startswith("error: ") and f"{digits}-digit" in err, argv
+                # the first save fails before its temp file opens
+                assert list(tmp_path.iterdir()) == [], argv
     finally:
         sys.set_int_max_str_digits(limit)
 

@@ -1,6 +1,7 @@
 """Range engine: oracles, determinism, checkpoints."""
 
 import dataclasses
+import math
 import random
 from collections import Counter
 from pathlib import Path
@@ -578,6 +579,74 @@ def test_multilane_windows_match_oracle(base, offset, size, cap):
     # the top band stays below 2^62, where lanes leave int64 mid-walk
     hi = min(lo + size, 1 << 62) if base == (1 << 62) - (1 << 11) else lo + size
     assert verify_range(lo, hi, step_cap=cap) == oracle_report(lo, hi, cap)
+
+
+@settings(max_examples=30)
+@given(
+    base=st.sampled_from([1 << 62, 1 << 63, 1 << 64, 1 << 80]),
+    offset=st.integers(-(1 << 11), (1 << 11) - 1),
+    size=st.integers(1, 300),
+    cap=st.sampled_from([7, 60, 300, DEFAULT_STEP_CAP]),
+    chunk=st.integers(1, 400),
+)
+def test_past_int64_windows_match_oracle(base, offset, size, cap, chunk):
+    # across the int64-safe bound, 2^63 and far past it: kernel lanes that
+    # escape, per-lane jumps on plain integers, and all-Python chunks
+    lo = base + offset
+    want = dataclasses.replace(oracle_report(lo, lo + size, cap), chunk_size=chunk)
+    assert verify_range(lo, lo + size, step_cap=cap, chunk_size=chunk) == want
+
+
+@settings(max_examples=200)
+@given(
+    base=st.sampled_from([1, 1 << 20, 1 << 40, 1 << 58, 1 << 62, 1 << 63, 1 << 80, 1 << 200]),
+    offset=st.integers(0, 1 << 16),
+    cap=st.sampled_from([7, 60, 300, DEFAULT_STEP_CAP]),
+    share=st.one_of(st.none(), st.integers(0, 80)),
+    tweak=st.integers(-1, 1),
+)
+def test_walk_row_bounds_are_exact_above_the_floor(base, offset, cap, share, tweak):
+    verify_mod._ensure_tables(BASE_TABLE_BOUND)
+    n = base + offset
+    sigma, peak = orbit_oracle(n, cap)
+    # floors from far below the peak to above it, or none at all
+    floor = math.inf if share is None else peak * share // 64 + tweak
+    got, low, high = verify_mod._walk_row(cap, n, floor)
+    assert got == (-1 if sigma is None else sigma)
+    if sigma is not None:
+        assert low <= peak <= high
+        if peak > floor:
+            assert low == peak
+
+
+def test_tied_peaks_at_2p58():
+    # lanes whose orbits merge share their peak: 15 lanes of this window
+    # tie on the maximum, which goes to the smallest; some lanes pass the
+    # int64-safe bound, the rest stay in the kernel
+    lo = (1 << 58) + 704
+    hi = lo + 1024
+    want = oracle_report(lo, hi, DEFAULT_STEP_CAP)
+    assert sum(orbit_oracle(n)[1] == want.max_excursion for n in range(lo, hi)) == 15
+    for chunk in (DEFAULT_CHUNK_SIZE, 100):
+        got = verify_range(lo, hi, chunk_size=chunk)
+        assert dataclasses.replace(got, chunk_size=DEFAULT_CHUNK_SIZE) == want
+
+
+def test_peak_scan_keeps_the_smaller_n_of_a_tie():
+    # 8k+4 and 8k+5 share their peak. Whatever valid bounds the lanes
+    # carry, loose ones included, the tie goes to the smaller n
+    verify_mod._ensure_tables(BASE_TABLE_BOUND)
+    n = 1125899906842732
+    peak = orbit_oracle(n)[1]
+    assert orbit_oracle(n + 1)[1] == peak
+    for lanes in (
+        [(n, peak, peak), (n + 1, n + 1, peak + 1)],
+        [(n, n, peak + 1), (n + 1, peak, peak)],
+        [(n, n, peak + 9), (n + 1, n + 1, peak + 9)],
+    ):
+        state = Checkpoint(n, n + 2, DEFAULT_STEP_CAP, 2, n + 2)
+        verify_mod._take_peaks(state, DEFAULT_STEP_CAP, lanes, max(low for _, low, _ in lanes))
+        assert (state.max_excursion, state.max_excursion_at) == (peak, n), lanes
 
 
 def test_excursion_tie_above_the_table_bound():
