@@ -11,8 +11,8 @@ the power-of-two merge derivations, and a batch range verifier.
 The verifier needs numpy, so its names load on first use (PEP 562).
 """
 
-from .bitnat import ONE, BinaryNat
-from .classify import NumberClass, classify, hard_number, is_hard
+from .bitnat import BinaryNat
+from .classify import NumberClass, classify, hard_number
 from .collatz import (
     DEFAULT_CAP,
     CollatzTrace,
@@ -24,7 +24,7 @@ from .collatz import (
     step,
     stopping_time,
 )
-from .compose import CompositionPath, Step, decompose, f_inverse, tree_path
+from .compose import CompositionPath, Step, decompose, tree_path
 from .errors import CapExceeded, CheckpointError, DomainError, ParityError
 from .powersum import (
     DerivationRecord,
@@ -33,7 +33,6 @@ from .powersum import (
     derivation_trace,
     from_powersum,
     normalize,
-    three_n_plus_one_merge,
     to_powersum,
 )
 from .traceio import (
@@ -48,10 +47,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BinaryNat",
-    "ONE",
     "NumberClass",
     "classify",
-    "is_hard",
     "hard_number",
     "DEFAULT_CAP",
     "StepKind",
@@ -65,7 +62,6 @@ __all__ = [
     "Step",
     "CompositionPath",
     "decompose",
-    "f_inverse",
     "tree_path",
     "PowerSum",
     "ExponentMultiset",
@@ -73,7 +69,6 @@ __all__ = [
     "to_powersum",
     "from_powersum",
     "normalize",
-    "three_n_plus_one_merge",
     "derivation_trace",
     "render_table",
     "render_scratch",

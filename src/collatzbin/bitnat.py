@@ -19,7 +19,7 @@ import sys
 
 from .errors import DomainError, ParityError
 
-__all__ = ["BinaryNat", "ONE"]
+__all__ = ["BinaryNat"]
 
 
 # CPython's lowest allowed int_max_str_digits: int() accepts this many
@@ -128,13 +128,6 @@ class BinaryNat:
         s = self._bits
         return len(s) - len(s.rstrip("0"))
 
-    def end_substring_len(self) -> int:
-        """Length of the maximal run of trailing one digits; odd inputs only."""
-        s = self._bits
-        if s[-1] != "1":
-            raise ParityError(f"end substring is defined for odd values, got {s}")
-        return len(s) - len(s.rstrip("1"))
-
     def append_bit(self, b: int) -> "BinaryNat":
         """Append one digit: append_bit(0) is 2n, append_bit(1) is 2n + 1."""
         if b not in (0, 1):
@@ -182,6 +175,3 @@ class BinaryNat:
 
     def __repr__(self) -> str:
         return f"BinaryNat({self._bits!r})"
-
-
-ONE = BinaryNat._raw("1")

@@ -20,7 +20,7 @@ from enum import Enum
 from .bitnat import BinaryNat
 from .errors import DomainError
 
-__all__ = ["NumberClass", "classify", "class_counts", "is_hard", "hard_number"]
+__all__ = ["NumberClass", "classify", "class_counts", "hard_number"]
 
 
 class NumberClass(Enum):
@@ -58,15 +58,6 @@ def class_counts(lo: int, hi: int) -> dict[NumberClass, int]:
         return pure_even, pure_odd, evens - pure_even, odds - pure_odd - origin, origin
 
     return dict(zip(NumberClass, (b - a for a, b in zip(below(lo), below(hi)))))
-
-
-def is_hard(n: BinaryNat) -> bool:
-    """True for the alternating strings 1, 101, 10101, ...
-
-    1 is the degenerate single-digit case of the closed form (k=1).
-    """
-    bits = n.bits
-    return bits == "10" * (len(bits) // 2) + "1"
 
 
 def hard_number(k: int) -> BinaryNat:

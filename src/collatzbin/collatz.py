@@ -14,7 +14,7 @@ from enum import Enum
 from typing import NamedTuple, Optional
 
 from .bitnat import BinaryNat
-from .errors import CapExceeded, ParityError
+from .errors import CapExceeded
 
 __all__ = [
     "DEFAULT_CAP",
@@ -24,13 +24,11 @@ __all__ = [
     "TraceEntry",
     "CollatzTrace",
     "ReducedStepResult",
-    "EndSubstringTransition",
     "step",
     "reduced_step",
     "sequence",
     "stopping_time",
     "odd_chain",
-    "end_substring_transition",
 ]
 
 # conjecture is open: every iteration bounds its step count
@@ -73,11 +71,6 @@ class ReducedStepResult(NamedTuple):
     odd_result: BinaryNat
     stripped_exponent: int
     t_steps_consumed: int
-
-
-class EndSubstringTransition(NamedTuple):
-    l_before: int
-    trailing_zeros_after: int
 
 
 def step(n: BinaryNat) -> tuple[BinaryNat, StepKind]:
@@ -151,10 +144,3 @@ def odd_chain(n: BinaryNat, cap: int = DEFAULT_CAP) -> list[BinaryNat]:
     if value.is_one():
         return chain
     raise CapExceeded(f"odd chain from 0b{n.bits} still open after {cap} reduced steps")
-
-
-def end_substring_transition(n: BinaryNat) -> EndSubstringTransition:
-    """Pair an odd number's trailing-ones run with the zeros 3n+1 ends in."""
-    if not n.is_odd():
-        raise ParityError(f"expected an odd value, got {n.bits}")
-    return EndSubstringTransition(n.end_substring_len(), n.mul3_add1().trailing_zeros())

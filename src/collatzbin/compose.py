@@ -12,17 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .bitnat import ONE, BinaryNat
-from .errors import DomainError
+from .bitnat import BinaryNat
 
-__all__ = [
-    "Step",
-    "CompositionPath",
-    "apply",
-    "decompose",
-    "f_inverse",
-    "tree_path",
-]
+__all__ = ["Step", "CompositionPath", "decompose", "tree_path"]
 
 
 class Step(Enum):
@@ -38,13 +30,6 @@ class CompositionPath:
 
     steps: tuple[Step, ...]
 
-    @classmethod
-    def from_string(cls, s: str) -> "CompositionPath":
-        try:
-            return cls(tuple(Step(c) for c in s))
-        except ValueError:
-            raise DomainError(f"path may only contain O and E, got {s!r}") from None
-
     def __str__(self) -> str:
         return "".join(step.value for step in self.steps)
 
@@ -55,28 +40,9 @@ class CompositionPath:
         return iter(self.steps)
 
 
-def apply(path: CompositionPath) -> BinaryNat:
-    """Fold the path over 1; the empty path yields 1 itself."""
-    n = ONE
-    for step in path.steps:
-        n = n.append_bit(1 if step is Step.O else 0)
-    return n
-
-
 def decompose(n: BinaryNat) -> CompositionPath:
     """Read the step sequence off the digits after the leading 1."""
     return CompositionPath(tuple(Step.O if c == "1" else Step.E for c in n.bits[1:]))
-
-
-def f_inverse(n: BinaryNat) -> BinaryNat:
-    """Undo one generator step: (n-1)/2 for odd n, n/2 for even n.
-
-    Both cases drop the final digit, so the result is strictly smaller.
-    1 has no parent and is rejected.
-    """
-    if n.is_one():
-        raise DomainError("1 has no predecessor")
-    return BinaryNat._raw(n.bits[:-1])
 
 
 def tree_path(n: BinaryNat) -> list[BinaryNat]:

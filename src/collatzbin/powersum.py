@@ -22,11 +22,9 @@ __all__ = [
     "PowerSum",
     "ExponentMultiset",
     "DerivationRecord",
-    "HardClosedForm",
     "to_powersum",
     "from_powersum",
     "normalize",
-    "three_n_plus_one_merge",
     "shift_powers",
     "hard_closed_form",
     "derivation_trace",
@@ -78,11 +76,6 @@ class DerivationRecord(NamedTuple):
     shift: int
 
 
-class HardClosedForm(NamedTuple):
-    a_k: BinaryNat
-    t_of_a_k: BinaryNat
-
-
 def to_powersum(n: BinaryNat) -> PowerSum:
     """The one digits of n, highest position first."""
     bits = n.bits
@@ -114,13 +107,6 @@ def _tripled(p: PowerSum) -> ExponentMultiset:
     return ExponentMultiset([e + 1 for e in p.exponents] + list(p.exponents) + [0])
 
 
-def three_n_plus_one_merge(p: PowerSum) -> PowerSum:
-    """3n+1 on exponent lists: double, re-add, append 2^0, then carry."""
-    if p.min_exponent != 0:
-        raise ParityError(f"merge needs an odd value, got {p}")
-    return normalize(_tripled(p))
-
-
 def shift_powers(p: PowerSum, h: int) -> PowerSum:
     """Divide by 2^h by subtracting h from every exponent."""
     if h == 0:
@@ -130,13 +116,13 @@ def shift_powers(p: PowerSum, h: int) -> PowerSum:
     return PowerSum(tuple([e - h for e in p.exponents]))
 
 
-def hard_closed_form(k: int) -> HardClosedForm:
+def hard_closed_form(k: int) -> tuple[BinaryNat, BinaryNat]:
     """a_k = (4^k - 1)/3 together with T(a_k), which must equal 2^(2k)."""
     a = hard_number(k)
     t = a.mul3_add1()
     if t.bits != "1" + "0" * (2 * k):
         raise RuntimeError(f"closed form broken at k={k}: T(a_k) = {t.bits}")
-    return HardClosedForm(a, t)
+    return a, t
 
 
 def derivation_trace(n: BinaryNat, cap: int = DEFAULT_CAP) -> list[DerivationRecord]:

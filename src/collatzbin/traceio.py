@@ -17,29 +17,18 @@ to stdout or a file. Output is UTF-8 with LF line endings.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from .bitnat import BinaryNat
-from .collatz import CollatzTrace
+from .collatz import CollatzTrace, StepKind
 from .errors import DomainError
 from .powersum import DerivationRecord, from_powersum
 
 __all__ = [
-    "MachineRecord",
     "render_table",
     "render_scratch",
     "render_points",
     "render_derivation",
     "render_machine",
-    "parse_machine",
 ]
-
-class MachineRecord(NamedTuple):
-    index: int
-    decimal: str
-    binary: str
-    kind: str
-    annotations: str
 
 
 def render_table(chain: list[BinaryNat]) -> str:
@@ -67,7 +56,7 @@ def render_scratch(trace: CollatzTrace) -> str:
     """One line per iterate with a margin glyph for the move that made it."""
     lines = []
     for value, kind in trace.entries:
-        glyph = "·" if kind is None else ("→" if kind.value == "odd-step" else "↓")
+        glyph = "·" if kind is None else ("→" if kind is StepKind.ODD else "↓")
         lines.append(f"{glyph} {value.to_decimal()} = ({value.bits})₂")
     if trace.truncated:
         lines.append("... truncated")
@@ -120,14 +109,3 @@ def render_machine(obj: CollatzTrace | list[DerivationRecord]) -> str:
     else:
         raise DomainError(f"cannot render {type(obj).__name__} in machine format")
     return "\n".join(lines) + "\n"
-
-
-def parse_machine(text: str) -> list[MachineRecord]:
-    """Invert render_machine; annotations keep any embedded commas."""
-    records = []
-    for line in text.splitlines():
-        if not line:
-            continue
-        index, decimal, binary, kind, annotations = line.split(",", 4)
-        records.append(MachineRecord(int(index), decimal, binary, kind, annotations))
-    return records

@@ -12,10 +12,12 @@ from pathlib import Path
 
 from collatzbin import (
     BinaryNat,
+    ExponentMultiset,
     NumberClass,
     classify,
     derivation_trace,
     hard_number,
+    normalize,
     odd_chain,
     sequence,
     step,
@@ -24,9 +26,9 @@ from collatzbin import (
     checkpoint_resume,
     summarize,
 )
-from collatzbin.collatz import end_substring_transition, reduced_step
-from collatzbin.compose import apply, decompose
-from collatzbin.powersum import from_powersum, shift_powers, three_n_plus_one_merge, to_powersum
+from collatzbin.collatz import reduced_step
+from collatzbin.compose import Step, decompose, tree_path
+from collatzbin.powersum import from_powersum, shift_powers, to_powersum
 from collatzbin import verify as verify_mod
 from collatzbin.traceio import render_table
 from collatzbin.verify import Checkpoint, checkpoint_save
@@ -186,7 +188,9 @@ def test_criterion_09_end_substring_laws_exhaustive():
     def run():
         counterexamples = 0
         for n in range(1, 1 << 20, 2):
-            run_len, zeros = end_substring_transition(BinaryNat.from_int(n))
+            v = BinaryNat.from_int(n)
+            run_len = len(v.bits) - len(v.bits.rstrip("1"))
+            zeros = v.mul3_add1().trailing_zeros()
             if run_len >= 2:
                 if zeros != 1:
                     counterexamples += 1
@@ -208,7 +212,9 @@ def test_criterion_10_powersum_equals_bitstring_engine():
     def run():
         for n in range(1, 1 << 16, 2):
             v = BinaryNat.from_int(n)
-            merged = three_n_plus_one_merge(to_powersum(v))
+            exps = to_powersum(v).exponents
+            # 3n+1 = 2n + n + 1 as a raw multiset, carried to distinct powers
+            merged = normalize(ExponentMultiset([e + 1 for e in exps] + list(exps) + [0]))
             tripled = v.mul3_add1()
             assert from_powersum(merged) == tripled
             h = merged.min_exponent
@@ -236,15 +242,16 @@ def test_criterion_11_composition_roundtrip_exhaustive():
     for n in range(1, 1 << 14):
         v = BinaryNat.from_int(n)
         path = decompose(v)
-        assert apply(path) == v
-        assert len(path) == v.bit_length() - 1
+        assert str(path) == v.bits[1:].replace("1", "O").replace("0", "E")
+        walk = tree_path(v)
+        assert walk[0] == BinaryNat("1") and walk[-1] == v
+        for parent, child, step in zip(walk[:-1], walk[1:], path, strict=True):
+            assert child == parent.append_bit(1 if step is Step.O else 0)
     # the reverse identity over all short step strings
-    from collatzbin.compose import CompositionPath
-
     for length in range(0, 8):
         for letters in itertools.product("OE", repeat=length):
-            path = CompositionPath.from_string("".join(letters))
-            assert decompose(apply(path)) == path
+            bits = "1" + "".join(letters).replace("O", "1").replace("E", "0")
+            assert str(decompose(BinaryNat(bits))) == "".join(letters)
     report(11, "composition path roundtrips hold for every n < 2^14")
 
 

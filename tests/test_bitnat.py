@@ -7,7 +7,7 @@ from contextlib import contextmanager
 import pytest
 from hypothesis import given, strategies as st
 
-from collatzbin import ONE, BinaryNat, DomainError, ParityError
+from collatzbin import BinaryNat, DomainError, ParityError
 
 from conftest import bn
 
@@ -116,7 +116,7 @@ def test_mul3_add1_wide_values():
 
 def test_half_strips_one_zero():
     assert bn(16).half() == bn(8)
-    assert bn(2).half() == ONE
+    assert bn(2).half() == bn(1)
     with pytest.raises(ParityError):
         bn(7).half()
 
@@ -139,14 +139,6 @@ def test_shift_right_needs_enough_zeros():
 def test_trailing_zeros_is_two_adic_valuation(odd_part, k):
     odd = 2 * odd_part - 1
     assert bn(odd << k).trailing_zeros() == k
-
-
-def test_end_substring_is_trailing_ones_run():
-    assert bn(7).end_substring_len() == 3  # 111
-    assert bn(5).end_substring_len() == 1  # 101
-    assert bn(0b1011011111).end_substring_len() == 5
-    with pytest.raises(ParityError):
-        bn(6).end_substring_len()
 
 
 @given(naturals)
@@ -179,7 +171,7 @@ def test_hashable_and_usable_in_sets():
 
 
 def test_predicates():
-    assert ONE.is_one() and ONE.is_odd()
+    assert bn(1).is_one() and bn(1).is_odd()
     assert bn(6).is_odd() is False
     assert bn(97).bit_length() == 7
     rng = random.Random(4001)

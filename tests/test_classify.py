@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from collatzbin import DomainError, NumberClass, classify, hard_number, is_hard
+from collatzbin import DomainError, NumberClass, classify, hard_number
 
 from conftest import bn
 
@@ -73,14 +73,6 @@ def test_classify_matches_oracle(n):
 
 # -- hard numbers
 
-def test_is_hard_known_values():
-    for n in (5, 21, 85, 341, 1365, 5461):
-        assert is_hard(bn(n))
-    assert is_hard(bn(1))  # degenerate single-digit case
-    for n in (7, 3, 9, 10, 41, 84, 5463):
-        assert not is_hard(bn(n))
-
-
 def test_hard_number_closed_form():
     assert hard_number(2) == bn(5)
     assert hard_number(1) == bn(1)
@@ -90,7 +82,6 @@ def test_hard_number_closed_form():
         assert a.to_int() == (4**k - 1) // 3
         assert a.bits == "10" * (k - 1) + "1"
         assert a.bit_length() == 2 * k - 1
-        assert is_hard(a)
         # one tripling step lands exactly on a power of two
         assert a.mul3_add1().bits == "1" + "0" * (2 * k)
 
@@ -98,10 +89,3 @@ def test_hard_number_closed_form():
 def test_hard_number_rejects_zero():
     with pytest.raises(DomainError):
         hard_number(0)
-
-
-@given(st.integers(min_value=1, max_value=10**25))
-def test_is_hard_matches_pattern_oracle(n):
-    s = format(n, "b")
-    expected = len(s) % 2 == 1 and set(s[0::2]) == {"1"} and set(s[1::2]) <= {"0"}
-    assert is_hard(bn(n)) == expected

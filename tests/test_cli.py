@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, exit codes, environment config."""
 
+import ast
 import hashlib
 import importlib
 import io
@@ -20,7 +21,6 @@ import pytest
 import collatzbin
 from collatzbin import cli, summarize, verify_range
 from collatzbin.cli import main
-from collatzbin.traceio import parse_machine
 from collatzbin.verify import checkpoint_load
 
 OUTPUTS = Path(__file__).parent / "goldens" / "cli_outputs.txt"
@@ -104,9 +104,9 @@ def test_trace_scratch_default(capsys):
 def test_trace_machine_parses(capsys):
     code, out, _ = run(capsys, "trace", "7", "--format", "machine")
     assert code == 0
-    records = parse_machine(out)
-    assert records[0].decimal == "7"
-    assert records[-1].decimal == "1"
+    decimals = [line.split(",", 4)[1] for line in out.splitlines()]
+    assert decimals[0] == "7"
+    assert decimals[-1] == "1"
 
 
 def test_trace_truncation_marker(capsys):
@@ -163,7 +163,7 @@ def test_decompose_machine(capsys):
     code, out, _ = run(capsys, "decompose", "67", "--format", "machine")
     assert code == 0
     assert len(out.splitlines()) == 8
-    assert parse_machine(out)[0].kind == "merge"
+    assert out.splitlines()[0].split(",", 4)[3] == "merge"
 
 
 def test_hard(capsys):
@@ -272,6 +272,45 @@ def test_every_export_resolves():
             names += [(mod, name) for name in getattr(mod, "__all__", ())]
     missing = [f"{mod.__name__}.{name}" for mod, name in names if not hasattr(mod, name)]
     assert missing == []
+
+
+def test_every_public_name_has_a_caller():
+    # a bare name or an attribute read somewhere in the package source;
+    # __all__ strings and import aliases are not loads
+    loaded = set()
+    for path in Path(collatzbin.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    modules = [collatzbin] + [
+        importlib.import_module(f"collatzbin.{info.name}")
+        for info in pkgutil.iter_modules(collatzbin.__path__)
+        if info.name != "__main__"
+    ]
+    uncalled = [
+        f"{mod.__name__}.{name}"
+        for mod in modules
+        for name in getattr(mod, "__all__", ())
+        if not (name.startswith("__") and name.endswith("__")) and name not in loaded
+    ]
+    assert uncalled == []
+
+
+def test_ctrl_c_while_the_cli_loads():
+    # python -m collatzbin, interrupted before main's own handler exists
+    proc = _python(
+        "import runpy, sys\n"
+        "class Interrupt:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'collatzbin.cli':\n"
+        "            raise KeyboardInterrupt\n"
+        "sys.meta_path.insert(0, Interrupt())\n"
+        "sys.argv = ['collatzbin', 'classify', '7']\n"
+        "runpy.run_module('collatzbin', run_name='__main__', alter_sys=True)\n"
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (130, "", "error: interrupted\n")
 
 
 def test_ctrl_c_while_the_verifier_loads():

