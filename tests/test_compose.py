@@ -58,6 +58,15 @@ def test_path_roundtrip_property(letters):
     assert str(decompose(BinaryNat(bits))) == "".join(letters)
 
 
+@given(st.integers(min_value=2, max_value=10**30))
+def test_f_inverse_is_parent(n):
+    # f^{-1} drops the last digit: the tree parent is the walk's next-to-last entry
+    v = bn(n)
+    parent = tree_path(v)[-2]
+    assert parent.to_int() == (n >> 1)
+    assert v in (parent.append_bit(0), parent.append_bit(1))
+
+
 def test_tree_path_is_prefix_walk():
     walk = tree_path(bn(21))
     assert [v.to_int() for v in walk] == [1, 2, 5, 10, 21]
