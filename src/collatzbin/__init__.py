@@ -32,7 +32,6 @@ from .powersum import (
     PowerSum,
     derivation_trace,
     from_powersum,
-    normalize,
     to_powersum,
 )
 from .traceio import (
@@ -68,7 +67,6 @@ __all__ = [
     "DerivationRecord",
     "to_powersum",
     "from_powersum",
-    "normalize",
     "derivation_trace",
     "render_table",
     "render_scratch",

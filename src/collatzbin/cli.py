@@ -12,6 +12,7 @@ overrides it per call.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from typing import Optional
@@ -159,7 +160,10 @@ def _cmd_verify(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built on the first main call and reused: parsing leaves the parser as
+    # it was, and help and usage text read $COLUMNS when they are formatted
     parser = argparse.ArgumentParser(
         prog="collatzbin",
         description="Binary-string toolkit for the 3n+1 map: traces, digit classes, "

@@ -6,11 +6,19 @@ exponents then collapse pairwise through 2^k + 2^k = 2^(k+1) until the
 exponents are distinct again. Dividing by 2^h subtracts h everywhere.
 Chaining merge and shift replays the reduced map entirely in exponent
 lists, which is the form the worked derivations are written in.
+
+Binary representation is unique, so carrying to completion leaves exactly
+the one digits of the multiset's value, and the raw multiset of odd v is
+worth 3v + 1 by construction. A derivation therefore carries v as a plain
+int beside its power sum and reads each carried result off the bits of
+3v + 1; the next odd value is (3v + 1) >> h.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import gt
 from typing import Iterable, NamedTuple
 
 from .bitnat import BinaryNat
@@ -24,7 +32,6 @@ __all__ = [
     "DerivationRecord",
     "to_powersum",
     "from_powersum",
-    "normalize",
     "shift_powers",
     "hard_closed_form",
     "derivation_trace",
@@ -41,9 +48,11 @@ class PowerSum:
         exps = self.exponents
         if not exps:
             raise DomainError("a power sum needs at least one term")
-        if min(exps) < 0:
+        # one C-level pass; a strictly decreasing tuple ends on its minimum
+        decreasing = all(map(gt, exps, exps[1:]))
+        if (exps[-1] if decreasing else min(exps)) < 0:
             raise DomainError(f"negative exponent in {exps}")
-        if sorted(set(exps), reverse=True) != list(exps):
+        if not decreasing:
             raise DomainError(f"exponents must strictly decrease, got {exps}")
 
     @property
@@ -76,30 +85,19 @@ class DerivationRecord(NamedTuple):
     shift: int
 
 
+# maps the ASCII digits "0"/"1" to the bytes 0/1, falsy and truthy for compress
+_DIGIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def to_powersum(n: BinaryNat) -> PowerSum:
     """The one digits of n, highest position first."""
     bits = n.bits
-    top = len(bits) - 1
-    return PowerSum(tuple([top - i for i, c in enumerate(bits) if c == "1"]))
+    return PowerSum(tuple(compress(range(len(bits) - 1, -1, -1), bits.encode().translate(_DIGIT_FLAGS))))
 
 
 def from_powersum(p: PowerSum | ExponentMultiset) -> BinaryNat:
     """The value sum of 2**e, repeated exponents included."""
     return BinaryNat.from_int(sum(1 << e for e in p.exponents))
-
-
-def normalize(m: ExponentMultiset) -> PowerSum:
-    """Collapse duplicates bottom-up: two terms at e become one at e+1.
-
-    Multiplicity beyond two is handled the same way a binary adder would:
-    of mu copies at e, mu mod 2 stay and floor(mu/2) carry to e+1.
-    Binary representation is unique, so carrying to completion leaves
-    exactly the one digits of the multiset's value, which is how the
-    result is read off.
-    """
-    if not m.exponents:
-        raise DomainError("cannot normalize an empty multiset")
-    return to_powersum(from_powersum(m))
 
 
 def _tripled(p: PowerSum) -> ExponentMultiset:
@@ -136,13 +134,16 @@ def derivation_trace(n: BinaryNat, cap: int = DEFAULT_CAP) -> list[DerivationRec
     if not n.is_odd():
         raise ParityError(f"derivation starts from an odd value, got {n.bits}")
     current = to_powersum(n)
+    v = n.to_int()  # the value of current, carried alongside it
     records: list[DerivationRecord] = []
     for _ in range(cap):
-        raw = _tripled(current)
-        after = normalize(raw)
+        # the raw multiset sums to 3v + 1; its carried form is that value's one digits
+        t = 3 * v + 1
+        after = to_powersum(BinaryNat.from_int(t))
         h = after.min_exponent
-        records.append(DerivationRecord(current, raw, after, h))
+        records.append(DerivationRecord(current, _tripled(current), after, h))
         current = shift_powers(after, h)
-        if current.exponents == (0,):
+        v = t >> h
+        if v == 1:
             return records
     raise CapExceeded(f"derivation from 0b{n.bits} still open after {cap} steps")

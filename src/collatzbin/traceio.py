@@ -17,7 +17,9 @@ to stdout or a file. Output is UTF-8 with LF line endings.
 
 from __future__ import annotations
 
-from .bitnat import BinaryNat
+from typing import Callable
+
+from .bitnat import BinaryNat, int_to_decimal
 from .collatz import CollatzTrace, StepKind
 from .errors import DomainError
 from .powersum import DerivationRecord, from_powersum
@@ -68,22 +70,44 @@ def render_points(trace: CollatzTrace) -> str:
     return "\n".join(f"{i},{e.value.to_decimal()}" for i, e in enumerate(trace.entries)) + "\n"
 
 
+def _walk(records: list[DerivationRecord]) -> list[int]:
+    # the odd value each record starts from, then the 1 the last one lands
+    # on: read the first off its power sum, step the rest as (3v + 1) >> shift
+    v = from_powersum(records[0].before).to_int()
+    values = [v]
+    for rec in records:
+        v = (3 * v + 1) >> rec.shift
+        values.append(v)
+    return values
+
+
+def _exponent_joiner(records: list[DerivationRecord]) -> Callable[[str, tuple[int, ...]], str]:
+    # every exponent is at most the largest carried top, so one str() per
+    # position serves all the joins of a derivation
+    text = [str(e) for e in range(max(rec.after.exponents[0] for rec in records) + 1)]
+    return lambda sep, exponents: sep.join(map(text.__getitem__, exponents))
+
+
 def render_derivation(records: list[DerivationRecord]) -> str:
     """One line per merge: "n = {before} -> {raw} -> {after} -> shift h -> next".
 
     Reads derivation_trace records: a line's next value is the following
-    line's n, converted once, and the last line lands on 1.
+    line's n, and the last line lands on 1. Every decimal is converted
+    before the first line is written.
     """
-    values = [from_powersum(rec.before).to_decimal() for rec in records] + ["1"]
+    if not records:
+        return ""
+    values = [int_to_decimal(v) for v in _walk(records)]
+    join = _exponent_joiner(records)
+
+    def braced(exponents: tuple[int, ...]) -> str:
+        return "{" + join(",", exponents) + "}"
+
     return "".join(
-        f"{value} = {rec.before} -> {rec.raw} -> {rec.after} -> shift {rec.shift} -> {nxt}\n"
+        f"{value} = {braced(rec.before.exponents)} -> {braced(rec.raw.exponents)} -> "
+        f"{braced(rec.after.exponents)} -> shift {rec.shift} -> {nxt}\n"
         for rec, value, nxt in zip(records, values, values[1:])
     )
-
-
-def _exps(exponents: tuple[int, ...]) -> str:
-    # comma-free sum notation for the machine annotations field
-    return "+".join(str(e) for e in exponents)
 
 
 def render_machine(obj: CollatzTrace | list[DerivationRecord]) -> str:
@@ -102,10 +126,13 @@ def render_machine(obj: CollatzTrace | list[DerivationRecord]) -> str:
             ann = "truncated" if obj.truncated and i == last else ""
             lines.append(f"{i},{value.to_decimal()},{value.bits},{kind.value if kind else ''},{ann}")
     elif obj and isinstance(obj[0], DerivationRecord):
-        for i, rec in enumerate(obj):
-            value = from_powersum(rec.before)
-            ann = f"raw:{_exps(rec.raw.exponents)} after:{_exps(rec.after.exponents)} shift:{rec.shift}"
-            lines.append(f"{i},{value.to_decimal()},{value.bits},merge,{ann}")
+        values = _walk(obj)[:-1]
+        decimals = [int_to_decimal(v) for v in values]
+        join = _exponent_joiner(obj)
+        for i, (rec, v, decimal) in enumerate(zip(obj, values, decimals)):
+            # comma-free sum notation for the annotations field
+            ann = f"raw:{join('+', rec.raw.exponents)} after:{join('+', rec.after.exponents)} shift:{rec.shift}"
+            lines.append(f"{i},{decimal},{v:b},merge,{ann}")
     else:
         raise DomainError(f"cannot render {type(obj).__name__} in machine format")
     return "\n".join(lines) + "\n"

@@ -75,6 +75,44 @@ def test_resume_requires_checkpoint(capsys):
     assert exc.value.code == 2
 
 
+def _main_bytes(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_reused_parser_matches_a_fresh_one(monkeypatch):
+    # main builds its parser once; help and usage still wrap at the
+    # $COLUMNS of each call, and an error leaves nothing behind
+    calls = [
+        ("100", ["--help"]),
+        ("40", ["--help"]),
+        ("40", ["decompose", "--help"]),
+        ("60", ["decompose", "5", "--format", "nope"]),
+        ("60", ["decompose", "5"]),
+        ("80", ["verify", "1", "10", "--resume"]),
+        ("80", ["no-such-command"]),
+        ("80", ["stopping-time", "27", "--cap", "200"]),
+        ("80", ["stopping-time", "27"]),
+    ]
+    monkeypatch.delenv("COLLATZBIN_CAP", raising=False)
+    reused, fresh = [], []
+    for columns, argv in calls:
+        monkeypatch.setenv("COLUMNS", columns)
+        reused.append(_main_bytes(argv))
+    for columns, argv in calls:
+        monkeypatch.setenv("COLUMNS", columns)
+        cli._build_parser.cache_clear()
+        fresh.append(_main_bytes(argv))
+    assert reused == fresh
+    assert reused[0] != reused[1]  # the wrap width did change
+    assert [code for code, _, _ in reused] == [0, 0, 0, 2, 0, 2, 2, 0, 0]
+
+
 def test_path(capsys):
     code, out, _ = run(capsys, "path", "21")
     assert (code, out) == (0, "1 2 5 10 21 / EOEO\n")
@@ -124,39 +162,52 @@ def test_decompose_text(capsys):
 
 
 def _one_bits(v):
-    return [i for i in range(v.bit_length() - 1, -1, -1) if v >> i & 1]
+    bits = format(v, "b")
+    top = len(bits) - 1
+    return [top - i for i, c in enumerate(bits) if c == "1"]
 
 
-def _derivation_oracle(n):
-    """(v, exps of v, exps of 2v and v plus {0}, exps of 3v+1, shift, next odd) per step."""
+def _derivation_oracle(n, cap):
+    """(v, exps of v, exps of 2v and v plus {0}, exps of 3v+1, shift) per
+    step, each exponent list comma-joined, or None when the orbit is still
+    open after cap steps."""
     steps, v = [], n
-    while True:
+    while len(steps) < cap:
         t = 3 * v + 1
         h = (t & -t).bit_length() - 1
-        raw = sorted(_one_bits(2 * v) + _one_bits(v) + [0], reverse=True)
-        steps.append((v, _one_bits(v), raw, _one_bits(t), h, t >> h))
+        e = _one_bits(v)
+        raw = sorted([x + 1 for x in e] + e + [0], reverse=True)
+        steps.append((v, *(",".join(map(str, x)) for x in (e, raw, _one_bits(t))), h))
         v = t >> h
         if v == 1:
             return steps
+    return None
 
 
 def test_decompose_matches_a_plain_int_oracle(capsys):
     rng = random.Random(31)
-    odds = [1, 5, 27, 67, 10027] + [rng.getrandbits(b - 1) | 1 << (b - 1) | 1 for b in (64, 200, 500)]
-    for n in odds:
-        steps = _derivation_oracle(n)
-        text = "".join(
-            "%d = {%s} -> {%s} -> {%s} -> shift %d -> %d\n"
-            % (v, ",".join(map(str, e)), ",".join(map(str, raw)), ",".join(map(str, after)), h, nxt)
-            for v, e, raw, after, h, nxt in steps
-        )
-        machine = "".join(
-            "%d,%d,%s,merge,raw:%s after:%s shift:%d\n"
-            % (i, v, format(v, "b"), "+".join(map(str, raw)), "+".join(map(str, after)), h)
-            for i, (v, e, raw, after, h, nxt) in enumerate(steps)
-        )
-        assert run(capsys, "decompose", str(n)) == (0, text, ""), n
-        assert run(capsys, "decompose", str(n), "--format", "machine") == (0, machine, ""), n
+    odds = [1, 5, 27, 67, 10027] + [rng.getrandbits(b - 1) | 1 << (b - 1) | 1 for b in (64, 200, 500, 2000)]
+    cases = [((str(n),), n, collatzbin.DEFAULT_CAP) for n in odds]
+    # perfbench's 20,000-bit decompose: past the int/str limit, under its cap
+    big = rng.getrandbits(19999) | 1 << 19999 | 1
+    cases.append(((format(big, "b"), "--binary", "--cap", "2"), big, 2))
+    for args, n, cap in cases:
+        steps = _derivation_oracle(n, cap)
+        if steps is None:
+            text = machine = "truncated\n"
+        else:
+            nexts = [step[0] for step in steps[1:]] + [1]
+            text = "".join(
+                "%d = {%s} -> {%s} -> {%s} -> shift %d -> %d\n" % (*step, nxt)
+                for step, nxt in zip(steps, nexts)
+            )
+            machine = "".join(
+                "%d,%d,%s,merge,raw:%s after:%s shift:%d\n"
+                % (i, v, format(v, "b"), raw.replace(",", "+"), after.replace(",", "+"), h)
+                for i, (v, e, raw, after, h) in enumerate(steps)
+            )
+        assert run(capsys, "decompose", *args) == (0, text, ""), n.bit_length()
+        assert run(capsys, "decompose", *args, "--format", "machine") == (0, machine, ""), n.bit_length()
 
 
 def test_decompose_machine(capsys):
@@ -431,6 +482,45 @@ def test_every_command_past_the_int_str_limit(capsys):
                 code, out, err = run(capsys, *argv)
                 assert (code, out, err.count("\n")) == (1, "", 1), argv
                 assert err.startswith("error: ") and f"{digits}-digit" in err, argv
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _climbs_past(digits):
+    # an odd value under `digits` decimal digits whose short orbit climbs
+    # past them: walk back from 5 (5 -> 16 -> 1) by odd predecessors
+    # (v * 2^h - 1)/3, ~100 bits a step, to the first one v past 10^digits;
+    # keep it when its own predecessor (2v - 1)/3 fits
+    lo, rng = 10**digits, random.Random(digits)
+    while True:
+        v = 5
+        while v < lo:
+            h = rng.randrange(60, 140)
+            h += (v << h) % 3 != 1  # v * 2^h must be 1 mod 3
+            while h > 2 and ((v << (h - 2)) - 1) // 3 >= lo:
+                h -= 2
+            while ((v << h) - 1) // 3 < lo and ((v << h) - 1) // 3 % 3 == 0:
+                h += 2  # a multiple of 3 has no odd predecessor
+            v = ((v << h) - 1) // 3
+        if v < lo * 3 // 2 and v % 3 == 2:
+            return (2 * v - 1) // 3
+
+
+def test_decompose_past_the_int_str_limit_prints_only_the_error(capsys):
+    # a derivation that completes under the cap but holds a decimal past
+    # the limit: converted in full before the first write, so stdout stays
+    # empty whether the first value or a later one is the one too long
+    limit = sys.get_int_max_str_digits()
+    try:
+        for digits in (limit, 640):
+            sys.set_int_max_str_digits(digits)
+            k = math.ceil(digits / math.log10(4)) + 1  # (4^k - 1)/3 has more digits
+            for n in ((4**k - 1) // 3, _climbs_past(digits)):
+                for fmt in ("text", "machine"):
+                    argv = ("decompose", format(n, "b"), "--binary", "--format", fmt)
+                    code, out, err = run(capsys, *argv)
+                    assert (code, out, err.count("\n")) == (1, "", 1), (digits, n.bit_length(), fmt)
+                    assert err.startswith("error: ") and f"{digits}-digit" in err
     finally:
         sys.set_int_max_str_digits(limit)
 

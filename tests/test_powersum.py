@@ -1,11 +1,10 @@
 """Exponent-list arithmetic: merge, carries, shifts, derivations."""
 
-import random
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from collatzbin import (
+    BinaryNat,
     CapExceeded,
     DomainError,
     ExponentMultiset,
@@ -13,7 +12,6 @@ from collatzbin import (
     PowerSum,
     derivation_trace,
     from_powersum,
-    normalize,
     odd_chain,
     to_powersum,
 )
@@ -30,9 +28,13 @@ def value_of(exponents):
     return sum(2**e for e in exponents)
 
 
-def merge(p):
-    # 3n+1 = 2n + n + 1: double every term, re-add them, append 2^0, carry
-    return normalize(ExponentMultiset([e + 1 for e in p.exponents] + list(p.exponents) + [0]))
+def merge(n):
+    # the first record of a derivation carries 3n+1 = 2n + n + 1 from n
+    return derivation_trace(bn(n))[0].after
+
+
+def one_bits(v):
+    return tuple(i for i in range(v.bit_length() - 1, -1, -1) if v >> i & 1)
 
 
 def test_powersum_validation():
@@ -63,51 +65,25 @@ def test_powersum_roundtrip(n):
     assert from_powersum(p) == bn(n)
 
 
-def test_normalize_examples():
-    assert normalize(ExponentMultiset([1, 1])) == ps(2)
-    assert normalize(ExponentMultiset([0, 0, 1])) == ps(2)
-    assert normalize(ExponentMultiset([3, 2, 1, 1, 0, 0])) == ps(4, 1)
-    with pytest.raises(DomainError):
-        normalize(ExponentMultiset([]))
-
-
-@given(st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=30))
-def test_normalize_conserves_value(exps):
-    assert value_of(normalize(ExponentMultiset(exps)).exponents) == value_of(exps)
-
-
-def test_normalize_wide_multiset():
-    rng = random.Random(2000)
-    exps = [rng.randrange(10000) for _ in range(2000)] + [9999, 9999, 0, 0, 0]
-    assert value_of(normalize(ExponentMultiset(exps)).exponents) == value_of(exps)
-
-
-def test_normalize_confluence_random_rewrite_order():
-    # apply the pairwise rule in random order; the endpoint never varies
-    rng = random.Random(555)
-    for _ in range(10**4):
-        exps = [rng.randrange(0, 12) for _ in range(rng.randrange(1, 10))]
-        work = list(exps)
-        while True:
-            dups = [e for e in set(work) if work.count(e) >= 2]
-            if not dups:
-                break
-            e = rng.choice(dups)
-            work.remove(e)
-            work.remove(e)
-            work.append(e + 1)
-        assert tuple(sorted(work, reverse=True)) == normalize(ExponentMultiset(exps)).exponents
+@given(
+    st.integers(min_value=1, max_value=20000).flatmap(
+        lambda b: st.integers(min_value=1 << (b - 1), max_value=(1 << b) - 1)
+    )
+)
+@settings(max_examples=40)
+def test_to_powersum_matches_plain_int_bits(n):
+    assert to_powersum(BinaryNat.from_int(n)).exponents == one_bits(n)
 
 
 def test_merge_examples():
-    assert merge(ps(6, 1, 0)) == ps(7, 6, 3, 1)
-    assert merge(ps(0)) == ps(2)
-    assert merge(ps(2, 0)) == ps(4)
+    assert merge(67) == ps(7, 6, 3, 1)
+    assert merge(1) == ps(2)
+    assert merge(5) == ps(4)
 
 
 def test_merge_exhaustive_against_bit_engine():
     for n in range(1, 1 << 12, 2):
-        assert from_powersum(merge(to_powersum(bn(n)))) == bn(n).mul3_add1()
+        assert from_powersum(merge(n)) == bn(n).mul3_add1()
 
 
 def test_shift_examples():
@@ -129,9 +105,13 @@ def test_shift_matches_bit_engine(odd, k):
 
 
 def test_geometric_identity():
-    # 2^(k-1) + ... + 2 + 1 = 2^k - 1: one more 2^0 carries it all to 2^k
+    # 2^(2k-1) + ... + 2 + 1 = 4^k - 1: the raw multiset of the hard number
+    # (4^k - 1)/3, whose one more 2^0 carries it all to 2^(2k) in one record
     for k in (1, 2, 6, 31, 70):
-        assert normalize(ExponentMultiset([*range(k), 0])).exponents == (k,)
+        a = hard_closed_form(k)[0]
+        assert derivation_trace(a) == [
+            (to_powersum(a), ExponentMultiset([*range(2 * k), 0]), ps(2 * k), 2 * k)
+        ]
 
 
 def test_hard_closed_form():
@@ -179,3 +159,57 @@ def test_derivation_endpoints_match_odd_chain(k):
     odds = [from_powersum(r.before) for r in records]
     odds.append(from_powersum(shift_powers(records[-1].after, records[-1].shift)))
     assert odds == odd_chain(bn(n))
+
+
+def _short_orbit_start(shifts):
+    # odd m with 3m + 1 = v * 2^h, walked back from 1: each shift picks the
+    # smallest h of the right parity at or past it (v = 1 skips h = 2, which
+    # would loop on 1, and no m is a multiple of 3, which has no odd
+    # predecessor), so the orbit has one reduced step per shift and n
+    # reaches thousands of bits in a few dozen steps
+    v = 1
+    for want in shifts:
+        h = max(want, 3 if v == 1 else 1)
+        h += (v << h) % 3 != 1  # v * 2^h must be 1 mod 3
+        while ((v << h) - 1) // 3 % 3 == 0:
+            h += 2
+        m = ((v << h) - 1) // 3
+        if m.bit_length() > 2000:
+            break
+        v = m
+    return v
+
+
+@given(
+    st.one_of(
+        st.integers(min_value=1, max_value=2000).flatmap(
+            lambda b: st.integers(min_value=1 << (b - 1), max_value=(1 << b) - 1)
+        ),
+        st.lists(st.integers(min_value=1, max_value=160), max_size=60).map(_short_orbit_start),
+    ),
+    st.integers(min_value=1, max_value=80),
+)
+@settings(max_examples=60, deadline=None)
+def test_derivation_records_match_plain_ints(n, cap):
+    n |= 1
+    walk, v = [], n
+    while len(walk) < cap:
+        t = 3 * v + 1
+        walk.append((v, t, (t & -t).bit_length() - 1))
+        v = t >> walk[-1][2]
+        if v == 1:
+            break
+    if v != 1:
+        with pytest.raises(CapExceeded):
+            derivation_trace(bn(n), cap)
+        return
+    records = derivation_trace(bn(n), cap)
+    assert len(records) == len(walk)
+    assert value_of(records[0].before.exponents) == n
+    for rec, nxt, (v, t, h) in zip(records, records[1:] + [None], walk):
+        assert rec.before.exponents == one_bits(v)
+        assert sum(1 << e for e in rec.raw.exponents) == 3 * value_of(rec.before.exponents) + 1 == t
+        assert rec.after.exponents == one_bits(t)
+        assert rec.shift == h
+        landing = tuple(e - h for e in rec.after.exponents)
+        assert landing == (nxt.before.exponents if nxt is not None else (0,))
