@@ -26,14 +26,7 @@ from .collatz import (
 )
 from .compose import CompositionPath, Step, decompose, tree_path
 from .errors import CapExceeded, CheckpointError, DomainError, ParityError
-from .powersum import (
-    DerivationRecord,
-    ExponentMultiset,
-    PowerSum,
-    derivation_trace,
-    from_powersum,
-    to_powersum,
-)
+from .powersum import DerivationRecord, derivation_trace
 from .traceio import (
     render_derivation,
     render_machine,
@@ -62,11 +55,7 @@ __all__ = [
     "CompositionPath",
     "decompose",
     "tree_path",
-    "PowerSum",
-    "ExponentMultiset",
     "DerivationRecord",
-    "to_powersum",
-    "from_powersum",
     "derivation_trace",
     "render_table",
     "render_scratch",

@@ -28,19 +28,6 @@ CAP_ENV_VAR = "COLLATZBIN_CAP"
 __all__ = ["main", "CAP_ENV_VAR"]
 
 
-def _default_cap() -> int:
-    raw = os.environ.get(CAP_ENV_VAR)
-    if raw is None:
-        return collatz.DEFAULT_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise DomainError(f"{CAP_ENV_VAR} must be an integer, got {raw!r}") from None
-    if cap < 1:
-        raise DomainError(f"{CAP_ENV_VAR} must be >= 1, got {cap}")
-    return cap
-
-
 def _default_jobs() -> int:
     # the CPUs this process may run on, where the platform can tell
     if hasattr(os, "sched_getaffinity"):
@@ -53,7 +40,19 @@ def _parse_value(text: str, binary: bool) -> BinaryNat:
 
 
 def _cap_of(args) -> int:
-    return args.cap if args.cap is not None else _default_cap()
+    # the orbit walks' step budget: --cap, else the environment, else the default
+    source, cap = "--cap", args.cap
+    if cap is None:
+        source, raw = CAP_ENV_VAR, os.environ.get(CAP_ENV_VAR)
+        if raw is None:
+            return collatz.DEFAULT_CAP
+        try:
+            cap = int(raw)
+        except ValueError:
+            raise DomainError(f"{CAP_ENV_VAR} must be an integer, got {raw!r}") from None
+    if cap < 1:
+        raise DomainError(f"{source} must be >= 1, got {cap}")
+    return cap
 
 
 def _cmd_trace(args) -> int:

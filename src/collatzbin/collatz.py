@@ -9,7 +9,6 @@ is reported, never looped through.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional
 
@@ -51,8 +50,7 @@ class TraceEntry(NamedTuple):
     kind: Optional[StepKind]  # None only for the starting entry
 
 
-@dataclass(frozen=True, slots=True)
-class CollatzTrace:
+class CollatzTrace(NamedTuple):
     """A prefix of the orbit of start, one entry per iterate.
 
     entries[0] is start itself with kind None; entry i+1 applies one map

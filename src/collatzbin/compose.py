@@ -9,7 +9,6 @@ left child of n is 2n (append 0) and the right child is 2n + 1 (append 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .bitnat import BinaryNat
@@ -24,25 +23,18 @@ class Step(Enum):
     E = "E"
 
 
-@dataclass(frozen=True, slots=True)
-class CompositionPath:
+class CompositionPath(tuple):
     """Steps leading from 1 to a number, innermost (first applied) first."""
 
-    steps: tuple[Step, ...]
+    __slots__ = ()
 
     def __str__(self) -> str:
-        return "".join(step.value for step in self.steps)
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-    def __iter__(self):
-        return iter(self.steps)
+        return "".join(step.value for step in self)
 
 
 def decompose(n: BinaryNat) -> CompositionPath:
     """Read the step sequence off the digits after the leading 1."""
-    return CompositionPath(tuple(Step.O if c == "1" else Step.E for c in n.bits[1:]))
+    return CompositionPath(Step.O if c == "1" else Step.E for c in n.bits[1:])
 
 
 def tree_path(n: BinaryNat) -> list[BinaryNat]:

@@ -5,11 +5,14 @@ one row per reduced step. "scratch" lays the full orbit out one line per
 iterate with a margin glyph per move: "·" marks the start, "→" a 3n+1
 hop, "↓" a halving. "points" is bare "index,value" rows for plotting.
 "derivation" writes one power-sum merge per line, from an odd value to
-the next. "machine" is the scripting contract for traces and
-derivations: comma-separated fields index,decimal,binary,kind,annotations
-with stable order; annotations is the final field and is the only one
-that may itself contain commas, so parsers split each line at most four
-times.
+the next. A derivation record is only that odd value v and its shift,
+and the exponent sets are printed straight from bits: before is the one
+digits of v, raw is e+1 and e for each of those digits e and then 0, and
+after is the one digits of 3v + 1. "machine" is the scripting contract
+for traces and derivations: comma-separated fields
+index,decimal,binary,kind,annotations with stable order; annotations is
+the final field and is the only one that may itself contain commas, so
+parsers split each line at most four times.
 
 Every renderer returns a text blob ending in a newline; callers route it
 to stdout or a file. Output is UTF-8 with LF line endings.
@@ -17,12 +20,13 @@ to stdout or a file. Output is UTF-8 with LF line endings.
 
 from __future__ import annotations
 
-from typing import Callable
+from itertools import compress
+from typing import Iterator
 
 from .bitnat import BinaryNat, int_to_decimal
 from .collatz import CollatzTrace, StepKind
 from .errors import DomainError
-from .powersum import DerivationRecord, from_powersum
+from .powersum import DerivationRecord
 
 __all__ = [
     "render_table",
@@ -70,43 +74,45 @@ def render_points(trace: CollatzTrace) -> str:
     return "\n".join(f"{i},{e.value.to_decimal()}" for i, e in enumerate(trace.entries)) + "\n"
 
 
-def _walk(records: list[DerivationRecord]) -> list[int]:
-    # the odd value each record starts from, then the 1 the last one lands
-    # on: read the first off its power sum, step the rest as (3v + 1) >> shift
-    v = from_powersum(records[0].before).to_int()
-    values = [v]
+# maps the ASCII digits "0"/"1" to the bytes 0/1, falsy and truthy for compress
+_DIGIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _exponent_sets(records: list[DerivationRecord], sep: str) -> Iterator[tuple[str, str, str]]:
+    # each record's before, raw and after sets, sep-joined and picked off
+    # the bits from tables indexed top exponent first; raw needs no sort,
+    # as the one digit below e is at most e - 1
+    top = (3 * max(rec.value for rec in records) + 1).bit_length() - 1
+    exponents = [str(e) for e in range(top, -1, -1)]
+    pairs = [f"{e + 1}{sep}{e}" for e in range(top, -1, -1)]
     for rec in records:
-        v = (3 * v + 1) >> rec.shift
-        values.append(v)
-    return values
-
-
-def _exponent_joiner(records: list[DerivationRecord]) -> Callable[[str, tuple[int, ...]], str]:
-    # every exponent is at most the largest carried top, so one str() per
-    # position serves all the joins of a derivation
-    text = [str(e) for e in range(max(rec.after.exponents[0] for rec in records) + 1)]
-    return lambda sep, exponents: sep.join(map(text.__getitem__, exponents))
+        v = format(rec.value, "b").encode().translate(_DIGIT_FLAGS)
+        t = format(3 * rec.value + 1, "b").encode().translate(_DIGIT_FLAGS)
+        yield (
+            sep.join(compress(exponents[top + 1 - len(v) :], v)),
+            sep.join(compress(pairs[top + 1 - len(v) :], v)) + sep + "0",
+            sep.join(compress(exponents[top + 1 - len(t) :], t)),
+        )
 
 
 def render_derivation(records: list[DerivationRecord]) -> str:
     """One line per merge: "n = {before} -> {raw} -> {after} -> shift h -> next".
 
     Reads derivation_trace records: a line's next value is the following
-    line's n, and the last line lands on 1. Every decimal is converted
-    before the first line is written.
+    line's n, and the last line's is (3n + 1) >> h, the 1 a full
+    derivation lands on. Every decimal is converted before the first line
+    is written.
     """
     if not records:
         return ""
-    values = [int_to_decimal(v) for v in _walk(records)]
-    join = _exponent_joiner(records)
-
-    def braced(exponents: tuple[int, ...]) -> str:
-        return "{" + join(",", exponents) + "}"
-
+    last = records[-1]
+    values = [int_to_decimal(rec.value) for rec in records]
+    values.append(int_to_decimal((3 * last.value + 1) >> last.shift))
     return "".join(
-        f"{value} = {braced(rec.before.exponents)} -> {braced(rec.raw.exponents)} -> "
-        f"{braced(rec.after.exponents)} -> shift {rec.shift} -> {nxt}\n"
-        for rec, value, nxt in zip(records, values, values[1:])
+        f"{value} = {{{before}}} -> {{{raw}}} -> {{{after}}} -> shift {rec.shift} -> {nxt}\n"
+        for rec, value, nxt, (before, raw, after) in zip(
+            records, values, values[1:], _exponent_sets(records, ",")
+        )
     )
 
 
@@ -126,13 +132,10 @@ def render_machine(obj: CollatzTrace | list[DerivationRecord]) -> str:
             ann = "truncated" if obj.truncated and i == last else ""
             lines.append(f"{i},{value.to_decimal()},{value.bits},{kind.value if kind else ''},{ann}")
     elif obj and isinstance(obj[0], DerivationRecord):
-        values = _walk(obj)[:-1]
-        decimals = [int_to_decimal(v) for v in values]
-        join = _exponent_joiner(obj)
-        for i, (rec, v, decimal) in enumerate(zip(obj, values, decimals)):
-            # comma-free sum notation for the annotations field
-            ann = f"raw:{join('+', rec.raw.exponents)} after:{join('+', rec.after.exponents)} shift:{rec.shift}"
-            lines.append(f"{i},{decimal},{v:b},merge,{ann}")
+        decimals = [int_to_decimal(rec.value) for rec in obj]
+        # comma-free sum notation for the annotations field
+        for i, (rec, decimal, (_, raw, after)) in enumerate(zip(obj, decimals, _exponent_sets(obj, "+"))):
+            lines.append(f"{i},{decimal},{rec.value:b},merge,raw:{raw} after:{after} shift:{rec.shift}")
     else:
         raise DomainError(f"cannot render {type(obj).__name__} in machine format")
     return "\n".join(lines) + "\n"

@@ -12,7 +12,6 @@ from pathlib import Path
 
 from collatzbin import (
     BinaryNat,
-    ExponentMultiset,
     NumberClass,
     classify,
     derivation_trace,
@@ -27,12 +26,11 @@ from collatzbin import (
 )
 from collatzbin.collatz import reduced_step
 from collatzbin.compose import Step, decompose, tree_path
-from collatzbin.powersum import from_powersum, shift_powers, to_powersum
 from collatzbin import verify as verify_mod
-from collatzbin.traceio import render_table
+from collatzbin.traceio import render_derivation, render_machine, render_table
 from collatzbin.verify import Checkpoint, checkpoint_save
 
-from conftest import bn
+from conftest import bn, derivation_lines
 
 GOLDEN = Path(__file__).parent / "goldens" / "table_10027.txt"
 
@@ -109,9 +107,8 @@ def test_criterion_04_10027_figures_reconciled():
 
 
 def test_criterion_05_derivation_of_67():
-    records = derivation_trace(bn(67))
-    seen = [r.before.exponents for r in records]
-    assert seen == [
+    rows = derivation_lines(67)
+    assert [row[1] for row in rows] == [
         (6, 1, 0),      # 67
         (6, 5, 2, 0),   # 101
         (4, 1, 0),      # 19
@@ -121,12 +118,21 @@ def test_criterion_05_derivation_of_67():
         (3, 2, 0),      # 13
         (2, 0),         # 5
     ]
-    assert records[0].after.exponents == (7, 6, 3, 1)
-    last = records[-1]
-    assert shift_powers(last.after, last.shift).exponents == (0,)
+    assert render_derivation(derivation_trace(bn(67))).splitlines()[0] == (
+        "67 = {6,1,0} -> {7,6,2,1,1,0,0} -> {7,6,3,1} -> shift 1 -> 101"
+    )
+    _, _, _, after, shift, nxt = rows[-1]
+    assert tuple(e - shift for e in after) == (0,) and nxt == 1
     chain = [v.to_int() for v in odd_chain(bn(67))]
-    assert chain == [67, 101, 19, 29, 11, 17, 13, 5, 1]
-    report(5, "derivation of 67 replays all 8 merge records down to {0}")
+    assert chain == [row[0] for row in rows] + [1] == [67, 101, 19, 29, 11, 17, 13, 5, 1]
+    # the geometric identity 2^(2k-1) + ... + 2 + 1 = 4^k - 1: the raw
+    # multiset of a_k = (4^k - 1)/3 carries to 2^(2k) in one line
+    for k in (1, 2, 6, 31, 70):
+        a = hard_number(k).to_int()
+        assert derivation_lines(a) == [
+            (a, tuple(range(2 * k - 2, -1, -2)), (*range(2 * k - 1, -1, -1), 0), (2 * k,), 2 * k, 1)
+        ]
+    report(5, "derivation of 67 replays all 8 merge lines down to {0}; a_k carries in one line")
 
 
 def test_criterion_06_hard_family():
@@ -211,24 +217,35 @@ def test_criterion_10_powersum_equals_bitstring_engine():
     def run():
         steps = 0
         for n in range(1, 1 << 11, 2):
-            for rec in derivation_trace(bn(n)):
-                v = from_powersum(rec.before)
-                exps = rec.before.exponents
-                # 3n+1 = 2n + n + 1 as a raw multiset, carried to distinct powers
-                assert rec.raw == ExponentMultiset([e + 1 for e in exps] + list(exps) + [0])
+            records = derivation_trace(bn(n))
+            machine = [line.split(",", 4) for line in render_machine(records).splitlines()]
+            assert len(machine) == len(records)
+            for i, (rec, (value, before, raw, after, shift, nxt), fields) in enumerate(
+                zip(records, derivation_lines(n), machine)
+            ):
+                v = bn(value)
                 tripled = v.mul3_add1()
-                assert from_powersum(rec.raw) == from_powersum(rec.after) == tripled
-                assert rec.after == to_powersum(tripled)
-                assert rec.shift == rec.after.min_exponent
-                assert from_powersum(shift_powers(rec.after, rec.shift)) == reduced_step(v).odd_result
+                one_digits = tuple(e for e, c in enumerate(reversed(tripled.bits)) if c == "1")[::-1]
+                # 3n+1 = 2n + n + 1 as a raw multiset, carried to distinct powers
+                assert raw == tuple(sorted([e + 1 for e in before] + list(before) + [0], reverse=True))
+                assert sum(1 << e for e in raw) == sum(1 << e for e in after) == tripled.to_int()
+                assert after == one_digits
+                assert shift == after[-1] == rec.shift
+                assert bn(nxt) == BinaryNat.from_int(sum(1 << (e - shift) for e in after))
+                assert bn(nxt) == reduced_step(v).odd_result
+                # the machine line carries the same value, sets and shift
+                index, decimal, bits, kind, annotations = fields
+                assert (int(index), int(decimal), bits, kind) == (i, value, v.bits, "merge")
+                assert annotations == "raw:%s after:%s shift:%d" % (
+                    "+".join(map(str, raw)), "+".join(map(str, after)), shift
+                )
                 steps += 1
         # full-chain endpoints on a seeded sample
         rng = random.Random(67)
         sample = [rng.randrange(0, 1 << 15) * 2 + 1 for _ in range(200)] + [67]
         for n in sample:
-            records = derivation_trace(bn(n))
-            odds = [from_powersum(r.before) for r in records]
-            odds.append(from_powersum(shift_powers(records[-1].after, records[-1].shift)))
+            rows = derivation_lines(n)
+            odds = [bn(row[0]) for row in rows] + [bn(rows[-1][5])]
             assert odds == odd_chain(bn(n))
         return steps
 
@@ -236,8 +253,8 @@ def test_criterion_10_powersum_equals_bitstring_engine():
     assert ms < 5000.0, f"took {ms:.0f} ms"
     report(
         10,
-        f"merge and shift agree with the bit-string engine on all {steps} records of the "
-        f"derivations of odd n < 2^11, chain endpoints agree on 201 sampled orbits ({ms / 1000:.2f} s)",
+        f"merge and shift agree with the bit-string engine on all {steps} text and machine lines of "
+        f"the derivations of odd n < 2^11, chain endpoints agree on 201 sampled orbits ({ms / 1000:.2f} s)",
     )
 
 

@@ -187,6 +187,8 @@ def _derivation_oracle(n, cap):
 def test_decompose_matches_a_plain_int_oracle(capsys):
     rng = random.Random(31)
     odds = [1, 5, 27, 67, 10027] + [rng.getrandbits(b - 1) | 1 << (b - 1) | 1 for b in (64, 200, 500, 2000)]
+    # the hard numbers (4^k - 1)/3: one record, carried all the way to 2^(2k)
+    odds += [(4**k - 1) // 3 for k in (1, 2, 6, 31, 70)]
     cases = [((str(n),), n, collatzbin.DEFAULT_CAP) for n in odds]
     # perfbench's 20,000-bit decompose: past the int/str limit, under its cap
     big = rng.getrandbits(19999) | 1 << 19999 | 1
@@ -266,6 +268,13 @@ def test_cap_env_var(capsys, monkeypatch):
     assert (code, out) == (0, "111\n")
     monkeypatch.setenv("COLLATZBIN_CAP", "zero")
     assert run(capsys, "stopping-time", "27")[0] == 1
+    # a budget below 1 is refused from either source
+    monkeypatch.setenv("COLLATZBIN_CAP", "0")
+    assert run(capsys, "stopping-time", "27") == (1, "", "error: COLLATZBIN_CAP must be >= 1, got 0\n")
+    monkeypatch.delenv("COLLATZBIN_CAP")
+    for command in ("stopping-time", "trace", "decompose"):
+        for cap in ("0", "-1"):
+            assert run(capsys, command, "7", "--cap", cap) == (1, "", f"error: --cap must be >= 1, got {cap}\n")
 
 
 def _sha(stream):
@@ -308,6 +317,7 @@ def test_numpy_loads_only_with_the_verifier():
         "import collatzbin.cli\n"
         "assert collatzbin.cli.main(['stopping-time', '27']) == 0\n"
         "assert 'numpy' not in sys.modules\n"
+        "assert 'dataclasses' not in sys.modules\n"
         "import collatzbin\n"
         "collatzbin.verify_range(1, 10)\n"
         "assert 'numpy' in sys.modules\n"

@@ -1,68 +1,28 @@
-"""Exponent-list arithmetic: merge, carries, shifts, derivations."""
+"""Merge derivations: records, the carry, shifts, and the rendered sets."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from collatzbin import (
-    BinaryNat,
-    CapExceeded,
-    DomainError,
-    ExponentMultiset,
-    ParityError,
-    PowerSum,
-    derivation_trace,
-    from_powersum,
-    odd_chain,
-    to_powersum,
-)
-from collatzbin.powersum import hard_closed_form, shift_powers
+from collatzbin import CapExceeded, ParityError, derivation_trace, odd_chain, render_derivation
+from collatzbin.powersum import DerivationRecord, hard_closed_form
+from collatzbin.traceio import _exponent_sets
 
-from conftest import bn
+from conftest import bn, derivation_lines, derivation_rows, exponents
 
 
-def ps(*exps):
-    return PowerSum(tuple(exps))
-
-
-def value_of(exponents):
-    return sum(2**e for e in exponents)
-
-
-def merge(n):
-    # the first record of a derivation carries 3n+1 = 2n + n + 1 from n
-    return derivation_trace(bn(n))[0].after
+def value_of(exps):
+    return sum(1 << e for e in exps)
 
 
 def one_bits(v):
     return tuple(i for i in range(v.bit_length() - 1, -1, -1) if v >> i & 1)
 
 
-def test_powersum_validation():
-    for exps, message in (
-        ((), "a power sum needs at least one term"),
-        ((3, 3), "exponents must strictly decrease, got (3, 3)"),
-        ((1, 2), "exponents must strictly decrease, got (1, 2)"),
-        ((2, -1), "negative exponent in (2, -1)"),
-        ((-1, 2), "negative exponent in (-1, 2)"),  # the sign is checked before the order
-    ):
-        with pytest.raises(DomainError) as exc:
-            PowerSum(exps)
-        assert str(exc.value) == message
-    assert str(ps(6, 1, 0)) == "{6,1,0}"
-    assert str(ExponentMultiset([0, 3, 3])) == "{3,3,0}"
-
-
-def test_to_powersum_examples():
-    assert to_powersum(bn(67)) == ps(6, 1, 0)
-    assert to_powersum(bn(1)) == ps(0)
-    assert to_powersum(bn(202)) == ps(7, 6, 3, 1)
-
-
-@given(st.integers(min_value=1, max_value=10**30))
-def test_powersum_roundtrip(n):
-    p = to_powersum(bn(n))
-    assert value_of(p.exponents) == n
-    assert from_powersum(p) == bn(n)
+def test_merge_examples():
+    # before is the one digits of n, after those of 3n + 1 (202 for 67)
+    assert derivation_lines(67)[0][1:4:2] == ((6, 1, 0), (7, 6, 3, 1))
+    assert derivation_lines(1)[0][1:4:2] == ((0,), (2,))
+    assert derivation_lines(5)[0][1:4:2] == ((2, 0), (4,))
 
 
 @given(
@@ -71,37 +31,32 @@ def test_powersum_roundtrip(n):
     )
 )
 @settings(max_examples=40)
-def test_to_powersum_matches_plain_int_bits(n):
-    assert to_powersum(BinaryNat.from_int(n)).exponents == one_bits(n)
-
-
-def test_merge_examples():
-    assert merge(67) == ps(7, 6, 3, 1)
-    assert merge(1) == ps(2)
-    assert merge(5) == ps(4)
+def test_exponent_sets_match_plain_int_bits(n):
+    # no decimals: the sets alone, for values past the int/str limit too
+    n |= 1
+    t = 3 * n + 1
+    [(before, raw, after)] = _exponent_sets([DerivationRecord(n, (t & -t).bit_length() - 1)], ",")
+    assert exponents(before) == one_bits(n)
+    assert exponents(raw) == tuple(sorted([e + 1 for e in one_bits(n)] + list(one_bits(n)) + [0], reverse=True))
+    assert exponents(after) == one_bits(t)
 
 
 def test_merge_exhaustive_against_bit_engine():
     for n in range(1, 1 << 12, 2):
-        assert from_powersum(merge(n)) == bn(n).mul3_add1()
+        _, before, raw, after, _, _ = derivation_lines(n)[0]
+        tripled = bn(n).mul3_add1().to_int()
+        assert value_of(before) == n
+        assert value_of(raw) == value_of(after) == tripled
 
 
-def test_shift_examples():
-    assert shift_powers(ps(7, 6, 3, 1), 1) == ps(6, 5, 2, 0)
-    assert shift_powers(ps(4), 4) == ps(0)
-    p = ps(5, 2)
-    assert shift_powers(p, 0) is p
-    with pytest.raises(ParityError):
-        shift_powers(ps(4, 2), 3)
-    with pytest.raises(ParityError):
-        shift_powers(ps(4, 2), -1)
-
-
-@given(st.integers(min_value=1, max_value=10**20), st.integers(min_value=0, max_value=30))
-def test_shift_matches_bit_engine(odd, k):
-    n = (2 * odd - 1) << k
-    v = bn(n)
-    assert from_powersum(shift_powers(to_powersum(v), k)) == v.shift_right(k)
+@given(st.integers(min_value=0, max_value=10**20))
+def test_shift_matches_bit_engine(k):
+    # the carried set shifted down by h is the bit engine's 3n+1 halved h times
+    n = 2 * k + 1
+    _, _, _, after, h, nxt = derivation_lines(n)[0]
+    tripled = bn(n).mul3_add1()
+    assert h == tripled.trailing_zeros()
+    assert value_of(e - h for e in after) == tripled.shift_right(h).to_int() == nxt
 
 
 def test_geometric_identity():
@@ -109,8 +64,9 @@ def test_geometric_identity():
     # (4^k - 1)/3, whose one more 2^0 carries it all to 2^(2k) in one record
     for k in (1, 2, 6, 31, 70):
         a = hard_closed_form(k)[0]
-        assert derivation_trace(a) == [
-            (to_powersum(a), ExponentMultiset([*range(2 * k), 0]), ps(2 * k), 2 * k)
+        assert derivation_trace(a) == [(a.to_int(), 2 * k)]
+        assert derivation_lines(a.to_int()) == [
+            (a.to_int(), one_bits(a.to_int()), (*range(2 * k - 1, -1, -1), 0), (2 * k,), 2 * k, 1)
         ]
 
 
@@ -123,23 +79,21 @@ def test_hard_closed_form():
 def test_derivation_trace_worked_chain():
     records = derivation_trace(bn(67))
     assert len(records) == 8
-    assert records[0].before == ps(6, 1, 0)
-    assert records[0].raw.exponents == (7, 6, 2, 1, 1, 0, 0)
-    assert records[0].after == ps(7, 6, 3, 1)
-    assert records[0].shift == 1
-    assert records[1].before == ps(6, 5, 2, 0)  # 101
-    last = records[-1]
-    assert shift_powers(last.after, last.shift) == ps(0)
+    assert records[0] == (67, 1)
+    assert records[1].value == 101
+    rows = derivation_lines(67)
+    assert rows[0][1:] == ((6, 1, 0), (7, 6, 2, 1, 1, 0, 0), (7, 6, 3, 1), 1, 101)
+    assert rows[1][1] == (6, 5, 2, 0)  # 101
+    last = rows[-1]
+    assert tuple(e - last[4] for e in last[3]) == (0,)
+    assert last[5] == 1
 
 
 def test_derivation_trace_small_cases():
-    recs5 = derivation_trace(bn(5))
-    assert recs5 == [(ps(2, 0), ExponentMultiset([3, 2, 1, 0, 0]), ps(4), 4)]
-    recs1 = derivation_trace(bn(1))
-    assert len(recs1) == 1
-    assert recs1[0].before == ps(0)
-    assert recs1[0].after == ps(2)
-    assert recs1[0].shift == 2
+    assert derivation_trace(bn(5)) == [(5, 4)]
+    assert render_derivation(derivation_trace(bn(5))) == "5 = {2,0} -> {3,2,1,0,0} -> {4} -> shift 4 -> 1\n"
+    assert derivation_trace(bn(1)) == [(1, 2)]
+    assert render_derivation(derivation_trace(bn(1))) == "1 = {0} -> {1,0,0} -> {2} -> shift 2 -> 1\n"
 
 
 def test_derivation_trace_guards():
@@ -155,10 +109,8 @@ def test_derivation_endpoints_match_odd_chain(k):
     # n = 1 is excluded: its derivation holds the one cycle record while
     # the odd chain stops at [1] without looping
     n = 2 * k + 1
-    records = derivation_trace(bn(n))
-    odds = [from_powersum(r.before) for r in records]
-    odds.append(from_powersum(shift_powers(records[-1].after, records[-1].shift)))
-    assert odds == odd_chain(bn(n))
+    rows = derivation_lines(n)
+    assert [bn(row[0]) for row in rows] + [bn(rows[-1][5])] == odd_chain(bn(n))
 
 
 def _short_orbit_start(shifts):
@@ -204,12 +156,14 @@ def test_derivation_records_match_plain_ints(n, cap):
             derivation_trace(bn(n), cap)
         return
     records = derivation_trace(bn(n), cap)
-    assert len(records) == len(walk)
-    assert value_of(records[0].before.exponents) == n
-    for rec, nxt, (v, t, h) in zip(records, records[1:] + [None], walk):
-        assert rec.before.exponents == one_bits(v)
-        assert sum(1 << e for e in rec.raw.exponents) == 3 * value_of(rec.before.exponents) + 1 == t
-        assert rec.after.exponents == one_bits(t)
-        assert rec.shift == h
-        landing = tuple(e - h for e in rec.after.exponents)
-        assert landing == (nxt.before.exponents if nxt is not None else (0,))
+    assert records == [(v, h) for v, _, h in walk]
+    # the rendered sets: one digits of v, 2v + v + 1 before carrying, one
+    # digits of 3v + 1, each landing on the next line's value
+    rows = derivation_rows(render_derivation(records))
+    assert len(rows) == len(walk)
+    for (value, before, raw, after, shift, nxt), (v, t, h) in zip(rows, walk):
+        assert value == v and before == one_bits(v)
+        assert list(raw) == sorted(raw, reverse=True)
+        assert value_of(raw) == 3 * value_of(before) + 1 == t
+        assert after == one_bits(t)
+        assert shift == h and tuple(e - h for e in after) == one_bits(nxt)
