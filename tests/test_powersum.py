@@ -18,6 +18,13 @@ def one_bits(v):
     return tuple(i for i in range(v.bit_length() - 1, -1, -1) if v >> i & 1)
 
 
+def test_to_powersum_examples():
+    # a value's power sum is its one digits: 67, 1, and 202 = 3 * 67 + 1
+    assert derivation_lines(67)[0][1] == (6, 1, 0)
+    assert derivation_lines(1)[0][1] == (0,)
+    assert derivation_lines(67)[0][3] == (7, 6, 3, 1)
+
+
 def test_merge_examples():
     # before is the one digits of n, after those of 3n + 1 (202 for 67)
     assert derivation_lines(67)[0][1:4:2] == ((6, 1, 0), (7, 6, 3, 1))
