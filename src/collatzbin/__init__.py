@@ -16,10 +16,7 @@ from .classify import NumberClass, classify, hard_number
 from .collatz import (
     DEFAULT_CAP,
     CollatzTrace,
-    ReducedStepResult,
     StepKind,
-    odd_chain,
-    reduced_step,
     sequence,
     step,
     stopping_time,
@@ -45,12 +42,9 @@ __all__ = [
     "DEFAULT_CAP",
     "StepKind",
     "CollatzTrace",
-    "ReducedStepResult",
     "step",
-    "reduced_step",
     "sequence",
     "stopping_time",
-    "odd_chain",
     "Step",
     "CompositionPath",
     "decompose",

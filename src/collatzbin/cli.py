@@ -60,11 +60,11 @@ def _cmd_trace(args) -> int:
     cap = _cap_of(args)
     if args.format == "table":
         try:
-            chain = collatz.odd_chain(n, cap)
+            records = derivation_trace(n.shift_right(n.trailing_zeros()), cap)
         except CapExceeded:
             print("truncated")
             return 0
-        out = traceio.render_table(chain)
+        out = traceio.render_table(records)
     else:
         trace = collatz.sequence(n, cap)
         if args.format == "scratch":

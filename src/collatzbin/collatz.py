@@ -1,10 +1,10 @@
-"""The 3n+1 map on binary strings, plus its odd-to-odd contraction.
+"""The 3n+1 map on binary strings.
 
-T(n) is 3n+1 for odd n and n/2 for even n. The reduced map folds every
-run of halvings into one move: tripling an odd number then stripping the
-trailing zeros lands directly on the next odd iterate. Sequences carry an
-explicit step cap because convergence to 1 is conjectural; hitting the cap
-is reported, never looped through.
+T(n) is 3n+1 for odd n and n/2 for even n. Sequences carry an explicit
+step cap because convergence to 1 is conjectural; hitting the cap is
+reported, never looped through. The odd-to-odd contraction, which folds
+every run of halvings into one move, is powersum.derivation_trace: it
+walks plain ints, one record per odd value and its shift.
 """
 
 from __future__ import annotations
@@ -22,12 +22,9 @@ __all__ = [
     "StepKind",
     "TraceEntry",
     "CollatzTrace",
-    "ReducedStepResult",
     "step",
-    "reduced_step",
     "sequence",
     "stopping_time",
-    "odd_chain",
 ]
 
 # conjecture is open: every iteration bounds its step count
@@ -65,31 +62,10 @@ class CollatzTrace(NamedTuple):
     truncated: bool
 
 
-class ReducedStepResult(NamedTuple):
-    odd_result: BinaryNat
-    stripped_exponent: int
-    t_steps_consumed: int
-
-
 def step(n: BinaryNat) -> tuple[BinaryNat, StepKind]:
     if n.is_odd():
         return n.mul3_add1(), StepKind.ODD
     return n.half(), StepKind.EVEN
-
-
-def reduced_step(n: BinaryNat) -> ReducedStepResult:
-    """Jump to the next odd iterate, counting the halvings folded in.
-
-    Odd n: strip the trailing zeros of 3n+1 (exponent m, consuming m+1
-    plain steps). Even n: just strip (consuming m steps). 1 is mapped
-    through its full cycle 1 -> 4 -> 2 -> 1, so the result is (1, 2, 3).
-    """
-    if n.is_odd():
-        tripled = n.mul3_add1()
-        m = tripled.trailing_zeros()
-        return ReducedStepResult(tripled.shift_right(m), m, m + 1)
-    m = n.trailing_zeros()
-    return ReducedStepResult(n.shift_right(m), m, m)
 
 
 def sequence(n: BinaryNat, max_steps: int = DEFAULT_CAP) -> CollatzTrace:
@@ -124,21 +100,3 @@ def stopping_time(n: BinaryNat, cap: int = DEFAULT_CAP) -> int:
         if value.is_one():
             return i
     raise CapExceeded(f"no convergence within {cap} steps from 0b{n.bits}")
-
-
-def odd_chain(n: BinaryNat, cap: int = DEFAULT_CAP) -> list[BinaryNat]:
-    """Odd iterates from the odd part of n down to 1, inclusive.
-
-    cap bounds the number of reduced steps taken.
-    """
-    m = n.trailing_zeros()
-    value = n.shift_right(m) if m else n
-    chain = [value]
-    for _ in range(cap):
-        if value.is_one():
-            return chain
-        value = reduced_step(value).odd_result
-        chain.append(value)
-    if value.is_one():
-        return chain
-    raise CapExceeded(f"odd chain from 0b{n.bits} still open after {cap} reduced steps")

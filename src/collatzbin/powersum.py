@@ -46,7 +46,9 @@ def hard_closed_form(k: int) -> tuple[BinaryNat, BinaryNat]:
 def derivation_trace(n: BinaryNat, cap: int = DEFAULT_CAP) -> list[DerivationRecord]:
     """Replay the merge/shift derivation from odd n down to 1.
 
-    One record per reduced step, ending with the one that lands on 1.
+    This is the package's walk of the reduced, odd-to-odd map: one record
+    per reduced step, ending with the one that lands on 1, and cap bounds
+    the number of records. The table and the derivation renderers read it.
     Always produces at least one record, so 1 yields its cycle record
     (1, 2): {0} -> {1,0,0} -> {2} -> shift 2 -> {0}.
     """

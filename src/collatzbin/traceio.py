@@ -1,4 +1,4 @@
-"""Text renderings of traces, chains, and merge derivations.
+"""Text renderings of traces and merge derivations.
 
 Five formats. "table" pairs each odd value with its tripled successor,
 one row per reduced step. "scratch" lays the full orbit out one line per
@@ -23,7 +23,7 @@ from __future__ import annotations
 from itertools import compress
 from typing import Iterator
 
-from .bitnat import BinaryNat, int_to_decimal
+from .bitnat import int_to_decimal
 from .collatz import CollatzTrace, StepKind
 from .errors import DomainError
 from .powersum import DerivationRecord
@@ -37,25 +37,19 @@ __all__ = [
 ]
 
 
-def render_table(chain: list[BinaryNat]) -> str:
-    """One row per odd value n: "n=(bits)₂ → (bits of 3n+1)₂".
+def render_table(records: list[DerivationRecord]) -> str:
+    """One row per derivation record v: "v=(bits)₂ → (bits of 3v+1)₂".
 
-    The closing 1 gets no row of its own (its successor starts the
-    trivial cycle), except that the bare chain [1] renders as the single
-    terminal row "1=(1)₂".
+    The 1 a derivation lands on gets no row of its own (its successor
+    starts the trivial cycle), except that the derivation of 1, [(1, 2)],
+    renders as the single terminal row "1=(1)₂". Every decimal is
+    converted before the text is returned.
     """
-    if not chain:
-        raise DomainError("cannot render an empty chain")
-    rows = []
-    for n in chain:
-        if n.is_one() and len(chain) > 1:
-            break
-        left = f"{n.to_decimal()}=({n.bits})₂"
-        if n.is_one():
-            rows.append(left)
-            continue
-        rows.append(f"{left} → ({n.mul3_add1().bits})₂")
-    return "\n".join(rows) + "\n"
+    if not records:
+        raise DomainError("cannot render an empty derivation")
+    if records[0].value == 1:
+        return "1=(1)₂\n"
+    return "".join(f"{int_to_decimal(v)}=({v:b})₂ → ({3 * v + 1:b})₂\n" for v, _ in records)
 
 
 def render_scratch(trace: CollatzTrace) -> str:
@@ -123,7 +117,7 @@ def render_machine(obj: CollatzTrace | list[DerivationRecord]) -> str:
     start); the final line is annotated "truncated" when the walk ran
     out of budget. Derivations: kind is "merge" and the annotations
     field carries the raw and carried exponent lists plus the shift.
-    Anything else, an odd chain included, raises DomainError.
+    Anything else, such as a list of BinaryNat values, raises DomainError.
     """
     lines = []
     if isinstance(obj, CollatzTrace):

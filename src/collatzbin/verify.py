@@ -435,6 +435,8 @@ def _as_int(n: IntLike, name: str) -> int:
 
 
 def _run(state: Checkpoint, jobs: int, checkpoint_path: Optional[Union[str, Path]]) -> Checkpoint:
+    if jobs < 1:
+        raise DomainError(f"jobs must be >= 1, got {jobs}")
     _ensure_tables(state.hi)
     chunks = [
         (a, min(a + state.chunk_size, state.hi))
@@ -451,9 +453,11 @@ def _run(state: Checkpoint, jobs: int, checkpoint_path: Optional[Union[str, Path
     if jobs > 1 and len(chunks) > 1:
         # tables are inherited by forked workers; results stream in order.
         # Workers ignore Ctrl-C: on it the queued chunks are dropped, and the
-        # file keeps the last merged state.
+        # file keeps the last merged state. The fork context starts every
+        # worker on the first submit, so the pool is no larger than needed.
         ctx = multiprocessing.get_context("fork")
-        pool = ProcessPoolExecutor(jobs, ctx, signal.signal, (signal.SIGINT, signal.SIG_IGN))
+        workers = min(jobs, len(chunks))
+        pool = ProcessPoolExecutor(workers, ctx, signal.signal, (signal.SIGINT, signal.SIG_IGN))
         try:
             consume(pool.map(_chunk_stats, chunks, caps))
         finally:
@@ -480,8 +484,6 @@ def verify_range(
         raise DomainError(f"step_cap must be >= 1, got {step_cap}")
     if chunk_size < 1:
         raise DomainError(f"chunk_size must be >= 1, got {chunk_size}")
-    if jobs < 1:
-        raise DomainError(f"jobs must be >= 1, got {jobs}")
     state = Checkpoint(lo_i, hi_i, step_cap, chunk_size, lo_i)
     return _run(state, jobs, checkpoint_path)
 

@@ -16,7 +16,6 @@ from collatzbin import (
     classify,
     derivation_trace,
     hard_number,
-    odd_chain,
     sequence,
     step,
     stopping_time,
@@ -24,7 +23,6 @@ from collatzbin import (
     checkpoint_resume,
     summarize,
 )
-from collatzbin.collatz import reduced_step
 from collatzbin.compose import Step, decompose, tree_path
 from collatzbin import verify as verify_mod
 from collatzbin.traceio import render_derivation, render_machine, render_table
@@ -62,7 +60,7 @@ def test_criterion_02_stopping_time_78736985():
 
 
 def test_criterion_03_table_golden():
-    rendered = render_table(odd_chain(bn(10027)))
+    rendered = render_table(derivation_trace(bn(10027)))
     golden = GOLDEN.read_text(encoding="utf-8")
     assert rendered == golden
     lines = rendered.splitlines()
@@ -84,7 +82,7 @@ def test_criterion_04_10027_figures_reconciled():
     assert sigma == oracle_sigma == 91
     # every golden row is arithmetically consistent and chains correctly
     rows = GOLDEN.read_text(encoding="utf-8").splitlines()
-    chain = [v.to_int() for v in odd_chain(bn(10027))]
+    chain = [e.value.to_int() for e in sequence(bn(10027), 200).entries if e.value.is_odd()]
     assert len(rows) == len(chain) - 1
     for row, value, nxt in zip(rows, chain, chain[1:]):
         left, right = row.split(" → ")
@@ -123,7 +121,7 @@ def test_criterion_05_derivation_of_67():
     )
     _, _, _, after, shift, nxt = rows[-1]
     assert tuple(e - shift for e in after) == (0,) and nxt == 1
-    chain = [v.to_int() for v in odd_chain(bn(67))]
+    chain = [e.value.to_int() for e in sequence(bn(67), 200).entries if e.value.is_odd()]
     assert chain == [row[0] for row in rows] + [1] == [67, 101, 19, 29, 11, 17, 13, 5, 1]
     # the geometric identity 2^(2k-1) + ... + 2 + 1 = 4^k - 1: the raw
     # multiset of a_k = (4^k - 1)/3 carries to 2^(2k) in one line
@@ -232,7 +230,8 @@ def test_criterion_10_powersum_equals_bitstring_engine():
                 assert after == one_digits
                 assert shift == after[-1] == rec.shift
                 assert bn(nxt) == BinaryNat.from_int(sum(1 << (e - shift) for e in after))
-                assert bn(nxt) == reduced_step(v).odd_result
+                assert rec.shift == tripled.trailing_zeros()
+                assert bn(nxt) == tripled.shift_right(rec.shift)
                 # the machine line carries the same value, sets and shift
                 index, decimal, bits, kind, annotations = fields
                 assert (int(index), int(decimal), bits, kind) == (i, value, v.bits, "merge")
@@ -246,7 +245,7 @@ def test_criterion_10_powersum_equals_bitstring_engine():
         for n in sample:
             rows = derivation_lines(n)
             odds = [bn(row[0]) for row in rows] + [bn(rows[-1][5])]
-            assert odds == odd_chain(bn(n))
+            assert odds == [e.value for e in sequence(bn(n)).entries if e.value.is_odd()]
         return steps
 
     steps, ms = timed(run)

@@ -131,6 +131,41 @@ def test_trace_table(capsys):
     assert code == 0
     assert len(out.splitlines()) == 8
     assert out.splitlines()[-1] == "5=(101)₂ → (10000)₂"
+    # an even input starts from its odd part, 12 from 3 and 16 from 1
+    assert run(capsys, "trace", "12", "--format", "table") == (
+        0, "3=(11)₂ → (1010)₂\n5=(101)₂ → (10000)₂\n", ""
+    )
+    assert run(capsys, "trace", "16", "--format", "table") == (0, "1=(1)₂\n", "")
+
+
+def _table_oracle(n, cap):
+    """`trace --format table` text: one row per odd value from the odd part
+    of n, or "truncated" when the walk is still open after cap rows."""
+    v = n >> ((n & -n).bit_length() - 1)
+    if v == 1:
+        return "1=(1)₂\n"
+    rows = []
+    while v != 1:
+        if len(rows) == cap:
+            return "truncated\n"
+        t = 3 * v + 1
+        rows.append(f"{v}=({v:b})₂ → ({t:b})₂\n")
+        v = t >> ((t & -t).bit_length() - 1)
+    return "".join(rows)
+
+
+def test_trace_table_matches_a_plain_int_oracle(capsys):
+    # every n < 2^10, 1 and 16 and the even values among them included
+    rng = random.Random(47)
+    values = list(range(1, 1 << 10))
+    values += [rng.getrandbits(b - 1) | 1 << (b - 1) for b in (64, 500, 2000) for _ in range(3)]
+    cases = [((str(n),), n, collatzbin.DEFAULT_CAP) for n in values]
+    # 27 lands on 1 in exactly 41 reduced steps: truncated at cap 40
+    cases += [((str(27), "--cap", str(cap)), 27, cap) for cap in (40, 41)]
+    assert _table_oracle(27, 40) == "truncated\n"
+    for args, n, cap in cases:
+        text = _table_oracle(n, cap)
+        assert run(capsys, "trace", *args, "--format", "table") == (0, text, ""), n
 
 
 def test_trace_scratch_default(capsys):
@@ -428,6 +463,17 @@ def test_verify_resume_rejects_conflicting_settings(tmp_path, capsys):
     code, _, _ = run(capsys, "verify", "1", "5000", "--resume", "--checkpoint", str(ck),
                      "--jobs", "1", "--cap", "100000", "--chunk", "512")
     assert code == 0
+
+
+def test_verify_resume_checks_jobs(tmp_path, capsys):
+    ck = tmp_path / "state.txt"
+    assert run(capsys, "verify", "1", "5000", "--jobs", "1", "--chunk", "512",
+               "--checkpoint", str(ck))[0] == 0
+    for jobs in ("0", "-5"):
+        code, out, err = run(
+            capsys, "verify", "1", "5000", "--resume", "--checkpoint", str(ck), "--jobs", jobs
+        )
+        assert (code, out, err) == (1, "", f"error: jobs must be >= 1, got {jobs}\n")
 
 
 def test_verify_resume_rejects_edited_checkpoint(tmp_path, capsys):

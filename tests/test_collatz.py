@@ -8,8 +8,7 @@ from hypothesis import given, settings, strategies as st
 from collatzbin import (
     CapExceeded,
     StepKind,
-    odd_chain,
-    reduced_step,
+    derivation_trace,
     sequence,
     step,
     stopping_time,
@@ -43,23 +42,29 @@ def test_step_oracle(n):
         assert value < bn(n)  # halving falls
 
 
+def odd_values(n):
+    # the odd values of a derivation, that is of its reduced steps, in order
+    return [v for v, _ in derivation_trace(bn(n))]
+
+
 def test_reduced_step_examples():
-    assert reduced_step(bn(67)) == (bn(101), 1, 2)
-    assert reduced_step(bn(12)) == (bn(3), 2, 2)
-    assert reduced_step(bn(255)) == (bn(383), 1, 2)
+    # a record is one reduced step: the odd value and the halvings of 3v + 1
+    # down to the value the next record starts from
+    assert derivation_trace(bn(67))[0] == (67, 1) and odd_values(67)[1] == 101
+    assert derivation_trace(bn(255))[0] == (255, 1) and odd_values(255)[1] == 383
     # 1 contracts its whole cycle
-    assert reduced_step(bn(1)) == (bn(1), 2, 3)
+    assert derivation_trace(bn(1)) == [(1, 2)]
 
 
-@given(st.integers(min_value=2, max_value=10**25))
-def test_reduced_step_oracle(n):
-    res = reduced_step(bn(n))
-    t = 3 * n + 1 if n & 1 else n
+@given(st.integers(min_value=1, max_value=10**25))
+def test_reduced_step_oracle(k):
+    n = 2 * k + 1
+    records = derivation_trace(bn(n))
+    t = 3 * n + 1
     m = (t & -t).bit_length() - 1
-    assert res.odd_result.to_int() == t >> m
-    assert res.stripped_exponent == m
-    assert res.t_steps_consumed == m + (1 if n & 1 else 0)
-    assert res.odd_result.is_odd()
+    assert records[0] == (n, m)
+    nxt = records[1].value if len(records) > 1 else 1
+    assert nxt == t >> m and nxt & 1
 
 
 def test_sequence_examples():
@@ -120,38 +125,38 @@ def test_stopping_time_fuzz_oracle():
 
 
 def test_odd_chain_examples():
-    assert [v.to_int() for v in odd_chain(bn(67))] == [67, 101, 19, 29, 11, 17, 13, 5, 1]
-    assert [v.to_int() for v in odd_chain(bn(16))] == [1]
-    assert [v.to_int() for v in odd_chain(bn(10027))][:4] == [10027, 15041, 11281, 8461]
-    assert [v.to_int() for v in odd_chain(bn(1))] == [1]
+    # a derivation stops before the 1 it lands on
+    assert odd_values(67) == [67, 101, 19, 29, 11, 17, 13, 5]
+    assert odd_values(10027)[:4] == [10027, 15041, 11281, 8461]
+    # 16's chain is the derivation of its odd part, 1: the one cycle record
+    assert derivation_trace(bn(16).shift_right(4)) == derivation_trace(bn(1)) == [(1, 2)]
 
 
 def test_odd_chain_cap_signal():
     with pytest.raises(CapExceeded):
-        odd_chain(bn(27), cap=3)
-    assert len(odd_chain(bn(27), cap=41)) == 42
+        derivation_trace(bn(27), cap=3)
+    with pytest.raises(CapExceeded):
+        derivation_trace(bn(27), cap=40)
+    assert len(derivation_trace(bn(27), cap=41)) == 41
 
 
 @given(st.integers(min_value=1, max_value=10**6))
 @settings(max_examples=60)
 def test_odd_chain_agrees_with_sequence(n):
-    # collapsing the halving runs of the full walk gives the odd chain
+    # collapsing the halving runs of the full walk gives the derivation's
+    # odd values, then 1; a power of two's odd part is 1 itself
     t = sequence(bn(n), 10**4)
-    odd_values = [e.value for e in t.entries[: t.stopping_time + 1] if e.value.is_odd()]
-    assert odd_chain(bn(n)) == odd_values
+    odds = [e.value.to_int() for e in t.entries[: t.stopping_time + 1] if e.value.is_odd()]
+    odd_part = n >> ((n & -n).bit_length() - 1)
+    assert odds == ([] if odd_part == 1 else odd_values(odd_part)) + [1]
 
 
-@given(st.integers(min_value=1, max_value=10**6))
+@given(st.integers(min_value=1, max_value=5 * 10**5))
 @settings(max_examples=60)
-def test_reduced_steps_account_for_all_plain_steps(n):
-    v = bn(n)
-    total = v.trailing_zeros()
-    x = v.shift_right(total) if total else v
-    while not x.is_one():
-        res = reduced_step(x)
-        total += res.t_steps_consumed
-        x = res.odd_result
-    assert total == stopping_time(v)
+def test_reduced_steps_account_for_all_plain_steps(k):
+    # a record is one tripling and its halvings: shift + 1 plain steps
+    n = 2 * k + 1
+    assert sum(shift + 1 for _, shift in derivation_trace(bn(n))) == stopping_time(bn(n))
 
 
 def end_substring(v):

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from collatzbin import CapExceeded, ParityError, derivation_trace, odd_chain, render_derivation
+from collatzbin import CapExceeded, ParityError, derivation_trace, render_derivation, sequence
 from collatzbin.powersum import DerivationRecord, hard_closed_form
 from collatzbin.traceio import _exponent_sets
 
@@ -113,11 +113,13 @@ def test_derivation_trace_guards():
 @given(st.integers(min_value=1, max_value=5000))
 @settings(max_examples=40)
 def test_derivation_endpoints_match_odd_chain(k):
-    # n = 1 is excluded: its derivation holds the one cycle record while
-    # the odd chain stops at [1] without looping
+    # the rendered values and the last next value are the odd entries of
+    # the full walk; n = 1 is excluded: its derivation holds the one cycle
+    # record while the walk stops at 1 without looping
     n = 2 * k + 1
     rows = derivation_lines(n)
-    assert [bn(row[0]) for row in rows] + [bn(rows[-1][5])] == odd_chain(bn(n))
+    odds = [e.value for e in sequence(bn(n)).entries if e.value.is_odd()]
+    assert [bn(row[0]) for row in rows] + [bn(rows[-1][5])] == odds
 
 
 def _short_orbit_start(shifts):

@@ -9,7 +9,6 @@ from collatzbin import (
     BinaryNat,
     DomainError,
     derivation_trace,
-    odd_chain,
     render_machine,
     render_points,
     render_scratch,
@@ -23,7 +22,7 @@ GOLDEN = Path(__file__).parent / "goldens" / "table_10027.txt"
 
 
 def test_table_golden_10027():
-    out = render_table(odd_chain(bn(10027)))
+    out = render_table(derivation_trace(bn(10027)))
     assert out == GOLDEN.read_text(encoding="utf-8")
     lines = out.splitlines()
     assert len(lines) == 30
@@ -32,11 +31,11 @@ def test_table_golden_10027():
 
 
 def test_table_shapes():
-    out = render_table(odd_chain(bn(67)))
+    out = render_table(derivation_trace(bn(67)))
     assert len(out.splitlines()) == 8
     assert out.splitlines()[0] == "67=(1000011)₂ → (11001010)₂"
-    # the bare chain [1] is a single terminal row
-    assert render_table([bn(1)]) == "1=(1)₂\n"
+    # the derivation of 1, its one cycle record, is a single terminal row
+    assert render_table(derivation_trace(bn(1))) == "1=(1)₂\n"
     with pytest.raises(DomainError):
         render_table([])
 
@@ -116,9 +115,9 @@ def test_machine_trace_fields():
 
 
 def test_machine_rejects_odd_chain():
-    # machine records cover traces and derivations only
+    # machine records cover traces and derivations only, not bare odd values
     with pytest.raises(DomainError):
-        render_machine(odd_chain(bn(67)))
+        render_machine([bn(67), bn(101), bn(19)])
 
 
 def test_machine_derivation_fields():
@@ -131,9 +130,8 @@ def test_machine_derivation_fields():
 
 def test_all_renderers_end_with_newline():
     trace = sequence(bn(7), 100)
-    chain = odd_chain(bn(7))
     for blob in (
-        render_table(chain),
+        render_table(derivation_trace(bn(7))),
         render_scratch(trace),
         render_points(trace),
         render_machine(trace),

@@ -143,6 +143,25 @@ def test_report_independent_of_workers():
         assert verify_range(1, 200000, jobs=jobs) == serial
 
 
+def test_pool_starts_no_more_workers_than_chunks(monkeypatch):
+    # a stand-in pool that records its size and maps in this process
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers, *args):
+            sizes.append(max_workers)
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", Pool)
+    assert verify_range(1, 4, chunk_size=1, jobs=64) == verify_range(1, 4, chunk_size=1)
+    assert sizes == [3]
+
+
 def test_window_reports_match_oracle():
     rng = random.Random(31337)
     for _ in range(60):
@@ -331,6 +350,16 @@ def test_checkpoint_written_during_verify(tmp_path, monkeypatch):
     assert saved.verified_count == r.verified_count
     # one write per merged chunk (9), none after the last
     assert writes == [*range(1001, 9000, 1000), 9000]
+
+
+def test_checkpoint_resume_checks_jobs(tmp_path):
+    path = tmp_path / "ck.txt"
+    verify_range(1, 5000, chunk_size=512, checkpoint_path=path)
+    saved = path.read_bytes()
+    for jobs in (0, -5):
+        with pytest.raises(DomainError, match="jobs must be >= 1"):
+            checkpoint_resume(path, jobs=jobs)
+    assert path.read_bytes() == saved
 
 
 def test_checkpoint_missing_file():
