@@ -1,12 +1,11 @@
 """Binary-string arithmetic and verification toolkit for the 3n+1 map.
 
-Values are naturals from 1 up, stored as explicit bit strings so the
+Values are naturals from 1 up, read and printed as bit strings so the
 digit mechanics of the map stay visible: halving drops the last digit,
-and the 2-adic valuation is the length of the trailing zero run. The
-arithmetic on the strings (tripling-plus-one, decimal conversion,
-carrying power sums) goes through CPython ints. On top of that sit the
-orbit walks, the digit-class partition, the tree-path composition view,
-the power-of-two merge derivations, and a batch range verifier.
+and the 2-adic valuation is the length of the trailing zero run. Between
+reading and printing, each value is one CPython int. On top of that sit
+the orbit walks, the digit-class partition, the tree-path composition
+view, the power-of-two merge derivations, and a batch range verifier.
 
 The verifier needs numpy, so its names load on first use (PEP 562).
 """
@@ -16,7 +15,6 @@ from .classify import NumberClass, classify, hard_number
 from .collatz import (
     DEFAULT_CAP,
     CollatzTrace,
-    StepKind,
     sequence,
     step,
     stopping_time,
@@ -40,7 +38,6 @@ __all__ = [
     "classify",
     "hard_number",
     "DEFAULT_CAP",
-    "StepKind",
     "CollatzTrace",
     "step",
     "sequence",

@@ -1,21 +1,23 @@
-"""Natural numbers stored as explicit binary strings.
+"""Natural numbers read and printed as binary strings.
 
-A :class:`BinaryNat` holds the base-2 digits of a natural number as a plain
-``str`` of ``'0'``/``'1'`` characters, most significant bit first, with no
-leading zeros.  The smallest representable value is 1; zero does not exist in
-this domain, which removes an entire family of edge cases from the layers
-built on top (halving, inverse maps, power decompositions).
+A :class:`BinaryNat` is parsed from, and prints as, the base-2 digits of a
+natural number: a ``str`` of ``'0'``/``'1'`` characters, most significant
+bit first, with no leading zeros.  The smallest representable value is 1;
+zero does not exist in this domain, which removes an entire family of edge
+cases from the layers built on top (halving, inverse maps, power
+decompositions).
 
-Values stay bit strings between operations; the arithmetic on them goes
-through CPython ints and strings.  Tripling reads the string as an int and
-formats the result back, halving drops the final digit, dividing by a power
-of two strips trailing zeros, and decimal input is converted piecewise so
-that no single ``int()`` call sees more than 640 digits.
+Between parsing and printing a value is one CPython int, and every
+operation reads it: halving drops the final digit as a right shift, the
+trailing zeros are the bit length of n & -n less one, and ``bits`` formats
+the digits when it is read.  Decimal input is converted piecewise so that
+no single ``int()`` call sees more than 640 digits.
 """
 
 from __future__ import annotations
 
 import sys
+from operator import index
 
 from .errors import DomainError, ParityError
 
@@ -51,22 +53,22 @@ def int_to_decimal(n: int) -> str:
 
 
 class BinaryNat:
-    """An arbitrary-size natural number (>= 1) as an immutable bit string."""
+    """An arbitrary-size natural number (>= 1), read and printed as a bit string."""
 
-    __slots__ = ("_bits",)
+    __slots__ = ("_n",)
 
     def __init__(self, bits: str):
         if not bits or bits.strip("01"):
             raise DomainError(f"not a binary digit string: {bits!r}")
         if bits[0] != "1":
             raise DomainError(f"leading zeros are not canonical: {bits!r}")
-        self._bits = bits
+        self._n = int(bits, 2)
 
     @classmethod
-    def _raw(cls, bits: str) -> "BinaryNat":
-        # internal fast path: bits already canonical
+    def _raw(cls, n: int) -> "BinaryNat":
+        # internal fast path: n already an int >= 1
         obj = object.__new__(cls)
-        obj._bits = bits
+        obj._n = n
         return obj
 
     @classmethod
@@ -79,99 +81,96 @@ class BinaryNat:
             raise DomainError(f"not a decimal digit string: {s!r}")
         if not s.strip("0"):
             raise DomainError("0 is not a representable value")
-        return cls._raw(format(_decimal_value(s), "b"))
+        return cls._raw(_decimal_value(s))
 
     @classmethod
     def from_int(cls, n: int) -> "BinaryNat":
         """Convenience constructor from a host integer >= 1."""
+        n = index(n)  # a Python int, also from a numpy integer, which would wrap
         if n < 1:
             raise DomainError(f"value must be >= 1, got {n}")
-        return cls._raw(format(n, "b"))
+        return cls._raw(n)
 
     @property
     def bits(self) -> str:
-        return self._bits
+        return format(self._n, "b")
 
     def to_decimal(self) -> str:
         """Decimal digit string of this value.
 
         Raises DomainError past the interpreter's int/str digit limit.
         """
-        return int_to_decimal(int(self._bits, 2))
+        return int_to_decimal(self._n)
 
     def to_int(self) -> int:
         """This value as a host integer."""
-        return int(self._bits, 2)
+        return self._n
 
     # -- arithmetic ------------------------------------------------------
 
     def mul3_add1(self) -> "BinaryNat":
         """Return 3n + 1; the result of an odd input is always even."""
-        return BinaryNat._raw(format(int(self._bits, 2) * 3 + 1, "b"))
+        return BinaryNat._raw(3 * self._n + 1)
 
     def half(self) -> "BinaryNat":
         """Return n / 2 by dropping the final digit; the input must be even."""
-        if self._bits[-1] != "0":
-            raise ParityError(f"cannot halve odd value {self._bits}")
-        return BinaryNat._raw(self._bits[:-1])
+        if self._n & 1:
+            raise ParityError(f"cannot halve odd value {self.bits}")
+        return BinaryNat._raw(self._n >> 1)
 
     def shift_right(self, k: int) -> "BinaryNat":
         """Return n / 2**k; requires at least k trailing zeros."""
         if k == 0:
             return self
         if k < 0 or self.trailing_zeros() < k:
-            raise ParityError(f"{self._bits} is not divisible by 2^{k}")
-        return BinaryNat._raw(self._bits[:-k])
+            raise ParityError(f"{self.bits} is not divisible by 2^{k}")
+        return BinaryNat._raw(self._n >> k)
 
     def trailing_zeros(self) -> int:
         """Number of trailing zero digits (the exponent of 2 dividing n)."""
-        s = self._bits
-        return len(s) - len(s.rstrip("0"))
+        return (self._n & -self._n).bit_length() - 1
 
     def append_bit(self, b: int) -> "BinaryNat":
         """Append one digit: append_bit(0) is 2n, append_bit(1) is 2n + 1."""
         if b not in (0, 1):
             raise DomainError(f"bit must be 0 or 1, got {b!r}")
-        return BinaryNat._raw(self._bits + ("1" if b else "0"))
+        return BinaryNat._raw(2 * self._n + b)
 
     # -- predicates and accessors ---------------------------------------
 
     def is_odd(self) -> bool:
-        return self._bits[-1] == "1"
+        return self._n & 1 == 1
 
     def is_one(self) -> bool:
-        return self._bits == "1"
+        return self._n == 1
 
     def bit_length(self) -> int:
-        return len(self._bits)
+        return self._n.bit_length()
 
     # -- comparisons -----------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BinaryNat):
             return NotImplemented
-        return self._bits == other._bits
+        return self._n == other._n
 
     def __lt__(self, other: "BinaryNat") -> bool:
-        a, b = self._bits, other._bits
-        if len(a) != len(b):
-            return len(a) < len(b)
-        return a < b
+        return self._n < other._n
 
     def __le__(self, other: "BinaryNat") -> bool:
-        return self == other or self < other
+        return self._n <= other._n
 
     def __gt__(self, other: "BinaryNat") -> bool:
-        return not self <= other
+        return self._n > other._n
 
     def __ge__(self, other: "BinaryNat") -> bool:
-        return not self < other
+        return self._n >= other._n
 
     def __hash__(self) -> int:
-        return hash(self._bits)
+        return hash(self._n)
 
     def __str__(self) -> str:
-        return self._bits
+        return self.bits
 
     def __repr__(self) -> str:
-        return f"BinaryNat({self._bits!r})"
+        return f"BinaryNat({self.bits!r})"

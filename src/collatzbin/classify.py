@@ -32,14 +32,15 @@ class NumberClass(Enum):
 
 
 def classify(n: BinaryNat) -> NumberClass:
-    bits = n.bits
-    if bits == "1":
+    # pure even is a power of two, pure odd is 2^m - 1
+    v = n.to_int()
+    if v == 1:
         return NumberClass.ORIGIN
-    if "1" not in bits[1:]:
+    if v & (v - 1) == 0:
         return NumberClass.PURE_EVEN
-    if "0" not in bits:
+    if v & (v + 1) == 0:
         return NumberClass.PURE_ODD
-    return NumberClass.MIXED_ODD if bits[-1] == "1" else NumberClass.MIXED_EVEN
+    return NumberClass.MIXED_ODD if v & 1 else NumberClass.MIXED_EVEN
 
 
 def class_counts(lo: int, hi: int) -> dict[NumberClass, int]:

@@ -1,15 +1,16 @@
-"""The 3n+1 map on binary strings.
+"""The 3n+1 map on binary naturals.
 
-T(n) is 3n+1 for odd n and n/2 for even n. Sequences carry an explicit
-step cap because convergence to 1 is conjectural; hitting the cap is
-reported, never looped through. The odd-to-odd contraction, which folds
-every run of halvings into one move, is powersum.derivation_trace: it
-walks plain ints, one record per odd value and its shift.
+T(n) is 3n+1 for odd n and n/2 for even n. A trace is the tuple of the
+values an orbit passes through; the move that made a value is the parity
+of the value before it, so nothing else is stored. Sequences carry an
+explicit step cap because convergence to 1 is conjectural; hitting the
+cap is reported, never looped through. The odd-to-odd contraction, which
+folds every run of halvings into one move, is powersum.derivation_trace:
+it walks plain ints, one record per odd value and its shift.
 """
 
 from __future__ import annotations
 
-from enum import Enum
 from typing import NamedTuple, Optional
 
 from .bitnat import BinaryNat
@@ -19,8 +20,6 @@ __all__ = [
     "DEFAULT_CAP",
     "DEFAULT_STEP_CAP",
     "DEFAULT_CHUNK_SIZE",
-    "StepKind",
-    "TraceEntry",
     "CollatzTrace",
     "step",
     "sequence",
@@ -35,56 +34,39 @@ DEFAULT_STEP_CAP = 10**5
 DEFAULT_CHUNK_SIZE = 1 << 16
 
 
-class StepKind(Enum):
-    """Which branch of the map produced a value."""
-
-    ODD = "odd-step"
-    EVEN = "even-step"
-
-
-class TraceEntry(NamedTuple):
-    value: BinaryNat
-    kind: Optional[StepKind]  # None only for the starting entry
-
-
 class CollatzTrace(NamedTuple):
-    """A prefix of the orbit of start, one entry per iterate.
+    """A prefix of the orbit of values[0], one value per iterate.
 
-    entries[0] is start itself with kind None; entry i+1 applies one map
-    step to entry i. stopping_time is the first index holding 1, or None
-    if 1 never appears; truncated is true exactly when that happens, i.e.
-    the step budget ran out before the trace could witness convergence.
+    values[i+1] applies one map step to values[i], so it came from an odd
+    step exactly when values[i] is odd. stopping_time is the first index
+    holding 1, or None if 1 never appears: the trace is truncated, the
+    step budget ran out before it could witness convergence.
     """
 
-    start: BinaryNat
-    entries: tuple[TraceEntry, ...]
+    values: tuple[BinaryNat, ...]
     stopping_time: Optional[int]
-    truncated: bool
 
 
-def step(n: BinaryNat) -> tuple[BinaryNat, StepKind]:
-    if n.is_odd():
-        return n.mul3_add1(), StepKind.ODD
-    return n.half(), StepKind.EVEN
+def step(n: BinaryNat) -> BinaryNat:
+    """T(n): 3n + 1 for odd n, n / 2 for even n."""
+    return n.mul3_add1() if n.is_odd() else n.half()
 
 
 def sequence(n: BinaryNat, max_steps: int = DEFAULT_CAP) -> CollatzTrace:
     """Walk the orbit until 1 is appended or max_steps steps are taken.
 
-    The start counts as entry 0, not as a step, so a walk from 1 keeps
+    The start counts as value 0, not as a step, so a walk from 1 keeps
     going around the cycle until 1 comes back (three steps).
     """
-    entries = [TraceEntry(n, None)]
+    values = [n]
     stop = 0 if n.is_one() else None
-    value = n
     for i in range(1, max_steps + 1):
-        value, kind = step(value)
-        entries.append(TraceEntry(value, kind))
-        if value.is_one():
+        values.append(step(values[-1]))
+        if values[-1].is_one():
             if stop is None:
                 stop = i
             break
-    return CollatzTrace(n, tuple(entries), stop, stop is None)
+    return CollatzTrace(tuple(values), stop)
 
 
 def stopping_time(n: BinaryNat, cap: int = DEFAULT_CAP) -> int:
@@ -96,7 +78,7 @@ def stopping_time(n: BinaryNat, cap: int = DEFAULT_CAP) -> int:
         return 0
     value = n
     for i in range(1, cap + 1):
-        value, _ = step(value)
+        value = step(value)
         if value.is_one():
             return i
     raise CapExceeded(f"no convergence within {cap} steps from 0b{n.bits}")

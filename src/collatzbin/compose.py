@@ -40,9 +40,9 @@ def decompose(n: BinaryNat) -> CompositionPath:
 def tree_path(n: BinaryNat) -> list[BinaryNat]:
     """All prefixes of n's bit string as values: the root-to-n walk.
 
-    Every prefix of a canonical string starts with its leading 1, so none
-    needs validating again.
+    The prefix of i + 1 digits is n >> (bit_length - 1 - i); each starts
+    with n's leading 1, so none needs validating again.
     """
-    bits = n.bits
-    return [BinaryNat._raw(bits[: i + 1]) for i in range(len(bits))]
+    v = n.to_int()
+    return [BinaryNat._raw(v >> k) for k in range(n.bit_length() - 1, -1, -1)]
 

@@ -18,4 +18,4 @@ class CapExceeded(RuntimeError):
 
 
 class CheckpointError(RuntimeError):
-    """A checkpoint file is missing, malformed, or has an unsupported version."""
+    """A checkpoint file is missing, malformed, unwritable, or has an unsupported version."""

@@ -38,7 +38,7 @@ def hard_closed_form(k: int) -> tuple[BinaryNat, BinaryNat]:
     """a_k = (4^k - 1)/3 together with T(a_k), which must equal 2^(2k)."""
     a = hard_number(k)
     t = a.mul3_add1()
-    if t.bits != "1" + "0" * (2 * k):
+    if t.to_int() != 1 << 2 * k:
         raise RuntimeError(f"closed form broken at k={k}: T(a_k) = {t.bits}")
     return a, t
 

@@ -24,7 +24,7 @@ from itertools import compress
 from typing import Iterator
 
 from .bitnat import int_to_decimal
-from .collatz import CollatzTrace, StepKind
+from .collatz import CollatzTrace
 from .errors import DomainError
 from .powersum import DerivationRecord
 
@@ -52,20 +52,28 @@ def render_table(records: list[DerivationRecord]) -> str:
     return "".join(f"{int_to_decimal(v)}=({v:b})₂ → ({3 * v + 1:b})₂\n" for v, _ in records)
 
 
+def _kinds(trace: CollatzTrace) -> list[str]:
+    # the move that made each value: none for the start, else the parity before it
+    return ["", *("odd-step" if v.is_odd() else "even-step" for v in trace.values[:-1])]
+
+
+_GLYPHS = {"": "·", "odd-step": "→", "even-step": "↓"}
+
+
 def render_scratch(trace: CollatzTrace) -> str:
     """One line per iterate with a margin glyph for the move that made it."""
-    lines = []
-    for value, kind in trace.entries:
-        glyph = "·" if kind is None else ("→" if kind is StepKind.ODD else "↓")
-        lines.append(f"{glyph} {value.to_decimal()} = ({value.bits})₂")
-    if trace.truncated:
+    lines = [
+        f"{_GLYPHS[kind]} {value.to_decimal()} = ({value.bits})₂"
+        for value, kind in zip(trace.values, _kinds(trace))
+    ]
+    if trace.stopping_time is None:
         lines.append("... truncated")
     return "\n".join(lines) + "\n"
 
 
 def render_points(trace: CollatzTrace) -> str:
     """Bare "index,value" rows from index 0, for external plotting."""
-    return "\n".join(f"{i},{e.value.to_decimal()}" for i, e in enumerate(trace.entries)) + "\n"
+    return "\n".join(f"{i},{v.to_decimal()}" for i, v in enumerate(trace.values)) + "\n"
 
 
 # maps the ASCII digits "0"/"1" to the bytes 0/1, falsy and truthy for compress
@@ -113,7 +121,8 @@ def render_derivation(records: list[DerivationRecord]) -> str:
 def render_machine(obj: CollatzTrace | list[DerivationRecord]) -> str:
     """Lossless line records for a trace or a derivation.
 
-    Traces: kind is the move that produced the entry (empty for the
+    Traces: kind is the move that produced the value, odd-step or
+    even-step by the parity of the value before it (empty for the
     start); the final line is annotated "truncated" when the walk ran
     out of budget. Derivations: kind is "merge" and the annotations
     field carries the raw and carried exponent lists plus the shift.
@@ -121,10 +130,10 @@ def render_machine(obj: CollatzTrace | list[DerivationRecord]) -> str:
     """
     lines = []
     if isinstance(obj, CollatzTrace):
-        last = len(obj.entries) - 1
-        for i, (value, kind) in enumerate(obj.entries):
-            ann = "truncated" if obj.truncated and i == last else ""
-            lines.append(f"{i},{value.to_decimal()},{value.bits},{kind.value if kind else ''},{ann}")
+        last = len(obj.values) - 1
+        for i, (value, kind) in enumerate(zip(obj.values, _kinds(obj))):
+            ann = "truncated" if obj.stopping_time is None and i == last else ""
+            lines.append(f"{i},{value.to_decimal()},{value.bits},{kind},{ann}")
     elif obj and isinstance(obj[0], DerivationRecord):
         decimals = [int_to_decimal(rec.value) for rec in obj]
         # comma-free sum notation for the annotations field

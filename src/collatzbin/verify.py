@@ -49,11 +49,11 @@ values the range and the truncated list give.
 
 from __future__ import annotations
 
-import itertools
 import math
 import multiprocessing
 import os
 import signal
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import KW_ONLY, dataclass, field
 from pathlib import Path
@@ -438,11 +438,11 @@ def _run(state: Checkpoint, jobs: int, checkpoint_path: Optional[Union[str, Path
     if jobs < 1:
         raise DomainError(f"jobs must be >= 1, got {jobs}")
     _ensure_tables(state.hi)
-    chunks = [
-        (a, min(a + state.chunk_size, state.hi))
-        for a in range(state.next_unprocessed, state.hi, state.chunk_size)
-    ]
-    caps = itertools.repeat(state.step_cap)
+    nxt, size, hi = state.next_unprocessed, state.chunk_size, state.hi
+    # bounds are made as chunks start, never listed: a range may hold more
+    # chunks than memory does, and more than len() can count
+    chunks = ((a, min(a + size, hi)) for a in range(nxt, hi, size))
+    workers = min(jobs, -((nxt - hi) // size))
 
     def consume(parts):
         for part in parts:
@@ -450,21 +450,30 @@ def _run(state: Checkpoint, jobs: int, checkpoint_path: Optional[Union[str, Path
             if checkpoint_path is not None:
                 checkpoint_save(state, checkpoint_path)
 
-    if jobs > 1 and len(chunks) > 1:
-        # tables are inherited by forked workers; results stream in order.
+    if workers > 1:
+        # tables are inherited by forked workers; results merge in order.
         # Workers ignore Ctrl-C: on it the queued chunks are dropped, and the
         # file keeps the last merged state. The fork context starts every
         # worker on the first submit, so the pool is no larger than needed.
         ctx = multiprocessing.get_context("fork")
-        workers = min(jobs, len(chunks))
         pool = ProcessPoolExecutor(workers, ctx, signal.signal, (signal.SIGINT, signal.SIG_IGN))
         try:
-            consume(pool.map(_chunk_stats, chunks, caps))
+            consume(_in_order(pool, chunks, state.step_cap, 2 * workers))
         finally:
             pool.shutdown(cancel_futures=True)
     else:
-        consume(map(_chunk_stats, chunks, caps))
+        consume(_chunk_stats(bounds, state.step_cap) for bounds in chunks)
     return state
+
+
+def _in_order(pool: ProcessPoolExecutor, chunks, cap: int, depth: int):
+    """Chunk results in chunk order, with at most depth chunks submitted and not yet read."""
+    pending: deque = deque()
+    for bounds in chunks:
+        pending.append(pool.submit(_chunk_stats, bounds, cap))
+        if len(pending) == depth:
+            yield pending.popleft().result()
+    yield from (future.result() for future in pending)
 
 
 def verify_range(
@@ -520,9 +529,11 @@ def checkpoint_save(state: Checkpoint, path: Union[str, Path]) -> None:
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         # an interrupt or a failed write leaves no temp file behind
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise CheckpointError(f"cannot write checkpoint {path}: {exc}") from exc
         raise
 
 

@@ -82,7 +82,7 @@ def test_criterion_04_10027_figures_reconciled():
     assert sigma == oracle_sigma == 91
     # every golden row is arithmetically consistent and chains correctly
     rows = GOLDEN.read_text(encoding="utf-8").splitlines()
-    chain = [e.value.to_int() for e in sequence(bn(10027), 200).entries if e.value.is_odd()]
+    chain = [v.to_int() for v in sequence(bn(10027), 200).values if v.is_odd()]
     assert len(rows) == len(chain) - 1
     for row, value, nxt in zip(rows, chain, chain[1:]):
         left, right = row.split(" → ")
@@ -94,7 +94,7 @@ def test_criterion_04_10027_figures_reconciled():
         while t % 2 == 0:
             t //= 2
         assert t == nxt
-    points = len(sequence(bn(10027), 200).entries)
+    points = len(sequence(bn(10027), 200).values)
     assert points == 92
     report(
         4,
@@ -121,7 +121,7 @@ def test_criterion_05_derivation_of_67():
     )
     _, _, _, after, shift, nxt = rows[-1]
     assert tuple(e - shift for e in after) == (0,) and nxt == 1
-    chain = [e.value.to_int() for e in sequence(bn(67), 200).entries if e.value.is_odd()]
+    chain = [v.to_int() for v in sequence(bn(67), 200).values if v.is_odd()]
     assert chain == [row[0] for row in rows] + [1] == [67, 101, 19, 29, 11, 17, 13, 5, 1]
     # the geometric identity 2^(2k-1) + ... + 2 + 1 = 4^k - 1: the raw
     # multiset of a_k = (4^k - 1)/3 carries to 2^(2k) in one line
@@ -141,7 +141,7 @@ def test_criterion_06_hard_family():
             assert a.mul3_add1().bits == "1" + "0" * (2 * k)  # 3a+1 = 2^(2k)
             v = a
             for _ in range(2 * k + 1):
-                v, _kind = step(v)
+                v = step(v)
             assert v.is_one()  # T^(2k+1)(a_k) = 1, every k
             if k >= 2:
                 assert stopping_time(a) == 2 * k + 1
@@ -163,11 +163,11 @@ def test_criterion_07_tail_cycle_sampled():
     for _ in range(1000):
         n = rng.randrange(1, 1 << 32)
         trace = sequence(bn(n), 10**4)
-        assert not trace.truncated
-        v = trace.entries[trace.stopping_time].value
+        assert trace.stopping_time is not None
+        v = trace.values[trace.stopping_time]
         tail = []
         for _ in range(3):
-            v, _kind = step(v)
+            v = step(v)
             tail.append(v.to_int())
         assert tail == [4, 2, 1]
     report(7, "1000 random values below 2^32 all continue 1 -> 4 -> 2 -> 1")
@@ -245,7 +245,7 @@ def test_criterion_10_powersum_equals_bitstring_engine():
         for n in sample:
             rows = derivation_lines(n)
             odds = [bn(row[0]) for row in rows] + [bn(rows[-1][5])]
-            assert odds == [e.value for e in sequence(bn(n)).entries if e.value.is_odd()]
+            assert odds == [v for v in sequence(bn(n)).values if v.is_odd()]
         return steps
 
     steps, ms = timed(run)

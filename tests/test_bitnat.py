@@ -4,6 +4,7 @@ import random
 import sys
 from contextlib import contextmanager
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -81,6 +82,14 @@ def test_from_decimal_under_the_lowest_int_str_limit():
     assert got == want
 
 
+def test_from_int_holds_a_python_int():
+    # a numpy integer is read as a Python int, so 3n + 1 cannot wrap at 64 bits
+    v = BinaryNat.from_int(np.int64(2**62 + 1))
+    assert type(v.to_int()) is int and v.mul3_add1().to_int() == 3 * 2**62 + 4
+    with pytest.raises(TypeError):
+        BinaryNat.from_int(2.5)
+
+
 def test_zero_is_not_representable():
     with pytest.raises(DomainError):
         BinaryNat.from_int(0)
@@ -119,6 +128,15 @@ def test_half_strips_one_zero():
     assert bn(2).half() == bn(1)
     with pytest.raises(ParityError):
         bn(7).half()
+
+
+def test_parity_errors_print_the_bits():
+    with pytest.raises(ParityError) as exc:
+        bn(7).half()
+    assert str(exc.value) == "cannot halve odd value 111"
+    with pytest.raises(ParityError) as exc:
+        bn(12).shift_right(3)
+    assert str(exc.value) == "1100 is not divisible by 2^3"
 
 
 @given(naturals, st.integers(min_value=0, max_value=50))
@@ -162,6 +180,13 @@ def test_comparisons_match_integers(a, b):
     assert (va <= vb) == (a <= b)
     assert (va == vb) == (a == b)
     assert (va > vb) == (a > b)
+
+
+@given(naturals)
+def test_every_constructor_gives_the_same_value(n):
+    values = [BinaryNat(format(n, "b")), BinaryNat.from_int(n), BinaryNat.from_decimal(str(n))]
+    assert all(v == values[0] and hash(v) == hash(values[0]) for v in values)
+    assert {v.bits for v in values} == {format(n, "b")}
 
 
 def test_hashable_and_usable_in_sets():

@@ -488,6 +488,20 @@ def test_verify_resume_rejects_edited_checkpoint(tmp_path, capsys):
         assert err.startswith("error: malformed checkpoint")
 
 
+def test_verify_checkpoint_write_errors(tmp_path, capsys):
+    # a missing directory, and a path that is itself a directory
+    directory = tmp_path / "dir"
+    directory.mkdir()
+    for target in (tmp_path / "missing" / "state.txt", directory):
+        for jobs in ("1", "2"):
+            code, out, err = run(capsys, "verify", "1", "100", "--jobs", jobs, "--chunk", "25",
+                                 "--checkpoint", str(target))
+            assert (code, out) == (1, "")
+            assert err.startswith(f"error: cannot write checkpoint {target}: ")
+            assert err.count("\n") == 1 and err.endswith("\n")
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
 def test_default_jobs_follow_affinity(monkeypatch):
     if hasattr(os, "sched_getaffinity"):
         assert cli._default_jobs() == len(os.sched_getaffinity(0))

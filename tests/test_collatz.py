@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from collatzbin import (
     CapExceeded,
-    StepKind,
     derivation_trace,
     sequence,
     step,
@@ -26,19 +25,19 @@ def sigma_oracle(n: int) -> int:
 
 
 def test_step_branches():
-    assert step(bn(5)) == (bn(16), StepKind.ODD)
-    assert step(bn(16)) == (bn(8), StepKind.EVEN)
-    assert step(bn(1)) == (bn(4), StepKind.ODD)
+    assert step(bn(5)) == bn(16)
+    assert step(bn(16)) == bn(8)
+    assert step(bn(1)) == bn(4)
 
 
 @given(st.integers(min_value=1, max_value=10**30))
 def test_step_oracle(n):
-    value, kind = step(bn(n))
+    value = step(bn(n))
     if n & 1:
-        assert value.to_int() == 3 * n + 1 and kind is StepKind.ODD
+        assert value.to_int() == 3 * n + 1
         assert value > bn(n)  # tripling rises
     else:
-        assert value.to_int() == n >> 1 and kind is StepKind.EVEN
+        assert value.to_int() == n >> 1
         assert value < bn(n)  # halving falls
 
 
@@ -69,32 +68,30 @@ def test_reduced_step_oracle(k):
 
 def test_sequence_examples():
     t = sequence(bn(5), 10)
-    assert [e.value.to_int() for e in t.entries] == [5, 16, 8, 4, 2, 1]
-    assert t.stopping_time == 5 and not t.truncated
-    assert t.entries[0].kind is None
-    assert t.entries[1].kind is StepKind.ODD
+    assert t.values == tuple(map(bn, (5, 16, 8, 4, 2, 1)))
+    assert t.stopping_time == 5
 
     t = sequence(bn(1), 3)
-    assert [e.value.to_int() for e in t.entries] == [1, 4, 2, 1]
-    assert t.stopping_time == 0 and not t.truncated
+    assert t.values == tuple(map(bn, (1, 4, 2, 1)))
+    assert t.stopping_time == 0
 
     assert sequence(bn(255), 100).stopping_time == 47
 
 
 def test_sequence_truncation_is_flagged():
     t = sequence(bn(27), 5)
-    assert t.truncated and t.stopping_time is None
-    assert len(t.entries) == 6  # start plus five steps
+    assert t.stopping_time is None
+    assert len(t.values) == 6  # start plus five steps
     t0 = sequence(bn(1), 0)
-    assert [e.value.to_int() for e in t0.entries] == [1]
-    assert t0.stopping_time == 0 and not t0.truncated
+    assert t0.values == (bn(1),)
+    assert t0.stopping_time == 0
 
 
 @given(st.integers(min_value=1, max_value=100000))
 @settings(max_examples=60)
 def test_sequence_follows_the_map(n):
     t = sequence(bn(n), 10**4)
-    vals = [e.value.to_int() for e in t.entries]
+    vals = [v.to_int() for v in t.values]
     for a, b in zip(vals, vals[1:]):
         assert b == (3 * a + 1 if a & 1 else a >> 1)
     assert t.stopping_time == sigma_oracle(n)
@@ -146,7 +143,7 @@ def test_odd_chain_agrees_with_sequence(n):
     # collapsing the halving runs of the full walk gives the derivation's
     # odd values, then 1; a power of two's odd part is 1 itself
     t = sequence(bn(n), 10**4)
-    odds = [e.value.to_int() for e in t.entries[: t.stopping_time + 1] if e.value.is_odd()]
+    odds = [v.to_int() for v in t.values[: t.stopping_time + 1] if v.is_odd()]
     odd_part = n >> ((n & -n).bit_length() - 1)
     assert odds == ([] if odd_part == 1 else odd_values(odd_part)) + [1]
 

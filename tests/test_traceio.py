@@ -21,6 +21,29 @@ from conftest import bn
 GOLDEN = Path(__file__).parent / "goldens" / "table_10027.txt"
 
 
+def int_orbit(n, cap):
+    # plain-int walk: the start, then one value per step up to the first
+    # step that lands on 1, or cap steps
+    values = [n]
+    while len(values) <= cap:
+        v = values[-1]
+        values.append(3 * v + 1 if v & 1 else v >> 1)
+        if values[-1] == 1:
+            break
+    return values
+
+
+def int_kinds(values):
+    # the move that made each value: none for the start, then the parity
+    # of the value before it
+    return [""] + ["odd-step" if v & 1 else "even-step" for v in values[:-1]]
+
+
+def oracle_cases():
+    rng = random.Random(1234)
+    return [(rng.randrange(1, 1 << 32), 10**4) for _ in range(100)] + [(1, 3), (1, 0), (27, 5), (16, 10)]
+
+
 def test_table_golden_10027():
     out = render_table(derivation_trace(bn(10027)))
     assert out == GOLDEN.read_text(encoding="utf-8")
@@ -61,6 +84,17 @@ def test_scratch_glyphs():
     assert render_scratch(sequence(bn(1), 3)).splitlines()[0] == "· 1 = (1)₂"
 
 
+def test_scratch_glyphs_match_a_plain_int_orbit():
+    glyphs = {"": "·", "odd-step": "→", "even-step": "↓"}
+    for n, cap in oracle_cases():
+        orbit = int_orbit(n, cap)
+        lines = render_scratch(sequence(bn(n), cap)).splitlines()
+        assert lines[: len(orbit)] == [
+            f"{glyphs[kind]} {v} = ({v:b})₂" for v, kind in zip(orbit, int_kinds(orbit))
+        ]
+        assert lines[len(orbit) :] == ([] if 1 in orbit else ["... truncated"])
+
+
 def test_scratch_marks_truncation():
     out = render_scratch(sequence(bn(27), 4))
     assert out.splitlines()[-1] == "... truncated"
@@ -95,14 +129,14 @@ def test_points_row_count_is_stopping_time_plus_one():
 
 
 def test_machine_trace_roundtrip_values():
-    rng = random.Random(1234)
-    for _ in range(100):
-        n = rng.randrange(1, 1 << 32)
-        trace = sequence(bn(n), 10**4)
-        records = [line.split(",", 4) for line in render_machine(trace).splitlines()]
-        assert [BinaryNat(r[2]) for r in records] == [e.value for e in trace.entries]
-        assert [r[1] for r in records] == [e.value.to_decimal() for e in trace.entries]
-        assert [int(r[0]) for r in records] == list(range(len(trace.entries)))
+    for n, cap in oracle_cases():
+        orbit = int_orbit(n, cap)
+        records = [line.split(",", 4) for line in render_machine(sequence(bn(n), cap)).splitlines()]
+        assert [BinaryNat(r[2]).to_int() for r in records] == orbit
+        assert [r[1] for r in records] == list(map(str, orbit))
+        assert [int(r[0]) for r in records] == list(range(len(orbit)))
+        # field 3 is the parity of the value before, empty on the start
+        assert [r[3] for r in records] == int_kinds(orbit)
 
 
 def test_machine_trace_fields():

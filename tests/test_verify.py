@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -144,15 +145,27 @@ def test_report_independent_of_workers():
 
 
 def test_pool_starts_no_more_workers_than_chunks(monkeypatch):
-    # a stand-in pool that records its size and maps in this process
+    # a stand-in pool that records its size, runs each submit in this
+    # process, and counts the futures submitted and not yet read
     sizes = []
+    futures = {"live": 0, "peak": 0}
+
+    class Future:
+        def __init__(self, value):
+            self.value = value
+
+        def result(self):
+            futures["live"] -= 1
+            return self.value
 
     class Pool:
         def __init__(self, max_workers, *args):
             sizes.append(max_workers)
 
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
+        def submit(self, fn, *args):
+            futures["live"] += 1
+            futures["peak"] = max(futures["peak"], futures["live"])
+            return Future(fn(*args))
 
         def shutdown(self, cancel_futures=False):
             pass
@@ -160,6 +173,37 @@ def test_pool_starts_no_more_workers_than_chunks(monkeypatch):
     monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", Pool)
     assert verify_range(1, 4, chunk_size=1, jobs=64) == verify_range(1, 4, chunk_size=1)
     assert sizes == [3]
+    # 100 chunks on 3 workers: at most two chunks per worker in flight
+    assert verify_range(1, 101, chunk_size=1, jobs=3) == verify_range(1, 101, chunk_size=1)
+    assert sizes == [3, 3]
+    assert futures == {"live": 0, "peak": 6}
+
+
+def test_run_makes_chunk_bounds_as_it_goes(monkeypatch):
+    # a run of 2^18 one-value chunks stopped on its second chunk: bounds
+    # listed up front would take ~33 MB before the first chunk ran
+    verify_mod._ensure_tables(1 + 2**18)  # the tables are not measured
+    real, calls = verify_mod._chunk_stats, []
+
+    class Stop(Exception):
+        pass
+
+    def chunk_stats(bounds, cap):
+        calls.append(bounds)
+        if len(calls) == 2:
+            raise Stop
+        return real(bounds, cap)
+
+    monkeypatch.setattr(verify_mod, "_chunk_stats", chunk_stats)
+    tracemalloc.start()
+    try:
+        with pytest.raises(Stop):
+            verify_range(1, 1 + 2**18, chunk_size=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert calls == [(1, 2), (2, 3)]
+    assert peak < 1 << 20
 
 
 def test_window_reports_match_oracle():
