@@ -19,9 +19,9 @@ from typing import Optional
 
 from . import collatz, compose, traceio
 from .bitnat import BinaryNat
-from .classify import classify
+from .classify import classify, hard_number
 from .errors import CapExceeded, CheckpointError, DomainError, ParityError
-from .powersum import derivation_trace, hard_closed_form
+from .powersum import derivation_trace
 
 CAP_ENV_VAR = "COLLATZBIN_CAP"
 
@@ -59,12 +59,7 @@ def _cmd_trace(args) -> int:
     n = _parse_value(args.n, args.binary)
     cap = _cap_of(args)
     if args.format == "table":
-        try:
-            records = derivation_trace(n.shift_right(n.trailing_zeros()), cap)
-        except CapExceeded:
-            print("truncated")
-            return 0
-        out = traceio.render_table(records)
+        out = traceio.render_table(derivation_trace(n.shift_right(n.trailing_zeros()), cap))
     else:
         trace = collatz.sequence(n, cap)
         if args.format == "scratch":
@@ -95,11 +90,7 @@ def _cmd_path(args) -> int:
 
 def _cmd_decompose(args) -> int:
     n = _parse_value(args.n, args.binary)
-    try:
-        records = derivation_trace(n, _cap_of(args))
-    except CapExceeded:
-        print("truncated")
-        return 0
+    records = derivation_trace(n, _cap_of(args))
     render = traceio.render_machine if args.format == "machine" else traceio.render_derivation
     sys.stdout.write(render(records))
     return 0
@@ -107,20 +98,18 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_stopping_time(args) -> int:
     n = _parse_value(args.n, args.binary)
-    try:
-        print(collatz.stopping_time(n, _cap_of(args)))
-    except CapExceeded:
-        print("truncated")
+    print(collatz.stopping_time(n, _cap_of(args)))
     return 0
 
 
 def _cmd_hard(args) -> int:
     k = args.k
-    a, t = hard_closed_form(k)
+    a = hard_number(k)
+    t = a.mul3_add1()
     print(f"a_{k} = {a.to_decimal()} ({a.bits})")
     print(f"T(a_{k}) = {t.to_decimal()} ({t.bits})")
     # T(a_k) is 2^(2k), so 2k halvings end on 1
-    verdict = "ok" if t.shift_right(2 * k).is_one() else "failed"
+    verdict = "ok" if t.to_int() == 1 << 2 * k else "failed"
     print(f"T^{2 * k + 1}(a_{k}) = 1: {verdict}")
     return 0
 
@@ -265,6 +254,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         parser.error("--resume requires --checkpoint")
     try:
         return args.fn(args)
+    except CapExceeded:
+        # truncation is a result, reported on stdout
+        print("truncated")
+        return 0
     except (DomainError, ParityError, CheckpointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -22,25 +22,15 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .bitnat import BinaryNat
-from .classify import hard_number
 from .collatz import DEFAULT_CAP
 from .errors import CapExceeded, ParityError
 
-__all__ = ["DerivationRecord", "hard_closed_form", "derivation_trace"]
+__all__ = ["DerivationRecord", "derivation_trace"]
 
 
 class DerivationRecord(NamedTuple):
     value: int  # the odd value the merge starts from
     shift: int  # the halvings from 3 * value + 1 down to the next odd value
-
-
-def hard_closed_form(k: int) -> tuple[BinaryNat, BinaryNat]:
-    """a_k = (4^k - 1)/3 together with T(a_k), which must equal 2^(2k)."""
-    a = hard_number(k)
-    t = a.mul3_add1()
-    if t.to_int() != 1 << 2 * k:
-        raise RuntimeError(f"closed form broken at k={k}: T(a_k) = {t.bits}")
-    return a, t
 
 
 def derivation_trace(n: BinaryNat, cap: int = DEFAULT_CAP) -> list[DerivationRecord]:

@@ -22,16 +22,18 @@ counts the odd steps (the parity-vector identity the paper's binary
 split n = 2^k·a + b rests on), so one table over the 2^16 residues b
 serves every lane. The same table holds, per residue, bounds M1(b) and
 M2(b) with every value inside the jump at most a·M1(b) + M2(b), and the
-int64 gate LIM(b): a lane jumps only while a <= LIM(b), else it takes
-one exact step, and past the int64-safe bound it leaves for plain
-integers, where it jumps with no gate. A jumping lane starts at or
-above the table bound, so a >= 1 and the jump cannot pass through 1:
-stopping times stay exact. Peaks become bounds: each lane carries an
-exact lower bound (values it landed on) and an upper bound (the jumps'
-a·M1 + M2), and only lanes whose upper bound reaches the best lower
-bound of their block are walked again, in ascending n, so the tie rule
-below still holds. A lane walked again steps one value at a time only
-inside the jumps whose bound beats the best peak found so far.
+int64 gate LIM(b): a lane jumps only while a <= LIM(b), which keeps
+every value inside the jump within 2^63 - 1. A lane whose next jump
+could pass that limit leaves the kernel and walks again from its start
+on plain integers, where it jumps with no gate; so does every start at
+or past 2^63. A jumping lane starts at or above the table bound, so
+a >= 1 and the jump cannot pass through 1: stopping times stay exact.
+Peaks become bounds: each lane carries an exact lower bound (values it
+landed on) and an upper bound (the jumps' a·M1 + M2), and only lanes
+whose upper bound reaches the best lower bound of their block are
+walked again, in ascending n, so the tie rule below still holds. A lane
+walked again steps one value at a time only inside the jumps whose
+bound beats the best peak found so far.
 
 What is checked is convergence: every n reaches 1 within the step cap.
 The 1 -> 4 -> 2 -> 1 tail that follows is the same three steps for
@@ -82,8 +84,6 @@ __all__ = [
 BASE_TABLE_BOUND = 1 << 20
 CHECKPOINT_VERSION = 1
 
-# largest value whose 3v+1 still fits in int64
-_INT64_SAFE = (2**63 - 2) // 3
 # histogram order, fixed for serialization
 _HIST_ORDER = (
     NumberClass.ORIGIN,
@@ -187,8 +187,9 @@ def _ensure_tables(hi: int) -> None:
 
     Base entries carry no cap, so one table serves every cap and every
     range it is long enough for. Growth at least doubles the length (up
-    to the bound), one segment [s, min(2s, bound)) at a time: a segment's
-    lanes walk until they drop below s, into entries already exact.
+    to the bound), one block [s, min(bound, 2s, s + _BUILD_BLOCK)) at a
+    time: a block's lanes walk until they drop below s, into entries
+    already exact.
     """
     global _SIG, _PK, _JUMP, _VIEWS
     if _JUMP is None:
@@ -202,23 +203,22 @@ def _ensure_tables(hi: int) -> None:
         pk[:old] = _PK
         s = old
         while s < bound:
-            e = min(bound, 2 * s)
-            for start in range(s, e, _BUILD_BLOCK):
-                _fill_segment(sig, pk, s, start, min(start + _BUILD_BLOCK, e))
+            e = min(bound, 2 * s, s + _BUILD_BLOCK)
+            _fill_segment(sig, pk, s, e)
             s = e
         _SIG, _PK = sig, pk
     _VIEWS = (*map(memoryview, _JUMP[:5]), memoryview(_SIG), memoryview(_PK))
 
 
-def _fill_segment(sig: np.ndarray, pk: np.ndarray, floor: int, lo: int, hi: int) -> None:
-    """Fill entries [lo, hi) from the exact ones below floor <= lo < hi <= 2 * floor."""
-    # an even n halves to n / 2 < floor
+def _fill_segment(sig: np.ndarray, pk: np.ndarray, lo: int, hi: int) -> None:
+    """Fill entries [lo, hi) from the exact ones below lo < hi <= 2 * lo."""
+    # an even n halves to n / 2 < lo
     even = lo + (lo & 1)
     halves = slice(even // 2, (hi + 1) // 2)
     sig[even:hi:2] = sig[halves] + 1
     pk[even:hi:2] = np.maximum(np.arange(even, hi, 2, dtype=np.int64), pk[halves])
     # odd lanes take v -> (3v + 1) / 2, two steps, or v -> v / 2, one step,
-    # with no branch on the parity, until they drop below floor
+    # with no branch on the parity, until they drop below lo
     at = np.arange(lo | 1, hi, 2, dtype=np.int64)
     v = at.copy()
     steps = np.zeros(at.size, dtype=np.int64)
@@ -229,7 +229,7 @@ def _fill_segment(sig: np.ndarray, pk: np.ndarray, floor: int, lo: int, hi: int)
         np.maximum(peak, v, out=peak)
         v >>= 1
         steps += odd + 1
-        done = v < floor
+        done = v < lo
         if done.any():
             vd = v[done]
             sig[at[done]] = steps[done] + sig[vd]
@@ -312,13 +312,14 @@ def _fold_rows(lo: int, hi: int, cap: int, ns) -> Checkpoint:
 
 
 def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
-    """Values [lo, hi) on int64 lanes, _K halvings per jump where int64 allows.
+    """Values [lo, hi) below 2^63 on int64 lanes, _K halvings per jump.
 
     The tables must cover hi (_ensure_tables): then either every n resolves
     at once or the base table reaches BASE_TABLE_BOUND >= 2^_K, so a lane
     that jumps has a >= 1 and the jump cannot pass through 1. Stopping
     times stay exact. Peaks do not: a lane knows its peak only to lie in
-    [low, high] (_take_peaks). Lanes that pass the int64-safe bound walk
+    [low, high] (_take_peaks). A lane jumps while a <= LIM(b), which keeps
+    every value inside the jump in int64; a lane past its limit walks
     again from n in _walk_row.
     """
     ns = np.arange(lo, hi, dtype=np.int64)
@@ -334,7 +335,8 @@ def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
     steps = np.zeros(size, dtype=np.int64)
     lw = ns.copy()
     hg = ns.copy()
-    # lanes about to overflow int64 stop here and walk again in _walk_row
+    # lanes whose next jump could overflow int64 stop here and walk again
+    # in _walk_row
     kernel = np.ones(size, dtype=bool)
     while at.size:
         done = v < bound
@@ -344,7 +346,7 @@ def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
             sig[di] = steps[done] + _SIG[vd]
             low[di] = np.maximum(lw[done], _PK[vd])
             high[di] = np.maximum(hg[done], _PK[vd])
-        huge = v > _INT64_SAFE
+        huge = (v >> _K) > LIM[v & _MASK]
         if huge.any():
             kernel[at[huge]] = False
         keep = ~(done | huge | (steps >= cap))
@@ -354,20 +356,10 @@ def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
                 break
         a = v >> _K
         b = v & _MASK
-        nxt = A[b] * a + B[b]
-        top = a * M1[b] + M2[b]
-        add = S[b]
-        # past its residue's limit a jump could leave int64: such a lane
-        # takes one exact step instead (its wrapped jump values are dropped)
-        one = np.flatnonzero(a > LIM[b])
-        if one.size:
-            u = v[one]
-            nxt[one] = top[one] = np.where((u & 1) == 1, 3 * u + 1, u >> 1)
-            add[one] = 1
-        v = nxt
-        steps += add
+        np.maximum(hg, a * M1[b] + M2[b], out=hg)
+        v = A[b] * a + B[b]
+        steps += S[b]
         np.maximum(lw, v, out=lw)
-        np.maximum(hg, top, out=hg)
     conv = kernel & (sig >= 0) & (sig <= cap)
     res = Checkpoint(lo, hi, cap, size, hi, truncated=ns[kernel & ~conv].tolist())
     if conv.any():
@@ -384,8 +376,8 @@ def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
 
 def _chunk_stats(bounds: tuple[int, int], cap: int) -> Checkpoint:
     lo, hi = bounds
-    # values whose first 3n+1 could overflow int64 walk on plain integers
-    mid = min(hi, max(lo, _INT64_SAFE + 1))
+    # int64 ends at 2^63: values from there on walk on plain integers
+    mid = min(hi, max(lo, 1 << 63))
     acc = Checkpoint(lo, hi, cap, hi - lo, lo)
     for start in range(lo, mid, _LANES):
         _merge(acc, _chunk_numpy(start, min(start + _LANES, mid), cap))

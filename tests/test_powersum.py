@@ -3,8 +3,15 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from collatzbin import CapExceeded, ParityError, derivation_trace, render_derivation, sequence
-from collatzbin.powersum import DerivationRecord, hard_closed_form
+from collatzbin import (
+    CapExceeded,
+    ParityError,
+    derivation_trace,
+    hard_number,
+    render_derivation,
+    sequence,
+)
+from collatzbin.powersum import DerivationRecord
 from collatzbin.traceio import _exponent_sets
 
 from conftest import bn, derivation_lines, derivation_rows, exponents
@@ -70,7 +77,7 @@ def test_geometric_identity():
     # 2^(2k-1) + ... + 2 + 1 = 4^k - 1: the raw multiset of the hard number
     # (4^k - 1)/3, whose one more 2^0 carries it all to 2^(2k) in one record
     for k in (1, 2, 6, 31, 70):
-        a = hard_closed_form(k)[0]
+        a = hard_number(k)
         assert derivation_trace(a) == [(a.to_int(), 2 * k)]
         assert derivation_lines(a.to_int()) == [
             (a.to_int(), one_bits(a.to_int()), (*range(2 * k - 1, -1, -1), 0), (2 * k,), 2 * k, 1)
@@ -78,9 +85,10 @@ def test_geometric_identity():
 
 
 def test_hard_closed_form():
-    assert hard_closed_form(2) == (bn(5), bn(16))
-    assert hard_closed_form(1) == (bn(1), bn(4))
-    assert hard_closed_form(7) == (bn(5461), bn(2**14))
+    # a_k = (4^k - 1)/3 and T(a_k) = 4^k
+    for k, a in ((2, 5), (1, 1), (7, 5461)):
+        assert hard_number(k) == bn(a)
+        assert hard_number(k).mul3_add1() == bn(4**k)
 
 
 def test_derivation_trace_worked_chain():

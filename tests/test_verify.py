@@ -613,12 +613,19 @@ def test_jump_gate_at_the_int64_limit():
     # exactly a*M1 + M2: a jump at a = LIM + 1 would wrap past 2^63
     b = (1 << 16) - 1
     assert block_walk((LIM[b] << 16) | b)[2] == LIM[b] * M1[b] + M2[b]
-    for b in ((1 << 16) - 1, (1 << 15) - 1, 12345, 27):
-        for a in (LIM[b], LIM[b] + 1):
-            n = (a << 16) | b
-            # the lane starts inside the kernel, so the gate decides its first move
-            assert BASE_TABLE_BOUND <= n <= verify_mod._INT64_SAFE
-            assert verify_range(n, n + 1) == oracle_report(n, n + 1, DEFAULT_STEP_CAP)
+    cases = [
+        (b, a) for b in ((1 << 16) - 1, (1 << 15) - 1, 12345, 27) for a in (LIM[b], LIM[b] + 1)
+    ]
+    # b = 0 halves 16 times: its a = LIM puts n at 2^63 - 2^16, past
+    # (2^63 - 2) // 3, the largest v whose 3v + 1 fits in int64, and the
+    # lane still jumps
+    assert (LIM[0] << 16) > (2**63 - 2) // 3
+    cases.append((0, LIM[0]))
+    for b, a in cases:
+        n = (a << 16) | b
+        # the lane starts inside the kernel, so the gate decides its first move
+        assert BASE_TABLE_BOUND <= n < 2**63
+        assert verify_range(n, n + 1) == oracle_report(n, n + 1, DEFAULT_STEP_CAP)
 
 
 def test_base_table_matches_plain_walk(monkeypatch):
@@ -628,10 +635,11 @@ def test_base_table_matches_plain_walk(monkeypatch):
     rng = random.Random(5)
     for n in [*range(1, 3000), *(rng.randrange(3000, BASE_TABLE_BOUND) for _ in range(300))]:
         assert (sig[n], pk[n]) == orbit_oracle(n)
-    # growth from a short table of odd length, segment by segment
+    # growth from a short table of odd length, block by block; past
+    # 2^16 a block is at most _BUILD_BLOCK long
     monkeypatch.setattr(verify_mod, "_SIG", sig[:11].copy())
     monkeypatch.setattr(verify_mod, "_PK", pk[:11].copy())
-    for hi, size in ((5000, 5000), (5001, 10000), (9000, 10000)):
+    for hi, size in ((5000, 5000), (5001, 10000), (9000, 10000), (300000, 300000)):
         verify_mod._ensure_tables(hi)
         assert verify_mod._SIG.size == size
         assert np.array_equal(verify_mod._SIG, sig[:size])
@@ -656,15 +664,16 @@ def test_multilane_windows_match_oracle(base, offset, size, cap):
 
 @settings(max_examples=30)
 @given(
-    base=st.sampled_from([1 << 62, 1 << 63, 1 << 64, 1 << 80]),
+    base=st.sampled_from([(2**63 - 2) // 3, 1 << 62, 1 << 63, 1 << 64, 1 << 80]),
     offset=st.integers(-(1 << 11), (1 << 11) - 1),
     size=st.integers(1, 300),
     cap=st.sampled_from([7, 60, 300, DEFAULT_STEP_CAP]),
     chunk=st.integers(1, 400),
 )
 def test_past_int64_windows_match_oracle(base, offset, size, cap, chunk):
-    # across the int64-safe bound, 2^63 and far past it: kernel lanes that
-    # escape, per-lane jumps on plain integers, and all-Python chunks
+    # across (2^63 - 2) // 3, where 3v + 1 first leaves int64, 2^62, 2^63
+    # and far past it: kernel lanes, lanes that reach their int64 gate and
+    # walk again on plain integers, and all-Python chunks
     lo = base + offset
     want = dataclasses.replace(oracle_report(lo, lo + size, cap), chunk_size=chunk)
     assert verify_range(lo, lo + size, step_cap=cap, chunk_size=chunk) == want
@@ -694,8 +703,8 @@ def test_walk_row_bounds_are_exact_above_the_floor(base, offset, cap, share, twe
 
 def test_tied_peaks_at_2p58():
     # lanes whose orbits merge share their peak: 15 lanes of this window
-    # tie on the maximum, which goes to the smallest; some lanes pass the
-    # int64-safe bound, the rest stay in the kernel
+    # tie on the maximum, which goes to the smallest; some lanes reach
+    # their int64 gate, the rest stay in the kernel
     lo = (1 << 58) + 704
     hi = lo + 1024
     want = oracle_report(lo, hi, DEFAULT_STEP_CAP)
@@ -734,11 +743,31 @@ def test_excursion_tie_above_the_table_bound():
 
 
 def test_peak_inside_a_jump_of_a_lane_that_leaves_int64():
-    # the lane jumps, then passes the int64-safe bound; its peak is a 3v+1
-    # value inside an earlier jump, above everything the rest of the walk
-    # reaches, so the fallback walks it again from n
-    n = 72057594037928009
-    assert verify_range(n, n + 1) == oracle_report(n, n + 1, DEFAULT_STEP_CAP)
+    # the first lane jumps past (2^63 - 2) // 3 and stays in the kernel: its
+    # peak, 0.93 * 2^63, is a 3v+1 value inside a jump, above everything the
+    # rest of the walk reaches, so _take_peaks walks it again from n. The
+    # second jumps four times, then its next jump could pass 2^63 - 1 (its
+    # peak, 1.06 * 2^63, lies inside it): it leaves at the gate and the
+    # fallback walks it again from n
+    for n in (72057594037928009, 72057594037928033):
+        assert verify_range(n, n + 1) == oracle_report(n, n + 1, DEFAULT_STEP_CAP)
+
+
+def test_kernel_keeps_lanes_up_to_their_gate_past_2p62(monkeypatch):
+    # a start below 2^63 begins in the kernel and leaves it only at its
+    # int64 gate: fewer values than the window walk on plain integers first
+    first = []
+    walk = verify_mod._walk_row
+
+    def counted(cap, n, floor=math.inf):
+        if floor == math.inf:
+            first.append(n)
+        return walk(cap, n, floor)
+
+    monkeypatch.setattr(verify_mod, "_walk_row", counted)
+    lo = (1 << 62) + 12345
+    assert verify_range(lo, lo + 512) == oracle_report(lo, lo + 512, DEFAULT_STEP_CAP)
+    assert len(first) < 512
 
 
 def test_huge_cap_gives_the_default_cap_report():
