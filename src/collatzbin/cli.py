@@ -121,10 +121,11 @@ def _cmd_verify(args) -> int:
     hi = _parse_value(args.hi, args.binary)
     # the report prints both bounds in decimal: refuse them before any work
     lo_text, hi_text = lo.to_decimal(), hi.to_decimal()
+    lo, hi = lo.to_int(), hi.to_int()
     jobs = args.jobs if args.jobs is not None else _default_jobs()
     if args.resume:
         state = verify.checkpoint_load(args.checkpoint)
-        if (state.lo, state.hi) != (lo.to_int(), hi.to_int()):
+        if (state.lo, state.hi) != (lo, hi):
             raise DomainError(
                 f"checkpoint covers [{state.lo}, {state.hi}), not [{lo_text}, {hi_text})"
             )

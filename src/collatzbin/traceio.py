@@ -106,7 +106,7 @@ def render_derivation(records: list[DerivationRecord]) -> str:
     is written.
     """
     if not records:
-        return ""
+        raise DomainError("cannot render an empty derivation")
     last = records[-1]
     values = [int_to_decimal(rec.value) for rec in records]
     values.append(int_to_decimal((3 * last.value + 1) >> last.shift))

@@ -44,9 +44,9 @@ inputs are listed in the state and excluded from the aggregates.
 Argmax ties go to the smaller n; peaks of truncated walks do not count.
 
 Checkpoint files are versioned line-oriented text, written atomically
-(temp file then rename) at chunk boundaries only, and checked for
-consistency when read back: the verified and hist lines must equal the
-values the range and the truncated list give.
+(temp file then rename) at chunk boundaries only. One function writes
+the format, and a file loads only if it is exactly the text that
+checkpoint_save writes for a state a run can reach.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .bitnat import BinaryNat, int_to_decimal
+from .bitnat import int_to_decimal
 from .classify import NumberClass, class_counts
 from .collatz import DEFAULT_CHUNK_SIZE, DEFAULT_STEP_CAP
 from .errors import CheckpointError, DomainError
@@ -92,8 +92,6 @@ _HIST_ORDER = (
     NumberClass.MIXED_EVEN,
     NumberClass.MIXED_ODD,
 )
-
-IntLike = Union[int, BinaryNat]
 
 
 @dataclass(slots=True)
@@ -418,14 +416,6 @@ def _merge(state: Checkpoint, part: Checkpoint) -> Checkpoint:
     return state
 
 
-def _as_int(n: IntLike, name: str) -> int:
-    if isinstance(n, BinaryNat):
-        return n.to_int()
-    if isinstance(n, int):
-        return n
-    raise DomainError(f"{name} must be an integer value, got {type(n).__name__}")
-
-
 def _run(state: Checkpoint, jobs: int, checkpoint_path: Optional[Union[str, Path]]) -> Checkpoint:
     if jobs < 1:
         raise DomainError(f"jobs must be >= 1, got {jobs}")
@@ -469,23 +459,24 @@ def _in_order(pool: ProcessPoolExecutor, chunks, cap: int, depth: int):
 
 
 def verify_range(
-    lo: IntLike,
-    hi: IntLike,
+    lo: int,
+    hi: int,
     step_cap: int = DEFAULT_STEP_CAP,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     jobs: int = 1,
     checkpoint_path: Optional[Union[str, Path]] = None,
 ) -> Checkpoint:
     """Verify every n in [lo, hi); return the finished state (see the module notes)."""
-    lo_i = _as_int(lo, "lo")
-    hi_i = _as_int(hi, "hi")
-    if lo_i < 1 or hi_i <= lo_i:
-        raise DomainError(f"need 1 <= lo < hi, got [{lo_i}, {hi_i})")
+    for name, bound in (("lo", lo), ("hi", hi)):
+        if not isinstance(bound, int):
+            raise DomainError(f"{name} must be an integer value, got {type(bound).__name__}")
+    if lo < 1 or hi <= lo:
+        raise DomainError(f"need 1 <= lo < hi, got [{lo}, {hi})")
     if step_cap < 1:
         raise DomainError(f"step_cap must be >= 1, got {step_cap}")
     if chunk_size < 1:
         raise DomainError(f"chunk_size must be >= 1, got {chunk_size}")
-    state = Checkpoint(lo_i, hi_i, step_cap, chunk_size, lo_i)
+    state = Checkpoint(lo, hi, step_cap, chunk_size, lo)
     return _run(state, jobs, checkpoint_path)
 
 
@@ -495,9 +486,8 @@ def _fmt_opt_pair(value: Optional[int], at: Optional[int]) -> str:
     return f"{int_to_decimal(value)} {at}"
 
 
-def checkpoint_save(state: Checkpoint, path: Union[str, Path]) -> None:
-    """Atomically write the run state: temp file in place, then rename."""
-    path = Path(path)
+def _checkpoint_text(state: Checkpoint) -> str:
+    """The checkpoint file for state: the one place the format is written."""
     # int_to_decimal turns a number past the int/str digit limit into a
     # DomainError before the file opens; every number written without it
     # is below hi or the cap
@@ -514,10 +504,17 @@ def checkpoint_save(state: Checkpoint, path: Union[str, Path]) -> None:
     ]
     lines.extend(f"trunc {t}" for t in state.truncated)
     lines.append("end")
+    return "\n".join(lines) + "\n"
+
+
+def checkpoint_save(state: Checkpoint, path: Union[str, Path]) -> None:
+    """Atomically write the run state: temp file in place, then rename."""
+    path = Path(path)
+    text = _checkpoint_text(state)
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as f:
-            f.write("\n".join(lines) + "\n")
+            f.write(text)
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)
@@ -537,56 +534,42 @@ def _parse_opt_pair(rest: list[str]) -> tuple[Optional[int], Optional[int]]:
 
 
 def checkpoint_load(path: Union[str, Path]) -> Checkpoint:
+    """The state in path, if the file is exactly what checkpoint_save writes
+    for a state a run can reach; otherwise CheckpointError."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+        # bytes as they are: text mode would turn CRLF into LF
+        text = path.read_bytes().decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     lines = text.splitlines()
-    if not lines:
-        raise CheckpointError(f"empty checkpoint file {path}")
-    head = lines[0]
+    head = lines[0] if lines else ""
     if head != f"collatzbin-checkpoint v{CHECKPOINT_VERSION}":
         raise CheckpointError(
             f"unsupported checkpoint header {head!r}; this build reads v{CHECKPOINT_VERSION}"
         )
-    if lines[-1] != "end":
-        raise CheckpointError(f"checkpoint {path} is incomplete (no end marker)")
     try:
-        fields = {}
-        truncated = []
-        for line in lines[1:-1]:
-            key, *rest = line.split(" ")
-            if key == "trunc":
-                truncated.append(int(rest[0]))
-            else:
-                fields[key] = rest
-        lo, hi = (int(x) for x in fields["range"])
-        sig_pair = _parse_opt_pair(fields["max_sigma"])
-        exc_pair = _parse_opt_pair(fields["max_excursion"])
-        state = Checkpoint(
-            lo=lo,
-            hi=hi,
-            step_cap=int(fields["step_cap"][0]),
-            chunk_size=int(fields["chunk_size"][0]),
-            next_unprocessed=int(fields["next"][0]),
-            max_stopping_time=sig_pair[0],
-            max_stopping_time_at=sig_pair[1],
-            max_excursion=exc_pair[0],
-            max_excursion_at=exc_pair[1],
-            truncated=truncated,
+        # fields by position; verified, hist and the end marker are derived,
+        # and the text comparison below checks every byte
+        (_, lo, hi), (_, cap), (_, chunk), (_, nxt), _, (_, *sig), (_, *peak), _ = (
+            line.split(" ") for line in lines[1:9]
         )
-        _check(state, fields["verified"], fields["hist"])
-        return state
-    except (KeyError, ValueError, IndexError) as exc:
+        state = Checkpoint(
+            int(lo), int(hi), int(cap), int(chunk), int(nxt),
+            truncated=[int(line[6:]) for line in lines[9:-1]],
+        )
+        state.max_stopping_time, state.max_stopping_time_at = _parse_opt_pair(sig)
+        state.max_excursion, state.max_excursion_at = _parse_opt_pair(peak)
+        _check(state)
+        if _checkpoint_text(state) != text:
+            raise ValueError("not the text this build writes for its state")
+    except ValueError as exc:
         raise CheckpointError(f"malformed checkpoint {path}: {exc}") from exc
+    return state
 
 
-def _check(state: Checkpoint, verified: list[str], hist: list[str]) -> None:
-    """Raise ValueError unless the loaded state is one a run can reach.
-
-    verified and hist are the file's lines; they must equal the state's.
-    """
+def _check(state: Checkpoint) -> None:
+    """Raise ValueError unless the loaded state is one a run can reach."""
     lo, nxt, hi = state.lo, state.next_unprocessed, state.hi
     if not 1 <= lo <= nxt <= hi:
         raise ValueError(f"need 1 <= lo <= next <= hi, got {lo}, {nxt}, {hi}")
@@ -597,8 +580,6 @@ def _check(state: Checkpoint, verified: list[str], hist: list[str]) -> None:
     trunc = state.truncated
     if any(a >= b for a, b in zip([lo - 1, *trunc], [*trunc, nxt])):
         raise ValueError(f"truncated inputs must ascend strictly inside [{lo}, {nxt})")
-    if verified != [str(state.verified_count)] or hist != list(map(str, state.histogram)):
-        raise ValueError(f"verified, hist disagree with [{lo}, {nxt}) and {len(trunc)} truncated")
     for best, at in (
         (state.max_stopping_time, state.max_stopping_time_at),
         (state.max_excursion, state.max_excursion_at),
@@ -607,6 +588,10 @@ def _check(state: Checkpoint, verified: list[str], hist: list[str]) -> None:
             raise ValueError("maxima must be present exactly when some value is verified")
         if at is not None and not lo <= at < nxt:
             raise ValueError(f"maximum at {at} lies outside [{lo}, {nxt})")
+    if state.verified_count and state.max_stopping_time > state.step_cap:
+        raise ValueError(
+            f"max stopping time {state.max_stopping_time} exceeds step_cap {state.step_cap}"
+        )
 
 
 def checkpoint_resume(path: Union[str, Path], jobs: int = 1) -> Checkpoint:

@@ -9,6 +9,7 @@ from collatzbin import (
     BinaryNat,
     DomainError,
     derivation_trace,
+    render_derivation,
     render_machine,
     render_points,
     render_scratch,
@@ -59,8 +60,11 @@ def test_table_shapes():
     assert out.splitlines()[0] == "67=(1000011)₂ → (11001010)₂"
     # the derivation of 1, its one cycle record, is a single terminal row
     assert render_table(derivation_trace(bn(1))) == "1=(1)₂\n"
-    with pytest.raises(DomainError):
+    # an empty derivation has no renderer
+    with pytest.raises(DomainError, match="empty derivation"):
         render_table([])
+    with pytest.raises(DomainError, match="empty derivation"):
+        render_derivation([])
 
 
 def test_scratch_line_per_iterate():

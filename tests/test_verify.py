@@ -421,6 +421,9 @@ def test_checkpoint_version_mismatch(tmp_path):
     path.write_text(text)
     with pytest.raises(CheckpointError, match="v99"):
         checkpoint_load(path)
+    path.write_text("")
+    with pytest.raises(CheckpointError, match="unsupported checkpoint header ''"):
+        checkpoint_load(path)
 
 
 def test_checkpoint_detects_torn_write(tmp_path):
@@ -437,6 +440,9 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "ck.txt"
     path.write_text("collatzbin-checkpoint v1\nrange x y\nend\n")
     with pytest.raises(CheckpointError):
+        checkpoint_load(path)
+    path.write_bytes(b"collatzbin-checkpoint v1\nrange \xff 2\nend\n")
+    with pytest.raises(CheckpointError, match="cannot read"):
         checkpoint_load(path)
 
 
@@ -475,6 +481,20 @@ def test_checkpoint_load_checks_consistency(tmp_path):
                 ("trunc 27\n", "trunc 1\n"),
                 ("trunc 27\n", "trunc 31\n"),
                 ("max_sigma 30 86", "max_sigma 30 300"),
+                # used to report "step cap: 20" with a max stopping time of 30
+                ("step_cap 30\n", "step_cap 20\n"),
+                # not the saved text; the repeated step_cap used to resume
+                # into "step cap: 1000" with 79 cap-30 truncations
+                ("trunc 27\n", "trunc 27 99\n"),
+                ("trunc 27\n", "trunc 027\n"),
+                ("step_cap 30\n", "step_cap 30 7\n"),
+                ("step_cap 30\n", "step_cap 30\nstep_cap 1000\n"),
+                ("hist 0 7 6 92 93\n", "hist 0 7 6 92 93\nbogus 1\n"),
+                ("next 200\n", "next 200\nnext 200\n"),
+                ("next 200\n", "next 2_00\n"),
+                ("next 200\n", "next +200\n"),
+                ("collatzbin-checkpoint v1\n", "collatzbin-checkpoint v1\r\n"),
+                ("\n", "\r\n"),
             ],
         ),
     ]
@@ -487,6 +507,38 @@ def test_checkpoint_load_checks_consistency(tmp_path):
             path.write_text(whole.replace(old, new))
             with pytest.raises(CheckpointError, match="malformed"):
                 checkpoint_load(path)
+
+
+@settings(max_examples=60)
+@given(
+    lo=st.one_of(st.integers(1, 5000), st.sampled_from([(1 << 62) - 40, (1 << 64) + 1])),
+    size=st.integers(1, 400),
+    cap=st.sampled_from([5, 30, 300, DEFAULT_STEP_CAP]),
+    chunk=st.integers(1, 150),
+    data=st.data(),
+)
+def test_checkpoint_round_trip_on_reachable_states(tmp_path_factory, lo, size, cap, chunk, data):
+    # a run over [lo, lo + size) stopped after some number of chunks
+    hi = lo + size
+    starts = range(lo, hi, chunk)
+    state = Checkpoint(lo, hi, cap, chunk, lo)
+    verify_mod._ensure_tables(hi)
+    for a in starts[: data.draw(st.integers(0, len(starts)), label="chunks")]:
+        verify_mod._merge(state, verify_mod._chunk_stats((a, min(a + chunk, hi)), cap))
+    path = tmp_path_factory.mktemp("ck") / "ck.txt"
+    checkpoint_save(state, path)
+    saved = path.read_bytes()
+    loaded = checkpoint_load(path)
+    assert loaded == state
+    checkpoint_save(loaded, path)
+    assert path.read_bytes() == saved
+
+
+def test_verify_range_takes_plain_ints():
+    with pytest.raises(DomainError, match="lo must be an integer value, got BinaryNat"):
+        verify_range(bn(1), 10)
+    with pytest.raises(DomainError, match="hi must be an integer value, got float"):
+        verify_range(1, 10.0)
 
 
 # -- one class partition, one run-state type, one table
