@@ -6,6 +6,8 @@ and the 2-adic valuation is the length of the trailing zero run. Between
 reading and printing, each value is one CPython int. On top of that sit
 the orbit walks, the digit-class partition, the tree-path composition
 view, the power-of-two merge derivations, and a batch range verifier.
+The walks take a BinaryNat and hand back plain values: a trace and a
+tree path hold ints, and a composition path is its O/E string.
 
 The verifier needs numpy, so its names load on first use (PEP 562).
 """
@@ -19,7 +21,7 @@ from .collatz import (
     step,
     stopping_time,
 )
-from .compose import CompositionPath, Step, decompose, tree_path
+from .compose import decompose, tree_path
 from .errors import CapExceeded, CheckpointError, DomainError, ParityError
 from .powersum import DerivationRecord, derivation_trace
 from .traceio import (
@@ -42,8 +44,6 @@ __all__ = [
     "step",
     "sequence",
     "stopping_time",
-    "Step",
-    "CompositionPath",
     "decompose",
     "tree_path",
     "DerivationRecord",

@@ -65,4 +65,10 @@ def hard_number(k: int) -> BinaryNat:
     """The k-th hard number (4^k - 1)/3, as the string (10)^(k-1) 1."""
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
-    return BinaryNat("10" * (k - 1) + "1")
+    try:
+        # past memory the repeat fails before it allocates: MemoryError, or
+        # OverflowError past the longest string the platform indexes
+        bits = "10" * (k - 1) + "1"
+    except (MemoryError, OverflowError):
+        raise DomainError(f"the {2 * k - 1}-digit hard number a_{k} does not fit in memory") from None
+    return BinaryNat(bits)

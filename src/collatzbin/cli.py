@@ -18,7 +18,7 @@ import sys
 from typing import Optional
 
 from . import collatz, compose, traceio
-from .bitnat import BinaryNat
+from .bitnat import BinaryNat, int_to_decimal
 from .classify import classify, hard_number
 from .errors import CapExceeded, CheckpointError, DomainError, ParityError
 from .powersum import derivation_trace
@@ -82,8 +82,8 @@ def _cmd_path(args) -> int:
     n = _parse_value(args.n, args.binary)
     # n is the longest prefix: past the digit limit it fails before the rest
     last = n.to_decimal()
-    walk = " ".join([v.to_decimal() for v in compose.tree_path(n)[:-1]] + [last])
-    steps = str(compose.decompose(n))
+    walk = " ".join([int_to_decimal(v) for v in compose.tree_path(n)[:-1]] + [last])
+    steps = compose.decompose(n)
     print(f"{walk} / {steps}" if steps else f"{walk} /")
     return 0
 

@@ -1,12 +1,13 @@
 """The 3n+1 map on binary naturals.
 
-T(n) is 3n+1 for odd n and n/2 for even n. A trace is the tuple of the
-values an orbit passes through; the move that made a value is the parity
-of the value before it, so nothing else is stored. Sequences carry an
-explicit step cap because convergence to 1 is conjectural; hitting the
-cap is reported, never looped through. The odd-to-odd contraction, which
-folds every run of halvings into one move, is powersum.derivation_trace:
-it walks plain ints, one record per odd value and its shift.
+T(n) is 3n+1 for odd n and n/2 for even n. A walk takes a BinaryNat and
+a trace is the tuple of the plain ints its orbit passes through; the move
+that made a value is the parity of the value before it, so nothing else
+is stored. Sequences carry an explicit step cap because convergence to 1
+is conjectural; hitting the cap is reported, never looped through. The
+odd-to-odd contraction, which folds every run of halvings into one move,
+is powersum.derivation_trace: it walks plain ints, one record per odd
+value and its shift.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ DEFAULT_CHUNK_SIZE = 1 << 16
 
 
 class CollatzTrace(NamedTuple):
-    """A prefix of the orbit of values[0], one value per iterate.
+    """A prefix of the orbit of values[0], one plain int per iterate.
 
     values[i+1] applies one map step to values[i], so it came from an odd
     step exactly when values[i] is odd. stopping_time is the first index
@@ -43,7 +44,7 @@ class CollatzTrace(NamedTuple):
     step budget ran out before it could witness convergence.
     """
 
-    values: tuple[BinaryNat, ...]
+    values: tuple[int, ...]
     stopping_time: Optional[int]
 
 
@@ -58,15 +59,14 @@ def sequence(n: BinaryNat, max_steps: int = DEFAULT_CAP) -> CollatzTrace:
     The start counts as value 0, not as a step, so a walk from 1 keeps
     going around the cycle until 1 comes back (three steps).
     """
-    values = [n]
-    stop = 0 if n.is_one() else None
-    for i in range(1, max_steps + 1):
-        values.append(step(values[-1]))
-        if values[-1].is_one():
-            if stop is None:
-                stop = i
+    v = n.to_int()
+    values = [v]
+    for _ in range(max_steps):
+        v = 3 * v + 1 if v & 1 else v >> 1
+        values.append(v)
+        if v == 1:
             break
-    return CollatzTrace(tuple(values), stop)
+    return CollatzTrace(tuple(values), values.index(1) if 1 in values else None)
 
 
 def stopping_time(n: BinaryNat, cap: int = DEFAULT_CAP) -> int:

@@ -54,7 +54,7 @@ def render_table(records: list[DerivationRecord]) -> str:
 
 def _kinds(trace: CollatzTrace) -> list[str]:
     # the move that made each value: none for the start, else the parity before it
-    return ["", *("odd-step" if v.is_odd() else "even-step" for v in trace.values[:-1])]
+    return ["", *("odd-step" if v & 1 else "even-step" for v in trace.values[:-1])]
 
 
 _GLYPHS = {"": "·", "odd-step": "→", "even-step": "↓"}
@@ -63,8 +63,7 @@ _GLYPHS = {"": "·", "odd-step": "→", "even-step": "↓"}
 def render_scratch(trace: CollatzTrace) -> str:
     """One line per iterate with a margin glyph for the move that made it."""
     lines = [
-        f"{_GLYPHS[kind]} {value.to_decimal()} = ({value.bits})₂"
-        for value, kind in zip(trace.values, _kinds(trace))
+        f"{_GLYPHS[kind]} {int_to_decimal(v)} = ({v:b})₂" for v, kind in zip(trace.values, _kinds(trace))
     ]
     if trace.stopping_time is None:
         lines.append("... truncated")
@@ -73,7 +72,7 @@ def render_scratch(trace: CollatzTrace) -> str:
 
 def render_points(trace: CollatzTrace) -> str:
     """Bare "index,value" rows from index 0, for external plotting."""
-    return "\n".join(f"{i},{v.to_decimal()}" for i, v in enumerate(trace.values)) + "\n"
+    return "\n".join(f"{i},{int_to_decimal(v)}" for i, v in enumerate(trace.values)) + "\n"
 
 
 # maps the ASCII digits "0"/"1" to the bytes 0/1, falsy and truthy for compress
@@ -131,9 +130,9 @@ def render_machine(obj: CollatzTrace | list[DerivationRecord]) -> str:
     lines = []
     if isinstance(obj, CollatzTrace):
         last = len(obj.values) - 1
-        for i, (value, kind) in enumerate(zip(obj.values, _kinds(obj))):
+        for i, (v, kind) in enumerate(zip(obj.values, _kinds(obj))):
             ann = "truncated" if obj.stopping_time is None and i == last else ""
-            lines.append(f"{i},{value.to_decimal()},{value.bits},{kind},{ann}")
+            lines.append(f"{i},{int_to_decimal(v)},{v:b},{kind},{ann}")
     elif obj and isinstance(obj[0], DerivationRecord):
         decimals = [int_to_decimal(rec.value) for rec in obj]
         # comma-free sum notation for the annotations field

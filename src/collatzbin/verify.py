@@ -46,7 +46,8 @@ Argmax ties go to the smaller n; peaks of truncated walks do not count.
 Checkpoint files are versioned line-oriented text, written atomically
 (temp file then rename) at chunk boundaries only. One function writes
 the format, and a file loads only if it is exactly the text that
-checkpoint_save writes for a state a run can reach.
+checkpoint_save writes for a state a run can reach, and each saved
+maximum is what a fresh walk of its n gives.
 """
 
 from __future__ import annotations
@@ -563,6 +564,7 @@ def checkpoint_load(path: Union[str, Path]) -> Checkpoint:
         _check(state)
         if _checkpoint_text(state) != text:
             raise ValueError("not the text this build writes for its state")
+        _check_maxima(state)
     except ValueError as exc:
         raise CheckpointError(f"malformed checkpoint {path}: {exc}") from exc
     return state
@@ -592,6 +594,22 @@ def _check(state: Checkpoint) -> None:
         raise ValueError(
             f"max stopping time {state.max_stopping_time} exceeds step_cap {state.step_cap}"
         )
+
+
+def _check_maxima(state: Checkpoint) -> None:
+    """Raise ValueError unless each saved maximum is its input's own walk."""
+    if not state.verified_count:
+        return
+    _ensure_tables(state.hi)
+    cap, n = state.step_cap, state.max_stopping_time_at
+    sigma = _walk_row(cap, n)[0]
+    if sigma < 0 or sigma != state.max_stopping_time:
+        raise ValueError(f"{n} does not stop in {state.max_stopping_time} steps at cap {cap}")
+    # a peak above the floor max_excursion - 1 is low exactly
+    n = state.max_excursion_at
+    sigma, low, _ = _walk_row(cap, n, state.max_excursion - 1)
+    if sigma < 0 or low != state.max_excursion:
+        raise ValueError(f"{n} does not peak at {state.max_excursion} within cap {cap}")
 
 
 def checkpoint_resume(path: Union[str, Path], jobs: int = 1) -> Checkpoint:

@@ -12,6 +12,18 @@ def bn(n: int) -> BinaryNat:
     return BinaryNat.from_int(n)
 
 
+def int_orbit(n: int, cap: int) -> list[int]:
+    # plain-int walk, one step at a time: the start, then one value per
+    # step up to the first step that lands on 1, or cap steps
+    values = [n]
+    while len(values) <= cap:
+        v = values[-1]
+        values.append(3 * v + 1 if v & 1 else v >> 1)
+        if values[-1] == 1:
+            break
+    return values
+
+
 def exponents(text: str) -> tuple[int, ...]:
     # "{7,6,3,1}" -> (7, 6, 3, 1)
     return tuple(int(e) for e in text.strip("{}").split(","))

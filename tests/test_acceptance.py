@@ -23,7 +23,7 @@ from collatzbin import (
     checkpoint_resume,
     summarize,
 )
-from collatzbin.compose import Step, decompose, tree_path
+from collatzbin.compose import decompose, tree_path
 from collatzbin import verify as verify_mod
 from collatzbin.traceio import render_derivation, render_machine, render_table
 from collatzbin.verify import Checkpoint, checkpoint_save
@@ -82,7 +82,7 @@ def test_criterion_04_10027_figures_reconciled():
     assert sigma == oracle_sigma == 91
     # every golden row is arithmetically consistent and chains correctly
     rows = GOLDEN.read_text(encoding="utf-8").splitlines()
-    chain = [v.to_int() for v in sequence(bn(10027), 200).values if v.is_odd()]
+    chain = [v for v in sequence(bn(10027), 200).values if v & 1]
     assert len(rows) == len(chain) - 1
     for row, value, nxt in zip(rows, chain, chain[1:]):
         left, right = row.split(" → ")
@@ -121,7 +121,7 @@ def test_criterion_05_derivation_of_67():
     )
     _, _, _, after, shift, nxt = rows[-1]
     assert tuple(e - shift for e in after) == (0,) and nxt == 1
-    chain = [v.to_int() for v in sequence(bn(67), 200).values if v.is_odd()]
+    chain = [v for v in sequence(bn(67), 200).values if v & 1]
     assert chain == [row[0] for row in rows] + [1] == [67, 101, 19, 29, 11, 17, 13, 5, 1]
     # the geometric identity 2^(2k-1) + ... + 2 + 1 = 4^k - 1: the raw
     # multiset of a_k = (4^k - 1)/3 carries to 2^(2k) in one line
@@ -164,7 +164,7 @@ def test_criterion_07_tail_cycle_sampled():
         n = rng.randrange(1, 1 << 32)
         trace = sequence(bn(n), 10**4)
         assert trace.stopping_time is not None
-        v = trace.values[trace.stopping_time]
+        v = bn(trace.values[trace.stopping_time])
         tail = []
         for _ in range(3):
             v = step(v)
@@ -244,8 +244,8 @@ def test_criterion_10_powersum_equals_bitstring_engine():
         sample = [rng.randrange(0, 1 << 15) * 2 + 1 for _ in range(200)] + [67]
         for n in sample:
             rows = derivation_lines(n)
-            odds = [bn(row[0]) for row in rows] + [bn(rows[-1][5])]
-            assert odds == [v for v in sequence(bn(n)).values if v.is_odd()]
+            odds = [row[0] for row in rows] + [rows[-1][5]]
+            assert odds == [v for v in sequence(bn(n)).values if v & 1]
         return steps
 
     steps, ms = timed(run)
@@ -261,16 +261,16 @@ def test_criterion_11_composition_roundtrip_exhaustive():
     for n in range(1, 1 << 14):
         v = BinaryNat.from_int(n)
         path = decompose(v)
-        assert str(path) == v.bits[1:].replace("1", "O").replace("0", "E")
+        assert path == v.bits[1:].replace("1", "O").replace("0", "E")
         walk = tree_path(v)
-        assert walk[0] == BinaryNat("1") and walk[-1] == v
+        assert walk[0] == 1 and walk[-1] == n
         for parent, child, step in zip(walk[:-1], walk[1:], path, strict=True):
-            assert child == parent.append_bit(1 if step is Step.O else 0)
+            assert child == 2 * parent + (step == "O")
     # the reverse identity over all short step strings
     for length in range(0, 8):
         for letters in itertools.product("OE", repeat=length):
             bits = "1" + "".join(letters).replace("O", "1").replace("E", "0")
-            assert str(decompose(BinaryNat(bits))) == "".join(letters)
+            assert decompose(BinaryNat(bits)) == "".join(letters)
     report(11, "composition path roundtrips hold for every n < 2^14")
 
 

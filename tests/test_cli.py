@@ -263,6 +263,11 @@ def test_hard(capsys):
         "T^7(a_3) = 1: ok",
     ]
     assert run(capsys, "hard", "0")[0] == 1
+    # past memory and past the longest indexable string: one error line each
+    for k in (10**18, 10**20):
+        code, out, err = run(capsys, "hard", str(k))
+        assert (code, out) == (1, "")
+        assert err == f"error: the {2 * k - 1}-digit hard number a_{k} does not fit in memory\n"
 
 
 def test_verify_summary(capsys):
@@ -392,6 +397,20 @@ def test_every_public_name_has_a_caller():
         if not (name.startswith("__") and name.endswith("__")) and name not in loaded
     ]
     assert uncalled == []
+
+
+def test_only_bitnat_names_the_raw_constructor():
+    # BinaryNat._raw skips the >= 1 check: every other module builds a
+    # BinaryNat through a checked constructor, or hands back plain ints
+    naming = sorted(
+        path.name
+        for path in Path(collatzbin.__file__).parent.glob("*.py")
+        if path.name != "bitnat.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Attribute) and node.attr == "_raw")
+        or (isinstance(node, ast.Name) and node.id == "_raw")
+    )
+    assert naming == []
 
 
 def test_ctrl_c_while_the_cli_loads():

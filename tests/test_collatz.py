@@ -13,7 +13,7 @@ from collatzbin import (
     stopping_time,
 )
 
-from conftest import bn
+from conftest import bn, int_orbit
 
 
 def sigma_oracle(n: int) -> int:
@@ -68,11 +68,12 @@ def test_reduced_step_oracle(k):
 
 def test_sequence_examples():
     t = sequence(bn(5), 10)
-    assert t.values == tuple(map(bn, (5, 16, 8, 4, 2, 1)))
+    assert t.values == (5, 16, 8, 4, 2, 1)
+    assert all(type(v) is int for v in t.values)
     assert t.stopping_time == 5
 
     t = sequence(bn(1), 3)
-    assert t.values == tuple(map(bn, (1, 4, 2, 1)))
+    assert t.values == (1, 4, 2, 1)
     assert t.stopping_time == 0
 
     assert sequence(bn(255), 100).stopping_time == 47
@@ -83,7 +84,7 @@ def test_sequence_truncation_is_flagged():
     assert t.stopping_time is None
     assert len(t.values) == 6  # start plus five steps
     t0 = sequence(bn(1), 0)
-    assert t0.values == (bn(1),)
+    assert t0.values == (1,)
     assert t0.stopping_time == 0
 
 
@@ -91,12 +92,37 @@ def test_sequence_truncation_is_flagged():
 @settings(max_examples=60)
 def test_sequence_follows_the_map(n):
     t = sequence(bn(n), 10**4)
-    vals = [v.to_int() for v in t.values]
+    vals = list(t.values)
     for a, b in zip(vals, vals[1:]):
         assert b == (3 * a + 1 if a & 1 else a >> 1)
     assert t.stopping_time == sigma_oracle(n)
     assert vals[t.stopping_time] == 1
     assert 1 not in vals[: t.stopping_time]
+
+
+def bit_values(b):
+    # Hypothesis favours values near powers of two, whose orbits are short;
+    # a seeded random value of the same length has a typical one
+    return st.one_of(
+        st.integers(min_value=1 << (b - 1), max_value=(1 << b) - 1),
+        st.randoms(use_true_random=False).map(lambda r: r.getrandbits(b - 1) | 1 << (b - 1)),
+    )
+
+
+@given(st.integers(min_value=1, max_value=500).flatmap(bit_values))
+@settings(max_examples=60)
+def test_stopping_time_and_sequence_agree(n):
+    # the two full-map walks, BinaryNat steps and plain ints, on both sides
+    # of the cap that just reaches 1
+    sigma = sigma_oracle(n)
+    for cap in sorted({1, sigma - 1, sigma, sigma + 1} - {-1}):
+        t = sequence(bn(n), cap)
+        assert t.values == tuple(int_orbit(n, cap))
+        if t.stopping_time is None:
+            with pytest.raises(CapExceeded):
+                stopping_time(bn(n), cap)
+        else:
+            assert stopping_time(bn(n), cap) == t.stopping_time == sigma
 
 
 def test_stopping_time_known_values():
@@ -143,7 +169,7 @@ def test_odd_chain_agrees_with_sequence(n):
     # collapsing the halving runs of the full walk gives the derivation's
     # odd values, then 1; a power of two's odd part is 1 itself
     t = sequence(bn(n), 10**4)
-    odds = [v.to_int() for v in t.values[: t.stopping_time + 1] if v.is_odd()]
+    odds = [v for v in t.values[: t.stopping_time + 1] if v & 1]
     odd_part = n >> ((n & -n).bit_length() - 1)
     assert odds == ([] if odd_part == 1 else odd_values(odd_part)) + [1]
 

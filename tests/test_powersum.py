@@ -126,8 +126,8 @@ def test_derivation_endpoints_match_odd_chain(k):
     # record while the walk stops at 1 without looping
     n = 2 * k + 1
     rows = derivation_lines(n)
-    odds = [v for v in sequence(bn(n)).values if v.is_odd()]
-    assert [bn(row[0]) for row in rows] + [bn(rows[-1][5])] == odds
+    odds = [v for v in sequence(bn(n)).values if v & 1]
+    assert [row[0] for row in rows] + [rows[-1][5]] == odds
 
 
 def _short_orbit_start(shifts):

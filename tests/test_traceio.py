@@ -17,21 +17,9 @@ from collatzbin import (
     sequence,
 )
 
-from conftest import bn
+from conftest import bn, int_orbit
 
 GOLDEN = Path(__file__).parent / "goldens" / "table_10027.txt"
-
-
-def int_orbit(n, cap):
-    # plain-int walk: the start, then one value per step up to the first
-    # step that lands on 1, or cap steps
-    values = [n]
-    while len(values) <= cap:
-        v = values[-1]
-        values.append(3 * v + 1 if v & 1 else v >> 1)
-        if values[-1] == 1:
-            break
-    return values
 
 
 def int_kinds(values):

@@ -481,6 +481,12 @@ def test_checkpoint_load_checks_consistency(tmp_path):
                 ("trunc 27\n", "trunc 1\n"),
                 ("trunc 27\n", "trunc 31\n"),
                 ("max_sigma 30 86", "max_sigma 30 300"),
+                # maxima that are not their input's own walk used to resume
+                # into a report that carried them
+                ("max_sigma 30 86", "max_sigma 29 86"),
+                ("max_sigma 30 86", "max_sigma 30 27"),  # 27 is truncated
+                ("max_excursion 1024 151", "max_excursion 1023 151"),
+                ("max_excursion 1024 151", "max_excursion 1025 151"),
                 # used to report "step cap: 20" with a max stopping time of 30
                 ("step_cap 30\n", "step_cap 20\n"),
                 # not the saved text; the repeated step_cap used to resume
