@@ -4,9 +4,9 @@ The engine walks every n in [lo, hi) to 1 (or to a step cap), recording
 the stopping time and the orbit peak. Internally it runs on machine
 integers under numpy with two escape hatches: values below a table bound
 resolve through precomputed stopping-time/peak tables, and a lane at
-risk of overflowing 64 bits walks again from its start on plain Python
-integers, by the same jumps as the kernel. The table entries are exact,
-so the tables depend only on hi and the cap is applied at lookup. Every
+risk of overflowing 64 bits takes the same jumps on plain Python
+integers until it fits again. The table entries are exact, so the
+tables depend only on hi and the cap is applied at lookup. Every
 partial result, from one value to a whole run, is a Checkpoint holding
 only what the walks find (the maxima and the truncated inputs); the
 verified count and the digit-class histogram follow from the range
@@ -22,18 +22,17 @@ counts the odd steps (the parity-vector identity the paper's binary
 split n = 2^k·a + b rests on), so one table over the 2^16 residues b
 serves every lane. The same table holds, per residue, bounds M1(b) and
 M2(b) with every value inside the jump at most a·M1(b) + M2(b), and the
-int64 gate LIM(b): a lane jumps only while a <= LIM(b), which keeps
-every value inside the jump within 2^63 - 1. A lane whose next jump
-could pass that limit leaves the kernel and walks again from its start
-on plain integers, where it jumps with no gate; so does every start at
-or past 2^63. A jumping lane starts at or above the table bound, so
-a >= 1 and the jump cannot pass through 1: stopping times stay exact.
-Peaks become bounds: each lane carries an exact lower bound (values it
-landed on) and an upper bound (the jumps' a·M1 + M2), and only lanes
-whose upper bound reaches the best lower bound of their block are
-walked again, in ascending n, so the tie rule below still holds. A lane
-walked again steps one value at a time only inside the jumps whose
-bound beats the best peak found so far.
+int64 gate LIM(b): a <= LIM(b) keeps every value inside the jump within
+2^63 - 1. A lane jumps on int64 arrays while its gate holds, and on
+plain integers, as every start at or past 2^63 does, until it holds
+again. A jumping lane starts at or above the table bound, so a >= 1 and
+the jump cannot pass through 1: stopping times stay exact. Peaks become
+bounds: each lane carries an exact lower bound (values it landed on) and
+an upper bound (the jumps' a·M1 + M2), and only lanes whose upper bound
+reaches the best lower bound of their block are walked again, in
+ascending n, so the tie rule below still holds. A lane walked again
+steps one value at a time only inside the jumps whose bound beats the
+best peak found so far.
 
 What is checked is convergence: every n reaches 1 within the step cap.
 The 1 -> 4 -> 2 -> 1 tail that follows is the same three steps for
@@ -132,8 +131,9 @@ class Checkpoint:
 # ---------------------------------------------------------------------------
 # tables, shared with forked workers through module globals
 
-# exact stopping time and orbit peak of every 1 <= n < len(_SIG)
-_SIG = np.array([-1, 0], dtype=np.int64)
+# exact stopping time and orbit peak of every 1 <= n < len(_SIG); a
+# stopping time below 2^20 is at most 524, so int16 holds it
+_SIG = np.array([-1, 0], dtype=np.int16)
 _PK = np.array([0, 1], dtype=np.int64)
 # values per numpy block when the base table grows and in the kernel:
 # blocks this small keep the scratch arrays in cache and inside memory the
@@ -146,13 +146,13 @@ _LANES = 1 << 14
 _K = 16
 _MASK = (1 << _K) - 1
 _JUMP: Optional[np.ndarray] = None
-# rows A, B, S, M1, M2 of _JUMP and the base tables as zero-copy views:
-# _walk_row reads them one entry at a time as plain integers
+# rows A, B, S, M1, M2, LIM of _JUMP and the base tables as zero-copy
+# views: the plain-int walks read them one entry at a time
 _VIEWS: tuple[memoryview, ...] = ()
 
 
 def _jump_table() -> np.ndarray:
-    """Rows A, B, S, M1, M2, LIM over the residues b < 2^_K.
+    """Rows A, B, S, M1, M2, LIM over residues b < 2^_K; b's six share a cache line.
 
     For v = 2^_K·a + b, the plain map reaches A(b)·a + B(b) in S(b) steps,
     after its _K-th halving: the parity-vector identity (Terras 1976),
@@ -177,7 +177,7 @@ def _jump_table() -> np.ndarray:
         alpha >>= 1
         y >>= 1
     lim[:] = (2**63 - 1 - m2) // m1
-    return table
+    return table.T.copy().T
 
 
 def _ensure_tables(hi: int) -> None:
@@ -196,7 +196,7 @@ def _ensure_tables(hi: int) -> None:
     old = _SIG.size
     if old < min(BASE_TABLE_BOUND, hi):
         bound = min(BASE_TABLE_BOUND, max(hi, 2 * old))
-        sig = np.empty(bound, dtype=np.int64)
+        sig = np.empty(bound, dtype=np.int16)
         pk = np.empty(bound, dtype=np.int64)
         sig[:old] = _SIG
         pk[:old] = _PK
@@ -206,7 +206,7 @@ def _ensure_tables(hi: int) -> None:
             _fill_segment(sig, pk, s, e)
             s = e
         _SIG, _PK = sig, pk
-    _VIEWS = (*map(memoryview, _JUMP[:5]), memoryview(_SIG), memoryview(_PK))
+    _VIEWS = (*map(memoryview, _JUMP), memoryview(_SIG), memoryview(_PK))
 
 
 def _fill_segment(sig: np.ndarray, pk: np.ndarray, lo: int, hi: int) -> None:
@@ -242,7 +242,7 @@ def _fill_segment(sig: np.ndarray, pk: np.ndarray, lo: int, hi: int) -> None:
 
 
 def _walk_row(cap: int, n: int, floor: float = math.inf) -> tuple[int, int, int]:
-    """Jump n on plain integers into the base table or to the cap.
+    """Walk n again on plain integers, into the base table or to the cap.
 
     Returns (stopping time, or -1 past the cap; low; high): the orbit peak
     lies in [low, high], and equals low whenever it exceeds floor. A jump
@@ -251,7 +251,7 @@ def _walk_row(cap: int, n: int, floor: float = math.inf) -> tuple[int, int, int]
     BASE_TABLE_BOUND >= 2^_K (_ensure_tables): a value still walking has
     a >= 16, and no jump can pass through 1.
     """
-    A, B, S, M1, M2, sig, pk = _VIEWS
+    A, B, S, M1, M2, _, sig, pk = _VIEWS
     bound = len(sig)
     v, steps, low, high = n, 0, n, n
     while v >= bound and steps < cap:
@@ -275,15 +275,15 @@ def _walk_row(cap: int, n: int, floor: float = math.inf) -> tuple[int, int, int]
     return -1, low, high
 
 
-def _take_peaks(res: Checkpoint, cap: int, lanes, floor: int) -> None:
+def _take_peaks(res: Checkpoint, cap: int, lanes: list) -> None:
     """Set res's max excursion from converged lanes (n, low, high), ascending n.
 
-    Each lane's peak lies in [low, high], and floor is the largest low.
-    A lane whose high does not beat the best peak so far cannot hold the
-    maximum; any other is walked again, exactly only inside the jumps
-    whose bound beats that best. A tie keeps the smaller n.
+    Each lane's peak lies in [low, high], so the maximum is at least the
+    largest low. A lane whose high does not beat the best peak so far
+    cannot hold it; any other is walked again, exactly only inside the
+    jumps whose bound beats that best. A tie keeps the smaller n.
     """
-    best = floor - 1
+    best = max(low for _, low, _ in lanes) - 1
     for n, low, high in lanes:
         if high <= best:
             continue
@@ -293,51 +293,69 @@ def _take_peaks(res: Checkpoint, cap: int, lanes, floor: int) -> None:
             res.max_excursion, res.max_excursion_at = peak, n
 
 
-def _fold_rows(lo: int, hi: int, cap: int, ns) -> Checkpoint:
-    """The values ns, ascending inside [lo, hi), walked by _walk_row."""
-    res = Checkpoint(lo, hi, cap, hi - lo, hi)
-    lanes = []
-    for n in ns:
-        sigma, low, high = _walk_row(cap, n)
-        if sigma < 0:
-            res.truncated.append(n)
-            continue
-        lanes.append((n, low, high))
-        if res.max_stopping_time is None or sigma > res.max_stopping_time:
-            res.max_stopping_time, res.max_stopping_time_at = sigma, n
-    if lanes:
-        _take_peaks(res, cap, lanes, max(low for _, low, _ in lanes))
-    return res
+def _jump_plain(cap: int, lanes, wide: dict) -> list:
+    """Jump lanes (i, v, steps, low, high) past their int64 gate on plain ints.
+
+    A lane takes _walk_row's jumps, with no floor, until the cap truncates
+    it or a <= LIM(b) holds again and it goes back to the kernel, as i, v,
+    steps in one flat list. Its bounds fold into wide[i]: its high is past
+    int64 from its first jump on, so the kernel carries 2^63 - 1 instead.
+    """
+    A, B, S, M1, M2, LIM, _, _ = _VIEWS
+    back = []
+    for i, v, steps, low, high in lanes:
+        if i in wide:
+            was_low, high = wide[i]
+            low = was_low if was_low > low else low
+        while steps < cap:
+            a = v >> _K
+            b = v & _MASK
+            if a <= LIM[b]:
+                back += i, v, steps
+                break
+            top = a * M1[b] + M2[b]
+            if top > high:
+                high = top
+            v = A[b] * a + B[b]
+            if v > low:
+                low = v
+            steps += S[b]
+        wide[i] = low, high
+    return back
 
 
 def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
-    """Values [lo, hi) below 2^63 on int64 lanes, _K halvings per jump.
+    """Values [lo, hi), at most _LANES of them, at any size; lane i walks lo + i.
 
     The tables must cover hi (_ensure_tables): then either every n resolves
     at once or the base table reaches BASE_TABLE_BOUND >= 2^_K, so a lane
-    that jumps has a >= 1 and the jump cannot pass through 1. Stopping
-    times stay exact. Peaks do not: a lane knows its peak only to lie in
-    [low, high] (_take_peaks). A lane jumps while a <= LIM(b), which keeps
-    every value inside the jump in int64; a lane past its limit walks
-    again from n in _walk_row.
+    that jumps has a >= 1 and the jump cannot pass through 1. A lane jumps
+    on the int64 arrays while a <= LIM(b), and in _jump_plain past its gate
+    or from a start at or past 2^63. Stopping times stay exact; a peak is
+    known only to lie in [low, high] (_take_peaks).
     """
-    ns = np.arange(lo, hi, dtype=np.int64)
-    size = ns.size
+    size = hi - lo
+    small = min(size, max(0, (1 << 63) - lo))  # lanes that start in int64
     bound = _SIG.size
     A, B, S, M1, M2, LIM = _JUMP
     sig = np.full(size, -1, dtype=np.int64)
-    low = ns.copy()
-    high = ns.copy()
-    # lanes still walking, compacted: index, value, steps, peak bounds
-    at = np.arange(size)
-    v = ns.copy()
-    steps = np.zeros(size, dtype=np.int64)
-    lw = ns.copy()
-    hg = ns.copy()
-    # lanes whose next jump could overflow int64 stop here and walk again
-    # in _walk_row
-    kernel = np.ones(size, dtype=bool)
-    while at.size:
+    low, high = np.zeros((2, size), dtype=np.int64)
+    # lanes in the kernel, compacted: index, value, steps, peak bounds
+    at, steps = np.arange(small), np.zeros(small, dtype=np.int64)
+    v = np.arange(lo, lo + small, dtype=np.int64)
+    lw, hg = v.copy(), v.copy()
+    # lanes past their gate, starts past 2^63 first, and their bounds
+    ns = range(lo + small, hi)
+    out = zip(range(small, size), ns, [0] * len(ns), ns, ns)
+    wide: dict[int, tuple[int, int]] = {}
+    while True:
+        back = _jump_plain(cap, out, wide)
+        if back:
+            bi, bv, bs = np.array(back, dtype=np.int64).reshape(-1, 3).T
+            cols = bi, bv, bs, bv, np.full(bv.size, 2**63 - 1)
+            at, v, steps, lw, hg = map(np.concatenate, zip((at, v, steps, lw, hg), cols))
+        if not at.size:
+            break
         done = v < bound
         if done.any():
             di = at[done]
@@ -346,41 +364,42 @@ def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
             low[di] = np.maximum(lw[done], _PK[vd])
             high[di] = np.maximum(hg[done], _PK[vd])
         huge = (v >> _K) > LIM[v & _MASK]
-        if huge.any():
-            kernel[at[huge]] = False
+        out = zip(*(x[huge].tolist() for x in (at, v, steps, lw, hg))) if huge.any() else ()
         keep = ~(done | huge | (steps >= cap))
         if not keep.all():
             at, v, steps, lw, hg = at[keep], v[keep], steps[keep], lw[keep], hg[keep]
-            if not at.size:
-                break
         a = v >> _K
         b = v & _MASK
         np.maximum(hg, a * M1[b] + M2[b], out=hg)
         v = A[b] * a + B[b]
         steps += S[b]
         np.maximum(lw, v, out=lw)
-    conv = kernel & (sig >= 0) & (sig <= cap)
-    res = Checkpoint(lo, hi, cap, size, hi, truncated=ns[kernel & ~conv].tolist())
-    if conv.any():
+    conv = (sig >= 0) & (sig <= cap)
+    ci = np.flatnonzero(conv)
+    res = Checkpoint(lo, hi, cap, size, hi, truncated=[lo + i for i in np.flatnonzero(~conv).tolist()])
+    if ci.size:
         # argmax takes the first maximum, the smallest n: the tie rule
-        ci = np.flatnonzero(conv)
-        j = ci[np.argmax(sig[ci])]
-        res.max_stopping_time, res.max_stopping_time_at = int(sig[j]), int(ns[j])
+        j = int(ci[np.argmax(sig[ci])])
+        res.max_stopping_time, res.max_stopping_time_at = int(sig[j]), lo + j
         # only lanes whose bound reaches the best sure peak can hold the maximum
-        floor = low[ci].max()
-        ci = ci[high[ci] >= floor]
-        _take_peaks(res, cap, zip(ns[ci].tolist(), low[ci].tolist(), high[ci].tolist()), int(floor))
-    return _merge(res, _fold_rows(lo, hi, cap, ns[~kernel].tolist()))
+        ci = ci[high[ci] >= low[ci].max()]
+        lanes = []
+        for i, low_i, high_i in zip(ci.tolist(), low[ci].tolist(), high[ci].tolist()):
+            if i in wide:
+                # a lane that left: its high is the plain-int one, past 2^63 - 1
+                was_low, high_i = wide[i]
+                low_i = was_low if was_low > low_i else low_i
+            lanes.append((lo + i, low_i, high_i))
+        _take_peaks(res, cap, lanes)
+    return res
 
 
 def _chunk_stats(bounds: tuple[int, int], cap: int) -> Checkpoint:
     lo, hi = bounds
-    # int64 ends at 2^63: values from there on walk on plain integers
-    mid = min(hi, max(lo, 1 << 63))
     acc = Checkpoint(lo, hi, cap, hi - lo, lo)
-    for start in range(lo, mid, _LANES):
-        _merge(acc, _chunk_numpy(start, min(start + _LANES, mid), cap))
-    return _merge(acc, _fold_rows(lo, hi, cap, range(mid, hi)))
+    for start in range(lo, hi, _LANES):
+        _merge(acc, _chunk_numpy(start, min(start + _LANES, hi), cap))
+    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -246,7 +246,7 @@ def test_histogram_and_counts_add_up():
 
 
 def test_int64_overflow_fallback():
-    # orbits straddling 2**62 leave the vectorized path mid-walk
+    # orbits straddling 2**62 leave the vectorized path mid-walk and come back
     lo = 2**62 - 2
     r = verify_range(lo, lo + 4)
     assert r.verified_count == 4
@@ -265,7 +265,7 @@ def test_int64_overflow_fallback():
 
 
 def test_python_path_beyond_int64():
-    # ranges past 2**63 skip numpy entirely
+    # starts past 2**63 take their first jumps on plain integers
     lo = 2**64 + 1
     r = verify_range(lo, lo + 2)
     assert r.verified_count == 2
@@ -564,7 +564,7 @@ def test_class_partition_matches_classify():
         assert class_counts(a, b) == {cls: expected[cls] for cls in NumberClass}
     with pytest.raises(DomainError):
         class_counts(0, 5)
-    # the verifier's histogram, in _HIST_ORDER, on the int64 and Python paths
+    # the verifier's histogram, in _HIST_ORDER, below, across and past 2^63
     for lo, hi in [
         (1, 1 << 12),
         ((1 << 62) - 300, (1 << 62) + 300),
@@ -622,9 +622,19 @@ def test_merge_ties_go_to_smaller_n():
             assert getattr(state, key + "_at") == a
 
 
+# n = 2^62 + 12473 leaves int64 and comes back twice; n = 2^62 + 12359
+# lands past 2^64 on plain integers before it comes back; n = 2^62 + 763
+# leaves twice and lands higher the first time than any jump of the second
+# could reach, so its bounds carry over from one stretch to the next
+TWICE_BACK = (1 << 62) + 12473
+PAST_2P64 = (1 << 62) + 12359
+HIGH_FIRST = (1 << 62) + 763
+
+
 def test_cap_boundary_is_exact_on_every_path():
-    # kernel, per-lane fallback and all-Python chunks agree on the cap edge
-    for n in (27, 10**6 + 1, (1 << 60) + 3, (1 << 62) + 1, (1 << 64) + 1):
+    # kernel lanes, lanes that leave int64 and come back (twice for
+    # TWICE_BACK), and starts past 2^63 agree on the cap edge
+    for n in (27, 10**6 + 1, (1 << 60) + 3, (1 << 62) + 1, TWICE_BACK, (1 << 64) + 1):
         sigma, _ = orbit_oracle(n)
         assert verify_range(n, n + 1, step_cap=sigma).verified_count == 1
         assert verify_range(n, n + 1, step_cap=sigma - 1).truncated == [n]
@@ -693,6 +703,8 @@ def test_base_table_matches_plain_walk(monkeypatch):
     rng = random.Random(5)
     for n in [*range(1, 3000), *(rng.randrange(3000, BASE_TABLE_BOUND) for _ in range(300))]:
         assert (sig[n], pk[n]) == orbit_oracle(n)
+    # the table holds stopping times as int16
+    assert sig.dtype == np.int16 and sig.max() < 2**15
     # growth from a short table of odd length, block by block; past
     # 2^16 a block is at most _BUILD_BLOCK long
     monkeypatch.setattr(verify_mod, "_SIG", sig[:11].copy())
@@ -730,8 +742,8 @@ def test_multilane_windows_match_oracle(base, offset, size, cap):
 )
 def test_past_int64_windows_match_oracle(base, offset, size, cap, chunk):
     # across (2^63 - 2) // 3, where 3v + 1 first leaves int64, 2^62, 2^63
-    # and far past it: kernel lanes, lanes that reach their int64 gate and
-    # walk again on plain integers, and all-Python chunks
+    # and far past it: kernel lanes, lanes that pass their int64 gate, jump
+    # on plain integers and come back, and starts past 2^63
     lo = base + offset
     want = dataclasses.replace(oracle_report(lo, lo + size, cap), chunk_size=chunk)
     assert verify_range(lo, lo + size, step_cap=cap, chunk_size=chunk) == want
@@ -785,7 +797,7 @@ def test_peak_scan_keeps_the_smaller_n_of_a_tie():
         [(n, n, peak + 9), (n + 1, n + 1, peak + 9)],
     ):
         state = Checkpoint(n, n + 2, DEFAULT_STEP_CAP, 2, n + 2)
-        verify_mod._take_peaks(state, DEFAULT_STEP_CAP, lanes, max(low for _, low, _ in lanes))
+        verify_mod._take_peaks(state, DEFAULT_STEP_CAP, lanes)
         assert (state.max_excursion, state.max_excursion_at) == (peak, n), lanes
 
 
@@ -805,15 +817,44 @@ def test_peak_inside_a_jump_of_a_lane_that_leaves_int64():
     # peak, 0.93 * 2^63, is a 3v+1 value inside a jump, above everything the
     # rest of the walk reaches, so _take_peaks walks it again from n. The
     # second jumps four times, then its next jump could pass 2^63 - 1 (its
-    # peak, 1.06 * 2^63, lies inside it): it leaves at the gate and the
-    # fallback walks it again from n
+    # peak, 1.06 * 2^63, lies inside it): it leaves at the gate, jumps on
+    # plain integers and comes back
     for n in (72057594037928009, 72057594037928033):
         assert verify_range(n, n + 1) == oracle_report(n, n + 1, DEFAULT_STEP_CAP)
 
 
+def _count_plain_jumps(monkeypatch):
+    """Wrap the plain-int jumper: count its jumps (its reads of A) and the
+    low each lane carries back into the kernel."""
+    jumps, backs = [0], []
+    real = verify_mod._jump_plain
+
+    class Counted:
+        def __init__(self, row):
+            self.row = row
+
+        def __getitem__(self, b):
+            jumps[0] += 1
+            return self.row[b]
+
+    def jump(cap, lanes, wide):
+        views = verify_mod._VIEWS
+        verify_mod._VIEWS = (Counted(views[0]), *views[1:])
+        try:
+            back = real(cap, lanes, wide)
+        finally:
+            verify_mod._VIEWS = views
+        backs.extend(wide[i][0] for i in back[::3])
+        return back
+
+    monkeypatch.setattr(verify_mod, "_jump_plain", jump)
+    return jumps, backs
+
+
 def test_kernel_keeps_lanes_up_to_their_gate_past_2p62(monkeypatch):
-    # a start below 2^63 begins in the kernel and leaves it only at its
-    # int64 gate: fewer values than the window walk on plain integers first
+    # a start below 2^63 begins in the kernel, leaves it only at its int64
+    # gate and comes back once the gate holds again: few jumps are taken on
+    # plain integers, and no lane is walked again from its start
     first = []
     walk = verify_mod._walk_row
 
@@ -823,13 +864,58 @@ def test_kernel_keeps_lanes_up_to_their_gate_past_2p62(monkeypatch):
         return walk(cap, n, floor)
 
     monkeypatch.setattr(verify_mod, "_walk_row", counted)
+    jumps, _ = _count_plain_jumps(monkeypatch)
     lo = (1 << 62) + 12345
     assert verify_range(lo, lo + 512) == oracle_report(lo, lo + 512, DEFAULT_STEP_CAP)
-    assert len(first) < 512
+    assert 0 < jumps[0] < 2 * 512
+    assert first == []
+
+
+def test_lanes_come_back_to_the_kernel(monkeypatch):
+    _, backs = _count_plain_jumps(monkeypatch)
+    for n, times in ((TWICE_BACK, 2), (HIGH_FIRST, 2), (PAST_2P64, 1)):
+        backs.clear()
+        assert verify_range(n, n + 1) == oracle_report(n, n + 1, DEFAULT_STEP_CAP)
+        assert len(backs) == times
+    assert max(backs) > 1 << 64
+    # every cap across the walk of a lane that comes back twice, so that
+    # some stop it while it jumps on plain integers
+    sigma = orbit_oracle(TWICE_BACK)[0]
+    for cap in range(1, sigma + 3, 5):
+        assert verify_range(TWICE_BACK, TWICE_BACK + 1, step_cap=cap) == oracle_report(
+            TWICE_BACK, TWICE_BACK + 1, cap
+        )
+
+
+@pytest.mark.parametrize(
+    "lo, hi, cap",
+    [
+        ((1 << 62) + 12345678901, (1 << 62) + 12345678901 + 4096, 1000),
+        # at chunk 1000 the chunk [2^63 - 48, 2^63 + 952) crosses 2^63, and
+        # at the default chunk so does the one block
+        ((1 << 63) - 2048, (1 << 63) + 2048, DEFAULT_STEP_CAP),
+        ((1 << 64) + 1, (1 << 64) + 4, DEFAULT_STEP_CAP),
+        ((1 << 62) - (1 << 11), (1 << 62) + (1 << 11), 60),
+    ],
+)
+def test_reentry_windows_match_oracle(lo, hi, cap):
+    want = oracle_report(lo, hi, cap)
+    for chunk in (37, 1000, DEFAULT_CHUNK_SIZE):
+        got = verify_range(lo, hi, step_cap=cap, chunk_size=chunk)
+        assert dataclasses.replace(got, chunk_size=DEFAULT_CHUNK_SIZE) == want, chunk
+    if cap == 60:
+        got = verify_range(lo, hi, step_cap=cap, chunk_size=1000, jobs=2)
+        assert dataclasses.replace(got, chunk_size=DEFAULT_CHUNK_SIZE) == want
+    # one-value chunks on the 512 values around the middle
+    mid = (lo + hi) // 2
+    a, b = max(lo, mid - 256), min(hi, mid + 256)
+    got = verify_range(a, b, step_cap=cap, chunk_size=1)
+    assert dataclasses.replace(got, chunk_size=DEFAULT_CHUNK_SIZE) == oracle_report(a, b, cap)
 
 
 def test_huge_cap_gives_the_default_cap_report():
-    # kernel, per-lane fallback (2^58 and 2^62) and all-Python chunks
+    # kernel lanes, lanes that leave int64 and come back (2^58 and 2^62),
+    # and starts past 2^63
     for lo, size in ((10**9 + 7, 300), ((1 << 58) + 3, 200), ((1 << 62) + 1, 40), ((1 << 64) + 1, 20)):
         r = verify_range(lo, lo + size, step_cap=10**30)
         assert r.step_cap == 10**30
