@@ -26,7 +26,12 @@ int64 gate LIM(b): a <= LIM(b) keeps every value inside the jump within
 2^63 - 1. A lane jumps on int64 arrays while its gate holds, and on
 plain integers, as every start at or past 2^63 does, until it holds
 again. A jumping lane starts at or above the table bound, so a >= 1 and
-the jump cannot pass through 1: stopping times stay exact. Peaks become
+the jump cannot pass through 1: stopping times stay exact. Residues with
+equal S(b) and B(b) land on the same value for every a, so their walks
+agree after one jump; only 19,275 of the 2^16 residues are the smallest
+of such a class (the share table SRC). A lane whose first jump lands
+where an earlier lane of its block does never walks: it reads that
+lane's stopping time and peak bounds (_chunk_numpy). Peaks become
 bounds: each lane carries an exact lower bound (values it landed on) and
 an upper bound (the jumps' a·M1 + M2), and only lanes whose upper bound
 reaches the best lower bound of their block are walked again, in
@@ -146,6 +151,9 @@ _LANES = 1 << 14
 _K = 16
 _MASK = (1 << _K) - 1
 _JUMP: Optional[np.ndarray] = None
+# SRC(b), the smallest residue whose jump lands where b's does for every a
+# (built by _ensure_tables)
+_SRC: Optional[np.ndarray] = None
 # rows A, B, S, M1, M2, LIM of _JUMP and the base tables as zero-copy
 # views: the plain-int walks read them one entry at a time
 _VIEWS: tuple[memoryview, ...] = ()
@@ -181,8 +189,13 @@ def _jump_table() -> np.ndarray:
 
 
 def _ensure_tables(hi: int) -> None:
-    """Build the jump table once; grow the base tables to at least
-    min(BASE_TABLE_BOUND, hi) entries.
+    """Build the jump and share tables once; grow the base tables to at
+    least min(BASE_TABLE_BOUND, hi) entries.
+
+    Residues b with equal S(b) and B(b) (S fixes A = 3^(S - _K)) land on
+    the same value A(b)·a + B(b) for every a, after the same number of
+    steps; the share table SRC maps each b to the smallest of its class.
+    B < 3^16 < 2^40, so one 1-D key S << 40 | B sorts the classes.
 
     Base entries carry no cap, so one table serves every cap and every
     range it is long enough for. Growth at least doubles the length (up
@@ -190,9 +203,11 @@ def _ensure_tables(hi: int) -> None:
     time: a block's lanes walk until they drop below s, into entries
     already exact.
     """
-    global _SIG, _PK, _JUMP, _VIEWS
+    global _SIG, _PK, _JUMP, _SRC, _VIEWS
     if _JUMP is None:
         _JUMP = _jump_table()
+        _, first, cls = np.unique(_JUMP[2] << 40 | _JUMP[1], return_index=True, return_inverse=True)
+        _SRC = first[cls]
     old = _SIG.size
     if old < min(BASE_TABLE_BOUND, hi):
         bound = min(BASE_TABLE_BOUND, max(hi, 2 * old))
@@ -333,6 +348,13 @@ def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
     on the int64 arrays while a <= LIM(b), and in _jump_plain past its gate
     or from a start at or past 2^63. Stopping times stay exact; a peak is
     known only to lie in [low, high] (_take_peaks).
+
+    A lane whose first jump lands where lane j = i - b + SRC(b) < i lands
+    never walks: if both start at or past the table bound, below 2^63, and
+    its own gate holds, it takes j's stopping time (or truncation), low
+    max(n, low[j]) and high max(a·M1(b) + M2(b), high[j]). Their walks
+    agree from the landing on, and low[j] holds only n_j < n and landed
+    values, never a value inside a jump, so it stays below the lane's peak.
     """
     size = hi - lo
     small = min(size, max(0, (1 << 63) - lo))  # lanes that start in int64
@@ -340,9 +362,18 @@ def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
     A, B, S, M1, M2, LIM = _JUMP
     sig = np.full(size, -1, dtype=np.int64)
     low, high = np.zeros((2, size), dtype=np.int64)
+    n = np.arange(lo, lo + small, dtype=np.int64)
+    a, b = n >> _K, n & _MASK
+    src = _SRC[b]
+    shared = (src < b) & (n - b + src >= max(lo, bound)) & (a <= LIM[b])
+    # shared lanes, the lanes they read, and their first jumps' bounds
+    sh = np.flatnonzero(shared)
+    reads = sh - b[sh] + src[sh]
+    top = a[sh] * M1[b[sh]] + M2[b[sh]]
     # lanes in the kernel, compacted: index, value, steps, peak bounds
-    at, steps = np.arange(small), np.zeros(small, dtype=np.int64)
-    v = np.arange(lo, lo + small, dtype=np.int64)
+    at = np.flatnonzero(~shared)
+    v = n[at]
+    steps = np.zeros(at.size, dtype=np.int64)
     lw, hg = v.copy(), v.copy()
     # lanes past their gate, starts past 2^63 first, and their bounds
     ns = range(lo + small, hi)
@@ -374,6 +405,16 @@ def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
         v = A[b] * a + B[b]
         steps += S[b]
         np.maximum(lw, v, out=lw)
+    sig[sh] = sig[reads]
+    low[sh] = np.maximum(n[sh], low[reads])
+    high[sh] = np.maximum(top, high[reads])
+    if wide:
+        # a lane that reads one that left int64 takes its plain-int bounds;
+        # their high, past 2^63 - 1, is above the reader's own first jump
+        left = np.zeros(size, dtype=bool)
+        left[np.fromiter(wide, dtype=np.int64, count=len(wide))] = True
+        m = left[reads]
+        wide.update(zip(sh[m].tolist(), map(wide.get, reads[m].tolist())))
     conv = (sig >= 0) & (sig <= cap)
     ci = np.flatnonzero(conv)
     res = Checkpoint(lo, hi, cap, size, hi, truncated=[lo + i for i in np.flatnonzero(~conv).tolist()])
@@ -381,16 +422,26 @@ def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
         # argmax takes the first maximum, the smallest n: the tie rule
         j = int(ci[np.argmax(sig[ci])])
         res.max_stopping_time, res.max_stopping_time_at = int(sig[j]), lo + j
-        # only lanes whose bound reaches the best sure peak can hold the maximum
-        ci = ci[high[ci] >= low[ci].max()]
+        floor = int(low[ci].max())
         lanes = []
-        for i, low_i, high_i in zip(ci.tolist(), low[ci].tolist(), high[ci].tolist()):
-            if i in wide:
-                # a lane that left: its high is the plain-int one, past 2^63 - 1
-                was_low, high_i = wide[i]
-                low_i = was_low if was_low > low_i else low_i
-            lanes.append((lo + i, low_i, high_i))
-        _take_peaks(res, cap, lanes)
+        if wide:
+            # a lane that left int64 carries 2^63 - 1 as its kernel high and
+            # its plain-int bounds in wide: their lows join the floor, the
+            # best sure peak, before any lane is kept
+            wi = np.fromiter(wide, dtype=np.int64, count=len(wide))
+            wi = wi[conv[wi]]
+            high[wi] = -1
+            bounds = list(map(wide.get, wi.tolist()))
+            floor = max(floor, max((low_i for low_i, _ in bounds), default=0))
+            lanes = [
+                (i, max(low_i, int(low[i])), high_i)
+                for i, (low_i, high_i) in zip(wi.tolist(), bounds)
+                if high_i >= floor
+            ]
+        # only lanes whose bound reaches the best sure peak can hold the maximum
+        ci = ci[high[ci] >= floor]
+        lanes += zip(ci.tolist(), low[ci].tolist(), high[ci].tolist())
+        _take_peaks(res, cap, [(lo + i, low_i, high_i) for i, low_i, high_i in sorted(lanes)])
     return res
 
 

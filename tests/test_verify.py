@@ -1,6 +1,7 @@
 """Range engine: oracles, determinism, checkpoints."""
 
 import dataclasses
+import functools
 import math
 import random
 import tracemalloc
@@ -920,3 +921,149 @@ def test_huge_cap_gives_the_default_cap_report():
         r = verify_range(lo, lo + size, step_cap=10**30)
         assert r.step_cap == 10**30
         assert dataclasses.replace(r, step_cap=DEFAULT_STEP_CAP) == verify_range(lo, lo + size)
+
+
+# -- lanes whose first jumps land together
+
+
+@functools.cache
+def _landings():
+    """Per residue r < 2^16: the first jump's landing at a = 0 and a = 1 and
+    its steps, from a plain step-by-step walk; landings are linear in a, so
+    two residues land together for every a exactly when these agree."""
+    r = np.arange(1 << 16, dtype=np.int64)
+    ends = []
+    for a in (0, 1):
+        v, steps, halvings = (a << 16) + r, np.zeros_like(r), np.zeros_like(r)
+        while (halvings < 16).any():
+            walking = halvings < 16
+            odd = walking & (v & 1 == 1)
+            even = walking & ~odd
+            v = np.where(odd, 3 * v + 1, np.where(even, v >> 1, v))
+            halvings += even
+            steps += walking
+        ends.append(v)
+    return ends[0], ends[1], steps
+
+
+@settings(max_examples=60)
+@given(b=st.integers(0, (1 << 16) - 1), a=st.integers(1, (1 << 40) - 1))
+def test_share_table_maps_each_residue_to_the_first_that_lands_with_it(b, a):
+    verify_mod._ensure_tables(1)
+    s = int(verify_mod._SRC[b])
+    assert s <= b
+    end, steps, _ = block_walk((a << 16) | b)
+    assert block_walk((a << 16) | s)[:2] == (end, steps)
+    A, B, S = (row.tolist() for row in verify_mod._JUMP[:3])
+    assert A[s] * a + B[s] == A[b] * a + B[b] == end and S[s] == S[b] == steps
+    # no smaller residue lands with b
+    at0, at1, walk_steps = _landings()
+    same = (at0[:s] == at0[b]) & (at1[:s] == at1[b]) & (walk_steps[:s] == walk_steps[b])
+    assert not same.any()
+
+
+def test_share_table_pairs_8k_plus_4_with_8k_plus_5():
+    # 8k+4 -> 4k+2 -> 2k+1 -> 6k+4 and 8k+5 -> 24k+16 -> 12k+8 -> 6k+4
+    verify_mod._ensure_tables(1)
+    src = verify_mod._SRC
+    k = np.arange(1 << 13)
+    assert (src[8 * k + 4] == src[8 * k + 5]).all()
+    # 19,275 of the 65,536 residues are the first of their class
+    assert (src == np.arange(1 << 16)).sum() == 19275
+
+
+def _count_lane_passes(monkeypatch):
+    """Wrap the S row of the jump table: the kernel loop reads it once per
+    lane and pass, so the sizes of its reads are the lanes of each pass."""
+    passes = []
+
+    class Counted(np.ndarray):
+        def __getitem__(self, b):
+            passes.append(np.size(b))
+            return np.asarray(self)[b]
+
+    verify_mod._ensure_tables(BASE_TABLE_BOUND)
+    rows = list(verify_mod._JUMP)
+    rows[2] = rows[2].view(Counted)
+    monkeypatch.setattr(verify_mod, "_JUMP", rows)
+    return passes
+
+
+def test_most_lanes_read_an_earlier_lanes_walk(monkeypatch):
+    passes = _count_lane_passes(monkeypatch)
+    lo = 10**9 + 123456789
+    hi = lo + (1 << 14)
+    assert verify_range(lo, hi) == oracle_report(lo, hi, DEFAULT_STEP_CAP)
+    # one block: at least 11,000 of its lanes never enter the kernel loop,
+    # and the rest take under two passes per value of the block
+    assert passes[0] <= (1 << 14) - 11000
+    assert sum(passes) < 2 * (1 << 14)
+
+
+# n = 2^16 * 93,824,992,236,886 + 100: its own gate holds, but the lane it
+# reads, n - 2, leaves int64 at its first jump
+GATE_EDGE = (93824992236886 << 16) + 100
+# n = 2^16 * (LIM(3) + 1) + 3 fails its own gate by one while n - 1, the
+# first of its class, jumps in the kernel; its peak lies inside its first
+# jump, past 2^63 and above n - 1's, so it must walk itself
+OWN_GATE = (31274997412296 << 16) + 3
+# n reads n - 1, which leaves int64 after some jumps and peaks past 2^63:
+# n's bounds take n - 1's plain-int ones
+SHARE_WIDE = 89051470758688207
+
+
+@pytest.mark.parametrize(
+    "lo, hi, cap, chunks",
+    [
+        # lanes below the table bound resolve there, and none is read
+        ((1 << 20) - (1 << 15), (1 << 20) + (1 << 15), DEFAULT_STEP_CAP, (DEFAULT_CHUNK_SIZE,)),
+        # a lane reads only lanes of its own block, never one of an earlier chunk
+        ((1 << 40) + 12345, (1 << 40) + 12345 + 1500, DEFAULT_STEP_CAP, (3, 37)),
+        (GATE_EDGE - 300, GATE_EDGE + 300, DEFAULT_STEP_CAP, (37, DEFAULT_CHUNK_SIZE)),
+        (OWN_GATE - 1, OWN_GATE + 1, DEFAULT_STEP_CAP, (DEFAULT_CHUNK_SIZE,)),
+        # shared lanes truncate with the lane they read, at the first jump
+        # too; 322 is the window's median stopping time
+        *(
+            ((1 << 40) + 777, (1 << 40) + 777 + 3000, cap, (DEFAULT_CHUNK_SIZE,))
+            for cap in (1, 16, 17, 60, 322)
+        ),
+    ],
+)
+def test_shared_lane_edges_match_oracle(lo, hi, cap, chunks):
+    LIM = _jump_rows()[5]
+    if lo < GATE_EDGE < hi:
+        assert verify_mod._SRC[100] == 98 and LIM[100] == 2**47 - 1 >= GATE_EDGE >> 16 > LIM[98]
+    if lo < OWN_GATE < hi:
+        assert verify_mod._SRC[3] == 2 and LIM[3] + 1 == OWN_GATE >> 16 <= LIM[2]
+    want = oracle_report(lo, hi, cap)
+    for chunk in chunks:
+        for jobs in (1, 2):
+            got = verify_range(lo, hi, step_cap=cap, chunk_size=chunk, jobs=jobs)
+            assert dataclasses.replace(got, chunk_size=DEFAULT_CHUNK_SIZE) == want, (chunk, jobs)
+
+
+def test_peak_candidates_are_lanes_that_reach_the_floor(monkeypatch):
+    # lanes that left int64 fold their plain-int lows into the floor first,
+    # so few lanes of a block are walked again for its peak, and every
+    # candidate's bounds hold its peak, shared lanes' too
+    lanes = []
+    real = verify_mod._take_peaks
+
+    def take(res, cap, got):
+        lanes.extend(got)
+        real(res, cap, got)
+
+    monkeypatch.setattr(verify_mod, "_take_peaks", take)
+    for lo, size in (
+        ((1 << 62) + 12345678901, 4096),
+        ((1 << 63) + 12345, 4096),
+        (GATE_EDGE - 50, 100),
+        (SHARE_WIDE - 3, 4),
+    ):
+        lanes.clear()
+        r = verify_range(lo, lo + size)
+        if size == 4096:
+            assert len(lanes) < 0.01 * size
+        assert r.max_excursion == orbit_oracle(r.max_excursion_at)[1]
+        for n, low, high in lanes:
+            assert low <= orbit_oracle(n)[1] <= high
