@@ -5,8 +5,8 @@ the stopping time and the orbit peak. Internally it runs on machine
 integers under numpy with two escape hatches: values below a table bound
 resolve through precomputed stopping-time/peak tables, and a lane at
 risk of overflowing 64 bits takes the same jumps on plain Python
-integers until it fits again. The table entries are exact, so the
-tables depend only on hi and the cap is applied at lookup. Every
+integers until it fits again. The table entries are exact, so the cap
+is applied at lookup and one table serves every cap. Every
 partial result, from one value to a whole run, is a Checkpoint holding
 only what the walks find (the maxima and the truncated inputs); the
 verified count and the digit-class histogram follow from the range
@@ -20,24 +20,27 @@ _K = 16 halvings at a time. Writing v = 2^16·a + b, the walk through
 its 16th halving ends at A(b)·a + B(b) after 16 + c(b) steps, where c(b)
 counts the odd steps (the parity-vector identity the paper's binary
 split n = 2^k·a + b rests on), so one table over the 2^16 residues b
-serves every lane. The same table holds, per residue, bounds M1(b) and
-M2(b) with every value inside the jump at most a·M1(b) + M2(b), and the
+serves every lane. The same table holds, per residue, M1(b) and M2(b),
+with the jump's peak exactly a·M1(b) + M2(b) for every a >= 0, and the
 int64 gate LIM(b): a <= LIM(b) keeps every value inside the jump within
 2^63 - 1. A lane jumps on int64 arrays while its gate holds, and on
 plain integers, as every start at or past 2^63 does, until it holds
 again. A jumping lane starts at or above the table bound, so a >= 1 and
-the jump cannot pass through 1: stopping times stay exact. Residues with
-equal S(b) and B(b) land on the same value for every a, so their walks
-agree after one jump; only 19,275 of the 2^16 residues are the smallest
-of such a class (the share table SRC). A lane whose first jump lands
-where an earlier lane of its block does never walks: it reads that
-lane's stopping time and peak bounds (_chunk_numpy). Peaks become
-bounds: each lane carries an exact lower bound (values it landed on) and
-an upper bound (the jumps' a·M1 + M2), and only lanes whose upper bound
-reaches the best lower bound of their block are walked again, in
-ascending n, so the tie rule below still holds. A lane walked again
-steps one value at a time only inside the jumps whose bound beats the
-best peak found so far.
+the jump cannot pass through 1: stopping times stay exact. The base
+table's entries from 2^16 on are built by the same jumps, and the table
+reaches 2^16, all a walk needs, or 2^20 for a run long enough to pay for
+the longer build with faster lanes. Residues with equal S(b) and B(b)
+land on the same value for every a, so their walks agree after one
+jump; only 19,275 of the 2^16 residues are the smallest of such a class
+(the share table SRC). A lane whose first jump lands where an earlier
+lane of its block does never walks: it reads that lane's stopping time
+and peak bounds (_chunk_numpy). Peaks become bounds: each lane carries
+an exact lower bound (values it landed on) and an upper bound (its
+jumps' peaks a·M1 + M2, loose only for a lane that reads another's),
+and only lanes whose upper bound reaches the best lower bound of their
+block are walked again, in ascending n, so the tie rule below still
+holds. A lane walked again steps one value at a time only inside the
+jumps whose bound beats the best peak found so far.
 
 What is checked is convergence: every n reaches 1 within the step cap.
 The 1 -> 4 -> 2 -> 1 tail that follows is the same three steps for
@@ -57,11 +60,8 @@ maximum is what a fresh walk of its n gives.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
-import signal
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import KW_ONLY, dataclass, field
 from pathlib import Path
 from typing import Optional, Union
@@ -159,22 +159,24 @@ _SRC: Optional[np.ndarray] = None
 _VIEWS: tuple[memoryview, ...] = ()
 
 
-def _jump_table() -> np.ndarray:
-    """Rows A, B, S, M1, M2, LIM over residues b < 2^_K; b's six share a cache line.
+def _jump_table(k: int = _K) -> np.ndarray:
+    """Rows A, B, S, M1, M2, LIM over residues b < 2^k; b's six share a cache line.
 
-    For v = 2^_K·a + b, the plain map reaches A(b)·a + B(b) in S(b) steps,
-    after its _K-th halving: the parity-vector identity (Terras 1976),
-    with A = 3^c for c odd steps and S = _K + c. Each value on the way,
-    3v+1 values included, is p·a + q with p <= M1(b) and q <= M2(b), so
-    a <= LIM(b) = (2^63 - 1 - M2(b)) // M1(b) keeps the block in int64.
+    For v = 2^k·a + b, the plain map reaches A(b)·a + B(b) in S(b) steps,
+    after its k-th halving: the parity-vector identity (Terras 1976),
+    with A = 3^c for c odd steps and S = k + c. Each value on the way,
+    3v+1 values included, is p·a + q with p <= M1(b) and q <= M2(b), and
+    one value has both (the tests check every b at k = 1 and k = _K), so
+    for every a >= 0 the jump's peak is exactly a·M1(b) + M2(b).
+    a <= LIM(b) = (2^63 - 1 - M2(b)) // M1(b) keeps the jump in int64.
     """
-    table = np.empty((6, 1 << _K), dtype=np.int64)
+    table = np.empty((6, 1 << k), dtype=np.int64)
     alpha, y, steps, m1, m2, lim = table
-    alpha[:] = 1 << _K  # coefficient of a
-    y[:] = np.arange(1 << _K)  # b's block, one halving at a time
-    steps[:] = _K
+    alpha[:] = 1 << k  # coefficient of a
+    y[:] = np.arange(1 << k)  # b's block, one halving at a time
+    steps[:] = k
     m1[:], m2[:] = alpha, y
-    for _ in range(_K):
+    for _ in range(k):
         odd = y & 1
         steps += odd
         # an odd value v becomes 3v + 1, then every value halves
@@ -192,6 +194,11 @@ def _ensure_tables(hi: int) -> None:
     """Build the jump and share tables once; grow the base tables to at
     least min(BASE_TABLE_BOUND, hi) entries.
 
+    A walk needs the base table only to min(hi, 2^_K): past it every
+    value still walking has a >= 1 (_walk_row, _chunk_numpy). _run asks
+    for more only for a run of 2^_K values or more, whose lanes the longer
+    table resolves sooner.
+
     Residues b with equal S(b) and B(b) (S fixes A = 3^(S - _K)) land on
     the same value A(b)·a + B(b) for every a, after the same number of
     steps; the share table SRC maps each b to the smallest of its class.
@@ -200,8 +207,8 @@ def _ensure_tables(hi: int) -> None:
     Base entries carry no cap, so one table serves every cap and every
     range it is long enough for. Growth at least doubles the length (up
     to the bound), one block [s, min(bound, 2s, s + _BUILD_BLOCK)) at a
-    time: a block's lanes walk until they drop below s, into entries
-    already exact.
+    time: a block's lanes walk until they land below s, into entries
+    already exact (_fill_segment).
     """
     global _SIG, _PK, _JUMP, _SRC, _VIEWS
     if _JUMP is None:
@@ -231,18 +238,21 @@ def _fill_segment(sig: np.ndarray, pk: np.ndarray, lo: int, hi: int) -> None:
     halves = slice(even // 2, (hi + 1) // 2)
     sig[even:hi:2] = sig[halves] + 1
     pk[even:hi:2] = np.maximum(np.arange(even, hi, 2, dtype=np.int64), pk[halves])
-    # odd lanes take v -> (3v + 1) / 2, two steps, or v -> v / 2, one step,
-    # with no branch on the parity, until they drop below lo
+    # odd lanes jump until they land below lo: _K halvings at a time from
+    # 2^_K on, one below it, so a >= 1 and no jump passes through 1; a
+    # jump's peak is exact (_jump_table), so every entry is
+    k = _K if lo >> _K else 1
+    A, B, S, M1, M2, _ = _JUMP if k == _K else _jump_table(1)
     at = np.arange(lo | 1, hi, 2, dtype=np.int64)
     v = at.copy()
     steps = np.zeros(at.size, dtype=np.int64)
     peak = at.copy()
     while at.size:
-        odd = v & 1
-        v += odd * (2 * v + 1)
-        np.maximum(peak, v, out=peak)
-        v >>= 1
-        steps += odd + 1
+        a = v >> k
+        b = v & ((1 << k) - 1)
+        np.maximum(peak, a * M1[b] + M2[b], out=peak)
+        v = A[b] * a + B[b]
+        steps += S[b]
         done = v < lo
         if done.any():
             vd = v[done]
@@ -262,9 +272,9 @@ def _walk_row(cap: int, n: int, floor: float = math.inf) -> tuple[int, int, int]
     Returns (stopping time, or -1 past the cap; low; high): the orbit peak
     lies in [low, high], and equals low whenever it exceeds floor. A jump
     whose bound a·M1 + M2 beats floor and low is walked one value at a
-    time, so that no value above floor goes unseen. The tables must reach
-    BASE_TABLE_BOUND >= 2^_K (_ensure_tables): a value still walking has
-    a >= 16, and no jump can pass through 1.
+    time, so that no value above floor goes unseen. The base table must
+    reach min(n + 1, 2^_K) (_ensure_tables): a value still walking has
+    a >= 1, and no jump can pass through 1.
     """
     A, B, S, M1, M2, _, sig, pk = _VIEWS
     bound = len(sig)
@@ -342,9 +352,9 @@ def _jump_plain(cap: int, lanes, wide: dict) -> list:
 def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
     """Values [lo, hi), at most _LANES of them, at any size; lane i walks lo + i.
 
-    The tables must cover hi (_ensure_tables): then either every n resolves
-    at once or the base table reaches BASE_TABLE_BOUND >= 2^_K, so a lane
-    that jumps has a >= 1 and the jump cannot pass through 1. A lane jumps
+    The base table must reach min(hi, 2^_K) (_ensure_tables): then either
+    every n resolves at once or the table reaches 2^_K, so a lane that
+    jumps has a >= 1 and the jump cannot pass through 1. A lane jumps
     on the int64 arrays while a <= LIM(b), and in _jump_plain past its gate
     or from a start at or past 2^63. Stopping times stay exact; a peak is
     known only to lie in [low, high] (_take_peaks).
@@ -490,8 +500,10 @@ def _merge(state: Checkpoint, part: Checkpoint) -> Checkpoint:
 def _run(state: Checkpoint, jobs: int, checkpoint_path: Optional[Union[str, Path]]) -> Checkpoint:
     if jobs < 1:
         raise DomainError(f"jobs must be >= 1, got {jobs}")
-    _ensure_tables(state.hi)
     nxt, size, hi = state.next_unprocessed, state.chunk_size, state.hi
+    # the kernel needs the table only to 2^_K; the full table pays for its
+    # build only across 2^_K values or more
+    _ensure_tables(hi if hi - nxt >= 1 << _K else min(hi, 1 << _K))
     # bounds are made as chunks start, never listed: a range may hold more
     # chunks than memory does, and more than len() can count
     chunks = ((a, min(a + size, hi)) for a in range(nxt, hi, size))
@@ -508,6 +520,11 @@ def _run(state: Checkpoint, jobs: int, checkpoint_path: Optional[Union[str, Path
         # Workers ignore Ctrl-C: on it the queued chunks are dropped, and the
         # file keeps the last merged state. The fork context starts every
         # worker on the first submit, so the pool is no larger than needed.
+        # The pool modules load only here: a one-process run never needs them.
+        import multiprocessing
+        import signal
+        from concurrent.futures import ProcessPoolExecutor
+
         ctx = multiprocessing.get_context("fork")
         pool = ProcessPoolExecutor(workers, ctx, signal.signal, (signal.SIGINT, signal.SIG_IGN))
         try:
@@ -519,7 +536,7 @@ def _run(state: Checkpoint, jobs: int, checkpoint_path: Optional[Union[str, Path
     return state
 
 
-def _in_order(pool: ProcessPoolExecutor, chunks, cap: int, depth: int):
+def _in_order(pool, chunks, cap: int, depth: int):
     """Chunk results in chunk order, with at most depth chunks submitted and not yet read."""
     pending: deque = deque()
     for bounds in chunks:
@@ -670,7 +687,7 @@ def _check_maxima(state: Checkpoint) -> None:
     """Raise ValueError unless each saved maximum is its input's own walk."""
     if not state.verified_count:
         return
-    _ensure_tables(state.hi)
+    _ensure_tables(min(state.hi, 1 << _K))  # two walks need no more
     cap, n = state.step_cap, state.max_stopping_time_at
     sigma = _walk_row(cap, n)[0]
     if sigma < 0 or sigma != state.max_stopping_time:

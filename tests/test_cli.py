@@ -361,6 +361,8 @@ def test_numpy_loads_only_with_the_verifier():
         "import collatzbin\n"
         "collatzbin.verify_range(1, 10)\n"
         "assert 'numpy' in sys.modules\n"
+        "assert 'multiprocessing' not in sys.modules\n"
+        "assert 'concurrent.futures' not in sys.modules\n"
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "111\n", "")
 

@@ -1,5 +1,6 @@
 """Range engine: oracles, determinism, checkpoints."""
 
+import concurrent.futures
 import dataclasses
 import functools
 import math
@@ -171,7 +172,8 @@ def test_pool_starts_no_more_workers_than_chunks(monkeypatch):
         def shutdown(self, cancel_futures=False):
             pass
 
-    monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", Pool)
+    # _run imports the pool only for more than one worker, from here
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     assert verify_range(1, 4, chunk_size=1, jobs=64) == verify_range(1, 4, chunk_size=1)
     assert sizes == [3]
     # 100 chunks on 3 workers: at most two chunks per worker in flight
@@ -655,12 +657,13 @@ def test_jump_table_matches_direct_walk():
     k = verify_mod._K
     assert len(A) == 1 << k
     # with a = 2^64 every term of a block value a*an + bn separates: the
-    # end value gives A and B, the peak gives M1; with a = 0 the peak is M2
+    # end value gives A and B, the peak gives M1 and M2 together: one value
+    # of the jump has both; with a = 0 the peak is M2
     big = 1 << 64
     for b in range(1 << k):
         end, steps, peak = block_walk((big << k) | b)
         assert (end // big, end % big, steps) == (A[b], B[b], S[b])
-        assert peak // big == M1[b] and peak % big <= M2[b]
+        assert peak == M1[b] * big + M2[b]
         end0, steps0, peak0 = block_walk(b)
         assert (end0, steps0, peak0) == (B[b], S[b], M2[b])
         # LIM is the largest a whose block bound a*M1 + M2 fits in int64
@@ -673,7 +676,26 @@ def test_jump_is_the_parity_vector_identity(b, a):
     A, B, S, M1, M2, LIM = (row[b] for row in _jump_rows())
     end, steps, peak = block_walk((a << 16) | b)
     assert end == A * a + B and steps == S
-    assert peak <= a * M1 + M2
+    assert peak == a * M1 + M2
+
+
+@pytest.mark.parametrize("k", [1, 16])
+def test_jump_peak_is_one_values_pair(k):
+    # every value of b's jump is p*a + q; (M1(b), M2(b)) is the (p, q) of
+    # one of them, so a*M1 + M2 is the jump's peak at every a >= 0, a = 0
+    # included: the base table's entries are built by these jumps
+    A, B, S, M1, M2, LIM = verify_mod._jump_table(k).tolist()
+    for b in range(1 << k):
+        p, q, steps = 1 << k, b, 0
+        pairs = {(p, q)}
+        for _ in range(k):
+            if q & 1:
+                p, q, steps = 3 * p, 3 * q + 1, steps + 1
+                pairs.add((p, q))
+            p, q, steps = p >> 1, q >> 1, steps + 1
+            pairs.add((p, q))
+        assert (p, q, steps) == (A[b], B[b], S[b])
+        assert (M1[b], M2[b]) in pairs
 
 
 def test_jump_gate_at_the_int64_limit():
@@ -715,6 +737,78 @@ def test_base_table_matches_plain_walk(monkeypatch):
         assert verify_mod._SIG.size == size
         assert np.array_equal(verify_mod._SIG, sig[:size])
         assert np.array_equal(verify_mod._PK, pk[:size])
+
+
+def stepped_table(bound: int):
+    """(stopping times, peaks) of every n < bound, one plain step at a time.
+
+    Each block [s, 2s) walks until it drops below s, into entries already
+    exact; no jump table is read.
+    """
+    sig = np.zeros(bound, dtype=np.int64)
+    pk = np.arange(bound, dtype=np.int64)
+    sig[0] = -1
+    s = 2
+    while s < bound:
+        at = np.arange(s, min(bound, 2 * s), dtype=np.int64)
+        v, steps, peak = at.copy(), np.zeros(at.size, dtype=np.int64), at.copy()
+        while at.size:
+            v = np.where(v & 1, 3 * v + 1, v >> 1)
+            steps += 1
+            np.maximum(peak, v, out=peak)
+            done = v < s
+            sig[at[done]] = steps[done] + sig[v[done]]
+            pk[at[done]] = np.maximum(peak[done], pk[v[done]])
+            at, v, steps, peak = at[~done], v[~done], steps[~done], peak[~done]
+        s *= 2
+    return sig, pk
+
+
+def test_table_size_does_not_change_a_report(monkeypatch, tmp_path):
+    sig, pk = stepped_table(BASE_TABLE_BOUND)
+    small = 1 << verify_mod._K
+
+    def use_table(size):
+        monkeypatch.setattr(verify_mod, "_SIG", sig[:size].astype(np.int16))
+        monkeypatch.setattr(verify_mod, "_PK", pk[:size].copy())
+        monkeypatch.setattr(verify_mod, "_VIEWS", verify_mod._VIEWS)
+        verify_mod._ensure_tables(1)  # the views follow the tables
+
+    def run(lo, hi, cap, chunk):
+        # _run's chunks at one job, on the table as it is: _run would grow it
+        state = Checkpoint(lo, hi, cap, chunk, lo)
+        for a in range(lo, hi, chunk):
+            verify_mod._merge(state, verify_mod._chunk_stats((a, min(a + chunk, hi)), cap))
+        return state
+
+    windows = [
+        ((1 << 20) - (1 << 15), (1 << 20) + (1 << 15), DEFAULT_STEP_CAP, DEFAULT_CHUNK_SIZE),
+        ((1 << 40) + 12345, (1 << 40) + 15345, DEFAULT_STEP_CAP, 37),
+        ((1 << 62) - (1 << 11), (1 << 62) + (1 << 11), 60, DEFAULT_CHUNK_SIZE),
+        ((1 << 63) - 2048, (1 << 63) + 2048, DEFAULT_STEP_CAP, 1000),
+    ]
+    reports = {}
+    for size in (small, BASE_TABLE_BOUND):
+        use_table(size)
+        reports[size] = [run(*w) for w in windows]
+        assert verify_mod._SIG.size == size
+    assert reports[small] == reports[BASE_TABLE_BOUND]
+    assert reports[small] == [verify_range(lo, hi, cap, chunk) for lo, hi, cap, chunk in windows]
+
+    # a run of fewer than 2^16 values, and a checkpoint load, build only
+    # to 2^16; a run of 2^16 values grows that straight to the full table,
+    # entry for entry the stepped one
+    use_table(2)
+    state = verify_range(10**9, 10**9 + 1)
+    assert verify_mod._SIG.size == small
+    use_table(2)
+    checkpoint_save(state, tmp_path / "ck.txt")
+    assert checkpoint_load(tmp_path / "ck.txt") == state
+    assert verify_mod._SIG.size == small
+    verify_range(10**9, 10**9 + small - 1)
+    assert verify_mod._SIG.size == small
+    verify_range(10**9, 10**9 + small)
+    assert np.array_equal(verify_mod._SIG, sig) and np.array_equal(verify_mod._PK, pk)
 
 
 @settings(max_examples=30)
