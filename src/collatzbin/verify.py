@@ -28,8 +28,9 @@ plain integers, as every start at or past 2^63 does, until it holds
 again. A jumping lane starts at or above the table bound, so a >= 1 and
 the jump cannot pass through 1: stopping times stay exact. The base
 table's entries from 2^16 on are built by the same jumps, and the table
-reaches 2^16, all a walk needs, or 2^20 for a run long enough to pay for
-the longer build with faster lanes. Residues with equal S(b) and B(b)
+reaches 2^16, all a walk needs, and grows on to 2^20 only over the
+values of a run, which its entries verify more cheaply than lanes do,
+or for a run of 2^23 values or more. Residues with equal S(b) and B(b)
 land on the same value for every a, so their walks agree after one
 jump; only 19,275 of the 2^16 residues are the smallest of such a class
 (the share table SRC). A lane whose first jump lands where an earlier
@@ -150,6 +151,10 @@ _LANES = 1 << 14
 # residues b = v mod 2^_K (built by _jump_table)
 _K = 16
 _MASK = (1 << _K) - 1
+# a run of this many values or more grows the base table to
+# BASE_TABLE_BOUND wherever it starts: from here on its lanes, landing
+# sooner, win back the longer build (BENCH_24.json)
+_FULL_TABLE_RUN = 1 << 23
 _JUMP: Optional[np.ndarray] = None
 # SRC(b), the smallest residue whose jump lands where b's does for every a
 # (built by _ensure_tables)
@@ -166,7 +171,7 @@ def _jump_table(k: int = _K) -> np.ndarray:
     after its k-th halving: the parity-vector identity (Terras 1976),
     with A = 3^c for c odd steps and S = k + c. Each value on the way,
     3v+1 values included, is p·a + q with p <= M1(b) and q <= M2(b), and
-    one value has both (the tests check every b at k = 1 and k = _K), so
+    one value has both (the tests check every b at k = _K), so
     for every a >= 0 the jump's peak is exactly a·M1(b) + M2(b).
     a <= LIM(b) = (2^63 - 1 - M2(b)) // M1(b) keeps the jump in int64.
     """
@@ -196,8 +201,10 @@ def _ensure_tables(hi: int) -> None:
 
     A walk needs the base table only to min(hi, 2^_K): past it every
     value still walking has a >= 1 (_walk_row, _chunk_numpy). _run asks
-    for more only for a run of 2^_K values or more, whose lanes the longer
-    table resolves sooner.
+    for more only for a run that starts inside the table, whose own values
+    the new entries are, or for a run of _FULL_TABLE_RUN values or more: a
+    longer table makes lanes land sooner, but saves only about 6% of their
+    time (BENCH_24.json).
 
     Residues b with equal S(b) and B(b) (S fixes A = 3^(S - _K)) land on
     the same value A(b)·a + B(b) for every a, after the same number of
@@ -501,9 +508,10 @@ def _run(state: Checkpoint, jobs: int, checkpoint_path: Optional[Union[str, Path
     if jobs < 1:
         raise DomainError(f"jobs must be >= 1, got {jobs}")
     nxt, size, hi = state.next_unprocessed, state.chunk_size, state.hi
-    # the kernel needs the table only to 2^_K; the full table pays for its
-    # build only across 2^_K values or more
-    _ensure_tables(hi if hi - nxt >= 1 << _K else min(hi, 1 << _K))
+    _ensure_tables(min(hi, 1 << _K))
+    if nxt <= _SIG.size or hi - nxt >= _FULL_TABLE_RUN:
+        # past 2^_K, all the kernel needs, only where it pays (_ensure_tables)
+        _ensure_tables(hi)
     # bounds are made as chunks start, never listed: a range may hold more
     # chunks than memory does, and more than len() can count
     chunks = ((a, min(a + size, hi)) for a in range(nxt, hi, size))

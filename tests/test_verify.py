@@ -679,25 +679,6 @@ def test_jump_is_the_parity_vector_identity(b, a):
     assert peak == a * M1 + M2
 
 
-@pytest.mark.parametrize("k", [1, 16])
-def test_jump_peak_is_one_values_pair(k):
-    # every value of b's jump is p*a + q; (M1(b), M2(b)) is the (p, q) of
-    # one of them, so a*M1 + M2 is the jump's peak at every a >= 0, a = 0
-    # included: the base table's entries are built by these jumps
-    A, B, S, M1, M2, LIM = verify_mod._jump_table(k).tolist()
-    for b in range(1 << k):
-        p, q, steps = 1 << k, b, 0
-        pairs = {(p, q)}
-        for _ in range(k):
-            if q & 1:
-                p, q, steps = 3 * p, 3 * q + 1, steps + 1
-                pairs.add((p, q))
-            p, q, steps = p >> 1, q >> 1, steps + 1
-            pairs.add((p, q))
-        assert (p, q, steps) == (A[b], B[b], S[b])
-        assert (M1[b], M2[b]) in pairs
-
-
 def test_jump_gate_at_the_int64_limit():
     A, B, S, M1, M2, LIM = _jump_rows()
     # for b = 2^16 - 1 every step of the block is odd, so its peak is
@@ -795,9 +776,8 @@ def test_table_size_does_not_change_a_report(monkeypatch, tmp_path):
     assert reports[small] == reports[BASE_TABLE_BOUND]
     assert reports[small] == [verify_range(lo, hi, cap, chunk) for lo, hi, cap, chunk in windows]
 
-    # a run of fewer than 2^16 values, and a checkpoint load, build only
-    # to 2^16; a run of 2^16 values grows that straight to the full table,
-    # entry for entry the stepped one
+    # a short run that starts past the table, and a checkpoint load, build
+    # only to 2^16
     use_table(2)
     state = verify_range(10**9, 10**9 + 1)
     assert verify_mod._SIG.size == small
@@ -805,9 +785,20 @@ def test_table_size_does_not_change_a_report(monkeypatch, tmp_path):
     checkpoint_save(state, tmp_path / "ck.txt")
     assert checkpoint_load(tmp_path / "ck.txt") == state
     assert verify_mod._SIG.size == small
-    verify_range(10**9, 10**9 + small - 1)
+    verify_range(10**9, 10**9 + 2 * small)
     assert verify_mod._SIG.size == small
-    verify_range(10**9, 10**9 + small)
+    # a run that starts inside it grows it over its own values
+    verify_range(small, small + 3)
+    assert verify_mod._SIG.size == 2 * small
+    verify_range(5 * small, 5 * small + 3)
+    assert verify_mod._SIG.size == 2 * small
+    # and so does a run of _FULL_TABLE_RUN values (made short here)
+    monkeypatch.setattr(verify_mod, "_FULL_TABLE_RUN", 3)
+    verify_range(5 * small, 5 * small + 3)
+    assert verify_mod._SIG.size == 5 * small + 3
+    # growth from 2^16 straight to 2^20 gives the stepped table
+    use_table(small)
+    verify_mod._ensure_tables(BASE_TABLE_BOUND)
     assert np.array_equal(verify_mod._SIG, sig) and np.array_equal(verify_mod._PK, pk)
 
 
