@@ -15,33 +15,25 @@ any chunk size, any worker count, and across checkpoint
 interrupt/resume. verify_range and checkpoint_resume return the finished
 Checkpoint, and summarize formats it.
 
-Above the table bound a lane does not step once per iteration: it jumps
-_K = 16 halvings at a time. Writing v = 2^16·a + b, the walk through
-its 16th halving ends at A(b)·a + B(b) after 16 + c(b) steps, where c(b)
-counts the odd steps (the parity-vector identity the paper's binary
-split n = 2^k·a + b rests on), so one table over the 2^16 residues b
-serves every lane. The same table holds, per residue, M1(b) and M2(b),
-with the jump's peak exactly a·M1(b) + M2(b) for every a >= 0, and the
-int64 gate LIM(b): a <= LIM(b) keeps every value inside the jump within
-2^63 - 1. A lane jumps on int64 arrays while its gate holds, and on
-plain integers, as every start at or past 2^63 does, until it holds
-again. A jumping lane starts at or above the table bound, so a >= 1 and
-the jump cannot pass through 1: stopping times stay exact. The base
-table's entries from 2^16 on are built by the same jumps, and the table
-reaches 2^16, all a walk needs, and grows on to 2^20 only over the
-values of a run, which its entries verify more cheaply than lanes do,
-or for a run of 2^23 values or more. Residues with equal S(b) and B(b)
-land on the same value for every a, so their walks agree after one
-jump; only 19,275 of the 2^16 residues are the smallest of such a class
-(the share table SRC). A lane whose first jump lands where an earlier
-lane of its block does never walks: it reads that lane's stopping time
-and peak bounds (_chunk_numpy). Peaks become bounds: each lane carries
-an exact lower bound (values it landed on) and an upper bound (its
-jumps' peaks a·M1 + M2, loose only for a lane that reads another's),
-and only lanes whose upper bound reaches the best lower bound of their
-block are walked again, in ascending n, so the tie rule below still
-holds. A lane walked again steps one value at a time only inside the
-jumps whose bound beats the best peak found so far.
+Above the table bound a value jumps _K = 16 halvings at a time. Writing
+v = 2^16·a + b, the walk through its 16th halving ends at A(b)·a + B(b)
+after 16 + c(b) steps, c(b) odd ones (the parity-vector identity the
+paper's binary split n = 2^k·a + b rests on), so one table over the
+residues b serves every value. It also holds M1(b) and M2(b), the jump's
+peak being exactly a·M1(b) + M2(b) for every a >= 0, and the int64 gate
+LIM(b): a <= LIM(b) keeps the jump within 2^63 - 1. A walking value is
+at or above the table bound, so a >= 1 and no jump passes through 1:
+stopping times stay exact. The base table's entries from 2^16 on are
+built by the same jumps; it reaches 2^16, all a walk needs, and grows
+to 2^20 only over a run's own values or for a run of 2^23 values or more.
+
+The orbits of a block of starts merge fast, as paths in the tree the
+reduced map inverts, so the kernel (_chunk_numpy) walks each distinct
+value of a pass once and then resolves every start backwards, its
+stopping time and peak exact: ties go to the smaller n with no second
+walk. A value jumps on int64 arrays while its gate holds and on plain
+integers, as every start past 2^63 does, until it holds again; the last
+few values of a block walk to the end on plain integers.
 
 What is checked is convergence: every n reaches 1 within the step cap.
 The 1 -> 4 -> 2 -> 1 tail that follows is the same three steps for
@@ -60,10 +52,10 @@ maximum is what a fresh walk of its n gives.
 
 from __future__ import annotations
 
-import math
 import os
 from collections import deque
 from dataclasses import KW_ONLY, dataclass, field
+from itertools import compress
 from pathlib import Path
 from typing import Optional, Union
 
@@ -143,9 +135,10 @@ _SIG = np.array([-1, 0], dtype=np.int16)
 _PK = np.array([0, 1], dtype=np.int64)
 # values per numpy block when the base table grows and in the kernel:
 # blocks this small keep the scratch arrays in cache and inside memory the
-# process already holds, and run faster than whole chunks
+# process already holds; kernel blocks this large spread numpy's per-call
+# cost over many values (BENCH_25.json)
 _BUILD_BLOCK = 1 << 16
-_LANES = 1 << 14
+_LANES = 1 << 15
 
 # the jump kernel takes _K halvings at once, through a table over the
 # residues b = v mod 2^_K (built by _jump_table)
@@ -156,9 +149,15 @@ _MASK = (1 << _K) - 1
 # sooner, win back the longer build (BENCH_24.json)
 _FULL_TABLE_RUN = 1 << 23
 _JUMP: Optional[np.ndarray] = None
-# SRC(b), the smallest residue whose jump lands where b's does for every a
-# (built by _ensure_tables)
-_SRC: Optional[np.ndarray] = None
+# 2^_K·(min LIM + 1): below it every int64 gate holds (set by _ensure_tables)
+_GATE_FREE = 0
+# the nodes of a pass this short walk to the end on plain integers: for so
+# few, numpy's per-call cost outweighs the jumps
+_TAIL = 64
+# the remaining steps of a node stopped at the cap, and the code of the
+# smallest peak past 2^63 - 1 in the kernel's uint64 peaks
+_NEVER = 1 << 62
+_WIDE = 1 << 63
 # rows A, B, S, M1, M2, LIM of _JUMP and the base tables as zero-copy
 # views: the plain-int walks read them one entry at a time
 _VIEWS: tuple[memoryview, ...] = ()
@@ -196,20 +195,15 @@ def _jump_table(k: int = _K) -> np.ndarray:
 
 
 def _ensure_tables(hi: int) -> None:
-    """Build the jump and share tables once; grow the base tables to at
-    least min(BASE_TABLE_BOUND, hi) entries.
+    """Build the jump table once; grow the base tables to at least
+    min(BASE_TABLE_BOUND, hi) entries.
 
     A walk needs the base table only to min(hi, 2^_K): past it every
-    value still walking has a >= 1 (_walk_row, _chunk_numpy). _run asks
+    value still walking has a >= 1 (_jump_plain, _chunk_numpy). _run asks
     for more only for a run that starts inside the table, whose own values
     the new entries are, or for a run of _FULL_TABLE_RUN values or more: a
-    longer table makes lanes land sooner, but saves only about 6% of their
+    longer table makes walks land sooner, but saves only about 6% of their
     time (BENCH_24.json).
-
-    Residues b with equal S(b) and B(b) (S fixes A = 3^(S - _K)) land on
-    the same value A(b)·a + B(b) for every a, after the same number of
-    steps; the share table SRC maps each b to the smallest of its class.
-    B < 3^16 < 2^40, so one 1-D key S << 40 | B sorts the classes.
 
     Base entries carry no cap, so one table serves every cap and every
     range it is long enough for. Growth at least doubles the length (up
@@ -217,11 +211,10 @@ def _ensure_tables(hi: int) -> None:
     time: a block's lanes walk until they land below s, into entries
     already exact (_fill_segment).
     """
-    global _SIG, _PK, _JUMP, _SRC, _VIEWS
+    global _SIG, _PK, _JUMP, _GATE_FREE, _VIEWS
     if _JUMP is None:
         _JUMP = _jump_table()
-        _, first, cls = np.unique(_JUMP[2] << 40 | _JUMP[1], return_index=True, return_inverse=True)
-        _SRC = first[cls]
+        _GATE_FREE = int(_JUMP[5].min() + 1) << _K
     old = _SIG.size
     if old < min(BASE_TABLE_BOUND, hi):
         bound = min(BASE_TABLE_BOUND, max(hi, 2 * old))
@@ -273,193 +266,197 @@ def _fill_segment(sig: np.ndarray, pk: np.ndarray, lo: int, hi: int) -> None:
 # partial results: one value, one chunk
 
 
-def _walk_row(cap: int, n: int, floor: float = math.inf) -> tuple[int, int, int]:
-    """Walk n again on plain integers, into the base table or to the cap.
+def _jump_plain(vs: list, limits: list, gated: bool) -> tuple[list, list, list]:
+    """Jump each v of vs on plain integers: the lists of end values, steps and peaks.
 
-    Returns (stopping time, or -1 past the cap; low; high): the orbit peak
-    lies in [low, high], and equals low whenever it exceeds floor. A jump
-    whose bound a·M1 + M2 beats floor and low is walked one value at a
-    time, so that no value above floor goes unseen. The base table must
-    reach min(n + 1, 2^_K) (_ensure_tables): a value still walking has
-    a >= 1, and no jump can pass through 1.
+    A walk stops once it lands below the base table, once it has taken its
+    limit of steps, or, if gated, once its int64 gate a <= LIM(b) holds.
+    The peak is exact: each jump's is a·M1(b) + M2(b) (_jump_table). The
+    base table must reach min(v + 1, 2^_K), so that no jump passes through 1.
     """
-    A, B, S, M1, M2, _, sig, pk = _VIEWS
+    A, B, S, M1, M2, LIM, sig, _ = _VIEWS
     bound = len(sig)
-    v, steps, low, high = n, 0, n, n
-    while v >= bound and steps < cap:
-        a = v >> _K
-        b = v & _MASK
-        top = a * M1[b] + M2[b]
-        if top > high:
-            high = top
-        if top > floor and top > low:
-            for _ in range(S[b]):
-                v = 3 * v + 1 if v & 1 else v >> 1
-                if v > low:
-                    low = v
-        else:
-            v = A[b] * a + B[b]
-            if v > low:
-                low = v
-        steps += S[b]
-    if v < bound and steps + sig[v] <= cap:
-        return steps + sig[v], max(low, pk[v]), max(high, pk[v])
-    return -1, low, high
-
-
-def _take_peaks(res: Checkpoint, cap: int, lanes: list) -> None:
-    """Set res's max excursion from converged lanes (n, low, high), ascending n.
-
-    Each lane's peak lies in [low, high], so the maximum is at least the
-    largest low. A lane whose high does not beat the best peak so far
-    cannot hold it; any other is walked again, exactly only inside the
-    jumps whose bound beats that best. A tie keeps the smaller n.
-    """
-    best = max(low for _, low, _ in lanes) - 1
-    for n, low, high in lanes:
-        if high <= best:
-            continue
-        peak = low if low == high else _walk_row(cap, n, best)[1]
-        if peak > best:
-            best = peak
-            res.max_excursion, res.max_excursion_at = peak, n
-
-
-def _jump_plain(cap: int, lanes, wide: dict) -> list:
-    """Jump lanes (i, v, steps, low, high) past their int64 gate on plain ints.
-
-    A lane takes _walk_row's jumps, with no floor, until the cap truncates
-    it or a <= LIM(b) holds again and it goes back to the kernel, as i, v,
-    steps in one flat list. Its bounds fold into wide[i]: its high is past
-    int64 from its first jump on, so the kernel carries 2^63 - 1 instead.
-    """
-    A, B, S, M1, M2, LIM, _, _ = _VIEWS
-    back = []
-    for i, v, steps, low, high in lanes:
-        if i in wide:
-            was_low, high = wide[i]
-            low = was_low if was_low > low else low
-        while steps < cap:
+    ends, steps_, peaks = [], [], []
+    for v, limit in zip(vs, limits):
+        steps, peak = 0, v
+        while v >= bound and steps < limit:
             a = v >> _K
             b = v & _MASK
-            if a <= LIM[b]:
-                back += i, v, steps
+            if gated and a <= LIM[b]:
                 break
             top = a * M1[b] + M2[b]
-            if top > high:
-                high = top
+            if top > peak:
+                peak = top
             v = A[b] * a + B[b]
-            if v > low:
-                low = v
             steps += S[b]
-        wide[i] = low, high
-    return back
+        ends.append(v)
+        steps_.append(steps)
+        peaks.append(peak)
+    return ends, steps_, peaks
+
+
+def _walk_row(cap: int, n: int) -> tuple[int, int]:
+    """(stopping time, or -1 past the cap; peak) of n, walked on plain integers."""
+    sig, pk = _VIEWS[6:]
+    (v,), (steps,), (peak,) = _jump_plain([n], [cap], False)
+    if v < len(sig) and steps + sig[v] <= cap:
+        return steps + sig[v], max(peak, pk[v])
+    return -1, peak
+
+
+def _min_steps(passes: list, ms: np.ndarray, size: int) -> list[np.ndarray]:
+    """The fewest steps to each node from the starts, which have taken ms
+    (_NEVER: left out), pass by pass; last, to the size nodes after passes."""
+    out = [ms]
+    for (rem, _, live, par), nxt in zip(passes, [*(row[0].size for row in passes[1:]), size]):
+        # a live node's rem still holds its own jump's steps
+        steps = ms + rem if live is None else (ms + rem)[live]
+        ms = np.full(nxt, _NEVER, dtype=np.int64)
+        np.minimum.at(ms, par, steps)
+        out.append(ms)
+    return out
 
 
 def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
-    """Values [lo, hi), at most _LANES of them, at any size; lane i walks lo + i.
+    """Values [lo, hi), at most _LANES of them, at any size; start i is lo + i.
 
-    The base table must reach min(hi, 2^_K) (_ensure_tables): then either
-    every n resolves at once or the table reaches 2^_K, so a lane that
-    jumps has a >= 1 and the jump cannot pass through 1. A lane jumps
-    on the int64 arrays while a <= LIM(b), and in _jump_plain past its gate
-    or from a start at or past 2^63. Stopping times stay exact; a peak is
-    known only to lie in [low, high] (_take_peaks).
-
-    A lane whose first jump lands where lane j = i - b + SRC(b) < i lands
-    never walks: if both start at or past the table bound, below 2^63, and
-    its own gate holds, it takes j's stopping time (or truncation), low
-    max(n, low[j]) and high max(a·M1(b) + M2(b), high[j]). Their walks
-    agree from the landing on, and low[j] holds only n_j < n and landed
-    values, never a value inside a jump, so it stays below the lane's peak.
+    The nodes of a pass are the distinct values still walking, the starts
+    first. Each node jumps once and keeps its steps S(b) and exact peak
+    a·M1(b) + M2(b); its landing resolves in the base table or joins the
+    equal landings of its pass in one node of the next (a hash collision
+    only misses a merge). Then every start's stopping time and peak follow
+    back along its nodes: rem = S + rem[parent], peak = max(top, peak[parent]).
+    The base table must reach min(hi, 2^_K) (_ensure_tables), so a node
+    has a >= 1 and no jump passes through 1. A node past its int64 gate
+    and a start past 2^63 jump on plain integers (_jump_plain) until the
+    gate holds, and a pass of fewer than _TAIL nodes walks them to the
+    end. A peak past 2^63 - 1 is held as _WIDE (_widest). A node stops at
+    the cap once every start through it has used its cap: its fewest steps
+    (_min_steps) count once the most a start can have taken reach the cap.
     """
     size = hi - lo
-    small = min(size, max(0, (1 << 63) - lo))  # lanes that start in int64
+    small = min(size, max(0, (1 << 63) - lo))  # starts in int64
     bound = _SIG.size
+    inside = min(size, max(0, bound - lo))  # starts that resolve in the table
+    # a truncated node's rem is _NEVER or more, past any cap it is held to
+    limit = min(cap, _NEVER - 1)
     A, B, S, M1, M2, LIM = _JUMP
-    sig = np.full(size, -1, dtype=np.int64)
-    low, high = np.zeros((2, size), dtype=np.int64)
-    n = np.arange(lo, lo + small, dtype=np.int64)
-    a, b = n >> _K, n & _MASK
-    src = _SRC[b]
-    shared = (src < b) & (n - b + src >= max(lo, bound)) & (a <= LIM[b])
-    # shared lanes, the lanes they read, and their first jumps' bounds
-    sh = np.flatnonzero(shared)
-    reads = sh - b[sh] + src[sh]
-    top = a[sh] * M1[b[sh]] + M2[b[sh]]
-    # lanes in the kernel, compacted: index, value, steps, peak bounds
-    at = np.flatnonzero(~shared)
-    v = n[at]
-    steps = np.zeros(at.size, dtype=np.int64)
-    lw, hg = v.copy(), v.copy()
-    # lanes past their gate, starts past 2^63 first, and their bounds
-    ns = range(lo + small, hi)
-    out = zip(range(small, size), ns, [0] * len(ns), ns, ns)
-    wide: dict[int, tuple[int, int]] = {}
+    nodes = np.zeros(size, dtype=np.int64)
+    nodes[:small] = np.arange(lo, lo + small, dtype=np.int64)
+    # scratch: landing indices, hash slots, and each first landing's node
+    index = np.arange(size, dtype=np.intp)
+    slots = np.empty(1 << size.bit_length(), dtype=np.intp)
+    new = np.empty(size, dtype=np.intp)
+    plain = [(i, lo + i) for i in range(small, size)]
+    passes: list = []  # per pass: rem, peak, live (None: all), parent
+    walked: dict = {}  # pass: its nodes that jumped on plain integers, and their peaks
+    most = 0
     while True:
-        back = _jump_plain(cap, out, wide)
-        if back:
-            bi, bv, bs = np.array(back, dtype=np.int64).reshape(-1, 3).T
-            cols = bi, bv, bs, bv, np.full(bv.size, 2**63 - 1)
-            at, v, steps, lw, hg = map(np.concatenate, zip((at, v, steps, lw, hg), cols))
-        if not at.size:
-            break
-        done = v < bound
+        m = nodes.size
+        ms = _min_steps(passes, np.zeros(size, dtype=np.int64), m)[-1] if most >= limit else None
+        tail = m < _TAIL
+        if tail:
+            rem, top, land = np.zeros((3, m), dtype=np.int64)
+            plain = list(enumerate(nodes.tolist())) if passes else [(i, lo + i) for i in range(inside, m)]
+        else:
+            a = nodes >> _K
+            b = nodes & _MASK
+            rem, top, land = S[b], a * M1[b] + M2[b], A[b] * a + B[b]
+            if nodes.max() >= _GATE_FREE:
+                gate = np.flatnonzero(a > LIM[b])
+                plain += zip(gate.tolist(), nodes[gate].tolist())
+        if not passes:
+            # a start inside the table lands on itself
+            rem[:inside], top[:inside], land[:inside] = 0, 0, nodes[:inside]
+        if ms is not None:
+            stop = ms >= limit
+            rem[stop], land[stop] = _NEVER, 1
+            plain = [(i, v) for i, v in plain if not stop[i]]
+        far = 2 * _K  # the most steps of one jump in the int64 arrays
+        if plain:
+            at, vs = map(list, zip(*plain))
+            used = ms[at].tolist() if ms is not None else [most] * len(at)
+            ends, steps, peaks = _jump_plain(vs, [limit - u for u in used], not tail)
+            if ms is None and most and max(steps) >= limit - most:
+                # a walk may have stopped at limit - most, short of its own
+                # cap (most bounds the steps before it): walk to the exact cap
+                ms = _min_steps(passes, np.zeros(size, dtype=np.int64), m)[-1]
+                used = ms[at].tolist()
+                ends, steps, peaks = _jump_plain(vs, [limit - u for u in used], not tail)
+            far = max(far, *steps)
+            for j in [j for j, (t, u) in enumerate(zip(steps, used)) if t >= limit - u]:
+                if ends[j] >= bound:
+                    ends[j], steps[j] = 1, _NEVER  # every start through it is past the cap
+            land[at], rem[at] = ends, steps
+            top.view(np.uint64)[at] = [x if x < _WIDE else _WIDE for x in peaks]
+            walked[len(passes)] = at, peaks
+            plain = []
+        pk = top.view(np.uint64)
+        done = land < bound
+        live = None
         if done.any():
-            di = at[done]
-            vd = v[done]
-            sig[di] = steps[done] + _SIG[vd]
-            low[di] = np.maximum(lw[done], _PK[vd])
-            high[di] = np.maximum(hg[done], _PK[vd])
-        huge = (v >> _K) > LIM[v & _MASK]
-        out = zip(*(x[huge].tolist() for x in (at, v, steps, lw, hg))) if huge.any() else ()
-        keep = ~(done | huge | (steps >= cap))
-        if not keep.all():
-            at, v, steps, lw, hg = at[keep], v[keep], steps[keep], lw[keep], hg[keep]
-        a = v >> _K
-        b = v & _MASK
-        np.maximum(hg, a * M1[b] + M2[b], out=hg)
-        v = A[b] * a + B[b]
-        steps += S[b]
-        np.maximum(lw, v, out=lw)
-    sig[sh] = sig[reads]
-    low[sh] = np.maximum(n[sh], low[reads])
-    high[sh] = np.maximum(top, high[reads])
-    if wide:
-        # a lane that reads one that left int64 takes its plain-int bounds;
-        # their high, past 2^63 - 1, is above the reader's own first jump
-        left = np.zeros(size, dtype=bool)
-        left[np.fromiter(wide, dtype=np.int64, count=len(wide))] = True
-        m = left[reads]
-        wide.update(zip(sh[m].tolist(), map(wide.get, reads[m].tolist())))
-    conv = (sig >= 0) & (sig <= cap)
-    ci = np.flatnonzero(conv)
+            dead, live = np.flatnonzero(done), np.flatnonzero(~done)
+            at, land = land[dead], land[live]
+            rem[dead] += _SIG[at]
+            pk[dead] = np.maximum(pk[dead], _PK[at].view(np.uint64))
+        if not land.size:
+            passes.append((rem, pk, live, None))
+            break
+        most += far
+        # equal landings become one node: a slot keeps the last index written,
+        # and a landing whose slot holds another value stays its own node
+        idx = index[: land.size]
+        slot = land & (slots.size - 1)
+        slots[slot] = idx
+        par = slots[slot]
+        miss = np.flatnonzero(land[par] != land)
+        par[miss] = miss
+        first = np.flatnonzero(par == idx)
+        new[first] = index[: first.size]
+        nodes, par = land[first], new[par]
+        passes.append((rem, pk, live, par))
+    rem, pk = _resolve(passes, 0, np.add), _resolve(passes, 1, np.maximum)
+    conv = rem <= limit
     res = Checkpoint(lo, hi, cap, size, hi, truncated=[lo + i for i in np.flatnonzero(~conv).tolist()])
+    ci = np.flatnonzero(conv)
     if ci.size:
         # argmax takes the first maximum, the smallest n: the tie rule
-        j = int(ci[np.argmax(sig[ci])])
-        res.max_stopping_time, res.max_stopping_time_at = int(sig[j]), lo + j
-        floor = int(low[ci].max())
-        lanes = []
-        if wide:
-            # a lane that left int64 carries 2^63 - 1 as its kernel high and
-            # its plain-int bounds in wide: their lows join the floor, the
-            # best sure peak, before any lane is kept
-            wi = np.fromiter(wide, dtype=np.int64, count=len(wide))
-            wi = wi[conv[wi]]
-            high[wi] = -1
-            bounds = list(map(wide.get, wi.tolist()))
-            floor = max(floor, max((low_i for low_i, _ in bounds), default=0))
-            lanes = [
-                (i, max(low_i, int(low[i])), high_i)
-                for i, (low_i, high_i) in zip(wi.tolist(), bounds)
-                if high_i >= floor
-            ]
-        # only lanes whose bound reaches the best sure peak can hold the maximum
-        ci = ci[high[ci] >= floor]
-        lanes += zip(ci.tolist(), low[ci].tolist(), high[ci].tolist())
-        _take_peaks(res, cap, [(lo + i, low_i, high_i) for i, low_i, high_i in sorted(lanes)])
+        j = int(ci[np.argmax(rem[ci])])
+        res.max_stopping_time, res.max_stopping_time_at = int(rem[j]), lo + j
+        peak = int(pk[ci].max())
+        if peak == _WIDE:
+            peak = _widest(passes, walked, conv)
+            pk = _resolve(passes, 1, np.maximum)
+        res.max_excursion, res.max_excursion_at = peak, lo + int(ci[np.argmax(pk[ci])])
     return res
+
+
+def _resolve(passes: list, k: int, op) -> np.ndarray:
+    """Fold row k of each pass (0: steps, added; 1: peaks, maxed) back into
+    its parents' rows, down to the starts."""
+    ahead = passes[-1][k]
+    for row in reversed(passes[:-1]):
+        back, live, par = row[k], row[2], row[3]
+        if live is None:
+            op(back, ahead[par], out=back)
+        else:
+            back[live] = op(back[live], ahead[par])
+        ahead = back
+    return ahead
+
+
+def _widest(passes: list, walked: dict, conv: np.ndarray) -> int:
+    """The largest peak on the path of a start in conv, past 2^63 - 1; its
+    nodes' peaks become _WIDE + 1. The kernel holds such a peak as _WIDE,
+    and walked the exact peaks of the nodes that jumped on plain integers,
+    where they all lie."""
+    # the nodes that lie on some start's path
+    steps = _min_steps(passes[:-1], np.where(conv, 0, _NEVER), passes[-1][0].size)
+    reach = [ms < _NEVER for ms in steps]
+    peak = max(x for p, (at, xs) in walked.items() for x in compress(xs, reach[p][at]))
+    for p, (at, xs) in walked.items():
+        passes[p][1][[i for i, x in zip(at, xs) if x == peak]] = _WIDE + 1
+    return peak
 
 
 def _chunk_stats(bounds: tuple[int, int], cap: int) -> Checkpoint:
@@ -700,10 +697,9 @@ def _check_maxima(state: Checkpoint) -> None:
     sigma = _walk_row(cap, n)[0]
     if sigma < 0 or sigma != state.max_stopping_time:
         raise ValueError(f"{n} does not stop in {state.max_stopping_time} steps at cap {cap}")
-    # a peak above the floor max_excursion - 1 is low exactly
     n = state.max_excursion_at
-    sigma, low, _ = _walk_row(cap, n, state.max_excursion - 1)
-    if sigma < 0 or low != state.max_excursion:
+    sigma, peak = _walk_row(cap, n)
+    if sigma < 0 or peak != state.max_excursion:
         raise ValueError(f"{n} does not peak at {state.max_excursion} within cap {cap}")
 
 

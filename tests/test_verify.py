@@ -3,7 +3,6 @@
 import concurrent.futures
 import dataclasses
 import functools
-import math
 import random
 import tracemalloc
 from collections import Counter
@@ -840,21 +839,17 @@ def test_past_int64_windows_match_oracle(base, offset, size, cap, chunk):
     base=st.sampled_from([1, 1 << 20, 1 << 40, 1 << 58, 1 << 62, 1 << 63, 1 << 80, 1 << 200]),
     offset=st.integers(0, 1 << 16),
     cap=st.sampled_from([7, 60, 300, DEFAULT_STEP_CAP]),
-    share=st.one_of(st.none(), st.integers(0, 80)),
-    tweak=st.integers(-1, 1),
 )
-def test_walk_row_bounds_are_exact_above_the_floor(base, offset, cap, share, tweak):
+def test_walk_row_is_the_plain_walk(base, offset, cap):
+    # the stopping time and the exact peak, or -1 past the cap
     verify_mod._ensure_tables(BASE_TABLE_BOUND)
     n = base + offset
     sigma, peak = orbit_oracle(n, cap)
-    # floors from far below the peak to above it, or none at all
-    floor = math.inf if share is None else peak * share // 64 + tweak
-    got, low, high = verify_mod._walk_row(cap, n, floor)
-    assert got == (-1 if sigma is None else sigma)
-    if sigma is not None:
-        assert low <= peak <= high
-        if peak > floor:
-            assert low == peak
+    got = verify_mod._walk_row(cap, n)
+    if sigma is None:
+        assert got[0] == -1
+    else:
+        assert got == (sigma, peak)
 
 
 def test_tied_peaks_at_2p58():
@@ -870,21 +865,20 @@ def test_tied_peaks_at_2p58():
         assert dataclasses.replace(got, chunk_size=DEFAULT_CHUNK_SIZE) == want
 
 
-def test_peak_scan_keeps_the_smaller_n_of_a_tie():
-    # 8k+4 and 8k+5 share their peak. Whatever valid bounds the lanes
-    # carry, loose ones included, the tie goes to the smaller n
-    verify_mod._ensure_tables(BASE_TABLE_BOUND)
+def test_peak_scan_keeps_the_smaller_n_of_a_tie(monkeypatch):
+    # 8k+4 and 8k+5 share their peak: their first jumps land on one node,
+    # or, in a pass of fewer than _TAIL nodes, each walks on plain
+    # integers. Either way the tie goes to the smaller n
     n = 1125899906842732
     peak = orbit_oracle(n)[1]
     assert orbit_oracle(n + 1)[1] == peak
-    for lanes in (
-        [(n, peak, peak), (n + 1, n + 1, peak + 1)],
-        [(n, n, peak + 1), (n + 1, peak, peak)],
-        [(n, n, peak + 9), (n + 1, n + 1, peak + 9)],
-    ):
-        state = Checkpoint(n, n + 2, DEFAULT_STEP_CAP, 2, n + 2)
-        verify_mod._take_peaks(state, DEFAULT_STEP_CAP, lanes)
-        assert (state.max_excursion, state.max_excursion_at) == (peak, n), lanes
+    want = oracle_report(n, n + 2, DEFAULT_STEP_CAP)
+    for tail in (0, verify_mod._TAIL):
+        monkeypatch.setattr(verify_mod, "_TAIL", tail)
+        for chunk in (1, 2):
+            got = verify_range(n, n + 2, chunk_size=chunk)
+            assert dataclasses.replace(got, chunk_size=DEFAULT_CHUNK_SIZE) == want
+            assert (got.max_excursion, got.max_excursion_at) == (peak, n)
 
 
 def test_excursion_tie_above_the_table_bound():
@@ -898,67 +892,67 @@ def test_excursion_tie_above_the_table_bound():
         assert r == oracle_report(n, n + 2, DEFAULT_STEP_CAP)
 
 
-def test_peak_inside_a_jump_of_a_lane_that_leaves_int64():
+def test_peak_inside_a_jump_of_a_lane_that_leaves_int64(monkeypatch):
     # the first lane jumps past (2^63 - 2) // 3 and stays in the kernel: its
     # peak, 0.93 * 2^63, is a 3v+1 value inside a jump, above everything the
-    # rest of the walk reaches, so _take_peaks walks it again from n. The
-    # second jumps four times, then its next jump could pass 2^63 - 1 (its
-    # peak, 1.06 * 2^63, lies inside it): it leaves at the gate, jumps on
-    # plain integers and comes back
-    for n in (72057594037928009, 72057594037928033):
-        assert verify_range(n, n + 1) == oracle_report(n, n + 1, DEFAULT_STEP_CAP)
+    # rest of the walk reaches. The second jumps four times, then its next
+    # jump could pass 2^63 - 1 (its peak, 1.06 * 2^63, lies inside it): it
+    # leaves at the gate, jumps on plain integers and comes back. Alone in
+    # a block each walks on plain integers; with _TAIL 0, in the kernel
+    for tail in (0, verify_mod._TAIL):
+        monkeypatch.setattr(verify_mod, "_TAIL", tail)
+        for n in (72057594037928009, 72057594037928033):
+            assert verify_range(n, n + 1) == oracle_report(n, n + 1, DEFAULT_STEP_CAP)
 
 
 def _count_plain_jumps(monkeypatch):
-    """Wrap the plain-int jumper: count its jumps (its reads of A) and the
-    low each lane carries back into the kernel."""
-    jumps, backs = [0], []
+    """Wrap the plain-int jumper: count its jumps (its reads of A), gated or
+    not, the values it starts from, and the peak of each walk that goes back
+    to the kernel once its gate holds."""
+    jumps, starts, backs = Counter(), Counter(), []
     real = verify_mod._jump_plain
 
     class Counted:
-        def __init__(self, row):
-            self.row = row
+        def __init__(self, row, gated):
+            self.row, self.gated = row, gated
 
         def __getitem__(self, b):
-            jumps[0] += 1
+            jumps[self.gated] += 1
             return self.row[b]
 
-    def jump(cap, lanes, wide):
+    def jump(vs, limits, gated):
+        starts.update(vs)
         views = verify_mod._VIEWS
-        verify_mod._VIEWS = (Counted(views[0]), *views[1:])
+        verify_mod._VIEWS = (Counted(views[0], gated), *views[1:])
         try:
-            back = real(cap, lanes, wide)
+            ends, steps, peaks = real(vs, limits, gated)
         finally:
             verify_mod._VIEWS = views
-        backs.extend(wide[i][0] for i in back[::3])
-        return back
+        if gated:
+            backs.extend(peak for v, peak in zip(ends, peaks) if v < 2**63)
+        return ends, steps, peaks
 
     monkeypatch.setattr(verify_mod, "_jump_plain", jump)
-    return jumps, backs
+    return jumps, starts, backs
 
 
 def test_kernel_keeps_lanes_up_to_their_gate_past_2p62(monkeypatch):
     # a start below 2^63 begins in the kernel, leaves it only at its int64
     # gate and comes back once the gate holds again: few jumps are taken on
-    # plain integers, and no lane is walked again from its start
-    first = []
-    walk = verify_mod._walk_row
-
-    def counted(cap, n, floor=math.inf):
-        if floor == math.inf:
-            first.append(n)
-        return walk(cap, n, floor)
-
-    monkeypatch.setattr(verify_mod, "_walk_row", counted)
-    jumps, _ = _count_plain_jumps(monkeypatch)
+    # plain integers past the gate, and few more by the last nodes of the
+    # block; no start is walked twice
+    jumps, starts, _ = _count_plain_jumps(monkeypatch)
     lo = (1 << 62) + 12345
     assert verify_range(lo, lo + 512) == oracle_report(lo, lo + 512, DEFAULT_STEP_CAP)
-    assert 0 < jumps[0] < 2 * 512
-    assert first == []
+    assert 0 < jumps[True] < 2 * 512
+    assert jumps[False] < 2 * 512
+    assert max(starts[n] for n in range(lo, lo + 512)) == 1
 
 
 def test_lanes_come_back_to_the_kernel(monkeypatch):
-    _, backs = _count_plain_jumps(monkeypatch)
+    # alone in a block a value would walk on plain integers to the end
+    monkeypatch.setattr(verify_mod, "_TAIL", 0)
+    _, _, backs = _count_plain_jumps(monkeypatch)
     for n, times in ((TWICE_BACK, 2), (HIGH_FIRST, 2), (PAST_2P64, 1)):
         backs.clear()
         assert verify_range(n, n + 1) == oracle_report(n, n + 1, DEFAULT_STEP_CAP)
@@ -1008,7 +1002,7 @@ def test_huge_cap_gives_the_default_cap_report():
         assert dataclasses.replace(r, step_cap=DEFAULT_STEP_CAP) == verify_range(lo, lo + size)
 
 
-# -- lanes whose first jumps land together
+# -- starts whose walks land together: one node per distinct value
 
 
 @functools.cache
@@ -1031,35 +1025,15 @@ def _landings():
     return ends[0], ends[1], steps
 
 
-@settings(max_examples=60)
-@given(b=st.integers(0, (1 << 16) - 1), a=st.integers(1, (1 << 40) - 1))
-def test_share_table_maps_each_residue_to_the_first_that_lands_with_it(b, a):
-    verify_mod._ensure_tables(1)
-    s = int(verify_mod._SRC[b])
-    assert s <= b
-    end, steps, _ = block_walk((a << 16) | b)
-    assert block_walk((a << 16) | s)[:2] == (end, steps)
-    A, B, S = (row.tolist() for row in verify_mod._JUMP[:3])
-    assert A[s] * a + B[s] == A[b] * a + B[b] == end and S[s] == S[b] == steps
-    # no smaller residue lands with b
-    at0, at1, walk_steps = _landings()
-    same = (at0[:s] == at0[b]) & (at1[:s] == at1[b]) & (walk_steps[:s] == walk_steps[b])
-    assert not same.any()
-
-
-def test_share_table_pairs_8k_plus_4_with_8k_plus_5():
-    # 8k+4 -> 4k+2 -> 2k+1 -> 6k+4 and 8k+5 -> 24k+16 -> 12k+8 -> 6k+4
-    verify_mod._ensure_tables(1)
-    src = verify_mod._SRC
-    k = np.arange(1 << 13)
-    assert (src[8 * k + 4] == src[8 * k + 5]).all()
-    # 19,275 of the 65,536 residues are the first of their class
-    assert (src == np.arange(1 << 16)).sum() == 19275
+def _first_lands_with(b: int) -> int:
+    """The smallest residue whose first jump lands with b's for every a."""
+    at0, at1, steps = _landings()
+    return int(np.flatnonzero((at0 == at0[b]) & (at1 == at1[b]) & (steps == steps[b]))[0])
 
 
 def _count_lane_passes(monkeypatch):
-    """Wrap the S row of the jump table: the kernel loop reads it once per
-    lane and pass, so the sizes of its reads are the lanes of each pass."""
+    """Wrap the S row of the jump table: the kernel reads it once per node
+    jump, so the sizes of its reads are the nodes of each pass."""
     passes = []
 
     class Counted(np.ndarray):
@@ -1079,35 +1053,38 @@ def test_most_lanes_read_an_earlier_lanes_walk(monkeypatch):
     lo = 10**9 + 123456789
     hi = lo + (1 << 14)
     assert verify_range(lo, hi) == oracle_report(lo, hi, DEFAULT_STEP_CAP)
-    # one block: at least 11,000 of its lanes never enter the kernel loop,
-    # and the rest take under two passes per value of the block
-    assert passes[0] <= (1 << 14) - 11000
+    # one block: equal landings walk once, so the block takes under two
+    # node jumps per value
     assert sum(passes) < 2 * (1 << 14)
+    # and so does a 2^16 window at 2^40, at most 1.8 per value
+    passes.clear()
+    lo = (1 << 40) + 987654321
+    verify_range(lo, lo + (1 << 16))
+    assert sum(passes) <= 1.8 * (1 << 16)
 
 
-# n = 2^16 * 93,824,992,236,886 + 100: its own gate holds, but the lane it
-# reads, n - 2, leaves int64 at its first jump
+# n = 2^16 * 93,824,992,236,886 + 100: its own gate holds, but n - 2, whose
+# first jump lands with its own, leaves int64 at that jump
 GATE_EDGE = (93824992236886 << 16) + 100
-# n = 2^16 * (LIM(3) + 1) + 3 fails its own gate by one while n - 1, the
-# first of its class, jumps in the kernel; its peak lies inside its first
-# jump, past 2^63 and above n - 1's, so it must walk itself
+# n = 2^16 * (LIM(3) + 1) + 3 fails its own gate by one while n - 1, whose
+# first jump lands with its own, jumps in the kernel; its peak lies inside
+# its first jump, past 2^63 and above n - 1's
 OWN_GATE = (31274997412296 << 16) + 3
-# n reads n - 1, which leaves int64 after some jumps and peaks past 2^63:
-# n's bounds take n - 1's plain-int ones
+# n lands with n - 1, which leaves int64 after some jumps and peaks past 2^63
 SHARE_WIDE = 89051470758688207
 
 
 @pytest.mark.parametrize(
     "lo, hi, cap, chunks",
     [
-        # lanes below the table bound resolve there, and none is read
+        # starts below the table bound resolve there, and never join a node
         ((1 << 20) - (1 << 15), (1 << 20) + (1 << 15), DEFAULT_STEP_CAP, (DEFAULT_CHUNK_SIZE,)),
-        # a lane reads only lanes of its own block, never one of an earlier chunk
+        # starts join only nodes of their own block, never one of an earlier chunk
         ((1 << 40) + 12345, (1 << 40) + 12345 + 1500, DEFAULT_STEP_CAP, (3, 37)),
         (GATE_EDGE - 300, GATE_EDGE + 300, DEFAULT_STEP_CAP, (37, DEFAULT_CHUNK_SIZE)),
         (OWN_GATE - 1, OWN_GATE + 1, DEFAULT_STEP_CAP, (DEFAULT_CHUNK_SIZE,)),
-        # shared lanes truncate with the lane they read, at the first jump
-        # too; 322 is the window's median stopping time
+        # merged starts truncate together, at the first jump too; 322 is the
+        # window's median stopping time
         *(
             ((1 << 40) + 777, (1 << 40) + 777 + 3000, cap, (DEFAULT_CHUNK_SIZE,))
             for cap in (1, 16, 17, 60, 322)
@@ -1117,9 +1094,9 @@ SHARE_WIDE = 89051470758688207
 def test_shared_lane_edges_match_oracle(lo, hi, cap, chunks):
     LIM = _jump_rows()[5]
     if lo < GATE_EDGE < hi:
-        assert verify_mod._SRC[100] == 98 and LIM[100] == 2**47 - 1 >= GATE_EDGE >> 16 > LIM[98]
+        assert _first_lands_with(100) == 98 and LIM[100] == 2**47 - 1 >= GATE_EDGE >> 16 > LIM[98]
     if lo < OWN_GATE < hi:
-        assert verify_mod._SRC[3] == 2 and LIM[3] + 1 == OWN_GATE >> 16 <= LIM[2]
+        assert _first_lands_with(3) == 2 and LIM[3] + 1 == OWN_GATE >> 16 <= LIM[2]
     want = oracle_report(lo, hi, cap)
     for chunk in chunks:
         for jobs in (1, 2):
@@ -1127,28 +1104,53 @@ def test_shared_lane_edges_match_oracle(lo, hi, cap, chunks):
             assert dataclasses.replace(got, chunk_size=DEFAULT_CHUNK_SIZE) == want, (chunk, jobs)
 
 
-def test_peak_candidates_are_lanes_that_reach_the_floor(monkeypatch):
-    # lanes that left int64 fold their plain-int lows into the floor first,
-    # so few lanes of a block are walked again for its peak, and every
-    # candidate's bounds hold its peak, shared lanes' too
-    lanes = []
-    real = verify_mod._take_peaks
-
-    def take(res, cap, got):
-        lanes.extend(got)
-        real(res, cap, got)
-
-    monkeypatch.setattr(verify_mod, "_take_peaks", take)
+def test_wide_peak_windows_match_oracle():
+    # peaks past 2^63 - 1 rank above every int64 peak, and among
+    # themselves by their exact values
     for lo, size in (
         ((1 << 62) + 12345678901, 4096),
         ((1 << 63) + 12345, 4096),
         (GATE_EDGE - 50, 100),
         (SHARE_WIDE - 3, 4),
     ):
-        lanes.clear()
-        r = verify_range(lo, lo + size)
-        if size == 4096:
-            assert len(lanes) < 0.01 * size
-        assert r.max_excursion == orbit_oracle(r.max_excursion_at)[1]
-        for n, low, high in lanes:
-            assert low <= orbit_oracle(n)[1] <= high
+        assert verify_range(lo, lo + size) == oracle_report(lo, lo + size, DEFAULT_STEP_CAP)
+
+
+def table_report(sig, pk, lo: int, hi: int, cap: int) -> Checkpoint:
+    """oracle_report for [lo, hi) from exact tables of every n < len(sig)."""
+    sig, pk = sig[lo:hi], pk[lo:hi]
+    conv = sig <= cap
+    state = Checkpoint(lo, hi, cap, DEFAULT_CHUNK_SIZE, hi)
+    state.truncated = [lo + i for i in np.flatnonzero(~conv).tolist()]
+    ci = np.flatnonzero(conv)
+    if ci.size:
+        j = int(ci[np.argmax(sig[ci])])
+        state.max_stopping_time, state.max_stopping_time_at = int(sig[j]), lo + j
+        j = int(ci[np.argmax(pk[ci])])
+        state.max_excursion, state.max_excursion_at = int(pk[j]), lo + j
+    return state
+
+
+@pytest.mark.parametrize("tail", [0, 64])
+def test_merged_starts_with_unequal_steps_stop_at_their_own_caps(monkeypatch, tail):
+    # 65,563 and 196,690 both reach 531,674 after 16 halvings, in 28 and 27
+    # steps: one node, whose starts reach the cap at different passes. A
+    # block of 2^18 values on the 2^16 table holds both
+    small, big = 196690, 65563
+    assert block_walk(small)[:2] == (531674, 27) and block_walk(big)[:2] == (531674, 28)
+    sig, pk = stepped_table(1 << 18)
+    monkeypatch.setattr(verify_mod, "_SIG", sig[: 1 << 16].astype(np.int16))
+    monkeypatch.setattr(verify_mod, "_PK", pk[: 1 << 16].copy())
+    monkeypatch.setattr(verify_mod, "_VIEWS", verify_mod._VIEWS)
+    verify_mod._ensure_tables(1)
+    monkeypatch.setattr(verify_mod, "_LANES", 1 << 18)
+    monkeypatch.setattr(verify_mod, "_TAIL", tail)
+    lo, hi = big, small + 1
+    s_small, s_big = int(sig[small]), int(sig[big])
+    assert s_big == s_small + 1
+    for cap in (s_small - 1, s_small, s_big - 1, s_big, 1):
+        got = verify_mod._chunk_stats((lo, hi), cap)
+        assert dataclasses.replace(got, chunk_size=DEFAULT_CHUNK_SIZE) == table_report(sig, pk, lo, hi, cap)
+        # the tables agree with the plain walks at both ends of the window
+        for a, b in ((lo, lo + 300), (hi - 300, hi)):
+            assert table_report(sig, pk, a, b, cap) == oracle_report(a, b, cap)
