@@ -304,17 +304,14 @@ def _walk_row(cap: int, n: int) -> tuple[int, int]:
     return -1, peak
 
 
-def _min_steps(passes: list, ms: np.ndarray, size: int) -> list[np.ndarray]:
-    """The fewest steps to each node from the starts, which have taken ms
-    (_NEVER: left out), pass by pass; last, to the size nodes after passes."""
-    out = [ms]
+def _min_steps(passes: list, ms: np.ndarray, size: int) -> np.ndarray:
+    """ms, the fewest steps to the nodes of passes[0], carried to the size nodes after them."""
     for (rem, _, live, par), nxt in zip(passes, [*(row[0].size for row in passes[1:]), size]):
         # a live node's rem still holds its own jump's steps
         steps = ms + rem if live is None else (ms + rem)[live]
         ms = np.full(nxt, _NEVER, dtype=np.int64)
         np.minimum.at(ms, par, steps)
-        out.append(ms)
-    return out
+    return ms
 
 
 def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
@@ -331,8 +328,9 @@ def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
     and a start past 2^63 jump on plain integers (_jump_plain) until the
     gate holds, and a pass of fewer than _TAIL nodes walks them to the
     end. A peak past 2^63 - 1 is held as _WIDE (_widest). A node stops at
-    the cap once every start through it has used its cap: its fewest steps
-    (_min_steps) count once the most a start can have taken reach the cap.
+    the cap once every start through it has used its cap: once the most
+    steps a start can have taken reach the cap, each pass carries its
+    nodes' fewest (_min_steps).
     """
     size = hi - lo
     small = min(size, max(0, (1 << 63) - lo))  # starts in int64
@@ -350,12 +348,13 @@ def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
     plain = [(i, lo + i) for i in range(small, size)]
     passes: list = []  # per pass: rem, peak, live (None: all), parent
     walked: dict = {}  # pass: its nodes that jumped on plain integers, and their peaks
-    most = 0
+    ms = None  # the fewest steps to each node from the starts, once they count
+    most = 0  # the most steps a start can have taken
     while True:
         m = nodes.size
-        ms = _min_steps(passes, np.zeros(size, dtype=np.int64), m)[-1] if most >= limit else None
-        tail = m < _TAIL
-        if tail:
+        if ms is None and most >= limit:
+            ms = _min_steps(passes, np.zeros(size, dtype=np.int64), m)
+        if m < _TAIL:
             rem, top, land = np.zeros((3, m), dtype=np.int64)
             plain = list(enumerate(nodes.tolist())) if passes else [(i, lo + i) for i in range(inside, m)]
         else:
@@ -375,17 +374,17 @@ def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
         far = 2 * _K  # the most steps of one jump in the int64 arrays
         if plain:
             at, vs = map(list, zip(*plain))
-            used = ms[at].tolist() if ms is not None else [most] * len(at)
-            ends, steps, peaks = _jump_plain(vs, [limit - u for u in used], not tail)
+            left = [limit - most] * len(at) if ms is None else (limit - ms[at]).tolist()
+            ends, steps, peaks = _jump_plain(vs, left, m >= _TAIL)
             if ms is None and most and max(steps) >= limit - most:
                 # a walk may have stopped at limit - most, short of its own
                 # cap (most bounds the steps before it): walk to the exact cap
-                ms = _min_steps(passes, np.zeros(size, dtype=np.int64), m)[-1]
-                used = ms[at].tolist()
-                ends, steps, peaks = _jump_plain(vs, [limit - u for u in used], not tail)
+                ms = _min_steps(passes, np.zeros(size, dtype=np.int64), m)
+                left = (limit - ms[at]).tolist()
+                ends, steps, peaks = _jump_plain(vs, left, m >= _TAIL)
             far = max(far, *steps)
-            for j in [j for j, (t, u) in enumerate(zip(steps, used)) if t >= limit - u]:
-                if ends[j] >= bound:
+            for j, (v, t, u) in enumerate(zip(ends, steps, left)):
+                if t >= u and v >= bound:
                     ends[j], steps[j] = 1, _NEVER  # every start through it is past the cap
             land[at], rem[at] = ends, steps
             top.view(np.uint64)[at] = [x if x < _WIDE else _WIDE for x in peaks]
@@ -402,7 +401,6 @@ def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
         if not land.size:
             passes.append((rem, pk, live, None))
             break
-        most += far
         # equal landings become one node: a slot keeps the last index written,
         # and a landing whose slot holds another value stays its own node
         idx = index[: land.size]
@@ -415,6 +413,9 @@ def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
         new[first] = index[: first.size]
         nodes, par = land[first], new[par]
         passes.append((rem, pk, live, par))
+        most += far
+        if ms is not None:
+            ms = _min_steps(passes[-1:], ms, nodes.size)
     rem, pk = _resolve(passes, 0, np.add), _resolve(passes, 1, np.maximum)
     conv = rem <= limit
     res = Checkpoint(lo, hi, cap, size, hi, truncated=[lo + i for i in np.flatnonzero(~conv).tolist()])
@@ -451,8 +452,10 @@ def _widest(passes: list, walked: dict, conv: np.ndarray) -> int:
     and walked the exact peaks of the nodes that jumped on plain integers,
     where they all lie."""
     # the nodes that lie on some start's path
-    steps = _min_steps(passes[:-1], np.where(conv, 0, _NEVER), passes[-1][0].size)
-    reach = [ms < _NEVER for ms in steps]
+    reach = [conv]
+    for (_, _, live, par), (nxt, *_) in zip(passes, passes[1:]):
+        reach.append(np.zeros(nxt.size, dtype=bool))
+        reach[-1][par[reach[-2] if live is None else reach[-2][live]]] = True
     peak = max(x for p, (at, xs) in walked.items() for x in compress(xs, reach[p][at]))
     for p, (at, xs) in walked.items():
         passes[p][1][[i for i, x in zip(at, xs) if x == peak]] = _WIDE + 1

@@ -1106,14 +1106,22 @@ def test_shared_lane_edges_match_oracle(lo, hi, cap, chunks):
 
 def test_wide_peak_windows_match_oracle():
     # peaks past 2^63 - 1 rank above every int64 peak, and among
-    # themselves by their exact values
-    for lo, size in (
-        ((1 << 62) + 12345678901, 4096),
-        ((1 << 63) + 12345, 4096),
-        (GATE_EDGE - 50, 100),
-        (SHARE_WIDE - 3, 4),
+    # themselves by their exact values. Near the median stopping times of
+    # the 4,096-value windows (557 from 2^63 - 2048, 468 at 2^62) some
+    # starts climb past 2^63 - 1 on plain integers, above every converged
+    # start, and then stop at the cap: they lie on no converged start's
+    # path, so their peaks never count
+    for lo, size, cap in (
+        ((1 << 62) + 12345678901, 4096, DEFAULT_STEP_CAP),
+        ((1 << 63) + 12345, 4096, DEFAULT_STEP_CAP),
+        (GATE_EDGE - 50, 100, DEFAULT_STEP_CAP),
+        (SHARE_WIDE - 3, 4, DEFAULT_STEP_CAP),
+        *(((1 << 63) - 2048, 4096, cap) for cap in (250, 400, 557)),
+        *(((1 << 62) + 12345678901, 4096, cap) for cap in (350, 400, 468)),
     ):
-        assert verify_range(lo, lo + size) == oracle_report(lo, lo + size, DEFAULT_STEP_CAP)
+        want = oracle_report(lo, lo + size, cap)
+        assert cap == DEFAULT_STEP_CAP or want.truncated and want.max_excursion
+        assert verify_range(lo, lo + size, step_cap=cap) == want, (lo, cap)
 
 
 def table_report(sig, pk, lo: int, hi: int, cap: int) -> Checkpoint:
