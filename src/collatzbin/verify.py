@@ -25,7 +25,7 @@ LIM(b): a <= LIM(b) keeps the jump within 2^63 - 1. A walking value is
 at or above the table bound, so a >= 1 and no jump passes through 1:
 stopping times stay exact. The base table's entries from 2^16 on are
 built by the same jumps; it reaches 2^16, all a walk needs, and grows
-to 2^20 only over a run's own values or for a run of 2^23 values or more.
+to 2^20 only over a run's own values.
 
 The orbits of a block of starts merge fast, as paths in the tree the
 reduced map inverts, so the kernel (_chunk_numpy) walks each distinct
@@ -33,7 +33,10 @@ value of a pass once and then resolves every start backwards, its
 stopping time and peak exact: ties go to the smaller n with no second
 walk. A value jumps on int64 arrays while its gate holds and on plain
 integers, as every start past 2^63 does, until it holds again; the last
-few values of a block walk to the end on plain integers.
+few values of a block walk to the end on plain integers. Each pass jumps
+a walking value at least once, so _K steps or more: a start has taken at
+least _K steps per pass before it, and a value stops at the cap once that
+count, or that count and its own plain walk, reaches the cap.
 
 What is checked is convergence: every n reaches 1 within the step cap.
 The 1 -> 4 -> 2 -> 1 tail that follows is the same three steps for
@@ -144,10 +147,6 @@ _LANES = 1 << 15
 # residues b = v mod 2^_K (built by _jump_table)
 _K = 16
 _MASK = (1 << _K) - 1
-# a run of this many values or more grows the base table to
-# BASE_TABLE_BOUND wherever it starts: from here on its lanes, landing
-# sooner, win back the longer build (BENCH_24.json)
-_FULL_TABLE_RUN = 1 << 23
 _JUMP: Optional[np.ndarray] = None
 # 2^_K·(min LIM + 1): below it every int64 gate holds (set by _ensure_tables)
 _GATE_FREE = 0
@@ -201,9 +200,8 @@ def _ensure_tables(hi: int) -> None:
     A walk needs the base table only to min(hi, 2^_K): past it every
     value still walking has a >= 1 (_jump_plain, _chunk_numpy). _run asks
     for more only for a run that starts inside the table, whose own values
-    the new entries are, or for a run of _FULL_TABLE_RUN values or more: a
-    longer table makes walks land sooner, but saves only about 6% of their
-    time (BENCH_24.json).
+    the new entries are: a longer table makes walks land sooner, but saves
+    only about 6% of their time (BENCH_24.json).
 
     Base entries carry no cap, so one table serves every cap and every
     range it is long enough for. Growth at least doubles the length (up
@@ -266,18 +264,18 @@ def _fill_segment(sig: np.ndarray, pk: np.ndarray, lo: int, hi: int) -> None:
 # partial results: one value, one chunk
 
 
-def _jump_plain(vs: list, limits: list, gated: bool) -> tuple[list, list, list]:
+def _jump_plain(vs: list, limit: int, gated: bool) -> tuple[list, list, list]:
     """Jump each v of vs on plain integers: the lists of end values, steps and peaks.
 
-    A walk stops once it lands below the base table, once it has taken its
-    limit of steps, or, if gated, once its int64 gate a <= LIM(b) holds.
+    A walk stops once it lands below the base table, once it has taken
+    limit steps or more, or, if gated, once its int64 gate a <= LIM(b) holds.
     The peak is exact: each jump's is a·M1(b) + M2(b) (_jump_table). The
     base table must reach min(v + 1, 2^_K), so that no jump passes through 1.
     """
     A, B, S, M1, M2, LIM, sig, _ = _VIEWS
     bound = len(sig)
     ends, steps_, peaks = [], [], []
-    for v, limit in zip(vs, limits):
+    for v in vs:
         steps, peak = 0, v
         while v >= bound and steps < limit:
             a = v >> _K
@@ -298,20 +296,10 @@ def _jump_plain(vs: list, limits: list, gated: bool) -> tuple[list, list, list]:
 def _walk_row(cap: int, n: int) -> tuple[int, int]:
     """(stopping time, or -1 past the cap; peak) of n, walked on plain integers."""
     sig, pk = _VIEWS[6:]
-    (v,), (steps,), (peak,) = _jump_plain([n], [cap], False)
+    (v,), (steps,), (peak,) = _jump_plain([n], cap, False)
     if v < len(sig) and steps + sig[v] <= cap:
         return steps + sig[v], max(peak, pk[v])
     return -1, peak
-
-
-def _min_steps(passes: list, ms: np.ndarray, size: int) -> np.ndarray:
-    """ms, the fewest steps to the nodes of passes[0], carried to the size nodes after them."""
-    for (rem, _, live, par), nxt in zip(passes, [*(row[0].size for row in passes[1:]), size]):
-        # a live node's rem still holds its own jump's steps
-        steps = ms + rem if live is None else (ms + rem)[live]
-        ms = np.full(nxt, _NEVER, dtype=np.int64)
-        np.minimum.at(ms, par, steps)
-    return ms
 
 
 def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
@@ -327,10 +315,14 @@ def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
     has a >= 1 and no jump passes through 1. A node past its int64 gate
     and a start past 2^63 jump on plain integers (_jump_plain) until the
     gate holds, and a pass of fewer than _TAIL nodes walks them to the
-    end. A peak past 2^63 - 1 is held as _WIDE (_widest). A node stops at
-    the cap once every start through it has used its cap: once the most
-    steps a start can have taken reach the cap, each pass carries its
-    nodes' fewest (_min_steps).
+    end. A peak past 2^63 - 1 is held as _WIDE (_widest).
+
+    Every start through a node of pass p has taken least = _K·p steps or
+    more: each pass jumps its live nodes at least once, S(b) >= _K steps
+    each. A live node is at or above the table bound, a step or more from
+    1. So once least reaches the cap every node of the pass is past it,
+    and a plain walk that takes cap - least steps and has not landed is
+    too. Every other start's rem is exact, and rem <= cap decides it.
     """
     size = hi - lo
     small = min(size, max(0, (1 << 63) - lo))  # starts in int64
@@ -348,12 +340,13 @@ def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
     plain = [(i, lo + i) for i in range(small, size)]
     passes: list = []  # per pass: rem, peak, live (None: all), parent
     walked: dict = {}  # pass: its nodes that jumped on plain integers, and their peaks
-    ms = None  # the fewest steps to each node from the starts, once they count
-    most = 0  # the most steps a start can have taken
     while True:
         m = nodes.size
-        if ms is None and most >= limit:
-            ms = _min_steps(passes, np.zeros(size, dtype=np.int64), m)
+        least = _K * len(passes)  # the fewest steps a start through a node has taken
+        if least >= limit:
+            # every node of the pass is past the cap: one all-_NEVER pass ends the walk
+            passes.append((np.full(m, _NEVER, dtype=np.int64), np.zeros(m, dtype=np.uint64), None, None))
+            break
         if m < _TAIL:
             rem, top, land = np.zeros((3, m), dtype=np.int64)
             plain = list(enumerate(nodes.tolist())) if passes else [(i, lo + i) for i in range(inside, m)]
@@ -367,24 +360,12 @@ def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
         if not passes:
             # a start inside the table lands on itself
             rem[:inside], top[:inside], land[:inside] = 0, 0, nodes[:inside]
-        if ms is not None:
-            stop = ms >= limit
-            rem[stop], land[stop] = _NEVER, 1
-            plain = [(i, v) for i, v in plain if not stop[i]]
-        far = 2 * _K  # the most steps of one jump in the int64 arrays
         if plain:
             at, vs = map(list, zip(*plain))
-            left = [limit - most] * len(at) if ms is None else (limit - ms[at]).tolist()
+            left = limit - least
             ends, steps, peaks = _jump_plain(vs, left, m >= _TAIL)
-            if ms is None and most and max(steps) >= limit - most:
-                # a walk may have stopped at limit - most, short of its own
-                # cap (most bounds the steps before it): walk to the exact cap
-                ms = _min_steps(passes, np.zeros(size, dtype=np.int64), m)
-                left = (limit - ms[at]).tolist()
-                ends, steps, peaks = _jump_plain(vs, left, m >= _TAIL)
-            far = max(far, *steps)
-            for j, (v, t, u) in enumerate(zip(ends, steps, left)):
-                if t >= u and v >= bound:
+            for j, (v, t) in enumerate(zip(ends, steps)):
+                if t >= left and v >= bound:
                     ends[j], steps[j] = 1, _NEVER  # every start through it is past the cap
             land[at], rem[at] = ends, steps
             top.view(np.uint64)[at] = [x if x < _WIDE else _WIDE for x in peaks]
@@ -413,9 +394,6 @@ def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
         new[first] = index[: first.size]
         nodes, par = land[first], new[par]
         passes.append((rem, pk, live, par))
-        most += far
-        if ms is not None:
-            ms = _min_steps(passes[-1:], ms, nodes.size)
     rem, pk = _resolve(passes, 0, np.add), _resolve(passes, 1, np.maximum)
     conv = rem <= limit
     res = Checkpoint(lo, hi, cap, size, hi, truncated=[lo + i for i in np.flatnonzero(~conv).tolist()])
@@ -509,8 +487,8 @@ def _run(state: Checkpoint, jobs: int, checkpoint_path: Optional[Union[str, Path
         raise DomainError(f"jobs must be >= 1, got {jobs}")
     nxt, size, hi = state.next_unprocessed, state.chunk_size, state.hi
     _ensure_tables(min(hi, 1 << _K))
-    if nxt <= _SIG.size or hi - nxt >= _FULL_TABLE_RUN:
-        # past 2^_K, all the kernel needs, only where it pays (_ensure_tables)
+    if nxt <= _SIG.size:
+        # past 2^_K, all the kernel needs, only over the run's own values (_ensure_tables)
         _ensure_tables(hi)
     # bounds are made as chunks start, never listed: a range may hold more
     # chunks than memory does, and more than len() can count

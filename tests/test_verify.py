@@ -791,10 +791,6 @@ def test_table_size_does_not_change_a_report(monkeypatch, tmp_path):
     assert verify_mod._SIG.size == 2 * small
     verify_range(5 * small, 5 * small + 3)
     assert verify_mod._SIG.size == 2 * small
-    # and so does a run of _FULL_TABLE_RUN values (made short here)
-    monkeypatch.setattr(verify_mod, "_FULL_TABLE_RUN", 3)
-    verify_range(5 * small, 5 * small + 3)
-    assert verify_mod._SIG.size == 5 * small + 3
     # growth from 2^16 straight to 2^20 gives the stepped table
     use_table(small)
     verify_mod._ensure_tables(BASE_TABLE_BOUND)
@@ -920,12 +916,12 @@ def _count_plain_jumps(monkeypatch):
             jumps[self.gated] += 1
             return self.row[b]
 
-    def jump(vs, limits, gated):
+    def jump(vs, limit, gated):
         starts.update(vs)
         views = verify_mod._VIEWS
         verify_mod._VIEWS = (Counted(views[0], gated), *views[1:])
         try:
-            ends, steps, peaks = real(vs, limits, gated)
+            ends, steps, peaks = real(vs, limit, gated)
         finally:
             verify_mod._VIEWS = views
         if gated:
@@ -965,6 +961,17 @@ def test_lanes_come_back_to_the_kernel(monkeypatch):
         assert verify_range(TWICE_BACK, TWICE_BACK + 1, step_cap=cap) == oracle_report(
             TWICE_BACK, TWICE_BACK + 1, cap
         )
+    # from just past (2^63 - 2) // 3, two starts stop in 855 steps after 33
+    # or 34 jumps (on the 2^20 or the 2^16 table), 25 steps each on average:
+    # a stop rule that counted 2·_K steps a pass, a jump's most, would
+    # truncate them at their own stopping time
+    lo = 3074457345618259468
+    assert orbit_oracle(lo + 2)[0] == orbit_oracle(lo + 3)[0] == 855
+    for cap in (855, 856):
+        want = oracle_report(lo, lo + 5, cap)
+        for chunk in (1, DEFAULT_CHUNK_SIZE):
+            got = verify_range(lo, lo + 5, step_cap=cap, chunk_size=chunk)
+            assert dataclasses.replace(got, chunk_size=DEFAULT_CHUNK_SIZE) == want, (cap, chunk)
 
 
 @pytest.mark.parametrize(
