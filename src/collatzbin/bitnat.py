@@ -130,12 +130,6 @@ class BinaryNat:
         """Number of trailing zero digits (the exponent of 2 dividing n)."""
         return (self._n & -self._n).bit_length() - 1
 
-    def append_bit(self, b: int) -> "BinaryNat":
-        """Append one digit: append_bit(0) is 2n, append_bit(1) is 2n + 1."""
-        if b not in (0, 1):
-            raise DomainError(f"bit must be 0 or 1, got {b!r}")
-        return BinaryNat._raw(2 * self._n + b)
-
     # -- predicates and accessors ---------------------------------------
 
     def is_odd(self) -> bool:
@@ -144,27 +138,12 @@ class BinaryNat:
     def is_one(self) -> bool:
         return self._n == 1
 
-    def bit_length(self) -> int:
-        return self._n.bit_length()
-
     # -- comparisons -----------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BinaryNat):
             return NotImplemented
         return self._n == other._n
-
-    def __lt__(self, other: "BinaryNat") -> bool:
-        return self._n < other._n
-
-    def __le__(self, other: "BinaryNat") -> bool:
-        return self._n <= other._n
-
-    def __gt__(self, other: "BinaryNat") -> bool:
-        return self._n > other._n
-
-    def __ge__(self, other: "BinaryNat") -> bool:
-        return self._n >= other._n
 
     def __hash__(self) -> int:
         return hash(self._n)

@@ -50,7 +50,7 @@ Checkpoint files are versioned line-oriented text, written atomically
 (temp file then rename) at chunk boundaries only. One function writes
 the format, and a file loads only if it is exactly the text that
 checkpoint_save writes for a state a run can reach, and each saved
-maximum is what a fresh walk of its n gives.
+maximum is what the kernel gives for its n alone.
 """
 
 from __future__ import annotations
@@ -157,8 +157,8 @@ _TAIL = 64
 # smallest peak past 2^63 - 1 in the kernel's uint64 peaks
 _NEVER = 1 << 62
 _WIDE = 1 << 63
-# rows A, B, S, M1, M2, LIM of _JUMP and the base tables as zero-copy
-# views: the plain-int walks read them one entry at a time
+# rows A, B, S, M1, M2, LIM of _JUMP as zero-copy views, built with it:
+# _jump_plain reads them one entry at a time
 _VIEWS: tuple[memoryview, ...] = ()
 
 
@@ -194,8 +194,8 @@ def _jump_table(k: int = _K) -> np.ndarray:
 
 
 def _ensure_tables(hi: int) -> None:
-    """Build the jump table once; grow the base tables to at least
-    min(BASE_TABLE_BOUND, hi) entries.
+    """Build the jump table and its views once; grow the base tables to at
+    least min(BASE_TABLE_BOUND, hi) entries.
 
     A walk needs the base table only to min(hi, 2^_K): past it every
     value still walking has a >= 1 (_jump_plain, _chunk_numpy). _run asks
@@ -213,6 +213,7 @@ def _ensure_tables(hi: int) -> None:
     if _JUMP is None:
         _JUMP = _jump_table()
         _GATE_FREE = int(_JUMP[5].min() + 1) << _K
+        _VIEWS = tuple(map(memoryview, _JUMP))
     old = _SIG.size
     if old < min(BASE_TABLE_BOUND, hi):
         bound = min(BASE_TABLE_BOUND, max(hi, 2 * old))
@@ -226,7 +227,6 @@ def _ensure_tables(hi: int) -> None:
             _fill_segment(sig, pk, s, e)
             s = e
         _SIG, _PK = sig, pk
-    _VIEWS = (*map(memoryview, _JUMP), memoryview(_SIG), memoryview(_PK))
 
 
 def _fill_segment(sig: np.ndarray, pk: np.ndarray, lo: int, hi: int) -> None:
@@ -267,17 +267,22 @@ def _fill_segment(sig: np.ndarray, pk: np.ndarray, lo: int, hi: int) -> None:
 def _jump_plain(vs: list, limit: int, gated: bool) -> tuple[list, list, list]:
     """Jump each v of vs on plain integers: the lists of end values, steps and peaks.
 
-    A walk stops once it lands below the base table, once it has taken
-    limit steps or more, or, if gated, once its int64 gate a <= LIM(b) holds.
-    The peak is exact: each jump's is a·M1(b) + M2(b) (_jump_table). The
-    base table must reach min(v + 1, 2^_K), so that no jump passes through 1.
+    A walk stops once it lands below the base table or, if gated, once its
+    int64 gate a <= LIM(b) holds. A walk that has taken limit steps or more
+    and not landed is past its budget: it ends on 1 with _NEVER steps, so
+    every start through it is past the cap. The peak is exact: each jump's
+    is a·M1(b) + M2(b) (_jump_table). The base table must reach
+    min(v + 1, 2^_K), so that no jump passes through 1.
     """
-    A, B, S, M1, M2, LIM, sig, _ = _VIEWS
-    bound = len(sig)
+    A, B, S, M1, M2, LIM = _VIEWS
+    bound = _SIG.size
     ends, steps_, peaks = [], [], []
     for v in vs:
         steps, peak = 0, v
-        while v >= bound and steps < limit:
+        while v >= bound:
+            if steps >= limit:
+                v, steps = 1, _NEVER
+                break
             a = v >> _K
             b = v & _MASK
             if gated and a <= LIM[b]:
@@ -291,15 +296,6 @@ def _jump_plain(vs: list, limit: int, gated: bool) -> tuple[list, list, list]:
         steps_.append(steps)
         peaks.append(peak)
     return ends, steps_, peaks
-
-
-def _walk_row(cap: int, n: int) -> tuple[int, int]:
-    """(stopping time, or -1 past the cap; peak) of n, walked on plain integers."""
-    sig, pk = _VIEWS[6:]
-    (v,), (steps,), (peak,) = _jump_plain([n], cap, False)
-    if v < len(sig) and steps + sig[v] <= cap:
-        return steps + sig[v], max(peak, pk[v])
-    return -1, peak
 
 
 def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
@@ -321,8 +317,9 @@ def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
     more: each pass jumps its live nodes at least once, S(b) >= _K steps
     each. A live node is at or above the table bound, a step or more from
     1. So once least reaches the cap every node of the pass is past it,
-    and a plain walk that takes cap - least steps and has not landed is
-    too. Every other start's rem is exact, and rem <= cap decides it.
+    and so is a plain walk that takes cap - least steps and has not landed
+    (_jump_plain ends it on 1 with _NEVER steps). Every other start's rem
+    is exact, and rem <= cap decides it.
     """
     size = hi - lo
     small = min(size, max(0, (1 << 63) - lo))  # starts in int64
@@ -362,11 +359,7 @@ def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
             rem[:inside], top[:inside], land[:inside] = 0, 0, nodes[:inside]
         if plain:
             at, vs = map(list, zip(*plain))
-            left = limit - least
-            ends, steps, peaks = _jump_plain(vs, left, m >= _TAIL)
-            for j, (v, t) in enumerate(zip(ends, steps)):
-                if t >= left and v >= bound:
-                    ends[j], steps[j] = 1, _NEVER  # every start through it is past the cap
+            ends, steps, peaks = _jump_plain(vs, limit - least, m >= _TAIL)
             land[at], rem[at] = ends, steps
             top.view(np.uint64)[at] = [x if x < _WIDE else _WIDE for x in peaks]
             walked[len(passes)] = at, peaks
@@ -541,9 +534,10 @@ def verify_range(
     checkpoint_path: Optional[Union[str, Path]] = None,
 ) -> Checkpoint:
     """Verify every n in [lo, hi); return the finished state (see the module notes)."""
-    for name, bound in (("lo", lo), ("hi", hi)):
-        if not isinstance(bound, int):
-            raise DomainError(f"{name} must be an integer value, got {type(bound).__name__}")
+    for name, value in (("lo", lo), ("hi", hi), ("step_cap", step_cap), ("chunk_size", chunk_size)):
+        # a bool is an int to isinstance, and would print as True
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise DomainError(f"{name} must be an integer value, got {type(value).__name__}")
     if lo < 1 or hi <= lo:
         raise DomainError(f"need 1 <= lo < hi, got [{lo}, {hi})")
     if step_cap < 1:
@@ -670,17 +664,16 @@ def _check(state: Checkpoint) -> None:
 
 
 def _check_maxima(state: Checkpoint) -> None:
-    """Raise ValueError unless each saved maximum is its input's own walk."""
+    """Raise ValueError unless each saved maximum is its input's own walk:
+    what the kernel that wrote it gives for a block of that one value."""
     if not state.verified_count:
         return
-    _ensure_tables(min(state.hi, 1 << _K))  # two walks need no more
+    _ensure_tables(min(state.hi, 1 << _K))  # two one-value blocks need no more
     cap, n = state.step_cap, state.max_stopping_time_at
-    sigma = _walk_row(cap, n)[0]
-    if sigma < 0 or sigma != state.max_stopping_time:
+    if _chunk_numpy(n, n + 1, cap).max_stopping_time != state.max_stopping_time:
         raise ValueError(f"{n} does not stop in {state.max_stopping_time} steps at cap {cap}")
     n = state.max_excursion_at
-    sigma, peak = _walk_row(cap, n)
-    if sigma < 0 or peak != state.max_excursion:
+    if _chunk_numpy(n, n + 1, cap).max_excursion != state.max_excursion:
         raise ValueError(f"{n} does not peak at {state.max_excursion} within cap {cap}")
 
 

@@ -81,7 +81,7 @@ def test_hard_number_closed_form():
         a = hard_number(k)
         assert a.to_int() == (4**k - 1) // 3
         assert a.bits == "10" * (k - 1) + "1"
-        assert a.bit_length() == 2 * k - 1
+        assert a.to_int().bit_length() == 2 * k - 1
         # one tripling step lands exactly on a power of two
         assert a.mul3_add1().bits == "1" + "0" * (2 * k)
 

@@ -346,9 +346,14 @@ def test_outputs_match_goldens(monkeypatch):
     assert changed == []
 
 
+def _env():
+    """The environment with the package source first on PYTHONPATH, so that
+    a child interpreter imports the collatzbin under test."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))))
+
+
 def _python(code):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))))
-    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_env())
 
 
 def test_numpy_loads_only_with_the_verifier():
@@ -377,16 +382,22 @@ def test_every_export_resolves():
     assert missing == []
 
 
-def test_every_public_name_has_a_caller():
-    # a bare name or an attribute read somewhere in the package source;
-    # __all__ strings and import aliases are not loads
+def _loaded_names(paths) -> set:
+    """Every bare name and attribute read in the sources at paths; __all__
+    strings and import aliases are not loads."""
     loaded = set()
-    for path in Path(collatzbin.__file__).parent.glob("*.py"):
+    for path in paths:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 loaded.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 loaded.add(node.attr)
+    return loaded
+
+
+def test_every_public_name_has_a_caller():
+    # every exported name is read somewhere in the package source
+    loaded = _loaded_names(Path(collatzbin.__file__).parent.glob("*.py"))
     modules = [collatzbin] + [
         importlib.import_module(f"collatzbin.{info.name}")
         for info in pkgutil.iter_modules(collatzbin.__path__)
@@ -397,6 +408,16 @@ def test_every_public_name_has_a_caller():
         for mod in modules
         for name in getattr(mod, "__all__", ())
         if not (name.startswith("__") and name.endswith("__")) and name not in loaded
+    ]
+    # and every public BinaryNat member in the package or the benchmark,
+    # which times from_int and half. A member named like an int method
+    # (bit_length, say) would pass on the int's reads: this cannot see it
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    loaded |= _loaded_names(perfbench.glob("*.py"))
+    uncalled += [
+        f"BinaryNat.{name}"
+        for name in vars(collatzbin.BinaryNat)
+        if not name.startswith("_") and name not in loaded
     ]
     assert uncalled == []
 
@@ -449,6 +470,7 @@ def test_module_entry_point():
         [sys.executable, "-m", "collatzbin", "classify", "97"],
         capture_output=True,
         text=True,
+        env=_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout == "mixed-odd 1100001\n"
@@ -644,7 +666,8 @@ def test_ctrl_c_stops_a_parallel_run_cleanly(tmp_path):
     argv = [sys.executable, "-m", "collatzbin", "verify", str(lo), str(hi),
             "--jobs", "2", "--chunk", str(chunk), "--checkpoint", str(ck)]
     proc = subprocess.Popen(
-        argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True
+        argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True,
+        env=_env(),
     )
     try:
         deadline = time.monotonic() + 60
@@ -662,6 +685,6 @@ def test_ctrl_c_stops_a_parallel_run_cleanly(tmp_path):
     with pytest.raises(ProcessLookupError):
         os.killpg(proc.pid, 0)
     assert checkpoint_load(ck).next_unprocessed < hi
-    resumed = subprocess.run(argv + ["--resume"], capture_output=True, text=True)
+    resumed = subprocess.run(argv + ["--resume"], capture_output=True, text=True, env=_env())
     assert (resumed.returncode, resumed.stderr) == (0, "")
     assert resumed.stdout == summarize(verify_range(lo, hi, chunk_size=chunk))

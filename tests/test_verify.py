@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from collatzbin import (
     BinaryNat,
@@ -549,6 +549,24 @@ def test_verify_range_takes_plain_ints():
         verify_range(1, 10.0)
 
 
+@pytest.mark.parametrize(
+    "args, kwargs, message",
+    [
+        # a bool is an int to isinstance: True printed as "range: [True, 3)",
+        # and the checkpoint it saved did not load
+        ((True, 3), {}, "lo must be an integer value, got bool"),
+        # printed as "step cap: True" and "step cap: 20.5"
+        ((1, 10), {"step_cap": True}, "step_cap must be an integer value, got bool"),
+        ((1, 10), {"step_cap": 20.5}, "step_cap must be an integer value, got float"),
+        # raised a raw TypeError
+        ((1, 10), {"chunk_size": 7.0}, "chunk_size must be an integer value, got float"),
+    ],
+)
+def test_verify_range_rejects_bools_and_floats(args, kwargs, message):
+    with pytest.raises(DomainError, match=message):
+        verify_range(*args, **kwargs)
+
+
 # -- one class partition, one run-state type, one table
 
 
@@ -747,12 +765,11 @@ def stepped_table(bound: int):
 def test_table_size_does_not_change_a_report(monkeypatch, tmp_path):
     sig, pk = stepped_table(BASE_TABLE_BOUND)
     small = 1 << verify_mod._K
+    verify_mod._ensure_tables(1)  # the jump table; the base tables are patched
 
     def use_table(size):
         monkeypatch.setattr(verify_mod, "_SIG", sig[:size].astype(np.int16))
         monkeypatch.setattr(verify_mod, "_PK", pk[:size].copy())
-        monkeypatch.setattr(verify_mod, "_VIEWS", verify_mod._VIEWS)
-        verify_mod._ensure_tables(1)  # the views follow the tables
 
     def run(lo, hi, cap, chunk):
         # _run's chunks at one job, on the table as it is: _run would grow it
@@ -836,16 +853,17 @@ def test_past_int64_windows_match_oracle(base, offset, size, cap, chunk):
     offset=st.integers(0, 1 << 16),
     cap=st.sampled_from([7, 60, 300, DEFAULT_STEP_CAP]),
 )
-def test_walk_row_is_the_plain_walk(base, offset, cap):
-    # the stopping time and the exact peak, or -1 past the cap
+def test_one_value_block_is_the_plain_walk(base, offset, cap):
+    # the stopping time and the exact peak, or truncated past the cap: the
+    # block checkpoint_load checks each saved maximum with
     verify_mod._ensure_tables(BASE_TABLE_BOUND)
     n = base + offset
     sigma, peak = orbit_oracle(n, cap)
-    got = verify_mod._walk_row(cap, n)
+    got = verify_mod._chunk_stats((n, n + 1), cap)
     if sigma is None:
-        assert got[0] == -1
+        assert got.truncated == [n]
     else:
-        assert got == (sigma, peak)
+        assert (got.max_stopping_time, got.max_excursion) == (sigma, peak)
 
 
 def test_tied_peaks_at_2p58():
@@ -899,6 +917,24 @@ def test_peak_inside_a_jump_of_a_lane_that_leaves_int64(monkeypatch):
         monkeypatch.setattr(verify_mod, "_TAIL", tail)
         for n in (72057594037928009, 72057594037928033):
             assert verify_range(n, n + 1) == oracle_report(n, n + 1, DEFAULT_STEP_CAP)
+
+
+def test_plain_walk_ends_at_its_budget():
+    # a walk that has taken limit steps and not landed below the table ends
+    # on 1 with _NEVER steps, even one jump before its landing; with one
+    # step more of budget it lands, its steps and peak exact
+    verify_mod._ensure_tables(1 << verify_mod._K)
+    bound = verify_mod._SIG.size
+    n = (1 << 63) + 12345
+    walk = [(n, 0)]
+    while walk[-1][0] >= bound:
+        v, steps, _ = block_walk(walk[-1][0])
+        walk.append((v, walk[-1][1] + steps))
+    (_, before), (land, steps) = walk[-2:]
+    assert verify_mod._jump_plain([n], before, False)[:2] == ([1], [verify_mod._NEVER])
+    (end,), (got,), (peak,) = verify_mod._jump_plain([n], before + 1, False)
+    assert (end, got) == (land, steps)
+    assert (got + int(verify_mod._SIG[end]), max(peak, int(verify_mod._PK[end]))) == orbit_oracle(n)
 
 
 def _count_plain_jumps(monkeypatch):
@@ -1131,6 +1167,37 @@ def test_wide_peak_windows_match_oracle():
         assert verify_range(lo, lo + size, step_cap=cap) == want, (lo, cap)
 
 
+@settings(max_examples=60)
+@given(
+    base=st.sampled_from([(2**63 - 2) // 3, 1 << 62, 1 << 63, 1 << 64, 10**9, 1 << 40]),
+    offset=st.integers(-(1 << 11), (1 << 11) - 1),
+    size=st.integers(2, 300),
+    pick=st.sampled_from([(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, -1)]),
+    lanes=st.integers(6, 10),
+    tail=st.sampled_from([0, 64]),
+)
+def test_mixed_windows_match_oracle(base, offset, size, pick, lanes, tail):
+    # a cap from the window's own min, median or max stopping time, or one
+    # off it, so that some starts stop within it and some do not, in blocks
+    # of 2^6 to 2^10 values: many passes per block, gated nodes, tail walks,
+    # plain walks stopped at their budget and passes stopped by the pass
+    # count. A cap below the min or at the max leaves one kind out, so the
+    # draw is clipped to [min, max - 1]
+    lo = base + offset
+    hi = lo + size
+    sigmas = sorted(orbit_oracle(n)[0] for n in range(lo, hi))
+    assume(sigmas[0] < sigmas[-1])
+    which, delta = pick
+    cap = (sigmas[0], sigmas[size // 2], sigmas[-1])[which] + delta
+    cap = min(max(cap, sigmas[0]), sigmas[-1] - 1)
+    want = oracle_report(lo, hi, cap)
+    assert want.truncated and want.verified_count
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify_mod, "_LANES", 1 << lanes)
+        mp.setattr(verify_mod, "_TAIL", tail)
+        assert verify_range(lo, hi, step_cap=cap) == want
+
+
 def table_report(sig, pk, lo: int, hi: int, cap: int) -> Checkpoint:
     """oracle_report for [lo, hi) from exact tables of every n < len(sig)."""
     sig, pk = sig[lo:hi], pk[lo:hi]
@@ -1154,10 +1221,9 @@ def test_merged_starts_with_unequal_steps_stop_at_their_own_caps(monkeypatch, ta
     small, big = 196690, 65563
     assert block_walk(small)[:2] == (531674, 27) and block_walk(big)[:2] == (531674, 28)
     sig, pk = stepped_table(1 << 18)
+    verify_mod._ensure_tables(1)  # the jump table; the base tables are patched
     monkeypatch.setattr(verify_mod, "_SIG", sig[: 1 << 16].astype(np.int16))
     monkeypatch.setattr(verify_mod, "_PK", pk[: 1 << 16].copy())
-    monkeypatch.setattr(verify_mod, "_VIEWS", verify_mod._VIEWS)
-    verify_mod._ensure_tables(1)
     monkeypatch.setattr(verify_mod, "_LANES", 1 << 18)
     monkeypatch.setattr(verify_mod, "_TAIL", tail)
     lo, hi = big, small + 1
