@@ -8,10 +8,9 @@ cases from the layers built on top (halving, inverse maps, power
 decompositions).
 
 Between parsing and printing a value is one CPython int, and every
-operation reads it: halving drops the final digit as a right shift, the
-trailing zeros are the bit length of n & -n less one, and ``bits`` formats
-the digits when it is read.  Decimal input is converted piecewise so that
-no single ``int()`` call sees more than 640 digits.
+operation reads it: halving drops the final digit as a right shift, and
+``bits`` formats the digits when it is read.  Decimal input is converted
+piecewise so that no single ``int()`` call sees more than 640 digits.
 """
 
 from __future__ import annotations
@@ -118,25 +117,10 @@ class BinaryNat:
             raise ParityError(f"cannot halve odd value {self.bits}")
         return BinaryNat._raw(self._n >> 1)
 
-    def shift_right(self, k: int) -> "BinaryNat":
-        """Return n / 2**k; requires at least k trailing zeros."""
-        if k == 0:
-            return self
-        if k < 0 or self.trailing_zeros() < k:
-            raise ParityError(f"{self.bits} is not divisible by 2^{k}")
-        return BinaryNat._raw(self._n >> k)
-
-    def trailing_zeros(self) -> int:
-        """Number of trailing zero digits (the exponent of 2 dividing n)."""
-        return (self._n & -self._n).bit_length() - 1
-
-    # -- predicates and accessors ---------------------------------------
+    # -- predicates ------------------------------------------------------
 
     def is_odd(self) -> bool:
         return self._n & 1 == 1
-
-    def is_one(self) -> bool:
-        return self._n == 1
 
     # -- comparisons -----------------------------------------------------
 

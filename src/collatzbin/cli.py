@@ -59,7 +59,8 @@ def _cmd_trace(args) -> int:
     n = _parse_value(args.n, args.binary)
     cap = _cap_of(args)
     if args.format == "table":
-        out = traceio.render_table(derivation_trace(n.shift_right(n.trailing_zeros()), cap))
+        # the odd part: the bits without their trailing zeros
+        out = traceio.render_table(derivation_trace(BinaryNat(n.bits.rstrip("0")), cap))
     else:
         trace = collatz.sequence(n, cap)
         if args.format == "scratch":

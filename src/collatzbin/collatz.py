@@ -74,11 +74,11 @@ def stopping_time(n: BinaryNat, cap: int = DEFAULT_CAP) -> int:
 
     Raises CapExceeded if 1 is not reached within cap steps.
     """
-    if n.is_one():
+    if n.to_int() == 1:
         return 0
     value = n
     for i in range(1, cap + 1):
         value = step(value)
-        if value.is_one():
+        if value.to_int() == 1:
             return i
     raise CapExceeded(f"no convergence within {cap} steps from 0b{n.bits}")

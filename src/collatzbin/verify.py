@@ -136,11 +136,10 @@ class Checkpoint:
 # stopping time below 2^20 is at most 524, so int16 holds it
 _SIG = np.array([-1, 0], dtype=np.int16)
 _PK = np.array([0, 1], dtype=np.int64)
-# values per numpy block when the base table grows and in the kernel:
-# blocks this small keep the scratch arrays in cache and inside memory the
-# process already holds; kernel blocks this large spread numpy's per-call
-# cost over many values (BENCH_25.json)
-_BUILD_BLOCK = 1 << 16
+# values per numpy block in the kernel and when the base table grows:
+# blocks this large spread numpy's per-call cost over many values, and
+# this small keep the scratch arrays in cache and inside memory the
+# process already holds (BENCH_25.json)
 _LANES = 1 << 15
 
 # the jump kernel takes _K halvings at once, through a table over the
@@ -199,13 +198,13 @@ def _ensure_tables(hi: int) -> None:
 
     A walk needs the base table only to min(hi, 2^_K): past it every
     value still walking has a >= 1 (_jump_plain, _chunk_numpy). _run asks
-    for more only for a run that starts inside the table, whose own values
-    the new entries are: a longer table makes walks land sooner, but saves
-    only about 6% of their time (BENCH_24.json).
+    for more only for a run that starts inside the table: on a long run
+    its walks land sooner in the longer table, which repays the build
+    (README, "Range verification").
 
     Base entries carry no cap, so one table serves every cap and every
     range it is long enough for. Growth at least doubles the length (up
-    to the bound), one block [s, min(bound, 2s, s + _BUILD_BLOCK)) at a
+    to the bound), one block [s, min(bound, 2s, s + _LANES)) at a
     time: a block's lanes walk until they land below s, into entries
     already exact (_fill_segment).
     """
@@ -223,7 +222,7 @@ def _ensure_tables(hi: int) -> None:
         pk[:old] = _PK
         s = old
         while s < bound:
-            e = min(bound, 2 * s, s + _BUILD_BLOCK)
+            e = min(bound, 2 * s, s + _LANES)
             _fill_segment(sig, pk, s, e)
             s = e
         _SIG, _PK = sig, pk
@@ -476,6 +475,9 @@ def _merge(state: Checkpoint, part: Checkpoint) -> Checkpoint:
 
 
 def _run(state: Checkpoint, jobs: int, checkpoint_path: Optional[Union[str, Path]]) -> Checkpoint:
+    # as in verify_range: a bool is an int to isinstance, and a float fails in the pool
+    if not isinstance(jobs, int) or isinstance(jobs, bool):
+        raise DomainError(f"jobs must be an integer value, got {type(jobs).__name__}")
     if jobs < 1:
         raise DomainError(f"jobs must be >= 1, got {jobs}")
     nxt, size, hi = state.next_unprocessed, state.chunk_size, state.hi

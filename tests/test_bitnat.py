@@ -134,29 +134,6 @@ def test_parity_errors_print_the_bits():
     with pytest.raises(ParityError) as exc:
         bn(7).half()
     assert str(exc.value) == "cannot halve odd value 111"
-    with pytest.raises(ParityError) as exc:
-        bn(12).shift_right(3)
-    assert str(exc.value) == "1100 is not divisible by 2^3"
-
-
-@given(naturals, st.integers(min_value=0, max_value=50))
-def test_shift_right_matches_division(n, k):
-    v = bn(n << k)
-    assert v.shift_right(k).to_int() == n
-    assert v.shift_right(0) is v
-
-
-def test_shift_right_needs_enough_zeros():
-    with pytest.raises(ParityError):
-        bn(12).shift_right(3)  # only two trailing zeros
-    with pytest.raises(ParityError):
-        bn(8).shift_right(-1)
-
-
-@given(st.integers(min_value=1, max_value=10**25), st.integers(min_value=0, max_value=60))
-def test_trailing_zeros_is_two_adic_valuation(odd_part, k):
-    odd = 2 * odd_part - 1
-    assert bn(odd << k).trailing_zeros() == k
 
 
 # -- equality, hashing
@@ -175,7 +152,7 @@ def test_hashable_and_usable_in_sets():
 
 
 def test_predicates():
-    assert bn(1).is_one() and bn(1).is_odd()
+    assert bn(1).to_int() == 1 and bn(1).is_odd()
     assert bn(6).is_odd() is False
     assert bn(97).to_int().bit_length() == 7
     rng = random.Random(4001)
@@ -184,4 +161,3 @@ def test_predicates():
         v = BinaryNat.from_int(n)
         assert v.is_odd() == bool(n & 1)
         assert v.to_int().bit_length() == n.bit_length()
-        assert v.trailing_zeros() == (n & -n).bit_length() - 1

@@ -24,6 +24,7 @@ from collatzbin.cli import main
 from collatzbin.verify import checkpoint_load
 
 OUTPUTS = Path(__file__).parent / "goldens" / "cli_outputs.txt"
+README = Path(__file__).parents[1] / "README.md"
 SRC = str(Path(cli.__file__).resolve().parents[1])
 
 
@@ -111,6 +112,25 @@ def test_reused_parser_matches_a_fresh_one(monkeypatch):
     assert reused == fresh
     assert reused[0] != reused[1]  # the wrap width did change
     assert [code for code, _, _ in reused] == [0, 0, 0, 2, 0, 2, 2, 0, 0]
+
+
+def readme_examples() -> list[tuple[list[str], str]]:
+    """(argv, stdout) of each `$ collatzbin ...` line in README's text blocks."""
+    examples = []
+    for block in README.read_text(encoding="utf-8").split("```text\n")[1:]:
+        body = block.split("```", 1)[0]
+        for example in body.split("$ collatzbin ")[1:]:
+            command, _, out = example.partition("\n")
+            examples.append((command.split(), out.rstrip("\n") + "\n"))
+    return examples
+
+
+def test_readme_examples(capsys, monkeypatch):
+    monkeypatch.delenv(cli.CAP_ENV_VAR, raising=False)
+    examples = readme_examples()
+    assert len(examples) == 7
+    for argv, out in examples:
+        assert run(capsys, *argv) == (0, out, ""), argv
 
 
 def test_path(capsys):

@@ -152,7 +152,7 @@ def test_odd_chain_examples():
     assert odd_values(67) == [67, 101, 19, 29, 11, 17, 13, 5]
     assert odd_values(10027)[:4] == [10027, 15041, 11281, 8461]
     # 16's chain is the derivation of its odd part, 1: the one cycle record
-    assert derivation_trace(bn(16).shift_right(4)) == derivation_trace(bn(1)) == [(1, 2)]
+    assert derivation_trace(bn(16 >> 4)) == derivation_trace(bn(1)) == [(1, 2)]
 
 
 def test_odd_chain_cap_signal():
@@ -184,7 +184,8 @@ def test_reduced_steps_account_for_all_plain_steps(k):
 
 def end_substring(v):
     # the trailing-ones run of odd v, and the trailing zeros of 3v+1
-    return len(v.bits) - len(v.bits.rstrip("1")), v.mul3_add1().trailing_zeros()
+    tripled = v.mul3_add1().to_int()
+    return len(v.bits) - len(v.bits.rstrip("1")), (tripled & -tripled).bit_length() - 1
 
 
 def test_end_substring_transitions():

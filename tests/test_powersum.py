@@ -68,9 +68,9 @@ def test_shift_matches_bit_engine(k):
     # the carried set shifted down by h is the bit engine's 3n+1 halved h times
     n = 2 * k + 1
     _, _, _, after, h, nxt = derivation_lines(n)[0]
-    tripled = bn(n).mul3_add1()
-    assert h == tripled.trailing_zeros()
-    assert value_of(e - h for e in after) == tripled.shift_right(h).to_int() == nxt
+    tripled = bn(n).mul3_add1().to_int()
+    assert h == (tripled & -tripled).bit_length() - 1
+    assert value_of(e - h for e in after) == tripled >> h == nxt
 
 
 def test_geometric_identity():

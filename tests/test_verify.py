@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from collatzbin import (
     BinaryNat,
@@ -405,6 +405,9 @@ def test_checkpoint_resume_checks_jobs(tmp_path):
     for jobs in (0, -5):
         with pytest.raises(DomainError, match="jobs must be >= 1"):
             checkpoint_resume(path, jobs=jobs)
+    for jobs, kind in ((2.5, "float"), ("2", "str"), (True, "bool")):
+        with pytest.raises(DomainError, match=f"jobs must be an integer value, got {kind}"):
+            checkpoint_resume(path, jobs=jobs)
     assert path.read_bytes() == saved
 
 
@@ -560,6 +563,10 @@ def test_verify_range_takes_plain_ints():
         ((1, 10), {"step_cap": 20.5}, "step_cap must be an integer value, got float"),
         # raised a raw TypeError
         ((1, 10), {"chunk_size": 7.0}, "chunk_size must be an integer value, got float"),
+        ((1, 100), {"chunk_size": 10, "jobs": 2.5}, "jobs must be an integer value, got float"),
+        ((1, 100), {"chunk_size": 10, "jobs": "2"}, "jobs must be an integer value, got str"),
+        # ran as one job
+        ((1, 100), {"chunk_size": 10, "jobs": True}, "jobs must be an integer value, got bool"),
     ],
 )
 def test_verify_range_rejects_bools_and_floats(args, kwargs, message):
@@ -727,7 +734,7 @@ def test_base_table_matches_plain_walk(monkeypatch):
     # the table holds stopping times as int16
     assert sig.dtype == np.int16 and sig.max() < 2**15
     # growth from a short table of odd length, block by block; past
-    # 2^16 a block is at most _BUILD_BLOCK long
+    # 2^16 a block is at most _LANES long
     monkeypatch.setattr(verify_mod, "_SIG", sig[:11].copy())
     monkeypatch.setattr(verify_mod, "_PK", pk[:11].copy())
     for hi, size in ((5000, 5000), (5001, 10000), (9000, 10000), (300000, 300000)):
@@ -737,11 +744,13 @@ def test_base_table_matches_plain_walk(monkeypatch):
         assert np.array_equal(verify_mod._PK, pk[:size])
 
 
+@functools.cache
 def stepped_table(bound: int):
     """(stopping times, peaks) of every n < bound, one plain step at a time.
 
     Each block [s, 2s) walks until it drops below s, into entries already
-    exact; no jump table is read.
+    exact; no jump table is read. The arrays are shared: copy before
+    patching them in.
     """
     sig = np.zeros(bound, dtype=np.int64)
     pk = np.arange(bound, dtype=np.int64)
@@ -1167,22 +1176,38 @@ def test_wide_peak_windows_match_oracle():
         assert verify_range(lo, lo + size, step_cap=cap) == want, (lo, cap)
 
 
+# a 2^50-band start with stopping time 591 whose peak, 683,432,308,140,491,431,780,
+# has 70 bits: at a cap of 591 or more that some start of its window
+# passes, an int64-band block holds a converged start that peaks past
+# 2^63 - 1 next to truncated ones
+WIDE_2P50 = 1541717981317479
+
+
 @settings(max_examples=60)
 @given(
-    base=st.sampled_from([(2**63 - 2) // 3, 1 << 62, 1 << 63, 1 << 64, 10**9, 1 << 40]),
+    base=st.sampled_from([(2**63 - 2) // 3, 1 << 62, 1 << 63, 1 << 64, 10**9, 1 << 40, WIDE_2P50]),
     offset=st.integers(-(1 << 11), (1 << 11) - 1),
     size=st.integers(2, 300),
     pick=st.sampled_from([(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, -1)]),
     lanes=st.integers(6, 10),
     tail=st.sampled_from([0, 64]),
+    table=st.sampled_from([1 << 16, BASE_TABLE_BOUND]),
+    chunk=st.integers(1, 300),
+    jobs=st.sampled_from([1, 2]),
 )
-def test_mixed_windows_match_oracle(base, offset, size, pick, lanes, tail):
+# the cap 851 leaves 19 of these 300 starts truncated, and converged ones
+# peak past 2^63 - 1
+@example(WIDE_2P50, 0, 300, (2, -1), 6, 0, 1 << 16, 37, 2)
+@example(WIDE_2P50, 0, 64, (2, -1), 10, 64, BASE_TABLE_BOUND, 300, 1)
+def test_mixed_windows_match_oracle(base, offset, size, pick, lanes, tail, table, chunk, jobs):
     # a cap from the window's own min, median or max stopping time, or one
     # off it, so that some starts stop within it and some do not, in blocks
     # of 2^6 to 2^10 values: many passes per block, gated nodes, tail walks,
     # plain walks stopped at their budget and passes stopped by the pass
     # count. A cap below the min or at the max leaves one kind out, so the
-    # draw is clipped to [min, max - 1]
+    # draw is clipped to [min, max - 1]. The base table is 2^16 or 2^20
+    # entries long (no window starts inside it, so no run grows it), and
+    # the window runs in chunks of any size on one or two jobs
     lo = base + offset
     hi = lo + size
     sigmas = sorted(orbit_oracle(n)[0] for n in range(lo, hi))
@@ -1192,10 +1217,16 @@ def test_mixed_windows_match_oracle(base, offset, size, pick, lanes, tail):
     cap = min(max(cap, sigmas[0]), sigmas[-1] - 1)
     want = oracle_report(lo, hi, cap)
     assert want.truncated and want.verified_count
+    sig, pk = stepped_table(BASE_TABLE_BOUND)
+    verify_mod._ensure_tables(1)  # the jump table; the base tables are patched
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verify_mod, "_LANES", 1 << lanes)
         mp.setattr(verify_mod, "_TAIL", tail)
-        assert verify_range(lo, hi, step_cap=cap) == want
+        mp.setattr(verify_mod, "_SIG", sig[:table].astype(np.int16))
+        mp.setattr(verify_mod, "_PK", pk[:table].copy())
+        got = verify_range(lo, hi, step_cap=cap, chunk_size=chunk, jobs=jobs)
+        assert verify_mod._SIG.size == table
+    assert dataclasses.replace(got, chunk_size=DEFAULT_CHUNK_SIZE) == want
 
 
 def table_report(sig, pk, lo: int, hi: int, cap: int) -> Checkpoint:
