@@ -19,24 +19,24 @@ Above the table bound a value jumps _K = 16 halvings at a time. Writing
 v = 2^16·a + b, the walk through its 16th halving ends at A(b)·a + B(b)
 after 16 + c(b) steps, c(b) odd ones (the parity-vector identity the
 paper's binary split n = 2^k·a + b rests on), so one table over the
-residues b serves every value. It also holds M1(b) and M2(b), the jump's
-peak being exactly a·M1(b) + M2(b) for every a >= 0, and the int64 gate
-LIM(b): a <= LIM(b) keeps the jump within 2^63 - 1. A walking value is
-at or above the table bound, so a >= 1 and no jump passes through 1:
-stopping times stay exact. The base table's entries from 2^16 on are
-built by the same jumps; it reaches 2^16, all a walk needs, and grows
-to 2^20 only over a run's own values.
+residues b, built at import, serves every value. It also holds M1(b) and
+M2(b), the jump's peak being exactly a·M1(b) + M2(b) for every a >= 0,
+and the int64 gate LIM(b): a <= LIM(b) keeps it within 2^63 - 1. A
+walking value is at or above the table bound, so a >= 1 and no jump
+passes through 1: stopping times stay exact. The base table's entries
+from 2^16 on are built by the same jumps; it reaches 2^16, all a walk
+needs, and grows to 2^20 only over a run's own values.
 
 The orbits of a block of starts merge fast, as paths in the tree the
 reduced map inverts, so the kernel (_chunk_numpy) walks each distinct
-value of a pass once and then resolves every start backwards, its
-stopping time and peak exact: ties go to the smaller n with no second
-walk. A value jumps on int64 arrays while its gate holds and on plain
-integers, as every start past 2^63 does, until it holds again; the last
-few values of a block walk to the end on plain integers. Each pass jumps
-a walking value at least once, so _K steps or more: a start has taken at
-least _K steps per pass before it, and a value stops at the cap once that
-count, or that count and its own plain walk, reaches the cap.
+value of a pass once and then resolves every start backwards, one fold
+for steps and one for peaks, exact: ties go to the smaller n with no
+second walk. A value jumps on int64 arrays while its gate holds and on
+plain integers, as every start past 2^63 does, until it holds again; the
+last few values of a block walk to the end on plain integers. Each pass
+jumps a walking value at least once, so _K steps or more: a start has
+taken at least _K steps per pass before it, and a value stops at the cap
+once that count, or that count and its own plain walk, reaches it.
 
 What is checked is convergence: every n reaches 1 within the step cap.
 The 1 -> 4 -> 2 -> 1 tail that follows is the same three steps for
@@ -60,7 +60,7 @@ from collections import deque
 from dataclasses import KW_ONLY, dataclass, field
 from itertools import compress
 from pathlib import Path
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -143,12 +143,9 @@ _PK = np.array([0, 1], dtype=np.int64)
 _LANES = 1 << 15
 
 # the jump kernel takes _K halvings at once, through a table over the
-# residues b = v mod 2^_K (built by _jump_table)
+# residues b = v mod 2^_K (_JUMP, built by _jump_table at import)
 _K = 16
 _MASK = (1 << _K) - 1
-_JUMP: Optional[np.ndarray] = None
-# 2^_K·(min LIM + 1): below it every int64 gate holds (set by _ensure_tables)
-_GATE_FREE = 0
 # the nodes of a pass this short walk to the end on plain integers: for so
 # few, numpy's per-call cost outweighs the jumps
 _TAIL = 64
@@ -156,9 +153,6 @@ _TAIL = 64
 # smallest peak past 2^63 - 1 in the kernel's uint64 peaks
 _NEVER = 1 << 62
 _WIDE = 1 << 63
-# rows A, B, S, M1, M2, LIM of _JUMP as zero-copy views, built with it:
-# _jump_plain reads them one entry at a time
-_VIEWS: tuple[memoryview, ...] = ()
 
 
 def _jump_table(k: int = _K) -> np.ndarray:
@@ -192,9 +186,16 @@ def _jump_table(k: int = _K) -> np.ndarray:
     return table.T.copy().T
 
 
+_JUMP = _jump_table()
+# 2^_K·(min LIM + 1): below it every int64 gate holds
+_GATE_FREE = int(_JUMP[5].min() + 1) << _K
+# rows A, B, S, M1, M2, LIM of _JUMP as zero-copy views: _jump_plain reads
+# them one entry at a time
+_VIEWS = tuple(map(memoryview, _JUMP))
+
+
 def _ensure_tables(hi: int) -> None:
-    """Build the jump table and its views once; grow the base tables to at
-    least min(BASE_TABLE_BOUND, hi) entries.
+    """Grow the base tables to at least min(BASE_TABLE_BOUND, hi) entries.
 
     A walk needs the base table only to min(hi, 2^_K): past it every
     value still walking has a >= 1 (_jump_plain, _chunk_numpy). _run asks
@@ -208,11 +209,7 @@ def _ensure_tables(hi: int) -> None:
     time: a block's lanes walk until they land below s, into entries
     already exact (_fill_segment).
     """
-    global _SIG, _PK, _JUMP, _GATE_FREE, _VIEWS
-    if _JUMP is None:
-        _JUMP = _jump_table()
-        _GATE_FREE = int(_JUMP[5].min() + 1) << _K
-        _VIEWS = tuple(map(memoryview, _JUMP))
+    global _SIG, _PK
     old = _SIG.size
     if old < min(BASE_TABLE_BOUND, hi):
         bound = min(BASE_TABLE_BOUND, max(hi, 2 * old))
@@ -297,6 +294,16 @@ def _jump_plain(vs: list, limit: int, gated: bool) -> tuple[list, list, list]:
     return ends, steps_, peaks
 
 
+class _Pass(NamedTuple):
+    """One pass of _chunk_numpy; rem and peak are per node, and _resolve folds them."""
+
+    rem: np.ndarray  # steps of its jump and landing; folded, to 1 (_NEVER or more: past any cap)
+    peak: np.ndarray  # peak of its jump and landing, one past 2^63 - 1 held as _WIDE
+    live: Optional[np.ndarray]  # the nodes still walking (None: all)
+    parent: Optional[np.ndarray]  # each live node's node in the next pass
+    plain: tuple[list, list]  # the nodes that jumped on plain integers, and their exact peaks
+
+
 def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
     """Values [lo, hi), at most _LANES of them, at any size; start i is lo + i.
 
@@ -305,12 +312,12 @@ def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
     a·M1(b) + M2(b); its landing resolves in the base table or joins the
     equal landings of its pass in one node of the next (a hash collision
     only misses a merge). Then every start's stopping time and peak follow
-    back along its nodes: rem = S + rem[parent], peak = max(top, peak[parent]).
-    The base table must reach min(hi, 2^_K) (_ensure_tables), so a node
-    has a >= 1 and no jump passes through 1. A node past its int64 gate
-    and a start past 2^63 jump on plain integers (_jump_plain) until the
-    gate holds, and a pass of fewer than _TAIL nodes walks them to the
-    end. A peak past 2^63 - 1 is held as _WIDE (_widest).
+    back along its nodes in one fold each: rem = S + rem[parent], peak =
+    max(top, peak[parent]). The base table must reach min(hi, 2^_K)
+    (_ensure_tables), so a node has a >= 1 and no jump passes through 1. A
+    node past its int64 gate and a start past 2^63 jump on plain integers
+    (_jump_plain) until the gate holds, and a pass of fewer than _TAIL
+    nodes walks them to the end. A peak past 2^63 - 1 is held as _WIDE.
 
     Every start through a node of pass p has taken least = _K·p steps or
     more: each pass jumps its live nodes at least once, S(b) >= _K steps
@@ -334,14 +341,15 @@ def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
     slots = np.empty(1 << size.bit_length(), dtype=np.intp)
     new = np.empty(size, dtype=np.intp)
     plain = [(i, lo + i) for i in range(small, size)]
-    passes: list = []  # per pass: rem, peak, live (None: all), parent
-    walked: dict = {}  # pass: its nodes that jumped on plain integers, and their peaks
+    passes: list[_Pass] = []
     while True:
         m = nodes.size
         least = _K * len(passes)  # the fewest steps a start through a node has taken
+        jumped: tuple[list, list] = [], []
         if least >= limit:
             # every node of the pass is past the cap: one all-_NEVER pass ends the walk
-            passes.append((np.full(m, _NEVER, dtype=np.int64), np.zeros(m, dtype=np.uint64), None, None))
+            rem, pk = np.full(m, _NEVER, dtype=np.int64), np.zeros(m, dtype=np.uint64)
+            passes.append(_Pass(rem, pk, None, None, jumped))
             break
         if m < _TAIL:
             rem, top, land = np.zeros((3, m), dtype=np.int64)
@@ -356,14 +364,14 @@ def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
         if not passes:
             # a start inside the table lands on itself
             rem[:inside], top[:inside], land[:inside] = 0, 0, nodes[:inside]
+        pk = top.view(np.uint64)
         if plain:
             at, vs = map(list, zip(*plain))
             ends, steps, peaks = _jump_plain(vs, limit - least, m >= _TAIL)
             land[at], rem[at] = ends, steps
-            top.view(np.uint64)[at] = [x if x < _WIDE else _WIDE for x in peaks]
-            walked[len(passes)] = at, peaks
+            pk[at] = [x if x < _WIDE else _WIDE for x in peaks]
+            jumped = at, peaks
             plain = []
-        pk = top.view(np.uint64)
         done = land < bound
         live = None
         if done.any():
@@ -372,7 +380,7 @@ def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
             rem[dead] += _SIG[at]
             pk[dead] = np.maximum(pk[dead], _PK[at].view(np.uint64))
         if not land.size:
-            passes.append((rem, pk, live, None))
+            passes.append(_Pass(rem, pk, live, None, jumped))
             break
         # equal landings become one node: a slot keeps the last index written,
         # and a landing whose slot holds another value stays its own node
@@ -385,8 +393,8 @@ def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
         first = np.flatnonzero(par == idx)
         new[first] = index[: first.size]
         nodes, par = land[first], new[par]
-        passes.append((rem, pk, live, par))
-    rem, pk = _resolve(passes, 0, np.add), _resolve(passes, 1, np.maximum)
+        passes.append(_Pass(rem, pk, live, par, jumped))
+    rem = _resolve(passes, "rem", np.add)
     conv = rem <= limit
     res = Checkpoint(lo, hi, cap, size, hi, truncated=[lo + i for i in np.flatnonzero(~conv).tolist()])
     ci = np.flatnonzero(conv)
@@ -394,41 +402,39 @@ def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
         # argmax takes the first maximum, the smallest n: the tie rule
         j = int(ci[np.argmax(rem[ci])])
         res.max_stopping_time, res.max_stopping_time_at = int(rem[j]), lo + j
-        peak = int(pk[ci].max())
-        if peak == _WIDE:
-            peak = _widest(passes, walked, conv)
-            pk = _resolve(passes, 1, np.maximum)
-        res.max_excursion, res.max_excursion_at = peak, lo + int(ci[np.argmax(pk[ci])])
+        wide = _widest(passes, conv)
+        pk = _resolve(passes, "peak", np.maximum)[ci]
+        res.max_excursion, res.max_excursion_at = wide or int(pk.max()), lo + int(ci[np.argmax(pk)])
     return res
 
 
-def _resolve(passes: list, k: int, op) -> np.ndarray:
-    """Fold row k of each pass (0: steps, added; 1: peaks, maxed) back into
-    its parents' rows, down to the starts."""
-    ahead = passes[-1][k]
-    for row in reversed(passes[:-1]):
-        back, live, par = row[k], row[2], row[3]
-        if live is None:
-            op(back, ahead[par], out=back)
+def _resolve(passes: list[_Pass], row: str, op) -> np.ndarray:
+    """Fold one row of every pass (rem: added; peak: maxed) back to the starts, in place."""
+    rows = [getattr(p, row) for p in passes]
+    for p, back, ahead in zip(passes[-2::-1], rows[-2::-1], rows[::-1]):
+        if p.live is None:
+            op(back, ahead[p.parent], out=back)
         else:
-            back[live] = op(back[live], ahead[par])
-        ahead = back
-    return ahead
+            back[p.live] = op(back[p.live], ahead[p.parent])
+    return rows[0]
 
 
-def _widest(passes: list, walked: dict, conv: np.ndarray) -> int:
-    """The largest peak on the path of a start in conv, past 2^63 - 1; its
-    nodes' peaks become _WIDE + 1. The kernel holds such a peak as _WIDE,
-    and walked the exact peaks of the nodes that jumped on plain integers,
-    where they all lie."""
+def _widest(passes: list[_Pass], conv: np.ndarray) -> int:
+    """The largest peak past 2^63 - 1 on a path of a start in conv, its nodes'
+    peaks made _WIDE + 1, or 0 if there is none. The kernel holds such a
+    peak as _WIDE, and only plain walks reach one: plain holds it exactly."""
+    if max(max(p.plain[1], default=0) for p in passes) < _WIDE:
+        return 0
     # the nodes that lie on some start's path
     reach = [conv]
-    for (_, _, live, par), (nxt, *_) in zip(passes, passes[1:]):
-        reach.append(np.zeros(nxt.size, dtype=bool))
-        reach[-1][par[reach[-2] if live is None else reach[-2][live]]] = True
-    peak = max(x for p, (at, xs) in walked.items() for x in compress(xs, reach[p][at]))
-    for p, (at, xs) in walked.items():
-        passes[p][1][[i for i, x in zip(at, xs) if x == peak]] = _WIDE + 1
+    for p, nxt in zip(passes, passes[1:]):
+        reach.append(np.zeros(nxt.rem.size, dtype=bool))
+        reach[-1][p.parent[reach[-2] if p.live is None else reach[-2][p.live]]] = True
+    peak = max((x for p, on in zip(passes, reach) for x in compress(p.plain[1], on[p.plain[0]])), default=0)
+    if peak < _WIDE:
+        return 0
+    for p in passes:
+        p.peak[[i for i, x in zip(*p.plain) if x == peak]] = _WIDE + 1
     return peak
 
 

@@ -672,7 +672,6 @@ def test_cap_boundary_is_exact_on_every_path():
 
 def _jump_rows():
     """The jump table's rows A, B, S, M1, M2, LIM as lists of ints."""
-    verify_mod._ensure_tables(1)
     return verify_mod._JUMP.tolist()
 
 
@@ -774,7 +773,6 @@ def stepped_table(bound: int):
 def test_table_size_does_not_change_a_report(monkeypatch, tmp_path):
     sig, pk = stepped_table(BASE_TABLE_BOUND)
     small = 1 << verify_mod._K
-    verify_mod._ensure_tables(1)  # the jump table; the base tables are patched
 
     def use_table(size):
         monkeypatch.setattr(verify_mod, "_SIG", sig[:size].astype(np.int16))
@@ -1174,6 +1172,13 @@ def test_wide_peak_windows_match_oracle():
         want = oracle_report(lo, lo + size, cap)
         assert cap == DEFAULT_STEP_CAP or want.truncated and want.max_excursion
         assert verify_range(lo, lo + size, step_cap=cap) == want, (lo, cap)
+    # every peak past 2^63 - 1 lies on a truncated path: the one converged
+    # start peaks at itself, below 2^63
+    for lo, size, cap in ((2049638230412171845, 64, 150), (3074457345618258366, 100, 200)):
+        want = oracle_report(lo, lo + size, cap)
+        assert want.verified_count == 1 and want.max_excursion == want.max_excursion_at < 2**63
+        assert max(orbit_oracle(n, cap)[1] for n in want.truncated) > 2**63 - 1
+        assert verify_range(lo, lo + size, step_cap=cap) == want, (lo, cap)
 
 
 # a 2^50-band start with stopping time 591 whose peak, 683,432,308,140,491,431,780,
@@ -1218,7 +1223,6 @@ def test_mixed_windows_match_oracle(base, offset, size, pick, lanes, tail, table
     want = oracle_report(lo, hi, cap)
     assert want.truncated and want.verified_count
     sig, pk = stepped_table(BASE_TABLE_BOUND)
-    verify_mod._ensure_tables(1)  # the jump table; the base tables are patched
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verify_mod, "_LANES", 1 << lanes)
         mp.setattr(verify_mod, "_TAIL", tail)
@@ -1227,6 +1231,25 @@ def test_mixed_windows_match_oracle(base, offset, size, pick, lanes, tail, table
         got = verify_range(lo, hi, step_cap=cap, chunk_size=chunk, jobs=jobs)
         assert verify_mod._SIG.size == table
     assert dataclasses.replace(got, chunk_size=DEFAULT_CHUNK_SIZE) == want
+
+
+def test_each_row_folds_once(monkeypatch):
+    # a block folds its steps once and its peaks once, also when its
+    # largest peak is past 2^63 - 1: in a 2^50-band block or past 2^63
+    folds = []
+    real = verify_mod._resolve
+
+    def resolve(passes, row, op):
+        folds.append(row)
+        return real(passes, row, op)
+
+    monkeypatch.setattr(verify_mod, "_resolve", resolve)
+    for lo, size in ((WIDE_2P50 - 100, 300), ((1 << 63) + 12345, 4096)):
+        folds.clear()
+        got = verify_range(lo, lo + size)
+        assert got == oracle_report(lo, lo + size, DEFAULT_STEP_CAP)
+        assert got.max_excursion > 2**63 - 1
+        assert folds == ["rem", "peak"]
 
 
 def table_report(sig, pk, lo: int, hi: int, cap: int) -> Checkpoint:
@@ -1252,7 +1275,6 @@ def test_merged_starts_with_unequal_steps_stop_at_their_own_caps(monkeypatch, ta
     small, big = 196690, 65563
     assert block_walk(small)[:2] == (531674, 27) and block_walk(big)[:2] == (531674, 28)
     sig, pk = stepped_table(1 << 18)
-    verify_mod._ensure_tables(1)  # the jump table; the base tables are patched
     monkeypatch.setattr(verify_mod, "_SIG", sig[: 1 << 16].astype(np.int16))
     monkeypatch.setattr(verify_mod, "_PK", pk[: 1 << 16].copy())
     monkeypatch.setattr(verify_mod, "_LANES", 1 << 18)
