@@ -51,6 +51,18 @@ def int_to_decimal(n: int) -> str:
         ) from None
 
 
+def natural(name: str, value: int) -> int:
+    """value, if it is an int >= 1; otherwise DomainError naming it.
+
+    Refuses a bool, which isinstance counts as an int and which prints as True.
+    """
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise DomainError(f"{name} must be an integer value, got {type(value).__name__}")
+    if value < 1:
+        raise DomainError(f"{name} must be >= 1, got {value}")
+    return value
+
+
 class BinaryNat:
     """An arbitrary-size natural number (>= 1), read and printed as a bit string."""
 

@@ -17,18 +17,19 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .bitnat import BinaryNat
+from .bitnat import BinaryNat, natural
 from .errors import DomainError
 
 __all__ = ["NumberClass", "classify", "class_counts", "hard_number"]
 
 
 class NumberClass(Enum):
+    # declared in report order: the order of every histogram and classes: line
+    ORIGIN = "origin"
     PURE_EVEN = "pure-even"
     PURE_ODD = "pure-odd"
     MIXED_EVEN = "mixed-even"
     MIXED_ODD = "mixed-odd"
-    ORIGIN = "origin"
 
 
 def classify(n: BinaryNat) -> NumberClass:
@@ -56,15 +57,14 @@ def class_counts(lo: int, hi: int) -> dict[NumberClass, int]:
         origin = min(x - 1, 1)
         evens = (x - 1) // 2
         odds = x - 1 - evens
-        return pure_even, pure_odd, evens - pure_even, odds - pure_odd - origin, origin
+        return origin, pure_even, pure_odd, evens - pure_even, odds - pure_odd - origin
 
     return dict(zip(NumberClass, (b - a for a, b in zip(below(lo), below(hi)))))
 
 
 def hard_number(k: int) -> BinaryNat:
     """The k-th hard number (4^k - 1)/3, as the string (10)^(k-1) 1."""
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
+    natural("k", k)
     try:
         # past memory the repeat fails before it allocates: MemoryError, or
         # OverflowError past the longest string the platform indexes

@@ -18,7 +18,7 @@ import sys
 from typing import Optional
 
 from . import collatz, compose, traceio
-from .bitnat import BinaryNat, int_to_decimal
+from .bitnat import BinaryNat, int_to_decimal, natural
 from .classify import classify, hard_number
 from .errors import CapExceeded, CheckpointError, DomainError, ParityError
 from .powersum import derivation_trace
@@ -50,9 +50,7 @@ def _cap_of(args) -> int:
             cap = int(raw)
         except ValueError:
             raise DomainError(f"{CAP_ENV_VAR} must be an integer, got {raw!r}") from None
-    if cap < 1:
-        raise DomainError(f"{source} must be >= 1, got {cap}")
-    return cap
+    return natural(source, cap)
 
 
 def _cmd_trace(args) -> int:

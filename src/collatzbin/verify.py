@@ -64,7 +64,7 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .bitnat import int_to_decimal
+from .bitnat import int_to_decimal, natural
 from .classify import NumberClass, class_counts
 from .collatz import DEFAULT_CHUNK_SIZE, DEFAULT_STEP_CAP
 from .errors import CheckpointError, DomainError
@@ -84,15 +84,6 @@ __all__ = [
 
 BASE_TABLE_BOUND = 1 << 20
 CHECKPOINT_VERSION = 1
-
-# histogram order, fixed for serialization
-_HIST_ORDER = (
-    NumberClass.ORIGIN,
-    NumberClass.PURE_EVEN,
-    NumberClass.PURE_ODD,
-    NumberClass.MIXED_EVEN,
-    NumberClass.MIXED_ODD,
-)
 
 
 @dataclass(slots=True)
@@ -124,9 +115,8 @@ class Checkpoint:
 
     @property
     def histogram(self) -> tuple[int, int, int, int, int]:
-        """The values of each class in _HIST_ORDER."""
-        counts = class_counts(self.lo, self.next_unprocessed)
-        return tuple(counts[cls] for cls in _HIST_ORDER)
+        """The values of each class in NumberClass order."""
+        return tuple(class_counts(self.lo, self.next_unprocessed).values())
 
 
 # ---------------------------------------------------------------------------
@@ -481,11 +471,7 @@ def _merge(state: Checkpoint, part: Checkpoint) -> Checkpoint:
 
 
 def _run(state: Checkpoint, jobs: int, checkpoint_path: Optional[Union[str, Path]]) -> Checkpoint:
-    # as in verify_range: a bool is an int to isinstance, and a float fails in the pool
-    if not isinstance(jobs, int) or isinstance(jobs, bool):
-        raise DomainError(f"jobs must be an integer value, got {type(jobs).__name__}")
-    if jobs < 1:
-        raise DomainError(f"jobs must be >= 1, got {jobs}")
+    natural("jobs", jobs)  # a float would fail in the pool
     nxt, size, hi = state.next_unprocessed, state.chunk_size, state.hi
     _ensure_tables(min(hi, 1 << _K))
     if nxt <= _SIG.size:
@@ -542,17 +528,8 @@ def verify_range(
     checkpoint_path: Optional[Union[str, Path]] = None,
 ) -> Checkpoint:
     """Verify every n in [lo, hi); return the finished state (see the module notes)."""
-    for name, value in (("lo", lo), ("hi", hi), ("step_cap", step_cap), ("chunk_size", chunk_size)):
-        # a bool is an int to isinstance, and would print as True
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise DomainError(f"{name} must be an integer value, got {type(value).__name__}")
-    if lo < 1 or hi <= lo:
-        raise DomainError(f"need 1 <= lo < hi, got [{lo}, {hi})")
-    if step_cap < 1:
-        raise DomainError(f"step_cap must be >= 1, got {step_cap}")
-    if chunk_size < 1:
-        raise DomainError(f"chunk_size must be >= 1, got {chunk_size}")
     state = Checkpoint(lo, hi, step_cap, chunk_size, lo)
+    _check(state)
     return _run(state, jobs, checkpoint_path)
 
 
@@ -646,14 +623,15 @@ def checkpoint_load(path: Union[str, Path]) -> Checkpoint:
 
 
 def _check(state: Checkpoint) -> None:
-    """Raise ValueError unless the loaded state is one a run can reach."""
+    """Raise ValueError unless state is one a run can reach; its fields
+    and range get the DomainError verify_range gives for its arguments."""
+    for name in ("lo", "hi", "step_cap", "chunk_size"):
+        natural(name, getattr(state, name))
     lo, nxt, hi = state.lo, state.next_unprocessed, state.hi
-    if not 1 <= lo <= nxt <= hi:
-        raise ValueError(f"need 1 <= lo <= next <= hi, got {lo}, {nxt}, {hi}")
-    if state.step_cap < 1 or state.chunk_size < 1:
-        raise ValueError(
-            f"step_cap {state.step_cap} and chunk_size {state.chunk_size} must be >= 1"
-        )
+    if not lo < hi:
+        raise DomainError(f"need 1 <= lo < hi, got [{lo}, {hi})")
+    if not lo <= nxt <= hi:
+        raise ValueError(f"need lo <= next <= hi, got {lo}, {nxt}, {hi}")
     trunc = state.truncated
     if any(a >= b for a, b in zip([lo - 1, *trunc], [*trunc, nxt])):
         raise ValueError(f"truncated inputs must ascend strictly inside [{lo}, {nxt})")
@@ -702,7 +680,7 @@ def summarize(state: Checkpoint) -> str:
     if state.verified_count:
         sig = f"{state.max_stopping_time} at {state.max_stopping_time_at}"
         exc = f"{int_to_decimal(state.max_excursion)} at {state.max_excursion_at}"
-    classes = ", ".join(f"{cls.value} {c}" for cls, c in zip(_HIST_ORDER, state.histogram))
+    classes = ", ".join(f"{cls.value} {c}" for cls, c in zip(NumberClass, state.histogram))
     lines = [
         f"range: [{lo}, {hi})",
         f"step cap: {cap}",

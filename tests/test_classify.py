@@ -38,8 +38,9 @@ def test_known_classes(n, cls):
 
 
 def test_wire_tags():
+    # declaration order is report order: every histogram and classes: line
     assert [c.value for c in NumberClass] == [
-        "pure-even", "pure-odd", "mixed-even", "mixed-odd", "origin",
+        "origin", "pure-even", "pure-odd", "mixed-even", "mixed-odd",
     ]
 
 
@@ -89,3 +90,10 @@ def test_hard_number_closed_form():
 def test_hard_number_rejects_zero():
     with pytest.raises(DomainError):
         hard_number(0)
+
+
+@pytest.mark.parametrize("k, kind", [(True, "bool"), (2.5, "float")])
+def test_hard_number_rejects_bools_and_floats(k, kind):
+    # True returned a_1, and 2.5 raised a raw TypeError
+    with pytest.raises(DomainError, match=f"k must be an integer value, got {kind}"):
+        hard_number(k)

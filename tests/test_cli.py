@@ -551,6 +551,20 @@ def test_verify_resume_rejects_edited_checkpoint(tmp_path, capsys):
         assert err.startswith("error: malformed checkpoint")
 
 
+def test_verify_resume_refuses_an_empty_range(tmp_path, capsys):
+    # a self-consistent file for [5, 5): it resumed into a report, where
+    # verify 5 5 without it is refused
+    ck = tmp_path / "state.txt"
+    ck.write_text(
+        "collatzbin-checkpoint v1\nrange 5 5\nstep_cap 100000\nchunk_size 65536\nnext 5\n"
+        "verified 0\nmax_sigma - -\nmax_excursion - -\nhist 0 0 0 0 0\nend\n"
+    )
+    code, out, err = run(capsys, "verify", "5", "5", "--resume", "--checkpoint", str(ck))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: malformed checkpoint") and err.count("\n") == 1
+    assert run(capsys, "verify", "5", "5")[:2] == (1, "")
+
+
 def test_verify_checkpoint_write_errors(tmp_path, capsys):
     # a missing directory, and a path that is itself a directory
     directory = tmp_path / "dir"

@@ -102,7 +102,7 @@ def test_tiny_ranges():
     assert r.max_stopping_time == orbit_oracle(best)[0]
     # 7 and 9 both peak at 52; the tie goes to the smaller n
     assert (r.max_excursion, r.max_excursion_at) == (52, 7)
-    assert r.histogram[verify_mod._HIST_ORDER.index(NumberClass.ORIGIN)] == 1
+    assert r.histogram[list(NumberClass).index(NumberClass.ORIGIN)] == 1
     assert sum(r.histogram) == 9
 
     r1 = verify_range(1, 2)
@@ -545,6 +545,48 @@ def test_checkpoint_round_trip_on_reachable_states(tmp_path_factory, lo, size, c
     assert path.read_bytes() == saved
 
 
+# the file a run writes before its first chunk, written out by hand
+FRESH_CHECKPOINT = """\
+collatzbin-checkpoint v1
+range {lo} {hi}
+step_cap {cap}
+chunk_size {chunk}
+next {lo}
+verified 0
+max_sigma - -
+max_excursion - -
+hist 0 0 0 0 0
+end
+"""
+
+
+@settings(max_examples=200)
+@given(
+    lo=st.integers(-2, 40),
+    hi=st.integers(-2, 40),
+    cap=st.sampled_from([-1, 0, 1, 7]),
+    chunk=st.sampled_from([-1, 0, 1, 7]),
+)
+# the empty range at the default settings: the file loaded, though
+# verify_range(5, 5) is refused
+@example(lo=5, hi=5, cap=DEFAULT_STEP_CAP, chunk=DEFAULT_CHUNK_SIZE)
+def test_verify_range_and_checkpoint_load_share_one_validator(
+    tmp_path_factory, lo, hi, cap, chunk
+):
+    path = tmp_path_factory.mktemp("ck") / "ck.txt"
+    path.write_text(FRESH_CHECKPOINT.format(lo=lo, hi=hi, cap=cap, chunk=chunk))
+    try:
+        verify_range(lo, hi, cap, chunk)
+        refused = False
+    except DomainError:
+        refused = True
+    if refused:
+        with pytest.raises(CheckpointError, match="malformed"):
+            checkpoint_load(path)
+    else:
+        assert checkpoint_load(path) == Checkpoint(lo, hi, cap, chunk, lo)
+
+
 def test_verify_range_takes_plain_ints():
     with pytest.raises(DomainError, match="lo must be an integer value, got BinaryNat"):
         verify_range(bn(1), 10)
@@ -591,7 +633,7 @@ def test_class_partition_matches_classify():
         assert class_counts(a, b) == {cls: expected[cls] for cls in NumberClass}
     with pytest.raises(DomainError):
         class_counts(0, 5)
-    # the verifier's histogram, in _HIST_ORDER, below, across and past 2^63
+    # the verifier's histogram, in NumberClass order, below, across and past 2^63
     for lo, hi in [
         (1, 1 << 12),
         ((1 << 62) - 300, (1 << 62) + 300),
@@ -600,9 +642,7 @@ def test_class_partition_matches_classify():
         ((1 << 64) - 300, (1 << 64) + 300),
     ]:
         expected = counted(lo, hi)
-        assert verify_range(lo, hi).histogram == tuple(
-            expected[cls] for cls in verify_mod._HIST_ORDER
-        )
+        assert verify_range(lo, hi).histogram == tuple(expected[cls] for cls in NumberClass)
 
 
 @settings(max_examples=40)
