@@ -55,7 +55,6 @@ __all__ = [
     "render_machine",
     "Checkpoint",
     "verify_range",
-    "checkpoint_resume",
     "summarize",
     "ParityError",
     "DomainError",
@@ -64,7 +63,7 @@ __all__ = [
     "__version__",
 ]
 
-_VERIFY_NAMES = ("Checkpoint", "verify_range", "checkpoint_resume", "summarize")
+_VERIFY_NAMES = ("Checkpoint", "verify_range", "summarize")
 
 
 def __getattr__(name: str):

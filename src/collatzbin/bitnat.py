@@ -59,7 +59,7 @@ def natural(name: str, value: int) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise DomainError(f"{name} must be an integer value, got {type(value).__name__}")
     if value < 1:
-        raise DomainError(f"{name} must be >= 1, got {value}")
+        raise DomainError(f"{name} must be >= 1, got {int_to_decimal(value)}")
     return value
 
 

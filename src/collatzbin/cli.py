@@ -134,7 +134,7 @@ def _cmd_verify(args) -> int:
         ):
             if given is not None and given != saved:
                 raise DomainError(f"{flag} {given} conflicts with the checkpoint ({saved})")
-        state = verify.checkpoint_resume(args.checkpoint, jobs=jobs)
+        state = verify.run(state, jobs, args.checkpoint)
     else:
         state = verify.verify_range(
             lo,

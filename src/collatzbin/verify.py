@@ -12,8 +12,8 @@ only what the walks find (the maxima and the truncated inputs); the
 verified count and the digit-class histogram follow from the range
 (class_counts). Merging is order-free, so the result is identical for
 any chunk size, any worker count, and across checkpoint
-interrupt/resume. verify_range and checkpoint_resume return the finished
-Checkpoint, and summarize formats it.
+interrupt/resume. run carries a fresh state (verify_range) or a loaded
+one (checkpoint_load) to its end, and summarize formats it.
 
 Above the table bound a value jumps _K = 16 halvings at a time. Writing
 v = 2^16·a + b, the walk through its 16th halving ends at A(b)·a + B(b)
@@ -78,7 +78,7 @@ __all__ = [
     "verify_range",
     "checkpoint_save",
     "checkpoint_load",
-    "checkpoint_resume",
+    "run",
     "summarize",
 ]
 
@@ -188,7 +188,7 @@ def _ensure_tables(hi: int) -> None:
     """Grow the base tables to at least min(BASE_TABLE_BOUND, hi) entries.
 
     A walk needs the base table only to min(hi, 2^_K): past it every
-    value still walking has a >= 1 (_jump_plain, _chunk_numpy). _run asks
+    value still walking has a >= 1 (_jump_plain, _chunk_numpy). run asks
     for more only for a run that starts inside the table: on a long run
     its walks land sooner in the longer table, which repays the build
     (README, "Range verification").
@@ -470,7 +470,9 @@ def _merge(state: Checkpoint, part: Checkpoint) -> Checkpoint:
     return state
 
 
-def _run(state: Checkpoint, jobs: int, checkpoint_path: Optional[Union[str, Path]]) -> Checkpoint:
+def run(state: Checkpoint, jobs: int = 1, checkpoint_path: Optional[Union[str, Path]] = None) -> Checkpoint:
+    """Run state on to hi, saved to checkpoint_path (if any) per chunk; DomainError if no run reaches it."""
+    _check(state)
     natural("jobs", jobs)  # a float would fail in the pool
     nxt, size, hi = state.next_unprocessed, state.chunk_size, state.hi
     _ensure_tables(min(hi, 1 << _K))
@@ -528,9 +530,7 @@ def verify_range(
     checkpoint_path: Optional[Union[str, Path]] = None,
 ) -> Checkpoint:
     """Verify every n in [lo, hi); return the finished state (see the module notes)."""
-    state = Checkpoint(lo, hi, step_cap, chunk_size, lo)
-    _check(state)
-    return _run(state, jobs, checkpoint_path)
+    return run(Checkpoint(lo, hi, step_cap, chunk_size, lo), jobs, checkpoint_path)
 
 
 def _fmt_opt_pair(value: Optional[int], at: Optional[int]) -> str:
@@ -616,62 +616,54 @@ def checkpoint_load(path: Union[str, Path]) -> Checkpoint:
         _check(state)
         if _checkpoint_text(state) != text:
             raise ValueError("not the text this build writes for its state")
-        _check_maxima(state)
     except ValueError as exc:
         raise CheckpointError(f"malformed checkpoint {path}: {exc}") from exc
     return state
 
 
+def _domain(template: str, *values: int) -> DomainError:
+    """DomainError(template.format(*values)); int_to_decimal renders each, so none raises ValueError."""
+    return DomainError(template.format(*map(int_to_decimal, values)))
+
+
 def _check(state: Checkpoint) -> None:
-    """Raise ValueError unless state is one a run can reach; its fields
-    and range get the DomainError verify_range gives for its arguments."""
+    """Raise DomainError unless a run can reach state: fields and range as verify_range
+    takes them, each saved maximum what the kernel gives for a block of its one input."""
     for name in ("lo", "hi", "step_cap", "chunk_size"):
         natural(name, getattr(state, name))
-    lo, nxt, hi = state.lo, state.next_unprocessed, state.hi
+    lo, nxt, hi, cap = state.lo, state.next_unprocessed, state.hi, state.step_cap
     if not lo < hi:
-        raise DomainError(f"need 1 <= lo < hi, got [{lo}, {hi})")
+        raise _domain("need 1 <= lo < hi, got [{}, {})", lo, hi)
     if not lo <= nxt <= hi:
-        raise ValueError(f"need lo <= next <= hi, got {lo}, {nxt}, {hi}")
+        raise _domain("need lo <= next <= hi, got {}, {}, {}", lo, nxt, hi)
     trunc = state.truncated
     if any(a >= b for a, b in zip([lo - 1, *trunc], [*trunc, nxt])):
-        raise ValueError(f"truncated inputs must ascend strictly inside [{lo}, {nxt})")
+        raise _domain("truncated inputs must ascend strictly inside [{}, {})", lo, nxt)
     for best, at in (
         (state.max_stopping_time, state.max_stopping_time_at),
         (state.max_excursion, state.max_excursion_at),
     ):
         if (best is None) != (state.verified_count == 0):
-            raise ValueError("maxima must be present exactly when some value is verified")
+            raise DomainError("maxima must be present exactly when some value is verified")
         if at is not None and not lo <= at < nxt:
-            raise ValueError(f"maximum at {at} lies outside [{lo}, {nxt})")
-    if state.verified_count and state.max_stopping_time > state.step_cap:
-        raise ValueError(
-            f"max stopping time {state.max_stopping_time} exceeds step_cap {state.step_cap}"
-        )
-
-
-def _check_maxima(state: Checkpoint) -> None:
-    """Raise ValueError unless each saved maximum is its input's own walk:
-    what the kernel that wrote it gives for a block of that one value."""
+            raise _domain("maximum at {} lies outside [{}, {})", at, lo, nxt)
     if not state.verified_count:
         return
-    _ensure_tables(min(state.hi, 1 << _K))  # two one-value blocks need no more
-    cap, n = state.step_cap, state.max_stopping_time_at
-    if _chunk_numpy(n, n + 1, cap).max_stopping_time != state.max_stopping_time:
-        raise ValueError(f"{n} does not stop in {state.max_stopping_time} steps at cap {cap}")
-    n = state.max_excursion_at
-    if _chunk_numpy(n, n + 1, cap).max_excursion != state.max_excursion:
-        raise ValueError(f"{n} does not peak at {state.max_excursion} within cap {cap}")
-
-
-def checkpoint_resume(path: Union[str, Path], jobs: int = 1) -> Checkpoint:
-    """Continue an interrupted run; the finished state matches an unbroken one."""
-    return _run(checkpoint_load(path), jobs, path)
+    sig, n = state.max_stopping_time, state.max_stopping_time_at
+    if sig > cap:
+        raise _domain("max stopping time {} exceeds step_cap {}", sig, cap)
+    _ensure_tables(min(hi, 1 << _K))  # two one-value blocks need no more
+    if _chunk_numpy(n, n + 1, cap).max_stopping_time != sig:
+        raise _domain("{} does not stop in {} steps at cap {}", n, sig, cap)
+    peak, n = state.max_excursion, state.max_excursion_at
+    if _chunk_numpy(n, n + 1, cap).max_excursion != peak:
+        raise _domain("{} does not peak at {} within cap {}", n, peak, cap)
 
 
 def summarize(state: Checkpoint) -> str:
     """Fixed-layout text summary of a finished run; byte-identical for equal states."""
     if state.next_unprocessed != state.hi:
-        raise DomainError(f"run [{state.lo}, {state.hi}) unfinished at {state.next_unprocessed}")
+        raise _domain("run [{}, {}) unfinished at {}", state.lo, state.hi, state.next_unprocessed)
     # int_to_decimal turns a number past the int/str digit limit into a
     # DomainError; every number printed without it is below hi or the cap
     lo, hi, cap = map(int_to_decimal, (state.lo, state.hi, state.step_cap))

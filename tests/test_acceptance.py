@@ -20,13 +20,12 @@ from collatzbin import (
     step,
     stopping_time,
     verify_range,
-    checkpoint_resume,
     summarize,
 )
 from collatzbin.compose import decompose, tree_path
 from collatzbin import verify as verify_mod
 from collatzbin.traceio import render_derivation, render_machine, render_table
-from collatzbin.verify import Checkpoint, checkpoint_save
+from collatzbin.verify import Checkpoint, checkpoint_load, checkpoint_save, run
 
 from conftest import bn, derivation_lines
 
@@ -307,7 +306,7 @@ def test_criterion_12_range_run_deterministic(tmp_path):
         verify_mod._merge(state, verify_mod._chunk_stats(b, state.step_cap))
     ck = tmp_path / "ck.txt"
     checkpoint_save(state, ck)
-    resumed = checkpoint_resume(ck, jobs=8)
+    resumed = run(checkpoint_load(ck), 8, ck)
     assert resumed == r8
     assert summarize(resumed) == summarize(r8)
     assert elapsed < 60.0, f"took {elapsed:.1f} s"

@@ -92,6 +92,12 @@ def test_hard_number_rejects_zero():
         hard_number(0)
 
 
+def test_hard_number_rejects_a_negative_past_the_digit_limit():
+    # "k must be >= 1, got {k}" printed k with str(): a raw ValueError
+    with pytest.raises(DomainError, match="digit limit for int/str conversion"):
+        hard_number(-(2**20000))
+
+
 @pytest.mark.parametrize("k, kind", [(True, "bool"), (2.5, "float")])
 def test_hard_number_rejects_bools_and_floats(k, kind):
     # True returned a_1, and 2.5 raised a raw TypeError

@@ -310,6 +310,25 @@ def test_verify_checkpoint_flow(tmp_path, capsys):
     assert second == first
 
 
+def test_verify_resume_reads_the_checkpoint_once(tmp_path, capsys, monkeypatch):
+    # the resume branch loaded the file to compare it with the command line,
+    # then the runner loaded, parsed and checked it again
+    ck = tmp_path / "state.txt"
+    assert run(capsys, "verify", "1", "5000", "--jobs", "1", "--chunk", "512",
+               "--checkpoint", str(ck))[0] == 0
+    loads = []
+
+    def load(path):
+        loads.append(path)
+        return checkpoint_load(path)
+
+    monkeypatch.setattr("collatzbin.verify.checkpoint_load", load)
+    code, _, _ = run(
+        capsys, "verify", "1", "5000", "--resume", "--checkpoint", str(ck), "--jobs", "1"
+    )
+    assert (code, loads) == (0, [str(ck)])
+
+
 def test_verify_resume_range_mismatch(tmp_path, capsys):
     ck = tmp_path / "state.txt"
     assert run(capsys, "verify", "1", "5000", "--jobs", "1", "--chunk", "512",

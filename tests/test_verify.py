@@ -17,7 +17,6 @@ from collatzbin import (
     CheckpointError,
     DomainError,
     NumberClass,
-    checkpoint_resume,
     classify,
     stopping_time,
     summarize,
@@ -30,6 +29,7 @@ from collatzbin.verify import (
     DEFAULT_STEP_CAP,
     checkpoint_load,
     checkpoint_save,
+    run,
 )
 from collatzbin import verify as verify_mod
 from collatzbin.classify import class_counts
@@ -171,7 +171,7 @@ def test_pool_starts_no_more_workers_than_chunks(monkeypatch):
         def shutdown(self, cancel_futures=False):
             pass
 
-    # _run imports the pool only for more than one worker, from here
+    # run imports the pool only for more than one worker, from here
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     assert verify_range(1, 4, chunk_size=1, jobs=64) == verify_range(1, 4, chunk_size=1)
     assert sizes == [3]
@@ -373,7 +373,7 @@ def test_checkpoint_interrupted_run_matches_straight_run(tmp_path):
     for b in bounds[:4]:  # simulate dying mid-run
         verify_mod._merge(state, verify_mod._chunk_stats(b, state.step_cap))
     checkpoint_save(state, path)
-    resumed = checkpoint_resume(path)
+    resumed = run(checkpoint_load(path), 1, path)
     straight = verify_range(1, 20000, chunk_size=chunk)
     assert resumed == straight
     assert summarize(resumed) == summarize(straight)
@@ -404,10 +404,10 @@ def test_checkpoint_resume_checks_jobs(tmp_path):
     saved = path.read_bytes()
     for jobs in (0, -5):
         with pytest.raises(DomainError, match="jobs must be >= 1"):
-            checkpoint_resume(path, jobs=jobs)
+            run(checkpoint_load(path), jobs, path)
     for jobs, kind in ((2.5, "float"), ("2", "str"), (True, "bool")):
         with pytest.raises(DomainError, match=f"jobs must be an integer value, got {kind}"):
-            checkpoint_resume(path, jobs=jobs)
+            run(checkpoint_load(path), jobs, path)
     assert path.read_bytes() == saved
 
 
@@ -415,7 +415,7 @@ def test_checkpoint_missing_file():
     with pytest.raises(CheckpointError):
         checkpoint_load("/nonexistent/nope.txt")
     with pytest.raises(CheckpointError):
-        checkpoint_resume("/nonexistent/nope.txt")
+        run(checkpoint_load("/nonexistent/nope.txt"), 1, "/nonexistent/nope.txt")
 
 
 def test_checkpoint_version_mismatch(tmp_path):
@@ -585,6 +585,65 @@ def test_verify_range_and_checkpoint_load_share_one_validator(
             checkpoint_load(path)
     else:
         assert checkpoint_load(path) == Checkpoint(lo, hi, cap, chunk, lo)
+    # run checks the state it is given with the same rule
+    try:
+        run(Checkpoint(lo, hi, cap, chunk, lo))
+    except DomainError:
+        assert refused
+    else:
+        assert not refused
+
+
+def _stopped():
+    # [2, 400) at cap 30, stopped after [2, 200): sigma 30 at 86, peak 1024 at 151
+    return verify_mod._merge(Checkpoint(2, 400, 30, 200, 2), verify_range(2, 200, step_cap=30))
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"next_unprocessed": 401}, "need lo <= next <= hi, got 2, 401, 400"),
+        (
+            {"truncated": lambda t: t[::-1]},
+            r"truncated inputs must ascend strictly inside \[2, 200\)",
+        ),
+        (
+            {"max_stopping_time": None, "max_stopping_time_at": None},
+            "maxima must be present exactly when some value is verified",
+        ),
+        ({"max_stopping_time": 31}, "max stopping time 31 exceeds step_cap 30"),
+        ({"max_stopping_time": 29}, "86 does not stop in 29 steps at cap 30"),
+        ({"max_excursion": 1023}, "151 does not peak at 1023 within cap 30"),
+    ],
+    ids=["next-past-hi", "truncated-unordered", "maxima-missing", "sigma-over-cap",
+         "sigma-not-the-kernels", "peak-not-the-kernels"],
+)
+def test_run_and_checkpoint_load_refuse_an_unreachable_state(tmp_path, edit, message):
+    state = _stopped()
+    for name, value in edit.items():
+        setattr(state, name, value(getattr(state, name)) if callable(value) else value)
+    with pytest.raises(DomainError, match=f"^{message}$") as refused:
+        run(state)
+    path = tmp_path / "ck.txt"
+    checkpoint_save(state, path)
+    with pytest.raises(CheckpointError) as malformed:
+        checkpoint_load(path)
+    assert str(malformed.value) == f"malformed checkpoint {path}: {refused.value}"
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: verify_range(2**20000, 2**20000),
+        lambda: verify_range(-(2**20000), 5),
+        lambda: summarize(Checkpoint(2**20000, 2**20000 + 5, 1, 1, 2**20000)),
+    ],
+    ids=["empty-range", "negative-lo", "unfinished-summary"],
+)
+def test_messages_past_the_digit_limit_raise_domain_error(call):
+    # the messages printed the numbers with str(): a raw ValueError past 4,300 digits
+    with pytest.raises(DomainError, match="digit limit for int/str conversion"):
+        call()
 
 
 def test_verify_range_takes_plain_ints():
@@ -819,7 +878,7 @@ def test_table_size_does_not_change_a_report(monkeypatch, tmp_path):
         monkeypatch.setattr(verify_mod, "_PK", pk[:size].copy())
 
     def run(lo, hi, cap, chunk):
-        # _run's chunks at one job, on the table as it is: _run would grow it
+        # verify.run's chunks at one job, on the table as it is: verify.run would grow it
         state = Checkpoint(lo, hi, cap, chunk, lo)
         for a in range(lo, hi, chunk):
             verify_mod._merge(state, verify_mod._chunk_stats((a, min(a + chunk, hi)), cap))
