@@ -59,7 +59,11 @@ def natural(name: str, value: int) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise DomainError(f"{name} must be an integer value, got {type(value).__name__}")
     if value < 1:
-        raise DomainError(f"{name} must be >= 1, got {int_to_decimal(value)}")
+        try:
+            got = f", got {int_to_decimal(value)}"
+        except DomainError as exc:
+            got = f": {exc}"
+        raise DomainError(f"{name} must be >= 1{got}")
     return value
 
 

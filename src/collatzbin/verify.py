@@ -2,10 +2,10 @@
 
 The engine walks every n in [lo, hi) to 1 (or to a step cap), recording
 the stopping time and the orbit peak. Internally it runs on machine
-integers under numpy with two escape hatches: values below a table bound
-resolve through precomputed stopping-time/peak tables, and a lane at
-risk of overflowing 64 bits takes the same jumps on plain Python
-integers until it fits again. The table entries are exact, so the cap
+integers under numpy: values below a table bound resolve through
+precomputed stopping-time/peak tables, and a value whose jump could pass
+2^63 - 1 takes the same jump on two 64-bit limbs, or on plain Python
+integers past 2^117. The table entries are exact, so the cap
 is applied at lookup and one table serves every cap. Every
 partial result, from one value to a whole run, is a Checkpoint holding
 only what the walks find (the maxima and the truncated inputs); the
@@ -31,9 +31,10 @@ The orbits of a block of starts merge fast, as paths in the tree the
 reduced map inverts, so the kernel (_chunk_numpy) walks each distinct
 value of a pass once and then resolves every start backwards, one fold
 for steps and one for peaks, exact: ties go to the smaller n with no
-second walk. A value jumps on int64 arrays while its gate holds and on
-plain integers, as every start past 2^63 does, until it holds again; the
-last few values of a block walk to the end on plain integers. Each pass
+second walk. A value jumps on int64 arrays while its gate holds, on two
+uint64 limb arrays below 2^117 (starts past 2^63 begin there), and on
+plain integers past 2^117 until it is back below; the last few values
+of a block walk to the end on plain integers. Each pass
 jumps a walking value at least once, so _K steps or more: a start has
 taken at least _K steps per pass before it, and a value stops at the cap
 once that count, or that count and its own plain walk, reaches it.
@@ -58,7 +59,6 @@ from __future__ import annotations
 import os
 from collections import deque
 from dataclasses import KW_ONLY, dataclass, field
-from itertools import compress
 from pathlib import Path
 from typing import NamedTuple, Optional, Union
 
@@ -179,9 +179,15 @@ def _jump_table(k: int = _K) -> np.ndarray:
 _JUMP = _jump_table()
 # 2^_K·(min LIM + 1): below it every int64 gate holds
 _GATE_FREE = int(_JUMP[5].min() + 1) << _K
-# rows A, B, S, M1, M2, LIM of _JUMP as zero-copy views: _jump_plain reads
-# them one entry at a time
-_VIEWS = tuple(map(memoryview, _JUMP))
+# rows A, B, S, M1, M2 of _JUMP as zero-copy views: _jump_plain reads them
+# one entry at a time
+_VIEWS = tuple(map(memoryview, _JUMP[:5]))
+# every row is non-negative, so the uint64 rows of the two-limb tier are a view
+_JUMP64 = _JUMP.view(np.uint64)
+# the two-limb tier holds v < 2^_LIMBS: then a = v >> _K times a row below
+# 2^w, w the widest of M1 and M2 (which bound A and B), plus a row stays
+# below 2^128 (_jump_limbs)
+_LIMBS = 128 + _K - int(_JUMP[3:5].max()).bit_length()
 
 
 def _ensure_tables(hi: int) -> None:
@@ -253,26 +259,24 @@ def _fill_segment(sig: np.ndarray, pk: np.ndarray, lo: int, hi: int) -> None:
 def _jump_plain(vs: list, limit: int, gated: bool) -> tuple[list, list, list]:
     """Jump each v of vs on plain integers: the lists of end values, steps and peaks.
 
-    A walk stops once it lands below the base table or, if gated, once its
-    int64 gate a <= LIM(b) holds. A walk that has taken limit steps or more
-    and not landed is past its budget: it ends on 1 with _NEVER steps, so
-    every start through it is past the cap. The peak is exact: each jump's
-    is a·M1(b) + M2(b) (_jump_table). The base table must reach
-    min(v + 1, 2^_K), so that no jump passes through 1.
+    A walk stops once it lands below the base table or, if gated, below
+    2^_LIMBS, where the two-limb tier takes it. A walk that has taken limit
+    steps or more and not landed is past its budget: it ends on 1 with
+    _NEVER steps, so every start through it is past the cap. The peak is
+    exact: each jump's is a·M1(b) + M2(b) (_jump_table). The base table
+    must reach min(v + 1, 2^_K), so that no jump passes through 1.
     """
-    A, B, S, M1, M2, LIM = _VIEWS
-    bound = _SIG.size
+    A, B, S, M1, M2 = _VIEWS
+    stop = 1 << _LIMBS if gated else _SIG.size
     ends, steps_, peaks = [], [], []
     for v in vs:
         steps, peak = 0, v
-        while v >= bound:
+        while v >= stop:
             if steps >= limit:
                 v, steps = 1, _NEVER
                 break
             a = v >> _K
             b = v & _MASK
-            if gated and a <= LIM[b]:
-                break
             top = a * M1[b] + M2[b]
             if top > peak:
                 peak = top
@@ -284,6 +288,53 @@ def _jump_plain(vs: list, limit: int, gated: bool) -> tuple[list, list, list]:
     return ends, steps_, peaks
 
 
+_NO_LIMBS = np.empty(0, dtype=np.uint64)
+_NO_TOPS = (np.empty(0, dtype=np.intp), _NO_LIMBS, _NO_LIMBS)
+
+
+def _limbs(v: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The values v, v + 1, ..., v + n - 1 < 2^128 as uint64 (high, low) limbs: an arange and a carry."""
+    if not n:
+        return _NO_LIMBS, _NO_LIMBS
+    base = np.uint64(v & (2**64 - 1))
+    low = np.arange(n, dtype=np.uint64)
+    low += base
+    high = np.full(n, v >> 64, dtype=np.uint64)
+    high += low < base
+    return high, low
+
+
+def _ints(high: np.ndarray, low: np.ndarray) -> list:
+    """The values high·2^64 + low of two uint64 limb arrays as plain integers."""
+    return [x << 64 | y for x, y in zip(high.tolist(), low.tolist())]
+
+
+def _jump_limbs(a_low: np.ndarray, b: np.ndarray, a_high: Optional[np.ndarray]) -> tuple:
+    """Jump each v = 2^_K·a + b < 2^_LIMBS on uint64 limbs, a given by its low
+    limb and, unless every a is below 2^64, its high limb: the high and low
+    limbs of the jump's peak a·M1(b) + M2(b), then of its landing A(b)·a + B(b).
+
+    Each is below 2^128 (_LIMBS). uint64 multiplication wraps, so a low
+    limb is one multiply-add and its carry, and the high limb of a's low
+    limb times a row comes from that limb's 32-bit halves. No operation
+    mixes int64 and uint64 arrays: numpy would promote the pair to float64.
+    """
+    A, B, _, M1, M2, _ = _JUMP64
+    halves = a_low >> 32, a_low & 0xFFFFFFFF
+    limbs = []
+    for mul, add in ((M1[b], M2[b]), (A[b], B[b])):
+        low = a_low * mul
+        low += add
+        high = halves[0] * mul
+        high += (halves[1] * mul) >> 32
+        high >>= 32
+        high += low < add
+        if a_high is not None:
+            high += a_high * mul
+        limbs += high, low
+    return tuple(limbs)
+
+
 class _Pass(NamedTuple):
     """One pass of _chunk_numpy; rem and peak are per node, and _resolve folds them."""
 
@@ -291,7 +342,29 @@ class _Pass(NamedTuple):
     peak: np.ndarray  # peak of its jump and landing, one past 2^63 - 1 held as _WIDE
     live: Optional[np.ndarray]  # the nodes still walking (None: all)
     parent: Optional[np.ndarray]  # each live node's node in the next pass
-    plain: tuple[list, list]  # the nodes that jumped on plain integers, and their exact peaks
+    tops: tuple  # the nodes that jumped on limbs, and their exact peaks' two limbs (past 2^63 - 1)
+    plain: list  # (node, exact peak) of each plain walk that peaks past 2^63 - 1
+
+
+def _distinct(low: np.ndarray, high: Optional[np.ndarray], slots, index, new) -> tuple:
+    """Each landing's node among the distinct landings, and the first landing of each.
+
+    A landing is its int64 low limb and, if given, its high limb. Equal
+    landings become one node: a hash slot keeps the last index written,
+    and a landing whose slot holds another value stays its own node.
+    """
+    idx = index[: low.size]
+    slot = low & (slots.size - 1)
+    slots[slot] = idx
+    par = slots[slot]
+    miss = low[par] != low
+    if high is not None:
+        miss |= high[par] != high
+    miss = miss.nonzero()[0]
+    par[miss] = miss
+    first = (par == idx).nonzero()[0]
+    new[first] = index[: first.size]
+    return new[par], first
 
 
 def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
@@ -304,10 +377,15 @@ def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
     only misses a merge). Then every start's stopping time and peak follow
     back along its nodes in one fold each: rem = S + rem[parent], peak =
     max(top, peak[parent]). The base table must reach min(hi, 2^_K)
-    (_ensure_tables), so a node has a >= 1 and no jump passes through 1. A
-    node past its int64 gate and a start past 2^63 jump on plain integers
-    (_jump_plain) until the gate holds, and a pass of fewer than _TAIL
-    nodes walks them to the end. A peak past 2^63 - 1 is held as _WIDE.
+    (_ensure_tables), so a node has a >= 1 and no jump passes through 1.
+
+    A node jumps in one of three tiers: on int64 arrays while its int64
+    gate a <= LIM(b) holds; on two uint64 limbs (_jump_limbs) while it is
+    below 2^_LIMBS, as every start in [2^63, 2^_LIMBS) does; and on plain
+    integers (_jump_plain) past that, until it lands below 2^_LIMBS. A pass
+    of fewer than _TAIL nodes walks them all to the end on plain integers.
+    A landing joins the tier its value fits. A peak past 2^63 - 1 is held
+    as _WIDE, and kept exactly for _widest.
 
     Every start through a node of pass p has taken least = _K·p steps or
     more: each pass jumps its live nodes at least once, S(b) >= _K steps
@@ -319,75 +397,119 @@ def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
     """
     size = hi - lo
     small = min(size, max(0, (1 << 63) - lo))  # starts in int64
+    limbed = min(size, max(0, (1 << _LIMBS) - lo))  # starts below 2^_LIMBS
     bound = _SIG.size
     inside = min(size, max(0, bound - lo))  # starts that resolve in the table
     # a truncated node's rem is _NEVER or more, past any cap it is held to
     limit = min(cap, _NEVER - 1)
     A, B, S, M1, M2, LIM = _JUMP
-    nodes = np.zeros(size, dtype=np.int64)
-    nodes[:small] = np.arange(lo, lo + small, dtype=np.int64)
+    # a pass's nodes below 2^_LIMBS: the int64 ones, then the low limbs of the
+    # two-limb ones, whose high limbs are high; big holds the rest
+    nodes = np.arange(lo, lo + small, dtype=np.int64)
+    high, low = _limbs(lo + small, limbed - small)
+    if low.size:
+        nodes = np.concatenate((nodes, low.view(np.int64)))
+    big = list(range(lo + limbed, hi))
     # scratch: landing indices, hash slots, and each first landing's node
     index = np.arange(size, dtype=np.intp)
     slots = np.empty(1 << size.bit_length(), dtype=np.intp)
     new = np.empty(size, dtype=np.intp)
-    plain = [(i, lo + i) for i in range(small, size)]
     passes: list[_Pass] = []
     while True:
-        m = nodes.size
+        n = nodes.size
+        n1 = n - high.size  # int64 nodes
+        m = n + len(big)
         least = _K * len(passes)  # the fewest steps a start through a node has taken
-        jumped: tuple[list, list] = [], []
         if least >= limit:
             # every node of the pass is past the cap: one all-_NEVER pass ends the walk
             rem, pk = np.full(m, _NEVER, dtype=np.int64), np.zeros(m, dtype=np.uint64)
-            passes.append(_Pass(rem, pk, None, None, jumped))
+            passes.append(_Pass(rem, pk, None, None, _NO_TOPS, []))
             break
+        tops, far = _NO_TOPS, []  # far: landings past 2^63 - 1 (nodes, high and low limbs)
         if m < _TAIL:
-            rem, top, land = np.zeros((3, m), dtype=np.int64)
-            plain = list(enumerate(nodes.tolist())) if passes else [(i, lo + i) for i in range(inside, m)]
+            rem, land = np.zeros((2, m), dtype=np.int64)
+            pk = np.zeros(m, dtype=np.uint64)
+            # in pass 0, past the starts that resolve in the table
+            at, gated = slice(0 if passes else inside, m), False
+            vs = (nodes[:n1].tolist() + _ints(high, nodes[n1:].view(np.uint64)) + big)[at]
         else:
             a = nodes >> _K
             b = nodes & _MASK
             rem, top, land = S[b], a * M1[b] + M2[b], A[b] * a + B[b]
-            if nodes.max() >= _GATE_FREE:
-                gate = np.flatnonzero(a > LIM[b])
-                plain += zip(gate.tolist(), nodes[gate].tolist())
+            if big:
+                pad = np.zeros(len(big), dtype=np.int64)
+                rem, top, land = (np.concatenate((x, pad)) for x in (rem, top, land))
+            pk = top.view(np.uint64)
+            # the int64 nodes past their gate, then the two-limb nodes, jump on limbs
+            at = index[n1:n]
+            if n1 and nodes[:n1].max() >= _GATE_FREE:
+                gate = (a[:n1] > LIM[b[:n1]]).nonzero()[0]
+                at = np.concatenate((gate, at)) if high.size else gate
+            if at.size:
+                # a = v >> _K: the int64 one below 2^63, and from the limbs above
+                a_low, a_high, k = a[at].view(np.uint64), None, at.size - high.size
+                if high.size:
+                    a_low[k:] = (nodes[n1:].view(np.uint64) >> _K) | (high << (64 - _K))
+                    a_high = np.zeros(at.size, dtype=np.uint64)
+                    a_high[k:] = high >> _K
+                top_h, top_l, land_h, land_l = _jump_limbs(a_low, b[at], a_high)
+                # each peaks past 2^63 - 1: its int64 gate fails, or v >= 2^63
+                tops, pk[at] = (at, top_h, top_l), _WIDE
+                land[at] = land_l.view(np.int64)
+                # a landing past 2^63 - 1 has a high limb or the low limb's top bit
+                w = (land_h | (land_l >> 63)).nonzero()[0]
+                if w.size:
+                    far.append((at[w], land_h[w], land_l[w]))
+            at, gated, vs = slice(n, m), True, big
         if not passes:
             # a start inside the table lands on itself
-            rem[:inside], top[:inside], land[:inside] = 0, 0, nodes[:inside]
-        pk = top.view(np.uint64)
-        if plain:
-            at, vs = map(list, zip(*plain))
-            ends, steps, peaks = _jump_plain(vs, limit - least, m >= _TAIL)
-            land[at], rem[at] = ends, steps
-            pk[at] = [x if x < _WIDE else _WIDE for x in peaks]
-            jumped = at, peaks
-            plain = []
+            rem[:inside], pk[:inside], land[:inside] = 0, 0, nodes[:inside]
+        plain = []
+        if vs:
+            ends, steps, peaks = _jump_plain(vs, limit - least, gated)
+            rem[at], pk[at] = steps, [x if x < _WIDE else _WIDE for x in peaks]
+            land[at] = [v if v < _WIDE else 0 for v in ends]
+            plain = [(at.start + j, x) for j, x in enumerate(peaks) if x >= _WIDE]
+            wide = [(at.start + j, v >> 64, v & (2**64 - 1)) for j, v in enumerate(ends) if v >= _WIDE]
+            if wide:
+                j, h, v = zip(*wide)
+                far.append((np.array(j, dtype=np.intp), *(np.array(x, dtype=np.uint64) for x in (h, v))))
         done = land < bound
+        if far:
+            # a landing past 2^63 - 1 leaves the int64 landings: marked as one on 1
+            # (no steps, peak 1), the table fold below leaves its node as it is
+            w, h, v = (np.concatenate(x) for x in zip(*far))
+            land[w], done[w] = 1, True
         live = None
         if done.any():
-            dead, live = np.flatnonzero(done), np.flatnonzero(~done)
+            dead, live = done.nonzero()[0], (~done).nonzero()[0]
             at, land = land[dead], land[live]
             rem[dead] += _SIG[at]
             pk[dead] = np.maximum(pk[dead], _PK[at].view(np.uint64))
-        if not land.size:
-            passes.append(_Pass(rem, pk, live, None, jumped))
+        if not land.size and not far:
+            passes.append(_Pass(rem, pk, live, None, tops, plain))
             break
-        # equal landings become one node: a slot keeps the last index written,
-        # and a landing whose slot holds another value stays its own node
-        idx = index[: land.size]
-        slot = land & (slots.size - 1)
-        slots[slot] = idx
-        par = slots[slot]
-        miss = np.flatnonzero(land[par] != land)
-        par[miss] = miss
-        first = np.flatnonzero(par == idx)
-        new[first] = index[: first.size]
-        nodes, par = land[first], new[par]
-        passes.append(_Pass(rem, pk, live, par, jumped))
+        par, first = _distinct(land, None, slots, index, new)
+        nodes, high, big = land[first], _NO_LIMBS, []
+        if far:
+            # the landings past 2^63 - 1 merge among themselves, and each distinct
+            # one joins the two-limb nodes, or past 2^_LIMBS the plain ones
+            fpar, first = _distinct(v.view(np.int64), h, slots, index, new)
+            h, v = h[first], v[first]
+            two = h >> (_LIMBS - 64) == 0
+            if not two.all():
+                order = np.concatenate((two.nonzero()[0], (~two).nonzero()[0]))
+                new[order] = index[: order.size]
+                fpar, h, v = new[fpar], h[order], v[order]
+                k = np.count_nonzero(two)
+                big, h, v = _ints(h[k:], v[k:]), h[:k], v[:k]
+            live, par = np.concatenate((live, w)), np.concatenate((par, nodes.size + fpar))
+            nodes, high = np.concatenate((nodes, v.view(np.int64))), h
+        passes.append(_Pass(rem, pk, live, par, tops, plain))
     rem = _resolve(passes, "rem", np.add)
     conv = rem <= limit
-    res = Checkpoint(lo, hi, cap, size, hi, truncated=[lo + i for i in np.flatnonzero(~conv).tolist()])
-    ci = np.flatnonzero(conv)
+    res = Checkpoint(lo, hi, cap, size, hi, truncated=[lo + i for i in (~conv).nonzero()[0].tolist()])
+    ci = conv.nonzero()[0]
     if ci.size:
         # argmax takes the first maximum, the smallest n: the tie rule
         j = int(ci[np.argmax(rem[ci])])
@@ -412,19 +534,39 @@ def _resolve(passes: list[_Pass], row: str, op) -> np.ndarray:
 def _widest(passes: list[_Pass], conv: np.ndarray) -> int:
     """The largest peak past 2^63 - 1 on a path of a start in conv, its nodes'
     peaks made _WIDE + 1, or 0 if there is none. The kernel holds such a
-    peak as _WIDE, and only plain walks reach one: plain holds it exactly."""
-    if max(max(p.plain[1], default=0) for p in passes) < _WIDE:
+    peak as _WIDE, and each pass keeps it exactly: as two limbs (tops) or as
+    a plain integer (plain). Only the largest becomes an int."""
+    kept = [i for i, p in enumerate(passes) if p.tops[0].size or p.plain]
+    if not kept:
         return 0
-    # the nodes that lie on some start's path
-    reach = [conv]
-    for p, nxt in zip(passes, passes[1:]):
-        reach.append(np.zeros(nxt.rem.size, dtype=bool))
-        reach[-1][p.parent[reach[-2] if p.live is None else reach[-2][p.live]]] = True
-    peak = max((x for p, on in zip(passes, reach) for x in compress(p.plain[1], on[p.plain[0]])), default=0)
+    # the nodes on some start's path in conv: every node, when conv holds every start
+    on = [None] * len(passes)
+    if not conv.all():
+        on[0] = conv
+        for i, (p, nxt) in enumerate(zip(passes, passes[1:])):
+            on[i + 1] = np.zeros(nxt.rem.size, dtype=bool)
+            on[i + 1][p.parent[on[i] if p.live is None else on[i][p.live]]] = True
+    high, low, peak = [], [], 0
+    for i in kept:
+        at, h, v = passes[i].tops
+        if on[i] is not None:
+            h, v = h[on[i][at]], v[on[i][at]]
+        high.append(h)
+        low.append(v)
+        peak = max((peak, *(x for j, x in passes[i].plain if on[i] is None or on[i][j])))
+    high, low = np.concatenate(high), np.concatenate(low)
+    if high.size:
+        h = high.max()
+        peak = max(peak, int(h) << 64 | int(low[high == h].max()))
     if peak < _WIDE:
         return 0
-    for p in passes:
-        p.peak[[i for i, x in zip(*p.plain) if x == peak]] = _WIDE + 1
+    for i in kept:
+        p = passes[i]
+        at, top_h, top_l = p.tops
+        if peak < 1 << 128:
+            h, v = np.uint64(peak >> 64), np.uint64(peak & (2**64 - 1))
+            p.peak[at[(top_h == h) & (top_l == v)]] = _WIDE + 1
+        p.peak[[j for j, x in p.plain if x == peak]] = _WIDE + 1
     return peak
 
 

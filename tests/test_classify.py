@@ -98,6 +98,14 @@ def test_hard_number_rejects_a_negative_past_the_digit_limit():
         hard_number(-(2**20000))
 
 
+def test_hard_number_names_k_past_the_digit_limit():
+    # the digit-limit message alone did not say which argument was wrong
+    with pytest.raises(DomainError) as refused:
+        hard_number(-(2**20000))
+    assert str(refused.value).startswith("k must be >= 1")
+    assert "digit limit for int/str conversion" in str(refused.value)
+
+
 @pytest.mark.parametrize("k, kind", [(True, "bool"), (2.5, "float")])
 def test_hard_number_rejects_bools_and_floats(k, kind):
     # True returned a_1, and 2.5 raised a raw TypeError

@@ -646,6 +646,14 @@ def test_messages_past_the_digit_limit_raise_domain_error(call):
         call()
 
 
+def test_negative_lo_past_the_digit_limit_names_lo():
+    # the digit-limit message alone did not say which argument was wrong
+    with pytest.raises(DomainError) as refused:
+        verify_range(-(2**20000), 5)
+    assert str(refused.value).startswith("lo must be >= 1")
+    assert "digit limit for int/str conversion" in str(refused.value)
+
+
 def test_verify_range_takes_plain_ints():
     with pytest.raises(DomainError, match="lo must be an integer value, got BinaryNat"):
         verify_range(bn(1), 10)
@@ -822,6 +830,38 @@ def test_jump_gate_at_the_int64_limit():
         assert verify_range(n, n + 1) == oracle_report(n, n + 1, DEFAULT_STEP_CAP)
 
 
+def test_two_limb_bit_budget():
+    # the two-limb tier's bound follows from the widths of _JUMP's rows: A
+    # and B have 26 bits, M1 and M2 27, so below 2^117 a = v >> 16 < 2^101,
+    # and a·M1(b) + M2(b) and A(b)·a + B(b) stay below 2^128
+    widths = [int(row.max()).bit_length() for row in verify_mod._JUMP]
+    assert widths[:2] + widths[3:5] == [26, 26, 27, 27]
+    assert verify_mod._LIMBS == 128 + 16 - 27 == 117
+    top = (1 << 101) - 1
+    assert top * (2**27 - 1) + (2**27 - 1) < 1 << 128
+    # the limb jump is the plain-integer one: at the top of the range, across
+    # 2^64 in a, on the residues of each row's widest entry, at random, and
+    # where the low limb of a·M + C carries: a·M = -C mod 2^64, for odd M
+    A, B, S, M1, M2, LIM = _jump_rows()
+    rng = random.Random(7)
+    widest = [int(np.argmax(row)) for row in verify_mod._JUMP[:5]]
+    cases = [(a, b) for a in (top, 2**64 - 1, 2**64, 2**47 + 5, 1) for b in (*widest, 0, 2**16 - 1)]
+    cases += [(rng.randrange(1, 1 << rng.randrange(1, 102)), rng.randrange(1 << 16)) for _ in range(2000)]
+    for b in (*widest, *(rng.randrange(1 << 16) for _ in range(200))):
+        for mul, add in ((M1[b], M2[b]), (A[b], B[b])):
+            if mul & 1:
+                low = -add * pow(mul, -1, 2**64) % 2**64
+                cases += [(low, b), (rng.randrange(1 << 37) << 64 | low, b)]
+    a, b = zip(*cases)
+    a_low = np.array([x & (2**64 - 1) for x in a], dtype=np.uint64)
+    a_high = np.array([x >> 64 for x in a], dtype=np.uint64)
+    got = verify_mod._jump_limbs(a_low, np.array(b, dtype=np.int64), a_high)
+    top_h, top_l, land_h, land_l = (x.tolist() for x in got)
+    for i, (x, r) in enumerate(cases):
+        assert (top_h[i] << 64 | top_l[i]) == x * M1[r] + M2[r]
+        assert (land_h[i] << 64 | land_l[i]) == A[r] * x + B[r]
+
+
 def test_base_table_matches_plain_walk(monkeypatch):
     verify_mod._ensure_tables(BASE_TABLE_BOUND)
     sig, pk = verify_mod._SIG, verify_mod._PK
@@ -938,7 +978,9 @@ def test_multilane_windows_match_oracle(base, offset, size, cap):
 
 @settings(max_examples=30)
 @given(
-    base=st.sampled_from([(2**63 - 2) // 3, 1 << 62, 1 << 63, 1 << 64, 1 << 80]),
+    base=st.sampled_from(
+        [(2**63 - 2) // 3, 1 << 62, 1 << 63, 1 << 64, 1 << 80, 1 << 100, (1 << 117) - (1 << 11)]
+    ),
     offset=st.integers(-(1 << 11), (1 << 11) - 1),
     size=st.integers(1, 300),
     cap=st.sampled_from([7, 60, 300, DEFAULT_STEP_CAP]),
@@ -947,7 +989,8 @@ def test_multilane_windows_match_oracle(base, offset, size, cap):
 def test_past_int64_windows_match_oracle(base, offset, size, cap, chunk):
     # across (2^63 - 2) // 3, where 3v + 1 first leaves int64, 2^62, 2^63
     # and far past it: kernel lanes, lanes that pass their int64 gate, jump
-    # on plain integers and come back, and starts past 2^63
+    # on two limbs and come back, starts past 2^63, and starts just below
+    # 2^117, whose nodes may climb past it onto plain integers
     lo = base + offset
     want = dataclasses.replace(oracle_report(lo, lo + size, cap), chunk_size=chunk)
     assert verify_range(lo, lo + size, step_cap=cap, chunk_size=chunk) == want
@@ -1045,9 +1088,9 @@ def test_plain_walk_ends_at_its_budget():
 
 def _count_plain_jumps(monkeypatch):
     """Wrap the plain-int jumper: count its jumps (its reads of A), gated or
-    not, the values it starts from, and the peak of each walk that goes back
-    to the kernel once its gate holds."""
-    jumps, starts, backs = Counter(), Counter(), []
+    not; list the peak of each gated walk that lands back below 2^_LIMBS, and
+    count the gated walks stopped at their budget."""
+    jumps, backs, stopped = Counter(), [], Counter()
     real = verify_mod._jump_plain
 
     class Counted:
@@ -1059,7 +1102,6 @@ def _count_plain_jumps(monkeypatch):
             return self.row[b]
 
     def jump(vs, limit, gated):
-        starts.update(vs)
         views = verify_mod._VIEWS
         verify_mod._VIEWS = (Counted(views[0], gated), *views[1:])
         try:
@@ -1067,42 +1109,72 @@ def _count_plain_jumps(monkeypatch):
         finally:
             verify_mod._VIEWS = views
         if gated:
-            backs.extend(peak for v, peak in zip(ends, peaks) if v < 2**63)
+            backs.extend(peak for s, peak in zip(steps, peaks) if s < verify_mod._NEVER)
+            stopped[True] += steps.count(verify_mod._NEVER)
         return ends, steps, peaks
 
     monkeypatch.setattr(verify_mod, "_jump_plain", jump)
-    return jumps, starts, backs
+    return jumps, backs, stopped
+
+
+def _count_limb_jumps(monkeypatch):
+    """Wrap the two-limb jumper: the values each call jumps, as ints."""
+    calls = []
+    real = verify_mod._jump_limbs
+
+    def jump(a_low, b, a_high):
+        high = [0] * b.size if a_high is None else a_high.tolist()
+        calls.append([(h << 64 | x) << 16 | r for h, x, r in zip(high, a_low.tolist(), b.tolist())])
+        return real(a_low, b, a_high)
+
+    monkeypatch.setattr(verify_mod, "_jump_limbs", jump)
+    return calls
 
 
 def test_kernel_keeps_lanes_up_to_their_gate_past_2p62(monkeypatch):
-    # a start below 2^63 begins in the kernel, leaves it only at its int64
-    # gate and comes back once the gate holds again: few jumps are taken on
-    # plain integers past the gate, and few more by the last nodes of the
-    # block; no start is walked twice
-    jumps, starts, _ = _count_plain_jumps(monkeypatch)
+    # a start below 2^_LIMBS begins in the kernel. Past its int64 gate a node
+    # jumps on two limbs, once per pass, and none walks gated on plain
+    # integers; only the last nodes of the block walk there, to the end
+    jumps, _, _ = _count_plain_jumps(monkeypatch)
+    calls = _count_limb_jumps(monkeypatch)
     lo = (1 << 62) + 12345
     assert verify_range(lo, lo + 512) == oracle_report(lo, lo + 512, DEFAULT_STEP_CAP)
-    assert 0 < jumps[True] < 2 * 512
+    assert jumps[True] == 0
     assert jumps[False] < 2 * 512
-    assert max(starts[n] for n in range(lo, lo + 512)) == 1
+    # one call per pass, which jumps each of its nodes once; no start is
+    # jumped twice
+    assert calls and all(len(set(vs)) == len(vs) for vs in calls)
+    starts = Counter(v for vs in calls for v in vs if lo <= v < lo + 512)
+    assert starts and max(starts.values()) == 1
+
+
+# n = 2^117 - 31 climbs past 2^117 twice: each time its node jumps on plain
+# integers until it lands below 2^117, back on two limbs
+PAST_2P117 = (1 << 117) - 31
 
 
 def test_lanes_come_back_to_the_kernel(monkeypatch):
     # alone in a block a value would walk on plain integers to the end
     monkeypatch.setattr(verify_mod, "_TAIL", 0)
-    _, _, backs = _count_plain_jumps(monkeypatch)
-    for n, times in ((TWICE_BACK, 2), (HIGH_FIRST, 2), (PAST_2P64, 1)):
-        backs.clear()
+    jumps, backs, stopped = _count_plain_jumps(monkeypatch)
+    # below 2^_LIMBS, a node past its int64 gate jumps on two limbs and comes
+    # back to the int64 arrays once the gate holds: no plain jump at all
+    for n in (TWICE_BACK, HIGH_FIRST, PAST_2P64):
         assert verify_range(n, n + 1) == oracle_report(n, n + 1, DEFAULT_STEP_CAP)
-        assert len(backs) == times
-    assert max(backs) > 1 << 64
-    # every cap across the walk of a lane that comes back twice, so that
-    # some stop it while it jumps on plain integers
-    sigma = orbit_oracle(TWICE_BACK)[0]
-    for cap in range(1, sigma + 3, 5):
-        assert verify_range(TWICE_BACK, TWICE_BACK + 1, step_cap=cap) == oracle_report(
-            TWICE_BACK, TWICE_BACK + 1, cap
-        )
+    assert not jumps and not backs
+    assert verify_range(PAST_2P117, PAST_2P117 + 1) == oracle_report(
+        PAST_2P117, PAST_2P117 + 1, DEFAULT_STEP_CAP
+    )
+    assert len(backs) == 2 and min(backs) >= 1 << 117
+    assert jumps[True] and not jumps[False]
+    # every cap across the walks of a lane that comes back to the int64
+    # arrays twice and of one that comes back to the limbs twice, so that
+    # some stop the latter while it jumps on plain integers
+    for n in (TWICE_BACK, PAST_2P117):
+        sigma = orbit_oracle(n)[0]
+        for cap in range(1, sigma + 3, 5):
+            assert verify_range(n, n + 1, step_cap=cap) == oracle_report(n, n + 1, cap)
+    assert stopped[True]
     # from just past (2^63 - 2) // 3, two starts stop in 855 steps after 33
     # or 34 jumps (on the 2^20 or the 2^16 table), 25 steps each on average:
     # a stop rule that counted 2·_K steps a pass, a jump's most, would
@@ -1125,6 +1197,10 @@ def test_lanes_come_back_to_the_kernel(monkeypatch):
         ((1 << 63) - 2048, (1 << 63) + 2048, DEFAULT_STEP_CAP),
         ((1 << 64) + 1, (1 << 64) + 4, DEFAULT_STEP_CAP),
         ((1 << 62) - (1 << 11), (1 << 62) + (1 << 11), 60),
+        # two-limb starts, and starts on both sides of 2^117
+        ((1 << 64) + 1, (1 << 64) + 513, DEFAULT_STEP_CAP),
+        (1 << 100, (1 << 100) + 512, DEFAULT_STEP_CAP),
+        ((1 << 117) - 256, (1 << 117) + 256, DEFAULT_STEP_CAP),
     ],
 )
 def test_reentry_windows_match_oracle(lo, hi, cap):
@@ -1132,14 +1208,14 @@ def test_reentry_windows_match_oracle(lo, hi, cap):
     for chunk in (37, 1000, DEFAULT_CHUNK_SIZE):
         got = verify_range(lo, hi, step_cap=cap, chunk_size=chunk)
         assert dataclasses.replace(got, chunk_size=DEFAULT_CHUNK_SIZE) == want, chunk
-    if cap == 60:
-        got = verify_range(lo, hi, step_cap=cap, chunk_size=1000, jobs=2)
-        assert dataclasses.replace(got, chunk_size=DEFAULT_CHUNK_SIZE) == want
+    got = verify_range(lo, hi, step_cap=cap, chunk_size=37, jobs=2)
+    assert dataclasses.replace(got, chunk_size=DEFAULT_CHUNK_SIZE) == want
     # one-value chunks on the 512 values around the middle
     mid = (lo + hi) // 2
     a, b = max(lo, mid - 256), min(hi, mid + 256)
     got = verify_range(a, b, step_cap=cap, chunk_size=1)
-    assert dataclasses.replace(got, chunk_size=DEFAULT_CHUNK_SIZE) == oracle_report(a, b, cap)
+    want = want if (a, b) == (lo, hi) else oracle_report(a, b, cap)
+    assert dataclasses.replace(got, chunk_size=DEFAULT_CHUNK_SIZE) == want
 
 
 def test_huge_cap_gives_the_default_cap_report():
