@@ -51,6 +51,15 @@ def int_to_decimal(n: int) -> str:
         ) from None
 
 
+def shown(n: int) -> str:
+    """n as a DomainError message names it: str(n), or past the int/str limit its size."""
+    try:
+        return str(n)
+    except ValueError:
+        sign, limit = "negative " if n < 0 else "", sys.get_int_max_str_digits()
+        return f"<{sign}{n.bit_length()}-bit integer past the {limit}-digit limit for int/str conversion>"
+
+
 def natural(name: str, value: int) -> int:
     """value, if it is an int >= 1; otherwise DomainError naming it.
 
@@ -59,11 +68,7 @@ def natural(name: str, value: int) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise DomainError(f"{name} must be an integer value, got {type(value).__name__}")
     if value < 1:
-        try:
-            got = f", got {int_to_decimal(value)}"
-        except DomainError as exc:
-            got = f": {exc}"
-        raise DomainError(f"{name} must be >= 1{got}")
+        raise DomainError(f"{name} must be >= 1, got {shown(value)}")
     return value
 
 
@@ -103,7 +108,7 @@ class BinaryNat:
         """Convenience constructor from a host integer >= 1."""
         n = index(n)  # a Python int, also from a numpy integer, which would wrap
         if n < 1:
-            raise DomainError(f"value must be >= 1, got {n}")
+            raise DomainError(f"value must be >= 1, got {shown(n)}")
         return cls._raw(n)
 
     @property

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .bitnat import BinaryNat, natural
+from .bitnat import BinaryNat, natural, shown
 from .errors import DomainError
 
 __all__ = ["NumberClass", "classify", "class_counts", "hard_number"]
@@ -47,7 +47,7 @@ def classify(n: BinaryNat) -> NumberClass:
 def class_counts(lo: int, hi: int) -> dict[NumberClass, int]:
     """How many n in [lo, hi) classify into each class, in closed form."""
     if not 1 <= lo <= hi:
-        raise DomainError(f"need 1 <= lo <= hi, got [{lo}, {hi})")
+        raise DomainError(f"need 1 <= lo <= hi, got [{shown(lo)}, {shown(hi)})")
 
     def below(x: int) -> tuple[int, ...]:
         # counts over [1, x) in NumberClass order; 2^(d-1) and 2^d - 1
@@ -70,5 +70,6 @@ def hard_number(k: int) -> BinaryNat:
         # OverflowError past the longest string the platform indexes
         bits = "10" * (k - 1) + "1"
     except (MemoryError, OverflowError):
-        raise DomainError(f"the {2 * k - 1}-digit hard number a_{k} does not fit in memory") from None
+        digits, k = shown(2 * k - 1), shown(k)
+        raise DomainError(f"the {digits}-digit hard number a_{k} does not fit in memory") from None
     return BinaryNat(bits)

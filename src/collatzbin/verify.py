@@ -23,9 +23,9 @@ residues b, built at import, serves every value. It also holds M1(b) and
 M2(b), the jump's peak being exactly a·M1(b) + M2(b) for every a >= 0,
 and the int64 gate LIM(b): a <= LIM(b) keeps it within 2^63 - 1. A
 walking value is at or above the table bound, so a >= 1 and no jump
-passes through 1: stopping times stay exact. The base table's entries
-from 2^16 on are built by the same jumps; it reaches 2^16, all a walk
-needs, and grows to 2^20 only over a run's own values.
+passes through 1: stopping times stay exact. The base table is built to
+2^16, all a walk needs, at import; its entries from 2^16 on are built by
+the same jumps, for a run that starts inside it, up to 2^20.
 
 The orbits of a block of starts merge fast, as paths in the tree the
 reduced map inverts, so the kernel (_chunk_numpy) walks each distinct
@@ -64,7 +64,7 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .bitnat import int_to_decimal, natural
+from .bitnat import int_to_decimal, natural, shown
 from .classify import NumberClass, class_counts
 from .collatz import DEFAULT_CHUNK_SIZE, DEFAULT_STEP_CAP
 from .errors import CheckpointError, DomainError
@@ -122,8 +122,8 @@ class Checkpoint:
 # ---------------------------------------------------------------------------
 # tables, shared with forked workers through module globals
 
-# exact stopping time and orbit peak of every 1 <= n < len(_SIG); a
-# stopping time below 2^20 is at most 524, so int16 holds it
+# exact stopping time and orbit peak of every 1 <= n < len(_SIG) >= 2^_K
+# (built at import); a stopping time below 2^20 is at most 524, so int16 holds it
 _SIG = np.array([-1, 0], dtype=np.int16)
 _PK = np.array([0, 1], dtype=np.int64)
 # values per numpy block in the kernel and when the base table grows:
@@ -193,11 +193,10 @@ _LIMBS = 128 + _K - int(_JUMP[3:5].max()).bit_length()
 def _ensure_tables(hi: int) -> None:
     """Grow the base tables to at least min(BASE_TABLE_BOUND, hi) entries.
 
-    A walk needs the base table only to min(hi, 2^_K): past it every
-    value still walking has a >= 1 (_jump_plain, _chunk_numpy). run asks
-    for more only for a run that starts inside the table: on a long run
-    its walks land sooner in the longer table, which repays the build
-    (README, "Range verification").
+    Import builds them to 2^_K, all a walk needs: past it every value still
+    walking has a >= 1, so no jump passes through 1. run grows them only for
+    a run that starts inside them: on a long run its walks land sooner in
+    the longer table, which repays the build (README, "Range verification").
 
     Base entries carry no cap, so one table serves every cap and every
     range it is long enough for. Growth at least doubles the length (up
@@ -252,6 +251,9 @@ def _fill_segment(sig: np.ndarray, pk: np.ndarray, lo: int, hi: int) -> None:
             at, v, steps, peak = at[keep], v[keep], steps[keep], peak[keep]
 
 
+_ensure_tables(1 << _K)
+
+
 # ---------------------------------------------------------------------------
 # partial results: one value, one chunk
 
@@ -263,8 +265,7 @@ def _jump_plain(vs: list, limit: int, gated: bool) -> tuple[list, list, list]:
     2^_LIMBS, where the two-limb tier takes it. A walk that has taken limit
     steps or more and not landed is past its budget: it ends on 1 with
     _NEVER steps, so every start through it is past the cap. The peak is
-    exact: each jump's is a·M1(b) + M2(b) (_jump_table). The base table
-    must reach min(v + 1, 2^_K), so that no jump passes through 1.
+    exact: each jump's is a·M1(b) + M2(b) (_jump_table).
     """
     A, B, S, M1, M2 = _VIEWS
     stop = 1 << _LIMBS if gated else _SIG.size
@@ -376,8 +377,7 @@ def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
     equal landings of its pass in one node of the next (a hash collision
     only misses a merge). Then every start's stopping time and peak follow
     back along its nodes in one fold each: rem = S + rem[parent], peak =
-    max(top, peak[parent]). The base table must reach min(hi, 2^_K)
-    (_ensure_tables), so a node has a >= 1 and no jump passes through 1.
+    max(top, peak[parent]).
 
     A node jumps in one of three tiers: on int64 arrays while its int64
     gate a <= LIM(b) holds; on two uint64 limbs (_jump_limbs) while it is
@@ -617,9 +617,8 @@ def run(state: Checkpoint, jobs: int = 1, checkpoint_path: Optional[Union[str, P
     _check(state)
     natural("jobs", jobs)  # a float would fail in the pool
     nxt, size, hi = state.next_unprocessed, state.chunk_size, state.hi
-    _ensure_tables(min(hi, 1 << _K))
     if nxt <= _SIG.size:
-        # past 2^_K, all the kernel needs, only over the run's own values (_ensure_tables)
+        # a run that starts inside the table grows it over its own values
         _ensure_tables(hi)
     # bounds are made as chunks start, never listed: a range may hold more
     # chunks than memory does, and more than len() can count
@@ -763,11 +762,6 @@ def checkpoint_load(path: Union[str, Path]) -> Checkpoint:
     return state
 
 
-def _domain(template: str, *values: int) -> DomainError:
-    """DomainError(template.format(*values)); int_to_decimal renders each, so none raises ValueError."""
-    return DomainError(template.format(*map(int_to_decimal, values)))
-
-
 def _check(state: Checkpoint) -> None:
     """Raise DomainError unless a run can reach state: fields and range as verify_range
     takes them, each saved maximum what the kernel gives for a block of its one input."""
@@ -775,12 +769,12 @@ def _check(state: Checkpoint) -> None:
         natural(name, getattr(state, name))
     lo, nxt, hi, cap = state.lo, state.next_unprocessed, state.hi, state.step_cap
     if not lo < hi:
-        raise _domain("need 1 <= lo < hi, got [{}, {})", lo, hi)
+        raise DomainError(f"need 1 <= lo < hi, got [{shown(lo)}, {shown(hi)})")
     if not lo <= nxt <= hi:
-        raise _domain("need lo <= next <= hi, got {}, {}, {}", lo, nxt, hi)
+        raise DomainError(f"need lo <= next <= hi, got {shown(lo)}, {shown(nxt)}, {shown(hi)}")
     trunc = state.truncated
     if any(a >= b for a, b in zip([lo - 1, *trunc], [*trunc, nxt])):
-        raise _domain("truncated inputs must ascend strictly inside [{}, {})", lo, nxt)
+        raise DomainError(f"truncated inputs must ascend strictly inside [{shown(lo)}, {shown(nxt)})")
     for best, at in (
         (state.max_stopping_time, state.max_stopping_time_at),
         (state.max_excursion, state.max_excursion_at),
@@ -788,24 +782,24 @@ def _check(state: Checkpoint) -> None:
         if (best is None) != (state.verified_count == 0):
             raise DomainError("maxima must be present exactly when some value is verified")
         if at is not None and not lo <= at < nxt:
-            raise _domain("maximum at {} lies outside [{}, {})", at, lo, nxt)
+            raise DomainError(f"maximum at {shown(at)} lies outside [{shown(lo)}, {shown(nxt)})")
     if not state.verified_count:
         return
     sig, n = state.max_stopping_time, state.max_stopping_time_at
     if sig > cap:
-        raise _domain("max stopping time {} exceeds step_cap {}", sig, cap)
-    _ensure_tables(min(hi, 1 << _K))  # two one-value blocks need no more
+        raise DomainError(f"max stopping time {shown(sig)} exceeds step_cap {shown(cap)}")
     if _chunk_numpy(n, n + 1, cap).max_stopping_time != sig:
-        raise _domain("{} does not stop in {} steps at cap {}", n, sig, cap)
+        raise DomainError(f"{shown(n)} does not stop in {shown(sig)} steps at cap {shown(cap)}")
     peak, n = state.max_excursion, state.max_excursion_at
     if _chunk_numpy(n, n + 1, cap).max_excursion != peak:
-        raise _domain("{} does not peak at {} within cap {}", n, peak, cap)
+        raise DomainError(f"{shown(n)} does not peak at {shown(peak)} within cap {shown(cap)}")
 
 
 def summarize(state: Checkpoint) -> str:
     """Fixed-layout text summary of a finished run; byte-identical for equal states."""
     if state.next_unprocessed != state.hi:
-        raise _domain("run [{}, {}) unfinished at {}", state.lo, state.hi, state.next_unprocessed)
+        lo, hi, nxt = map(shown, (state.lo, state.hi, state.next_unprocessed))
+        raise DomainError(f"run [{lo}, {hi}) unfinished at {nxt}")
     # int_to_decimal turns a number past the int/str digit limit into a
     # DomainError; every number printed without it is below hi or the cap
     lo, hi, cap = map(int_to_decimal, (state.lo, state.hi, state.step_cap))

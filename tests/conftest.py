@@ -1,3 +1,5 @@
+import re
+
 import hypothesis
 
 from collatzbin import BinaryNat, derivation_trace, render_derivation
@@ -10,6 +12,13 @@ hypothesis.settings.load_profile("default")
 
 def bn(n: int) -> BinaryNat:
     return BinaryNat.from_int(n)
+
+
+def past_limit(template: str) -> str:
+    """A regex for template's message with each {} a number past the int/str
+    digit limit, named by its sign and bit length."""
+    number = r"<(negative )?\d+-bit integer past the \d+-digit limit for int/str conversion>"
+    return "^" + re.escape(template).replace(r"\{\}", number) + "$"
 
 
 def int_orbit(n: int, cap: int) -> list[int]:

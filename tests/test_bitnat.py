@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 
 from collatzbin import BinaryNat, DomainError, ParityError
 
-from conftest import bn
+from conftest import bn, past_limit
 
 naturals = st.integers(min_value=1, max_value=10**40)
 
@@ -95,6 +95,9 @@ def test_zero_is_not_representable():
         BinaryNat.from_int(0)
     with pytest.raises(DomainError):
         BinaryNat.from_int(-7)
+    # the message printed n with str(): a raw ValueError past the digit limit
+    with pytest.raises(DomainError, match=past_limit("value must be >= 1, got {}")):
+        BinaryNat.from_int(-(2**20000))
 
 
 @given(naturals)

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from collatzbin import DomainError, NumberClass, classify, hard_number
+from collatzbin.classify import class_counts
 
-from conftest import bn
+from conftest import bn, past_limit
 
 
 def classify_oracle(n: int) -> NumberClass:
@@ -104,6 +105,23 @@ def test_hard_number_names_k_past_the_digit_limit():
         hard_number(-(2**20000))
     assert str(refused.value).startswith("k must be >= 1")
     assert "digit limit for int/str conversion" in str(refused.value)
+
+
+@pytest.mark.parametrize(
+    "call, template",
+    [
+        (lambda: class_counts(2**20000, 5), "need 1 <= lo <= hi, got [{}, 5)"),
+        # 2k - 1 is past the longest string the platform indexes
+        (lambda: hard_number(10**5000), "the {}-digit hard number a_{} does not fit in memory"),
+    ],
+    ids=["class-counts", "hard-number-past-memory"],
+)
+def test_messages_past_the_digit_limit_keep_their_words(call, template):
+    # the messages printed their numbers with str(): a raw ValueError past
+    # the digit limit. Such a number is named by its sign and bit length, and
+    # the message keeps its words
+    with pytest.raises(DomainError, match=past_limit(template)):
+        call()
 
 
 @pytest.mark.parametrize("k, kind", [(True, "bool"), (2.5, "float")])

@@ -4,6 +4,8 @@ import concurrent.futures
 import dataclasses
 import functools
 import random
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -34,7 +36,7 @@ from collatzbin.verify import (
 from collatzbin import verify as verify_mod
 from collatzbin.classify import class_counts
 
-from conftest import bn
+from conftest import bn, past_limit
 
 GOLDENS = Path(__file__).parent / "goldens"
 
@@ -632,17 +634,22 @@ def test_run_and_checkpoint_load_refuse_an_unreachable_state(tmp_path, edit, mes
 
 
 @pytest.mark.parametrize(
-    "call",
+    "call, template",
     [
-        lambda: verify_range(2**20000, 2**20000),
-        lambda: verify_range(-(2**20000), 5),
-        lambda: summarize(Checkpoint(2**20000, 2**20000 + 5, 1, 1, 2**20000)),
+        (lambda: verify_range(2**20000, 2**20000), "need 1 <= lo < hi, got [{}, {})"),
+        (lambda: verify_range(-(2**20000), 5), "lo must be >= 1, got {}"),
+        (
+            lambda: summarize(Checkpoint(2**20000, 2**20000 + 5, 1, 1, 2**20000)),
+            "run [{}, {}) unfinished at {}",
+        ),
     ],
     ids=["empty-range", "negative-lo", "unfinished-summary"],
 )
-def test_messages_past_the_digit_limit_raise_domain_error(call):
-    # the messages printed the numbers with str(): a raw ValueError past 4,300 digits
-    with pytest.raises(DomainError, match="digit limit for int/str conversion"):
+def test_messages_past_the_digit_limit_raise_domain_error(call, template):
+    # the messages printed the numbers with str(), a raw ValueError past 4,300
+    # digits; then the digit-limit text alone replaced the whole message. Such
+    # a number is named by its sign and bit length, and the message keeps its words
+    with pytest.raises(DomainError, match=past_limit(template)):
         call()
 
 
@@ -747,7 +754,6 @@ def test_tables_shared_across_caps():
 
 def test_merge_ties_go_to_smaller_n():
     # 27 and 31 both peak at 9232; 12 and 13 both stop after 9 steps
-    verify_mod._ensure_tables(100)
     for (a, b), key in (((27, 31), "max_excursion"), ((12, 13), "max_stopping_time")):
         for first, second in ((a, b), (b, a)):
             state = Checkpoint(a, b + 1, DEFAULT_STEP_CAP, 1, a)
@@ -938,17 +944,22 @@ def test_table_size_does_not_change_a_report(monkeypatch, tmp_path):
     assert reports[small] == reports[BASE_TABLE_BOUND]
     assert reports[small] == [verify_range(lo, hi, cap, chunk) for lo, hi, cap, chunk in windows]
 
-    # a short run that starts past the table, and a checkpoint load, build
-    # only to 2^16
-    use_table(2)
+    # the import builds 2^16 entries, all a walk needs (in a fresh process)
+    src = str(Path(verify_mod.__file__).parents[1])
+    code = f"import sys; sys.path[:0] = [{src!r}]; import collatzbin.verify as v; print(v._SIG.size, v._PK.size)"
+    fresh = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (fresh.stdout, fresh.stderr) == (f"{small} {small}\n", "")
+    # a short run that starts past the table, a 2^17-value one and a
+    # checkpoint load build nothing
+    use_table(small)
+    table = verify_mod._SIG
     state = verify_range(10**9, 10**9 + 1)
-    assert verify_mod._SIG.size == small
-    use_table(2)
+    assert verify_mod._SIG is table
+    verify_range(10**9, 10**9 + 2 * small)
+    assert verify_mod._SIG is table
     checkpoint_save(state, tmp_path / "ck.txt")
     assert checkpoint_load(tmp_path / "ck.txt") == state
-    assert verify_mod._SIG.size == small
-    verify_range(10**9, 10**9 + 2 * small)
-    assert verify_mod._SIG.size == small
+    assert verify_mod._SIG is table
     # a run that starts inside it grows it over its own values
     verify_range(small, small + 3)
     assert verify_mod._SIG.size == 2 * small
@@ -1072,7 +1083,6 @@ def test_plain_walk_ends_at_its_budget():
     # a walk that has taken limit steps and not landed below the table ends
     # on 1 with _NEVER steps, even one jump before its landing; with one
     # step more of budget it lands, its steps and peak exact
-    verify_mod._ensure_tables(1 << verify_mod._K)
     bound = verify_mod._SIG.size
     n = (1 << 63) + 12345
     walk = [(n, 0)]

@@ -9,10 +9,13 @@ nodes, nodes past their int64 gate, two-limb nodes and plain-integer ones.
 Three windows in four take a cap from the window's own stopping times,
 clipped so that some starts converge and some truncate; the rest take the
 default cap. Each window runs at chunk size 1, 8 or a random one, on one or
-two jobs, and its report must equal oracle_report's from
+two jobs. One in four of the windows with a chunk boundary strictly inside
+also stops at one, cut: the finished state of [lo, cut), with hi set back,
+is saved with checkpoint_save, loaded with checkpoint_load and run on to
+hi. Either way the report must equal oracle_report's from
 tests/test_verify.py. The first window that differs is printed as one
-verify_range(...) call, and the script exits 1. It stops after the first
-window that ends past S seconds.
+verify_range(...) call, with the cut it resumed at, and the script exits 1.
+It stops after the first window that ends past S seconds.
 """
 
 from __future__ import annotations
@@ -21,20 +24,29 @@ import argparse
 import dataclasses
 import random
 import sys
+import tempfile
 import time
 from pathlib import Path
+from typing import Optional
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from collatzbin.verify import DEFAULT_CHUNK_SIZE, DEFAULT_STEP_CAP, verify_range  # noqa: E402
+from collatzbin.verify import (  # noqa: E402
+    DEFAULT_CHUNK_SIZE,
+    DEFAULT_STEP_CAP,
+    checkpoint_load,
+    checkpoint_save,
+    run,
+    verify_range,
+)
 from test_verify import oracle_report, orbit_oracle  # noqa: E402
 
 BASES = (10**9, 1 << 40, 1 << 50, 1 << 58, 1 << 62, 1 << 63, 1 << 64, 1 << 100)
 
 
-def draw(rng: random.Random) -> tuple[int, int, int, int, int]:
-    """One window: (lo, hi, cap, chunk, jobs)."""
+def draw(rng: random.Random) -> tuple[int, int, int, int, int, Optional[int]]:
+    """One window: (lo, hi, cap, chunk, jobs, cut), cut None for a straight run."""
     size = rng.randint(1, 1 << rng.randint(0, 12))
     if rng.randrange(len(BASES) + 1) < len(BASES):
         lo = rng.choice(BASES) + rng.randint(-(1 << 11), 1 << 11)
@@ -48,7 +60,9 @@ def draw(rng: random.Random) -> tuple[int, int, int, int, int]:
         cap = rng.choice((sigmas[0], sigmas[size // 2], sigmas[-1])) + rng.randint(-1, 1)
         cap = min(max(cap, sigmas[0]), sigmas[-1] - 1)
     chunk = rng.choice((1, 8, rng.randint(1, size + 100)))
-    return lo, hi, cap, chunk, rng.choice((1, 2))
+    cuts = range(lo + chunk, hi, chunk)  # the chunk boundaries strictly inside
+    cut = rng.choice(cuts) if cuts and rng.random() < 0.25 else None
+    return lo, hi, cap, chunk, rng.choice((1, 2)), cut
 
 
 def main(argv=None) -> int:
@@ -58,15 +72,23 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     rng = random.Random(args.seed)
     start = time.monotonic()
-    windows = values = 0
-    while time.monotonic() - start < args.seconds:
-        lo, hi, cap, chunk, jobs = draw(rng)
-        got = verify_range(lo, hi, step_cap=cap, chunk_size=chunk, jobs=jobs)
-        if dataclasses.replace(got, chunk_size=DEFAULT_CHUNK_SIZE) != oracle_report(lo, hi, cap):
-            print(f"verify_range({lo}, {hi}, step_cap={cap}, chunk_size={chunk}, jobs={jobs})")
-            return 1
-        windows, values = windows + 1, values + hi - lo
-    print(f"seed {args.seed}: {windows} windows, {values} values, all match the oracle")
+    windows = values = resumed = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ck.txt"
+        while time.monotonic() - start < args.seconds:
+            lo, hi, cap, chunk, jobs, cut = draw(rng)
+            if cut is None:
+                got = verify_range(lo, hi, step_cap=cap, chunk_size=chunk, jobs=jobs)
+            else:
+                part = verify_range(lo, cut, step_cap=cap, chunk_size=chunk, jobs=jobs)
+                checkpoint_save(dataclasses.replace(part, hi=hi), path)
+                got = run(checkpoint_load(path), jobs)
+            if dataclasses.replace(got, chunk_size=DEFAULT_CHUNK_SIZE) != oracle_report(lo, hi, cap):
+                resume = "" if cut is None else f", stopped at {cut} and resumed"
+                print(f"verify_range({lo}, {hi}, step_cap={cap}, chunk_size={chunk}, jobs={jobs}){resume}")
+                return 1
+            windows, values, resumed = windows + 1, values + hi - lo, resumed + (cut is not None)
+    print(f"seed {args.seed}: {windows} windows ({resumed} resumed), {values} values, all match the oracle")
     return 0
 
 
