@@ -4,9 +4,9 @@ The engine walks every n in [lo, hi) to 1 (or to a step cap), recording
 the stopping time and the orbit peak. Internally it runs on machine
 integers under numpy: values below a table bound resolve through
 precomputed stopping-time/peak tables, and a value whose jump could pass
-2^63 - 1 takes the same jump on two 64-bit limbs, or on plain Python
-integers past 2^117. The table entries are exact, so the cap
-is applied at lookup and one table serves every cap. Every
+2^63 - 1 takes the same jump on two 64-bit limbs below 2^117, and on
+plain Python integers to the end past it. The table entries are exact,
+so the cap is applied at lookup and one table serves every cap. Every
 partial result, from one value to a whole run, is a Checkpoint holding
 only what the walks find (the maxima and the truncated inputs); the
 verified count and the digit-class histogram follow from the range
@@ -31,11 +31,11 @@ The orbits of a block of starts merge fast, as paths in the tree the
 reduced map inverts, so the kernel (_chunk_numpy) walks each distinct
 value of a pass once and then resolves every start backwards, one fold
 for steps and one for peaks, exact: ties go to the smaller n with no
-second walk. A value jumps on int64 arrays while its gate holds, on two
-uint64 limb arrays below 2^117 (starts past 2^63 begin there), and on
-plain integers past 2^117 until it is back below; the last few values
-of a block walk to the end on plain integers. Each pass
-jumps a walking value at least once, so _K steps or more: a start has
+second walk. A value jumps on int64 arrays while its gate holds and on
+two uint64 limb arrays below 2^117 (starts past 2^63 begin there). A
+pass of few values, or one with a value past 2^117, walks them all to
+the end on plain integers, and is the block's last. Each pass jumps a
+walking value at least once, so _K steps or more: a start has
 taken at least _K steps per pass before it, and a value stops at the cap
 once that count, or that count and its own plain walk, reaches it.
 
@@ -258,17 +258,17 @@ _ensure_tables(1 << _K)
 # partial results: one value, one chunk
 
 
-def _jump_plain(vs: list, limit: int, gated: bool) -> tuple[list, list, list]:
+def _jump_plain(vs: list, limit: int) -> tuple[list, list, list]:
     """Jump each v of vs on plain integers: the lists of end values, steps and peaks.
 
-    A walk stops once it lands below the base table or, if gated, below
-    2^_LIMBS, where the two-limb tier takes it. A walk that has taken limit
-    steps or more and not landed is past its budget: it ends on 1 with
-    _NEVER steps, so every start through it is past the cap. The peak is
-    exact: each jump's is a·M1(b) + M2(b) (_jump_table).
+    A walk stops once it lands below the base table; a v already there ends
+    as it is, with no steps. A walk that has taken limit steps or more and
+    not landed is past its budget: it ends on 1 with _NEVER steps, so every
+    start through it is past the cap. The peak is exact: each jump's is
+    a·M1(b) + M2(b) (_jump_table).
     """
     A, B, S, M1, M2 = _VIEWS
-    stop = 1 << _LIMBS if gated else _SIG.size
+    stop = _SIG.size
     ends, steps_, peaks = [], [], []
     for v in vs:
         steps, peak = 0, v
@@ -379,13 +379,13 @@ def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
     back along its nodes in one fold each: rem = S + rem[parent], peak =
     max(top, peak[parent]).
 
-    A node jumps in one of three tiers: on int64 arrays while its int64
-    gate a <= LIM(b) holds; on two uint64 limbs (_jump_limbs) while it is
-    below 2^_LIMBS, as every start in [2^63, 2^_LIMBS) does; and on plain
-    integers (_jump_plain) past that, until it lands below 2^_LIMBS. A pass
-    of fewer than _TAIL nodes walks them all to the end on plain integers.
-    A landing joins the tier its value fits. A peak past 2^63 - 1 is held
-    as _WIDE, and kept exactly for _widest.
+    A node jumps in one of two tiers: on int64 arrays while its int64 gate
+    a <= LIM(b) holds, and on two uint64 limbs (_jump_limbs) while it is
+    below 2^_LIMBS, as every start in [2^63, 2^_LIMBS) does. A landing
+    joins the tier its value fits. A pass of fewer than _TAIL nodes, or
+    with one at or past 2^_LIMBS, walks them all on plain integers
+    (_jump_plain) into the base table: it is the block's last. A peak past
+    2^63 - 1 is held as _WIDE, and kept exactly for _widest.
 
     Every start through a node of pass p has taken least = _K·p steps or
     more: each pass jumps its live nodes at least once, S(b) >= _K steps
@@ -425,20 +425,18 @@ def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
             rem, pk = np.full(m, _NEVER, dtype=np.int64), np.zeros(m, dtype=np.uint64)
             passes.append(_Pass(rem, pk, None, None, _NO_TOPS, []))
             break
-        tops, far = _NO_TOPS, []  # far: landings past 2^63 - 1 (nodes, high and low limbs)
-        if m < _TAIL:
-            rem, land = np.zeros((2, m), dtype=np.int64)
-            pk = np.zeros(m, dtype=np.uint64)
-            # in pass 0, past the starts that resolve in the table
-            at, gated = slice(0 if passes else inside, m), False
-            vs = (nodes[:n1].tolist() + _ints(high, nodes[n1:].view(np.uint64)) + big)[at]
+        tops, far, plain = _NO_TOPS, (), []  # far: landings past 2^63 - 1 (nodes, high and low limbs)
+        if m < _TAIL or big:
+            # every node walks to the end on plain integers: the block's last pass
+            vs = nodes[:n1].tolist() + _ints(high, nodes[n1:].view(np.uint64)) + big
+            ends, steps, peaks = _jump_plain(vs, limit - least)
+            rem, land = np.array((steps, ends), dtype=np.int64)
+            pk = np.array([min(x, _WIDE) for x in peaks], dtype=np.uint64)
+            plain = [(j, x) for j, x in enumerate(peaks) if x >= _WIDE]
         else:
             a = nodes >> _K
             b = nodes & _MASK
             rem, top, land = S[b], a * M1[b] + M2[b], A[b] * a + B[b]
-            if big:
-                pad = np.zeros(len(big), dtype=np.int64)
-                rem, top, land = (np.concatenate((x, pad)) for x in (rem, top, land))
             pk = top.view(np.uint64)
             # the int64 nodes past their gate, then the two-limb nodes, jump on limbs
             at = index[n1:n]
@@ -459,26 +457,15 @@ def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
                 # a landing past 2^63 - 1 has a high limb or the low limb's top bit
                 w = (land_h | (land_l >> 63)).nonzero()[0]
                 if w.size:
-                    far.append((at[w], land_h[w], land_l[w]))
-            at, gated, vs = slice(n, m), True, big
-        if not passes:
-            # a start inside the table lands on itself
-            rem[:inside], pk[:inside], land[:inside] = 0, 0, nodes[:inside]
-        plain = []
-        if vs:
-            ends, steps, peaks = _jump_plain(vs, limit - least, gated)
-            rem[at], pk[at] = steps, [x if x < _WIDE else _WIDE for x in peaks]
-            land[at] = [v if v < _WIDE else 0 for v in ends]
-            plain = [(at.start + j, x) for j, x in enumerate(peaks) if x >= _WIDE]
-            wide = [(at.start + j, v >> 64, v & (2**64 - 1)) for j, v in enumerate(ends) if v >= _WIDE]
-            if wide:
-                j, h, v = zip(*wide)
-                far.append((np.array(j, dtype=np.intp), *(np.array(x, dtype=np.uint64) for x in (h, v))))
+                    far = at[w], land_h[w], land_l[w]
+            if not passes:
+                # a start inside the table lands on itself
+                rem[:inside], pk[:inside], land[:inside] = 0, 0, nodes[:inside]
         done = land < bound
         if far:
             # a landing past 2^63 - 1 leaves the int64 landings: marked as one on 1
             # (no steps, peak 1), the table fold below leaves its node as it is
-            w, h, v = (np.concatenate(x) for x in zip(*far))
+            w, h, v = far
             land[w], done[w] = 1, True
         live = None
         if done.any():
@@ -490,21 +477,17 @@ def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
             passes.append(_Pass(rem, pk, live, None, tops, plain))
             break
         par, first = _distinct(land, None, slots, index, new)
-        nodes, high, big = land[first], _NO_LIMBS, []
+        nodes, high = land[first], _NO_LIMBS
         if far:
             # the landings past 2^63 - 1 merge among themselves, and each distinct
-            # one joins the two-limb nodes, or past 2^_LIMBS the plain ones
+            # one joins the two-limb nodes
             fpar, first = _distinct(v.view(np.int64), h, slots, index, new)
             h, v = h[first], v[first]
-            two = h >> (_LIMBS - 64) == 0
-            if not two.all():
-                order = np.concatenate((two.nonzero()[0], (~two).nonzero()[0]))
-                new[order] = index[: order.size]
-                fpar, h, v = new[fpar], h[order], v[order]
-                k = np.count_nonzero(two)
-                big, h, v = _ints(h[k:], v[k:]), h[:k], v[:k]
             live, par = np.concatenate((live, w)), np.concatenate((par, nodes.size + fpar))
             nodes, high = np.concatenate((nodes, v.view(np.int64))), h
+            if (h >> (_LIMBS - 64)).any():
+                # one is past 2^_LIMBS: the next pass walks every node on plain integers
+                nodes, high, big = nodes[:0], _NO_LIMBS, nodes[:-h.size].tolist() + _ints(h, v)
         passes.append(_Pass(rem, pk, live, par, tops, plain))
     rem = _resolve(passes, "rem", np.add)
     conv = rem <= limit

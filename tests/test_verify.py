@@ -763,7 +763,7 @@ def test_merge_ties_go_to_smaller_n():
 
 
 # n = 2^62 + 12473 leaves int64 and comes back twice; n = 2^62 + 12359
-# lands past 2^64 on plain integers before it comes back; n = 2^62 + 763
+# lands past 2^64, on two limbs, before it comes back; n = 2^62 + 763
 # leaves twice and lands higher the first time than any jump of the second
 # could reach, so its bounds carry over from one stretch to the next
 TWICE_BACK = (1 << 62) + 12473
@@ -1071,8 +1071,8 @@ def test_peak_inside_a_jump_of_a_lane_that_leaves_int64(monkeypatch):
     # peak, 0.93 * 2^63, is a 3v+1 value inside a jump, above everything the
     # rest of the walk reaches. The second jumps four times, then its next
     # jump could pass 2^63 - 1 (its peak, 1.06 * 2^63, lies inside it): it
-    # leaves at the gate, jumps on plain integers and comes back. Alone in
-    # a block each walks on plain integers; with _TAIL 0, in the kernel
+    # leaves at the gate, jumps on two limbs and comes back. Alone in a
+    # block each walks on plain integers; with _TAIL 0, in the kernel
     for tail in (0, verify_mod._TAIL):
         monkeypatch.setattr(verify_mod, "_TAIL", tail)
         for n in (72057594037928009, 72057594037928033):
@@ -1090,41 +1090,45 @@ def test_plain_walk_ends_at_its_budget():
         v, steps, _ = block_walk(walk[-1][0])
         walk.append((v, walk[-1][1] + steps))
     (_, before), (land, steps) = walk[-2:]
-    assert verify_mod._jump_plain([n], before, False)[:2] == ([1], [verify_mod._NEVER])
-    (end,), (got,), (peak,) = verify_mod._jump_plain([n], before + 1, False)
+    assert verify_mod._jump_plain([n], before)[:2] == ([1], [verify_mod._NEVER])
+    (end,), (got,), (peak,) = verify_mod._jump_plain([n], before + 1)
     assert (end, got) == (land, steps)
     assert (got + int(verify_mod._SIG[end]), max(peak, int(verify_mod._PK[end]))) == orbit_oracle(n)
 
 
 def _count_plain_jumps(monkeypatch):
-    """Wrap the plain-int jumper: count its jumps (its reads of A), gated or
-    not; list the peak of each gated walk that lands back below 2^_LIMBS, and
-    count the gated walks stopped at their budget."""
-    jumps, backs, stopped = Counter(), [], Counter()
+    """Wrap the plain-int jumper: count its jumps (its reads of A) and its walks
+    stopped at their budget, and list the peak of each walk that lands.
+    Every walk must end below the base table, or at its budget on 1 with
+    _NEVER steps."""
+    seen, peaks = Counter(), []
     real = verify_mod._jump_plain
 
     class Counted:
-        def __init__(self, row, gated):
-            self.row, self.gated = row, gated
+        def __init__(self, row):
+            self.row = row
 
         def __getitem__(self, b):
-            jumps[self.gated] += 1
+            seen["jumps"] += 1
             return self.row[b]
 
-    def jump(vs, limit, gated):
+    def jump(vs, limit):
         views = verify_mod._VIEWS
-        verify_mod._VIEWS = (Counted(views[0], gated), *views[1:])
+        verify_mod._VIEWS = (Counted(views[0]), *views[1:])
         try:
-            ends, steps, peaks = real(vs, limit, gated)
+            ends, steps, walk_peaks = real(vs, limit)
         finally:
             verify_mod._VIEWS = views
-        if gated:
-            backs.extend(peak for s, peak in zip(steps, peaks) if s < verify_mod._NEVER)
-            stopped[True] += steps.count(verify_mod._NEVER)
-        return ends, steps, peaks
+        for end, s, peak in zip(ends, steps, walk_peaks):
+            if (end, s) == (1, verify_mod._NEVER):
+                seen["stopped"] += 1
+            else:
+                assert end < verify_mod._SIG.size and s < verify_mod._NEVER
+                peaks.append(peak)
+        return ends, steps, walk_peaks
 
     monkeypatch.setattr(verify_mod, "_jump_plain", jump)
-    return jumps, backs, stopped
+    return seen, peaks
 
 
 def _count_limb_jumps(monkeypatch):
@@ -1143,14 +1147,13 @@ def _count_limb_jumps(monkeypatch):
 
 def test_kernel_keeps_lanes_up_to_their_gate_past_2p62(monkeypatch):
     # a start below 2^_LIMBS begins in the kernel. Past its int64 gate a node
-    # jumps on two limbs, once per pass, and none walks gated on plain
-    # integers; only the last nodes of the block walk there, to the end
-    jumps, _, _ = _count_plain_jumps(monkeypatch)
+    # jumps on two limbs, once per pass; only the last nodes of the block
+    # walk on plain integers, to the end
+    seen, _ = _count_plain_jumps(monkeypatch)
     calls = _count_limb_jumps(monkeypatch)
     lo = (1 << 62) + 12345
     assert verify_range(lo, lo + 512) == oracle_report(lo, lo + 512, DEFAULT_STEP_CAP)
-    assert jumps[True] == 0
-    assert jumps[False] < 2 * 512
+    assert seen["jumps"] < 2 * 512
     # one call per pass, which jumps each of its nodes once; no start is
     # jumped twice
     assert calls and all(len(set(vs)) == len(vs) for vs in calls)
@@ -1158,33 +1161,32 @@ def test_kernel_keeps_lanes_up_to_their_gate_past_2p62(monkeypatch):
     assert starts and max(starts.values()) == 1
 
 
-# n = 2^117 - 31 climbs past 2^117 twice: each time its node jumps on plain
-# integers until it lands below 2^117, back on two limbs
+# n = 2^117 - 31 climbs past 2^117: from its first landing there its node
+# walks on plain integers to the end
 PAST_2P117 = (1 << 117) - 31
 
 
 def test_lanes_come_back_to_the_kernel(monkeypatch):
     # alone in a block a value would walk on plain integers to the end
     monkeypatch.setattr(verify_mod, "_TAIL", 0)
-    jumps, backs, stopped = _count_plain_jumps(monkeypatch)
+    seen, peaks = _count_plain_jumps(monkeypatch)
     # below 2^_LIMBS, a node past its int64 gate jumps on two limbs and comes
     # back to the int64 arrays once the gate holds: no plain jump at all
     for n in (TWICE_BACK, HIGH_FIRST, PAST_2P64):
         assert verify_range(n, n + 1) == oracle_report(n, n + 1, DEFAULT_STEP_CAP)
-    assert not jumps and not backs
+    assert not seen and not peaks
     assert verify_range(PAST_2P117, PAST_2P117 + 1) == oracle_report(
         PAST_2P117, PAST_2P117 + 1, DEFAULT_STEP_CAP
     )
-    assert len(backs) == 2 and min(backs) >= 1 << 117
-    assert jumps[True] and not jumps[False]
+    assert len(peaks) == 1 and peaks[0] >= 1 << 117 and seen["jumps"]
     # every cap across the walks of a lane that comes back to the int64
-    # arrays twice and of one that comes back to the limbs twice, so that
-    # some stop the latter while it jumps on plain integers
+    # arrays twice and of one that walks on plain integers from past 2^117,
+    # so that some stop the latter inside that walk
     for n in (TWICE_BACK, PAST_2P117):
         sigma = orbit_oracle(n)[0]
         for cap in range(1, sigma + 3, 5):
             assert verify_range(n, n + 1, step_cap=cap) == oracle_report(n, n + 1, cap)
-    assert stopped[True]
+    assert seen["stopped"]
     # from just past (2^63 - 2) // 3, two starts stop in 855 steps after 33
     # or 34 jumps (on the 2^20 or the 2^16 table), 25 steps each on average:
     # a stop rule that counted 2·_K steps a pass, a jump's most, would
@@ -1343,9 +1345,9 @@ def test_wide_peak_windows_match_oracle():
     # peaks past 2^63 - 1 rank above every int64 peak, and among
     # themselves by their exact values. Near the median stopping times of
     # the 4,096-value windows (557 from 2^63 - 2048, 468 at 2^62) some
-    # starts climb past 2^63 - 1 on plain integers, above every converged
-    # start, and then stop at the cap: they lie on no converged start's
-    # path, so their peaks never count
+    # starts climb past 2^63 - 1, above every converged start, and then
+    # stop at the cap: they lie on no converged start's path, so their
+    # peaks never count
     for lo, size, cap in (
         ((1 << 62) + 12345678901, 4096, DEFAULT_STEP_CAP),
         ((1 << 63) + 12345, 4096, DEFAULT_STEP_CAP),

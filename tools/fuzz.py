@@ -4,8 +4,10 @@
 
 Draws windows of 1 to 4,096 values at bases 10^9, 2^40, 2^50, 2^58, 2^62,
 2^63, 2^64 and 2^100 (each moved by up to 2^11) and in
-[2^117 - 2^12, 2^117 + 2^12), so that every tier of the kernel runs: int64
-nodes, nodes past their int64 gate, two-limb nodes and plain-integer ones.
+[2^117 - 2^12, 2^117 + 2^12), so that both tiers of the kernel run (int64
+nodes, nodes past their int64 gate and two-limb nodes) and so do the
+plain-integer walks to the end, of a block's last few nodes and of every
+pass with a node past 2^117.
 Three windows in four take a cap from the window's own stopping times,
 clipped so that some starts converge and some truncate; the rest take the
 default cap. Each window runs at chunk size 1, 8 or a random one, on one or
