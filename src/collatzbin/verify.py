@@ -31,13 +31,14 @@ The orbits of a block of starts merge fast, as paths in the tree the
 reduced map inverts, so the kernel (_chunk_numpy) walks each distinct
 value of a pass once and then resolves every start backwards, one fold
 for steps and one for peaks, exact: ties go to the smaller n with no
-second walk. A value jumps on int64 arrays while its gate holds and on
-two uint64 limb arrays below 2^117 (starts past 2^63 begin there). A
-pass of few values, or one with a value past 2^117, walks them all to
-the end on plain integers, and is the block's last. Each pass jumps a
-walking value at least once, so _K steps or more: a start has
-taken at least _K steps per pass before it, and a value stops at the cap
-once that count, or that count and its own plain walk, reaches it.
+second walk. A pass holds its values as int64 low limbs, plus uint64
+high limbs once one is past 2^63 - 1; a value jumps on int64 arrays
+while its gate holds, and else on both limbs below 2^117. A pass of few
+values, or one with a value past 2^117, walks them all to the end on
+plain integers, and is the block's last. Each pass jumps a walking value
+at least once, so _K steps or more: a start has taken at least _K steps
+per pass before it, and a value stops at the cap once that count, or
+that count and its own plain walk, reaches it.
 
 What is checked is convergence: every n reaches 1 within the step cap.
 The 1 -> 4 -> 2 -> 1 tail that follows is the same three steps for
@@ -337,32 +338,40 @@ def _jump_limbs(a_low: np.ndarray, b: np.ndarray, a_high: Optional[np.ndarray]) 
 
 
 class _Pass(NamedTuple):
-    """One pass of _chunk_numpy; rem and peak are per node, and _resolve folds them."""
+    """One pass of _chunk_numpy over its nodes, its distinct values; _resolve folds rem and peak."""
 
     rem: np.ndarray  # steps of its jump and landing; folded, to 1 (_NEVER or more: past any cap)
     peak: np.ndarray  # peak of its jump and landing, one past 2^63 - 1 held as _WIDE
     live: Optional[np.ndarray]  # the nodes still walking (None: all)
-    parent: Optional[np.ndarray]  # each live node's node in the next pass
+    parent: Optional[np.ndarray]  # each live node's node in the next pass, one per distinct landing
     tops: tuple  # the nodes that jumped on limbs, and their exact peaks' two limbs (past 2^63 - 1)
     plain: list  # (node, exact peak) of each plain walk that peaks past 2^63 - 1
 
 
 def _distinct(low: np.ndarray, high: Optional[np.ndarray], slots, index, new) -> tuple:
-    """Each landing's node among the distinct landings, and the first landing of each.
+    """Each landing's node among the distinct landings, and the landing of each node.
 
-    A landing is its int64 low limb and, if given, its high limb. Equal
-    landings become one node: a hash slot keeps the last index written,
-    and a landing whose slot holds another value stays its own node.
+    A landing is its int64 low limb and, if given, its uint64 high limb.
+    Equal landings become one node, unequal ones never: a hash slot keeps
+    the last index written, and the landings whose slot holds another value
+    are slotted again among themselves until each finds its own. Equal
+    landings share a slot, so they miss or find it together.
     """
     idx = index[: low.size]
     slot = low & (slots.size - 1)
     slots[slot] = idx
-    par = slots[slot]
-    miss = low[par] != low
-    if high is not None:
-        miss |= high[par] != high
-    miss = miss.nonzero()[0]
-    par[miss] = miss
+    par = p = slots[slot]
+    at = slice(None)  # the landings that took p this round: every one, then the misses
+    while True:
+        miss = low[p] != low[at]
+        if high is not None:
+            miss |= high[p] != high[at]
+        at = idx[at][miss.nonzero()[0]]
+        if not at.size:
+            break
+        s = slot[at]
+        slots[s] = at
+        p = par[at] = slots[s]
     first = (par == idx).nonzero()[0]
     new[first] = index[: first.size]
     return new[par], first
@@ -372,20 +381,21 @@ def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
     """Values [lo, hi), at most _LANES of them, at any size; start i is lo + i.
 
     The nodes of a pass are the distinct values still walking, the starts
-    first. Each node jumps once and keeps its steps S(b) and exact peak
-    a·M1(b) + M2(b); its landing resolves in the base table or joins the
-    equal landings of its pass in one node of the next (a hash collision
-    only misses a merge). Then every start's stopping time and peak follow
-    back along its nodes in one fold each: rem = S + rem[parent], peak =
-    max(top, peak[parent]).
+    first: an int64 array of their low limbs (nodes) and, unless every node
+    is below 2^63, a uint64 array of their high limbs (high). Each node
+    jumps once and keeps its steps S(b) and exact peak a·M1(b) + M2(b); its
+    landing resolves in the base table or joins every equal landing of its
+    pass in one node of the next (_distinct, one call). Then every start's
+    stopping time and peak follow back along its nodes in one fold each:
+    rem = S + rem[parent], peak = max(top, peak[parent]).
 
-    A node jumps in one of two tiers: on int64 arrays while its int64 gate
-    a <= LIM(b) holds, and on two uint64 limbs (_jump_limbs) while it is
-    below 2^_LIMBS, as every start in [2^63, 2^_LIMBS) does. A landing
-    joins the tier its value fits. A pass of fewer than _TAIL nodes, or
-    with one at or past 2^_LIMBS, walks them all on plain integers
-    (_jump_plain) into the base table: it is the block's last. A peak past
-    2^63 - 1 is held as _WIDE, and kept exactly for _widest.
+    A node jumps in one of two tiers: on int64 arrays while it is below 2^63
+    and its int64 gate a <= LIM(b) holds, and on two uint64 limbs
+    (_jump_limbs) otherwise, while it is below 2^_LIMBS, as every start in
+    [2^63, 2^_LIMBS) does. A pass of fewer than _TAIL nodes, or with one at
+    or past 2^_LIMBS, walks them all on plain integers (_jump_plain) into
+    the base table: it is the block's last. A peak past 2^63 - 1 is held as
+    _WIDE, and kept exactly for _widest.
 
     Every start through a node of pass p has taken least = _K·p steps or
     more: each pass jumps its live nodes at least once, S(b) >= _K steps
@@ -396,19 +406,19 @@ def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
     is exact, and rem <= cap decides it.
     """
     size = hi - lo
-    small = min(size, max(0, (1 << 63) - lo))  # starts in int64
     limbed = min(size, max(0, (1 << _LIMBS) - lo))  # starts below 2^_LIMBS
     bound = _SIG.size
     inside = min(size, max(0, bound - lo))  # starts that resolve in the table
     # a truncated node's rem is _NEVER or more, past any cap it is held to
     limit = min(cap, _NEVER - 1)
     A, B, S, M1, M2, LIM = _JUMP
-    # a pass's nodes below 2^_LIMBS: the int64 ones, then the low limbs of the
-    # two-limb ones, whose high limbs are high; big holds the rest
-    nodes = np.arange(lo, lo + small, dtype=np.int64)
-    high, low = _limbs(lo + small, limbed - small)
-    if low.size:
-        nodes = np.concatenate((nodes, low.view(np.int64)))
+    # a pass's nodes below 2^_LIMBS: their int64 low limbs, and their high
+    # limbs unless every node is below 2^63; big holds the rest
+    if lo + limbed <= 1 << 63:
+        nodes, high = np.arange(lo, lo + limbed, dtype=np.int64), None
+    else:
+        high, nodes = _limbs(lo, limbed)
+        nodes = nodes.view(np.int64)
     big = list(range(lo + limbed, hi))
     # scratch: landing indices, hash slots, and each first landing's node
     index = np.arange(size, dtype=np.intp)
@@ -417,7 +427,6 @@ def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
     passes: list[_Pass] = []
     while True:
         n = nodes.size
-        n1 = n - high.size  # int64 nodes
         m = n + len(big)
         least = _K * len(passes)  # the fewest steps a start through a node has taken
         if least >= limit:
@@ -425,10 +434,10 @@ def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
             rem, pk = np.full(m, _NEVER, dtype=np.int64), np.zeros(m, dtype=np.uint64)
             passes.append(_Pass(rem, pk, None, None, _NO_TOPS, []))
             break
-        tops, far, plain = _NO_TOPS, (), []  # far: landings past 2^63 - 1 (nodes, high and low limbs)
+        tops, land_h, plain = _NO_TOPS, None, []
         if m < _TAIL or big:
             # every node walks to the end on plain integers: the block's last pass
-            vs = nodes[:n1].tolist() + _ints(high, nodes[n1:].view(np.uint64)) + big
+            vs = (nodes.tolist() if high is None else _ints(high, nodes.view(np.uint64))) + big
             ends, steps, peaks = _jump_plain(vs, limit - least)
             rem, land = np.array((steps, ends), dtype=np.int64)
             pk = np.array([min(x, _WIDE) for x in peaks], dtype=np.uint64)
@@ -438,56 +447,47 @@ def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
             b = nodes & _MASK
             rem, top, land = S[b], a * M1[b] + M2[b], A[b] * a + B[b]
             pk = top.view(np.uint64)
-            # the int64 nodes past their gate, then the two-limb nodes, jump on limbs
-            at = index[n1:n]
-            if n1 and nodes[:n1].max() >= _GATE_FREE:
-                gate = (a[:n1] > LIM[b[:n1]]).nonzero()[0]
-                at = np.concatenate((gate, at)) if high.size else gate
+            # the nodes past their gate, negative as int64 or with a high limb jump on limbs
+            at = index[:0]
+            if high is not None or nodes.max() >= _GATE_FREE:
+                past = a > LIM[b]
+                if high is not None:
+                    past |= (nodes < 0) | (high > 0)
+                at = past.nonzero()[0]
             if at.size:
-                # a = v >> _K: the int64 one below 2^63, and from the limbs above
-                a_low, a_high, k = a[at].view(np.uint64), None, at.size - high.size
-                if high.size:
-                    a_low[k:] = (nodes[n1:].view(np.uint64) >> _K) | (high << (64 - _K))
-                    a_high = np.zeros(at.size, dtype=np.uint64)
-                    a_high[k:] = high >> _K
-                top_h, top_l, land_h, land_l = _jump_limbs(a_low, b[at], a_high)
+                a_low, a_high = nodes[at].view(np.uint64) >> _K, None
+                if high is not None:
+                    a_low |= high[at] << (64 - _K)
+                    a_high = high[at] >> _K
+                top_h, top_l, h, v = _jump_limbs(a_low, b[at], a_high)
                 # each peaks past 2^63 - 1: its int64 gate fails, or v >= 2^63
-                tops, pk[at] = (at, top_h, top_l), _WIDE
-                land[at] = land_l.view(np.int64)
-                # a landing past 2^63 - 1 has a high limb or the low limb's top bit
-                w = (land_h | (land_l >> 63)).nonzero()[0]
-                if w.size:
-                    far = at[w], land_h[w], land_l[w]
+                tops, pk[at], land[at] = (at, top_h, top_l), _WIDE, v.view(np.int64)
+                if (h | (v >> 63)).any():
+                    # a landing past 2^63 - 1: every landing of the pass keeps a high limb
+                    land_h = np.zeros(n, dtype=np.uint64)
+                    land_h[at] = h
             if not passes:
                 # a start inside the table lands on itself
                 rem[:inside], pk[:inside], land[:inside] = 0, 0, nodes[:inside]
-        done = land < bound
-        if far:
-            # a landing past 2^63 - 1 leaves the int64 landings: marked as one on 1
-            # (no steps, peak 1), the table fold below leaves its node as it is
-            w, h, v = far
-            land[w], done[w] = 1, True
+        # a landing past 2^63 - 1 is not done: negative as int64, or with a high limb
+        done = land.view(np.uint64) < bound
+        if land_h is not None:
+            done &= land_h == 0
         live = None
         if done.any():
             dead, live = done.nonzero()[0], (~done).nonzero()[0]
             at, land = land[dead], land[live]
+            land_h = None if land_h is None else land_h[live]
             rem[dead] += _SIG[at]
             pk[dead] = np.maximum(pk[dead], _PK[at].view(np.uint64))
-        if not land.size and not far:
+        if not land.size:
             passes.append(_Pass(rem, pk, live, None, tops, plain))
             break
-        par, first = _distinct(land, None, slots, index, new)
-        nodes, high = land[first], _NO_LIMBS
-        if far:
-            # the landings past 2^63 - 1 merge among themselves, and each distinct
-            # one joins the two-limb nodes
-            fpar, first = _distinct(v.view(np.int64), h, slots, index, new)
-            h, v = h[first], v[first]
-            live, par = np.concatenate((live, w)), np.concatenate((par, nodes.size + fpar))
-            nodes, high = np.concatenate((nodes, v.view(np.int64))), h
-            if (h >> (_LIMBS - 64)).any():
-                # one is past 2^_LIMBS: the next pass walks every node on plain integers
-                nodes, high, big = nodes[:0], _NO_LIMBS, nodes[:-h.size].tolist() + _ints(h, v)
+        par, first = _distinct(land, land_h, slots, index, new)
+        nodes, high = land[first], None if land_h is None else land_h[first]
+        if high is not None and (high >> (_LIMBS - 64)).any():
+            # one is past 2^_LIMBS: the next pass walks every node on plain integers
+            nodes, high, big = nodes[:0], None, _ints(high, nodes.view(np.uint64))
         passes.append(_Pass(rem, pk, live, par, tops, plain))
     rem = _resolve(passes, "rem", np.add)
     conv = rem <= limit

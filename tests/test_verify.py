@@ -1159,6 +1159,12 @@ def test_kernel_keeps_lanes_up_to_their_gate_past_2p62(monkeypatch):
     assert calls and all(len(set(vs)) == len(vs) for vs in calls)
     starts = Counter(v for vs in calls for v in vs if lo <= v < lo + 512)
     assert starts and max(starts.values()) == 1
+    # landings past 2^63 - 1 merge with the rest of their pass: no call
+    # jumps a value twice, where most nodes leave int64 or start past it
+    for lo in ((1 << 62) + 12345678901, (1 << 63) + 12345):
+        calls.clear()
+        verify_range(lo, lo + 4096)
+        assert calls and all(len(set(vs)) == len(vs) for vs in calls), lo
 
 
 # n = 2^117 - 31 climbs past 2^117: from its first landing there its node
@@ -1298,6 +1304,39 @@ def test_most_lanes_read_an_earlier_lanes_walk(monkeypatch):
     lo = (1 << 40) + 987654321
     verify_range(lo, lo + (1 << 16))
     assert sum(passes) <= 1.8 * (1 << 16)
+    # every equal landing merges, also where many distinct landings share
+    # their low bits: blocks at 2^50 exactly, at 2^58 and past 2^63 (where
+    # every start jumps on two limbs) take about 1.6 node jumps per value
+    for lo, size in ((1 << 50, 1 << 15), ((1 << 58) + 704, 1 << 15), (1 << 100, 4096)):
+        passes.clear()
+        verify_range(lo, lo + size)
+        assert sum(passes) <= 1.65 * size, lo
+
+
+# hand-built landings that all fall in slot 5 of 8; the last one written,
+# 29, is a third value for each equal pair, so both of a pair miss the
+# first round
+EQUAL_MISSES = [5, 13, 5, 21, 13, 29]
+
+
+@pytest.mark.parametrize(
+    "values, given_high",
+    [
+        (EQUAL_MISSES, False),
+        (EQUAL_MISSES, True),
+        # landings past 2^63 - 1 as well: equal low limbs under other high
+        # limbs, and values in [2^63, 2^64), negative as int64, high limb 0
+        ([5, 13, 5, 21, 2**64 + 5, 2**63 + 5, 2**64 + 2**63 + 5, 2**64 + 5, 2**63 + 5, 13, 29], True),
+    ],
+)
+def test_distinct_merges_every_equal_landing_and_no_other(values, given_high):
+    n = len(values)
+    low = np.array([v & (2**64 - 1) for v in values], dtype=np.uint64).view(np.int64)
+    high = np.array([v >> 64 for v in values], dtype=np.uint64) if given_high else None
+    index, slots = np.arange(n, dtype=np.intp), np.empty(8, dtype=np.intp)
+    node, first = verify_mod._distinct(low, high, slots, index, np.empty(n, dtype=np.intp))
+    assert [values[i] for i in first[node]] == values
+    assert all((node[i] == node[j]) == (values[i] == values[j]) for i in range(n) for j in range(n))
 
 
 # n = 2^16 * 93,824,992,236,886 + 100: its own gate holds, but n - 2, whose
