@@ -30,15 +30,16 @@ the same jumps, for a run that starts inside it, up to 2^20.
 The orbits of a block of starts merge fast, as paths in the tree the
 reduced map inverts, so the kernel (_chunk_numpy) walks each distinct
 value of a pass once and then resolves every start backwards, one fold
-for steps and one for peaks, exact: ties go to the smaller n with no
-second walk. A pass holds its values as int64 low limbs, plus uint64
-high limbs once one is past 2^63 - 1; a value jumps on int64 arrays
-while its gate holds, and else on both limbs below 2^117. A pass of few
-values, or one with a value past 2^117, walks them all to the end on
-plain integers, and is the block's last. Each pass jumps a walking value
-at least once, so _K steps or more: a start has taken at least _K steps
-per pass before it, and a value stops at the cap once that count, or
-that count and its own plain walk, reaches it.
+for steps and one for peaks. A pass holds its values as int64 low limbs,
+plus uint64 high limbs once one is past 2^63 - 1; a value jumps on int64
+arrays while its gate holds, and else on both limbs below 2^117. A pass
+of few values, or one with a value past 2^117, walks them all to the end
+on plain integers, and is the block's last. Each pass jumps a walking
+value at least once, so _K steps or more: a start has taken at least _K
+steps per pass before it, and a value stops at the cap once that count,
+or that count and its own plain walk, reaches it. A peak past 2^63 - 1
+folds as its float64, its leading 1 and next bits (_code), and only the
+few converged starts whose code ties the top walk again, for exact peaks.
 
 What is checked is convergence: every n reaches 1 within the step cap.
 The 1 -> 4 -> 2 -> 1 tail that follows is the same three steps for
@@ -140,10 +141,13 @@ _MASK = (1 << _K) - 1
 # the nodes of a pass this short walk to the end on plain integers: for so
 # few, numpy's per-call cost outweighs the jumps
 _TAIL = 64
-# the remaining steps of a node stopped at the cap, and the code of the
-# smallest peak past 2^63 - 1 in the kernel's uint64 peaks
+# the remaining steps of a node stopped at the cap
 _NEVER = 1 << 62
+# a peak past 2^63 - 1 is coded as _WIDE | an order code (_code), and a code
+# from two limbs lies within _MARGIN / 2 of that, so the starts within
+# _MARGIN of a block's top code hold its largest peak
 _WIDE = 1 << 63
+_MARGIN = 8
 
 
 def _jump_table(k: int = _K) -> np.ndarray:
@@ -290,20 +294,16 @@ def _jump_plain(vs: list, limit: int) -> tuple[list, list, list]:
     return ends, steps_, peaks
 
 
-_NO_LIMBS = np.empty(0, dtype=np.uint64)
-_NO_TOPS = (np.empty(0, dtype=np.intp), _NO_LIMBS, _NO_LIMBS)
-
-
-def _limbs(v: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The values v, v + 1, ..., v + n - 1 < 2^128 as uint64 (high, low) limbs: an arange and a carry."""
-    if not n:
-        return _NO_LIMBS, _NO_LIMBS
-    base = np.uint64(v & (2**64 - 1))
-    low = np.arange(n, dtype=np.uint64)
-    low += base
-    high = np.full(n, v >> 64, dtype=np.uint64)
-    high += low < base
-    return high, low
+def _code(x: int) -> int:
+    """x below 2^63, else _WIDE | the bits of float64(x), which order as positive
+    floats do; from 2^1023 on, above every float's, all exponent bits set, then
+    x's bit length (below 2^32) and next 20 bits. It never decreases as x grows."""
+    if x < _WIDE:
+        return x
+    if x < 1 << 1023:
+        return _WIDE | int(np.float64(x).view(np.uint64))
+    n = x.bit_length()
+    return _WIDE | 0x7FF << 52 | n << 20 | x >> (n - 21) & 0xFFFFF
 
 
 def _ints(high: np.ndarray, low: np.ndarray) -> list:
@@ -337,15 +337,20 @@ def _jump_limbs(a_low: np.ndarray, b: np.ndarray, a_high: Optional[np.ndarray]) 
     return tuple(limbs)
 
 
+def _codes(high: np.ndarray, low: np.ndarray) -> np.ndarray:
+    """The codes of high·2^64 + low in [2^63, 2^128), each within _MARGIN / 2 of
+    its _code. No Python int meets a uint64 array: numpy 1.24 would give float64."""
+    wide = np.ldexp(high.astype(np.float64), 64) + low.astype(np.float64)
+    return wide.view(np.uint64) | np.uint64(_WIDE)
+
+
 class _Pass(NamedTuple):
     """One pass of _chunk_numpy over its nodes, its distinct values; _resolve folds rem and peak."""
 
     rem: np.ndarray  # steps of its jump and landing; folded, to 1 (_NEVER or more: past any cap)
-    peak: np.ndarray  # peak of its jump and landing, one past 2^63 - 1 held as _WIDE
+    peak: np.ndarray  # code of the peak of its jump and landing (_code; from two limbs, _codes)
     live: Optional[np.ndarray]  # the nodes still walking (None: all)
     parent: Optional[np.ndarray]  # each live node's node in the next pass, one per distinct landing
-    tops: tuple  # the nodes that jumped on limbs, and their exact peaks' two limbs (past 2^63 - 1)
-    plain: list  # (node, exact peak) of each plain walk that peaks past 2^63 - 1
 
 
 def _distinct(low: np.ndarray, high: Optional[np.ndarray], slots, index, new) -> tuple:
@@ -394,8 +399,9 @@ def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
     (_jump_limbs) otherwise, while it is below 2^_LIMBS, as every start in
     [2^63, 2^_LIMBS) does. A pass of fewer than _TAIL nodes, or with one at
     or past 2^_LIMBS, walks them all on plain integers (_jump_plain) into
-    the base table: it is the block's last. A peak past 2^63 - 1 is held as
-    _WIDE, and kept exactly for _widest.
+    the base table: it is the block's last, and when a start is past
+    2^_LIMBS the first. Peaks fold as codes (_code, _codes), exact below
+    2^63; past it the converged starts near the top code walk again.
 
     Every start through a node of pass p has taken least = _K·p steps or
     more: each pass jumps its live nodes at least once, S(b) >= _K steps
@@ -406,20 +412,24 @@ def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
     is exact, and rem <= cap decides it.
     """
     size = hi - lo
-    limbed = min(size, max(0, (1 << _LIMBS) - lo))  # starts below 2^_LIMBS
     bound = _SIG.size
     inside = min(size, max(0, bound - lo))  # starts that resolve in the table
     # a truncated node's rem is _NEVER or more, past any cap it is held to
     limit = min(cap, _NEVER - 1)
     A, B, S, M1, M2, LIM = _JUMP
     # a pass's nodes below 2^_LIMBS: their int64 low limbs, and their high
-    # limbs unless every node is below 2^63; big holds the rest
-    if lo + limbed <= 1 << 63:
-        nodes, high = np.arange(lo, lo + limbed, dtype=np.int64), None
+    # limbs unless every node is below 2^63; big holds the rest, every start
+    # once one is past 2^_LIMBS
+    big = []
+    if hi <= 1 << 63:
+        nodes, high = np.arange(lo, hi, dtype=np.int64), None
+    elif hi <= 1 << _LIMBS:
+        # the starts' low limbs are an arange, and their high limbs take its carry
+        base = np.uint64(lo & (2**64 - 1))
+        low = np.arange(size, dtype=np.uint64) + base
+        nodes, high = low.view(np.int64), np.full(size, lo >> 64, dtype=np.uint64) + (low < base)
     else:
-        high, nodes = _limbs(lo, limbed)
-        nodes = nodes.view(np.int64)
-    big = list(range(lo + limbed, hi))
+        nodes, high, big = np.empty(0, dtype=np.int64), None, list(range(lo, hi))
     # scratch: landing indices, hash slots, and each first landing's node
     index = np.arange(size, dtype=np.intp)
     slots = np.empty(1 << size.bit_length(), dtype=np.intp)
@@ -432,16 +442,15 @@ def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
         if least >= limit:
             # every node of the pass is past the cap: one all-_NEVER pass ends the walk
             rem, pk = np.full(m, _NEVER, dtype=np.int64), np.zeros(m, dtype=np.uint64)
-            passes.append(_Pass(rem, pk, None, None, _NO_TOPS, []))
+            passes.append(_Pass(rem, pk, None, None))
             break
-        tops, land_h, plain = _NO_TOPS, None, []
+        land_h = None
         if m < _TAIL or big:
             # every node walks to the end on plain integers: the block's last pass
             vs = (nodes.tolist() if high is None else _ints(high, nodes.view(np.uint64))) + big
             ends, steps, peaks = _jump_plain(vs, limit - least)
             rem, land = np.array((steps, ends), dtype=np.int64)
-            pk = np.array([min(x, _WIDE) for x in peaks], dtype=np.uint64)
-            plain = [(j, x) for j, x in enumerate(peaks) if x >= _WIDE]
+            pk = np.array([_code(x) for x in peaks], dtype=np.uint64)
         else:
             a = nodes >> _K
             b = nodes & _MASK
@@ -461,7 +470,7 @@ def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
                     a_high = high[at] >> _K
                 top_h, top_l, h, v = _jump_limbs(a_low, b[at], a_high)
                 # each peaks past 2^63 - 1: its int64 gate fails, or v >= 2^63
-                tops, pk[at], land[at] = (at, top_h, top_l), _WIDE, v.view(np.int64)
+                pk[at], land[at] = _codes(top_h, top_l), v.view(np.int64)
                 if (h | (v >> 63)).any():
                     # a landing past 2^63 - 1: every landing of the pass keeps a high limb
                     land_h = np.zeros(n, dtype=np.uint64)
@@ -481,14 +490,14 @@ def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
             rem[dead] += _SIG[at]
             pk[dead] = np.maximum(pk[dead], _PK[at].view(np.uint64))
         if not land.size:
-            passes.append(_Pass(rem, pk, live, None, tops, plain))
+            passes.append(_Pass(rem, pk, live, None))
             break
         par, first = _distinct(land, land_h, slots, index, new)
         nodes, high = land[first], None if land_h is None else land_h[first]
         if high is not None and (high >> (_LIMBS - 64)).any():
             # one is past 2^_LIMBS: the next pass walks every node on plain integers
             nodes, high, big = nodes[:0], None, _ints(high, nodes.view(np.uint64))
-        passes.append(_Pass(rem, pk, live, par, tops, plain))
+        passes.append(_Pass(rem, pk, live, par))
     rem = _resolve(passes, "rem", np.add)
     conv = rem <= limit
     res = Checkpoint(lo, hi, cap, size, hi, truncated=[lo + i for i in (~conv).nonzero()[0].tolist()])
@@ -497,9 +506,17 @@ def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
         # argmax takes the first maximum, the smallest n: the tie rule
         j = int(ci[np.argmax(rem[ci])])
         res.max_stopping_time, res.max_stopping_time_at = int(rem[j]), lo + j
-        wide = _widest(passes, conv)
         pk = _resolve(passes, "peak", np.maximum)[ci]
-        res.max_excursion, res.max_excursion_at = wide or int(pk.max()), lo + int(ci[np.argmax(pk)])
+        j = int(np.argmax(pk))
+        res.max_excursion, res.max_excursion_at = int(pk[j]), lo + int(ci[j])
+        if pk[j] >= _WIDE:
+            # the converged starts near the top code walk again exactly, the
+            # truncated ones never: the first exact maximum wins
+            near = [lo + i for i in ci[pk >= pk[j] - np.uint64(_MARGIN)].tolist()]
+            ends, _, peaks = _jump_plain(near, _NEVER)
+            exact = [max(x, int(_PK[e])) for e, x in zip(ends, peaks)]
+            res.max_excursion = max(exact)
+            res.max_excursion_at = near[exact.index(res.max_excursion)]
     return res
 
 
@@ -512,45 +529,6 @@ def _resolve(passes: list[_Pass], row: str, op) -> np.ndarray:
         else:
             back[p.live] = op(back[p.live], ahead[p.parent])
     return rows[0]
-
-
-def _widest(passes: list[_Pass], conv: np.ndarray) -> int:
-    """The largest peak past 2^63 - 1 on a path of a start in conv, its nodes'
-    peaks made _WIDE + 1, or 0 if there is none. The kernel holds such a
-    peak as _WIDE, and each pass keeps it exactly: as two limbs (tops) or as
-    a plain integer (plain). Only the largest becomes an int."""
-    kept = [i for i, p in enumerate(passes) if p.tops[0].size or p.plain]
-    if not kept:
-        return 0
-    # the nodes on some start's path in conv: every node, when conv holds every start
-    on = [None] * len(passes)
-    if not conv.all():
-        on[0] = conv
-        for i, (p, nxt) in enumerate(zip(passes, passes[1:])):
-            on[i + 1] = np.zeros(nxt.rem.size, dtype=bool)
-            on[i + 1][p.parent[on[i] if p.live is None else on[i][p.live]]] = True
-    high, low, peak = [], [], 0
-    for i in kept:
-        at, h, v = passes[i].tops
-        if on[i] is not None:
-            h, v = h[on[i][at]], v[on[i][at]]
-        high.append(h)
-        low.append(v)
-        peak = max((peak, *(x for j, x in passes[i].plain if on[i] is None or on[i][j])))
-    high, low = np.concatenate(high), np.concatenate(low)
-    if high.size:
-        h = high.max()
-        peak = max(peak, int(h) << 64 | int(low[high == h].max()))
-    if peak < _WIDE:
-        return 0
-    for i in kept:
-        p = passes[i]
-        at, top_h, top_l = p.tops
-        if peak < 1 << 128:
-            h, v = np.uint64(peak >> 64), np.uint64(peak & (2**64 - 1))
-            p.peak[at[(top_h == h) & (top_l == v)]] = _WIDE + 1
-        p.peak[[j for j, x in p.plain if x == peak]] = _WIDE + 1
-    return peak
 
 
 def _chunk_stats(bounds: tuple[int, int], cap: int) -> Checkpoint:

@@ -250,7 +250,8 @@ def test_histogram_and_counts_add_up():
 
 
 def test_int64_overflow_fallback():
-    # orbits straddling 2**62 leave the vectorized path mid-walk and come back
+    # orbits straddling 2**62 pass their int64 gates mid-walk, jump on two
+    # uint64 limbs and come back to the int64 arrays
     lo = 2**62 - 2
     r = verify_range(lo, lo + 4)
     assert r.verified_count == 4
@@ -269,7 +270,7 @@ def test_int64_overflow_fallback():
 
 
 def test_python_path_beyond_int64():
-    # starts past 2**63 take their first jumps on plain integers
+    # starts past 2**63 take their first jumps on two uint64 limbs
     lo = 2**64 + 1
     r = verify_range(lo, lo + 2)
     assert r.verified_count == 2
@@ -868,6 +869,27 @@ def test_two_limb_bit_budget():
         assert (land_h[i] << 64 | land_l[i]) == A[r] * x + B[r]
 
 
+def test_peak_codes_order_peaks_at_every_size():
+    # _code never decreases as a peak grows, at any size, and fits in uint64;
+    # a code from two limbs lies within half the margin of _code, so the
+    # starts within the margin of a block's largest code hold its peak
+    rng = random.Random(4001)
+    edges = [2**63 - 1, 2**63, 2**64 - 1, 2**64, 2**64 + 1, 2**117, 2**128 - 1]
+    edges += [2**1023 - 1, 2**1023, 2**1023 + 1, 2**1024, 2**5000 - 2**4990, 2**5000 + 2**4990]
+    xs = sorted(edges + [rng.getrandbits(rng.randint(1, 5100)) for _ in range(20000)])
+    codes = [verify_mod._code(x) for x in xs]
+    assert codes == sorted(codes) and codes[-1] < 2**64
+    # nor does it saturate: peaks of 1,024, 1,025 and 5,000 bits stay apart
+    assert len({verify_mod._code(2**k) for k in (1023, 1024, 4999)}) == 3
+    # values below 2^128 in every binade from 2^63, and each binade's edges
+    xs = [rng.randrange(2**63, 2 ** rng.randint(64, 128)) for _ in range(50000)]
+    xs += [2**k + d for k in range(64, 128) for d in (-1, 0, 1)] + [2**63, 2**128 - 1]
+    high = np.array([x >> 64 for x in xs], dtype=np.uint64)
+    low = np.array([x & (2**64 - 1) for x in xs], dtype=np.uint64)
+    got = verify_mod._codes(high, low).tolist()
+    assert max(abs(c - verify_mod._code(x)) for c, x in zip(got, xs)) <= verify_mod._MARGIN // 2
+
+
 def test_base_table_matches_plain_walk(monkeypatch):
     verify_mod._ensure_tables(BASE_TABLE_BOUND)
     sig, pk = verify_mod._SIG, verify_mod._PK
@@ -1100,7 +1122,8 @@ def _count_plain_jumps(monkeypatch):
     """Wrap the plain-int jumper: count its jumps (its reads of A) and its walks
     stopped at their budget, and list the peak of each walk that lands.
     Every walk must end below the base table, or at its budget on 1 with
-    _NEVER steps."""
+    _NEVER steps. The calls with limit _NEVER are left out: they walk a
+    block's top starts again for their exact peaks, and are not passes."""
     seen, peaks = Counter(), []
     real = verify_mod._jump_plain
 
@@ -1113,6 +1136,8 @@ def _count_plain_jumps(monkeypatch):
             return self.row[b]
 
     def jump(vs, limit):
+        if limit == verify_mod._NEVER:
+            return real(vs, limit)
         views = verify_mod._VIEWS
         verify_mod._VIEWS = (Counted(views[0]), *views[1:])
         try:
@@ -1219,6 +1244,9 @@ def test_lanes_come_back_to_the_kernel(monkeypatch):
         ((1 << 64) + 1, (1 << 64) + 513, DEFAULT_STEP_CAP),
         (1 << 100, (1 << 100) + 512, DEFAULT_STEP_CAP),
         ((1 << 117) - 256, (1 << 117) + 256, DEFAULT_STEP_CAP),
+        # peaks on both sides of 2^1023, where float64 codes end, and past it
+        ((1 << 1023) - 10, (1 << 1023) + 6, DEFAULT_STEP_CAP),
+        ((1 << 1100) + 12345, (1 << 1100) + 12353, DEFAULT_STEP_CAP),
     ],
 )
 def test_reentry_windows_match_oracle(lo, hi, cap):

@@ -17,7 +17,9 @@ is saved with checkpoint_save, loaded with checkpoint_load and run on to
 hi. Either way the report must equal oracle_report's from
 tests/test_verify.py. The first window that differs is printed as one
 verify_range(...) call, with the cut it resumed at, and the script exits 1.
-It stops after the first window that ends past S seconds.
+It stops after the first window that ends past S seconds. The summary also
+counts the windows whose maximum excursion is past 2^63 - 1: in each, the
+kernel walked a block's top starts again for their exact peaks.
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     rng = random.Random(args.seed)
     start = time.monotonic()
-    windows = values = resumed = 0
+    windows = values = resumed = wide = 0
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "ck.txt"
         while time.monotonic() - start < args.seconds:
@@ -90,7 +92,11 @@ def main(argv=None) -> int:
                 print(f"verify_range({lo}, {hi}, step_cap={cap}, chunk_size={chunk}, jobs={jobs}){resume}")
                 return 1
             windows, values, resumed = windows + 1, values + hi - lo, resumed + (cut is not None)
-    print(f"seed {args.seed}: {windows} windows ({resumed} resumed), {values} values, all match the oracle")
+            wide += (got.max_excursion or 0) > 2**63 - 1
+    print(
+        f"seed {args.seed}: {windows} windows ({resumed} resumed, {wide} peaking past 2^63 - 1),"
+        f" {values} values, all match the oracle"
+    )
     return 0
 
 
