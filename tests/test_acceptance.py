@@ -28,6 +28,7 @@ from collatzbin.traceio import render_derivation, render_machine, render_table
 from collatzbin.verify import Checkpoint, checkpoint_load, checkpoint_save, run
 
 from conftest import bn, derivation_lines
+from windows import orbit_oracle
 
 GOLDEN = Path(__file__).parent / "goldens" / "table_10027.txt"
 
@@ -73,12 +74,7 @@ def test_criterion_04_10027_figures_reconciled():
     # engine, table rows, and an independent integer oracle must agree;
     # the stopping time itself is recorded, not assumed
     sigma = stopping_time(bn(10027))
-    n = 10027
-    oracle_sigma = 0
-    while n != 1:
-        n = 3 * n + 1 if n & 1 else n >> 1
-        oracle_sigma += 1
-    assert sigma == oracle_sigma == 91
+    assert sigma == orbit_oracle(10027)[0] == 91
     # every golden row is arithmetically consistent and chains correctly
     rows = GOLDEN.read_text(encoding="utf-8").splitlines()
     chain = [v for v in sequence(bn(10027), 200).values if v & 1]

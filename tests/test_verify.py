@@ -4,6 +4,7 @@ import concurrent.futures
 import dataclasses
 import functools
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -37,47 +38,26 @@ from collatzbin import verify as verify_mod
 from collatzbin.classify import class_counts
 
 from conftest import bn, past_limit
+from windows import (
+    BASES,
+    GATE_EDGE,
+    HIGH_FIRST,
+    OWN_GATE,
+    PAST_2P117,
+    PAST_2P64,
+    SHARE_WIDE,
+    TWICE_BACK,
+    WIDE_2P50,
+    Window,
+    kernel,
+    oracle_report,
+    oracle_walks,
+    orbit_oracle,
+    rows,
+    stepped_table,
+)
 
 GOLDENS = Path(__file__).parent / "goldens"
-
-
-def orbit_oracle(n: int, cap: int = 10**5):
-    """(stopping time or None, peak) on plain integers."""
-    v, steps, peak = n, 0, n
-    while v != 1:
-        v = 3 * v + 1 if v & 1 else v >> 1
-        steps += 1
-        peak = max(peak, v)
-        if steps > cap:
-            return None, peak
-    return steps, peak
-
-
-def oracle_report(lo: int, hi: int, cap: int) -> Checkpoint:
-    """The finished state for [lo, hi), one plain-integer walk per value."""
-    best_sigma, best_peak, truncated = None, None, []
-    for n in range(lo, hi):
-        sigma, peak = orbit_oracle(n, cap)
-        if sigma is None:
-            truncated.append(n)
-            continue
-        # strict > in ascending n: a tie keeps the smaller n
-        if best_sigma is None or sigma > best_sigma[0]:
-            best_sigma = (sigma, n)
-        if best_peak is None or peak > best_peak[0]:
-            best_peak = (peak, n)
-    return Checkpoint(
-        lo,
-        hi,
-        cap,
-        DEFAULT_CHUNK_SIZE,
-        hi,
-        max_stopping_time=best_sigma and best_sigma[0],
-        max_stopping_time_at=best_sigma and best_sigma[1],
-        max_excursion=best_peak and best_peak[0],
-        max_excursion_at=best_peak and best_peak[1],
-        truncated=truncated,
-    )
 
 
 def block_walk(n: int, k: int = 16):
@@ -210,11 +190,25 @@ def test_run_makes_chunk_bounds_as_it_goes(monkeypatch):
     assert peak < 1 << 20
 
 
+def _in_and_past_the_table(draws):
+    """verify_range(n, n + 1) for each n, on the 2^16 table and on the 2^20 one.
+
+    On the 2^16 table every n past it walks in the kernel, whatever table an
+    earlier test left; on the 2^20 table every n reads its entry.
+    """
+    assert sum(n > 1 << 16 for n in draws) > len(draws) // 2
+    reports = []
+    for table in (1 << 16, BASE_TABLE_BOUND):
+        for n in draws:
+            with kernel(table):
+                reports.append((n, verify_range(n, n + 1)))
+                assert n <= table or verify_mod._SIG.size == table
+    return reports
+
+
 def test_window_reports_match_oracle():
     rng = random.Random(31337)
-    for _ in range(60):
-        n = rng.randrange(2, 10**6)
-        r = verify_range(n, n + 1)
+    for n, r in _in_and_past_the_table([rng.randrange(2, 10**6) for _ in range(60)]):
         sigma, peak = orbit_oracle(n)
         assert r.max_stopping_time == sigma
         assert r.max_excursion == peak
@@ -224,9 +218,7 @@ def test_window_reports_match_oracle():
 def test_engine_agrees_with_bit_string_walk():
     # dual route: numpy kernel vs the BinaryNat iteration
     rng = random.Random(2024)
-    for _ in range(40):
-        n = rng.randrange(2, 10**6)
-        r = verify_range(n, n + 1)
+    for n, r in _in_and_past_the_table([rng.randrange(2, 10**6) for _ in range(40)]):
         assert r.max_stopping_time == stopping_time(bn(n))
 
 
@@ -251,30 +243,16 @@ def test_histogram_and_counts_add_up():
 
 def test_int64_overflow_fallback():
     # orbits straddling 2**62 pass their int64 gates mid-walk, jump on two
-    # uint64 limbs and come back to the int64 arrays
+    # uint64 limbs and come back to the int64 arrays; every start converges,
+    # and each maximum goes to the smallest n that reaches it
     lo = 2**62 - 2
-    r = verify_range(lo, lo + 4)
-    assert r.verified_count == 4
-    for n in range(lo, lo + 4):
-        sigma, peak = orbit_oracle(n)
-        assert sigma is not None
-        assert r.max_stopping_time >= sigma
-    sigmas = {n: orbit_oracle(n)[0] for n in range(lo, lo + 4)}
-    peaks = {n: orbit_oracle(n)[1] for n in range(lo, lo + 4)}
-    best_sigma = max(sigmas.values())
-    expect_at = min(n for n, s in sigmas.items() if s == best_sigma)
-    assert (r.max_stopping_time, r.max_stopping_time_at) == (best_sigma, expect_at)
-    best_peak = max(peaks.values())
-    peak_at = min(n for n, p in peaks.items() if p == best_peak)
-    assert (r.max_excursion, r.max_excursion_at) == (best_peak, peak_at)
+    assert _matches_oracle(Window(lo, lo + 4)).verified_count == 4
 
 
 def test_python_path_beyond_int64():
     # starts past 2**63 take their first jumps on two uint64 limbs
     lo = 2**64 + 1
-    r = verify_range(lo, lo + 2)
-    assert r.verified_count == 2
-    assert r.max_stopping_time == max(orbit_oracle(n)[0] for n in (lo, lo + 1))
+    assert _matches_oracle(Window(lo, lo + 2)).verified_count == 2
 
 
 def test_summarize_layout():
@@ -722,7 +700,7 @@ def test_class_partition_matches_classify():
 
 @settings(max_examples=40)
 @given(
-    base=st.sampled_from([1, 10**6, 1 << 60, (1 << 62) - 64, (1 << 63) - 40]),
+    base=st.sampled_from(BASES["merge"]),
     offset=st.integers(0, 300),
     size=st.integers(1, 200),
     cap=st.sampled_from([8, 60, DEFAULT_STEP_CAP]),
@@ -761,15 +739,6 @@ def test_merge_ties_go_to_smaller_n():
             for n in (first, second):
                 verify_mod._merge(state, verify_mod._chunk_stats((n, n + 1), DEFAULT_STEP_CAP))
             assert getattr(state, key + "_at") == a
-
-
-# n = 2^62 + 12473 leaves int64 and comes back twice; n = 2^62 + 12359
-# lands past 2^64, on two limbs, before it comes back; n = 2^62 + 763
-# leaves twice and lands higher the first time than any jump of the second
-# could reach, so its bounds carry over from one stretch to the next
-TWICE_BACK = (1 << 62) + 12473
-PAST_2P64 = (1 << 62) + 12359
-HIGH_FIRST = (1 << 62) + 763
 
 
 def test_cap_boundary_is_exact_on_every_path():
@@ -834,7 +803,7 @@ def test_jump_gate_at_the_int64_limit():
         n = (a << 16) | b
         # the lane starts inside the kernel, so the gate decides its first move
         assert BASE_TABLE_BOUND <= n < 2**63
-        assert verify_range(n, n + 1) == oracle_report(n, n + 1, DEFAULT_STEP_CAP)
+        _matches_oracle(Window(n, n + 1))
 
 
 def test_two_limb_bit_budget():
@@ -910,40 +879,9 @@ def test_base_table_matches_plain_walk(monkeypatch):
         assert np.array_equal(verify_mod._PK, pk[:size])
 
 
-@functools.cache
-def stepped_table(bound: int):
-    """(stopping times, peaks) of every n < bound, one plain step at a time.
-
-    Each block [s, 2s) walks until it drops below s, into entries already
-    exact; no jump table is read. The arrays are shared: copy before
-    patching them in.
-    """
-    sig = np.zeros(bound, dtype=np.int64)
-    pk = np.arange(bound, dtype=np.int64)
-    sig[0] = -1
-    s = 2
-    while s < bound:
-        at = np.arange(s, min(bound, 2 * s), dtype=np.int64)
-        v, steps, peak = at.copy(), np.zeros(at.size, dtype=np.int64), at.copy()
-        while at.size:
-            v = np.where(v & 1, 3 * v + 1, v >> 1)
-            steps += 1
-            np.maximum(peak, v, out=peak)
-            done = v < s
-            sig[at[done]] = steps[done] + sig[v[done]]
-            pk[at[done]] = np.maximum(peak[done], pk[v[done]])
-            at, v, steps, peak = at[~done], v[~done], steps[~done], peak[~done]
-        s *= 2
-    return sig, pk
-
-
-def test_table_size_does_not_change_a_report(monkeypatch, tmp_path):
+def test_table_size_does_not_change_a_report(tmp_path):
     sig, pk = stepped_table(BASE_TABLE_BOUND)
     small = 1 << verify_mod._K
-
-    def use_table(size):
-        monkeypatch.setattr(verify_mod, "_SIG", sig[:size].astype(np.int16))
-        monkeypatch.setattr(verify_mod, "_PK", pk[:size].copy())
 
     def run(lo, hi, cap, chunk):
         # verify.run's chunks at one job, on the table as it is: verify.run would grow it
@@ -952,19 +890,15 @@ def test_table_size_does_not_change_a_report(monkeypatch, tmp_path):
             verify_mod._merge(state, verify_mod._chunk_stats((a, min(a + chunk, hi)), cap))
         return state
 
-    windows = [
-        ((1 << 20) - (1 << 15), (1 << 20) + (1 << 15), DEFAULT_STEP_CAP, DEFAULT_CHUNK_SIZE),
-        ((1 << 40) + 12345, (1 << 40) + 15345, DEFAULT_STEP_CAP, 37),
-        ((1 << 62) - (1 << 11), (1 << 62) + (1 << 11), 60, DEFAULT_CHUNK_SIZE),
-        ((1 << 63) - 2048, (1 << 63) + 2048, DEFAULT_STEP_CAP, 1000),
-    ]
+    windows = list(dict.fromkeys((w.lo, w.hi, w.cap, chunk) for w in rows("tables") for chunk, _ in w.runs))
     reports = {}
     for size in (small, BASE_TABLE_BOUND):
-        use_table(size)
-        reports[size] = [run(*w) for w in windows]
-        assert verify_mod._SIG.size == size
+        with kernel(size):
+            reports[size] = [run(*w) for w in windows]
+            assert verify_mod._SIG.size == size
     assert reports[small] == reports[BASE_TABLE_BOUND]
-    assert reports[small] == [verify_range(lo, hi, cap, chunk) for lo, hi, cap, chunk in windows]
+    with kernel():
+        assert reports[small] == [verify_range(lo, hi, cap, chunk) for lo, hi, cap, chunk in windows]
 
     # the import builds 2^16 entries, all a walk needs (in a fresh process)
     src = str(Path(verify_mod.__file__).parents[1])
@@ -973,65 +907,66 @@ def test_table_size_does_not_change_a_report(monkeypatch, tmp_path):
     assert (fresh.stdout, fresh.stderr) == (f"{small} {small}\n", "")
     # a short run that starts past the table, a 2^17-value one and a
     # checkpoint load build nothing
-    use_table(small)
-    table = verify_mod._SIG
-    state = verify_range(10**9, 10**9 + 1)
-    assert verify_mod._SIG is table
-    verify_range(10**9, 10**9 + 2 * small)
-    assert verify_mod._SIG is table
-    checkpoint_save(state, tmp_path / "ck.txt")
-    assert checkpoint_load(tmp_path / "ck.txt") == state
-    assert verify_mod._SIG is table
-    # a run that starts inside it grows it over its own values
-    verify_range(small, small + 3)
-    assert verify_mod._SIG.size == 2 * small
-    verify_range(5 * small, 5 * small + 3)
-    assert verify_mod._SIG.size == 2 * small
+    with kernel(small):
+        table = verify_mod._SIG
+        state = verify_range(10**9, 10**9 + 1)
+        assert verify_mod._SIG is table
+        verify_range(10**9, 10**9 + 2 * small)
+        assert verify_mod._SIG is table
+        checkpoint_save(state, tmp_path / "ck.txt")
+        assert checkpoint_load(tmp_path / "ck.txt") == state
+        assert verify_mod._SIG is table
+        # a run that starts inside it grows it over its own values
+        verify_range(small, small + 3)
+        assert verify_mod._SIG.size == 2 * small
+        verify_range(5 * small, 5 * small + 3)
+        assert verify_mod._SIG.size == 2 * small
     # growth from 2^16 straight to 2^20 gives the stepped table
-    use_table(small)
-    verify_mod._ensure_tables(BASE_TABLE_BOUND)
-    assert np.array_equal(verify_mod._SIG, sig) and np.array_equal(verify_mod._PK, pk)
+    with kernel(small):
+        verify_mod._ensure_tables(BASE_TABLE_BOUND)
+        assert np.array_equal(verify_mod._SIG, sig) and np.array_equal(verify_mod._PK, pk)
+
+
+# the base table a walk runs on: 2^16 entries as imported, or 2^20 as grown
+TABLES = st.sampled_from([1 << 16, BASE_TABLE_BOUND])
 
 
 @settings(max_examples=30)
 @given(
-    base=st.sampled_from(
-        [1 << 20, 10**9, 1 << 40, 1 << 50, 1 << 58, (1 << 62) - (1 << 11)]
-    ),
+    base=st.sampled_from(BASES["multilane"]),
     offset=st.integers(0, (1 << 11) - 1),
     size=st.integers(1, 2000),
     cap=st.sampled_from([7, 60, 300, DEFAULT_STEP_CAP]),
+    table=TABLES,
 )
-def test_multilane_windows_match_oracle(base, offset, size, cap):
+def test_multilane_windows_match_oracle(base, offset, size, cap, table):
     lo = base + offset
     # the top band stays below 2^62, where lanes leave int64 mid-walk
     hi = min(lo + size, 1 << 62) if base == (1 << 62) - (1 << 11) else lo + size
-    assert verify_range(lo, hi, step_cap=cap) == oracle_report(lo, hi, cap)
+    _matches_oracle(Window(lo, hi, cap, table=table))
 
 
 @settings(max_examples=30)
 @given(
-    base=st.sampled_from(
-        [(2**63 - 2) // 3, 1 << 62, 1 << 63, 1 << 64, 1 << 80, 1 << 100, (1 << 117) - (1 << 11)]
-    ),
+    base=st.sampled_from(BASES["past-int64"]),
     offset=st.integers(-(1 << 11), (1 << 11) - 1),
     size=st.integers(1, 300),
     cap=st.sampled_from([7, 60, 300, DEFAULT_STEP_CAP]),
     chunk=st.integers(1, 400),
+    table=TABLES,
 )
-def test_past_int64_windows_match_oracle(base, offset, size, cap, chunk):
+def test_past_int64_windows_match_oracle(base, offset, size, cap, chunk, table):
     # across (2^63 - 2) // 3, where 3v + 1 first leaves int64, 2^62, 2^63
     # and far past it: kernel lanes, lanes that pass their int64 gate, jump
     # on two limbs and come back, starts past 2^63, and starts just below
     # 2^117, whose nodes may climb past it onto plain integers
     lo = base + offset
-    want = dataclasses.replace(oracle_report(lo, lo + size, cap), chunk_size=chunk)
-    assert verify_range(lo, lo + size, step_cap=cap, chunk_size=chunk) == want
+    _matches_oracle(Window(lo, lo + size, cap, ((chunk, 1),), table))
 
 
 @settings(max_examples=200)
 @given(
-    base=st.sampled_from([1, 1 << 20, 1 << 40, 1 << 58, 1 << 62, 1 << 63, 1 << 80, 1 << 200]),
+    base=st.sampled_from(BASES["one-value"]),
     offset=st.integers(0, 1 << 16),
     cap=st.sampled_from([7, 60, 300, DEFAULT_STEP_CAP]),
 )
@@ -1048,33 +983,38 @@ def test_one_value_block_is_the_plain_walk(base, offset, cap):
         assert (got.max_stopping_time, got.max_excursion) == (sigma, peak)
 
 
+def _matches_oracle(w):
+    """Each run of the table row w, on its table, _TAIL and _LANES, gives
+    oracle_report's report, which is returned."""
+    want = oracle_report(w.lo, w.hi, w.cap)
+    with kernel(w.table, w.tail, w.lanes):
+        for chunk, jobs in w.runs:
+            got = verify_range(w.lo, w.hi, w.cap, chunk, jobs)
+            assert got == dataclasses.replace(want, chunk_size=chunk), (chunk, jobs)
+            # no row starts inside a table it could grow
+            assert verify_mod._SIG.size == w.table
+    return want
+
+
 def test_tied_peaks_at_2p58():
     # lanes whose orbits merge share their peak: 15 lanes of this window
     # tie on the maximum, which goes to the smallest; some lanes reach
     # their int64 gate, the rest stay in the kernel
-    lo = (1 << 58) + 704
-    hi = lo + 1024
-    want = oracle_report(lo, hi, DEFAULT_STEP_CAP)
-    assert sum(orbit_oracle(n)[1] == want.max_excursion for n in range(lo, hi)) == 15
-    for chunk in (DEFAULT_CHUNK_SIZE, 100):
-        got = verify_range(lo, hi, chunk_size=chunk)
-        assert dataclasses.replace(got, chunk_size=DEFAULT_CHUNK_SIZE) == want
+    (w,) = rows("tied")
+    want = _matches_oracle(w)
+    assert sum(peak == want.max_excursion for _, peak in oracle_walks(w.lo, w.hi)) == 15
 
 
-def test_peak_scan_keeps_the_smaller_n_of_a_tie(monkeypatch):
+def test_peak_scan_keeps_the_smaller_n_of_a_tie():
     # 8k+4 and 8k+5 share their peak: their first jumps land on one node,
     # or, in a pass of fewer than _TAIL nodes, each walks on plain
     # integers. Either way the tie goes to the smaller n
     n = 1125899906842732
     peak = orbit_oracle(n)[1]
     assert orbit_oracle(n + 1)[1] == peak
-    want = oracle_report(n, n + 2, DEFAULT_STEP_CAP)
     for tail in (0, verify_mod._TAIL):
-        monkeypatch.setattr(verify_mod, "_TAIL", tail)
-        for chunk in (1, 2):
-            got = verify_range(n, n + 2, chunk_size=chunk)
-            assert dataclasses.replace(got, chunk_size=DEFAULT_CHUNK_SIZE) == want
-            assert (got.max_excursion, got.max_excursion_at) == (peak, n)
+        got = _matches_oracle(Window(n, n + 2, runs=((1, 1), (2, 1)), tail=tail))
+        assert (got.max_excursion, got.max_excursion_at) == (peak, n)
 
 
 def test_excursion_tie_above_the_table_bound():
@@ -1083,12 +1023,11 @@ def test_excursion_tie_above_the_table_bound():
     for n in (1048684, 1099511627884, 1125899906842732):
         assert n % 8 == 4 and n >= BASE_TABLE_BOUND
         assert orbit_oracle(n) == orbit_oracle(n + 1)
-        r = verify_range(n, n + 2)
+        r = _matches_oracle(Window(n, n + 2))
         assert r.max_excursion_at == r.max_stopping_time_at == n
-        assert r == oracle_report(n, n + 2, DEFAULT_STEP_CAP)
 
 
-def test_peak_inside_a_jump_of_a_lane_that_leaves_int64(monkeypatch):
+def test_peak_inside_a_jump_of_a_lane_that_leaves_int64():
     # the first lane jumps past (2^63 - 2) // 3 and stays in the kernel: its
     # peak, 0.93 * 2^63, is a 3v+1 value inside a jump, above everything the
     # rest of the walk reaches. The second jumps four times, then its next
@@ -1096,9 +1035,8 @@ def test_peak_inside_a_jump_of_a_lane_that_leaves_int64(monkeypatch):
     # leaves at the gate, jumps on two limbs and comes back. Alone in a
     # block each walks on plain integers; with _TAIL 0, in the kernel
     for tail in (0, verify_mod._TAIL):
-        monkeypatch.setattr(verify_mod, "_TAIL", tail)
         for n in (72057594037928009, 72057594037928033):
-            assert verify_range(n, n + 1) == oracle_report(n, n + 1, DEFAULT_STEP_CAP)
+            _matches_oracle(Window(n, n + 1, tail=tail))
 
 
 def test_plain_walk_ends_at_its_budget():
@@ -1177,7 +1115,7 @@ def test_kernel_keeps_lanes_up_to_their_gate_past_2p62(monkeypatch):
     seen, _ = _count_plain_jumps(monkeypatch)
     calls = _count_limb_jumps(monkeypatch)
     lo = (1 << 62) + 12345
-    assert verify_range(lo, lo + 512) == oracle_report(lo, lo + 512, DEFAULT_STEP_CAP)
+    _matches_oracle(Window(lo, lo + 512))
     assert seen["jumps"] < 2 * 512
     # one call per pass, which jumps each of its nodes once; no start is
     # jumped twice
@@ -1192,23 +1130,16 @@ def test_kernel_keeps_lanes_up_to_their_gate_past_2p62(monkeypatch):
         assert calls and all(len(set(vs)) == len(vs) for vs in calls), lo
 
 
-# n = 2^117 - 31 climbs past 2^117: from its first landing there its node
-# walks on plain integers to the end
-PAST_2P117 = (1 << 117) - 31
-
-
 def test_lanes_come_back_to_the_kernel(monkeypatch):
-    # alone in a block a value would walk on plain integers to the end
-    monkeypatch.setattr(verify_mod, "_TAIL", 0)
+    # every window runs at _TAIL 0: alone in a block a value would walk on
+    # plain integers to the end
     seen, peaks = _count_plain_jumps(monkeypatch)
     # below 2^_LIMBS, a node past its int64 gate jumps on two limbs and comes
     # back to the int64 arrays once the gate holds: no plain jump at all
     for n in (TWICE_BACK, HIGH_FIRST, PAST_2P64):
-        assert verify_range(n, n + 1) == oracle_report(n, n + 1, DEFAULT_STEP_CAP)
+        _matches_oracle(Window(n, n + 1, tail=0))
     assert not seen and not peaks
-    assert verify_range(PAST_2P117, PAST_2P117 + 1) == oracle_report(
-        PAST_2P117, PAST_2P117 + 1, DEFAULT_STEP_CAP
-    )
+    _matches_oracle(Window(PAST_2P117, PAST_2P117 + 1, tail=0))
     assert len(peaks) == 1 and peaks[0] >= 1 << 117 and seen["jumps"]
     # every cap across the walks of a lane that comes back to the int64
     # arrays twice and of one that walks on plain integers from past 2^117,
@@ -1216,7 +1147,7 @@ def test_lanes_come_back_to_the_kernel(monkeypatch):
     for n in (TWICE_BACK, PAST_2P117):
         sigma = orbit_oracle(n)[0]
         for cap in range(1, sigma + 3, 5):
-            assert verify_range(n, n + 1, step_cap=cap) == oracle_report(n, n + 1, cap)
+            _matches_oracle(Window(n, n + 1, cap, tail=0))
     assert seen["stopped"]
     # from just past (2^63 - 2) // 3, two starts stop in 855 steps after 33
     # or 34 jumps (on the 2^20 or the 2^16 table), 25 steps each on average:
@@ -1225,52 +1156,28 @@ def test_lanes_come_back_to_the_kernel(monkeypatch):
     lo = 3074457345618259468
     assert orbit_oracle(lo + 2)[0] == orbit_oracle(lo + 3)[0] == 855
     for cap in (855, 856):
-        want = oracle_report(lo, lo + 5, cap)
-        for chunk in (1, DEFAULT_CHUNK_SIZE):
-            got = verify_range(lo, lo + 5, step_cap=cap, chunk_size=chunk)
-            assert dataclasses.replace(got, chunk_size=DEFAULT_CHUNK_SIZE) == want, (cap, chunk)
+        _matches_oracle(Window(lo, lo + 5, cap, ((1, 1), (DEFAULT_CHUNK_SIZE, 1)), tail=0))
 
 
-@pytest.mark.parametrize(
-    "lo, hi, cap",
-    [
-        ((1 << 62) + 12345678901, (1 << 62) + 12345678901 + 4096, 1000),
-        # at chunk 1000 the chunk [2^63 - 48, 2^63 + 952) crosses 2^63, and
-        # at the default chunk so does the one block
-        ((1 << 63) - 2048, (1 << 63) + 2048, DEFAULT_STEP_CAP),
-        ((1 << 64) + 1, (1 << 64) + 4, DEFAULT_STEP_CAP),
-        ((1 << 62) - (1 << 11), (1 << 62) + (1 << 11), 60),
-        # two-limb starts, and starts on both sides of 2^117
-        ((1 << 64) + 1, (1 << 64) + 513, DEFAULT_STEP_CAP),
-        (1 << 100, (1 << 100) + 512, DEFAULT_STEP_CAP),
-        ((1 << 117) - 256, (1 << 117) + 256, DEFAULT_STEP_CAP),
-        # peaks on both sides of 2^1023, where float64 codes end, and past it
-        ((1 << 1023) - 10, (1 << 1023) + 6, DEFAULT_STEP_CAP),
-        ((1 << 1100) + 12345, (1 << 1100) + 12353, DEFAULT_STEP_CAP),
-    ],
-)
-def test_reentry_windows_match_oracle(lo, hi, cap):
-    want = oracle_report(lo, hi, cap)
-    for chunk in (37, 1000, DEFAULT_CHUNK_SIZE):
-        got = verify_range(lo, hi, step_cap=cap, chunk_size=chunk)
-        assert dataclasses.replace(got, chunk_size=DEFAULT_CHUNK_SIZE) == want, chunk
-    got = verify_range(lo, hi, step_cap=cap, chunk_size=37, jobs=2)
-    assert dataclasses.replace(got, chunk_size=DEFAULT_CHUNK_SIZE) == want
+def case_ids(windows, suffix=""):
+    """The ids these rows had as (lo, hi, cap[, chunks]) parameters."""
+    return [f"{w.lo}-{w.hi}-{w.cap}" + (suffix and f"-{suffix}{i}") for i, w in enumerate(windows)]
+
+
+@pytest.mark.parametrize("w", rows("reentry"), ids=case_ids(rows("reentry")))
+def test_reentry_windows_match_oracle(w):
+    _matches_oracle(w)
     # one-value chunks on the 512 values around the middle
-    mid = (lo + hi) // 2
-    a, b = max(lo, mid - 256), min(hi, mid + 256)
-    got = verify_range(a, b, step_cap=cap, chunk_size=1)
-    want = want if (a, b) == (lo, hi) else oracle_report(a, b, cap)
-    assert dataclasses.replace(got, chunk_size=DEFAULT_CHUNK_SIZE) == want
+    mid = (w.lo + w.hi) // 2
+    _matches_oracle(w._replace(lo=max(w.lo, mid - 256), hi=min(w.hi, mid + 256), runs=((1, 1),)))
 
 
 def test_huge_cap_gives_the_default_cap_report():
-    # kernel lanes, lanes that leave int64 and come back (2^58 and 2^62),
-    # and starts past 2^63
-    for lo, size in ((10**9 + 7, 300), ((1 << 58) + 3, 200), ((1 << 62) + 1, 40), ((1 << 64) + 1, 20)):
-        r = verify_range(lo, lo + size, step_cap=10**30)
-        assert r.step_cap == 10**30
-        assert dataclasses.replace(r, step_cap=DEFAULT_STEP_CAP) == verify_range(lo, lo + size)
+    for w in rows("huge-cap"):
+        with kernel(w.table):
+            r = verify_range(w.lo, w.hi, step_cap=w.cap)
+            assert r.step_cap == 10**30
+            assert dataclasses.replace(r, step_cap=DEFAULT_STEP_CAP) == verify_range(w.lo, w.hi)
 
 
 # -- starts whose walks land together: one node per distinct value
@@ -1323,7 +1230,7 @@ def test_most_lanes_read_an_earlier_lanes_walk(monkeypatch):
     passes = _count_lane_passes(monkeypatch)
     lo = 10**9 + 123456789
     hi = lo + (1 << 14)
-    assert verify_range(lo, hi) == oracle_report(lo, hi, DEFAULT_STEP_CAP)
+    _matches_oracle(Window(lo, hi))
     # one block: equal landings walk once, so the block takes under two
     # node jumps per value
     assert sum(passes) < 2 * (1 << 14)
@@ -1367,90 +1274,40 @@ def test_distinct_merges_every_equal_landing_and_no_other(values, given_high):
     assert all((node[i] == node[j]) == (values[i] == values[j]) for i in range(n) for j in range(n))
 
 
-# n = 2^16 * 93,824,992,236,886 + 100: its own gate holds, but n - 2, whose
-# first jump lands with its own, leaves int64 at that jump
-GATE_EDGE = (93824992236886 << 16) + 100
-# n = 2^16 * (LIM(3) + 1) + 3 fails its own gate by one while n - 1, whose
-# first jump lands with its own, jumps in the kernel; its peak lies inside
-# its first jump, past 2^63 and above n - 1's
-OWN_GATE = (31274997412296 << 16) + 3
-# n lands with n - 1, which leaves int64 after some jumps and peaks past 2^63
-SHARE_WIDE = 89051470758688207
-
-
-@pytest.mark.parametrize(
-    "lo, hi, cap, chunks",
-    [
-        # starts below the table bound resolve there, and never join a node
-        ((1 << 20) - (1 << 15), (1 << 20) + (1 << 15), DEFAULT_STEP_CAP, (DEFAULT_CHUNK_SIZE,)),
-        # starts join only nodes of their own block, never one of an earlier chunk
-        ((1 << 40) + 12345, (1 << 40) + 12345 + 1500, DEFAULT_STEP_CAP, (3, 37)),
-        (GATE_EDGE - 300, GATE_EDGE + 300, DEFAULT_STEP_CAP, (37, DEFAULT_CHUNK_SIZE)),
-        (OWN_GATE - 1, OWN_GATE + 1, DEFAULT_STEP_CAP, (DEFAULT_CHUNK_SIZE,)),
-        # merged starts truncate together, at the first jump too; 322 is the
-        # window's median stopping time
-        *(
-            ((1 << 40) + 777, (1 << 40) + 777 + 3000, cap, (DEFAULT_CHUNK_SIZE,))
-            for cap in (1, 16, 17, 60, 322)
-        ),
-    ],
-)
-def test_shared_lane_edges_match_oracle(lo, hi, cap, chunks):
+@pytest.mark.parametrize("w", rows("edges"), ids=case_ids(rows("edges"), "chunks"))
+def test_shared_lane_edges_match_oracle(w):
     LIM = _jump_rows()[5]
-    if lo < GATE_EDGE < hi:
+    if w.lo < GATE_EDGE < w.hi:
         assert _first_lands_with(100) == 98 and LIM[100] == 2**47 - 1 >= GATE_EDGE >> 16 > LIM[98]
-    if lo < OWN_GATE < hi:
+    if w.lo < OWN_GATE < w.hi:
         assert _first_lands_with(3) == 2 and LIM[3] + 1 == OWN_GATE >> 16 <= LIM[2]
-    want = oracle_report(lo, hi, cap)
-    for chunk in chunks:
-        for jobs in (1, 2):
-            got = verify_range(lo, hi, step_cap=cap, chunk_size=chunk, jobs=jobs)
-            assert dataclasses.replace(got, chunk_size=DEFAULT_CHUNK_SIZE) == want, (chunk, jobs)
+    _matches_oracle(w)
 
 
 def test_wide_peak_windows_match_oracle():
     # peaks past 2^63 - 1 rank above every int64 peak, and among
-    # themselves by their exact values. Near the median stopping times of
-    # the 4,096-value windows (557 from 2^63 - 2048, 468 at 2^62) some
-    # starts climb past 2^63 - 1, above every converged start, and then
-    # stop at the cap: they lie on no converged start's path, so their
-    # peaks never count
-    for lo, size, cap in (
-        ((1 << 62) + 12345678901, 4096, DEFAULT_STEP_CAP),
-        ((1 << 63) + 12345, 4096, DEFAULT_STEP_CAP),
-        (GATE_EDGE - 50, 100, DEFAULT_STEP_CAP),
-        (SHARE_WIDE - 3, 4, DEFAULT_STEP_CAP),
-        *(((1 << 63) - 2048, 4096, cap) for cap in (250, 400, 557)),
-        *(((1 << 62) + 12345678901, 4096, cap) for cap in (350, 400, 468)),
-    ):
-        want = oracle_report(lo, lo + size, cap)
-        assert cap == DEFAULT_STEP_CAP or want.truncated and want.max_excursion
-        assert verify_range(lo, lo + size, step_cap=cap) == want, (lo, cap)
+    # themselves by their exact values; with a cap some starts climb past
+    # 2^63 - 1, above every converged start, and then stop at it
+    for w in rows("wide"):
+        want = _matches_oracle(w)
+        assert w.cap == DEFAULT_STEP_CAP or want.truncated and want.max_excursion
     # every peak past 2^63 - 1 lies on a truncated path: the one converged
     # start peaks at itself, below 2^63
-    for lo, size, cap in ((2049638230412171845, 64, 150), (3074457345618258366, 100, 200)):
-        want = oracle_report(lo, lo + size, cap)
+    for w in rows("wide-truncated"):
+        want = _matches_oracle(w)
         assert want.verified_count == 1 and want.max_excursion == want.max_excursion_at < 2**63
-        assert max(orbit_oracle(n, cap)[1] for n in want.truncated) > 2**63 - 1
-        assert verify_range(lo, lo + size, step_cap=cap) == want, (lo, cap)
-
-
-# a 2^50-band start with stopping time 591 whose peak, 683,432,308,140,491,431,780,
-# has 70 bits: at a cap of 591 or more that some start of its window
-# passes, an int64-band block holds a converged start that peaks past
-# 2^63 - 1 next to truncated ones
-WIDE_2P50 = 1541717981317479
+        assert max(orbit_oracle(n, w.cap)[1] for n in want.truncated) > 2**63 - 1
 
 
 @settings(max_examples=60)
 @given(
-    base=st.sampled_from([(2**63 - 2) // 3, 1 << 62, 1 << 63, 1 << 64, 10**9, 1 << 40, WIDE_2P50]),
+    base=st.sampled_from(BASES["mixed"]),
     offset=st.integers(-(1 << 11), (1 << 11) - 1),
     size=st.integers(2, 300),
     pick=st.sampled_from([(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, -1)]),
     lanes=st.integers(6, 10),
     tail=st.sampled_from([0, 64]),
-    table=st.sampled_from([1 << 16, BASE_TABLE_BOUND]),
+    table=TABLES,
     chunk=st.integers(1, 300),
     jobs=st.sampled_from([1, 2]),
 )
@@ -1469,22 +1326,27 @@ def test_mixed_windows_match_oracle(base, offset, size, pick, lanes, tail, table
     # the window runs in chunks of any size on one or two jobs
     lo = base + offset
     hi = lo + size
-    sigmas = sorted(orbit_oracle(n)[0] for n in range(lo, hi))
+    sigmas = sorted(sigma for sigma, _ in oracle_walks(lo, hi))
     assume(sigmas[0] < sigmas[-1])
     which, delta = pick
     cap = (sigmas[0], sigmas[size // 2], sigmas[-1])[which] + delta
     cap = min(max(cap, sigmas[0]), sigmas[-1] - 1)
-    want = oracle_report(lo, hi, cap)
+    w = Window(lo, hi, cap, ((chunk, jobs),), table, tail, 1 << lanes)
+    want = _matches_oracle(w)
     assert want.truncated and want.verified_count
-    sig, pk = stepped_table(BASE_TABLE_BOUND)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(verify_mod, "_LANES", 1 << lanes)
-        mp.setattr(verify_mod, "_TAIL", tail)
-        mp.setattr(verify_mod, "_SIG", sig[:table].astype(np.int16))
-        mp.setattr(verify_mod, "_PK", pk[:table].copy())
-        got = verify_range(lo, hi, step_cap=cap, chunk_size=chunk, jobs=jobs)
-        assert verify_mod._SIG.size == table
-    assert dataclasses.replace(got, chunk_size=DEFAULT_CHUNK_SIZE) == want
+
+
+def test_fuzz_runs_without_pytest_or_hypothesis():
+    # the oracle campaign reads the table and the oracle from windows.py,
+    # which imports neither
+    fuzz = Path(__file__).parents[1] / "tools" / "fuzz.py"
+    code = (
+        "import runpy, sys; sys.modules['pytest'] = sys.modules['hypothesis'] = None; "
+        f"sys.argv[1:] = ['--seconds', '1', '--seed', '1']; runpy.run_path({str(fuzz)!r}, run_name='__main__')"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert re.fullmatch(r"seed 1: \d+ windows \(\d+ resumed, \d+ peaking past 2\^63 - 1\), \d+ values, all match the oracle\n", done.stdout)
 
 
 def test_each_row_folds_once(monkeypatch):
@@ -1500,8 +1362,7 @@ def test_each_row_folds_once(monkeypatch):
     monkeypatch.setattr(verify_mod, "_resolve", resolve)
     for lo, size in ((WIDE_2P50 - 100, 300), ((1 << 63) + 12345, 4096)):
         folds.clear()
-        got = verify_range(lo, lo + size)
-        assert got == oracle_report(lo, lo + size, DEFAULT_STEP_CAP)
+        got = _matches_oracle(Window(lo, lo + size))
         assert got.max_excursion > 2**63 - 1
         assert folds == ["rem", "peak"]
 
@@ -1522,22 +1383,19 @@ def table_report(sig, pk, lo: int, hi: int, cap: int) -> Checkpoint:
 
 
 @pytest.mark.parametrize("tail", [0, 64])
-def test_merged_starts_with_unequal_steps_stop_at_their_own_caps(monkeypatch, tail):
+def test_merged_starts_with_unequal_steps_stop_at_their_own_caps(tail):
     # 65,563 and 196,690 both reach 531,674 after 16 halvings, in 28 and 27
     # steps: one node, whose starts reach the cap at different passes. A
     # block of 2^18 values on the 2^16 table holds both
     small, big = 196690, 65563
     assert block_walk(small)[:2] == (531674, 27) and block_walk(big)[:2] == (531674, 28)
-    sig, pk = stepped_table(1 << 18)
-    monkeypatch.setattr(verify_mod, "_SIG", sig[: 1 << 16].astype(np.int16))
-    monkeypatch.setattr(verify_mod, "_PK", pk[: 1 << 16].copy())
-    monkeypatch.setattr(verify_mod, "_LANES", 1 << 18)
-    monkeypatch.setattr(verify_mod, "_TAIL", tail)
+    sig, pk = stepped_table(BASE_TABLE_BOUND)
     lo, hi = big, small + 1
     s_small, s_big = int(sig[small]), int(sig[big])
     assert s_big == s_small + 1
     for cap in (s_small - 1, s_small, s_big - 1, s_big, 1):
-        got = verify_mod._chunk_stats((lo, hi), cap)
+        with kernel(1 << 16, tail, 1 << 18):
+            got = verify_mod._chunk_stats((lo, hi), cap)
         assert dataclasses.replace(got, chunk_size=DEFAULT_CHUNK_SIZE) == table_report(sig, pk, lo, hi, cap)
         # the tables agree with the plain walks at both ends of the window
         for a, b in ((lo, lo + 300), (hi - 300, hi)):

@@ -1,0 +1,236 @@
+"""The plain-integer oracle, and the one table of verify windows checked against it.
+
+A row of WINDOWS is a setting: a window [lo, hi), its step cap, the
+(chunk size, jobs) pairs it runs at, the base-table length and the kernel's
+_TAIL and _LANES (set by kernel()), the oracle tests of test_verify.py that
+run it and what it pins. BASES holds the starts the Hypothesis strategies
+move by an offset. tools/fuzz.py draws windows around every base, every
+named start and every row's lo, so a window added here reaches both the
+oracle tests and the oracle campaign. Only the package and numpy are
+imported: the campaign runs without pytest or Hypothesis.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import functools
+from typing import NamedTuple
+
+import numpy as np
+
+from collatzbin import verify
+from collatzbin.verify import BASE_TABLE_BOUND, DEFAULT_CHUNK_SIZE, DEFAULT_STEP_CAP, Checkpoint
+
+CAP, CHUNK = DEFAULT_STEP_CAP, DEFAULT_CHUNK_SIZE
+
+
+def orbit_oracle(n: int, cap: int = CAP):
+    """(stopping time or None, peak) on plain integers."""
+    v, steps, peak = n, 0, n
+    while v != 1:
+        v = 3 * v + 1 if v & 1 else v >> 1
+        steps += 1
+        peak = max(peak, v)
+        if steps > cap:
+            return None, peak
+    return steps, peak
+
+
+_KEEP = 32  # windows whose walks are kept, the oldest dropped first
+_WALKS: dict = {}
+
+
+def oracle_walks(lo: int, hi: int) -> list:
+    """orbit_oracle(n) for each n in [lo, hi): read off a kept window that holds them, or walked."""
+    for (a, b), walks in _WALKS.items():
+        if a <= lo and hi <= b:
+            return walks[lo - a : hi - a]
+    walks = _WALKS[lo, hi] = [orbit_oracle(n) for n in range(lo, hi)]
+    if len(_WALKS) > _KEEP:
+        del _WALKS[next(iter(_WALKS))]
+    return walks
+
+
+def oracle_report(lo: int, hi: int, cap: int) -> Checkpoint:
+    """The finished state for [lo, hi), one plain-integer walk per value."""
+    # a walk to the default cap stops within any cap it stops within; past
+    # the default cap every value walks again
+    walks = oracle_walks(lo, hi) if cap <= CAP else [orbit_oracle(n, cap) for n in range(lo, hi)]
+    state = Checkpoint(lo, hi, cap, CHUNK, hi)
+    for n, (sigma, peak) in zip(range(lo, hi), walks):
+        if sigma is None or sigma > cap:
+            state.truncated.append(n)
+            continue
+        # strict > in ascending n: a tie keeps the smaller n
+        if state.max_stopping_time is None or sigma > state.max_stopping_time:
+            state.max_stopping_time, state.max_stopping_time_at = sigma, n
+        if state.max_excursion is None or peak > state.max_excursion:
+            state.max_excursion, state.max_excursion_at = peak, n
+    return state
+
+
+@functools.cache
+def stepped_table(bound: int):
+    """(stopping times, peaks) of every n < bound, one plain step at a time.
+
+    Each block [s, 2s) walks until it drops below s, into entries already
+    exact; no jump table is read. The arrays are shared: copy before
+    patching them in.
+    """
+    sig = np.zeros(bound, dtype=np.int64)
+    pk = np.arange(bound, dtype=np.int64)
+    sig[0] = -1
+    s = 2
+    while s < bound:
+        at = np.arange(s, min(bound, 2 * s), dtype=np.int64)
+        v, steps, peak = at.copy(), np.zeros(at.size, dtype=np.int64), at.copy()
+        while at.size:
+            v = np.where(v & 1, 3 * v + 1, v >> 1)
+            steps += 1
+            np.maximum(peak, v, out=peak)
+            done = v < s
+            sig[at[done]] = steps[done] + sig[v[done]]
+            pk[at[done]] = np.maximum(peak[done], pk[v[done]])
+            at, v, steps, peak = at[~done], v[~done], steps[~done], peak[~done]
+        s *= 2
+    return sig, pk
+
+
+@functools.cache
+def _tables():
+    # the stepped table in verify's dtypes, read-only: a run that grows it copies it
+    sig, pk = stepped_table(BASE_TABLE_BOUND)
+    sig, pk = sig.astype(np.int16), pk.copy()
+    sig.flags.writeable = pk.flags.writeable = False
+    return sig, pk
+
+
+TAIL, LANES = verify._TAIL, verify._LANES
+
+
+@contextlib.contextmanager
+def kernel(table: int = BASE_TABLE_BOUND, tail: int = TAIL, lanes: int = LANES):
+    """verify's base table cut to `table` entries, its _TAIL and its _LANES for
+    the with-block, whatever an earlier run left; put back after it."""
+    saved = verify._SIG, verify._PK, verify._TAIL, verify._LANES
+    sig, pk = _tables()
+    verify._SIG, verify._PK, verify._TAIL, verify._LANES = sig[:table], pk[:table], tail, lanes
+    try:
+        yield
+    finally:
+        verify._SIG, verify._PK, verify._TAIL, verify._LANES = saved
+
+
+# -- named starts and bases
+
+# (2^63 - 2) // 3 is the largest v whose 3v + 1 fits in int64
+INT64_3V1 = (2**63 - 2) // 3
+# n = 2^62 + 12473 leaves int64 and comes back twice; n = 2^62 + 12359
+# lands past 2^64, on two limbs, before it comes back; n = 2^62 + 763
+# leaves twice and lands higher the first time than any jump of the second
+# could reach, so its bounds carry over from one stretch to the next
+TWICE_BACK = (1 << 62) + 12473
+PAST_2P64 = (1 << 62) + 12359
+HIGH_FIRST = (1 << 62) + 763
+# n = 2^117 - 31 climbs past 2^117: from its first landing there its node
+# walks on plain integers to the end
+PAST_2P117 = (1 << 117) - 31
+# n = 2^16 * 93,824,992,236,886 + 100: its own gate holds, but n - 2, whose
+# first jump lands with its own, leaves int64 at that jump
+GATE_EDGE = (93824992236886 << 16) + 100
+# n = 2^16 * (LIM(3) + 1) + 3 fails its own gate by one while n - 1, whose
+# first jump lands with its own, jumps in the kernel; its peak lies inside
+# its first jump, past 2^63 and above n - 1's
+OWN_GATE = (31274997412296 << 16) + 3
+# n lands with n - 1, which leaves int64 after some jumps and peaks past 2^63
+SHARE_WIDE = 89051470758688207
+# a 2^50-band start with stopping time 591 whose peak, 683,432,308,140,491,431,780,
+# has 70 bits: at a cap of 591 or more that some start of its window
+# passes, an int64-band block holds a converged start that peaks past
+# 2^63 - 1 next to truncated ones
+WIDE_2P50 = 1541717981317479
+NAMED = (INT64_3V1, TWICE_BACK, PAST_2P64, HIGH_FIRST, PAST_2P117, GATE_EDGE, OWN_GATE, SHARE_WIDE, WIDE_2P50)
+
+BASES = {
+    # int64 kernel lanes, the top band kept below 2^62
+    "multilane": (1 << 20, 10**9, 1 << 40, 1 << 50, 1 << 58, (1 << 62) - (1 << 11)),
+    # lanes past their gate, two-limb starts and starts near 2^117
+    "past-int64": (INT64_3V1, 1 << 62, 1 << 63, 1 << 64, 1 << 80, 1 << 100, (1 << 117) - (1 << 11)),
+    # capped windows with int64 and wide peaks
+    "mixed": (INT64_3V1, 1 << 62, 1 << 63, 1 << 64, 10**9, 1 << 40, WIDE_2P50),
+    "one-value": (1, 1 << 20, 1 << 40, 1 << 58, 1 << 62, 1 << 63, 1 << 80, 1 << 200),
+    "merge": (1, 10**6, 1 << 60, (1 << 62) - 64, (1 << 63) - 40),
+}
+
+
+# -- the table
+
+
+class Window(NamedTuple):
+    lo: int
+    hi: int
+    cap: int = CAP
+    runs: tuple = ((CHUNK, 1),)  # (chunk size, jobs) pairs
+    table: int = BASE_TABLE_BOUND
+    tail: int = TAIL
+    lanes: int = LANES
+    tests: str = ""  # the oracle tests that run it
+    pins: str = ""  # the bug, tier edge or rule it holds to
+
+
+def _rows(tests: str, runs: tuple, *rows) -> tuple:
+    """Rows at the default table, _TAIL and _LANES, from (lo, hi, cap, pins)."""
+    return tuple(Window(lo, hi, cap, runs, tests=tests, pins=pins) for lo, hi, cap, pins in rows)
+
+
+# the starts of windows that several rows share
+A62, Z63, E40 = (1 << 62) + 12345678901, (1 << 63) - 2048, (1 << 40) + 777
+BOTH = ((CHUNK, 1), (CHUNK, 2))
+
+WINDOWS = (
+    *_rows("reentry", ((37, 1), (1000, 1), (CHUNK, 1), (37, 2)),
+           (A62, A62 + 4096, 1000, "most nodes leave int64 at their gate and come back"),
+           (Z63, Z63 + 4096, CAP, "a chunk of 1000 and the one block cross 2^63"),
+           ((1 << 64) + 1, (1 << 64) + 4, CAP, "starts past 2^64"),
+           ((1 << 62) - (1 << 11), (1 << 62) + (1 << 11), 60, "most starts truncate, across 2^62"),
+           ((1 << 64) + 1, (1 << 64) + 513, CAP, "two-limb starts"),
+           (1 << 100, (1 << 100) + 512, CAP, "two-limb starts: _distinct compares the high limbs"),
+           ((1 << 117) - 256, (1 << 117) + 256, CAP, "starts on both sides of 2^117"),
+           ((1 << 1023) - 10, (1 << 1023) + 6, CAP, "peaks on both sides of 2^1023, where float64 codes end"),
+           ((1 << 1100) + 12345, (1 << 1100) + 12353, CAP, "peaks past 2^1023")),
+    *_rows("edges tables", BOTH,
+           ((1 << 20) - (1 << 15), (1 << 20) + (1 << 15), CAP, "starts below the table bound never join a node")),
+    *_rows("edges", ((3, 1), (3, 2), (37, 1), (37, 2)),
+           ((1 << 40) + 12345, (1 << 40) + 13845, CAP, "starts join only nodes of their own block")),
+    *_rows("edges", ((37, 1), (37, 2), *BOTH), (GATE_EDGE - 300, GATE_EDGE + 300, CAP, "GATE_EDGE")),
+    *_rows("edges", BOTH, (OWN_GATE - 1, OWN_GATE + 1, CAP, "OWN_GATE")),
+    # merged starts truncate together, at the first jump too; 322 is the
+    # window's median stopping time
+    *_rows("edges", BOTH, *((E40, E40 + 3000, cap, "merged starts truncate together") for cap in (1, 16, 17, 60, 322))),
+    # near the median stopping times (557 from Z63, 468 at A62) some starts
+    # climb past 2^63 - 1, above every converged start, and then stop at the cap
+    *_rows("wide", ((CHUNK, 1),),
+           (A62, A62 + 4096, CAP, "peaks past 2^63 - 1 rank above every int64 peak"),
+           ((1 << 63) + 12345, (1 << 63) + 16441, CAP, "and among themselves by their exact values"),
+           (GATE_EDGE - 50, GATE_EDGE + 50, CAP, "GATE_EDGE"),
+           (SHARE_WIDE - 3, SHARE_WIDE + 1, CAP, "SHARE_WIDE"),
+           *((Z63, Z63 + 4096, cap, "wide peaks on truncated paths never count") for cap in (250, 400, 557)),
+           *((A62, A62 + 4096, cap, "wide peaks on truncated paths never count") for cap in (350, 400, 468))),
+    *_rows("wide-truncated", ((CHUNK, 1),),
+           (2049638230412171845, 2049638230412171909, 150, "every wide peak is truncated, the 7c8333a bug's shape"),
+           (3074457345618258366, 3074457345618258466, 200, "every wide peak is truncated")),
+    *_rows("tied", ((CHUNK, 1), (100, 1)), ((1 << 58) + 704, (1 << 58) + 1728, CAP, "15 lanes tie on the peak")),
+    *_rows("tables", ((37, 1),), ((1 << 40) + 12345, (1 << 40) + 15345, CAP, "one report on any table")),
+    *_rows("tables", ((CHUNK, 1),), ((1 << 62) - (1 << 11), (1 << 62) + (1 << 11), 60, "one report on any table")),
+    *_rows("tables", ((1000, 1),), (Z63, Z63 + 4096, CAP, "one report on any table")),
+    *_rows("huge-cap", ((CHUNK, 1),),
+           (10**9 + 7, 10**9 + 307, 10**30, "kernel lanes"),
+           ((1 << 58) + 3, (1 << 58) + 203, 10**30, "lanes that leave int64 and come back"),
+           ((1 << 62) + 1, (1 << 62) + 41, 10**30, "lanes that leave int64 and come back"),
+           ((1 << 64) + 1, (1 << 64) + 21, 10**30, "starts past 2^63")),
+)
+
+
+def rows(test: str) -> list[Window]:
+    """The rows the named oracle test runs, in table order."""
+    return [w for w in WINDOWS if test in w.tests.split()]

@@ -2,24 +2,20 @@
 
     python tools/fuzz.py --seconds S --seed N
 
-Draws windows of 1 to 4,096 values at bases 10^9, 2^40, 2^50, 2^58, 2^62,
-2^63, 2^64 and 2^100 (each moved by up to 2^11) and in
-[2^117 - 2^12, 2^117 + 2^12), so that both tiers of the kernel run (int64
-nodes, nodes past their int64 gate and two-limb nodes) and so do the
-plain-integer walks to the end, of a block's last few nodes and of every
-pass with a node past 2^117.
-Three windows in four take a cap from the window's own stopping times,
-clipped so that some starts converge and some truncate; the rest take the
-default cap. Each window runs at chunk size 1, 8 or a random one, on one or
-two jobs. One in four of the windows with a chunk boundary strictly inside
-also stops at one, cut: the finished state of [lo, cut), with hi set back,
-is saved with checkpoint_save, loaded with checkpoint_load and run on to
-hi. Either way the report must equal oracle_report's from
-tests/test_verify.py. The first window that differs is printed as one
-verify_range(...) call, with the cut it resumed at, and the script exits 1.
-It stops after the first window that ends past S seconds. The summary also
-counts the windows whose maximum excursion is past 2^63 - 1: in each, the
-kernel walked a block's top starts again for their exact peaks.
+Draws windows within 2^12 of a start from tests/windows.py (a base of the
+Hypothesis strategies, a named edge start or a table row's lo): 1 to 4,096
+values, or 1 to 64 past 2^128, where an oracle walk takes milliseconds. Three
+in four take a cap from the window's own stopping times, clipped so that some
+starts converge and some truncate; the rest take the default cap. Each runs
+at chunk size 1, 8 or a random one, on one or two jobs, on a base table of
+2^16 or 2^20 entries with _TAIL 0 or 64 and _LANES 2^6 to 2^15. One in four
+with a chunk boundary strictly inside stops there, at cut: [lo, cut) is run,
+saved with hi set back, loaded and run on to hi. The report must equal
+oracle_report's; the first window that differs is printed as one
+verify_range(...) call with its table, _TAIL, _LANES and cut, and the script
+exits 1. It stops after the first window that ends past S seconds. The
+summary counts the windows whose maximum excursion is past 2^63 - 1, where
+the kernel walked a block's top starts again for their exact peaks.
 """
 
 from __future__ import annotations
@@ -31,12 +27,12 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-from typing import Optional
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from collatzbin.verify import (  # noqa: E402
+    BASE_TABLE_BOUND,
     DEFAULT_CHUNK_SIZE,
     DEFAULT_STEP_CAP,
     checkpoint_load,
@@ -44,29 +40,30 @@ from collatzbin.verify import (  # noqa: E402
     run,
     verify_range,
 )
-from test_verify import oracle_report, orbit_oracle  # noqa: E402
+from windows import BASES, NAMED, WINDOWS, kernel, oracle_report, oracle_walks  # noqa: E402
 
-BASES = (10**9, 1 << 40, 1 << 50, 1 << 58, 1 << 62, 1 << 63, 1 << 64, 1 << 100)
+STARTS = sorted({*(b for bases in BASES.values() for b in bases), *NAMED, *(w.lo for w in WINDOWS)})
 
 
-def draw(rng: random.Random) -> tuple[int, int, int, int, int, Optional[int]]:
-    """One window: (lo, hi, cap, chunk, jobs, cut), cut None for a straight run."""
-    size = rng.randint(1, 1 << rng.randint(0, 12))
-    if rng.randrange(len(BASES) + 1) < len(BASES):
-        lo = rng.choice(BASES) + rng.randint(-(1 << 11), 1 << 11)
-    else:
-        lo = rng.randint((1 << 117) - (1 << 12), (1 << 117) + (1 << 12) - size)
+def draw(rng: random.Random) -> tuple[tuple, tuple]:
+    """One window, (lo, hi, cap, chunk, jobs, cut) with cut None for a straight
+    run, and the kernel it runs on, (table, _TAIL, _LANES)."""
+    base = rng.choice(STARTS)
+    size = rng.randint(1, 1 << rng.randint(0, 12 if base < 1 << 128 else 6))
+    lo = max(1, base + rng.randint(-(1 << 12), (1 << 12) - size))
     hi = lo + size
     cap = DEFAULT_STEP_CAP
-    sigmas = sorted(orbit_oracle(n)[0] for n in range(lo, hi))
+    sigmas = sorted(sigma for sigma, _ in oracle_walks(lo, hi))
     if rng.random() < 0.75 and sigmas[0] < sigmas[-1]:
-        # min, median or max, or one off it, inside [min, max - 1]
+        # min, median or max, or one off it, inside [min, max - 1]; at least
+        # 1, since n = 1 stops in 0 steps
         cap = rng.choice((sigmas[0], sigmas[size // 2], sigmas[-1])) + rng.randint(-1, 1)
-        cap = min(max(cap, sigmas[0]), sigmas[-1] - 1)
+        cap = max(1, min(max(cap, sigmas[0]), sigmas[-1] - 1))
     chunk = rng.choice((1, 8, rng.randint(1, size + 100)))
     cuts = range(lo + chunk, hi, chunk)  # the chunk boundaries strictly inside
     cut = rng.choice(cuts) if cuts and rng.random() < 0.25 else None
-    return lo, hi, cap, chunk, rng.choice((1, 2)), cut
+    setting = rng.choice((1 << 16, BASE_TABLE_BOUND)), rng.choice((0, 64)), 1 << rng.randint(6, 15)
+    return (lo, hi, cap, chunk, rng.choice((1, 2)), cut), setting
 
 
 def main(argv=None) -> int:
@@ -80,16 +77,20 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "ck.txt"
         while time.monotonic() - start < args.seconds:
-            lo, hi, cap, chunk, jobs, cut = draw(rng)
-            if cut is None:
-                got = verify_range(lo, hi, step_cap=cap, chunk_size=chunk, jobs=jobs)
-            else:
-                part = verify_range(lo, cut, step_cap=cap, chunk_size=chunk, jobs=jobs)
-                checkpoint_save(dataclasses.replace(part, hi=hi), path)
-                got = run(checkpoint_load(path), jobs)
+            (lo, hi, cap, chunk, jobs, cut), setting = draw(rng)
+            with kernel(*setting):
+                if cut is None:
+                    got = verify_range(lo, hi, step_cap=cap, chunk_size=chunk, jobs=jobs)
+                else:
+                    part = verify_range(lo, cut, step_cap=cap, chunk_size=chunk, jobs=jobs)
+                    checkpoint_save(dataclasses.replace(part, hi=hi), path)
+                    got = run(checkpoint_load(path), jobs)
             if dataclasses.replace(got, chunk_size=DEFAULT_CHUNK_SIZE) != oracle_report(lo, hi, cap):
                 resume = "" if cut is None else f", stopped at {cut} and resumed"
-                print(f"verify_range({lo}, {hi}, step_cap={cap}, chunk_size={chunk}, jobs={jobs}){resume}")
+                print(
+                    f"verify_range({lo}, {hi}, step_cap={cap}, chunk_size={chunk}, jobs={jobs})"
+                    " on a {}-entry table with _TAIL = {} and _LANES = {}".format(*setting) + resume
+                )
                 return 1
             windows, values, resumed = windows + 1, values + hi - lo, resumed + (cut is not None)
             wide += (got.max_excursion or 0) > 2**63 - 1
