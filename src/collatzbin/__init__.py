@@ -22,7 +22,7 @@ from .collatz import (
     stopping_time,
 )
 from .compose import decompose, tree_path
-from .errors import CapExceeded, CheckpointError, DomainError, ParityError
+from .errors import CapExceeded, CheckpointError, DomainError, ParityError, WorkerError
 from .powersum import DerivationRecord, derivation_trace
 from .traceio import (
     render_derivation,
@@ -60,6 +60,7 @@ __all__ = [
     "DomainError",
     "CapExceeded",
     "CheckpointError",
+    "WorkerError",
     "__version__",
 ]
 

@@ -3,8 +3,8 @@
 Batch-oriented subcommands over the library, one line of argparse glue
 per capability. Inputs are decimal by default; --binary switches to raw
 bit strings. Exit codes: 0 on success (including truncated iterations,
-which are reported in the output, not as failures), 1 on domain errors,
-2 on usage errors, 130 on Ctrl-C. The default step cap for orbit walks
+which are reported in the output, not as failures), 1 on domain errors
+and on a verify chunk that failed in its worker, 2 on usage errors, 130 on Ctrl-C. The default step cap for orbit walks
 can be set with the COLLATZBIN_CAP environment variable; --cap
 overrides it per call.
 """
@@ -20,7 +20,7 @@ from typing import Optional
 from . import collatz, compose, traceio
 from .bitnat import BinaryNat, int_to_decimal, natural
 from .classify import classify, hard_number
-from .errors import CapExceeded, CheckpointError, DomainError, ParityError
+from .errors import CapExceeded, CheckpointError, DomainError, ParityError, WorkerError
 from .powersum import derivation_trace
 
 CAP_ENV_VAR = "COLLATZBIN_CAP"
@@ -258,7 +258,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         # truncation is a result, reported on stdout
         print("truncated")
         return 0
-    except (DomainError, ParityError, CheckpointError) as exc:
+    except (DomainError, ParityError, CheckpointError, WorkerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:

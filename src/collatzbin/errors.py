@@ -19,3 +19,7 @@ class CapExceeded(RuntimeError):
 
 class CheckpointError(RuntimeError):
     """A checkpoint file is missing, malformed, unwritable, or has an unsupported version."""
+
+
+class WorkerError(RuntimeError):
+    """A chunk of a parallel run raised in its worker process, or the worker died."""

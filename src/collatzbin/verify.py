@@ -30,7 +30,10 @@ the same jumps, for a run that starts inside it, up to 2^20.
 The orbits of a block of starts merge fast, as paths in the tree the
 reduced map inverts, so the kernel (_chunk_numpy) walks each distinct
 value of a pass once and then resolves every start backwards, one fold
-for steps and one for peaks. A pass holds its values as int64 low limbs,
+for steps and one for peaks. Residues of one (A, B) land together for
+every a: below _GATE_FREE, where every int64 gate holds, pass 0 jumps
+each class of a run of residues once, about 9,650 per 2^15 starts
+(_by_class). A pass holds its values as int64 low limbs,
 plus uint64 high limbs once one is past 2^63 - 1; a value jumps on int64
 arrays while its gate holds, and else on both limbs below 2^117. A pass
 of few values, or one with a value past 2^117, walks them all to the end
@@ -69,7 +72,7 @@ import numpy as np
 from .bitnat import int_to_decimal, natural, shown
 from .classify import NumberClass, class_counts
 from .collatz import DEFAULT_CHUNK_SIZE, DEFAULT_STEP_CAP
-from .errors import CheckpointError, DomainError
+from .errors import CheckpointError, DomainError, WorkerError
 
 __all__ = [
     "DEFAULT_STEP_CAP",
@@ -193,6 +196,25 @@ _JUMP64 = _JUMP.view(np.uint64)
 # 2^w, w the widest of M1 and M2 (which bound A and B), plus a row stays
 # below 2^128 (_jump_limbs)
 _LIMBS = 128 + _K - int(_JUMP[3:5].max()).bit_length()
+
+
+def _class_tables() -> tuple:
+    """Each residue's class in (S, B) order (S = _K + c fixes A = 3^c), the residue
+    before it in its class (-1: none), rows A, B per class and S, M1, M2 per residue,
+    all int32 (A, B < 2^26, M1, M2 < 2^27): a product with a takes dtype=np.int64."""
+    A, B, S, M1, M2, _ = _JUMP
+    key = np.sort(S << 42 | B << _K | np.arange(1 << _K))  # by class, then residue
+    order = key & _MASK
+    new = np.diff(key >> _K, prepend=-1) != 0
+    cls, prev = np.empty((2, order.size), dtype=np.int32)
+    cls[order] = np.cumsum(new) - 1
+    prev[order] = np.where(new, -1, np.roll(order, 1))
+    heads = order[new]
+    return cls, prev, np.array((A[heads], B[heads]), np.int32), np.array((S, M1, M2), np.int32)
+
+
+# residues of one (A, B) land together for every a: pass 0 jumps each class once (_by_class)
+_CLASS, _PREV, _LAND, _ROWS = _class_tables()
 
 
 def _ensure_tables(hi: int) -> None:
@@ -382,6 +404,32 @@ def _distinct(low: np.ndarray, high: Optional[np.ndarray], slots, index, new) ->
     return new[par], first
 
 
+def _by_class(lo: int, hi: int) -> tuple:
+    """Pass 0 of starts 2^_K <= lo < hi <= _GATE_FREE: each start's S, peak a·M1 + M2
+    and class node, and each node's landing A·a + B. On a run of starts between
+    multiples of 2^_K, a is constant and the rows are slices; a class lands once
+    a run, read at its first residue there (_PREV)."""
+    S, M1, M2 = _ROWS
+    A, B = _LAND
+    rem, top = np.empty((2, hi - lo), dtype=np.int64)
+    parent, node = np.empty(hi - lo, dtype=np.intp), np.empty(A.size, dtype=np.intp)
+    lands, m, s = [], 0, lo
+    while s < hi:
+        e = min(hi, (s | _MASK) + 1)
+        a, r, t = s >> _K, s & _MASK, slice(s - lo, e - lo)
+        b = slice(r, r + e - s)
+        rem[t] = S[b]
+        np.multiply(M1[b], a, out=top[t], dtype=np.int64)
+        top[t] += M2[b]
+        # as intp, which numpy indexes by fastest
+        heads = _CLASS[b][(_PREV[b] < r).nonzero()[0]].astype(np.intp)
+        node[heads] = np.arange(m, m + heads.size)
+        np.take(node, _CLASS[b], out=parent[t])
+        lands.append(np.multiply(A[heads], a, dtype=np.int64) + B[heads])
+        m, s = m + heads.size, e
+    return rem, top.view(np.uint64), parent, np.concatenate(lands)
+
+
 def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
     """Values [lo, hi), at most _LANES of them, at any size; start i is lo + i.
 
@@ -392,7 +440,10 @@ def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
     landing resolves in the base table or joins every equal landing of its
     pass in one node of the next (_distinct, one call). Then every start's
     stopping time and peak follow back along its nodes in one fold each:
-    rem = S + rem[parent], peak = max(top, peak[parent]).
+    rem = S + rem[parent], peak = max(top, peak[parent]). In a block of
+    _TAIL starts or more in [table bound, _GATE_FREE), pass 0 goes by
+    residue class (_by_class): each start's node is its class's landing,
+    resolved in the table by a layer that is not a jump, or a node of pass 1.
 
     A node jumps in one of two tiers: on int64 arrays while it is below 2^63
     and its int64 gate a <= LIM(b) holds, and on two uint64 limbs
@@ -403,9 +454,9 @@ def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
     2^_LIMBS the first. Peaks fold as codes (_code, _codes), exact below
     2^63; past it the converged starts near the top code walk again.
 
-    Every start through a node of pass p has taken least = _K·p steps or
-    more: each pass jumps its live nodes at least once, S(b) >= _K steps
-    each. A live node is at or above the table bound, a step or more from
+    Every start through a node of the p-th jump pass has taken least = _K·p
+    steps or more: each pass jumps its live nodes at least once, S(b) >= _K
+    steps each. A live node is at or above the table bound, a step or more from
     1. So once least reaches the cap every node of the pass is past it,
     and so is a plain walk that takes cap - least steps and has not landed
     (_jump_plain ends it on 1 with _NEVER steps). Every other start's rem
@@ -435,10 +486,24 @@ def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
     slots = np.empty(1 << size.bit_length(), dtype=np.intp)
     new = np.empty(size, dtype=np.intp)
     passes: list[_Pass] = []
-    while True:
+    least = 0  # the fewest steps a start through a node has taken: _K a jump
+    if size >= _TAIL and not inside and hi <= _GATE_FREE:
+        # the class landings of two runs never meet (a test checks every pair
+        # of classes); a block of more, _LANES past 2^16, may jump one twice
+        rem, pk, par, nodes = _by_class(lo, hi)
+        passes.append(_Pass(rem, pk, None, par))
+        done = nodes < bound
+        if done.any():
+            # a layer, not a jump, resolves the landings in the table
+            dead, live = done.nonzero()[0], (~done).nonzero()[0]
+            rem, pk = np.zeros(nodes.size, dtype=np.int64), np.zeros(nodes.size, dtype=np.uint64)
+            rem[dead], pk[dead] = _SIG[nodes[dead]], _PK[nodes[dead]].view(np.uint64)
+            passes.append(_Pass(rem, pk, live, index[: live.size]))
+            nodes = nodes[live]
+        least = _K
+    while nodes.size or big:
         n = nodes.size
         m = n + len(big)
-        least = _K * len(passes)  # the fewest steps a start through a node has taken
         if least >= limit:
             # every node of the pass is past the cap: one all-_NEVER pass ends the walk
             rem, pk = np.full(m, _NEVER, dtype=np.int64), np.zeros(m, dtype=np.uint64)
@@ -498,15 +563,18 @@ def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
             # one is past 2^_LIMBS: the next pass walks every node on plain integers
             nodes, high, big = nodes[:0], None, _ints(high, nodes.view(np.uint64))
         passes.append(_Pass(rem, pk, live, par))
+        least += _K
     rem = _resolve(passes, "rem", np.add)
     conv = rem <= limit
     res = Checkpoint(lo, hi, cap, size, hi, truncated=[lo + i for i in (~conv).nonzero()[0].tolist()])
-    ci = conv.nonzero()[0]
+    # the converged starts: all of them, read with no gather, in most blocks
+    at = conv if res.truncated else slice(None)
+    ci, rem = index[at], rem[at]
     if ci.size:
         # argmax takes the first maximum, the smallest n: the tie rule
-        j = int(ci[np.argmax(rem[ci])])
-        res.max_stopping_time, res.max_stopping_time_at = int(rem[j]), lo + j
-        pk = _resolve(passes, "peak", np.maximum)[ci]
+        j = int(np.argmax(rem))
+        res.max_stopping_time, res.max_stopping_time_at = int(rem[j]), lo + int(ci[j])
+        pk = _resolve(passes, "peak", np.maximum)[at]
         j = int(np.argmax(pk))
         res.max_excursion, res.max_excursion_at = int(pk[j]), lo + int(ci[j])
         if pk[j] >= _WIDE:
@@ -595,7 +663,8 @@ def run(state: Checkpoint, jobs: int = 1, checkpoint_path: Optional[Union[str, P
     if workers > 1:
         # tables are inherited by forked workers; results merge in order.
         # Workers ignore Ctrl-C: on it the queued chunks are dropped, and the
-        # file keeps the last merged state. The fork context starts every
+        # file keeps the last merged state, as it does when a chunk fails in
+        # its worker or the worker dies (WorkerError). The fork context starts every
         # worker on the first submit, so the pool is no larger than needed.
         # The pool modules load only here: a one-process run never needs them.
         import multiprocessing
@@ -614,13 +683,22 @@ def run(state: Checkpoint, jobs: int = 1, checkpoint_path: Optional[Union[str, P
 
 
 def _in_order(pool, chunks, cap: int, depth: int):
-    """Chunk results in chunk order, with at most depth chunks submitted and not yet read."""
+    """Chunk results in chunk order, with at most depth chunks submitted and not yet
+    read; a chunk that raised in its worker, or a dead worker, ends them in a
+    WorkerError naming the first chunk not read."""
     pending: deque = deque()
-    for bounds in chunks:
-        pending.append(pool.submit(_chunk_stats, bounds, cap))
-        if len(pending) == depth:
-            yield pending.popleft().result()
-    yield from (future.result() for future in pending)
+    try:
+        for bounds in chunks:
+            pending.append((bounds, pool.submit(_chunk_stats, bounds, cap)))
+            if len(pending) == depth:
+                yield pending[0][1].result()
+                pending.popleft()
+        while pending:
+            yield pending[0][1].result()
+            pending.popleft()
+    except Exception as exc:
+        lo, hi = map(shown, pending[0][0] if pending else bounds)
+        raise WorkerError(f"chunk [{lo}, {hi}) failed in a worker: {type(exc).__name__}: {exc}") from exc
 
 
 def verify_range(

@@ -741,3 +741,39 @@ def test_ctrl_c_stops_a_parallel_run_cleanly(tmp_path):
     resumed = subprocess.run(argv + ["--resume"], capture_output=True, text=True, env=_env())
     assert (resumed.returncode, resumed.stderr) == (0, "")
     assert resumed.stdout == summarize(verify_range(lo, hi, chunk_size=chunk))
+
+
+def test_a_killed_worker_ends_the_run_in_one_error_line(tmp_path):
+    # the worker that takes the third chunk waits until a chunk is saved,
+    # then SIGKILLs itself, as the OOM killer would
+    ck = tmp_path / "ck.txt"
+    lo, hi, chunk = 1, 200000, 20000
+    argv = ["verify", str(lo), str(hi), "--jobs", "2", "--chunk", str(chunk), "--checkpoint", str(ck)]
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import os, signal, sys, time\n"
+         "from collatzbin import verify\n"
+         "from collatzbin.cli import main\n"
+         "real = verify._chunk_stats\n"
+         "def chunk(bounds, cap):\n"
+         f"    if bounds[0] == {lo + 2 * chunk}:\n"
+         "        deadline = time.monotonic() + 30\n"
+         f"        while not os.path.exists({str(ck)!r}) and time.monotonic() < deadline:\n"
+         "            time.sleep(0.01)\n"
+         "        os.kill(os.getpid(), signal.SIGKILL)\n"
+         "    return real(bounds, cap)\n"
+         "verify._chunk_stats = chunk\n"
+         f"sys.exit(main({argv!r}))\n"],
+        capture_output=True, text=True, env=_env(), timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error: chunk [") and proc.stderr.count("\n") == 1, proc.stderr
+    assert "failed in a worker: BrokenProcessPool" in proc.stderr and "Traceback" not in proc.stderr
+    # the file keeps the last merged state, and no temporary file is left
+    assert [p.name for p in tmp_path.iterdir()] == ["ck.txt"]
+    assert checkpoint_load(ck).next_unprocessed < hi
+    resumed = subprocess.run(
+        [sys.executable, "-m", "collatzbin", *argv, "--resume"], capture_output=True, text=True, env=_env()
+    )
+    assert (resumed.returncode, resumed.stderr) == (0, "")
+    assert resumed.stdout == summarize(verify_range(lo, hi, chunk_size=chunk))

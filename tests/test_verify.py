@@ -41,6 +41,7 @@ from conftest import bn, past_limit
 from windows import (
     BASES,
     GATE_EDGE,
+    GATE_FREE,
     HIGH_FIRST,
     OWN_GATE,
     PAST_2P117,
@@ -1209,43 +1210,115 @@ def _first_lands_with(b: int) -> int:
     return int(np.flatnonzero((at0 == at0[b]) & (at1 == at1[b]) & (steps == steps[b]))[0])
 
 
-def _count_lane_passes(monkeypatch):
-    """Wrap the S row of the jump table: the kernel reads it once per node
-    jump, so the sizes of its reads are the nodes of each pass."""
-    passes = []
+def test_class_landings_of_two_runs_never_meet():
+    # two residues of one class (A, B) land together for every a; landings
+    # of two classes at a, or at a and a + 1, meet for no a >= 1, so a block
+    # on at most two runs of residues takes no class landing twice. Runs two
+    # apart do meet, at a = 1 (rows("classes"))
+    at0, at1, _ = _landings()
+    A, B = np.unique(np.stack((at1 - at0, at0)), axis=1)
+    for s in (0, 1):
+        for ax in np.unique(A).tolist():
+            X = B[A == ax]
+            for ay in np.unique(A).tolist():
+                Y = B[A == ay] + ay * s  # class y lands at a + s on ay·a + Y
+                if ax == ay:
+                    assert s == 0 or not np.intersect1d(X, Y).size
+                    continue
+                # (ax - ay)·a = Y - X: an a exactly when X and Y agree mod ax - ay
+                d = ax - ay
+                rx, ry = X % abs(d), Y % abs(d)
+                order = np.argsort(ry)
+                first, last = np.searchsorted(ry[order], rx), np.searchsorted(ry[order], rx, "right")
+                for i in np.flatnonzero(last > first).tolist():
+                    a = (Y[order[first[i] : last[i]]] - X[i]) // d
+                    assert not (a >= 1).any(), (s, ax, ay)
 
-    class Counted(np.ndarray):
-        def __getitem__(self, b):
-            passes.append(np.size(b))
-            return np.asarray(self)[b]
+
+def _count_lane_passes(monkeypatch):
+    """Wrap the S row of the jump table and the A row of the class table: a
+    node jump reads S once, and pass 0 by residue class reads A once per
+    class landing, its node jumps. Returns the reads, (row, size) each."""
+    reads = []
+
+    def counted(row, name):
+        class Counted(np.ndarray):
+            def __getitem__(self, b):
+                reads.append((name, np.size(b)))
+                return np.asarray(self)[b]
+
+        return row.view(Counted)
 
     verify_mod._ensure_tables(BASE_TABLE_BOUND)
     rows = list(verify_mod._JUMP)
-    rows[2] = rows[2].view(Counted)
+    rows[2] = counted(rows[2], "S")
     monkeypatch.setattr(verify_mod, "_JUMP", rows)
-    return passes
+    land = list(verify_mod._LAND)
+    land[0] = counted(land[0], "A")
+    monkeypatch.setattr(verify_mod, "_LAND", land)
+    return reads
 
 
 def test_most_lanes_read_an_earlier_lanes_walk(monkeypatch):
-    passes = _count_lane_passes(monkeypatch)
+    reads = _count_lane_passes(monkeypatch)
+
+    def jumps():
+        return sum(size for _, size in reads)
+
+    # pass 0 of a block below _GATE_FREE jumps each (A, B) class of each of
+    # its runs of residues once: here [51719, 2^16) at a and [0, 18951) at a + 1
+    at0, at1, _ = _landings()
+    lo = 10**9 + 7
+    verify_range(lo, lo + (1 << 15))
+    r = lo & 0xFFFF
+    runs = (r, 1 << 16), (0, r + (1 << 15) - (1 << 16))
+    assert [size for row, size in reads if row == "A"] == [
+        len(set(zip(at0[s:e].tolist(), at1[s:e].tolist()))) for s, e in runs
+    ]
+    assert jumps() <= 0.95 * (1 << 15)
+    reads.clear()
     lo = 10**9 + 123456789
     hi = lo + (1 << 14)
     _matches_oracle(Window(lo, hi))
     # one block: equal landings walk once, so the block takes under two
-    # node jumps per value
-    assert sum(passes) < 2 * (1 << 14)
-    # and so does a 2^16 window at 2^40, at most 1.8 per value
-    passes.clear()
+    # node jumps per value, and under one with pass 0 by class
+    assert jumps() < 2 * (1 << 14)
+    assert jumps() <= 1.0 * (1 << 14)
+    # and so does a 2^16 window at 2^40, at most 1.8 per value, and 1.0
+    reads.clear()
     lo = (1 << 40) + 987654321
     verify_range(lo, lo + (1 << 16))
-    assert sum(passes) <= 1.8 * (1 << 16)
+    assert jumps() <= 1.8 * (1 << 16)
+    assert jumps() <= 1.0 * (1 << 16)
     # every equal landing merges, also where many distinct landings share
     # their low bits: blocks at 2^50 exactly, at 2^58 and past 2^63 (where
     # every start jumps on two limbs) take about 1.6 node jumps per value
+    # or, below _GATE_FREE, fewer
     for lo, size in ((1 << 50, 1 << 15), ((1 << 58) + 704, 1 << 15), (1 << 100, 4096)):
-        passes.clear()
+        reads.clear()
         verify_range(lo, lo + size)
-        assert sum(passes) <= 1.65 * size, lo
+        assert jumps() <= 1.65 * size, lo
+
+
+@pytest.mark.parametrize("w", rows("classes"), ids=case_ids(rows("classes"), "chunks"))
+def test_class_pass_edges_match_oracle(w):
+    # pass 0 goes by residue class exactly in blocks of _TAIL starts or more
+    # in [table bound, GATE_FREE), below which every int64 gate holds
+    LIM = _jump_rows()[5]
+    assert GATE_FREE == (min(LIM) + 1) << 16
+    _matches_oracle(w)
+
+
+def test_block_at_the_2p16_table_bound_matches_oracle():
+    # a run grows a table it starts at, so only a chunk of its own puts a
+    # block at the 2^16 bound; there 2^16 lands on 1 after 16 steps, the
+    # fewest a jump takes, and converges at cap 16
+    lo, hi = 1 << 16, (1 << 16) + 2000
+    for cap in (1, 15, 16, 17, 32, DEFAULT_STEP_CAP):
+        with kernel(lo):
+            got = verify_mod._chunk_stats((lo, hi), cap)
+        assert dataclasses.replace(got, chunk_size=DEFAULT_CHUNK_SIZE) == oracle_report(lo, hi, cap), cap
+    assert orbit_oracle(lo)[0] == 16
 
 
 # hand-built landings that all fall in slot 5 of 8; the last one written,
@@ -1347,6 +1420,25 @@ def test_fuzz_runs_without_pytest_or_hypothesis():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert (done.returncode, done.stderr) == (0, "")
     assert re.fullmatch(r"seed 1: \d+ windows \(\d+ resumed, \d+ peaking past 2\^63 - 1\), \d+ values, all match the oracle\n", done.stdout)
+
+
+def test_ab_timing_runs_an_a_a_comparison():
+    # tools/ab.py against this tree's own src: both copies load side by
+    # side, agree on every probe's report, and print one line per probe
+    ab = Path(__file__).parents[1] / "tools" / "ab.py"
+    src = Path(verify_mod.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, str(ab), "--base", str(src), "--time", "--rounds", "1"],
+        capture_output=True, text=True, timeout=600,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    names = [line.split("  base ")[0].rstrip() for line in done.stdout.splitlines()]
+    assert names == [
+        "chunk 2^18 at 10^9+7", "chunk 2^18 at 2^40+777", "chunk 2^17 at 2^50+123",
+        "chunk 4096 at 2^62+12345678901", "chunk 4096 at 2^63+12345",
+        "--chunk 1, 512 at 2^62+12345678901", "import collatzbin.verify",
+    ]
+    assert all(line.endswith("faster in 0 of 1") or line.endswith("faster in 1 of 1") for line in done.stdout.splitlines())
 
 
 def test_each_row_folds_once(monkeypatch):

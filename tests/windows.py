@@ -41,7 +41,12 @@ _WALKS: dict = {}
 
 
 def oracle_walks(lo: int, hi: int) -> list:
-    """orbit_oracle(n) for each n in [lo, hi): read off a kept window that holds them, or walked."""
+    """orbit_oracle(n) for each n in [lo, hi): read off the stepped table below its bound
+    or a kept window that holds them, or walked."""
+    if hi <= BASE_TABLE_BOUND:
+        # every n below 2^20 stops within the default cap
+        sig, pk = stepped_table(BASE_TABLE_BOUND)
+        return list(zip(sig[lo:hi].tolist(), pk[lo:hi].tolist()))
     for (a, b), walks in _WALKS.items():
         if a <= lo and hi <= b:
             return walks[lo - a : hi - a]
@@ -149,6 +154,8 @@ SHARE_WIDE = 89051470758688207
 # passes, an int64-band block holds a converged start that peaks past
 # 2^63 - 1 next to truncated ones
 WIDE_2P50 = 1541717981317479
+# below 2^16·(min LIM + 1) every int64 gate holds, and pass 0 goes by residue class
+GATE_FREE = verify._GATE_FREE
 NAMED = (INT64_3V1, TWICE_BACK, PAST_2P64, HIGH_FIRST, PAST_2P117, GATE_EDGE, OWN_GATE, SHARE_WIDE, WIDE_2P50)
 
 BASES = {
@@ -183,8 +190,9 @@ def _rows(tests: str, runs: tuple, *rows) -> tuple:
     return tuple(Window(lo, hi, cap, runs, tests=tests, pins=pins) for lo, hi, cap, pins in rows)
 
 
-# the starts of windows that several rows share
-A62, Z63, E40 = (1 << 62) + 12345678901, (1 << 63) - 2048, (1 << 40) + 777
+# the starts of windows that several rows share; W9 is the first multiple of 2^16 past 10^9
+A62, Z63, E40, E9 = (1 << 62) + 12345678901, (1 << 63) - 2048, (1 << 40) + 777, 10**9 + 7
+W9 = ((10**9 >> 16) + 1) << 16
 BOTH = ((CHUNK, 1), (CHUNK, 2))
 
 WINDOWS = (
@@ -228,6 +236,28 @@ WINDOWS = (
            ((1 << 58) + 3, (1 << 58) + 203, 10**30, "lanes that leave int64 and come back"),
            ((1 << 62) + 1, (1 << 62) + 41, 10**30, "lanes that leave int64 and come back"),
            ((1 << 64) + 1, (1 << 64) + 21, 10**30, "starts past 2^63")),
+    # pass 0 by residue class: one node per class of each run of residues,
+    # runs split at multiples of 2^16
+    *_rows("classes", BOTH,
+           (W9 - 1000, W9 + 1000, CAP, "a block on two runs of residues, at a and a + 1"),
+           (GATE_FREE - 2000, GATE_FREE, CAP, "a block that ends at GATE_FREE goes by class"),
+           (GATE_FREE - 1000, GATE_FREE + 1000, CAP, "one that straddles it does not"),
+           (GATE_FREE, GATE_FREE + 2000, CAP, "nor one that starts there"),
+           (GATE_FREE + 64535, GATE_FREE + 66535, CAP, "GATE_FREE + 65535, the first start past its gate"),
+           (BASE_TABLE_BOUND, BASE_TABLE_BOUND + 2000, CAP, "a block that starts at the table bound"),
+           (E9, E9 + TAIL - 1, CAP, "too few starts for numpy: pass 0 walks on plain integers"),
+           (E9, E9 + TAIL, CAP, "just enough for pass 0 by class"),
+           *((E9, E9 + 3000, cap, "caps around the first jump's 16 + c steps") for cap in (1, 15, 16, 17, 32))),
+    # three runs of residues in one block of 2^17 starts; and four, where
+    # 2,611 class landings at a = 1 meet one at a = 3 and walk twice
+    Window(3 * (1 << 16) - 1000, 3 * (1 << 16) - 1000 + (1 << 17), CAP, ((1 << 17, 1),), 1 << 16, TAIL, 1 << 17,
+           "classes", "a block on three runs of residues"),
+    Window((1 << 16) + 1, (1 << 18) + 1, CAP, ((1 << 18, 1),), 1 << 16, TAIL, 1 << 18,
+           "classes", "class landings of runs two apart meet"),
+    # at _TAIL 0 a block of one start goes by class, and its landing can
+    # resolve in the table, ending the block before any jump pass
+    Window(BASE_TABLE_BOUND, BASE_TABLE_BOUND + 64, CAP, ((1, 1), (8, 1)), BASE_TABLE_BOUND, 0, LANES,
+           "classes", "every class landing resolves in the table"),
 )
 
 
