@@ -31,9 +31,8 @@ The orbits of a block of starts merge fast, as paths in the tree the
 reduced map inverts, so the kernel (_chunk_numpy) walks each distinct
 value of a pass once and then resolves every start backwards, one fold
 for steps and one for peaks. Residues of one (A, B) land together for
-every a: below _GATE_FREE, where every int64 gate holds, pass 0 jumps
-each class of a run of residues once, about 9,650 per 2^15 starts
-(_by_class). A pass holds its values as int64 low limbs,
+every a, so below _GATE_FREE pass 0 jumps each class of a run of
+residues once (_by_class). A pass holds its values as int64 low limbs,
 plus uint64 high limbs once one is past 2^63 - 1; a value jumps on int64
 arrays while its gate holds, and else on both limbs below 2^117. A pass
 of few values, or one with a value past 2^117, walks them all to the end
@@ -199,9 +198,9 @@ _LIMBS = 128 + _K - int(_JUMP[3:5].max()).bit_length()
 
 
 def _class_tables() -> tuple:
-    """Each residue's class in (S, B) order (S = _K + c fixes A = 3^c), the residue
-    before it in its class (-1: none), rows A, B per class and S, M1, M2 per residue,
-    all int32 (A, B < 2^26, M1, M2 < 2^27): a product with a takes dtype=np.int64."""
+    """Residues of one (A, B) land together for every a (_by_class): each residue's class,
+    by S (= _K + c, which fixes A = 3^c) then B, and the residue before it in its class
+    (-1: none); A, B per class; S, M1, M2 per residue. All int32, below 2^27."""
     A, B, S, M1, M2, _ = _JUMP
     key = np.sort(S << 42 | B << _K | np.arange(1 << _K))  # by class, then residue
     order = key & _MASK
@@ -209,11 +208,9 @@ def _class_tables() -> tuple:
     cls, prev = np.empty((2, order.size), dtype=np.int32)
     cls[order] = np.cumsum(new) - 1
     prev[order] = np.where(new, -1, np.roll(order, 1))
-    heads = order[new]
-    return cls, prev, np.array((A[heads], B[heads]), np.int32), np.array((S, M1, M2), np.int32)
+    return cls, prev, np.array((A[order[new]], B[order[new]]), np.int32), np.array((S, M1, M2), np.int32)
 
 
-# residues of one (A, B) land together for every a: pass 0 jumps each class once (_by_class)
 _CLASS, _PREV, _LAND, _ROWS = _class_tables()
 
 
@@ -235,10 +232,8 @@ def _ensure_tables(hi: int) -> None:
     old = _SIG.size
     if old < min(BASE_TABLE_BOUND, hi):
         bound = min(BASE_TABLE_BOUND, max(hi, 2 * old))
-        sig = np.empty(bound, dtype=np.int16)
-        pk = np.empty(bound, dtype=np.int64)
-        sig[:old] = _SIG
-        pk[:old] = _PK
+        sig, pk = np.empty(bound, dtype=np.int16), np.empty(bound, dtype=np.int64)
+        sig[:old], pk[:old] = _SIG, _PK
         s = old
         while s < bound:
             e = min(bound, 2 * s, s + _LANES)
@@ -260,21 +255,17 @@ def _fill_segment(sig: np.ndarray, pk: np.ndarray, lo: int, hi: int) -> None:
     k = _K if lo >> _K else 1
     A, B, S, M1, M2, _ = _JUMP if k == _K else _jump_table(1)
     at = np.arange(lo | 1, hi, 2, dtype=np.int64)
-    v = at.copy()
-    steps = np.zeros(at.size, dtype=np.int64)
-    peak = at.copy()
+    v, peak, steps = at.copy(), at.copy(), np.zeros(at.size, dtype=np.int64)
     while at.size:
-        a = v >> k
-        b = v & ((1 << k) - 1)
+        a, b = v >> k, v & ((1 << k) - 1)
         np.maximum(peak, a * M1[b] + M2[b], out=peak)
         v = A[b] * a + B[b]
         steps += S[b]
         done = v < lo
         if done.any():
-            vd = v[done]
+            vd, keep = v[done], ~done
             sig[at[done]] = steps[done] + sig[vd]
             pk[at[done]] = np.maximum(peak[done], pk[vd])
-            keep = ~done
             at, v, steps, peak = at[keep], v[keep], steps[keep], peak[keep]
 
 
@@ -303,8 +294,7 @@ def _jump_plain(vs: list, limit: int) -> tuple[list, list, list]:
             if steps >= limit:
                 v, steps = 1, _NEVER
                 break
-            a = v >> _K
-            b = v & _MASK
+            a, b = v >> _K, v & _MASK
             top = a * M1[b] + M2[b]
             if top > peak:
                 peak = top
@@ -404,30 +394,34 @@ def _distinct(low: np.ndarray, high: Optional[np.ndarray], slots, index, new) ->
     return new[par], first
 
 
-def _by_class(lo: int, hi: int) -> tuple:
-    """Pass 0 of starts 2^_K <= lo < hi <= _GATE_FREE: each start's S, peak a·M1 + M2
-    and class node, and each node's landing A·a + B. On a run of starts between
-    multiples of 2^_K, a is constant and the rows are slices; a class lands once
-    a run, read at its first residue there (_PREV)."""
-    S, M1, M2 = _ROWS
-    A, B = _LAND
+def _by_class(lo: int, hi: int, index: np.ndarray) -> tuple:
+    """Pass 0 of starts 2^_K <= lo < hi <= _GATE_FREE, and pass 1's nodes. On a run of
+    starts between multiples of 2^_K, a is fixed, S, M1, M2 are slices, and each class
+    lands once at A·a + B, read at its first residue there (_PREV); those of two runs
+    never meet (a test checks every pair of classes), of more may."""
+    (S, M1, M2), (A, B) = _ROWS, _LAND
     rem, top = np.empty((2, hi - lo), dtype=np.int64)
     parent, node = np.empty(hi - lo, dtype=np.intp), np.empty(A.size, dtype=np.intp)
-    lands, m, s = [], 0, lo
-    while s < hi:
-        e = min(hi, (s | _MASK) + 1)
-        a, r, t = s >> _K, s & _MASK, slice(s - lo, e - lo)
-        b = slice(r, r + e - s)
+    lands, m = [], 0
+    for s in (lo, *range((lo | _MASK) + 1, hi, 1 << _K)):
+        a, r, t = s >> _K, s & _MASK, slice(s - lo, min(hi, (s | _MASK) + 1) - lo)
+        b = slice(r, r + t.stop - t.start)
         rem[t] = S[b]
         np.multiply(M1[b], a, out=top[t], dtype=np.int64)
         top[t] += M2[b]
-        # as intp, which numpy indexes by fastest
-        heads = _CLASS[b][(_PREV[b] < r).nonzero()[0]].astype(np.intp)
+        heads = _CLASS[b][(_PREV[b] < r).nonzero()[0]].astype(np.intp)  # intp indexes fastest
         node[heads] = np.arange(m, m + heads.size)
         np.take(node, _CLASS[b], out=parent[t])
         lands.append(np.multiply(A[heads], a, dtype=np.int64) + B[heads])
-        m, s = m + heads.size, e
-    return rem, top.view(np.uint64), parent, np.concatenate(lands)
+        m += heads.size
+    passes, nodes = [_Pass(rem, top.view(np.uint64), None, parent)], np.concatenate(lands)
+    done = nodes < _SIG.size
+    if done.any():
+        # a layer, not a jump, resolves these in the table; a live node reads n = 1's: 0 steps, peak 1
+        at, live = np.where(done, nodes, 1), (~done).nonzero()[0]
+        passes.append(_Pass(_SIG[at].astype(np.int64), _PK[at].view(np.uint64), live, index[: live.size]))
+        nodes = nodes[live]
+    return passes, nodes
 
 
 def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
@@ -441,9 +435,8 @@ def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
     pass in one node of the next (_distinct, one call). Then every start's
     stopping time and peak follow back along its nodes in one fold each:
     rem = S + rem[parent], peak = max(top, peak[parent]). In a block of
-    _TAIL starts or more in [table bound, _GATE_FREE), pass 0 goes by
-    residue class (_by_class): each start's node is its class's landing,
-    resolved in the table by a layer that is not a jump, or a node of pass 1.
+    _TAIL starts or more in [table bound, _GATE_FREE), pass 0 lands each
+    residue class once instead, a step that is not a jump (_by_class).
 
     A node jumps in one of two tiers: on int64 arrays while it is below 2^63
     and its int64 gate a <= LIM(b) holds, and on two uint64 limbs
@@ -468,39 +461,26 @@ def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
     # a truncated node's rem is _NEVER or more, past any cap it is held to
     limit = min(cap, _NEVER - 1)
     A, B, S, M1, M2, LIM = _JUMP
+    # scratch: landing indices, hash slots, and each first landing's node
+    index = np.arange(size, dtype=np.intp)
+    slots = np.empty(1 << size.bit_length(), dtype=np.intp)
+    new = np.empty(size, dtype=np.intp)
     # a pass's nodes below 2^_LIMBS: their int64 low limbs, and their high
     # limbs unless every node is below 2^63; big holds the rest, every start
     # once one is past 2^_LIMBS
-    big = []
-    if hi <= 1 << 63:
-        nodes, high = np.arange(lo, hi, dtype=np.int64), None
+    passes, high, big = [], None, []
+    if size >= _TAIL and not inside and hi <= _GATE_FREE:
+        passes, nodes = _by_class(lo, hi, index)
+    elif hi <= 1 << 63:
+        nodes = np.arange(lo, hi, dtype=np.int64)
     elif hi <= 1 << _LIMBS:
         # the starts' low limbs are an arange, and their high limbs take its carry
         base = np.uint64(lo & (2**64 - 1))
         low = np.arange(size, dtype=np.uint64) + base
         nodes, high = low.view(np.int64), np.full(size, lo >> 64, dtype=np.uint64) + (low < base)
     else:
-        nodes, high, big = np.empty(0, dtype=np.int64), None, list(range(lo, hi))
-    # scratch: landing indices, hash slots, and each first landing's node
-    index = np.arange(size, dtype=np.intp)
-    slots = np.empty(1 << size.bit_length(), dtype=np.intp)
-    new = np.empty(size, dtype=np.intp)
-    passes: list[_Pass] = []
-    least = 0  # the fewest steps a start through a node has taken: _K a jump
-    if size >= _TAIL and not inside and hi <= _GATE_FREE:
-        # the class landings of two runs never meet (a test checks every pair
-        # of classes); a block of more, _LANES past 2^16, may jump one twice
-        rem, pk, par, nodes = _by_class(lo, hi)
-        passes.append(_Pass(rem, pk, None, par))
-        done = nodes < bound
-        if done.any():
-            # a layer, not a jump, resolves the landings in the table
-            dead, live = done.nonzero()[0], (~done).nonzero()[0]
-            rem, pk = np.zeros(nodes.size, dtype=np.int64), np.zeros(nodes.size, dtype=np.uint64)
-            rem[dead], pk[dead] = _SIG[nodes[dead]], _PK[nodes[dead]].view(np.uint64)
-            passes.append(_Pass(rem, pk, live, index[: live.size]))
-            nodes = nodes[live]
-        least = _K
+        nodes, big = np.empty(0, dtype=np.int64), list(range(lo, hi))
+    least = _K if passes else 0  # the fewest steps a start through a node has taken: _K a jump
     while nodes.size or big:
         n = nodes.size
         m = n + len(big)
@@ -517,10 +497,8 @@ def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
             rem, land = np.array((steps, ends), dtype=np.int64)
             pk = np.array([_code(x) for x in peaks], dtype=np.uint64)
         else:
-            a = nodes >> _K
-            b = nodes & _MASK
-            rem, top, land = S[b], a * M1[b] + M2[b], A[b] * a + B[b]
-            pk = top.view(np.uint64)
+            a, b = nodes >> _K, nodes & _MASK
+            rem, pk, land = S[b], (a * M1[b] + M2[b]).view(np.uint64), A[b] * a + B[b]
             # the nodes past their gate, negative as int64 or with a high limb jump on limbs
             at = index[:0]
             if high is not None or nodes.max() >= _GATE_FREE:
@@ -567,8 +545,7 @@ def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
     rem = _resolve(passes, "rem", np.add)
     conv = rem <= limit
     res = Checkpoint(lo, hi, cap, size, hi, truncated=[lo + i for i in (~conv).nonzero()[0].tolist()])
-    # the converged starts: all of them, read with no gather, in most blocks
-    at = conv if res.truncated else slice(None)
+    at = conv if res.truncated else slice(None)  # most blocks: every start, no gather
     ci, rem = index[at], rem[at]
     if ci.size:
         # argmax takes the first maximum, the smallest n: the tie rule
@@ -663,9 +640,9 @@ def run(state: Checkpoint, jobs: int = 1, checkpoint_path: Optional[Union[str, P
     if workers > 1:
         # tables are inherited by forked workers; results merge in order.
         # Workers ignore Ctrl-C: on it the queued chunks are dropped, and the
-        # file keeps the last merged state, as it does when a chunk fails in
-        # its worker or the worker dies (WorkerError). The fork context starts every
-        # worker on the first submit, so the pool is no larger than needed.
+        # file keeps the last merged state, as on a failed chunk (WorkerError).
+        # The fork context starts every worker on the first submit, so the
+        # pool is no larger than needed.
         # The pool modules load only here: a one-process run never needs them.
         import multiprocessing
         import signal
@@ -683,9 +660,7 @@ def run(state: Checkpoint, jobs: int = 1, checkpoint_path: Optional[Union[str, P
 
 
 def _in_order(pool, chunks, cap: int, depth: int):
-    """Chunk results in chunk order, with at most depth chunks submitted and not yet
-    read; a chunk that raised in its worker, or a dead worker, ends them in a
-    WorkerError naming the first chunk not read."""
+    """Chunk results in chunk order, at most depth submitted and unread; WorkerError if one fails."""
     pending: deque = deque()
     try:
         for bounds in chunks:
@@ -714,9 +689,7 @@ def verify_range(
 
 
 def _fmt_opt_pair(value: Optional[int], at: Optional[int]) -> str:
-    if value is None:
-        return "- -"
-    return f"{int_to_decimal(value)} {at}"
+    return "- -" if value is None else f"{int_to_decimal(value)} {at}"
 
 
 def _checkpoint_text(state: Checkpoint) -> str:
@@ -760,10 +733,8 @@ def checkpoint_save(state: Checkpoint, path: Union[str, Path]) -> None:
 
 
 def _parse_opt_pair(rest: list[str]) -> tuple[Optional[int], Optional[int]]:
-    if rest == ["-", "-"]:
-        return None, None
     a, b = rest
-    return int(a), int(b)
+    return (None, None) if rest == ["-", "-"] else (int(a), int(b))
 
 
 def checkpoint_load(path: Union[str, Path]) -> Checkpoint:

@@ -41,12 +41,7 @@ _WALKS: dict = {}
 
 
 def oracle_walks(lo: int, hi: int) -> list:
-    """orbit_oracle(n) for each n in [lo, hi): read off the stepped table below its bound
-    or a kept window that holds them, or walked."""
-    if hi <= BASE_TABLE_BOUND:
-        # every n below 2^20 stops within the default cap
-        sig, pk = stepped_table(BASE_TABLE_BOUND)
-        return list(zip(sig[lo:hi].tolist(), pk[lo:hi].tolist()))
+    """orbit_oracle(n) for each n in [lo, hi): read off a kept window that holds them, or walked."""
     for (a, b), walks in _WALKS.items():
         if a <= lo and hi <= b:
             return walks[lo - a : hi - a]
@@ -248,12 +243,11 @@ WINDOWS = (
            (E9, E9 + TAIL - 1, CAP, "too few starts for numpy: pass 0 walks on plain integers"),
            (E9, E9 + TAIL, CAP, "just enough for pass 0 by class"),
            *((E9, E9 + 3000, cap, "caps around the first jump's 16 + c steps") for cap in (1, 15, 16, 17, 32))),
-    # three runs of residues in one block of 2^17 starts; and four, where
-    # 2,611 class landings at a = 1 meet one at a = 3 and walk twice
-    Window(3 * (1 << 16) - 1000, 3 * (1 << 16) - 1000 + (1 << 17), CAP, ((1 << 17, 1),), 1 << 16, TAIL, 1 << 17,
-           "classes", "a block on three runs of residues"),
-    Window((1 << 16) + 1, (1 << 18) + 1, CAP, ((1 << 18, 1),), 1 << 16, TAIL, 1 << 18,
-           "classes", "class landings of runs two apart meet"),
+    # one block of 2^17 + 1000 starts on three runs of residues, at a = 1, 2
+    # and 3; class landings of runs two apart meet at a = 1, and 37 of them,
+    # past the 2^16 table, walk twice (65,563 and 196,690 land on 531,674)
+    Window((1 << 16) + 1, 3 * (1 << 16) + 1001, CAP, ((2 * (1 << 16) + 1000, 1),), 1 << 16, TAIL, 1 << 18,
+           "classes", "a block on three runs of residues, where landings of runs two apart meet"),
     # at _TAIL 0 a block of one start goes by class, and its landing can
     # resolve in the table, ending the block before any jump pass
     Window(BASE_TABLE_BOUND, BASE_TABLE_BOUND + 64, CAP, ((1, 1), (8, 1)), BASE_TABLE_BOUND, 0, LANES,
