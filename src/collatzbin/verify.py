@@ -29,10 +29,12 @@ the same jumps, for a run that starts inside it, up to 2^20.
 
 The orbits of a block of starts merge fast, as paths in the tree the
 reduced map inverts, so the kernel (_chunk_numpy) walks each distinct
-value of a pass once and then resolves every start backwards, one fold
+value of a pass once and then resolves pass 0's nodes backwards, one fold
 for steps and one for peaks. Residues of one (A, B) land together for
 every a, so below _GATE_FREE pass 0 jumps each class of a run of
-residues once (_by_class). A pass holds its values as int64 low limbs,
+residues once (_by_class) and its nodes are the classes: a start takes
+its class's steps, and the larger of its own first jump's peak and its
+class's. A pass holds its values as int64 low limbs,
 plus uint64 high limbs once one is past 2^63 - 1; a value jumps on int64
 arrays while its gate holds, and else on both limbs below 2^117. A pass
 of few values, or one with a value past 2^117, walks them all to the end
@@ -41,7 +43,7 @@ value at least once, so _K steps or more: a start has taken at least _K
 steps per pass before it, and a value stops at the cap once that count,
 or that count and its own plain walk, reaches it. A peak past 2^63 - 1
 folds as its float64, its leading 1 and next bits (_code), and only the
-few converged starts whose code ties the top walk again, for exact peaks.
+few converged nodes whose code ties the top walk again, for exact peaks.
 
 What is checked is convergence: every n reaches 1 within the step cap.
 The 1 -> 4 -> 2 -> 1 tail that follows is the same three steps for
@@ -130,11 +132,12 @@ class Checkpoint:
 # (built at import); a stopping time below 2^20 is at most 524, so int16 holds it
 _SIG = np.array([-1, 0], dtype=np.int16)
 _PK = np.array([0, 1], dtype=np.int64)
-# values per numpy block in the kernel and when the base table grows:
-# blocks this large spread numpy's per-call cost over many values, and
-# this small keep the scratch arrays in cache and inside memory the
-# process already holds (BENCH_25.json)
-_LANES = 1 << 15
+# values per numpy block in the kernel and when the base table grows, as in
+# the CLI's default chunk: one period of residues, so a block lies on at most
+# two runs of them (_by_class). A numpy pass costs a fixed 22-34 us, and a
+# 2^16 block pays its tail of passes of a few hundred nodes once where two
+# 2^15 blocks pay it twice: 13-16% less time per value (BENCH_43.json)
+_LANES = 1 << 16
 
 # the jump kernel takes _K halvings at once, through a table over the
 # residues b = v mod 2^_K (_JUMP, built by _jump_table at import)
@@ -200,7 +203,7 @@ _LIMBS = 128 + _K - int(_JUMP[3:5].max()).bit_length()
 def _class_tables() -> tuple:
     """Residues of one (A, B) land together for every a (_by_class): each residue's class,
     by S (= _K + c, which fixes A = 3^c) then B, and the residue before it in its class
-    (-1: none); A, B per class; S, M1, M2 per residue. All int32, below 2^27."""
+    (-1: none); A, B, S per class; M1, M2 per residue. All int32, below 2^27."""
     A, B, S, M1, M2, _ = _JUMP
     key = np.sort(S << 42 | B << _K | np.arange(1 << _K))  # by class, then residue
     order = key & _MASK
@@ -208,7 +211,8 @@ def _class_tables() -> tuple:
     cls, prev = np.empty((2, order.size), dtype=np.int32)
     cls[order] = np.cumsum(new) - 1
     prev[order] = np.where(new, -1, np.roll(order, 1))
-    return cls, prev, np.array((A[order[new]], B[order[new]]), np.int32), np.array((S, M1, M2), np.int32)
+    first = order[new]
+    return cls, prev, np.array((A[first], B[first], S[first]), np.int32), np.array((M1, M2), np.int32)
 
 
 _CLASS, _PREV, _LAND, _ROWS = _class_tables()
@@ -224,9 +228,10 @@ def _ensure_tables(hi: int) -> None:
 
     Base entries carry no cap, so one table serves every cap and every
     range it is long enough for. Growth at least doubles the length (up
-    to the bound), one block [s, min(bound, 2s, s + _LANES)) at a
+    to the bound), one block [s, min(bound, 2s, s + _LANES / 2)) at a
     time: a block's lanes walk until they land below s, into entries
-    already exact (_fill_segment).
+    already exact (_fill_segment); in half a kernel block they land
+    sooner than in a whole one (BENCH_43.json).
     """
     global _SIG, _PK
     old = _SIG.size
@@ -236,7 +241,7 @@ def _ensure_tables(hi: int) -> None:
         sig[:old], pk[:old] = _SIG, _PK
         s = old
         while s < bound:
-            e = min(bound, 2 * s, s + _LANES)
+            e = min(bound, 2 * s, s + _LANES // 2)
             _fill_segment(sig, pk, s, e)
             s = e
         _SIG, _PK = sig, pk
@@ -362,7 +367,7 @@ class _Pass(NamedTuple):
     rem: np.ndarray  # steps of its jump and landing; folded, to 1 (_NEVER or more: past any cap)
     peak: np.ndarray  # code of the peak of its jump and landing (_code; from two limbs, _codes)
     live: Optional[np.ndarray]  # the nodes still walking (None: all)
-    parent: Optional[np.ndarray]  # each live node's node in the next pass, one per distinct landing
+    parent: Optional[np.ndarray]  # each live node's node in the next pass (None: the live in order)
 
 
 def _distinct(low: np.ndarray, high: Optional[np.ndarray], slots, index, new) -> tuple:
@@ -394,34 +399,29 @@ def _distinct(low: np.ndarray, high: Optional[np.ndarray], slots, index, new) ->
     return new[par], first
 
 
-def _by_class(lo: int, hi: int, index: np.ndarray) -> tuple:
-    """Pass 0 of starts 2^_K <= lo < hi <= _GATE_FREE, and pass 1's nodes. On a run of
-    starts between multiples of 2^_K, a is fixed, S, M1, M2 are slices, and each class
-    lands once at A·a + B, read at its first residue there (_PREV); those of two runs
-    never meet (a test checks every pair of classes), of more may."""
-    (S, M1, M2), (A, B) = _ROWS, _LAND
-    rem, top = np.empty((2, hi - lo), dtype=np.int64)
-    parent, node = np.empty(hi - lo, dtype=np.intp), np.empty(A.size, dtype=np.intp)
-    lands, m = [], 0
+def _by_class(lo: int, hi: int) -> tuple:
+    """Pass 0 of starts 2^_K <= lo < hi <= _GATE_FREE by residue class: each start's
+    exact peak top = a·M1 + M2 (every gate holds, so below 2^63), as uint64, and per
+    class node, in head order, its head (the class's first start on its run, as n - lo),
+    steps S and landing A·a + B. On a run of starts between multiples of 2^_K, a is
+    fixed, M1 and M2 are slices, and each class lands once, read at its first residue
+    there (_PREV); those of two runs never meet (a test checks every pair of classes),
+    of more may."""
+    (M1, M2), (A, B, S) = _ROWS, _LAND
+    top = np.empty(hi - lo, dtype=np.int64)
+    heads, classes, lands = [], [], []
     for s in (lo, *range((lo | _MASK) + 1, hi, 1 << _K)):
         a, r, t = s >> _K, s & _MASK, slice(s - lo, min(hi, (s | _MASK) + 1) - lo)
         b = slice(r, r + t.stop - t.start)
-        rem[t] = S[b]
         np.multiply(M1[b], a, out=top[t], dtype=np.int64)
         top[t] += M2[b]
-        heads = _CLASS[b][(_PREV[b] < r).nonzero()[0]].astype(np.intp)  # intp indexes fastest
-        node[heads] = np.arange(m, m + heads.size)
-        np.take(node, _CLASS[b], out=parent[t])
-        lands.append(np.multiply(A[heads], a, dtype=np.int64) + B[heads])
-        m += heads.size
-    passes, nodes = [_Pass(rem, top.view(np.uint64), None, parent)], np.concatenate(lands)
-    done = nodes < _SIG.size
-    if done.any():
-        # a layer, not a jump, resolves these in the table; a live node reads n = 1's: 0 steps, peak 1
-        at, live = np.where(done, nodes, 1), (~done).nonzero()[0]
-        passes.append(_Pass(_SIG[at].astype(np.int64), _PK[at].view(np.uint64), live, index[: live.size]))
-        nodes = nodes[live]
-    return passes, nodes
+        at = (_PREV[b] < r).nonzero()[0]
+        c = _CLASS[b][at]
+        heads.append(at + t.start)
+        classes.append(c)
+        lands.append(np.multiply(A[c], a, dtype=np.int64) + B[c])
+    steps = S[np.concatenate(classes)].astype(np.int64)
+    return top.view(np.uint64), np.concatenate(heads), steps, np.concatenate(lands)
 
 
 def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
@@ -432,11 +432,13 @@ def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
     is below 2^63, a uint64 array of their high limbs (high). Each node
     jumps once and keeps its steps S(b) and exact peak a·M1(b) + M2(b); its
     landing resolves in the base table or joins every equal landing of its
-    pass in one node of the next (_distinct, one call). Then every start's
-    stopping time and peak follow back along its nodes in one fold each:
-    rem = S + rem[parent], peak = max(top, peak[parent]). In a block of
-    _TAIL starts or more in [table bound, _GATE_FREE), pass 0 lands each
-    residue class once instead, a step that is not a jump (_by_class).
+    pass in one node of the next (_distinct, one call). Then the stopping time
+    and peak of each node of pass 0 follow back along its nodes in one fold
+    each: rem = S + rem[parent], peak = max(top, peak[parent]). Pass 0's
+    nodes are the starts or, in a block of _TAIL starts or more in [table
+    bound, _GATE_FREE), the residue classes of each run (_by_class): a class
+    lands once, a step that is not a jump, and each start keeps its own
+    first jump's peak (top). A node's first start, its head, stands for it.
 
     A node jumps in one of two tiers: on int64 arrays while it is below 2^63
     and its int64 gate a <= LIM(b) holds, and on two uint64 limbs
@@ -445,7 +447,7 @@ def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
     or past 2^_LIMBS, walks them all on plain integers (_jump_plain) into
     the base table: it is the block's last, and when a start is past
     2^_LIMBS the first. Peaks fold as codes (_code, _codes), exact below
-    2^63; past it the converged starts near the top code walk again.
+    2^63; past it the converged nodes near the top code walk again.
 
     Every start through a node of the p-th jump pass has taken least = _K·p
     steps or more: each pass jumps its live nodes at least once, S(b) >= _K
@@ -467,10 +469,10 @@ def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
     new = np.empty(size, dtype=np.intp)
     # a pass's nodes below 2^_LIMBS: their int64 low limbs, and their high
     # limbs unless every node is below 2^63; big holds the rest, every start
-    # once one is past 2^_LIMBS
-    passes, high, big = [], None, []
+    # once one is past 2^_LIMBS. Pass 0 of a class block: its class nodes
+    passes, high, big, top, head = [], None, [], None, None
     if size >= _TAIL and not inside and hi <= _GATE_FREE:
-        passes, nodes = _by_class(lo, hi, index)
+        top, head, rem, nodes = _by_class(lo, hi)
     elif hi <= 1 << 63:
         nodes = np.arange(lo, hi, dtype=np.int64)
     elif hi <= 1 << _LIMBS:
@@ -480,7 +482,7 @@ def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
         nodes, high = low.view(np.int64), np.full(size, lo >> 64, dtype=np.uint64) + (low < base)
     else:
         nodes, big = np.empty(0, dtype=np.int64), list(range(lo, hi))
-    least = _K if passes else 0  # the fewest steps a start through a node has taken: _K a jump
+    least = 0  # the fewest steps a start through a node has taken: _K a jump
     while nodes.size or big:
         n = nodes.size
         m = n + len(big)
@@ -490,7 +492,10 @@ def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
             passes.append(_Pass(rem, pk, None, None))
             break
         land_h = None
-        if m < _TAIL or big:
+        if head is not None and not passes:
+            # pass 0 by class: each node has landed, and its peaks are its starts' top
+            pk, land = np.zeros(n, dtype=np.uint64), nodes
+        elif m < _TAIL or big:
             # every node walks to the end on plain integers: the block's last pass
             vs = (nodes.tolist() if high is None else _ints(high, nodes.view(np.uint64))) + big
             ends, steps, peaks = _jump_plain(vs, limit - least)
@@ -535,44 +540,69 @@ def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
         if not land.size:
             passes.append(_Pass(rem, pk, live, None))
             break
-        par, first = _distinct(land, land_h, slots, index, new)
-        nodes, high = land[first], None if land_h is None else land_h[first]
-        if high is not None and (high >> (_LIMBS - 64)).any():
-            # one is past 2^_LIMBS: the next pass walks every node on plain integers
-            nodes, high, big = nodes[:0], None, _ints(high, nodes.view(np.uint64))
+        if head is not None and not passes:
+            # class landings never meet (_by_class): each is a node of the next pass
+            par, nodes = None, land
+        else:
+            par, first = _distinct(land, land_h, slots, index, new)
+            nodes, high = land[first], None if land_h is None else land_h[first]
+            if high is not None and (high >> (_LIMBS - 64)).any():
+                # one is past 2^_LIMBS: the next pass walks every node on plain integers
+                nodes, high, big = nodes[:0], None, _ints(high, nodes.view(np.uint64))
         passes.append(_Pass(rem, pk, live, par))
         least += _K
+    # per node of pass 0, a start or a class: its starts share its stopping time
     rem = _resolve(passes, "rem", np.add)
-    conv = rem <= limit
-    res = Checkpoint(lo, hi, cap, size, hi, truncated=[lo + i for i in (~conv).nonzero()[0].tolist()])
-    at = conv if res.truncated else slice(None)  # most blocks: every start, no gather
-    ci, rem = index[at], rem[at]
-    if ci.size:
-        # argmax takes the first maximum, the smallest n: the tie rule
-        j = int(np.argmax(rem))
-        res.max_stopping_time, res.max_stopping_time_at = int(rem[j]), lo + int(ci[j])
-        pk = _resolve(passes, "peak", np.maximum)[at]
-        j = int(np.argmax(pk))
-        res.max_excursion, res.max_excursion_at = int(pk[j]), lo + int(ci[j])
-        if pk[j] >= _WIDE:
-            # the converged starts near the top code walk again exactly, the
-            # truncated ones never: the first exact maximum wins
-            near = [lo + i for i in ci[pk >= pk[j] - np.uint64(_MARGIN)].tolist()]
-            ends, _, peaks = _jump_plain(near, _NEVER)
-            exact = [max(x, int(_PK[e])) for e, x in zip(ends, peaks)]
-            res.max_excursion = max(exact)
-            res.max_excursion_at = near[exact.index(res.max_excursion)]
+    pk = _resolve(passes, "peak", np.maximum)
+    past = rem > limit
+    head = index if head is None else head  # ascending: a first maximum is the smallest n
+    res = Checkpoint(lo, hi, cap, size, hi)
+    if past.any():
+        # the starts of the nodes past the cap truncate, and no row of theirs counts
+        out = past
+        if top is not None:
+            # a start's node is its class on its run of residues: a per-start gather, only here
+            n = lo + index
+            key = n >> _K << 15 | _CLASS[n & _MASK]  # fewer than 2^15 classes
+            out = np.isin(key, key[head[past]], kind="table")
+        res.truncated = [lo + i for i in out.nonzero()[0].tolist()]
+        if past.all():
+            return res
+        rem[past], pk[past] = -1, 0
+        if top is not None:
+            top[out] = 0
+    j = int(np.argmax(rem))
+    res.max_stopping_time, res.max_stopping_time_at = int(rem[j]), lo + int(head[j])
+    j = int(np.argmax(pk))
+    best, at = pk[j], int(head[j])
+    if top is not None:
+        # a start's peak is its top or its node's: the smaller n of the two firsts
+        j = int(np.argmax(top))
+        if (top[j], -j) > (best, -at):
+            best, at = top[j], j
+    res.max_excursion, res.max_excursion_at = int(best), lo + at
+    if best >= _WIDE:
+        # the converged nodes near the top code walk again exactly from their
+        # heads, once each (a class block's tops are below 2^63, so every start
+        # of such a node peaks at its head's peak): the first exact maximum wins
+        near = [lo + i for i in head[pk >= best - np.uint64(_MARGIN)].tolist()]
+        ends, _, peaks = _jump_plain(near, _NEVER)
+        exact = [max(x, int(_PK[e])) for e, x in zip(ends, peaks)]
+        res.max_excursion = max(exact)
+        res.max_excursion_at = near[exact.index(res.max_excursion)]
     return res
 
 
 def _resolve(passes: list[_Pass], row: str, op) -> np.ndarray:
-    """Fold one row of every pass (rem: added; peak: maxed) back to the starts, in place."""
+    """Fold one row of every pass (rem: added; peak: maxed) back to pass 0's nodes, in place."""
     rows = [getattr(p, row) for p in passes]
     for p, back, ahead in zip(passes[-2::-1], rows[-2::-1], rows[::-1]):
+        if p.parent is not None:
+            ahead = ahead[p.parent]
         if p.live is None:
-            op(back, ahead[p.parent], out=back)
+            op(back, ahead, out=back)
         else:
-            back[p.live] = op(back[p.live], ahead[p.parent])
+            back[p.live] = op(back[p.live], ahead)
     return rows[0]
 
 

@@ -5,6 +5,7 @@ import dataclasses
 import functools
 import random
 import re
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -48,7 +49,10 @@ from windows import (
     PAST_2P64,
     SHARE_WIDE,
     TWICE_BACK,
+    W9,
     WIDE_2P50,
+    WIDE_CLASS,
+    WINDOWS,
     Window,
     kernel,
     oracle_report,
@@ -870,7 +874,7 @@ def test_base_table_matches_plain_walk(monkeypatch):
     # the table holds stopping times as int16
     assert sig.dtype == np.int16 and sig.max() < 2**15
     # growth from a short table of odd length, block by block; past
-    # 2^16 a block is at most _LANES long
+    # 2^16 a block is at most _LANES / 2 long
     monkeypatch.setattr(verify_mod, "_SIG", sig[:11].copy())
     monkeypatch.setattr(verify_mod, "_PK", pk[:11].copy())
     for hi, size in ((5000, 5000), (5001, 10000), (9000, 10000), (300000, 300000)):
@@ -1422,6 +1426,27 @@ def test_fuzz_runs_without_pytest_or_hypothesis():
     assert re.fullmatch(r"seed 1: \d+ windows \(\d+ resumed, \d+ peaking past 2\^63 - 1\), \d+ values, all match the oracle\n", done.stdout)
 
 
+def test_fuzz_reports_a_crash_as_a_reproduction():
+    # an exception inside verify_range is a finding: the campaign prints the
+    # window as one verify_range(...) call and the exception, and exits 1
+    fuzz = Path(__file__).parents[1] / "tools" / "fuzz.py"
+    code = (
+        "import runpy, sys\n"
+        f"main = runpy.run_path({str(fuzz)!r}, run_name='fuzz')['main']\n"
+        "def crash(*args, **kwargs):\n"
+        "    raise RuntimeError('patched to fail')\n"
+        "main.__globals__['verify_range'] = crash\n"
+        "sys.exit(main(['--seconds', '1', '--seed', '1']))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (1, "")
+    assert re.fullmatch(
+        r"verify_range\(\d+, \d+, step_cap=\d+, chunk_size=\d+, jobs=[12]\) on a \d+-entry table"
+        r" with _TAIL = \d+ and _LANES = \d+(, stopped at \d+ and resumed)?\nRuntimeError: patched to fail\n",
+        done.stdout,
+    )
+
+
 def test_ab_timing_runs_an_a_a_comparison():
     # tools/ab.py against this tree's own src: both copies load side by
     # side, agree on every probe's report, and print one line per probe
@@ -1436,9 +1461,75 @@ def test_ab_timing_runs_an_a_a_comparison():
     assert names == [
         "chunk 2^18 at 10^9+7", "chunk 2^18 at 2^40+777", "chunk 2^17 at 2^50+123",
         "chunk 4096 at 2^62+12345678901", "chunk 4096 at 2^63+12345",
-        "--chunk 1, 512 at 2^62+12345678901", "import collatzbin.verify",
+        "--chunk 1, 512 at 2^62+12345678901", "import collatzbin.verify", "build the base table to 2^20",
     ]
     assert all(line.endswith("faster in 0 of 1") or line.endswith("faster in 1 of 1") for line in done.stdout.splitlines())
+
+
+def test_ab_outputs_runs_an_a_a_comparison(tmp_path):
+    # tools/ab.py --outputs on three rows against this tree's own src: every
+    # way each setting runs gives equal outputs, a resume at the middle chunk
+    # boundary in the row run at chunk 37. A copy whose report reads
+    # differently is caught, in every way the setting runs
+    ab = Path(__file__).parents[1] / "tools" / "ab.py"
+    src = Path(verify_mod.__file__).resolve().parents[1]
+    pins = ("OWN_GATE", "just enough for pass 0 by class")
+    picks = ",".join(str(i) for i, w in enumerate(WINDOWS) if w.pins in pins or w.runs == ((37, 1),))
+
+    def outputs(base, rows):
+        argv = [sys.executable, str(ab), "--base", str(base), "--outputs", "--rows", rows]
+        return subprocess.run(argv, capture_output=True, text=True, timeout=600)
+
+    done = outputs(src, picks)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "6 settings, 20 CLI runs per tree: 0 differ\n"
+    copy = tmp_path / "src"
+    shutil.copytree(src / "collatzbin", copy / "collatzbin", ignore=shutil.ignore_patterns("__pycache__"))
+    module = copy / "collatzbin" / "verify.py"
+    module.write_text(module.read_text().replace('f"verified: {', 'f"verified:  {'))
+    done = outputs(copy, picks.split(",")[0])
+    assert (done.returncode, done.stderr) == (1, "")
+    ways = "straight, checkpoint, resume of the finished file"
+    assert done.stdout.splitlines() == [
+        *(f"differs: verify {OWN_GATE - 1} {OWN_GATE + 1} --cap {DEFAULT_STEP_CAP} --chunk {DEFAULT_CHUNK_SIZE}"
+          f" --jobs {jobs}: {ways}" for jobs in (1, 2)),
+        "2 settings, 6 CLI runs per tree: 2 differ",
+    ]
+
+
+def test_a_class_block_folds_and_walks_per_class_node(monkeypatch):
+    # pass 0 of a class block keeps one row per start, its own first-jump
+    # peaks; every row the folds read has one entry per class node or fewer.
+    # A block whose top peak is past 2^63 - 1 walks each near class once,
+    # from its head: of the three tied starts of WIDE_CLASS, n + 1 does not walk
+    folds, walks = [], []
+    resolve, jump = verify_mod._resolve, verify_mod._jump_plain
+
+    def counted_resolve(passes, row, op):
+        folds.append(max(getattr(p, row).size for p in passes))
+        return resolve(passes, row, op)
+
+    def counted_jump(vs, limit):
+        if limit == verify_mod._NEVER:
+            walks.extend(vs)
+        return jump(vs, limit)
+
+    monkeypatch.setattr(verify_mod, "_resolve", counted_resolve)
+    monkeypatch.setattr(verify_mod, "_jump_plain", counted_jump)
+    lo = W9 - 1000
+    with kernel():
+        verify_mod._chunk_stats((lo, lo + (1 << 16)), DEFAULT_STEP_CAP)
+    assert len(folds) == 2 and max(folds) < 3 * (1 << 16) // 10
+    for lo, size in ((WIDE_CLASS, 64), (WIDE_2P50 - 100, 300)):
+        folds.clear()
+        walks.clear()
+        got = _matches_oracle(Window(lo, lo + size))
+        assert len(folds) == 2 and max(folds) < size
+        keys = [(n >> 16, int(verify_mod._CLASS[n & 0xFFFF])) for n in walks]
+        assert walks and len(set(keys)) == len(keys) and got.max_excursion_at in walks
+        if lo == WIDE_CLASS:
+            assert walks == [WIDE_CLASS, WIDE_CLASS + 2]
+            assert orbit_oracle(WIDE_CLASS + 1)[1] == orbit_oracle(WIDE_CLASS + 2)[1] == got.max_excursion
 
 
 def test_each_row_folds_once(monkeypatch):

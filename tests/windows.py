@@ -151,7 +151,11 @@ SHARE_WIDE = 89051470758688207
 WIDE_2P50 = 1541717981317479
 # below 2^16·(min LIM + 1) every int64 gate holds, and pass 0 goes by residue class
 GATE_FREE = verify._GATE_FREE
-NAMED = (INT64_3V1, TWICE_BACK, PAST_2P64, HIGH_FIRST, PAST_2P117, GATE_EDGE, OWN_GATE, SHARE_WIDE, WIDE_2P50)
+# n, n + 1 and n + 2 peak at one 68-bit value, above every other start of
+# [n, n + 64), after their first jumps: n and n + 1 are one residue class and
+# share a landing, and n + 2's class node joins their path later
+WIDE_CLASS = 1876428998285501
+NAMED = (INT64_3V1, TWICE_BACK, PAST_2P64, HIGH_FIRST, PAST_2P117, GATE_EDGE, OWN_GATE, SHARE_WIDE, WIDE_2P50, WIDE_CLASS)
 
 BASES = {
     # int64 kernel lanes, the top band kept below 2^62
@@ -252,6 +256,21 @@ WINDOWS = (
     # resolve in the table, ending the block before any jump pass
     Window(BASE_TABLE_BOUND, BASE_TABLE_BOUND + 64, CAP, ((1, 1), (8, 1)), BASE_TABLE_BOUND, 0, LANES,
            "classes", "every class landing resolves in the table"),
+    # blocks of 2^16 starts, one period of residues; at the window's median
+    # stopping time, 206, some classes of its first block truncate and others
+    # converge. The first row's oracle walks serve all three (2.7 s)
+    *_rows("classes", BOTH,
+           (W9 - 1000, W9 + (1 << 16), CAP, "a block of 2^16 starts on two runs of residues"),
+           (W9, W9 + (1 << 16), CAP, "a block of 2^16 starts at a multiple of 2^16: one run"),
+           (W9 - 1000, W9 + (1 << 16), 206, "some classes of a block truncate, others converge")),
+    # the maximum excursion of a class block ties between a start whose own
+    # first jump peaks there (69,403 and 131,311) and a class node that peaks
+    # there later (73,115 and 129,537); the smaller n wins on either side. On
+    # the 2^16 table, at caps that leave every converged start below the tie
+    # (found with the oracle)
+    Window(69403, 73116, 81, BOTH, 1 << 16, TAIL, LANES, "classes", "a tie won by a start's own first-jump peak"),
+    Window(129537, 131312, 100, BOTH, 1 << 16, TAIL, LANES, "classes", "a tie won by a class node's later peak"),
+    *_rows("classes", BOTH, (WIDE_CLASS, WIDE_CLASS + 64, CAP, "WIDE_CLASS: two starts of one class peak past 2^63 - 1")),
 )
 
 

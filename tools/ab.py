@@ -1,27 +1,39 @@
-"""A/B timing of the verifier: a base tree against this one, in one process.
+"""A/B checks of the verifier: a base tree against this one, in outputs and in time.
 
-    python tools/ab.py --base REV --time [--rounds N] [--json FILE]
+    python tools/ab.py --base REV [--outputs [--rows I,J,...]] [--time [--rounds N] [--json FILE]]
 
 REV is a git revision, whose src/collatzbin is unpacked (git archive) into
 a temporary directory, or a directory holding a collatzbin package, such as
-this tree's src for an A/A run that measures each probe's noise floor. Both
-trees load side by side (importlib), each with its own tables. Each probe
-first checks that both trees give equal Checkpoint fields, then runs a
-round on each tree in turn, the first tree alternating from round to round;
-a round of a kernel probe is its best of 3 calls. One line per probe gives
-each tree's median and interquartile range over the rounds, the change of
-the median and the rounds in which this tree was faster. --json writes the
-rounds as well. Only the stdlib and numpy are used.
+this tree's src for an A/A run. Only the stdlib and numpy are used.
 
-Probes: _chunk_stats on five windows at the default cap (the int64 bands
-at 10^9, 2^40 and 2^50, the two-limb bands past 2^62 and 2^63), a run of
-one-value chunks past 2^62, and a cold import of collatzbin.verify in a
-fresh process (numpy imported before the clock starts).
+--outputs runs the rows of tests/windows.py's WINDOWS (or the rows at the
+given indices) as CLI settings on both trees: each row's window and cap at
+each of its chunk sizes, at --jobs 1 and 2 (a row's table, _TAIL and _LANES
+are the kernel's, and the CLI runs at its own). Each setting runs in a
+fresh process per tree: verify straight, with --checkpoint, with --resume
+of the finished file and, when a chunk boundary lies strictly inside the
+window, with --resume of a checkpoint the tree's library saved at the
+middle one. Exit codes, stdout, stderr and checkpoint bytes must be equal,
+temporary paths read as <tmp>; each setting that differs is printed, and
+the script exits 1.
+
+--time loads both trees side by side (importlib), each with its own
+tables. Each probe first checks that both trees give equal Checkpoint
+fields, then runs a round on each tree in turn, the first tree alternating
+from round to round; a round of a kernel probe is its best of 3 calls. One
+line per probe gives each tree's median and interquartile range over the
+rounds, the change of the median and the rounds in which this tree was
+faster. --json writes the rounds as well. Probes: _chunk_stats on five
+windows at the default cap (the int64 bands at 10^9, 2^40 and 2^50, the
+two-limb bands past 2^62 and 2^63), a run of one-value chunks past 2^62,
+and, each in a fresh process (numpy imported before the clock starts), a
+cold import of collatzbin.verify and the base-table build to 2^20.
 """
 
 from __future__ import annotations
 
 import argparse
+import concurrent.futures
 import dataclasses
 import importlib
 import importlib.util
@@ -58,6 +70,49 @@ IMPORT_CODE = (
     "print(v.summarize(v.verify_range(1, 10**4)), end='')\n"
     "print(t)\n"
 )
+BUILD = "build the base table to 2^20"
+# the child times the growth from the 2^16 entries of the import, then
+# prints a digest of the tables for the equality check
+BUILD_CODE = (
+    "import hashlib, time, numpy\n"
+    "import collatzbin.verify as v\n"
+    "t = time.perf_counter()\n"
+    "v._ensure_tables(v.BASE_TABLE_BOUND)\n"
+    "t = time.perf_counter() - t\n"
+    "print(hashlib.sha256(v._SIG.tobytes() + v._PK.tobytes()).hexdigest())\n"
+    "print(t)\n"
+)
+# one CLI setting on one tree, every way --outputs runs it: argv is lo, hi,
+# cap, chunk, jobs and a directory for the checkpoint; prints a JSON object
+# of [exit code, stdout, stderr, checkpoint text or None] per way
+SETTING_CODE = r"""
+import contextlib, dataclasses, io, json, sys
+from pathlib import Path
+from collatzbin import verify
+from collatzbin.cli import main
+
+lo, hi, cap, chunk, jobs = map(int, sys.argv[1:6])
+path = Path(sys.argv[6]) / "ck.txt"
+flags = ["verify", str(lo), str(hi), "--cap", str(cap), "--chunk", str(chunk), "--jobs", str(jobs)]
+
+
+def cli(*extra):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*flags, *extra])
+    # latin-1 keeps every byte of the file
+    return [code, out.getvalue(), err.getvalue(), path.read_bytes().decode("latin-1") if path.exists() else None]
+
+
+got = {"straight": cli(), "checkpoint": cli("--checkpoint", str(path))}
+got["resume of the finished file"] = cli("--checkpoint", str(path), "--resume")
+cuts = range(lo + chunk, hi, chunk)
+if cuts:
+    part = verify.verify_range(lo, cuts[len(cuts) // 2], cap, chunk)
+    verify.checkpoint_save(dataclasses.replace(part, hi=hi), path)
+    got["resume at the middle boundary"] = cli("--checkpoint", str(path), "--resume")
+print(json.dumps(got))
+"""
 
 
 def unpack(base: str, tmp: Path) -> Path:
@@ -104,14 +159,58 @@ def _best(call, count: int, scale: float, repeat: int = 3) -> tuple:
     return dataclasses.astuple(result), min(times) / count * scale
 
 
-def import_probe(src: Path) -> tuple[str, float]:
-    """One fresh process importing src's collatzbin.verify: (a small range's report, ms)."""
+def fresh_probe(src: Path, code: str) -> tuple[str, float]:
+    """code run in one fresh process on src's collatzbin: (what it prints before the time, ms)."""
     proc = subprocess.run(
-        [sys.executable, "-c", IMPORT_CODE], capture_output=True, text=True, check=True,
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
         env=dict(os.environ, PYTHONPATH=str(src)),
     )
     report, _, seconds = proc.stdout.rstrip().rpartition("\n")
     return report, float(seconds) * 1e3
+
+
+def cli_settings(indices=None) -> list[tuple]:
+    """The WINDOWS rows (all, or those at indices) as CLI settings (lo, hi, cap, chunk, jobs),
+    each once, in table order."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+    from windows import WINDOWS
+
+    rows = WINDOWS if indices is None else [WINDOWS[i] for i in indices]
+    found = {}
+    for w in rows:
+        for chunk, _ in w.runs:
+            for jobs in (1, 2):
+                found[w.lo, w.hi, w.cap, chunk, jobs] = None
+    return list(found)
+
+
+def run_setting(src: Path, setting: tuple) -> dict:
+    """Every way --outputs runs one CLI setting, on src's collatzbin in a fresh process."""
+    with tempfile.TemporaryDirectory() as tmp:
+        proc = subprocess.run(
+            [sys.executable, "-c", SETTING_CODE, *map(str, setting), tmp], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        if proc.returncode:
+            return {"the setting's process": [proc.returncode, proc.stdout, proc.stderr.replace(tmp, "<tmp>")]}
+        return json.loads(proc.stdout.replace(json.dumps(tmp)[1:-1], "<tmp>"))
+
+
+def compare_outputs(srcs, settings) -> int:
+    """Run each setting on both trees; print each that differs. 1 if any does, else 0."""
+    # two processes at a time: each setting's two trees run side by side
+    with concurrent.futures.ThreadPoolExecutor(2) as pool:
+        results = [[pool.submit(run_setting, src, s) for src in srcs] for s in settings]
+        differ = runs = 0
+        for (lo, hi, cap, chunk, jobs), sides in zip(settings, results):
+            base, this = (side.result() for side in sides)
+            ways = [way for way in dict.fromkeys([*base, *this]) if base.get(way) != this.get(way)]
+            runs += len(this)
+            if ways:
+                differ += 1
+                print(f"differs: verify {lo} {hi} --cap {cap} --chunk {chunk} --jobs {jobs}: {', '.join(ways)}")
+    print(f"{len(settings)} settings, {runs} CLI runs per tree: {differ} differ")
+    return 1 if differ else 0
 
 
 def summary(base: list, this: list) -> dict:
@@ -124,45 +223,57 @@ def summary(base: list, this: list) -> dict:
     }
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--base", required=True, help="git revision, or a directory holding collatzbin")
-    parser.add_argument("--time", action="store_true", help="time the probes (the only mode so far)")
-    parser.add_argument("--rounds", type=int, default=12)
-    parser.add_argument("--json", type=Path, help="write every round here")
-    args = parser.parse_args(argv)
-    if not args.time:
-        parser.error("nothing to do: give --time")
-    if args.rounds < 1:
-        parser.error("--rounds must be at least 1")
-    with tempfile.TemporaryDirectory() as tmp:
-        srcs = unpack(args.base, Path(tmp)), ROOT / "src"
-        trees = [load(src, name) for src, name in zip(srcs, ("cb_base", "cb_this"))]
-        # name: (unit, probe of side 0 or 1)
-        probes = {name: ("ns/value", lambda side, w=w: chunk_probe(trees[side], *w)) for name, w in CHUNKS.items()}
-        probes[ONES] = "us/value", lambda side: ones_probe(trees[side])
-        probes[IMPORT] = "ms", lambda side: import_probe(srcs[side])
+def compare_times(base: str, srcs, rounds: int, json_path) -> int:
+    """Time the probes on both trees in one process; print one line per probe. 1 if a report differs."""
+    trees = [load(src, name) for src, name in zip(srcs, ("cb_base", "cb_this"))]
+    # name: (unit, probe of side 0 or 1)
+    probes = {name: ("ns/value", lambda side, w=w: chunk_probe(trees[side], *w)) for name, w in CHUNKS.items()}
+    probes[ONES] = "us/value", lambda side: ones_probe(trees[side])
+    probes[IMPORT] = "ms", lambda side: fresh_probe(srcs[side], IMPORT_CODE)
+    probes[BUILD] = "ms", lambda side: fresh_probe(srcs[side], BUILD_CODE)
+    for name, (_, probe) in probes.items():
+        got = [probe(side)[0] for side in (0, 1)]
+        if got[0] != got[1]:
+            print(f"error: {name}: the trees differ: {got[0]} != {got[1]}", file=sys.stderr)
+            return 1
+    times = {name: ([], []) for name in probes}
+    for r in range(rounds):
         for name, (_, probe) in probes.items():
-            got = [probe(side)[0] for side in (0, 1)]
-            if got[0] != got[1]:
-                print(f"error: {name}: the trees differ: {got[0]} != {got[1]}", file=sys.stderr)
-                return 1
-        rounds = {name: ([], []) for name in probes}
-        for r in range(args.rounds):
-            for name, (_, probe) in probes.items():
-                for side in (0, 1) if r % 2 == 0 else (1, 0):
-                    rounds[name][side].append(probe(side)[1])
-    results = {name: dict(unit=unit, **summary(*rounds[name])) for name, (unit, _) in probes.items()}
+            for side in (0, 1) if r % 2 == 0 else (1, 0):
+                times[name][side].append(probe(side)[1])
+    results = {name: dict(unit=unit, **summary(*times[name])) for name, (unit, _) in probes.items()}
     for name, s in results.items():
         change = 100 * (s["this_median"] / s["base_median"] - 1)
         print(
             f"{name:36} base {s['base_median']:9.2f} (IQR {s['base_iqr']:.2f})"
             f"  this {s['this_median']:9.2f} (IQR {s['this_iqr']:.2f}) {s['unit']:8}"
-            f" {change:+6.1f}%  faster in {s['faster']} of {args.rounds}"
+            f" {change:+6.1f}%  faster in {s['faster']} of {rounds}"
         )
-    if args.json:
-        args.json.write_text(json.dumps({"base": args.base, "rounds": args.rounds, "probes": results}, indent=1) + "\n")
+    if json_path:
+        json_path.write_text(json.dumps({"base": base, "rounds": rounds, "probes": results}, indent=1) + "\n")
     return 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", required=True, help="git revision, or a directory holding collatzbin")
+    parser.add_argument("--outputs", action="store_true", help="compare CLI outputs over the WINDOWS rows")
+    parser.add_argument("--rows", help="comma-separated WINDOWS indices for --outputs (default: every row)")
+    parser.add_argument("--time", action="store_true", help="time the probes")
+    parser.add_argument("--rounds", type=int, default=12)
+    parser.add_argument("--json", type=Path, help="write every round here")
+    args = parser.parse_args(argv)
+    if not (args.outputs or args.time):
+        parser.error("nothing to do: give --outputs, --time or both")
+    if args.rounds < 1:
+        parser.error("--rounds must be at least 1")
+    indices = None if args.rows is None else [int(i) for i in args.rows.split(",")]
+    with tempfile.TemporaryDirectory() as tmp:
+        srcs = unpack(args.base, Path(tmp)), ROOT / "src"
+        code = compare_outputs(srcs, cli_settings(indices)) if args.outputs else 0
+        if args.time:
+            code = compare_times(args.base, srcs, args.rounds, args.json) or code
+    return code
 
 
 if __name__ == "__main__":

@@ -8,11 +8,12 @@ values, or 1 to 64 past 2^128, where an oracle walk takes milliseconds. Three
 in four take a cap from the window's own stopping times, clipped so that some
 starts converge and some truncate; the rest take the default cap. Each runs
 at chunk size 1, 8 or a random one, on one or two jobs, on a base table of
-2^16 or 2^20 entries with _TAIL 0 or 64 and _LANES 2^6 to 2^15. One in four
+2^16 or 2^20 entries with _TAIL 0 or 64 and _LANES 2^6 to 2^16. One in four
 with a chunk boundary strictly inside stops there, at cut: [lo, cut) is run,
 saved with hi set back, loaded and run on to hi. The report must equal
-oracle_report's; the first window that differs is printed as one
-verify_range(...) call with its table, _TAIL, _LANES and cut, and the script
+oracle_report's; the first window that differs, or whose run raises, is
+printed as one verify_range(...) call with its table, _TAIL, _LANES and cut,
+followed by the exception's type and message if it raised, and the script
 exits 1. It stops after the first window that ends past S seconds. The
 summary counts the windows whose maximum excursion is past 2^63 - 1, where
 the kernel walked a block's top starts again for their exact peaks.
@@ -62,7 +63,7 @@ def draw(rng: random.Random) -> tuple[tuple, tuple]:
     chunk = rng.choice((1, 8, rng.randint(1, size + 100)))
     cuts = range(lo + chunk, hi, chunk)  # the chunk boundaries strictly inside
     cut = rng.choice(cuts) if cuts and rng.random() < 0.25 else None
-    setting = rng.choice((1 << 16, BASE_TABLE_BOUND)), rng.choice((0, 64)), 1 << rng.randint(6, 15)
+    setting = rng.choice((1 << 16, BASE_TABLE_BOUND)), rng.choice((0, 64)), 1 << rng.randint(6, 16)
     return (lo, hi, cap, chunk, rng.choice((1, 2)), cut), setting
 
 
@@ -78,19 +79,26 @@ def main(argv=None) -> int:
         path = Path(tmp) / "ck.txt"
         while time.monotonic() - start < args.seconds:
             (lo, hi, cap, chunk, jobs, cut), setting = draw(rng)
+            crash = None
             with kernel(*setting):
-                if cut is None:
-                    got = verify_range(lo, hi, step_cap=cap, chunk_size=chunk, jobs=jobs)
-                else:
-                    part = verify_range(lo, cut, step_cap=cap, chunk_size=chunk, jobs=jobs)
-                    checkpoint_save(dataclasses.replace(part, hi=hi), path)
-                    got = run(checkpoint_load(path), jobs)
-            if dataclasses.replace(got, chunk_size=DEFAULT_CHUNK_SIZE) != oracle_report(lo, hi, cap):
+                try:
+                    if cut is None:
+                        got = verify_range(lo, hi, step_cap=cap, chunk_size=chunk, jobs=jobs)
+                    else:
+                        part = verify_range(lo, cut, step_cap=cap, chunk_size=chunk, jobs=jobs)
+                        checkpoint_save(dataclasses.replace(part, hi=hi), path)
+                        got = run(checkpoint_load(path), jobs)
+                except Exception as exc:
+                    # a crash is a finding too, reported as a wrong report is
+                    crash = f"{type(exc).__name__}: {exc}"
+            if crash or dataclasses.replace(got, chunk_size=DEFAULT_CHUNK_SIZE) != oracle_report(lo, hi, cap):
                 resume = "" if cut is None else f", stopped at {cut} and resumed"
                 print(
                     f"verify_range({lo}, {hi}, step_cap={cap}, chunk_size={chunk}, jobs={jobs})"
                     " on a {}-entry table with _TAIL = {} and _LANES = {}".format(*setting) + resume
                 )
+                if crash:
+                    print(crash)
                 return 1
             windows, values, resumed = windows + 1, values + hi - lo, resumed + (cut is not None)
             wide += (got.max_excursion or 0) > 2**63 - 1
