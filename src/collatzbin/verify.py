@@ -132,11 +132,11 @@ class Checkpoint:
 # (built at import); a stopping time below 2^20 is at most 524, so int16 holds it
 _SIG = np.array([-1, 0], dtype=np.int16)
 _PK = np.array([0, 1], dtype=np.int64)
-# values per numpy block in the kernel and when the base table grows, as in
-# the CLI's default chunk: one period of residues, so a block lies on at most
-# two runs of them (_by_class). A numpy pass costs a fixed 22-34 us, and a
-# 2^16 block pays its tail of passes of a few hundred nodes once where two
-# 2^15 blocks pay it twice: 13-16% less time per value (BENCH_43.json)
+# values per numpy block in the kernel, as in the CLI's default chunk: one
+# period of residues, so a block lies on at most two runs of them (_by_class).
+# A numpy pass costs a fixed 22-34 us, and a 2^16 block pays its tail of
+# passes of a few hundred nodes once where two 2^15 blocks pay it twice:
+# 7-16% less time per value (BENCH_43.json)
 _LANES = 1 << 16
 
 # the jump kernel takes _K halvings at once, through a table over the
