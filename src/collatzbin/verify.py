@@ -23,9 +23,9 @@ residues b, built at import, serves every value. It also holds M1(b) and
 M2(b), the jump's peak being exactly a·M1(b) + M2(b) for every a >= 0,
 and the int64 gate LIM(b): a <= LIM(b) keeps it within 2^63 - 1. A
 walking value is at or above the table bound, so a >= 1 and no jump
-passes through 1: stopping times stay exact. The base table is built to
-2^16, all a walk needs, at import; its entries from 2^16 on are built by
-the same jumps, for a run that starts inside it, up to 2^20.
+passes through 1: stopping times stay exact. The base table holds the
+2^16 entries below that bound, all a walk needs, built once at import;
+no run changes it.
 
 The orbits of a block of starts merge fast, as paths in the tree the
 reduced map inverts, so the kernel (_chunk_numpy) walks each distinct
@@ -78,7 +78,6 @@ from .errors import CheckpointError, DomainError, WorkerError
 __all__ = [
     "DEFAULT_STEP_CAP",
     "DEFAULT_CHUNK_SIZE",
-    "BASE_TABLE_BOUND",
     "CHECKPOINT_VERSION",
     "Checkpoint",
     "verify_range",
@@ -88,7 +87,6 @@ __all__ = [
     "summarize",
 ]
 
-BASE_TABLE_BOUND = 1 << 20
 CHECKPOINT_VERSION = 1
 
 
@@ -128,10 +126,6 @@ class Checkpoint:
 # ---------------------------------------------------------------------------
 # tables, shared with forked workers through module globals
 
-# exact stopping time and orbit peak of every 1 <= n < len(_SIG) >= 2^_K
-# (built at import); a stopping time below 2^20 is at most 524, so int16 holds it
-_SIG = np.array([-1, 0], dtype=np.int16)
-_PK = np.array([0, 1], dtype=np.int64)
 # values per numpy block in the kernel, as in the CLI's default chunk: one
 # period of residues, so a block lies on at most two runs of them (_by_class).
 # A numpy pass costs a fixed 22-34 us, and a 2^16 block pays its tail of
@@ -218,63 +212,43 @@ def _class_tables() -> tuple:
 _CLASS, _PREV, _LAND, _ROWS = _class_tables()
 
 
-def _ensure_tables(hi: int) -> None:
-    """Grow the base tables to at least min(BASE_TABLE_BOUND, hi) entries.
-
-    Import builds them to 2^_K, all a walk needs: past it every value still
-    walking has a >= 1, so no jump passes through 1. run grows them only for
-    a run that starts inside them: on a long run its walks land sooner in
-    the longer table, which repays the build (README, "Range verification").
+def _base_table() -> tuple[np.ndarray, np.ndarray]:
+    """The exact stopping time and orbit peak of every 1 <= n < 2^_K (entry 0 unused).
 
     Base entries carry no cap, so one table serves every cap and every
-    range it is long enough for. Growth at least doubles the length (up
-    to the bound), one block [s, min(bound, 2s, s + _LANES / 2)) at a
-    time: a block's lanes walk until they land below s, into entries
-    already exact (_fill_segment); in half a kernel block they land
-    sooner than in a whole one (BENCH_43.json).
+    range. They fill one segment [s, 2s) at a time from the exact ones
+    below s: an even n halves to n / 2 < s, and an odd one jumps one halving
+    at a time until it lands below s. A jump's peak is exact
+    (_jump_table), so every entry is.
     """
-    global _SIG, _PK
-    old = _SIG.size
-    if old < min(BASE_TABLE_BOUND, hi):
-        bound = min(BASE_TABLE_BOUND, max(hi, 2 * old))
-        sig, pk = np.empty(bound, dtype=np.int16), np.empty(bound, dtype=np.int64)
-        sig[:old], pk[:old] = _SIG, _PK
-        s = old
-        while s < bound:
-            e = min(bound, 2 * s, s + _LANES // 2)
-            _fill_segment(sig, pk, s, e)
-            s = e
-        _SIG, _PK = sig, pk
+    sig, pk = np.zeros(1 << _K, dtype=np.int16), np.zeros(1 << _K, dtype=np.int64)
+    sig[0], pk[1] = -1, 1
+    A, B, S, M1, M2, _ = _jump_table(1)
+    lo = 2
+    while lo < sig.size:
+        hi = 2 * lo
+        sig[lo:hi:2] = sig[lo // 2 : hi // 2] + 1
+        pk[lo:hi:2] = np.maximum(np.arange(lo, hi, 2, dtype=np.int64), pk[lo // 2 : hi // 2])
+        at = np.arange(lo + 1, hi, 2, dtype=np.int64)
+        v, peak, steps = at.copy(), at.copy(), np.zeros(at.size, dtype=np.int64)
+        while at.size:
+            a, b = v >> 1, v & 1
+            np.maximum(peak, a * M1[b] + M2[b], out=peak)
+            v = A[b] * a + B[b]
+            steps += S[b]
+            done = v < lo
+            if done.any():
+                vd, keep = v[done], ~done
+                sig[at[done]] = steps[done] + sig[vd]
+                pk[at[done]] = np.maximum(peak[done], pk[vd])
+                at, v, steps, peak = at[keep], v[keep], steps[keep], peak[keep]
+        lo = hi
+    return sig, pk
 
 
-def _fill_segment(sig: np.ndarray, pk: np.ndarray, lo: int, hi: int) -> None:
-    """Fill entries [lo, hi) from the exact ones below lo < hi <= 2 * lo."""
-    # an even n halves to n / 2 < lo
-    even = lo + (lo & 1)
-    halves = slice(even // 2, (hi + 1) // 2)
-    sig[even:hi:2] = sig[halves] + 1
-    pk[even:hi:2] = np.maximum(np.arange(even, hi, 2, dtype=np.int64), pk[halves])
-    # odd lanes jump until they land below lo: _K halvings at a time from
-    # 2^_K on, one below it, so a >= 1 and no jump passes through 1; a
-    # jump's peak is exact (_jump_table), so every entry is
-    k = _K if lo >> _K else 1
-    A, B, S, M1, M2, _ = _JUMP if k == _K else _jump_table(1)
-    at = np.arange(lo | 1, hi, 2, dtype=np.int64)
-    v, peak, steps = at.copy(), at.copy(), np.zeros(at.size, dtype=np.int64)
-    while at.size:
-        a, b = v >> k, v & ((1 << k) - 1)
-        np.maximum(peak, a * M1[b] + M2[b], out=peak)
-        v = A[b] * a + B[b]
-        steps += S[b]
-        done = v < lo
-        if done.any():
-            vd, keep = v[done], ~done
-            sig[at[done]] = steps[done] + sig[vd]
-            pk[at[done]] = np.maximum(peak[done], pk[vd])
-            at, v, steps, peak = at[keep], v[keep], steps[keep], peak[keep]
-
-
-_ensure_tables(1 << _K)
+# the base table, never written after import; a stopping time below 2^16
+# is at most 339, so int16 holds it
+_SIG, _PK = _base_table()
 
 
 # ---------------------------------------------------------------------------
@@ -653,9 +627,6 @@ def run(state: Checkpoint, jobs: int = 1, checkpoint_path: Optional[Union[str, P
     _check(state)
     natural("jobs", jobs)  # a float would fail in the pool
     nxt, size, hi = state.next_unprocessed, state.chunk_size, state.hi
-    if nxt <= _SIG.size:
-        # a run that starts inside the table grows it over its own values
-        _ensure_tables(hi)
     # bounds are made as chunks start, never listed: a range may hold more
     # chunks than memory does, and more than len() can count
     chunks = ((a, min(a + size, hi)) for a in range(nxt, hi, size))

@@ -293,7 +293,6 @@ def test_criterion_12_range_run_deterministic(tmp_path):
         max_excursion_at=None,
         truncated=[],
     )
-    verify_mod._ensure_tables(state.hi)
     bounds = [
         (a, min(a + state.chunk_size, state.hi))
         for a in range(state.lo, state.hi, state.chunk_size)

@@ -27,7 +27,6 @@ from collatzbin import (
     verify_range,
 )
 from collatzbin.verify import (
-    BASE_TABLE_BOUND,
     Checkpoint,
     DEFAULT_CHUNK_SIZE,
     DEFAULT_STEP_CAP,
@@ -171,7 +170,6 @@ def test_pool_starts_no_more_workers_than_chunks(monkeypatch):
 def test_run_makes_chunk_bounds_as_it_goes(monkeypatch):
     # a run of 2^18 one-value chunks stopped on its second chunk: bounds
     # listed up front would take ~33 MB before the first chunk ran
-    verify_mod._ensure_tables(1 + 2**18)  # the tables are not measured
     real, calls = verify_mod._chunk_stats, []
 
     class Stop(Exception):
@@ -195,25 +193,11 @@ def test_run_makes_chunk_bounds_as_it_goes(monkeypatch):
     assert peak < 1 << 20
 
 
-def _in_and_past_the_table(draws):
-    """verify_range(n, n + 1) for each n, on the 2^16 table and on the 2^20 one.
-
-    On the 2^16 table every n past it walks in the kernel, whatever table an
-    earlier test left; on the 2^20 table every n reads its entry.
-    """
-    assert sum(n > 1 << 16 for n in draws) > len(draws) // 2
-    reports = []
-    for table in (1 << 16, BASE_TABLE_BOUND):
-        for n in draws:
-            with kernel(table):
-                reports.append((n, verify_range(n, n + 1)))
-                assert n <= table or verify_mod._SIG.size == table
-    return reports
-
-
 def test_window_reports_match_oracle():
+    # most n are past the 2^16 table and walk in the kernel; the rest read their entry
     rng = random.Random(31337)
-    for n, r in _in_and_past_the_table([rng.randrange(2, 10**6) for _ in range(60)]):
+    for n in [rng.randrange(2, 10**6) for _ in range(60)]:
+        r = verify_range(n, n + 1)
         sigma, peak = orbit_oracle(n)
         assert r.max_stopping_time == sigma
         assert r.max_excursion == peak
@@ -223,8 +207,8 @@ def test_window_reports_match_oracle():
 def test_engine_agrees_with_bit_string_walk():
     # dual route: numpy kernel vs the BinaryNat iteration
     rng = random.Random(2024)
-    for n, r in _in_and_past_the_table([rng.randrange(2, 10**6) for _ in range(40)]):
-        assert r.max_stopping_time == stopping_time(bn(n))
+    for n in [rng.randrange(2, 10**6) for _ in range(40)]:
+        assert verify_range(n, n + 1).max_stopping_time == stopping_time(bn(n))
 
 
 def test_truncation_is_reported_not_raised():
@@ -352,7 +336,6 @@ def test_checkpoint_interrupted_run_matches_straight_run(tmp_path):
     path = tmp_path / "ck.txt"
     chunk = 2048
     state = _fresh_state(1, 20000, chunk)
-    verify_mod._ensure_tables(state.hi)
     bounds = [
         (a, min(a + chunk, state.hi)) for a in range(state.lo, state.hi, chunk)
     ]
@@ -519,7 +502,6 @@ def test_checkpoint_round_trip_on_reachable_states(tmp_path_factory, lo, size, c
     hi = lo + size
     starts = range(lo, hi, chunk)
     state = Checkpoint(lo, hi, cap, chunk, lo)
-    verify_mod._ensure_tables(hi)
     for a in starts[: data.draw(st.integers(0, len(starts)), label="chunks")]:
         verify_mod._merge(state, verify_mod._chunk_stats((a, min(a + chunk, hi)), cap))
     path = tmp_path_factory.mktemp("ck") / "ck.txt"
@@ -732,7 +714,7 @@ def test_tables_shared_across_caps():
     for cap in (5, 300, DEFAULT_STEP_CAP):
         verify_range(10**6 + 7, 10**6 + 50, step_cap=cap)
         verify_range(3, 900, step_cap=cap)
-    # one build serves every cap and every range the table is long enough for
+    # one build serves every cap and every range
     assert verify_mod._SIG is tables[0] and verify_mod._PK is tables[1]
 
 
@@ -807,7 +789,7 @@ def test_jump_gate_at_the_int64_limit():
     for b, a in cases:
         n = (a << 16) | b
         # the lane starts inside the kernel, so the gate decides its first move
-        assert BASE_TABLE_BOUND <= n < 2**63
+        assert 1 << 16 <= n < 2**63
         _matches_oracle(Window(n, n + 1))
 
 
@@ -864,76 +846,35 @@ def test_peak_codes_order_peaks_at_every_size():
     assert max(abs(c - verify_mod._code(x)) for c, x in zip(got, xs)) <= verify_mod._MARGIN // 2
 
 
-def test_base_table_matches_plain_walk(monkeypatch):
-    verify_mod._ensure_tables(BASE_TABLE_BOUND)
-    sig, pk = verify_mod._SIG, verify_mod._PK
-    assert sig.size == BASE_TABLE_BOUND
-    rng = random.Random(5)
-    for n in [*range(1, 3000), *(rng.randrange(3000, BASE_TABLE_BOUND) for _ in range(300))]:
-        assert (sig[n], pk[n]) == orbit_oracle(n)
+def test_base_table_matches_plain_walk():
+    # every entry the import builds, against a walk one plain step at a time
+    sig, pk = stepped_table(1 << 16)
+    assert np.array_equal(verify_mod._SIG, sig) and np.array_equal(verify_mod._PK, pk)
     # the table holds stopping times as int16
-    assert sig.dtype == np.int16 and sig.max() < 2**15
-    # growth from a short table of odd length, block by block; past
-    # 2^16 a block is at most _LANES / 2 long
-    monkeypatch.setattr(verify_mod, "_SIG", sig[:11].copy())
-    monkeypatch.setattr(verify_mod, "_PK", pk[:11].copy())
-    for hi, size in ((5000, 5000), (5001, 10000), (9000, 10000), (300000, 300000)):
-        verify_mod._ensure_tables(hi)
-        assert verify_mod._SIG.size == size
-        assert np.array_equal(verify_mod._SIG, sig[:size])
-        assert np.array_equal(verify_mod._PK, pk[:size])
+    assert verify_mod._SIG.dtype == np.int16 and sig.max() < 2**15
 
 
-def test_table_size_does_not_change_a_report(tmp_path):
-    sig, pk = stepped_table(BASE_TABLE_BOUND)
-    small = 1 << verify_mod._K
-
-    def run(lo, hi, cap, chunk):
-        # verify.run's chunks at one job, on the table as it is: verify.run would grow it
-        state = Checkpoint(lo, hi, cap, chunk, lo)
-        for a in range(lo, hi, chunk):
-            verify_mod._merge(state, verify_mod._chunk_stats((a, min(a + chunk, hi)), cap))
-        return state
-
-    windows = list(dict.fromkeys((w.lo, w.hi, w.cap, chunk) for w in rows("tables") for chunk, _ in w.runs))
-    reports = {}
-    for size in (small, BASE_TABLE_BOUND):
-        with kernel(size):
-            reports[size] = [run(*w) for w in windows]
-            assert verify_mod._SIG.size == size
-    assert reports[small] == reports[BASE_TABLE_BOUND]
-    with kernel():
-        assert reports[small] == [verify_range(lo, hi, cap, chunk) for lo, hi, cap, chunk in windows]
-
+def test_runs_leave_the_import_table_as_built(tmp_path):
     # the import builds 2^16 entries, all a walk needs (in a fresh process)
     src = str(Path(verify_mod.__file__).parents[1])
     code = f"import sys; sys.path[:0] = [{src!r}]; import collatzbin.verify as v; print(v._SIG.size, v._PK.size)"
     fresh = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert (fresh.stdout, fresh.stderr) == (f"{small} {small}\n", "")
-    # a short run that starts past the table, a 2^17-value one and a
-    # checkpoint load build nothing
-    with kernel(small):
-        table = verify_mod._SIG
-        state = verify_range(10**9, 10**9 + 1)
-        assert verify_mod._SIG is table
-        verify_range(10**9, 10**9 + 2 * small)
-        assert verify_mod._SIG is table
-        checkpoint_save(state, tmp_path / "ck.txt")
-        assert checkpoint_load(tmp_path / "ck.txt") == state
-        assert verify_mod._SIG is table
-        # a run that starts inside it grows it over its own values
-        verify_range(small, small + 3)
-        assert verify_mod._SIG.size == 2 * small
-        verify_range(5 * small, 5 * small + 3)
-        assert verify_mod._SIG.size == 2 * small
-    # growth from 2^16 straight to 2^20 gives the stepped table
-    with kernel(small):
-        verify_mod._ensure_tables(BASE_TABLE_BOUND)
-        assert np.array_equal(verify_mod._SIG, sig) and np.array_equal(verify_mod._PK, pk)
-
-
-# the base table a walk runs on: 2^16 entries as imported, or 2^20 as grown
-TABLES = st.sampled_from([1 << 16, BASE_TABLE_BOUND])
+    assert (fresh.stdout, fresh.stderr) == ("65536 65536\n", "")
+    # runs that start inside the table, on one job or two, and a checkpoint
+    # resume inside it; then a run past it and a checkpoint load
+    tables = verify_mod._SIG, verify_mod._PK
+    built = [t.tobytes() for t in tables]
+    straight = verify_range(1, 10**5, chunk_size=10**4)
+    assert verify_range(1, 10**5, chunk_size=10**4, jobs=2) == straight
+    path = tmp_path / "ck.txt"
+    checkpoint_save(dataclasses.replace(verify_range(1, 3 * 10**4, chunk_size=10**4), hi=10**5), path)
+    assert run(checkpoint_load(path), 1, path) == straight
+    state = verify_range(10**9, 10**9 + (1 << 17))
+    checkpoint_save(state, path)
+    assert checkpoint_load(path) == state
+    # none of them wrote to the tables or replaced them
+    assert verify_mod._SIG is tables[0] and verify_mod._PK is tables[1]
+    assert [t.tobytes() for t in tables] == built
 
 
 @settings(max_examples=30)
@@ -942,13 +883,12 @@ TABLES = st.sampled_from([1 << 16, BASE_TABLE_BOUND])
     offset=st.integers(0, (1 << 11) - 1),
     size=st.integers(1, 2000),
     cap=st.sampled_from([7, 60, 300, DEFAULT_STEP_CAP]),
-    table=TABLES,
 )
-def test_multilane_windows_match_oracle(base, offset, size, cap, table):
+def test_multilane_windows_match_oracle(base, offset, size, cap):
     lo = base + offset
     # the top band stays below 2^62, where lanes leave int64 mid-walk
     hi = min(lo + size, 1 << 62) if base == (1 << 62) - (1 << 11) else lo + size
-    _matches_oracle(Window(lo, hi, cap, table=table))
+    _matches_oracle(Window(lo, hi, cap))
 
 
 @settings(max_examples=30)
@@ -958,15 +898,14 @@ def test_multilane_windows_match_oracle(base, offset, size, cap, table):
     size=st.integers(1, 300),
     cap=st.sampled_from([7, 60, 300, DEFAULT_STEP_CAP]),
     chunk=st.integers(1, 400),
-    table=TABLES,
 )
-def test_past_int64_windows_match_oracle(base, offset, size, cap, chunk, table):
+def test_past_int64_windows_match_oracle(base, offset, size, cap, chunk):
     # across (2^63 - 2) // 3, where 3v + 1 first leaves int64, 2^62, 2^63
     # and far past it: kernel lanes, lanes that pass their int64 gate, jump
     # on two limbs and come back, starts past 2^63, and starts just below
     # 2^117, whose nodes may climb past it onto plain integers
     lo = base + offset
-    _matches_oracle(Window(lo, lo + size, cap, ((chunk, 1),), table))
+    _matches_oracle(Window(lo, lo + size, cap, ((chunk, 1),)))
 
 
 @settings(max_examples=200)
@@ -978,7 +917,6 @@ def test_past_int64_windows_match_oracle(base, offset, size, cap, chunk, table):
 def test_one_value_block_is_the_plain_walk(base, offset, cap):
     # the stopping time and the exact peak, or truncated past the cap: the
     # block checkpoint_load checks each saved maximum with
-    verify_mod._ensure_tables(BASE_TABLE_BOUND)
     n = base + offset
     sigma, peak = orbit_oracle(n, cap)
     got = verify_mod._chunk_stats((n, n + 1), cap)
@@ -989,15 +927,13 @@ def test_one_value_block_is_the_plain_walk(base, offset, cap):
 
 
 def _matches_oracle(w):
-    """Each run of the table row w, on its table, _TAIL and _LANES, gives
+    """Each run of the table row w, on its _TAIL and _LANES, gives
     oracle_report's report, which is returned."""
     want = oracle_report(w.lo, w.hi, w.cap)
-    with kernel(w.table, w.tail, w.lanes):
+    with kernel(w.tail, w.lanes):
         for chunk, jobs in w.runs:
             got = verify_range(w.lo, w.hi, w.cap, chunk, jobs)
             assert got == dataclasses.replace(want, chunk_size=chunk), (chunk, jobs)
-            # no row starts inside a table it could grow
-            assert verify_mod._SIG.size == w.table
     return want
 
 
@@ -1026,7 +962,7 @@ def test_excursion_tie_above_the_table_bound():
     # 8k+4 and 8k+5 meet at 6k+4 after 3 steps, and the common tail climbs
     # past 24k+16: both maxima tie, and go to the smaller n
     for n in (1048684, 1099511627884, 1125899906842732):
-        assert n % 8 == 4 and n >= BASE_TABLE_BOUND
+        assert n % 8 == 4 and n >= 1 << 16
         assert orbit_oracle(n) == orbit_oracle(n + 1)
         r = _matches_oracle(Window(n, n + 2))
         assert r.max_excursion_at == r.max_stopping_time_at == n
@@ -1154,10 +1090,9 @@ def test_lanes_come_back_to_the_kernel(monkeypatch):
         for cap in range(1, sigma + 3, 5):
             _matches_oracle(Window(n, n + 1, cap, tail=0))
     assert seen["stopped"]
-    # from just past (2^63 - 2) // 3, two starts stop in 855 steps after 33
-    # or 34 jumps (on the 2^20 or the 2^16 table), 25 steps each on average:
-    # a stop rule that counted 2·_K steps a pass, a jump's most, would
-    # truncate them at their own stopping time
+    # from just past (2^63 - 2) // 3, two starts stop in 855 steps after 34
+    # jumps, 25 steps each on average: a stop rule that counted 2·_K steps a
+    # pass, a jump's most, would truncate them at their own stopping time
     lo = 3074457345618259468
     assert orbit_oracle(lo + 2)[0] == orbit_oracle(lo + 3)[0] == 855
     for cap in (855, 856):
@@ -1179,10 +1114,9 @@ def test_reentry_windows_match_oracle(w):
 
 def test_huge_cap_gives_the_default_cap_report():
     for w in rows("huge-cap"):
-        with kernel(w.table):
-            r = verify_range(w.lo, w.hi, step_cap=w.cap)
-            assert r.step_cap == 10**30
-            assert dataclasses.replace(r, step_cap=DEFAULT_STEP_CAP) == verify_range(w.lo, w.hi)
+        r = verify_range(w.lo, w.hi, step_cap=w.cap)
+        assert r.step_cap == 10**30
+        assert dataclasses.replace(r, step_cap=DEFAULT_STEP_CAP) == verify_range(w.lo, w.hi)
 
 
 # -- starts whose walks land together: one node per distinct value
@@ -1253,7 +1187,6 @@ def _count_lane_passes(monkeypatch):
 
         return row.view(Counted)
 
-    verify_mod._ensure_tables(BASE_TABLE_BOUND)
     rows = list(verify_mod._JUMP)
     rows[2] = counted(rows[2], "S")
     monkeypatch.setattr(verify_mod, "_JUMP", rows)
@@ -1314,14 +1247,11 @@ def test_class_pass_edges_match_oracle(w):
 
 
 def test_block_at_the_2p16_table_bound_matches_oracle():
-    # a run grows a table it starts at, so only a chunk of its own puts a
-    # block at the 2^16 bound; there 2^16 lands on 1 after 16 steps, the
-    # fewest a jump takes, and converges at cap 16
+    # at the table bound 2^16 lands on 1 after 16 steps, the fewest a jump
+    # takes, and converges at cap 16; rows("classes") runs the default cap
     lo, hi = 1 << 16, (1 << 16) + 2000
-    for cap in (1, 15, 16, 17, 32, DEFAULT_STEP_CAP):
-        with kernel(lo):
-            got = verify_mod._chunk_stats((lo, hi), cap)
-        assert dataclasses.replace(got, chunk_size=DEFAULT_CHUNK_SIZE) == oracle_report(lo, hi, cap), cap
+    for cap in (1, 15, 16, 17, 32):
+        _matches_oracle(Window(lo, hi, cap))
     assert orbit_oracle(lo)[0] == 16
 
 
@@ -1384,23 +1314,21 @@ def test_wide_peak_windows_match_oracle():
     pick=st.sampled_from([(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, -1)]),
     lanes=st.integers(6, 10),
     tail=st.sampled_from([0, 64]),
-    table=TABLES,
     chunk=st.integers(1, 300),
     jobs=st.sampled_from([1, 2]),
 )
 # the cap 851 leaves 19 of these 300 starts truncated, and converged ones
 # peak past 2^63 - 1
-@example(WIDE_2P50, 0, 300, (2, -1), 6, 0, 1 << 16, 37, 2)
-@example(WIDE_2P50, 0, 64, (2, -1), 10, 64, BASE_TABLE_BOUND, 300, 1)
-def test_mixed_windows_match_oracle(base, offset, size, pick, lanes, tail, table, chunk, jobs):
+@example(WIDE_2P50, 0, 300, (2, -1), 6, 0, 37, 2)
+@example(WIDE_2P50, 0, 64, (2, -1), 10, 64, 300, 1)
+def test_mixed_windows_match_oracle(base, offset, size, pick, lanes, tail, chunk, jobs):
     # a cap from the window's own min, median or max stopping time, or one
     # off it, so that some starts stop within it and some do not, in blocks
     # of 2^6 to 2^10 values: many passes per block, gated nodes, tail walks,
     # plain walks stopped at their budget and passes stopped by the pass
     # count. A cap below the min or at the max leaves one kind out, so the
-    # draw is clipped to [min, max - 1]. The base table is 2^16 or 2^20
-    # entries long (no window starts inside it, so no run grows it), and
-    # the window runs in chunks of any size on one or two jobs
+    # draw is clipped to [min, max - 1]. The window runs in chunks of any
+    # size on one or two jobs
     lo = base + offset
     hi = lo + size
     sigmas = sorted(sigma for sigma, _ in oracle_walks(lo, hi))
@@ -1408,7 +1336,7 @@ def test_mixed_windows_match_oracle(base, offset, size, pick, lanes, tail, table
     which, delta = pick
     cap = (sigmas[0], sigmas[size // 2], sigmas[-1])[which] + delta
     cap = min(max(cap, sigmas[0]), sigmas[-1] - 1)
-    w = Window(lo, hi, cap, ((chunk, jobs),), table, tail, 1 << lanes)
+    w = Window(lo, hi, cap, ((chunk, jobs),), tail, 1 << lanes)
     want = _matches_oracle(w)
     assert want.truncated and want.verified_count
 
@@ -1441,7 +1369,7 @@ def test_fuzz_reports_a_crash_as_a_reproduction():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert (done.returncode, done.stderr) == (1, "")
     assert re.fullmatch(
-        r"verify_range\(\d+, \d+, step_cap=\d+, chunk_size=\d+, jobs=[12]\) on a \d+-entry table"
+        r"verify_range\(\d+, \d+, step_cap=\d+, chunk_size=\d+, jobs=[12]\)"
         r" with _TAIL = \d+ and _LANES = \d+(, stopped at \d+ and resumed)?\nRuntimeError: patched to fail\n",
         done.stdout,
     )
@@ -1461,7 +1389,7 @@ def test_ab_timing_runs_an_a_a_comparison():
     assert names == [
         "chunk 2^18 at 10^9+7", "chunk 2^18 at 2^40+777", "chunk 2^17 at 2^50+123",
         "chunk 4096 at 2^62+12345678901", "chunk 4096 at 2^63+12345",
-        "--chunk 1, 512 at 2^62+12345678901", "import collatzbin.verify", "build the base table to 2^20",
+        "--chunk 1, 512 at 2^62+12345678901", "import collatzbin.verify", "verify [1, 10^7)",
     ]
     assert all(line.endswith("faster in 0 of 1") or line.endswith("faster in 1 of 1") for line in done.stdout.splitlines())
 
@@ -1469,12 +1397,12 @@ def test_ab_timing_runs_an_a_a_comparison():
 def test_ab_outputs_runs_an_a_a_comparison(tmp_path):
     # tools/ab.py --outputs on three rows against this tree's own src: every
     # way each setting runs gives equal outputs, a resume at the middle chunk
-    # boundary in the row run at chunk 37. A copy whose report reads
+    # boundary in the row run at chunk 100. A copy whose report reads
     # differently is caught, in every way the setting runs
     ab = Path(__file__).parents[1] / "tools" / "ab.py"
     src = Path(verify_mod.__file__).resolve().parents[1]
-    pins = ("OWN_GATE", "just enough for pass 0 by class")
-    picks = ",".join(str(i) for i, w in enumerate(WINDOWS) if w.pins in pins or w.runs == ((37, 1),))
+    pins = ("OWN_GATE", "15 lanes tie on the peak", "just enough for pass 0 by class")
+    picks = ",".join(str(i) for i, w in enumerate(WINDOWS) if w.pins in pins)
 
     def outputs(base, rows):
         argv = [sys.executable, str(ab), "--base", str(base), "--outputs", "--rows", rows]
@@ -1482,7 +1410,7 @@ def test_ab_outputs_runs_an_a_a_comparison(tmp_path):
 
     done = outputs(src, picks)
     assert (done.returncode, done.stderr) == (0, "")
-    assert done.stdout == "6 settings, 20 CLI runs per tree: 0 differ\n"
+    assert done.stdout == "8 settings, 26 CLI runs per tree: 0 differ\n"
     copy = tmp_path / "src"
     shutil.copytree(src / "collatzbin", copy / "collatzbin", ignore=shutil.ignore_patterns("__pycache__"))
     module = copy / "collatzbin" / "verify.py"
@@ -1517,8 +1445,7 @@ def test_a_class_block_folds_and_walks_per_class_node(monkeypatch):
     monkeypatch.setattr(verify_mod, "_resolve", counted_resolve)
     monkeypatch.setattr(verify_mod, "_jump_plain", counted_jump)
     lo = W9 - 1000
-    with kernel():
-        verify_mod._chunk_stats((lo, lo + (1 << 16)), DEFAULT_STEP_CAP)
+    verify_mod._chunk_stats((lo, lo + (1 << 16)), DEFAULT_STEP_CAP)
     assert len(folds) == 2 and max(folds) < 3 * (1 << 16) // 10
     for lo, size in ((WIDE_CLASS, 64), (WIDE_2P50 - 100, 300)):
         folds.clear()
@@ -1569,15 +1496,15 @@ def table_report(sig, pk, lo: int, hi: int, cap: int) -> Checkpoint:
 def test_merged_starts_with_unequal_steps_stop_at_their_own_caps(tail):
     # 65,563 and 196,690 both reach 531,674 after 16 halvings, in 28 and 27
     # steps: one node, whose starts reach the cap at different passes. A
-    # block of 2^18 values on the 2^16 table holds both
+    # block of 2^18 values holds both
     small, big = 196690, 65563
     assert block_walk(small)[:2] == (531674, 27) and block_walk(big)[:2] == (531674, 28)
-    sig, pk = stepped_table(BASE_TABLE_BOUND)
+    sig, pk = stepped_table(1 << 18)
     lo, hi = big, small + 1
     s_small, s_big = int(sig[small]), int(sig[big])
     assert s_big == s_small + 1
     for cap in (s_small - 1, s_small, s_big - 1, s_big, 1):
-        with kernel(1 << 16, tail, 1 << 18):
+        with kernel(tail, 1 << 18):
             got = verify_mod._chunk_stats((lo, hi), cap)
         assert dataclasses.replace(got, chunk_size=DEFAULT_CHUNK_SIZE) == table_report(sig, pk, lo, hi, cap)
         # the tables agree with the plain walks at both ends of the window

@@ -1,13 +1,13 @@
 """The plain-integer oracle, and the one table of verify windows checked against it.
 
 A row of WINDOWS is a setting: a window [lo, hi), its step cap, the
-(chunk size, jobs) pairs it runs at, the base-table length and the kernel's
-_TAIL and _LANES (set by kernel()), the oracle tests of test_verify.py that
-run it and what it pins. BASES holds the starts the Hypothesis strategies
-move by an offset. tools/fuzz.py draws windows around every base, every
-named start and every row's lo, so a window added here reaches both the
-oracle tests and the oracle campaign. Only the package and numpy are
-imported: the campaign runs without pytest or Hypothesis.
+(chunk size, jobs) pairs it runs at, the kernel's _TAIL and _LANES (set by
+kernel()), the oracle tests of test_verify.py that run it and what it
+pins. BASES holds the starts the Hypothesis strategies move by an offset.
+tools/fuzz.py draws windows around every base, every named start and every
+row's lo, so a window added here reaches both the oracle tests and the
+oracle campaign. Only the package and numpy are imported: the campaign
+runs without pytest or Hypothesis.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from collatzbin import verify
-from collatzbin.verify import BASE_TABLE_BOUND, DEFAULT_CHUNK_SIZE, DEFAULT_STEP_CAP, Checkpoint
+from collatzbin.verify import DEFAULT_CHUNK_SIZE, DEFAULT_STEP_CAP, Checkpoint
 
 CAP, CHUNK = DEFAULT_STEP_CAP, DEFAULT_CHUNK_SIZE
 
@@ -74,8 +74,7 @@ def stepped_table(bound: int):
     """(stopping times, peaks) of every n < bound, one plain step at a time.
 
     Each block [s, 2s) walks until it drops below s, into entries already
-    exact; no jump table is read. The arrays are shared: copy before
-    patching them in.
+    exact; no jump table is read. The arrays are shared: read them only.
     """
     sig = np.zeros(bound, dtype=np.int64)
     pk = np.arange(bound, dtype=np.int64)
@@ -96,29 +95,18 @@ def stepped_table(bound: int):
     return sig, pk
 
 
-@functools.cache
-def _tables():
-    # the stepped table in verify's dtypes, read-only: a run that grows it copies it
-    sig, pk = stepped_table(BASE_TABLE_BOUND)
-    sig, pk = sig.astype(np.int16), pk.copy()
-    sig.flags.writeable = pk.flags.writeable = False
-    return sig, pk
-
-
 TAIL, LANES = verify._TAIL, verify._LANES
 
 
 @contextlib.contextmanager
-def kernel(table: int = BASE_TABLE_BOUND, tail: int = TAIL, lanes: int = LANES):
-    """verify's base table cut to `table` entries, its _TAIL and its _LANES for
-    the with-block, whatever an earlier run left; put back after it."""
-    saved = verify._SIG, verify._PK, verify._TAIL, verify._LANES
-    sig, pk = _tables()
-    verify._SIG, verify._PK, verify._TAIL, verify._LANES = sig[:table], pk[:table], tail, lanes
+def kernel(tail: int = TAIL, lanes: int = LANES):
+    """verify's _TAIL and _LANES for the with-block; put back after it."""
+    saved = verify._TAIL, verify._LANES
+    verify._TAIL, verify._LANES = tail, lanes
     try:
         yield
     finally:
-        verify._SIG, verify._PK, verify._TAIL, verify._LANES = saved
+        verify._TAIL, verify._LANES = saved
 
 
 # -- named starts and bases
@@ -177,7 +165,6 @@ class Window(NamedTuple):
     hi: int
     cap: int = CAP
     runs: tuple = ((CHUNK, 1),)  # (chunk size, jobs) pairs
-    table: int = BASE_TABLE_BOUND
     tail: int = TAIL
     lanes: int = LANES
     tests: str = ""  # the oracle tests that run it
@@ -185,7 +172,7 @@ class Window(NamedTuple):
 
 
 def _rows(tests: str, runs: tuple, *rows) -> tuple:
-    """Rows at the default table, _TAIL and _LANES, from (lo, hi, cap, pins)."""
+    """Rows at the default _TAIL and _LANES, from (lo, hi, cap, pins)."""
     return tuple(Window(lo, hi, cap, runs, tests=tests, pins=pins) for lo, hi, cap, pins in rows)
 
 
@@ -205,8 +192,8 @@ WINDOWS = (
            ((1 << 117) - 256, (1 << 117) + 256, CAP, "starts on both sides of 2^117"),
            ((1 << 1023) - 10, (1 << 1023) + 6, CAP, "peaks on both sides of 2^1023, where float64 codes end"),
            ((1 << 1100) + 12345, (1 << 1100) + 12353, CAP, "peaks past 2^1023")),
-    *_rows("edges tables", BOTH,
-           ((1 << 20) - (1 << 15), (1 << 20) + (1 << 15), CAP, "starts below the table bound never join a node")),
+    *_rows("edges", BOTH,
+           ((1 << 16) - (1 << 15), (1 << 16) + (1 << 15), CAP, "starts below the table bound never join a node")),
     *_rows("edges", ((3, 1), (3, 2), (37, 1), (37, 2)),
            ((1 << 40) + 12345, (1 << 40) + 13845, CAP, "starts join only nodes of their own block")),
     *_rows("edges", ((37, 1), (37, 2), *BOTH), (GATE_EDGE - 300, GATE_EDGE + 300, CAP, "GATE_EDGE")),
@@ -227,9 +214,6 @@ WINDOWS = (
            (2049638230412171845, 2049638230412171909, 150, "every wide peak is truncated, the 7c8333a bug's shape"),
            (3074457345618258366, 3074457345618258466, 200, "every wide peak is truncated")),
     *_rows("tied", ((CHUNK, 1), (100, 1)), ((1 << 58) + 704, (1 << 58) + 1728, CAP, "15 lanes tie on the peak")),
-    *_rows("tables", ((37, 1),), ((1 << 40) + 12345, (1 << 40) + 15345, CAP, "one report on any table")),
-    *_rows("tables", ((CHUNK, 1),), ((1 << 62) - (1 << 11), (1 << 62) + (1 << 11), 60, "one report on any table")),
-    *_rows("tables", ((1000, 1),), (Z63, Z63 + 4096, CAP, "one report on any table")),
     *_rows("huge-cap", ((CHUNK, 1),),
            (10**9 + 7, 10**9 + 307, 10**30, "kernel lanes"),
            ((1 << 58) + 3, (1 << 58) + 203, 10**30, "lanes that leave int64 and come back"),
@@ -243,19 +227,19 @@ WINDOWS = (
            (GATE_FREE - 1000, GATE_FREE + 1000, CAP, "one that straddles it does not"),
            (GATE_FREE, GATE_FREE + 2000, CAP, "nor one that starts there"),
            (GATE_FREE + 64535, GATE_FREE + 66535, CAP, "GATE_FREE + 65535, the first start past its gate"),
-           (BASE_TABLE_BOUND, BASE_TABLE_BOUND + 2000, CAP, "a block that starts at the table bound"),
+           (1 << 16, (1 << 16) + 2000, CAP, "a block that starts at the table bound"),
            (E9, E9 + TAIL - 1, CAP, "too few starts for numpy: pass 0 walks on plain integers"),
            (E9, E9 + TAIL, CAP, "just enough for pass 0 by class"),
            *((E9, E9 + 3000, cap, "caps around the first jump's 16 + c steps") for cap in (1, 15, 16, 17, 32))),
     # one block of 2^17 + 1000 starts on three runs of residues, at a = 1, 2
     # and 3; class landings of runs two apart meet at a = 1, and 37 of them,
     # past the 2^16 table, walk twice (65,563 and 196,690 land on 531,674)
-    Window((1 << 16) + 1, 3 * (1 << 16) + 1001, CAP, ((2 * (1 << 16) + 1000, 1),), 1 << 16, TAIL, 1 << 18,
+    Window((1 << 16) + 1, 3 * (1 << 16) + 1001, CAP, ((2 * (1 << 16) + 1000, 1),), TAIL, 1 << 18,
            "classes", "a block on three runs of residues, where landings of runs two apart meet"),
     # at _TAIL 0 a block of one start goes by class, and its landing can
-    # resolve in the table, ending the block before any jump pass
-    Window(BASE_TABLE_BOUND, BASE_TABLE_BOUND + 64, CAP, ((1, 1), (8, 1)), BASE_TABLE_BOUND, 0, LANES,
-           "classes", "every class landing resolves in the table"),
+    # resolve in the table, ending the block before any jump pass: here every
+    # start's first jump lands below 2^16 (found with the oracle)
+    Window(69176, 69240, CAP, ((1, 1), (8, 1)), 0, LANES, "classes", "every class landing resolves in the table"),
     # blocks of 2^16 starts, one period of residues; at the window's median
     # stopping time, 206, some classes of its first block truncate and others
     # converge. The first row's oracle walks serve all three (2.7 s)
@@ -265,11 +249,10 @@ WINDOWS = (
            (W9 - 1000, W9 + (1 << 16), 206, "some classes of a block truncate, others converge")),
     # the maximum excursion of a class block ties between a start whose own
     # first jump peaks there (69,403 and 131,311) and a class node that peaks
-    # there later (73,115 and 129,537); the smaller n wins on either side. On
-    # the 2^16 table, at caps that leave every converged start below the tie
-    # (found with the oracle)
-    Window(69403, 73116, 81, BOTH, 1 << 16, TAIL, LANES, "classes", "a tie won by a start's own first-jump peak"),
-    Window(129537, 131312, 100, BOTH, 1 << 16, TAIL, LANES, "classes", "a tie won by a class node's later peak"),
+    # there later (73,115 and 129,537); the smaller n wins on either side, at
+    # caps that leave every converged start below the tie (found with the oracle)
+    Window(69403, 73116, 81, BOTH, tests="classes", pins="a tie won by a start's own first-jump peak"),
+    Window(129537, 131312, 100, BOTH, tests="classes", pins="a tie won by a class node's later peak"),
     *_rows("classes", BOTH, (WIDE_CLASS, WIDE_CLASS + 64, CAP, "WIDE_CLASS: two starts of one class peak past 2^63 - 1")),
 )
 

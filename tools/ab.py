@@ -27,7 +27,7 @@ faster. --json writes the rounds as well. Probes: _chunk_stats on five
 windows at the default cap (the int64 bands at 10^9, 2^40 and 2^50, the
 two-limb bands past 2^62 and 2^63), a run of one-value chunks past 2^62,
 and, each in a fresh process (numpy imported before the clock starts), a
-cold import of collatzbin.verify and the base-table build to 2^20.
+cold import of collatzbin.verify and verify_range(1, 10^7) after it.
 """
 
 from __future__ import annotations
@@ -70,16 +70,16 @@ IMPORT_CODE = (
     "print(v.summarize(v.verify_range(1, 10**4)), end='')\n"
     "print(t)\n"
 )
-BUILD = "build the base table to 2^20"
-# the child times the growth from the 2^16 entries of the import, then
-# prints a digest of the tables for the equality check
-BUILD_CODE = (
-    "import hashlib, time, numpy\n"
+RUN = "verify [1, 10^7)"
+# the child imports the verifier, times a whole run from 1, then prints its
+# report for the equality check
+RUN_CODE = (
+    "import time, numpy\n"
     "import collatzbin.verify as v\n"
     "t = time.perf_counter()\n"
-    "v._ensure_tables(v.BASE_TABLE_BOUND)\n"
+    "state = v.verify_range(1, 10**7)\n"
     "t = time.perf_counter() - t\n"
-    "print(hashlib.sha256(v._SIG.tobytes() + v._PK.tobytes()).hexdigest())\n"
+    "print(v.summarize(state), end='')\n"
     "print(t)\n"
 )
 # one CLI setting on one tree, every way --outputs runs it: argv is lo, hi,
@@ -230,7 +230,7 @@ def compare_times(base: str, srcs, rounds: int, json_path) -> int:
     probes = {name: ("ns/value", lambda side, w=w: chunk_probe(trees[side], *w)) for name, w in CHUNKS.items()}
     probes[ONES] = "us/value", lambda side: ones_probe(trees[side])
     probes[IMPORT] = "ms", lambda side: fresh_probe(srcs[side], IMPORT_CODE)
-    probes[BUILD] = "ms", lambda side: fresh_probe(srcs[side], BUILD_CODE)
+    probes[RUN] = "ms", lambda side: fresh_probe(srcs[side], RUN_CODE)
     for name, (_, probe) in probes.items():
         got = [probe(side)[0] for side in (0, 1)]
         if got[0] != got[1]:
