@@ -126,13 +126,6 @@ class Checkpoint:
 # ---------------------------------------------------------------------------
 # tables, shared with forked workers through module globals
 
-# values per numpy block in the kernel, as in the CLI's default chunk: one
-# period of residues, so a block lies on at most two runs of them (_by_class).
-# A numpy pass costs a fixed 22-34 us, and a 2^16 block pays its tail of
-# passes of a few hundred nodes once where two 2^15 blocks pay it twice:
-# 7-16% less time per value (BENCH_43.json)
-_LANES = 1 << 16
-
 # the jump kernel takes _K halvings at once, through a table over the
 # residues b = v mod 2^_K (_JUMP, built by _jump_table at import)
 _K = 16
@@ -379,8 +372,7 @@ def _by_class(lo: int, hi: int) -> tuple:
     class node, in head order, its head (the class's first start on its run, as n - lo),
     steps S and landing A·a + B. On a run of starts between multiples of 2^_K, a is
     fixed, M1 and M2 are slices, and each class lands once, read at its first residue
-    there (_PREV); those of two runs never meet (a test checks every pair of classes),
-    of more may."""
+    there (_PREV); those of two runs never meet (a test checks every pair of classes)."""
     (M1, M2), (A, B, S) = _ROWS, _LAND
     top = np.empty(hi - lo, dtype=np.int64)
     heads, classes, lands = [], [], []
@@ -399,7 +391,7 @@ def _by_class(lo: int, hi: int) -> tuple:
 
 
 def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
-    """Values [lo, hi), at most _LANES of them, at any size; start i is lo + i.
+    """Values [lo, hi), at most 2^_K of them, at any size; start i is lo + i.
 
     The nodes of a pass are the distinct values still walking, the starts
     first: an int64 array of their low limbs (nodes) and, unless every node
@@ -583,8 +575,13 @@ def _resolve(passes: list[_Pass], row: str, op) -> np.ndarray:
 def _chunk_stats(bounds: tuple[int, int], cap: int) -> Checkpoint:
     lo, hi = bounds
     acc = Checkpoint(lo, hi, cap, hi - lo, lo)
-    for start in range(lo, hi, _LANES):
-        _merge(acc, _chunk_numpy(start, min(start + _LANES, hi), cap))
+    # a numpy block holds 2^_K values, as the CLI's default chunk does: one
+    # period of residues, so a block lies on at most two runs of them (_by_class).
+    # A numpy pass costs a fixed 22-34 us, and a 2^16 block pays its tail of
+    # passes of a few hundred nodes once where two 2^15 blocks pay it twice:
+    # 7-16% less time per value (BENCH_43.json)
+    for start in range(lo, hi, 1 << _K):
+        _merge(acc, _chunk_numpy(start, min(start + (1 << _K), hi), cap))
     return acc
 
 

@@ -1,25 +1,36 @@
-"""The plain-integer oracle, and the one table of verify windows checked against it.
+"""The plain-integer oracle, the one table of verify windows, and random windows, all checked against it.
 
 A row of WINDOWS is a setting: a window [lo, hi), its step cap, the
-(chunk size, jobs) pairs it runs at, the kernel's _TAIL and _LANES (set by
-kernel()), the oracle tests of test_verify.py that run it and what it
-pins. BASES holds the starts the Hypothesis strategies move by an offset.
-tools/fuzz.py draws windows around every base, every named start and every
-row's lo, so a window added here reaches both the oracle tests and the
-oracle campaign. Only the package and numpy are imported: the campaign
-runs without pytest or Hypothesis.
+(chunk size, jobs) pairs it runs at, the kernel's _TAIL (set by kernel()),
+the oracle tests of test_verify.py that run it and what it pins. draw
+makes a random window around a start of BASES, a named start or a row's lo.
+check runs a window against the oracle for the oracle tests, the seeded
+draws of test_verify.py and the campaign of tools/fuzz.py, so a window
+added here reaches all three. Only the package and numpy are imported:
+the campaign runs without pytest or Hypothesis.
 """
 
 from __future__ import annotations
 
 import contextlib
-import functools
-from typing import NamedTuple
+import dataclasses
+import random
+import tempfile
+from pathlib import Path
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from collatzbin import verify
-from collatzbin.verify import DEFAULT_CHUNK_SIZE, DEFAULT_STEP_CAP, Checkpoint
+from collatzbin.verify import (
+    DEFAULT_CHUNK_SIZE,
+    DEFAULT_STEP_CAP,
+    Checkpoint,
+    checkpoint_load,
+    checkpoint_save,
+    run,
+    verify_range,
+)
 
 CAP, CHUNK = DEFAULT_STEP_CAP, DEFAULT_CHUNK_SIZE
 
@@ -69,12 +80,11 @@ def oracle_report(lo: int, hi: int, cap: int) -> Checkpoint:
     return state
 
 
-@functools.cache
 def stepped_table(bound: int):
     """(stopping times, peaks) of every n < bound, one plain step at a time.
 
     Each block [s, 2s) walks until it drops below s, into entries already
-    exact; no jump table is read. The arrays are shared: read them only.
+    exact; no jump table is read.
     """
     sig = np.zeros(bound, dtype=np.int64)
     pk = np.arange(bound, dtype=np.int64)
@@ -95,18 +105,17 @@ def stepped_table(bound: int):
     return sig, pk
 
 
-TAIL, LANES = verify._TAIL, verify._LANES
+TAIL = verify._TAIL
 
 
 @contextlib.contextmanager
-def kernel(tail: int = TAIL, lanes: int = LANES):
-    """verify's _TAIL and _LANES for the with-block; put back after it."""
-    saved = verify._TAIL, verify._LANES
-    verify._TAIL, verify._LANES = tail, lanes
+def kernel(tail: int):
+    """verify's _TAIL for the with-block; put back after it."""
+    saved, verify._TAIL = verify._TAIL, tail
     try:
         yield
     finally:
-        verify._TAIL, verify._LANES = saved
+        verify._TAIL = saved
 
 
 # -- named starts and bases
@@ -150,8 +159,7 @@ BASES = {
     "multilane": (1 << 20, 10**9, 1 << 40, 1 << 50, 1 << 58, (1 << 62) - (1 << 11)),
     # lanes past their gate, two-limb starts and starts near 2^117
     "past-int64": (INT64_3V1, 1 << 62, 1 << 63, 1 << 64, 1 << 80, 1 << 100, (1 << 117) - (1 << 11)),
-    # capped windows with int64 and wide peaks
-    "mixed": (INT64_3V1, 1 << 62, 1 << 63, 1 << 64, 10**9, 1 << 40, WIDE_2P50),
+    # the bases the Hypothesis strategies move by an offset
     "one-value": (1, 1 << 20, 1 << 40, 1 << 58, 1 << 62, 1 << 63, 1 << 80, 1 << 200),
     "merge": (1, 10**6, 1 << 60, (1 << 62) - 64, (1 << 63) - 40),
 }
@@ -166,13 +174,13 @@ class Window(NamedTuple):
     cap: int = CAP
     runs: tuple = ((CHUNK, 1),)  # (chunk size, jobs) pairs
     tail: int = TAIL
-    lanes: int = LANES
     tests: str = ""  # the oracle tests that run it
     pins: str = ""  # the bug, tier edge or rule it holds to
+    cut: Optional[int] = None  # a chunk boundary each run stops at, then resumes from a checkpoint
 
 
 def _rows(tests: str, runs: tuple, *rows) -> tuple:
-    """Rows at the default _TAIL and _LANES, from (lo, hi, cap, pins)."""
+    """Rows at the default _TAIL, from (lo, hi, cap, pins)."""
     return tuple(Window(lo, hi, cap, runs, tests=tests, pins=pins) for lo, hi, cap, pins in rows)
 
 
@@ -210,6 +218,10 @@ WINDOWS = (
            (SHARE_WIDE - 3, SHARE_WIDE + 1, CAP, "SHARE_WIDE"),
            *((Z63, Z63 + 4096, cap, "wide peaks on truncated paths never count") for cap in (250, 400, 557)),
            *((A62, A62 + 4096, cap, "wide peaks on truncated paths never count") for cap in (350, 400, 468))),
+    # at cap 851, 19 of these 300 starts truncate and converged ones peak
+    # past 2^63 - 1, 5 of the first 64 truncate
+    Window(WIDE_2P50, WIDE_2P50 + 300, 851, ((37, 2),), 0, "wide", "WIDE_2P50: small chunks on two jobs"),
+    Window(WIDE_2P50, WIDE_2P50 + 64, 851, ((300, 1),), tests="wide", pins="WIDE_2P50: one chunk"),
     *_rows("wide-truncated", ((CHUNK, 1),),
            (2049638230412171845, 2049638230412171909, 150, "every wide peak is truncated, the 7c8333a bug's shape"),
            (3074457345618258366, 3074457345618258466, 200, "every wide peak is truncated")),
@@ -231,18 +243,17 @@ WINDOWS = (
            (E9, E9 + TAIL - 1, CAP, "too few starts for numpy: pass 0 walks on plain integers"),
            (E9, E9 + TAIL, CAP, "just enough for pass 0 by class"),
            *((E9, E9 + 3000, cap, "caps around the first jump's 16 + c steps") for cap in (1, 15, 16, 17, 32))),
-    # one block of 2^17 + 1000 starts on three runs of residues, at a = 1, 2
-    # and 3; class landings of runs two apart meet at a = 1, and 37 of them,
-    # past the 2^16 table, walk twice (65,563 and 196,690 land on 531,674)
-    Window((1 << 16) + 1, 3 * (1 << 16) + 1001, CAP, ((2 * (1 << 16) + 1000, 1),), TAIL, 1 << 18,
-           "classes", "a block on three runs of residues, where landings of runs two apart meet"),
+    # a chunk of 2^16 + 1000 starts runs as two blocks, the first of 2^16
+    # starts on two runs of residues. Its oracle walks serve the three rows
+    # of the same window below (2.7 s)
+    Window(W9 - 1000, W9 + (1 << 16), CAP, ((1 << 17, 1),), tests="classes", pins="a chunk of two blocks"),
     # at _TAIL 0 a block of one start goes by class, and its landing can
     # resolve in the table, ending the block before any jump pass: here every
     # start's first jump lands below 2^16 (found with the oracle)
-    Window(69176, 69240, CAP, ((1, 1), (8, 1)), 0, LANES, "classes", "every class landing resolves in the table"),
+    Window(69176, 69240, CAP, ((1, 1), (8, 1)), 0, "classes", "every class landing resolves in the table"),
     # blocks of 2^16 starts, one period of residues; at the window's median
     # stopping time, 206, some classes of its first block truncate and others
-    # converge. The first row's oracle walks serve all three (2.7 s)
+    # converge
     *_rows("classes", BOTH,
            (W9 - 1000, W9 + (1 << 16), CAP, "a block of 2^16 starts on two runs of residues"),
            (W9, W9 + (1 << 16), CAP, "a block of 2^16 starts at a multiple of 2^16: one run"),
@@ -260,3 +271,69 @@ WINDOWS = (
 def rows(test: str) -> list[Window]:
     """The rows the named oracle test runs, in table order."""
     return [w for w in WINDOWS if test in w.tests.split()]
+
+
+# -- random windows
+
+STARTS = sorted({*(b for bases in BASES.values() for b in bases), *NAMED, *(w.lo for w in WINDOWS)})
+
+
+def draw(rng: random.Random) -> Window:
+    """A window within 2^12 of a start: 1 to 4,096 values, or 1 to 64 past
+    2^128, where an oracle walk takes milliseconds.
+
+    Its cap is below the window's smallest stopping time, so that every
+    start truncates, in one draw of ten; one of its own stopping times (the
+    min, median or max, or one off it), clipped to [min, max - 1] so that
+    some starts converge and some truncate, in six of ten; else the default
+    cap. It runs once, at chunk size 1, 8 or a random one, on one or two
+    jobs, at _TAIL 0 or TAIL, and in one draw of four with a chunk boundary
+    strictly inside it stops there, at cut.
+    """
+    base = rng.choice(STARTS)
+    size = rng.randint(1, 1 << rng.randint(0, 12 if base < 1 << 128 else 6))
+    lo = max(1, base + rng.randint(-(1 << 12), (1 << 12) - size))
+    hi = lo + size
+    cap = CAP
+    sigmas = sorted(sigma for sigma, _ in oracle_walks(lo, hi))
+    pick = rng.random()
+    if pick < 0.1 and sigmas[0] > 1:
+        cap = rng.randint(1, sigmas[0] - 1)
+    elif pick < 0.7 and sigmas[0] < sigmas[-1]:
+        # at least 1, since n = 1 stops in 0 steps
+        cap = rng.choice((sigmas[0], sigmas[size // 2], sigmas[-1])) + rng.randint(-1, 1)
+        cap = max(1, min(max(cap, sigmas[0]), sigmas[-1] - 1))
+    chunk = rng.choice((1, 8, rng.randint(1, size + 100)))
+    cuts = range(lo + chunk, hi, chunk)  # the chunk boundaries strictly inside
+    cut = rng.choice(cuts) if cuts and rng.random() < 0.25 else None
+    return Window(lo, hi, cap, ((chunk, rng.choice((1, 2))),), rng.choice((0, TAIL)), cut=cut)
+
+
+def check(w: Window) -> Optional[str]:
+    """Run w at each of its (chunk size, jobs) pairs on its _TAIL: straight or,
+    with a cut, [lo, cut) saved with hi set back, loaded and run on to hi.
+
+    None if every report equals oracle_report's. Else the first run that
+    differs, or raises, as one verify_range(...) call with its _TAIL and cut,
+    and then the exception's type and message if it raised.
+    """
+    want = oracle_report(w.lo, w.hi, w.cap)
+    with kernel(w.tail), tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ck.txt"
+        for chunk, jobs in w.runs:
+            try:
+                if w.cut is None:
+                    got = verify_range(w.lo, w.hi, step_cap=w.cap, chunk_size=chunk, jobs=jobs)
+                else:
+                    part = verify_range(w.lo, w.cut, step_cap=w.cap, chunk_size=chunk, jobs=jobs)
+                    checkpoint_save(dataclasses.replace(part, hi=w.hi), path)
+                    got = run(checkpoint_load(path), jobs)
+                wrong, crash = got != dataclasses.replace(want, chunk_size=chunk), ""
+            except Exception as exc:
+                # a crash is a finding too, reported as a wrong report is
+                wrong, crash = True, f"\n{type(exc).__name__}: {exc}"
+            if wrong:
+                resume = "" if w.cut is None else f", stopped at {w.cut} and resumed"
+                call = f"verify_range({w.lo}, {w.hi}, step_cap={w.cap}, chunk_size={chunk}, jobs={jobs})"
+                return f"{call} with _TAIL = {w.tail}{resume}{crash}"
+    return None

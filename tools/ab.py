@@ -8,14 +8,14 @@ this tree's src for an A/A run. Only the stdlib and numpy are used.
 
 --outputs runs the rows of tests/windows.py's WINDOWS (or the rows at the
 given indices) as CLI settings on both trees: each row's window and cap at
-each of its chunk sizes, at --jobs 1 and 2 (a row's table, _TAIL and _LANES
-are the kernel's, and the CLI runs at its own). Each setting runs in a
-fresh process per tree: verify straight, with --checkpoint, with --resume
-of the finished file and, when a chunk boundary lies strictly inside the
-window, with --resume of a checkpoint the tree's library saved at the
-middle one. Exit codes, stdout, stderr and checkpoint bytes must be equal,
-temporary paths read as <tmp>; each setting that differs is printed, and
-the script exits 1.
+each of its chunk sizes, at --jobs 1 and 2 (a row's _TAIL is the kernel's,
+and the CLI runs at its own). Each setting runs in a fresh process per
+tree: verify straight, with --checkpoint, with --resume of the finished
+file and, when a chunk boundary lies strictly inside the window, with
+--resume of a checkpoint the tree's library saved at the middle one. Exit
+codes, stdout, stderr and checkpoint bytes must be equal, temporary paths
+read as <tmp>; each setting that differs is printed, and the script exits
+1.
 
 --time loads both trees side by side (importlib), each with its own
 tables. Each probe first checks that both trees give equal Checkpoint
