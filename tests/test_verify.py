@@ -707,6 +707,16 @@ def test_shuffled_chunk_merge_matches_straight_run(base, offset, size, cap, cuts
     assert state == straight
 
 
+def test_tables_shared_across_caps():
+    verify_range(10**6, 10**6 + 100)
+    tables = verify_mod._SIG, verify_mod._PK
+    for cap in (5, 300, DEFAULT_STEP_CAP):
+        verify_range(10**6 + 7, 10**6 + 50, step_cap=cap)
+        verify_range(3, 900, step_cap=cap)
+    # one table serves every cap and every range
+    assert verify_mod._SIG is tables[0] and verify_mod._PK is tables[1]
+
+
 def test_merge_ties_go_to_smaller_n():
     # 27 and 31 both peak at 9232; 12 and 13 both stop after 9 steps
     for (a, b), key in (((27, 31), "max_excursion"), ((12, 13), "max_stopping_time")):
@@ -850,8 +860,7 @@ def test_runs_leave_the_import_table_as_built(tmp_path):
     fresh = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert (fresh.stdout, fresh.stderr) == ("65536 65536\n", "")
     # runs that start inside the table, on one job or two, and a checkpoint
-    # resume inside it; then a run past it and a checkpoint load, and runs on
-    # both sides of the table bound at other caps
+    # resume inside it; then a run past it and a checkpoint load
     tables = verify_mod._SIG, verify_mod._PK
     built = [t.tobytes() for t in tables]
     straight = verify_range(1, 10**5, chunk_size=10**4)
@@ -862,9 +871,6 @@ def test_runs_leave_the_import_table_as_built(tmp_path):
     state = verify_range(10**9, 10**9 + (1 << 17))
     checkpoint_save(state, path)
     assert checkpoint_load(path) == state
-    for cap in (5, 300):
-        verify_range(10**6 + 7, 10**6 + 50, step_cap=cap)
-        verify_range(3, 900, step_cap=cap)
     # none of them wrote to the tables or replaced them
     assert verify_mod._SIG is tables[0] and verify_mod._PK is tables[1]
     assert [t.tobytes() for t in tables] == built
