@@ -4,9 +4,11 @@ Batch-oriented subcommands over the library, one line of argparse glue
 per capability. Inputs are decimal by default; --binary switches to raw
 bit strings. Exit codes: 0 on success (including truncated iterations,
 which are reported in the output, not as failures), 1 on domain errors
-and on a verify chunk that failed in its worker, 2 on usage errors, 130 on Ctrl-C. The default step cap for orbit walks
-can be set with the COLLATZBIN_CAP environment variable; --cap
-overrides it per call.
+and on a verify chunk that failed in its worker, 2 on usage errors, 130
+on Ctrl-C and on SIGTERM during verify, which ends its workers and
+leaves the checkpoint at the last merged chunk with no temporary file.
+The default step cap for orbit walks can be set with the COLLATZBIN_CAP
+environment variable; --cap overrides it per call.
 """
 
 from __future__ import annotations
@@ -114,6 +116,8 @@ def _cmd_hard(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    import signal  # its enums cost about 0.6 ms: the orbit commands never load it
+
     from . import verify  # loads numpy, under main's Ctrl-C handler
 
     lo = _parse_value(args.lo, args.binary)
@@ -122,28 +126,24 @@ def _cmd_verify(args) -> int:
     lo_text, hi_text = lo.to_decimal(), hi.to_decimal()
     lo, hi = lo.to_int(), hi.to_int()
     jobs = args.jobs if args.jobs is not None else _default_jobs()
-    if args.resume:
-        state = verify.checkpoint_load(args.checkpoint)
-        if (state.lo, state.hi) != (lo, hi):
-            raise DomainError(
-                f"checkpoint covers [{state.lo}, {state.hi}), not [{lo_text}, {hi_text})"
-            )
-        for flag, given, saved in (
-            ("--cap", args.cap, state.step_cap),
-            ("--chunk", args.chunk, state.chunk_size),
-        ):
-            if given is not None and given != saved:
-                raise DomainError(f"{flag} {given} conflicts with the checkpoint ({saved})")
-        state = verify.run(state, jobs, args.checkpoint)
-    else:
-        state = verify.verify_range(
-            lo,
-            hi,
-            step_cap=args.cap if args.cap is not None else verify.DEFAULT_STEP_CAP,
-            chunk_size=args.chunk if args.chunk is not None else verify.DEFAULT_CHUNK_SIZE,
-            jobs=jobs,
-            checkpoint_path=args.checkpoint,
-        )
+    # SIGTERM stops a run as Ctrl-C does; the caller's handler comes back after it
+    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
+    try:
+        if args.resume:
+            state = verify.checkpoint_load(args.checkpoint)
+            if (state.lo, state.hi) != (lo, hi):
+                raise DomainError(f"checkpoint covers [{state.lo}, {state.hi}), not [{lo_text}, {hi_text})")
+            saved_settings = ("--cap", args.cap, state.step_cap), ("--chunk", args.chunk, state.chunk_size)
+            for flag, given, saved in saved_settings:
+                if given is not None and given != saved:
+                    raise DomainError(f"{flag} {given} conflicts with the checkpoint ({saved})")
+            state = verify.run(state, jobs, args.checkpoint)
+        else:
+            cap = args.cap if args.cap is not None else verify.DEFAULT_STEP_CAP
+            chunk = args.chunk if args.chunk is not None else verify.DEFAULT_CHUNK_SIZE
+            state = verify.verify_range(lo, hi, cap, chunk, jobs, args.checkpoint)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     sys.stdout.write(verify.summarize(state))
     return 0
 

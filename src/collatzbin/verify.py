@@ -28,22 +28,22 @@ passes through 1: stopping times stay exact. The base table holds the
 no run changes it.
 
 The orbits of a block of starts merge fast, as paths in the tree the
-reduced map inverts, so the kernel (_chunk_numpy) walks each distinct
-value of a pass once and then resolves pass 0's nodes backwards, one fold
-for steps and one for peaks. Residues of one (A, B) land together for
-every a, so below _GATE_FREE pass 0 jumps each class of a run of
-residues once (_by_class) and its nodes are the classes: a start takes
-its class's steps, and the larger of its own first jump's peak and its
-class's. A pass holds its values as int64 low limbs,
-plus uint64 high limbs once one is past 2^63 - 1; a value jumps on int64
-arrays while its gate holds, and else on both limbs below 2^117. A pass
-of few values, or one with a value past 2^117, walks them all to the end
-on plain integers, and is the block's last. Each pass jumps a walking
-value at least once, so _K steps or more: a start has taken at least _K
-steps per pass before it, and a value stops at the cap once that count,
-or that count and its own plain walk, reaches it. A peak past 2^63 - 1
-folds as its float64, its leading 1 and next bits (_code), and only the
-few converged nodes whose code ties the top walk again, for exact peaks.
+reduced map inverts, so the kernel walks each distinct value of a pass
+once (_walk), then resolves pass 0's nodes backwards, one fold for steps
+and one for peaks (_chunk_numpy). A block holds at most 2^16 starts, all
+on one side of the table bound. Pass 0 does not jump inside the table,
+where each start lands on itself, nor in a block of _TAIL starts or more
+below _GATE_FREE: residues of one (A, B) land together for every a, so
+each class of a run of residues lands once (_by_class), and a start
+takes its class's steps and the larger of its own first jump's peak and
+its class's. The walk's loop holds only jump passes. A pass holds its
+values as int64 low limbs, plus uint64 high limbs once one is past
+2^63 - 1; a value jumps on int64 arrays while its gate holds, and else
+on both limbs below 2^117. A pass of few values, or one with a value
+past 2^117, walks them all to the end on plain integers, and is the
+block's last. A peak past 2^63 - 1 folds as its float64, its leading 1
+and next bits (_code), and only the few converged nodes whose code ties
+the top walk again, for exact peaks.
 
 What is checked is convergence: every n reaches 1 within the step cap.
 The 1 -> 4 -> 2 -> 1 tail that follows is the same three steps for
@@ -329,7 +329,7 @@ def _codes(high: np.ndarray, low: np.ndarray) -> np.ndarray:
 
 
 class _Pass(NamedTuple):
-    """One pass of _chunk_numpy over its nodes, its distinct values; _resolve folds rem and peak."""
+    """One pass of _walk over its nodes, its distinct values; _resolve folds rem and peak."""
 
     rem: np.ndarray  # steps of its jump and landing; folded, to 1 (_NEVER or more: past any cap)
     peak: np.ndarray  # code of the peak of its jump and landing (_code; from two limbs, _codes)
@@ -390,42 +390,32 @@ def _by_class(lo: int, hi: int) -> tuple:
     return top.view(np.uint64), np.concatenate(heads), steps, np.concatenate(lands)
 
 
-def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
-    """Values [lo, hi), at most 2^_K of them, at any size; start i is lo + i.
+def _walk(lo: int, hi: int, cap: int) -> tuple:
+    """The _Pass records of values [lo, hi), at most 2^_K on one side of the table
+    bound (start i is lo + i), each pass-0 node's head (its first start as n - lo;
+    they ascend, so a first maximum is the smallest n) and each start's own
+    first-jump peak (top; None but in a class block).
 
-    The nodes of a pass are the distinct values still walking, the starts
-    first: an int64 array of their low limbs (nodes) and, unless every node
-    is below 2^63, a uint64 array of their high limbs (high). Each node
-    jumps once and keeps its steps S(b) and exact peak a·M1(b) + M2(b); its
-    landing resolves in the base table or joins every equal landing of its
-    pass in one node of the next (_distinct, one call). Then the stopping time
-    and peak of each node of pass 0 follow back along its nodes in one fold
-    each: rem = S + rem[parent], peak = max(top, peak[parent]). Pass 0's
-    nodes are the starts or, in a block of _TAIL starts or more in [table
-    bound, _GATE_FREE), the residue classes of each run (_by_class): a class
-    lands once, a step that is not a jump, and each start keeps its own
-    first jump's peak (top). A node's first start, its head, stands for it.
+    Pass 0 is built before the loop when it does not jump: inside the table each
+    start lands on itself with 0 steps, and a block of _TAIL starts or more in
+    [table bound, _GATE_FREE) is the residue classes of its runs, each landing once
+    (_by_class). Otherwise its nodes are the starts. A pass's nodes are the distinct
+    values still walking: an int64 array of their low limbs (nodes) and, unless all
+    are below 2^63, a uint64 array of their high limbs (high). Each jumps once, on
+    int64 arrays while its gate a <= LIM(b) holds, else on two limbs below 2^_LIMBS
+    (_jump_limbs), keeping its steps S(b) and exact peak a·M1(b) + M2(b); its landing
+    resolves in the base table (_landed) or joins every equal landing of its pass in
+    one node of the next (_distinct). A pass of fewer than _TAIL nodes, or with one
+    past 2^_LIMBS, walks them all on plain integers into the base table (_jump_plain)
+    and is the block's last.
 
-    A node jumps in one of two tiers: on int64 arrays while it is below 2^63
-    and its int64 gate a <= LIM(b) holds, and on two uint64 limbs
-    (_jump_limbs) otherwise, while it is below 2^_LIMBS, as every start in
-    [2^63, 2^_LIMBS) does. A pass of fewer than _TAIL nodes, or with one at
-    or past 2^_LIMBS, walks them all on plain integers (_jump_plain) into
-    the base table: it is the block's last, and when a start is past
-    2^_LIMBS the first. Peaks fold as codes (_code, _codes), exact below
-    2^63; past it the converged nodes near the top code walk again.
-
-    Every start through a node of the p-th jump pass has taken least = _K·p
-    steps or more: each pass jumps its live nodes at least once, S(b) >= _K
-    steps each. A live node is at or above the table bound, a step or more from
-    1. So once least reaches the cap every node of the pass is past it,
-    and so is a plain walk that takes cap - least steps and has not landed
-    (_jump_plain ends it on 1 with _NEVER steps). Every other start's rem
-    is exact, and rem <= cap decides it.
+    A start through a node of pass p has taken least = _K·p steps or more: each
+    pass jumps its live nodes, S(b) >= _K steps each, and a live node is at or
+    above the table bound, a step or more from 1. Once least reaches the cap
+    every node of the pass is past it, as is a plain walk that takes cap - least
+    steps and has not landed (_jump_plain ends it on 1 with _NEVER steps).
     """
     size = hi - lo
-    bound = _SIG.size
-    inside = min(size, max(0, bound - lo))  # starts that resolve in the table
     # a truncated node's rem is _NEVER or more, past any cap it is held to
     limit = min(cap, _NEVER - 1)
     A, B, S, M1, M2, LIM = _JUMP
@@ -433,12 +423,17 @@ def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
     index = np.arange(size, dtype=np.intp)
     slots = np.empty(1 << size.bit_length(), dtype=np.intp)
     new = np.empty(size, dtype=np.intp)
-    # a pass's nodes below 2^_LIMBS: their int64 low limbs, and their high
-    # limbs unless every node is below 2^63; big holds the rest, every start
-    # once one is past 2^_LIMBS. Pass 0 of a class block: its class nodes
-    passes, high, big, top, head = [], None, [], None, None
-    if size >= _TAIL and not inside and hi <= _GATE_FREE:
-        top, head, rem, nodes = _by_class(lo, hi)
+    # a pass with a node past 2^_LIMBS holds them all as plain integers, in big
+    passes, high, big, top, head = [], None, [], None, index
+    if hi <= _SIG.size or size >= _TAIL and hi <= _GATE_FREE:
+        if hi <= _SIG.size:
+            rem, land = np.zeros(size, dtype=np.int64), np.arange(lo, hi, dtype=np.int64)
+        else:
+            top, head, rem, land = _by_class(lo, hi)
+        pk = np.zeros(rem.size, dtype=np.uint64)
+        live, nodes, _ = _landed(rem, pk, land, None)
+        # class landings never meet (_by_class): each is a node of the next pass
+        passes.append(_Pass(rem, pk, live, None))
     elif hi <= 1 << 63:
         nodes = np.arange(lo, hi, dtype=np.int64)
     elif hi <= 1 << _LIMBS:
@@ -448,20 +443,17 @@ def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
         nodes, high = low.view(np.int64), np.full(size, lo >> 64, dtype=np.uint64) + (low < base)
     else:
         nodes, big = np.empty(0, dtype=np.int64), list(range(lo, hi))
-    least = 0  # the fewest steps a start through a node has taken: _K a jump
     while nodes.size or big:
         n = nodes.size
         m = n + len(big)
+        least = _K * len(passes)
         if least >= limit:
             # every node of the pass is past the cap: one all-_NEVER pass ends the walk
             rem, pk = np.full(m, _NEVER, dtype=np.int64), np.zeros(m, dtype=np.uint64)
             passes.append(_Pass(rem, pk, None, None))
             break
         land_h = None
-        if head is not None and not passes:
-            # pass 0 by class: each node has landed, and its peaks are its starts' top
-            pk, land = np.zeros(n, dtype=np.uint64), nodes
-        elif m < _TAIL or big:
+        if m < _TAIL or big:
             # every node walks to the end on plain integers: the block's last pass
             vs = (nodes.tolist() if high is None else _ints(high, nodes.view(np.uint64))) + big
             ends, steps, peaks = _jump_plain(vs, limit - least)
@@ -489,46 +481,55 @@ def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
                     # a landing past 2^63 - 1: every landing of the pass keeps a high limb
                     land_h = np.zeros(n, dtype=np.uint64)
                     land_h[at] = h
-            if not passes:
-                # a start inside the table lands on itself
-                rem[:inside], pk[:inside], land[:inside] = 0, 0, nodes[:inside]
-        # a landing past 2^63 - 1 is not done: negative as int64, or with a high limb
-        done = land.view(np.uint64) < bound
-        if land_h is not None:
-            done &= land_h == 0
-        live = None
-        if done.any():
-            dead, live = done.nonzero()[0], (~done).nonzero()[0]
-            at, land = land[dead], land[live]
-            land_h = None if land_h is None else land_h[live]
-            rem[dead] += _SIG[at]
-            pk[dead] = np.maximum(pk[dead], _PK[at].view(np.uint64))
+        live, land, land_h = _landed(rem, pk, land, land_h)
         if not land.size:
             passes.append(_Pass(rem, pk, live, None))
             break
-        if head is not None and not passes:
-            # class landings never meet (_by_class): each is a node of the next pass
-            par, nodes = None, land
-        else:
-            par, first = _distinct(land, land_h, slots, index, new)
-            nodes, high = land[first], None if land_h is None else land_h[first]
-            if high is not None and (high >> (_LIMBS - 64)).any():
-                # one is past 2^_LIMBS: the next pass walks every node on plain integers
-                nodes, high, big = nodes[:0], None, _ints(high, nodes.view(np.uint64))
+        par, first = _distinct(land, land_h, slots, index, new)
+        nodes, high = land[first], None if land_h is None else land_h[first]
+        if high is not None and (high >> (_LIMBS - 64)).any():
+            # one is past 2^_LIMBS: the next pass walks every node on plain integers
+            nodes, high, big = nodes[:0], None, _ints(high, nodes.view(np.uint64))
         passes.append(_Pass(rem, pk, live, par))
-        least += _K
+    return passes, head, top
+
+
+def _landed(rem: np.ndarray, pk: np.ndarray, land: np.ndarray, land_h: Optional[np.ndarray]) -> tuple:
+    """Fold each landing below the table bound into its node's rem and pk, in place:
+    the nodes still walking (None: all), and their landings' low and high limbs."""
+    # a landing past 2^63 - 1 is not done: negative as int64, or with a high limb
+    done = land.view(np.uint64) < _SIG.size
+    if land_h is not None:
+        done &= land_h == 0
+    live = None
+    if done.any():
+        dead, live = done.nonzero()[0], (~done).nonzero()[0]
+        at, land = land[dead], land[live]
+        land_h = None if land_h is None else land_h[live]
+        rem[dead] += _SIG[at]
+        pk[dead] = np.maximum(pk[dead], _PK[at].view(np.uint64))
+    return live, land, land_h
+
+
+def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
+    """Values [lo, hi) as _walk takes them, folded back to pass 0's nodes, one fold
+    per row: rem = S + rem[parent], peak = max(peak, peak[parent]). A start takes
+    its node's steps, and its node's peak or, in a class block, its own first
+    jump's if larger; rem <= cap decides it. Peaks fold as codes (_code, _codes),
+    exact below 2^63; past it the converged nodes near the top code walk again.
+    """
+    passes, head, top = _walk(lo, hi, cap)
     # per node of pass 0, a start or a class: its starts share its stopping time
     rem = _resolve(passes, "rem", np.add)
     pk = _resolve(passes, "peak", np.maximum)
-    past = rem > limit
-    head = index if head is None else head  # ascending: a first maximum is the smallest n
-    res = Checkpoint(lo, hi, cap, size, hi)
+    past = rem > min(cap, _NEVER - 1)
+    res = Checkpoint(lo, hi, cap, hi - lo, hi)
     if past.any():
         # the starts of the nodes past the cap truncate, and no row of theirs counts
         out = past
         if top is not None:
             # a start's node is its class on its run of residues: a per-start gather, only here
-            n = lo + index
+            n = np.arange(lo, hi, dtype=np.int64)
             key = n >> _K << 15 | _CLASS[n & _MASK]  # fewer than 2^15 classes
             out = np.isin(key, key[head[past]], kind="table")
         res.truncated = [lo + i for i in out.nonzero()[0].tolist()]
@@ -576,12 +577,14 @@ def _chunk_stats(bounds: tuple[int, int], cap: int) -> Checkpoint:
     lo, hi = bounds
     acc = Checkpoint(lo, hi, cap, hi - lo, lo)
     # a numpy block holds 2^_K values, as the CLI's default chunk does: one
-    # period of residues, so a block lies on at most two runs of them (_by_class).
-    # A numpy pass costs a fixed 22-34 us, and a 2^16 block pays its tail of
-    # passes of a few hundred nodes once where two 2^15 blocks pay it twice:
-    # 7-16% less time per value (BENCH_43.json)
-    for start in range(lo, hi, 1 << _K):
-        _merge(acc, _chunk_numpy(start, min(start + (1 << _K), hi), cap))
+    # period of residues, so a block lies on at most two runs of them
+    # (_by_class). Below the table bound, 2^_K too, blocks start at multiples
+    # of 2^_K, so none holds starts on both sides of it (_walk). A numpy pass
+    # costs a fixed 22-34 us, and a 2^16 block pays its tail of passes of a
+    # few hundred nodes once where two 2^15 blocks pay it twice: 7-16% less
+    # time per value (BENCH_43.json)
+    for start in range(lo if lo >= _SIG.size else 0, hi, 1 << _K):
+        _merge(acc, _chunk_numpy(max(start, lo), min(start + (1 << _K), hi), cap))
     return acc
 
 
@@ -637,17 +640,21 @@ def run(state: Checkpoint, jobs: int = 1, checkpoint_path: Optional[Union[str, P
 
     if workers > 1:
         # tables are inherited by forked workers; results merge in order.
-        # Workers ignore Ctrl-C: on it the queued chunks are dropped, and the
-        # file keeps the last merged state, as on a failed chunk (WorkerError).
-        # The fork context starts every worker on the first submit, so the
-        # pool is no larger than needed.
-        # The pool modules load only here: a one-process run never needs them.
+        # Workers ignore Ctrl-C, and SIGTERM ends them whatever the caller's
+        # handler: the queued chunks are dropped, and the file keeps the last
+        # merged state, as on a failed chunk (WorkerError). The fork context
+        # starts every worker on the first submit, so the pool is no larger
+        # than needed. The pool modules load only here: a one-process run
+        # never needs them.
         import multiprocessing
         import signal
         from concurrent.futures import ProcessPoolExecutor
 
-        ctx = multiprocessing.get_context("fork")
-        pool = ProcessPoolExecutor(workers, ctx, signal.signal, (signal.SIGINT, signal.SIG_IGN))
+        def signals():
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
+            signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+        pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), signals)
         try:
             consume(_in_order(pool, chunks, state.step_cap, 2 * workers))
         finally:

@@ -13,7 +13,7 @@ import signal
 import subprocess
 import sys
 import time
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout, suppress
 from pathlib import Path
 
 import pytest
@@ -475,33 +475,27 @@ def test_only_bitnat_names_the_raw_constructor():
     assert naming == []
 
 
-def test_ctrl_c_while_the_cli_loads():
-    # python -m collatzbin, interrupted before main's own handler exists
+def _ctrl_c_while_loading(module, code):
+    # code runs with Ctrl-C raised where module is imported: one error: line, exit 130
     proc = _python(
         "import runpy, sys\n"
         "class Interrupt:\n"
         "    def find_spec(self, name, path=None, target=None):\n"
-        "        if name == 'collatzbin.cli':\n"
+        f"        if name == {module!r}:\n"
         "            raise KeyboardInterrupt\n"
-        "sys.meta_path.insert(0, Interrupt())\n"
-        "sys.argv = ['collatzbin', 'classify', '7']\n"
-        "runpy.run_module('collatzbin', run_name='__main__', alter_sys=True)\n"
+        "sys.meta_path.insert(0, Interrupt())\n" + code
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (130, "", "error: interrupted\n")
+
+
+def test_ctrl_c_while_the_cli_loads():
+    # python -m collatzbin, interrupted before main's own handler exists
+    _ctrl_c_while_loading("collatzbin.cli", "sys.argv = ['collatzbin', 'classify', '7']\n"
+                          "runpy.run_module('collatzbin', run_name='__main__', alter_sys=True)\n")
 
 
 def test_ctrl_c_while_the_verifier_loads():
-    proc = _python(
-        "import sys\n"
-        "class Interrupt:\n"
-        "    def find_spec(self, name, path=None, target=None):\n"
-        "        if name == 'collatzbin.verify':\n"
-        "            raise KeyboardInterrupt\n"
-        "sys.meta_path.insert(0, Interrupt())\n"
-        "from collatzbin.cli import main\n"
-        "sys.exit(main(['verify', '1', '10']))\n"
-    )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (130, "", "error: interrupted\n")
+    _ctrl_c_while_loading("collatzbin.verify", "from collatzbin.cli import main\nsys.exit(main(['verify', '1', '10']))\n")
 
 
 def test_module_entry_point():
@@ -530,6 +524,7 @@ def test_identical_invocations_identical_bytes(capsys):
 
 
 def test_verify_resume_rejects_conflicting_settings(tmp_path, capsys):
+    handler = signal.getsignal(signal.SIGTERM)
     ck = tmp_path / "state.txt"
     assert run(capsys, "verify", "1", "5000", "--jobs", "1", "--chunk", "512",
                "--checkpoint", str(ck))[0] == 0
@@ -545,6 +540,8 @@ def test_verify_resume_rejects_conflicting_settings(tmp_path, capsys):
     code, _, _ = run(capsys, "verify", "1", "5000", "--resume", "--checkpoint", str(ck),
                      "--jobs", "1", "--cap", "100000", "--chunk", "512")
     assert code == 0
+    # every verify, refused or run, gives the caller's SIGTERM handler back
+    assert signal.getsignal(signal.SIGTERM) is handler
 
 
 def test_verify_resume_checks_jobs(tmp_path, capsys):
@@ -712,7 +709,8 @@ def test_verify_peak_past_the_int_str_limit(tmp_path, capsys):
         sys.set_int_max_str_digits(limit)
 
 
-def test_ctrl_c_stops_a_parallel_run_cleanly(tmp_path):
+def _stop_a_parallel_run(tmp_path, stop):
+    # a run on two jobs in a session of its own, stopped by stop(pid) once it saves a chunk
     ck = tmp_path / "ck.txt"
     # 200 chunks: the run is still going when the first checkpoint appears
     lo, hi, chunk = 1, 4 * 10**6, 20000
@@ -727,20 +725,31 @@ def test_ctrl_c_stops_a_parallel_run_cleanly(tmp_path):
         while not ck.exists():
             assert proc.poll() is None and time.monotonic() < deadline
             time.sleep(0.005)
-        os.killpg(proc.pid, signal.SIGINT)
+        stop(proc.pid)
         out, err = proc.communicate(timeout=60)
+        # no worker outlives the run
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
     finally:
-        if proc.poll() is None:
+        with suppress(ProcessLookupError):
             os.killpg(proc.pid, signal.SIGKILL)
-            proc.wait()
+        proc.wait()
     assert (proc.returncode, out, err) == (130, "", "error: interrupted\n")
-    # no worker outlives the run
-    with pytest.raises(ProcessLookupError):
-        os.killpg(proc.pid, 0)
+    assert [p.name for p in tmp_path.iterdir()] == ["ck.txt"]
     assert checkpoint_load(ck).next_unprocessed < hi
     resumed = subprocess.run(argv + ["--resume"], capture_output=True, text=True, env=_env())
     assert (resumed.returncode, resumed.stderr) == (0, "")
     assert resumed.stdout == summarize(verify_range(lo, hi, chunk_size=chunk))
+
+
+def test_ctrl_c_stops_a_parallel_run_cleanly(tmp_path):
+    _stop_a_parallel_run(tmp_path, lambda pid: os.killpg(pid, signal.SIGINT))
+
+
+@pytest.mark.parametrize("kill", [os.kill, os.killpg], ids=["parent", "group"])
+def test_sigterm_stops_a_parallel_run_cleanly(tmp_path, kill):
+    # SIGTERM to the parent alone, or to its whole group, ends the run as Ctrl-C does
+    _stop_a_parallel_run(tmp_path, lambda pid: kill(pid, signal.SIGTERM))
 
 
 def test_a_killed_worker_ends_the_run_in_one_error_line(tmp_path):

@@ -287,18 +287,8 @@ def test_summarize_layout():
 # -- checkpoints
 
 def _fresh_state(lo, hi, chunk):
-    return Checkpoint(
-        lo=lo,
-        hi=hi,
-        step_cap=DEFAULT_STEP_CAP,
-        chunk_size=chunk,
-        next_unprocessed=lo,
-        max_stopping_time=None,
-        max_stopping_time_at=None,
-        max_excursion=None,
-        max_excursion_at=None,
-        truncated=[],
-    )
+    # no maxima and no truncated inputs yet
+    return Checkpoint(lo, hi, DEFAULT_STEP_CAP, chunk, lo)
 
 
 def test_checkpoint_save_load_roundtrip(tmp_path):
@@ -419,14 +409,15 @@ def test_checkpoint_rejects_garbage(tmp_path):
         checkpoint_load(path)
 
 
+def _stopped():
+    # [2, 400) at cap 30, stopped after [2, 200) with 79 inputs truncated:
+    # sigma 30 at 86, peak 1024 at 151
+    return verify_mod._merge(Checkpoint(2, 400, 30, 200, 2), verify_range(2, 200, step_cap=30))
+
 
 def test_checkpoint_load_checks_consistency(tmp_path):
     path = tmp_path / "ck.txt"
     finished = verify_range(1, 5000, chunk_size=512)
-    # stopped after [2, 200) of [2, 400) at cap 30, with 79 inputs truncated
-    stopped = verify_mod._merge(
-        Checkpoint(2, 400, 30, 200, 2), verify_range(2, 200, step_cap=30)
-    )
     runs = [
         (
             finished,
@@ -446,7 +437,7 @@ def test_checkpoint_load_checks_consistency(tmp_path):
             ],
         ),
         (
-            stopped,
+            _stopped(),
             [
                 ("trunc 27\n", "trunc 999999\n"),  # used to be listed in the report
                 ("trunc 27\n", "trunc 250\n"),  # inside the range, but not done yet
@@ -559,11 +550,6 @@ def test_verify_range_and_checkpoint_load_share_one_validator(
         assert refused
     else:
         assert not refused
-
-
-def _stopped():
-    # [2, 400) at cap 30, stopped after [2, 200): sigma 30 at 86, peak 1024 at 151
-    return verify_mod._merge(Checkpoint(2, 400, 30, 200, 2), verify_range(2, 200, step_cap=30))
 
 
 @pytest.mark.parametrize(
@@ -1173,68 +1159,38 @@ def test_class_landings_of_two_runs_never_meet():
                     assert not (a >= 1).any(), (s, ax, ay)
 
 
-def _count_lane_passes(monkeypatch):
-    """Wrap the S row of the jump table and the A row of the class table: a
-    node jump reads S once, and pass 0 by residue class reads A once per
-    class landing, its node jumps. Returns the reads, (row, size) each."""
-    reads = []
-
-    def counted(row, name):
-        class Counted(np.ndarray):
-            def __getitem__(self, b):
-                reads.append((name, np.size(b)))
-                return np.asarray(self)[b]
-
-        return row.view(Counted)
-
-    rows = list(verify_mod._JUMP)
-    rows[2] = counted(rows[2], "S")
-    monkeypatch.setattr(verify_mod, "_JUMP", rows)
-    land = list(verify_mod._LAND)
-    land[0] = counted(land[0], "A")
-    monkeypatch.setattr(verify_mod, "_LAND", land)
-    return reads
+def _node_jumps(lo: int, hi: int) -> int:
+    # a node of a pass jumps once, and one of pass 0 by residue class lands once
+    return sum(p.rem.size for p in verify_mod._walk(lo, hi, DEFAULT_STEP_CAP)[0])
 
 
-def test_most_lanes_read_an_earlier_lanes_walk(monkeypatch):
-    reads = _count_lane_passes(monkeypatch)
-
-    def jumps():
-        return sum(size for _, size in reads)
-
+def test_most_lanes_read_an_earlier_lanes_walk():
     # pass 0 of a block below _GATE_FREE jumps each (A, B) class of each of
     # its runs of residues once: here [51719, 2^16) at a and [0, 18951) at a + 1
     at0, at1, _ = _landings()
     lo = 10**9 + 7
-    verify_range(lo, lo + (1 << 15))
+    passes = verify_mod._walk(lo, lo + (1 << 15), DEFAULT_STEP_CAP)[0]
     r = lo & 0xFFFF
     runs = (r, 1 << 16), (0, r + (1 << 15) - (1 << 16))
-    assert [size for row, size in reads if row == "A"] == [
-        len(set(zip(at0[s:e].tolist(), at1[s:e].tolist()))) for s, e in runs
-    ]
-    assert jumps() <= 0.95 * (1 << 15)
-    reads.clear()
+    assert passes[0].rem.size == sum(len(set(zip(at0[s:e].tolist(), at1[s:e].tolist()))) for s, e in runs)
+    assert _node_jumps(lo, lo + (1 << 15)) <= 0.95 * (1 << 15)
     lo = 10**9 + 123456789
     hi = lo + (1 << 14)
     _matches_oracle(Window(lo, hi))
     # one block: equal landings walk once, so the block takes under two
     # node jumps per value, and under one with pass 0 by class
-    assert jumps() < 2 * (1 << 14)
-    assert jumps() <= 1.0 * (1 << 14)
+    assert _node_jumps(lo, hi) < 2 * (1 << 14)
+    assert _node_jumps(lo, hi) <= 1.0 * (1 << 14)
     # and so does a 2^16 window at 2^40, at most 1.8 per value, and 1.0
-    reads.clear()
     lo = (1 << 40) + 987654321
-    verify_range(lo, lo + (1 << 16))
-    assert jumps() <= 1.8 * (1 << 16)
-    assert jumps() <= 1.0 * (1 << 16)
+    assert _node_jumps(lo, lo + (1 << 16)) <= 1.8 * (1 << 16)
+    assert _node_jumps(lo, lo + (1 << 16)) <= 1.0 * (1 << 16)
     # every equal landing merges, also where many distinct landings share
     # their low bits: blocks at 2^50 exactly, at 2^58 and past 2^63 (where
     # every start jumps on two limbs) take about 1.6 node jumps per value
     # or, below _GATE_FREE, fewer
     for lo, size in ((1 << 50, 1 << 15), ((1 << 58) + 704, 1 << 15), (1 << 100, 4096)):
-        reads.clear()
-        verify_range(lo, lo + size)
-        assert jumps() <= 1.65 * size, lo
+        assert _node_jumps(lo, lo + size) <= 1.65 * size, lo
 
 
 @pytest.mark.parametrize("w", rows("classes"), ids=case_ids(rows("classes"), "chunks"))
@@ -1246,13 +1202,22 @@ def test_class_pass_edges_match_oracle(w):
     _matches_oracle(w)
 
 
-def test_block_at_the_2p16_table_bound_matches_oracle():
+def test_block_at_the_2p16_table_bound_matches_oracle(monkeypatch):
     # at the table bound 2^16 lands on 1 after 16 steps, the fewest a jump
     # takes, and converges at cap 16; rows("classes") runs the default cap
     lo, hi = 1 << 16, (1 << 16) + 2000
     for cap in (1, 15, 16, 17, 32):
         _matches_oracle(Window(lo, hi, cap))
     assert orbit_oracle(lo)[0] == 16
+    # a block inside the table is one pass, of its starts landing on themselves,
+    # and a chunk across the bound is cut there: no block holds starts on both sides
+    (only,), _, _ = verify_mod._walk(1, 1 << 16, DEFAULT_STEP_CAP)
+    assert only.live.size == 0 and np.array_equal(only.rem, verify_mod._SIG[1:])
+    blocks, real = [], verify_mod._chunk_numpy
+    monkeypatch.setattr(verify_mod, "_chunk_numpy", lambda lo, hi, cap: blocks.append((lo, hi)) or real(lo, hi, cap))
+    for lo, hi in ((1 << 15, 3 << 15), (1, (1 << 16) + 5)):
+        verify_mod._chunk_stats((lo, hi), DEFAULT_STEP_CAP)
+    assert blocks == [(1 << 15, 1 << 16), (1 << 16, 3 << 15), (1, 1 << 16), (1 << 16, (1 << 16) + 5)]
 
 
 # hand-built landings that all fall in slot 5 of 8; the last one written,
@@ -1352,7 +1317,7 @@ def test_ab_timing_runs_an_a_a_comparison():
     assert (done.returncode, done.stderr) == (0, "")
     names = [line.split("  base ")[0].rstrip() for line in done.stdout.splitlines()]
     assert names == [
-        "chunk 2^18 at 10^9+7", "chunk 2^18 at 2^40+777", "chunk 2^17 at 2^50+123",
+        "chunk 2^16 at 1", "chunk 2^18 at 10^9+7", "chunk 2^18 at 2^40+777", "chunk 2^17 at 2^50+123",
         "chunk 4096 at 2^62+12345678901", "chunk 4096 at 2^63+12345",
         "--chunk 1, 512 at 2^62+12345678901", "import collatzbin.verify", "verify [1, 10^7)",
     ]
@@ -1395,28 +1360,26 @@ def test_a_class_block_folds_and_walks_per_class_node(monkeypatch):
     # peaks; every row the folds read has one entry per class node or fewer.
     # A block whose top peak is past 2^63 - 1 walks each near class once,
     # from its head: of the three tied starts of WIDE_CLASS, n + 1 does not walk
-    folds, walks = [], []
-    resolve, jump = verify_mod._resolve, verify_mod._jump_plain
-
-    def counted_resolve(passes, row, op):
-        folds.append(max(getattr(p, row).size for p in passes))
-        return resolve(passes, row, op)
+    walks = []
+    jump = verify_mod._jump_plain
 
     def counted_jump(vs, limit):
         if limit == verify_mod._NEVER:
             walks.extend(vs)
         return jump(vs, limit)
 
-    monkeypatch.setattr(verify_mod, "_resolve", counted_resolve)
+    def widest(lo, hi):
+        passes, _, top = verify_mod._walk(lo, hi, DEFAULT_STEP_CAP)
+        assert top.size == hi - lo
+        return max(row.size for p in passes for row in (p.rem, p.peak))
+
     monkeypatch.setattr(verify_mod, "_jump_plain", counted_jump)
     lo = W9 - 1000
-    verify_mod._chunk_stats((lo, lo + (1 << 16)), DEFAULT_STEP_CAP)
-    assert len(folds) == 2 and max(folds) < 3 * (1 << 16) // 10
+    assert widest(lo, lo + (1 << 16)) < 3 * (1 << 16) // 10
     for lo, size in ((WIDE_CLASS, 64), (WIDE_2P50 - 100, 300)):
-        folds.clear()
         walks.clear()
         got = _matches_oracle(Window(lo, lo + size))
-        assert len(folds) == 2 and max(folds) < size
+        assert widest(lo, lo + size) < size
         keys = [(n >> 16, int(verify_mod._CLASS[n & 0xFFFF])) for n in walks]
         assert walks and len(set(keys)) == len(keys) and got.max_excursion_at in walks
         if lo == WIDE_CLASS:

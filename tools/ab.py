@@ -19,15 +19,16 @@ read as <tmp>; each setting that differs is printed, and the script exits
 
 --time loads both trees side by side (importlib), each with its own
 tables. Each probe first checks that both trees give equal Checkpoint
-fields, then runs a round on each tree in turn, the first tree alternating
-from round to round; a round of a kernel probe is its best of 3 calls. One
-line per probe gives each tree's median and interquartile range over the
-rounds, the change of the median and the rounds in which this tree was
-faster. --json writes the rounds as well. Probes: _chunk_stats on five
-windows at the default cap (the int64 bands at 10^9, 2^40 and 2^50, the
-two-limb bands past 2^62 and 2^63), a run of one-value chunks past 2^62,
-and, each in a fresh process (numpy imported before the clock starts), a
-cold import of collatzbin.verify and verify_range(1, 10^7) after it.
+fields, then runs a round on each tree in turn, the first tree
+alternating from round to round; a round of a kernel probe is its best
+of 3 calls. One line per probe gives each tree's median and
+interquartile range over the rounds, the change of the median and the
+rounds in which this tree was faster. --json writes the rounds as well.
+Probes: _chunk_stats on six windows at the default cap (inside the base
+table from 1, the int64 bands at 10^9, 2^40 and 2^50, the two-limb bands
+past 2^62 and 2^63), a run of one-value chunks past 2^62, and, each in a
+fresh process (numpy imported before the clock starts), a cold import of
+collatzbin.verify and verify_range(1, 10^7) after it.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # name: (lo, values); every window runs at the default cap
 CHUNKS = {
+    "chunk 2^16 at 1": (1, 1 << 16),
     "chunk 2^18 at 10^9+7": (10**9 + 7, 1 << 18),
     "chunk 2^18 at 2^40+777": ((1 << 40) + 777, 1 << 18),
     "chunk 2^17 at 2^50+123": ((1 << 50) + 123, 1 << 17),
