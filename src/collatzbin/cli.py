@@ -7,6 +7,8 @@ which are reported in the output, not as failures), 1 on domain errors
 and on a verify chunk that failed in its worker, 2 on usage errors, 130
 on Ctrl-C and on SIGTERM during verify, which ends its workers and
 leaves the checkpoint at the last merged chunk with no temporary file.
+On Linux verify's workers also die with it when it is SIGKILLed; on
+other platforms they stay alive until killed.
 The default step cap for orbit walks can be set with the COLLATZBIN_CAP
 environment variable; --cap overrides it per call.
 """

@@ -4,16 +4,16 @@ The engine walks every n in [lo, hi) to 1 (or to a step cap), recording
 the stopping time and the orbit peak. Internally it runs on machine
 integers under numpy: values below a table bound resolve through
 precomputed stopping-time/peak tables, and a value whose jump could pass
-2^63 - 1 takes the same jump on two 64-bit limbs below 2^117, and on
-plain Python integers to the end past it. The table entries are exact,
-so the cap is applied at lookup and one table serves every cap. Every
-partial result, from one value to a whole run, is a Checkpoint holding
-only what the walks find (the maxima and the truncated inputs); the
-verified count and the digit-class histogram follow from the range
-(class_counts). Merging is order-free, so the result is identical for
-any chunk size, any worker count, and across checkpoint
-interrupt/resume. run carries a fresh state (verify_range) or a loaded
-one (checkpoint_load) to its end, and summarize formats it.
+2^63 - 1 takes the same jump on two 64-bit limbs below 2^117. Past it,
+and for a block's last few values, plain Python integers walk to 1. The
+table entries are exact, so the cap is applied at lookup and one table
+serves every cap. Every partial result, from one value to a whole run,
+is a Checkpoint holding only what the walks find (the maxima and the
+truncated inputs); the verified count and the digit-class histogram
+follow from the range (class_counts). Merging is order-free, so the
+result is identical for any chunk size, any worker count, and across
+checkpoint interrupt/resume. run carries a fresh state (verify_range) or
+a loaded one (checkpoint_load) to its end, and summarize formats it.
 
 Above the table bound a value jumps _K = 16 halvings at a time. Writing
 v = 2^16·a + b, the walk through its 16th halving ends at A(b)·a + B(b)
@@ -36,14 +36,14 @@ where each start lands on itself, nor in a block of _TAIL starts or more
 below _GATE_FREE: residues of one (A, B) land together for every a, so
 each class of a run of residues lands once (_by_class), and a start
 takes its class's steps and the larger of its own first jump's peak and
-its class's. The walk's loop holds only jump passes. A pass holds its
-values as int64 low limbs, plus uint64 high limbs once one is past
+its class's. The walk's loop holds only numpy jump passes. A pass holds
+its values as int64 low limbs, plus uint64 high limbs once one is past
 2^63 - 1; a value jumps on int64 arrays while its gate holds, and else
-on both limbs below 2^117. A pass of few values, or one with a value
-past 2^117, walks them all to the end on plain integers, and is the
-block's last. A peak past 2^63 - 1 folds as its float64, its leading 1
-and next bits (_code), and only the few converged nodes whose code ties
-the top walk again, for exact peaks.
+on both limbs below 2^117. The loop ends at a pass of few values or one
+past 2^117, and a plain pass walks the rest to 1 (_jump_plain). A peak
+past 2^63 - 1 folds as its float64, its leading 1 and next bits (_code),
+and only the few converged nodes whose code ties the top walk again,
+for exact peaks.
 
 What is checked is convergence: every n reaches 1 within the step cap.
 The 1 -> 4 -> 2 -> 1 tail that follows is the same three steps for
@@ -130,7 +130,7 @@ class Checkpoint:
 # residues b = v mod 2^_K (_JUMP, built by _jump_table at import)
 _K = 16
 _MASK = (1 << _K) - 1
-# the nodes of a pass this short walk to the end on plain integers: for so
+# the nodes of a pass this short walk to 1 on plain integers: for so
 # few, numpy's per-call cost outweighs the jumps
 _TAIL = 64
 # the remaining steps of a node stopped at the cap
@@ -176,9 +176,6 @@ def _jump_table(k: int = _K) -> np.ndarray:
 _JUMP = _jump_table()
 # 2^_K·(min LIM + 1): below it every int64 gate holds
 _GATE_FREE = int(_JUMP[5].min() + 1) << _K
-# rows A, B, S, M1, M2 of _JUMP as zero-copy views: _jump_plain reads them
-# one entry at a time
-_VIEWS = tuple(map(memoryview, _JUMP[:5]))
 # every row is non-negative, so the uint64 rows of the two-limb tier are a view
 _JUMP64 = _JUMP.view(np.uint64)
 # the two-limb tier holds v < 2^_LIMBS: then a = v >> _K times a row below
@@ -242,24 +239,28 @@ def _base_table() -> tuple[np.ndarray, np.ndarray]:
 # the base table, never written after import; a stopping time below 2^16
 # is at most 339, so int16 holds it
 _SIG, _PK = _base_table()
+# rows A, B, S, M1, M2 of _JUMP and the base table as zero-copy views:
+# _jump_plain reads them one entry at a time
+_VIEWS = tuple(map(memoryview, (*_JUMP[:5], _SIG, _PK)))
 
 
 # ---------------------------------------------------------------------------
 # partial results: one value, one chunk
 
 
-def _jump_plain(vs: list, limit: int) -> tuple[list, list, list]:
-    """Jump each v of vs on plain integers: the lists of end values, steps and peaks.
+def _jump_plain(vs: list, limit: int) -> tuple[list, list]:
+    """Walk each v of vs to 1 on plain integers: the lists of its steps and peaks.
 
-    A walk stops once it lands below the base table; a v already there ends
-    as it is, with no steps. A walk that has taken limit steps or more and
-    not landed is past its budget: it ends on 1 with _NEVER steps, so every
-    start through it is past the cap. The peak is exact: each jump's is
-    a·M1(b) + M2(b) (_jump_table).
+    A walk jumps until it lands below the base table, whose entry for its
+    landing adds the rest: its stopping time to the steps, its peak to the
+    max; a v already there reads its own entry. A walk that has taken limit
+    steps or more and not landed is past its budget: it ends with _NEVER
+    steps, so every start through it is past the cap. The peak is exact:
+    each jump's is a·M1(b) + M2(b) (_jump_table).
     """
-    A, B, S, M1, M2 = _VIEWS
+    A, B, S, M1, M2, SIG, PK = _VIEWS
     stop = _SIG.size
-    ends, steps_, peaks = [], [], []
+    steps_, peaks = [], []
     for v in vs:
         steps, peak = 0, v
         while v >= stop:
@@ -272,10 +273,9 @@ def _jump_plain(vs: list, limit: int) -> tuple[list, list, list]:
                 peak = top
             v = A[b] * a + B[b]
             steps += S[b]
-        ends.append(v)
-        steps_.append(steps)
-        peaks.append(peak)
-    return ends, steps_, peaks
+        steps_.append(steps + SIG[v])
+        peaks.append(max(peak, PK[v]))
+    return steps_, peaks
 
 
 def _code(x: int) -> int:
@@ -333,7 +333,7 @@ class _Pass(NamedTuple):
 
     rem: np.ndarray  # steps of its jump and landing; folded, to 1 (_NEVER or more: past any cap)
     peak: np.ndarray  # code of the peak of its jump and landing (_code; from two limbs, _codes)
-    live: Optional[np.ndarray]  # the nodes still walking (None: all)
+    live: Optional[np.ndarray]  # the nodes still walking (None: all; the plain pass's: none)
     parent: Optional[np.ndarray]  # each live node's node in the next pass (None: the live in order)
 
 
@@ -399,21 +399,22 @@ def _walk(lo: int, hi: int, cap: int) -> tuple:
     Pass 0 is built before the loop when it does not jump: inside the table each
     start lands on itself with 0 steps, and a block of _TAIL starts or more in
     [table bound, _GATE_FREE) is the residue classes of its runs, each landing once
-    (_by_class). Otherwise its nodes are the starts. A pass's nodes are the distinct
-    values still walking: an int64 array of their low limbs (nodes) and, unless all
-    are below 2^63, a uint64 array of their high limbs (high). Each jumps once, on
-    int64 arrays while its gate a <= LIM(b) holds, else on two limbs below 2^_LIMBS
-    (_jump_limbs), keeping its steps S(b) and exact peak a·M1(b) + M2(b); its landing
-    resolves in the base table (_landed) or joins every equal landing of its pass in
-    one node of the next (_distinct). A pass of fewer than _TAIL nodes, or with one
-    past 2^_LIMBS, walks them all on plain integers into the base table (_jump_plain)
-    and is the block's last.
+    (_by_class). A block of fewer than _TAIL starts, or past 2^_LIMBS, is one plain
+    pass over its starts. Otherwise pass 0's nodes are the starts. A pass's nodes
+    are the distinct values still walking: an int64 array of their low limbs (nodes)
+    and, unless all are below 2^63, a uint64 array of their high limbs (high). In the
+    loop each jumps once, on int64 arrays while its gate a <= LIM(b) holds, else on
+    two limbs below 2^_LIMBS (_jump_limbs), keeping its steps S(b) and exact peak
+    a·M1(b) + M2(b); its landing resolves in the base table (_landed) or joins every
+    equal landing of its pass in one node of the next (_distinct). The loop ends at
+    a pass of fewer than _TAIL nodes or with one past 2^_LIMBS, and the plain pass
+    walks those nodes to 1 on plain integers (_jump_plain): the block's last pass.
 
     A start through a node of pass p has taken least = _K·p steps or more: each
     pass jumps its live nodes, S(b) >= _K steps each, and a live node is at or
     above the table bound, a step or more from 1. Once least reaches the cap
     every node of the pass is past it, as is a plain walk that takes cap - least
-    steps and has not landed (_jump_plain ends it on 1 with _NEVER steps).
+    steps and has not landed (_jump_plain ends it with _NEVER steps).
     """
     size = hi - lo
     # a truncated node's rem is _NEVER or more, past any cap it is held to
@@ -423,8 +424,8 @@ def _walk(lo: int, hi: int, cap: int) -> tuple:
     index = np.arange(size, dtype=np.intp)
     slots = np.empty(1 << size.bit_length(), dtype=np.intp)
     new = np.empty(size, dtype=np.intp)
-    # a pass with a node past 2^_LIMBS holds them all as plain integers, in big
-    passes, high, big, top, head = [], None, [], None, index
+    # plain: the plain pass's nodes, when pass 0 is that pass
+    passes, high, top, head, plain = [], None, None, index, None
     if hi <= _SIG.size or size >= _TAIL and hi <= _GATE_FREE:
         if hi <= _SIG.size:
             rem, land = np.zeros(size, dtype=np.int64), np.arange(lo, hi, dtype=np.int64)
@@ -434,63 +435,56 @@ def _walk(lo: int, hi: int, cap: int) -> tuple:
         live, nodes, _ = _landed(rem, pk, land, None)
         # class landings never meet (_by_class): each is a node of the next pass
         passes.append(_Pass(rem, pk, live, None))
+    elif size < _TAIL or hi > 1 << _LIMBS:
+        nodes, plain = index[:0], range(lo, hi)
     elif hi <= 1 << 63:
         nodes = np.arange(lo, hi, dtype=np.int64)
-    elif hi <= 1 << _LIMBS:
+    else:
         # the starts' low limbs are an arange, and their high limbs take its carry
         base = np.uint64(lo & (2**64 - 1))
         low = np.arange(size, dtype=np.uint64) + base
         nodes, high = low.view(np.int64), np.full(size, lo >> 64, dtype=np.uint64) + (low < base)
-    else:
-        nodes, big = np.empty(0, dtype=np.int64), list(range(lo, hi))
-    while nodes.size or big:
+    while nodes.size and nodes.size >= _TAIL:
         n = nodes.size
-        m = n + len(big)
-        least = _K * len(passes)
-        if least >= limit:
+        if _K * len(passes) >= limit:
             # every node of the pass is past the cap: one all-_NEVER pass ends the walk
-            rem, pk = np.full(m, _NEVER, dtype=np.int64), np.zeros(m, dtype=np.uint64)
-            passes.append(_Pass(rem, pk, None, None))
-            break
-        land_h = None
-        if m < _TAIL or big:
-            # every node walks to the end on plain integers: the block's last pass
-            vs = (nodes.tolist() if high is None else _ints(high, nodes.view(np.uint64))) + big
-            ends, steps, peaks = _jump_plain(vs, limit - least)
-            rem, land = np.array((steps, ends), dtype=np.int64)
-            pk = np.array([_code(x) for x in peaks], dtype=np.uint64)
-        else:
-            a, b = nodes >> _K, nodes & _MASK
-            rem, pk, land = S[b], (a * M1[b] + M2[b]).view(np.uint64), A[b] * a + B[b]
-            # the nodes past their gate, negative as int64 or with a high limb jump on limbs
-            at = index[:0]
-            if high is not None or nodes.max() >= _GATE_FREE:
-                past = a > LIM[b]
-                if high is not None:
-                    past |= (nodes < 0) | (high > 0)
-                at = past.nonzero()[0]
-            if at.size:
-                a_low, a_high = nodes[at].view(np.uint64) >> _K, None
-                if high is not None:
-                    a_low |= high[at] << (64 - _K)
-                    a_high = high[at] >> _K
-                top_h, top_l, h, v = _jump_limbs(a_low, b[at], a_high)
-                # each peaks past 2^63 - 1: its int64 gate fails, or v >= 2^63
-                pk[at], land[at] = _codes(top_h, top_l), v.view(np.int64)
-                if (h | (v >> 63)).any():
-                    # a landing past 2^63 - 1: every landing of the pass keeps a high limb
-                    land_h = np.zeros(n, dtype=np.uint64)
-                    land_h[at] = h
+            passes.append(_Pass(np.full(n, _NEVER, dtype=np.int64), np.zeros(n, dtype=np.uint64), None, None))
+            return passes, head, top
+        a, b = nodes >> _K, nodes & _MASK
+        rem, pk, land = S[b], (a * M1[b] + M2[b]).view(np.uint64), A[b] * a + B[b]
+        # the nodes past their gate, negative as int64 or with a high limb jump on limbs
+        at, land_h = index[:0], None
+        if high is not None or nodes.max() >= _GATE_FREE:
+            past = a > LIM[b]
+            if high is not None:
+                past |= (nodes < 0) | (high > 0)
+            at = past.nonzero()[0]
+        if at.size:
+            a_low, a_high = nodes[at].view(np.uint64) >> _K, None
+            if high is not None:
+                a_low |= high[at] << (64 - _K)
+                a_high = high[at] >> _K
+            top_h, top_l, h, v = _jump_limbs(a_low, b[at], a_high)
+            # each peaks past 2^63 - 1: its int64 gate fails, or v >= 2^63
+            pk[at], land[at] = _codes(top_h, top_l), v.view(np.int64)
+            if (h | (v >> 63)).any():
+                # a landing past 2^63 - 1: every landing of the pass keeps a high limb
+                land_h = np.zeros(n, dtype=np.uint64)
+                land_h[at] = h
         live, land, land_h = _landed(rem, pk, land, land_h)
-        if not land.size:
-            passes.append(_Pass(rem, pk, live, None))
-            break
         par, first = _distinct(land, land_h, slots, index, new)
         nodes, high = land[first], None if land_h is None else land_h[first]
-        if high is not None and (high >> (_LIMBS - 64)).any():
-            # one is past 2^_LIMBS: the next pass walks every node on plain integers
-            nodes, high, big = nodes[:0], None, _ints(high, nodes.view(np.uint64))
         passes.append(_Pass(rem, pk, live, par))
+        if high is not None and (high >> (_LIMBS - 64)).any():
+            # one is past 2^_LIMBS: the plain pass walks them all
+            break
+    # the nodes left walk to 1 on plain integers: the block's last pass
+    if plain is None:
+        plain = nodes.tolist() if high is None else _ints(high, nodes.view(np.uint64))
+    if plain:
+        steps, peaks = _jump_plain(plain, limit - _K * len(passes))
+        pk = np.array([_code(x) for x in peaks], dtype=np.uint64)
+        passes.append(_Pass(np.array(steps, dtype=np.int64), pk, index[:0], None))
     return passes, head, top
 
 
@@ -553,10 +547,9 @@ def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
         # heads, once each (a class block's tops are below 2^63, so every start
         # of such a node peaks at its head's peak): the first exact maximum wins
         near = [lo + i for i in head[pk >= best - np.uint64(_MARGIN)].tolist()]
-        ends, _, peaks = _jump_plain(near, _NEVER)
-        exact = [max(x, int(_PK[e])) for e, x in zip(ends, peaks)]
-        res.max_excursion = max(exact)
-        res.max_excursion_at = near[exact.index(res.max_excursion)]
+        _, peaks = _jump_plain(near, _NEVER)
+        res.max_excursion = max(peaks)
+        res.max_excursion_at = near[peaks.index(res.max_excursion)]
     return res
 
 
@@ -644,15 +637,25 @@ def run(state: Checkpoint, jobs: int = 1, checkpoint_path: Optional[Union[str, P
         # handler: the queued chunks are dropped, and the file keeps the last
         # merged state, as on a failed chunk (WorkerError). The fork context
         # starts every worker on the first submit, so the pool is no larger
-        # than needed. The pool modules load only here: a one-process run
-        # never needs them.
+        # than needed. On Linux a worker dies with the parent, by SIGKILL too
+        # (PR_SET_PDEATHSIG), or exits if it has gone already. The pool
+        # modules load only here: a one-process run never needs them.
         import multiprocessing
         import signal
+        import sys
         from concurrent.futures import ProcessPoolExecutor
+
+        parent = os.getpid()
 
         def signals():
             signal.signal(signal.SIGINT, signal.SIG_IGN)
             signal.signal(signal.SIGTERM, signal.SIG_DFL)
+            if sys.platform == "linux":
+                import ctypes
+
+                ctypes.CDLL(None).prctl(1, signal.SIGKILL)
+                if os.getppid() != parent:
+                    os._exit(1)
 
         pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), signals)
         try:

@@ -709,8 +709,21 @@ def test_verify_peak_past_the_int_str_limit(tmp_path, capsys):
         sys.set_int_max_str_digits(limit)
 
 
-def _stop_a_parallel_run(tmp_path, stop):
-    # a run on two jobs in a session of its own, stopped by stop(pid) once it saves a chunk
+def _live_in_group(pgid):
+    """The pids of process group pgid in any state but Z (zombie), read from /proc."""
+    live = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        with suppress(OSError, ValueError):
+            # the fields after the command's closing parenthesis: state, ppid, pgrp
+            state, _, group = stat.read_text().rpartition(")")[2].split()[:3]
+            if int(group) == pgid and state != "Z":
+                live.append(int(stat.parent.name))
+    return live
+
+
+def _stop_a_parallel_run(tmp_path, stop, killed=False):
+    # a run on two jobs in a session of its own, stopped by stop(pid) once it
+    # saves a chunk; killed: by SIGKILL to the parent, which it cannot handle
     ck = tmp_path / "ck.txt"
     # 200 chunks: the run is still going when the first checkpoint appears
     lo, hi, chunk = 1, 4 * 10**6, 20000
@@ -726,20 +739,34 @@ def _stop_a_parallel_run(tmp_path, stop):
             assert proc.poll() is None and time.monotonic() < deadline
             time.sleep(0.005)
         stop(proc.pid)
+        if killed:
+            # the workers die with the parent: within 5 s no process of the group
+            # is left but zombies, which an init process may reap late, so that
+            # os.killpg still finds them
+            deadline = time.monotonic() + 5
+            while _live_in_group(proc.pid) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert _live_in_group(proc.pid) == []
         out, err = proc.communicate(timeout=60)
-        # no worker outlives the run
-        with pytest.raises(ProcessLookupError):
-            os.killpg(proc.pid, 0)
+        if not killed:
+            # no worker outlives the run
+            with pytest.raises(ProcessLookupError):
+                os.killpg(proc.pid, 0)
     finally:
         with suppress(ProcessLookupError):
             os.killpg(proc.pid, signal.SIGKILL)
         proc.wait()
-    assert (proc.returncode, out, err) == (130, "", "error: interrupted\n")
-    assert [p.name for p in tmp_path.iterdir()] == ["ck.txt"]
+    if killed:
+        assert (proc.returncode, out, err) == (-signal.SIGKILL, "", "")
+    else:
+        assert (proc.returncode, out, err) == (130, "", "error: interrupted\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["ck.txt"]
     assert checkpoint_load(ck).next_unprocessed < hi
     resumed = subprocess.run(argv + ["--resume"], capture_output=True, text=True, env=_env())
     assert (resumed.returncode, resumed.stderr) == (0, "")
     assert resumed.stdout == summarize(verify_range(lo, hi, chunk_size=chunk))
+    # a save cut by SIGKILL may leave its temporary file: the resumed run's first save replaces it
+    assert [p.name for p in tmp_path.iterdir()] == ["ck.txt"]
 
 
 def test_ctrl_c_stops_a_parallel_run_cleanly(tmp_path):
@@ -750,6 +777,11 @@ def test_ctrl_c_stops_a_parallel_run_cleanly(tmp_path):
 def test_sigterm_stops_a_parallel_run_cleanly(tmp_path, kill):
     # SIGTERM to the parent alone, or to its whole group, ends the run as Ctrl-C does
     _stop_a_parallel_run(tmp_path, lambda pid: kill(pid, signal.SIGTERM))
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="workers die with their parent on Linux only")
+def test_sigkill_to_the_parent_ends_its_workers(tmp_path):
+    _stop_a_parallel_run(tmp_path, lambda pid: os.kill(pid, signal.SIGKILL), killed=True)
 
 
 def test_a_killed_worker_ends_the_run_in_one_error_line(tmp_path):

@@ -967,26 +967,24 @@ def test_peak_inside_a_jump_of_a_lane_that_leaves_int64():
 
 def test_plain_walk_ends_at_its_budget():
     # a walk that has taken limit steps and not landed below the table ends
-    # on 1 with _NEVER steps, even one jump before its landing; with one
-    # step more of budget it lands, its steps and peak exact
+    # with _NEVER steps, even one jump before its landing; with one step
+    # more of budget it lands and ends on 1, its steps and peak exact
     bound = verify_mod._SIG.size
     n = (1 << 63) + 12345
     walk = [(n, 0)]
     while walk[-1][0] >= bound:
         v, steps, _ = block_walk(walk[-1][0])
         walk.append((v, walk[-1][1] + steps))
-    (_, before), (land, steps) = walk[-2:]
-    assert verify_mod._jump_plain([n], before)[:2] == ([1], [verify_mod._NEVER])
-    (end,), (got,), (peak,) = verify_mod._jump_plain([n], before + 1)
-    assert (end, got) == (land, steps)
-    assert (got + int(verify_mod._SIG[end]), max(peak, int(verify_mod._PK[end]))) == orbit_oracle(n)
+    before = walk[-2][1]
+    assert verify_mod._jump_plain([n], before)[0] == [verify_mod._NEVER]
+    sigma, peak = orbit_oracle(n)
+    assert verify_mod._jump_plain([n], before + 1) == ([sigma], [peak])
 
 
 def _count_plain_jumps(monkeypatch):
     """Wrap the plain-int jumper: count its jumps (its reads of A) and its walks
-    stopped at their budget, and list the peak of each walk that lands.
-    Every walk must end below the base table, or at its budget on 1 with
-    _NEVER steps. The calls with limit _NEVER are left out: they walk a
+    stopped at their budget, with _NEVER steps, and list the peak of each walk
+    that ends on 1. The calls with limit _NEVER are left out: they walk a
     block's top starts again for their exact peaks, and are not passes."""
     seen, peaks = Counter(), []
     real = verify_mod._jump_plain
@@ -1005,16 +1003,15 @@ def _count_plain_jumps(monkeypatch):
         views = verify_mod._VIEWS
         verify_mod._VIEWS = (Counted(views[0]), *views[1:])
         try:
-            ends, steps, walk_peaks = real(vs, limit)
+            steps, walk_peaks = real(vs, limit)
         finally:
             verify_mod._VIEWS = views
-        for end, s, peak in zip(ends, steps, walk_peaks):
-            if (end, s) == (1, verify_mod._NEVER):
+        for s, peak in zip(steps, walk_peaks):
+            if s == verify_mod._NEVER:
                 seen["stopped"] += 1
             else:
-                assert end < verify_mod._SIG.size and s < verify_mod._NEVER
                 peaks.append(peak)
-        return ends, steps, walk_peaks
+        return steps, walk_peaks
 
     monkeypatch.setattr(verify_mod, "_jump_plain", jump)
     return seen, peaks
@@ -1174,6 +1171,10 @@ def test_most_lanes_read_an_earlier_lanes_walk():
     runs = (r, 1 << 16), (0, r + (1 << 15) - (1 << 16))
     assert passes[0].rem.size == sum(len(set(zip(at0[s:e].tolist(), at1[s:e].tolist()))) for s, e in runs)
     assert _node_jumps(lo, lo + (1 << 15)) <= 0.95 * (1 << 15)
+    # between its class pass and its plain pass, a 2^16 block at 10^9 runs
+    # only numpy jump passes, each of _TAIL nodes or more
+    passes = verify_mod._walk(10**9, 10**9 + (1 << 16), DEFAULT_STEP_CAP)[0]
+    assert len(passes) > 2 and min(p.rem.size for p in passes[1:-1]) >= verify_mod._TAIL
     lo = 10**9 + 123456789
     hi = lo + (1 << 14)
     _matches_oracle(Window(lo, hi))
@@ -1220,6 +1221,17 @@ def test_block_at_the_2p16_table_bound_matches_oracle(monkeypatch):
     assert blocks == [(1 << 15, 1 << 16), (1 << 16, 3 << 15), (1, 1 << 16), (1 << 16, (1 << 16) + 5)]
 
 
+@pytest.mark.parametrize("lo, size", [(1 << 62, verify_mod._TAIL - 1), ((1 << 117) + 12345, 100)])
+def test_a_plain_block_is_one_pass_to_1(lo, size):
+    # a block of fewer than _TAIL starts, or past 2^_LIMBS, is one plain pass:
+    # a row per start, each walked to 1, and no node still walking
+    (only,), head, top = verify_mod._walk(lo, lo + size, DEFAULT_STEP_CAP)
+    assert only.live.size == 0 and top is None and head.size == size
+    want = [orbit_oracle(n) for n in range(lo, lo + size)]
+    assert only.rem.tolist() == [sigma for sigma, _ in want]
+    assert only.peak.tolist() == [verify_mod._code(peak) for _, peak in want]
+
+
 # hand-built landings that all fall in slot 5 of 8; the last one written,
 # 29, is a third value for each equal pair, so both of a pair miss the
 # first round
@@ -1234,6 +1246,8 @@ EQUAL_MISSES = [5, 13, 5, 21, 13, 29]
         # landings past 2^63 - 1 as well: equal low limbs under other high
         # limbs, and values in [2^63, 2^64), negative as int64, high limb 0
         ([5, 13, 5, 21, 2**64 + 5, 2**63 + 5, 2**64 + 2**63 + 5, 2**64 + 5, 2**63 + 5, 13, 29], True),
+        # no landings at all: a pass whose nodes all landed in the table
+        ([], False),
     ],
 )
 def test_distinct_merges_every_equal_landing_and_no_other(values, given_high):
@@ -1242,7 +1256,7 @@ def test_distinct_merges_every_equal_landing_and_no_other(values, given_high):
     high = np.array([v >> 64 for v in values], dtype=np.uint64) if given_high else None
     index, slots = np.arange(n, dtype=np.intp), np.empty(8, dtype=np.intp)
     node, first = verify_mod._distinct(low, high, slots, index, np.empty(n, dtype=np.intp))
-    assert [values[i] for i in first[node]] == values
+    assert [values[i] for i in first[node]] == values and first.size == len(set(values))
     assert all((node[i] == node[j]) == (values[i] == values[j]) for i in range(n) for j in range(n))
 
 
