@@ -8,7 +8,11 @@ hop, "↓" a halving. "points" is bare "index,value" rows for plotting.
 the next. A derivation record is only that odd value v and its shift,
 and the exponent sets are printed straight from bits: before is the one
 digits of v, raw is e+1 and e for each of those digits e and then 0, and
-after is the one digits of 3v + 1. "machine" is the scripting contract
+after is the one digits of 3v + 1. A set is read a byte at a time: each
+call builds byte rows as wide as its largest 3v + 1, one per byte
+position, mapping each of the 256 byte values to the text of its one
+digits there, and joins one row entry per byte of v or 3v + 1; the rows
+are dropped when the call returns. "machine" is the scripting contract
 for traces and derivations: comma-separated fields
 index,decimal,binary,kind,annotations with stable order; annotations is
 the final field and is the only one that may itself contain commas, so
@@ -20,7 +24,6 @@ to stdout or a file. Output is UTF-8 with LF line endings.
 
 from __future__ import annotations
 
-from itertools import compress
 from typing import Iterator
 
 from .bitnat import int_to_decimal
@@ -75,24 +78,43 @@ def render_points(trace: CollatzTrace) -> str:
     return "\n".join(f"{i},{int_to_decimal(v)}" for i, v in enumerate(trace.values)) + "\n"
 
 
-# maps the ASCII digits "0"/"1" to the bytes 0/1, falsy and truthy for compress
-_DIGIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+def _nibbles(a: str, b: str, c: str, d: str) -> list[str]:
+    # the 16 joins of four pieces, high exponent first, indexed by the nibble picking them
+    high, low = ["", b, a, a + b], ["", d, c, c + d]
+    return [h + lo for h in high for lo in low]
+
+
+def _byte_rows(pieces: list[str]) -> list[list[str]]:
+    # pieces of exponents 8w - 1 down to 0, 8 per byte of a w-byte big-endian
+    # value: per byte, top byte first, the 256 joins of its pieces indexed by
+    # the byte value, built from the 16 joins of each half
+    rows = []
+    for i in range(0, len(pieces), 8):
+        high, low = _nibbles(*pieces[i : i + 4]), _nibbles(*pieces[i + 4 : i + 8])
+        rows.append([h + lo for h in high for lo in low])
+    return rows
+
+
+def _bytes(x: int) -> bytes:
+    return x.to_bytes((x.bit_length() + 7) // 8, "big")
 
 
 def _exponent_sets(records: list[DerivationRecord], sep: str) -> Iterator[tuple[str, str, str]]:
-    # each record's before, raw and after sets, sep-joined and picked off
-    # the bits from tables indexed top exponent first; raw needs no sort,
-    # as the one digit below e is at most e - 1
-    top = (3 * max(rec.value for rec in records) + 1).bit_length() - 1
-    exponents = [str(e) for e in range(top, -1, -1)]
-    pairs = [f"{e + 1}{sep}{e}" for e in range(top, -1, -1)]
+    # each record's before, raw and after sets, sep-joined: one piece per
+    # byte of v or 3v + 1, read off byte rows as wide as the largest 3v + 1
+    # and built for this call; the pieces are sep-led, so a set drops its
+    # first character. raw needs no sort, as the one digit below e is at most e - 1
+    width = len(_bytes(3 * max(rec.value for rec in records) + 1))
+    order = range(8 * width - 1, -1, -1)
+    exponents = _byte_rows([f"{sep}{e}" for e in order])
+    pairs = _byte_rows([f"{sep}{e + 1}{sep}{e}" for e in order])
+    get = list.__getitem__
     for rec in records:
-        v = format(rec.value, "b").encode().translate(_DIGIT_FLAGS)
-        t = format(3 * rec.value + 1, "b").encode().translate(_DIGIT_FLAGS)
+        v, t = _bytes(rec.value), _bytes(3 * rec.value + 1)
         yield (
-            sep.join(compress(exponents[top + 1 - len(v) :], v)),
-            sep.join(compress(pairs[top + 1 - len(v) :], v)) + sep + "0",
-            sep.join(compress(exponents[top + 1 - len(t) :], t)),
+            "".join(map(get, exponents[width - len(v) :], v))[1:],
+            "".join(map(get, pairs[width - len(v) :], v))[1:] + sep + "0",
+            "".join(map(get, exponents[width - len(t) :], t))[1:],
         )
 
 

@@ -43,7 +43,7 @@ on both limbs below 2^117. The loop ends at a pass of few values or one
 past 2^117, and a plain pass walks the rest to 1 (_jump_plain). A peak
 past 2^63 - 1 folds as its float64, its leading 1 and next bits (_code),
 and only the few converged nodes whose code ties the top walk again,
-for exact peaks.
+for exact peaks; a block that is one plain pass already has them.
 
 What is checked is convergence: every n reaches 1 within the step cap.
 The 1 -> 4 -> 2 -> 1 tail that follows is the same three steps for
@@ -393,8 +393,9 @@ def _by_class(lo: int, hi: int) -> tuple:
 def _walk(lo: int, hi: int, cap: int) -> tuple:
     """The _Pass records of values [lo, hi), at most 2^_K on one side of the table
     bound (start i is lo + i), each pass-0 node's head (its first start as n - lo;
-    they ascend, so a first maximum is the smallest n) and each start's own
-    first-jump peak (top; None but in a class block).
+    they ascend, so a first maximum is the smallest n), each start's own
+    first-jump peak (top; None but in a class block) and, in a block that is one
+    plain pass, each start's exact peak (exact; else None).
 
     Pass 0 is built before the loop when it does not jump: inside the table each
     start lands on itself with 0 steps, and a block of _TAIL starts or more in
@@ -449,7 +450,7 @@ def _walk(lo: int, hi: int, cap: int) -> tuple:
         if _K * len(passes) >= limit:
             # every node of the pass is past the cap: one all-_NEVER pass ends the walk
             passes.append(_Pass(np.full(n, _NEVER, dtype=np.int64), np.zeros(n, dtype=np.uint64), None, None))
-            return passes, head, top
+            return passes, head, top, None
         a, b = nodes >> _K, nodes & _MASK
         rem, pk, land = S[b], (a * M1[b] + M2[b]).view(np.uint64), A[b] * a + B[b]
         # the nodes past their gate, negative as int64 or with a high limb jump on limbs
@@ -481,11 +482,13 @@ def _walk(lo: int, hi: int, cap: int) -> tuple:
     # the nodes left walk to 1 on plain integers: the block's last pass
     if plain is None:
         plain = nodes.tolist() if high is None else _ints(high, nodes.view(np.uint64))
+    exact = None
     if plain:
         steps, peaks = _jump_plain(plain, limit - _K * len(passes))
+        exact = None if passes else peaks
         pk = np.array([_code(x) for x in peaks], dtype=np.uint64)
         passes.append(_Pass(np.array(steps, dtype=np.int64), pk, index[:0], None))
-    return passes, head, top
+    return passes, head, top, exact
 
 
 def _landed(rem: np.ndarray, pk: np.ndarray, land: np.ndarray, land_h: Optional[np.ndarray]) -> tuple:
@@ -510,9 +513,10 @@ def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
     per row: rem = S + rem[parent], peak = max(peak, peak[parent]). A start takes
     its node's steps, and its node's peak or, in a class block, its own first
     jump's if larger; rem <= cap decides it. Peaks fold as codes (_code, _codes),
-    exact below 2^63; past it the converged nodes near the top code walk again.
+    exact below 2^63; past it the converged nodes near the top code take their
+    exact peaks: a block that is one plain pass has them, others walk again.
     """
-    passes, head, top = _walk(lo, hi, cap)
+    passes, head, top, exact = _walk(lo, hi, cap)
     # per node of pass 0, a start or a class: its starts share its stopping time
     rem = _resolve(passes, "rem", np.add)
     pk = _resolve(passes, "peak", np.maximum)
@@ -543,13 +547,17 @@ def _chunk_numpy(lo: int, hi: int, cap: int) -> Checkpoint:
             best, at = top[j], j
     res.max_excursion, res.max_excursion_at = int(best), lo + at
     if best >= _WIDE:
-        # the converged nodes near the top code walk again exactly from their
-        # heads, once each (a class block's tops are below 2^63, so every start
-        # of such a node peaks at its head's peak): the first exact maximum wins
-        near = [lo + i for i in head[pk >= best - np.uint64(_MARGIN)].tolist()]
-        _, peaks = _jump_plain(near, _NEVER)
+        # the converged nodes near the top code, read from the plain pass or
+        # walked again exactly from their heads, once each (a class block's tops
+        # are below 2^63, so every start of such a node peaks at its head's
+        # peak): the first exact maximum wins
+        near = head[pk >= best - np.uint64(_MARGIN)].tolist()
+        if exact is None:
+            _, peaks = _jump_plain([lo + i for i in near], _NEVER)
+        else:
+            peaks = [exact[i] for i in near]
         res.max_excursion = max(peaks)
-        res.max_excursion_at = near[peaks.index(res.max_excursion)]
+        res.max_excursion_at = lo + near[peaks.index(res.max_excursion)]
     return res
 
 

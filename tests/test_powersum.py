@@ -1,5 +1,7 @@
 """Merge derivations: records, the carry, shifts, and the rendered sets."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -53,6 +55,24 @@ def test_exponent_sets_match_plain_int_bits(n):
     assert exponents(before) == one_bits(n)
     assert exponents(raw) == tuple(sorted([e + 1 for e in one_bits(n)] + list(one_bits(n)) + [0], reverse=True))
     assert exponents(after) == one_bits(t)
+
+
+def test_exponent_sets_of_many_records_at_byte_boundaries():
+    # one call reads its byte rows at every width below its top. Per start of
+    # 8k - 1, 8k and 8k + 1 bits, the call holds the last record of its
+    # derivation at each byte length of v; then 1, and 85, whose 3v + 1 = 256
+    # is a byte wider, alone and under a top it sets
+    rng = random.Random(49)
+    starts = [rng.getrandbits(b - 1) | 1 << (b - 1) | 1 for k in range(1, 71) for b in (8 * k - 1, 8 * k, 8 * k + 1)]
+    calls = [list({(rec.value.bit_length() + 7) // 8: rec for rec in derivation_trace(bn(n))}.values()) for n in starts]
+    calls += [derivation_trace(bn(1)), derivation_trace(bn(85)), derivation_trace(bn(85)) + derivation_trace(bn(1))]
+    for records in calls:
+        want = []
+        for v, _ in records:
+            ones = one_bits(v)
+            want.append((ones, tuple(sorted([e + 1 for e in ones] + [*ones, 0], reverse=True)), one_bits(3 * v + 1)))
+        for sep in (",", "+"):
+            assert [tuple(tuple(map(int, s.split(sep))) for s in sets) for sets in _exponent_sets(records, sep)] == want
 
 
 def test_merge_exhaustive_against_bit_engine():

@@ -3,6 +3,7 @@
 import concurrent.futures
 import dataclasses
 import functools
+import importlib.util
 import random
 import re
 import shutil
@@ -1212,7 +1213,7 @@ def test_block_at_the_2p16_table_bound_matches_oracle(monkeypatch):
     assert orbit_oracle(lo)[0] == 16
     # a block inside the table is one pass, of its starts landing on themselves,
     # and a chunk across the bound is cut there: no block holds starts on both sides
-    (only,), _, _ = verify_mod._walk(1, 1 << 16, DEFAULT_STEP_CAP)
+    (only,), _, _, _ = verify_mod._walk(1, 1 << 16, DEFAULT_STEP_CAP)
     assert only.live.size == 0 and np.array_equal(only.rem, verify_mod._SIG[1:])
     blocks, real = [], verify_mod._chunk_numpy
     monkeypatch.setattr(verify_mod, "_chunk_numpy", lambda lo, hi, cap: blocks.append((lo, hi)) or real(lo, hi, cap))
@@ -1224,12 +1225,27 @@ def test_block_at_the_2p16_table_bound_matches_oracle(monkeypatch):
 @pytest.mark.parametrize("lo, size", [(1 << 62, verify_mod._TAIL - 1), ((1 << 117) + 12345, 100)])
 def test_a_plain_block_is_one_pass_to_1(lo, size):
     # a block of fewer than _TAIL starts, or past 2^_LIMBS, is one plain pass:
-    # a row per start, each walked to 1, and no node still walking
-    (only,), head, top = verify_mod._walk(lo, lo + size, DEFAULT_STEP_CAP)
+    # a row per start, each walked to 1, and no node still walking; its
+    # peaks come out exact as well as coded
+    (only,), head, top, exact = verify_mod._walk(lo, lo + size, DEFAULT_STEP_CAP)
     assert only.live.size == 0 and top is None and head.size == size
     want = [orbit_oracle(n) for n in range(lo, lo + size)]
     assert only.rem.tolist() == [sigma for sigma, _ in want]
     assert only.peak.tolist() == [verify_mod._code(peak) for _, peak in want]
+    assert exact == [peak for _, peak in want]
+
+
+def test_one_value_blocks_walk_once(monkeypatch):
+    # a one-value block is its plain pass, whose peak is exact: a start past
+    # 2^62 walks once, also when its peak passes 2^63 - 1 and ties the top code
+    lo = (1 << 62) + 12345678901
+    hi = lo + 64
+    calls, real = [], verify_mod._jump_plain
+    monkeypatch.setattr(verify_mod, "_jump_plain", lambda vs, limit: calls.append(list(vs)) or real(vs, limit))
+    got = verify_range(lo, hi, chunk_size=1)
+    assert calls == [[n] for n in range(lo, hi)]
+    assert got == dataclasses.replace(oracle_report(lo, hi, DEFAULT_STEP_CAP), chunk_size=1)
+    assert sum(orbit_oracle(n)[1] >= 1 << 63 for n in range(lo, hi)) >= 32
 
 
 # hand-built landings that all fall in slot 5 of 8; the last one written,
@@ -1333,7 +1349,8 @@ def test_ab_timing_runs_an_a_a_comparison():
     assert names == [
         "chunk 2^16 at 1", "chunk 2^18 at 10^9+7", "chunk 2^18 at 2^40+777", "chunk 2^17 at 2^50+123",
         "chunk 4096 at 2^62+12345678901", "chunk 4096 at 2^63+12345",
-        "--chunk 1, 512 at 2^62+12345678901", "import collatzbin.verify", "verify [1, 10^7)",
+        "--chunk 1, 512 at 2^62+12345678901", "decompose, 8 at 64 bits", "decompose, 2 at 500 bits",
+        "decompose machine, 2 at 500 bits", "decompose a_250", "import collatzbin.verify", "verify [1, 10^7)",
     ]
     assert all(line.endswith("faster in 0 of 1") or line.endswith("faster in 1 of 1") for line in done.stdout.splitlines())
 
@@ -1369,6 +1386,27 @@ def test_ab_outputs_runs_an_a_a_comparison(tmp_path):
     ]
 
 
+def test_ab_outputs_compares_the_renderers(tmp_path, capsys):
+    # a renderer setting is one CLI call per tree in a fresh process: equal
+    # trees match, and a copy whose derivation text reads differently is caught
+    spec = importlib.util.spec_from_file_location("ab", Path(__file__).parents[1] / "tools" / "ab.py")
+    ab = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ab)
+    src = Path(verify_mod.__file__).resolve().parents[1]
+    copy = tmp_path / "src"
+    shutil.copytree(src / "collatzbin", copy / "collatzbin", ignore=shutil.ignore_patterns("__pycache__"))
+    module = copy / "collatzbin" / "traceio.py"
+    module.write_text(module.read_text().replace('-> shift {rec.shift}', '-> shift  {rec.shift}'))
+    settings = [("decompose", "67"), ("decompose", "67", "--format", "machine")]
+    assert ab.compare_outputs([src, src], settings) == 0
+    assert ab.compare_outputs([src, copy], settings) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "2 settings, 2 CLI runs per tree: 0 differ",
+        "differs: decompose 67",
+        "2 settings, 2 CLI runs per tree: 1 differ",
+    ]
+
+
 def test_a_class_block_folds_and_walks_per_class_node(monkeypatch):
     # pass 0 of a class block keeps one row per start, its own first-jump
     # peaks; every row the folds read has one entry per class node or fewer.
@@ -1383,7 +1421,7 @@ def test_a_class_block_folds_and_walks_per_class_node(monkeypatch):
         return jump(vs, limit)
 
     def widest(lo, hi):
-        passes, _, top = verify_mod._walk(lo, hi, DEFAULT_STEP_CAP)
+        passes, _, top, _ = verify_mod._walk(lo, hi, DEFAULT_STEP_CAP)
         assert top.size == hi - lo
         return max(row.size for p in passes for row in (p.rem, p.peak))
 

@@ -1,4 +1,4 @@
-"""A/B checks of the verifier: a base tree against this one, in outputs and in time.
+"""A/B checks of collatzbin: a base tree against this one, in outputs and in time.
 
     python tools/ab.py --base REV [--outputs [--rows I,J,...]] [--time [--rounds N] [--json FILE]]
 
@@ -12,35 +12,44 @@ each of its chunk sizes, at --jobs 1 and 2 (a row's _TAIL is the kernel's,
 and the CLI runs at its own). Each setting runs in a fresh process per
 tree: verify straight, with --checkpoint, with --resume of the finished
 file and, when a chunk boundary lies strictly inside the window, with
---resume of a checkpoint the tree's library saved at the middle one. Exit
-codes, stdout, stderr and checkpoint bytes must be equal, temporary paths
-read as <tmp>; each setting that differs is printed, and the script exits
-1.
+--resume of a checkpoint the tree's library saved at the middle one.
+Without --rows the renderers' settings follow: decompose (text and
+--format machine) and trace --format table, machine and points on seeded
+odd inputs of 64, 500 and 1,000 bits and on the hard numbers a_1, a_32 and
+a_250, each call in a fresh process per tree. Exit codes, stdout, stderr
+and checkpoint bytes must be equal, temporary paths read as <tmp>; each
+setting that differs is printed, and the script exits 1.
 
 --time loads both trees side by side (importlib), each with its own
 tables. Each probe first checks that both trees give equal Checkpoint
-fields, then runs a round on each tree in turn, the first tree
-alternating from round to round; a round of a kernel probe is its best
-of 3 calls. One line per probe gives each tree's median and
-interquartile range over the rounds, the change of the median and the
+fields or print equal stdout, then runs a round on each tree in turn, the
+first tree alternating from round to round; a round of a kernel or orbit
+probe is its best of 3 calls. One line per probe gives each tree's median
+and interquartile range over the rounds, the change of the median and the
 rounds in which this tree was faster. --json writes the rounds as well.
 Probes: _chunk_stats on six windows at the default cap (inside the base
 table from 1, the int64 bands at 10^9, 2^40 and 2^50, the two-limb bands
-past 2^62 and 2^63), a run of one-value chunks past 2^62, and, each in a
-fresh process (numpy imported before the clock starts), a cold import of
-collatzbin.verify and verify_range(1, 10^7) after it.
+past 2^62 and 2^63), a run of one-value chunks past 2^62; the CLI's
+decompose text on 8 seeded odd inputs of 64 bits and 2 of 500 bits, its
+--format machine on the 500-bit ones, and the one-record derivation of
+the hard number a_250 (cli.main in process, stdout to a buffer, summed
+over the inputs); and, each in a fresh process (numpy imported before the
+clock starts), a cold import of collatzbin.verify and verify_range(1,
+10^7) after it.
 """
 
 from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import dataclasses
 import importlib
 import importlib.util
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -62,6 +71,38 @@ CHUNKS = {
     "chunk 4096 at 2^63+12345": ((1 << 63) + 12345, 4096),
 }
 ONES = "--chunk 1, 512 at 2^62+12345678901"
+
+
+def odd_inputs(bits: int, count: int) -> list[int]:
+    """count seeded odd values of the given bit length, the same on every run."""
+    rng = random.Random(f"ab:{bits}")
+    return [rng.getrandbits(bits - 1) | 1 << (bits - 1) | 1 for _ in range(count)]
+
+
+def hard(k: int) -> int:
+    """The k-th hard number (4^k - 1)/3, whose derivation is one record."""
+    return (4**k - 1) // 3
+
+
+# name: the CLI calls of an orbit probe, timed together
+ORBITS = {
+    "decompose, 8 at 64 bits": [("decompose", str(n)) for n in odd_inputs(64, 8)],
+    "decompose, 2 at 500 bits": [("decompose", str(n)) for n in odd_inputs(500, 2)],
+    "decompose machine, 2 at 500 bits": [("decompose", str(n), "--format", "machine") for n in odd_inputs(500, 2)],
+    "decompose a_250": [("decompose", str(hard(250)))],
+}
+# the renderers' --outputs settings: each command and format on each input
+RENDERS = [
+    (command, str(n), *fmt)
+    for n in (*(n for bits in (64, 500, 1000) for n in odd_inputs(bits, 2)), *map(hard, (1, 32, 250)))
+    for command, fmt in (
+        ("decompose", ()),
+        ("decompose", ("--format", "machine")),
+        ("trace", ("--format", "table")),
+        ("trace", ("--format", "machine")),
+        ("trace", ("--format", "points")),
+    )
+]
 IMPORT = "import collatzbin.verify"
 # the child times the import, then runs a small range for the equality check
 IMPORT_CODE = (
@@ -129,8 +170,8 @@ def unpack(base: str, tmp: Path) -> Path:
     return tmp / "src"
 
 
-def load(src: Path, name: str):
-    """src's collatzbin.verify, imported as name.verify."""
+def load(src: Path, name: str) -> tuple:
+    """src's collatzbin.verify and collatzbin.cli, imported as name.verify and name.cli."""
     package = src / "collatzbin"
     spec = importlib.util.spec_from_file_location(
         name, package / "__init__.py", submodule_search_locations=[str(package)]
@@ -138,18 +179,30 @@ def load(src: Path, name: str):
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
-    return importlib.import_module(name + ".verify")
+    return importlib.import_module(name + ".verify"), importlib.import_module(name + ".cli")
 
 
 def chunk_probe(verify, lo: int, size: int):
     """A kernel probe on verify: (its Checkpoint fields, ns per value of the best of 3 calls)."""
-    return _best(lambda: verify._chunk_stats((lo, lo + size), verify.DEFAULT_STEP_CAP), size, 1e9)
+    return _best(lambda: dataclasses.astuple(verify._chunk_stats((lo, lo + size), verify.DEFAULT_STEP_CAP)), size, 1e9)
 
 
 def ones_probe(verify):
     """One-value chunks past 2^62: (Checkpoint fields, us per value of the best of 3 runs)."""
     lo = (1 << 62) + 12345678901
-    return _best(lambda: verify.verify_range(lo, lo + 512, chunk_size=1), 512, 1e6)
+    return _best(lambda: dataclasses.astuple(verify.verify_range(lo, lo + 512, chunk_size=1)), 512, 1e6)
+
+
+def orbit_probe(cli, calls: list):
+    """CLI calls on cli.main in process: (their exit codes and stdout, ms of the best of 3 runs of all)."""
+
+    def run():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            codes = [cli.main(list(argv)) for argv in calls]
+        return codes, out.getvalue()
+
+    return _best(run, 1, 1e3)
 
 
 def _best(call, count: int, scale: float, repeat: int = 3) -> tuple:
@@ -158,7 +211,7 @@ def _best(call, count: int, scale: float, repeat: int = 3) -> tuple:
         t = time.perf_counter()
         result = call()
         times.append(time.perf_counter() - t)
-    return dataclasses.astuple(result), min(times) / count * scale
+    return result, min(times) / count * scale
 
 
 def fresh_probe(src: Path, code: str) -> tuple[str, float]:
@@ -187,7 +240,14 @@ def cli_settings(indices=None) -> list[tuple]:
 
 
 def run_setting(src: Path, setting: tuple) -> dict:
-    """Every way --outputs runs one CLI setting, on src's collatzbin in a fresh process."""
+    """Every way --outputs runs one CLI setting, on src's collatzbin in a fresh process:
+    a verify setting (lo, hi, cap, chunk, jobs) or an orbit command's argv."""
+    if isinstance(setting[0], str):
+        proc = subprocess.run(
+            [sys.executable, "-m", "collatzbin", *setting], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        return {"cli": [proc.returncode, proc.stdout, proc.stderr]}
     with tempfile.TemporaryDirectory() as tmp:
         proc = subprocess.run(
             [sys.executable, "-c", SETTING_CODE, *map(str, setting), tmp], capture_output=True, text=True,
@@ -204,13 +264,17 @@ def compare_outputs(srcs, settings) -> int:
     with concurrent.futures.ThreadPoolExecutor(2) as pool:
         results = [[pool.submit(run_setting, src, s) for src in srcs] for s in settings]
         differ = runs = 0
-        for (lo, hi, cap, chunk, jobs), sides in zip(settings, results):
+        for setting, sides in zip(settings, results):
             base, this = (side.result() for side in sides)
             ways = [way for way in dict.fromkeys([*base, *this]) if base.get(way) != this.get(way)]
             runs += len(this)
             if ways:
                 differ += 1
-                print(f"differs: verify {lo} {hi} --cap {cap} --chunk {chunk} --jobs {jobs}: {', '.join(ways)}")
+                if isinstance(setting[0], str):
+                    print(f"differs: {' '.join(setting)}")
+                else:
+                    lo, hi, cap, chunk, jobs = setting
+                    print(f"differs: verify {lo} {hi} --cap {cap} --chunk {chunk} --jobs {jobs}: {', '.join(ways)}")
     print(f"{len(settings)} settings, {runs} CLI runs per tree: {differ} differ")
     return 1 if differ else 0
 
@@ -229,14 +293,16 @@ def compare_times(base: str, srcs, rounds: int, json_path) -> int:
     """Time the probes on both trees in one process; print one line per probe. 1 if a report differs."""
     trees = [load(src, name) for src, name in zip(srcs, ("cb_base", "cb_this"))]
     # name: (unit, probe of side 0 or 1)
-    probes = {name: ("ns/value", lambda side, w=w: chunk_probe(trees[side], *w)) for name, w in CHUNKS.items()}
-    probes[ONES] = "us/value", lambda side: ones_probe(trees[side])
+    probes = {name: ("ns/value", lambda side, w=w: chunk_probe(trees[side][0], *w)) for name, w in CHUNKS.items()}
+    probes[ONES] = "us/value", lambda side: ones_probe(trees[side][0])
+    for name, calls in ORBITS.items():
+        probes[name] = "ms", lambda side, calls=calls: orbit_probe(trees[side][1], calls)
     probes[IMPORT] = "ms", lambda side: fresh_probe(srcs[side], IMPORT_CODE)
     probes[RUN] = "ms", lambda side: fresh_probe(srcs[side], RUN_CODE)
     for name, (_, probe) in probes.items():
         got = [probe(side)[0] for side in (0, 1)]
         if got[0] != got[1]:
-            print(f"error: {name}: the trees differ: {got[0]} != {got[1]}", file=sys.stderr)
+            print(f"error: {name}: the trees differ: {str(got[0])[:300]} != {str(got[1])[:300]}", file=sys.stderr)
             return 1
     times = {name: ([], []) for name in probes}
     for r in range(rounds):
@@ -260,7 +326,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="git revision, or a directory holding collatzbin")
     parser.add_argument("--outputs", action="store_true", help="compare CLI outputs over the WINDOWS rows")
-    parser.add_argument("--rows", help="comma-separated WINDOWS indices for --outputs (default: every row)")
+    parser.add_argument(
+        "--rows", help="comma-separated WINDOWS indices for --outputs (default: every row, then the renderers)"
+    )
     parser.add_argument("--time", action="store_true", help="time the probes")
     parser.add_argument("--rounds", type=int, default=12)
     parser.add_argument("--json", type=Path, help="write every round here")
@@ -272,7 +340,8 @@ def main(argv=None) -> int:
     indices = None if args.rows is None else [int(i) for i in args.rows.split(",")]
     with tempfile.TemporaryDirectory() as tmp:
         srcs = unpack(args.base, Path(tmp)), ROOT / "src"
-        code = compare_outputs(srcs, cli_settings(indices)) if args.outputs else 0
+        settings = cli_settings(indices) + (RENDERS if indices is None else [])
+        code = compare_outputs(srcs, settings) if args.outputs else 0
         if args.time:
             code = compare_times(args.base, srcs, args.rounds, args.json) or code
     return code
